@@ -231,6 +231,18 @@ def make_config(raw: dict) -> RunConfig:
         )
     if not cfg.a_values:
         raise ConfigError("entropy.a: list must be nonempty")
+    # Output columns and summary keys are tagged format(a, "g"), so values
+    # that repeat or print the same would share a tag.
+    seen_tags = set()
+    for a in cfg.a_values:
+        tag = format(a, "g")
+        if tag in seen_tags:
+            raise ConfigError(
+                f"entropy.a: {a!r} repeats or prints the same as an earlier "
+                f"value (tag {tag!r}); values must be distinct to 6 "
+                f"significant digits"
+            )
+        seen_tags.add(tag)
     for name in ("tol_mono", "tol_equiv", "tol_mass"):
         if not (getattr(cfg, name) > 0):
             raise ConfigError(f"tol.{name.split('_')[1]}: must be positive")

@@ -82,8 +82,12 @@ def test_parse_rejects_bad_lines(tmp_path):
     ({"backend.kind": "round_sphere", "flow.T": "0.1", "entropy.a": ""}, "entropy.a"),
     ({"backend.kind": "round_sphere", "flow.T": "-1"}, "flow.T"),
     ({"backend.kind": "round_sphere", "flow.T": "0.1", "tol.mono": "0"}, "tol.mono"),
+    ({"backend.kind": "round_sphere", "flow.T": "0.1", "entropy.a": "0.1, 0.1"},
+     "entropy.a"),
+    ({"backend.kind": "round_sphere", "flow.T": "0.1",
+      "entropy.a": "0.1, 0.5, 0.1000001"}, "entropy.a"),
 ], ids=["no-kind", "no-T", "bad-kind", "unknown", "bad-dt", "empty-a", "neg-T",
-        "bad-tol"])
+        "bad-tol", "repeated-a", "tag-collision-a"])
 def test_make_config_errors(raw, msg):
     with pytest.raises(rl.ConfigError) as exc:
         make_config(raw)
@@ -309,6 +313,12 @@ flow.dt = 1e-3
 entropy.a = 0
 """)
     assert cli_main(["run", bad, "--out", str(tmp_path / "x")]) == 2
+
+    dup_a = write_cfg(tmp_path / "dup_a.cfg", FLAT_CFG.replace(
+        "entropy.a = 0.5", "entropy.a = 0.1, 0.1000001"))
+    capsys.readouterr()
+    assert cli_main(["check", dup_a]) == 2
+    assert "entropy.a: 0.1000001 repeats" in capsys.readouterr().err
 
     unstable = write_cfg(tmp_path / "unstable.cfg", """
 backend.kind = conformal_torus
