@@ -10,7 +10,6 @@ from .errors import (
     NoConvergence,
     NonPositive,
     NonPositiveOmega,
-    OutOfRange,
     PositivityLoss,
     RicciLabError,
     StepTooLarge,
@@ -41,7 +40,7 @@ from .geometry import (
     tensor_trace,
     volume,
 )
-from .flow import Trajectory, integrate_forward, sample, stability_dt
+from .flow import Trajectory, integrate_forward, stability_dt
 from .heat import (
     DensityField,
     DensityHistory,
@@ -50,8 +49,6 @@ from .heat import (
     terminal_datum,
 )
 from .functionals import (
-    AdjustedColumns,
-    EntropyRecord,
     f_functional,
     f_functional_f_form,
     lambda0,

@@ -18,10 +18,6 @@ class StepTooLarge(RicciLabError):
     """Time step exceeds the parabolic stability bound at some state."""
 
 
-class OutOfRange(RicciLabError):
-    """Requested time lies outside the trajectory interval."""
-
-
 class PositivityLoss(RicciLabError):
     """Density lost positivity (maximum-principle violation)."""
 

@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUp, OutOfRange, StepTooLarge
+from .errors import BlowUp, StepTooLarge
 from .geometry import (
     ConformalTorus2D,
     MetricState,
     _flow_rhs_params,
 )
 
-__all__ = ["Trajectory", "stability_dt", "integrate_forward", "sample"]
+__all__ = ["Trajectory", "stability_dt", "integrate_forward"]
 
 PARAM_FLOOR = 1e-6
 
@@ -111,20 +111,3 @@ def integrate_forward(m0: MetricState, T: float, dt: float) -> Trajectory:
         out[k + 1] = p
     return Trajectory(backend, times, out, dt)
 
-
-def sample(traj: Trajectory, t: float) -> MetricState:
-    """Metric state at time t: stored snapshot at grid times, linear
-    interpolation of backend parameters in between."""
-    t0, tK = float(traj.times[0]), float(traj.times[-1])
-    slack = 1e-9 * max(abs(tK - t0), traj.dt)
-    if t < t0 - slack or t > tK + slack:
-        raise OutOfRange(f"t={t:g} outside trajectory interval [{t0:g}, {tK:g}]")
-    pos = (t - t0) / traj.dt
-    k = int(np.clip(np.floor(pos), 0, traj.num_steps - 1))
-    theta = pos - k
-    if theta < 1e-9:
-        return traj.state(k)
-    if theta > 1.0 - 1e-9:
-        return traj.state(k + 1)
-    p = (1.0 - theta) * traj.params[k] + theta * traj.params[k + 1]
-    return MetricState(traj.backend, t, p)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -47,8 +46,6 @@ __all__ = [
     "log_entropy",
     "lambda0",
     "lambda0_eig",
-    "EntropyRecord",
-    "AdjustedColumns",
 ]
 
 LAMBDA0_TOL = 1e-10       # bound on the relative g-norm eigen-residual
@@ -182,32 +179,3 @@ def lambda0(m: MetricState, tol: float = LAMBDA0_TOL, maxiter: int = LAMBDA0_MAX
     unit-mass densities)."""
     return lambda0_eig(m, tol=tol, maxiter=maxiter)[0]
 
-
-# --------------------------------------------------------------------------
-# Per-time-step record
-# --------------------------------------------------------------------------
-
-@dataclass
-class AdjustedColumns:
-    """Columns of one record that depend on the adjustment value a."""
-
-    Y: float
-    omega: float
-    dY_dt_fd: float = math.nan
-    rhs_thm: float = math.nan
-    rhs_ye: float = math.nan
-    res_thm: float = math.nan
-    res_equiv: float = math.nan
-
-
-@dataclass
-class EntropyRecord:
-    """One row of the run table: scalar functionals at a time instant plus
-    the per-adjustment columns (finite-difference derivatives are filled in
-    once the whole series exists)."""
-
-    t: float
-    F: float
-    S: float
-    lambda0: float
-    per_a: dict[float, AdjustedColumns] = field(default_factory=dict)

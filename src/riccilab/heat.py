@@ -14,6 +14,7 @@ identically on the periodic grid, so the semi-discrete mass
 integral(v dmu_{g(t)}) is exactly conserved and the recorded drift is pure
 time-integration error.
 
+The right-hand side uses the geometry operators, one path for every backend.
 The RK4 stages need metrics at half-step times.  The solver therefore steps
 at an even multiple of the trajectory spacing so every stage time lands on
 a stored snapshot; no interpolation enters the solve.  Mass is checked at
@@ -33,9 +34,9 @@ from .geometry import (
     MetricState,
     ScalarField,
     _field_shape,
-    _lap5,
     grid_coords,
     integrate,
+    laplace_beltrami,
     scalar_curvature,
     scalar_field,
 )
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 POSITIVITY_FLOOR = 1e-10
+DATUM_KINDS = ("constant", "bump", "random_smooth")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +116,7 @@ def terminal_datum(
     kind degenerates to the constant datum there.
     """
     b = m_T.backend
-    if kind not in ("constant", "bump", "random_smooth"):
+    if kind not in DATUM_KINDS:
         raise ValueError(f"unknown terminal datum kind {kind!r}")
     if not isinstance(b, ConformalTorus2D) or kind == "constant":
         return _normalized(m_T, np.ones(_field_shape(b)))
@@ -165,14 +167,10 @@ def change_variables(vf: DensityField) -> tuple[ScalarField, ScalarField]:
 # Backward solve
 # --------------------------------------------------------------------------
 
-def _heat_rhs(backend, params, v):
-    """dv/dtau = Lap_g v - R v at a fixed metric, on raw arrays."""
-    if isinstance(backend, ConformalTorus2D):
-        e2p = np.exp(2.0 * params)
-        R = -2.0 / e2p * _lap5(params, backend.h)
-        return _lap5(v, backend.h) / e2p - R * v
-    m = MetricState(backend, 0.0, params)
-    return -float(scalar_curvature(m).values) * v
+def _heat_rhs(m: MetricState, v: np.ndarray) -> np.ndarray:
+    """dv/dtau = Lap_g v - R v at the metric m, on raw arrays."""
+    lap = laplace_beltrami(m, ScalarField(m.backend, v)).values
+    return lap - scalar_curvature(m).values * v
 
 
 def solve_backward(
@@ -205,32 +203,32 @@ def solve_backward(
     if K % stride != 0:
         raise ValueError("trajectory length is not divisible by the solver step")
     M = K // stride
-    backend = traj.backend
     half = stride // 2
 
     out = np.empty((M + 1,) + v_T.v.shape)
     masses = np.empty(M + 1)
+    m1 = traj.final_state()
     out[M] = v_T.v
-    masses[M] = integrate(traj.final_state(), scalar_field(traj.final_state(), v_T.v))
-    _check_density(out[M], masses[M], mass_tol, float(traj.times[-1]))
+    masses[M] = integrate(m1, scalar_field(m1, v_T.v))
+    _check_density(out[M], masses[M], mass_tol, m1.t)
 
     v = v_T.v
     for j in range(M, 0, -1):
-        i1 = j * stride          # tau-step start (later t)
-        im = i1 - half           # midpoint
-        i0 = i1 - stride         # tau-step end (earlier t)
-        p1, pm, p0 = traj.params[i1], traj.params[im], traj.params[i0]
-        k1 = _heat_rhs(backend, p1, v)
-        k2 = _heat_rhs(backend, pm, v + 0.5 * step * k1)
-        k3 = _heat_rhs(backend, pm, v + 0.5 * step * k2)
-        k4 = _heat_rhs(backend, p0, v + step * k3)
+        # tau-step from the later snapshot m1 through the midpoint mm to m0.
+        i1 = j * stride
+        mm, m0 = traj.state(i1 - half), traj.state(i1 - stride)
+        k1 = _heat_rhs(m1, v)
+        k2 = _heat_rhs(mm, v + 0.5 * step * k1)
+        k3 = _heat_rhs(mm, v + 0.5 * step * k2)
+        k4 = _heat_rhs(m0, v + step * k3)
         v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[j - 1] = v
-        masses[j - 1] = integrate(traj.state(i0), scalar_field(traj.state(i0), v))
-        _check_density(v, masses[j - 1], mass_tol, float(traj.times[i0]))
+        masses[j - 1] = integrate(m0, scalar_field(m0, v))
+        _check_density(v, masses[j - 1], mass_tol, m0.t)
+        m1 = m0
 
     times = traj.times[:: stride].copy()
-    return DensityHistory(backend, times, out, masses)
+    return DensityHistory(traj.backend, times, out, masses)
 
 
 def _check_density(v, mass, mass_tol, t):

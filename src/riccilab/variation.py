@@ -56,6 +56,8 @@ __all__ = [
     "VariationReport",
 ]
 
+SUB_IDENTITY_TOL = 1e-9   # relative bound on the integration-by-parts sub-identity
+
 
 # --------------------------------------------------------------------------
 # The variation tensor and the two rate forms
@@ -213,16 +215,18 @@ def equivalence_check(
     sub_lhs,
     sub_rhs,
     tol_equiv: float = 1e-8,
-    tol_sub: float = 1e-9,
-) -> np.ndarray:
-    """Per-row pass flags for the two-form equivalence.
+    tol_sub: float = SUB_IDENTITY_TOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row pass flags (main_ok, sub_ok) for the two-form equivalence.
 
-    Row passes when |split - combined| <= tol_equiv * max(1, |split|) and
-    the integration-by-parts sub-identity integral(Lap f e^{-f}) =
-    integral(|grad f|^2 e^{-f}) (values supplied per row) holds at tol_sub
-    under the same normalization.  The main check exercises the algebra
-    that the trace of the variation tensor integrates to F; the sub-check
-    isolates the integration-by-parts ingredient.
+    ``main_ok`` holds where |split - combined| <= tol_equiv * max(1, |split|);
+    it exercises the algebra that the trace of the variation tensor
+    integrates to F.  ``sub_ok`` holds where the integration-by-parts
+    sub-identity integral(Lap f e^{-f}) = integral(|grad f|^2 e^{-f})
+    (values supplied per row) holds at tol_sub under the same normalization;
+    it isolates that ingredient, whose discrete chain-rule floor can exceed
+    tol_sub on coarse grids while the main check passes, so the two flags
+    are reported apart.
     """
     rt = np.asarray(rhs_split_vals, dtype=float)
     ry = np.asarray(rhs_combined_vals, dtype=float)
@@ -230,7 +234,7 @@ def equivalence_check(
     sr = np.asarray(sub_rhs, dtype=float)
     main_ok = np.abs(rt - ry) <= tol_equiv * np.maximum(1.0, np.abs(rt))
     sub_ok = np.abs(sl - sr) <= tol_sub * np.maximum(1.0, np.abs(sl))
-    return main_ok & sub_ok
+    return main_ok, sub_ok
 
 
 def monotonicity_check(Y_series, tol: float = 1e-6) -> np.ndarray:

@@ -125,32 +125,6 @@ def test_horizon_must_divide_step():
         rl.integrate_forward(sphere_state(), 0.0105, 1e-3)
 
 
-# -------------------------------------------------------------------------
-# Sampling
-# -------------------------------------------------------------------------
-
-def test_sample_grid_times_exact():
-    traj = rl.integrate_forward(sphere_state(), 0.1, 1e-3)
-    for k in (0, 17, traj.num_steps):
-        m = rl.sample(traj, float(traj.times[k]))
-        assert m.params[0] == traj.params[k, 0]
-
-
-def test_sample_linear_interpolation_exact_on_linear_solution():
-    traj = rl.integrate_forward(sphere_state(), 0.1, 1e-3)
-    t = 0.0435  # midway between grid points; c(t) is linear so interp is exact
-    m = rl.sample(traj, t)
-    assert m.params[0] == pytest.approx(1.0 - 2.0 * t, abs=1e-12)
-
-
-def test_sample_out_of_range():
-    traj = rl.integrate_forward(sphere_state(), 0.1, 1e-3)
-    with pytest.raises(rl.OutOfRange):
-        rl.sample(traj, -0.01)
-    with pytest.raises(rl.OutOfRange):
-        rl.sample(traj, 0.2)
-
-
 def test_trajectory_uniform_times():
     traj = rl.integrate_forward(sphere_state(), 0.05, 1e-3)
     diffs = np.diff(traj.times)

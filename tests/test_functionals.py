@@ -270,9 +270,3 @@ def test_lambda0_nondecreasing_along_flow():
     a = -lams[0] + 1e-6
     assert np.all(a > -lams)
 
-
-def test_entropy_record_structure():
-    rec = rl.EntropyRecord(t=0.0, F=2.0, S=-2.5, lambda0=0.5)
-    rec.per_a[0.5] = rl.AdjustedColumns(Y=1.0, omega=1.0)
-    assert rec.per_a[0.5].Y == 1.0
-    assert math.isnan(rec.per_a[0.5].dY_dt_fd)

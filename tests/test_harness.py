@@ -86,8 +86,12 @@ def test_parse_rejects_bad_lines(tmp_path):
      "entropy.a"),
     ({"backend.kind": "round_sphere", "flow.T": "0.1",
       "entropy.a": "0.1, 0.5, 0.1000001"}, "entropy.a"),
+    ({"backend.kind": "conformal_torus", "flow.T": "0.1",
+      "heat.datum": "gaussian"}, "heat.datum"),
+    ({"backend.kind": "conformal_torus", "flow.T": "0.1", "heat.datum": "bump",
+      "heat.width": "-1"}, "heat.width"),
 ], ids=["no-kind", "no-T", "bad-kind", "unknown", "bad-dt", "empty-a", "neg-T",
-        "bad-tol", "repeated-a", "tag-collision-a"])
+        "bad-tol", "repeated-a", "tag-collision-a", "bad-datum", "bad-width"])
 def test_make_config_errors(raw, msg):
     with pytest.raises(rl.ConfigError) as exc:
         make_config(raw)
@@ -250,15 +254,65 @@ entropy.a = 0.3
     assert b1 == b2
 
 
-def test_records_mirror_tables(sphere_result):
-    recs = sphere_result.tables.records()
-    t = sphere_result.tables
-    assert len(recs) == len(t.times)
-    k = 17
-    assert recs[k].t == float(t.times[k])
-    assert recs[k].lambda0 == float(t.lam0[k])
-    assert recs[k].per_a[1.0].rhs_thm == float(t.rhs_thm[1.0][k])
-    assert recs[k].per_a[0.0].res_equiv == float(t.res_equiv[0.0][k])
+@pytest.fixture(scope="module")
+def curved_torus_result(tmp_path_factory):
+    # Coarse grid: the integration-by-parts sub-identity misses its 1e-9
+    # bound on every row while the two rate forms agree to round-off.
+    cfg = make_config({
+        "backend.kind": "conformal_torus", "backend.N": "16",
+        "backend.phi_amplitude": "0.1",
+        "flow.T": "0.02", "flow.dt": "2e-3",
+        "heat.datum": "random_smooth", "heat.seed": "1", "entropy.a": "0.1",
+    })
+    return run(validate_config(cfg), tmp_path_factory.mktemp("curved_torus"))
+
+
+def read_csv(path):
+    """Header and float columns of a run CSV."""
+    lines = path.read_text(encoding="ascii").splitlines()
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    return lines[0].split(","), np.array(rows).T
+
+
+@pytest.mark.parametrize("fixture", ["sphere_result", "curved_torus_result"])
+def test_csvs_mirror_tables(fixture, request):
+    # .17g round-trips float64, so every column reads back exactly.
+    r = request.getfixturevalue(fixture)
+    t, rep = r.tables, r.tables.variation
+    header, cols = read_csv(r.out_dir / "data.csv")
+    expected = {"t": t.times, "F": t.F, "S": t.S, "lambda0": t.lam0}
+    for a in t.a_values:
+        tag = format(a, "g")
+        expected |= {
+            f"Y[{tag}]": t.Y[a], f"omega[{tag}]": t.om[a],
+            f"dYdt_fd[{tag}]": t.dY_fd[a], f"rhs_thm[{tag}]": t.rhs_thm[a],
+            f"rhs_ye[{tag}]": t.rhs_ye[a], f"res_thm[{tag}]": t.res_thm[a],
+            f"res_equiv[{tag}]": t.res_equiv[a],
+        }
+    assert header == list(expected)
+    for name, col in zip(header, cols):
+        np.testing.assert_array_equal(col, expected[name], err_msg=name)
+
+    header, cols = read_csv(r.out_dir / "proof_chain.csv")
+    expected = {
+        "t": t.times, "S": t.S, "dSdt_fd": rep.dS_dt_fd, "F": t.F,
+        "dFdt_fd": rep.dF_dt_fd, "dF_rhs": t.dF_rhs, "res_dS": rep.res_dS,
+        "res_dF": rep.res_dF, "sub_lhs": t.sub_lhs, "sub_rhs": t.sub_rhs,
+        "mass": t.masses, "interior": rep.interior,
+    }
+    assert header == list(expected)
+    for name, col in zip(header, cols):
+        np.testing.assert_array_equal(col, expected[name], err_msg=name)
+    flags = (r.out_dir / "proof_chain.csv").read_text().splitlines()[1:]
+    assert [line.rsplit(",", 1)[1] for line in flags] == (
+        ["0"] + ["1"] * (len(t.times) - 2) + ["0"])
+
+
+def test_sub_identity_kept_out_of_equivalence_count(curved_torus_result):
+    s = curved_torus_result.summary
+    assert curved_torus_result.exit_code == 0 and s["rows"] == 11
+    assert s["equivalence_violations"] == 0
+    assert s["sub_identity_violations"] > 0
 
 
 def test_evaluate_tables_keeps_completed_rows():
@@ -294,10 +348,14 @@ entropy.a = 0.5
     manifest = json.loads((result.out_dir / "manifest.json").read_text())
     assert manifest["status"] == "StepTooLarge"
     assert manifest["exit_code"] == 3
-    # same artifact set as a passed run: status lives in the manifest
-    assert (result.out_dir / "data.csv").exists()
-    header = (result.out_dir / "data.csv").read_text().strip()
-    assert header.startswith("t,F,S,lambda0,Y[0.5]")
+    # same artifact set as a passed run: status lives in the manifest; no
+    # row survived, so each CSV is exactly its header line
+    assert (result.out_dir / "data.csv").read_bytes() == (
+        b"t,F,S,lambda0,Y[0.5],omega[0.5],dYdt_fd[0.5],rhs_thm[0.5],"
+        b"rhs_ye[0.5],res_thm[0.5],res_equiv[0.5]\n")
+    assert (result.out_dir / "proof_chain.csv").read_bytes() == (
+        b"t,S,dSdt_fd,F,dFdt_fd,dF_rhs,res_dS,res_dF,sub_lhs,sub_rhs,mass,"
+        b"interior\n")
 
 
 # -------------------------------------------------------------------------
@@ -319,6 +377,18 @@ entropy.a = 0
     capsys.readouterr()
     assert cli_main(["check", dup_a]) == 2
     assert "entropy.a: 0.1000001 repeats" in capsys.readouterr().err
+
+    # bad terminal-datum settings are rejected before any artifact is written
+    for field, text in (
+        ("heat.datum", "heat.datum = gaussian"),
+        ("heat.width", "heat.datum = bump\nheat.width = -1"),
+    ):
+        bad_heat = write_cfg(tmp_path / "bad_heat.cfg", FLAT_CFG.replace(
+            "heat.datum = constant", text))
+        assert cli_main(["check", bad_heat]) == 2
+        assert f"ConfigError: {field}" in capsys.readouterr().err
+        assert cli_main(["run", bad_heat, "--out", str(tmp_path / "h")]) == 2
+        assert not (tmp_path / "h").exists()
 
     unstable = write_cfg(tmp_path / "unstable.cfg", """
 backend.kind = conformal_torus

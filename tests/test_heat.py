@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import riccilab as rl
 
@@ -79,6 +80,82 @@ def test_homogeneous_constant_density_tracks_volume():
     for k, t in enumerate(hist.times):
         vol = 4 * math.pi * (1.0 - 2.0 * t)
         assert abs(float(hist.v[k]) - 1.0 / vol) < 1e-10
+
+
+def lap0(w, h):
+    """Periodic 5-point flat Laplacian."""
+    return (np.roll(w, 1, 0) + np.roll(w, -1, 0) + np.roll(w, 1, 1)
+            + np.roll(w, -1, 1) - 4.0 * w) / (h * h)
+
+
+def reference_backward(traj, v_T, rhs, stride=2):
+    """RK4 in tau = T - t at step stride * traj.dt, stage metrics read from
+    the stored snapshots; rhs(params, v) is dv/dtau at fixed params."""
+    step = stride * traj.dt
+    M = traj.num_steps // stride
+    out = np.empty((M + 1,) + v_T.v.shape)
+    out[M] = v = v_T.v
+    for j in range(M, 0, -1):
+        p1 = traj.params[j * stride]
+        pm = traj.params[j * stride - stride // 2]
+        p0 = traj.params[(j - 1) * stride]
+        k1 = rhs(p1, v)
+        k2 = rhs(pm, v + 0.5 * step * k1)
+        k3 = rhs(pm, v + 0.5 * step * k2)
+        k4 = rhs(p0, v + step * k3)
+        out[j - 1] = v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    N=st.sampled_from([8, 10, 12, 14, 16]),
+    L=st.floats(1.0, 4.0 * math.pi),
+    amplitude=st.floats(0.0, 0.3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_torus_backward_solve_matches_array_reference(N, L, amplitude, seed):
+    # Lap_g v - R v written out on arrays, R = -2 e^{-2 phi} Lap0 phi.
+    backend = rl.ConformalTorus2D(N, L)
+    x, y = rl.grid_coords(backend)
+    rng = np.random.default_rng(seed)
+    phi = np.zeros((N, N))
+    for kx in range(3):
+        for ky in range(3):
+            c, theta = rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)
+            phi += c * np.cos(TWO_PI * (kx * x + ky * y) / L + theta)
+    phi *= amplitude / np.max(np.abs(phi))
+    m0 = rl.MetricState(backend, 0.0, phi)
+    dt = 0.25 * rl.stability_dt(m0)
+    traj = rl.integrate_forward(m0, 8 * dt, dt)
+    v_T = rl.terminal_datum("random_smooth", traj.final_state(), amplitude=0.2,
+                            seed=seed)
+    h = backend.h
+
+    def rhs(p, v):
+        e2p = np.exp(2.0 * p)
+        R = -2.0 / e2p * lap0(p, h)
+        return lap0(v, h) / e2p - R * v
+
+    ref = reference_backward(traj, v_T, rhs)
+    hist = rl.solve_backward(traj, v_T)
+    assert np.max(np.abs(hist.v - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("m0", [
+    rl.MetricState(rl.RoundSphere(3), 0.0, np.array([1.0])),
+    rl.MetricState(rl.BergerSphere(), 0.0, np.array([1.0, 0.8, 0.6])),
+], ids=["round", "berger"])
+def test_homogeneous_backward_solve_bitwise_reference(m0):
+    traj = rl.integrate_forward(m0, 0.02, 5e-4)
+    v_T = rl.terminal_datum("constant", traj.final_state())
+
+    def rhs(p, v):
+        m = rl.MetricState(m0.backend, 0.0, p)
+        return -float(rl.scalar_curvature(m).values) * v
+
+    ref = reference_backward(traj, v_T, rhs)
+    assert np.array_equal(rl.solve_backward(traj, v_T).v, ref)
 
 
 def test_mass_conservation_on_curved_run():

@@ -207,13 +207,16 @@ def test_flat_torus_constant_proof_chain_trivial():
 # -------------------------------------------------------------------------
 
 def test_equivalence_check_flags():
-    ok = rl.equivalence_check([2.0, 2.0], [2.0, 2.0 + 1e-12], [0.1, 0.1],
-                              [0.1, 0.1 + 1e-12])
-    assert np.all(ok)
-    bad_main = rl.equivalence_check([2.0], [2.1], [0.1], [0.1])
-    assert not bad_main[0]
-    bad_sub = rl.equivalence_check([2.0], [2.0], [0.1], [0.2])
-    assert not bad_sub[0]
+    main_ok, sub_ok = rl.equivalence_check([2.0, 2.0], [2.0, 2.0 + 1e-12],
+                                           [0.1, 0.1], [0.1, 0.1 + 1e-12])
+    assert np.all(main_ok) and np.all(sub_ok)
+    main_ok, sub_ok = rl.equivalence_check([2.0], [2.1], [0.1], [0.1])
+    assert not main_ok[0] and sub_ok[0]
+    main_ok, sub_ok = rl.equivalence_check([2.0], [2.0], [0.1], [0.2])
+    assert main_ok[0] and not sub_ok[0]
+    # the sub-identity tolerance is relative to max(1, |lhs|)
+    main_ok, sub_ok = rl.equivalence_check([2.0], [2.0], [1e3], [1e3 + 1e-7])
+    assert sub_ok[0]
 
 
 def test_monotonicity_check():
