@@ -54,6 +54,7 @@ from .functionals import (
     lambda0,
     lambda0_eig,
     log_entropy,
+    log_entropy_value,
     omega,
     shannon_entropy,
 )
@@ -65,6 +66,7 @@ from .variation import (
     matrix_quantity_f_form,
     monotonicity_check,
     proof_chain_check,
+    rate_forms,
     rhs_combined,
     rhs_split,
 )

@@ -7,7 +7,8 @@ operator-level integration-by-parts exactness of the discretization.
 * ``f_functional``    F = 4 integral(|grad u|^2 + R u^2 / 4)
 * ``shannon_entropy`` S = integral(u^2 ln u^2)   (equals -integral(f e^{-f}))
 * ``omega``           a + F/4, required positive
-* ``log_entropy``     -S + (n/2) ln(omega) + 4 a t
+* ``log_entropy``     -S + (n/2) ln(omega) + 4 a t (the formula itself is
+  ``log_entropy_value``, which takes S and omega already computed)
 * ``lambda0``         smallest eigenvalue of -Lap + R/4
 
 On the torus ``lambda0`` is found by matrix-free LOBPCG with an exact FFT
@@ -44,6 +45,7 @@ __all__ = [
     "shannon_entropy",
     "omega",
     "log_entropy",
+    "log_entropy_value",
     "lambda0",
     "lambda0_eig",
 ]
@@ -87,12 +89,17 @@ def omega(F: float, a: float) -> float:
     return w
 
 
+def log_entropy_value(S: float, w: float, n: int, a: float, t: float) -> float:
+    """Adjusted log entropy -S + (n/2) ln(w) + 4 a t from the entropy S and
+    omega w = a + F/4 of an n-dimensional snapshot at time t."""
+    return -S + 0.5 * n * math.log(w) + 4.0 * a * t
+
+
 def log_entropy(m: MetricState, u: ScalarField, a: float, t: float) -> float:
     """Adjusted log entropy -S + (n/2) ln(a + F/4) + 4 a t."""
-    n = dim(m.backend)
     S = shannon_entropy(m, u)
     w = omega(f_functional(m, u), a)
-    return -S + 0.5 * n * math.log(w) + 4.0 * a * t
+    return log_entropy_value(S, w, dim(m.backend), a, t)
 
 
 # --------------------------------------------------------------------------

@@ -221,37 +221,53 @@ def _check_same_backend(m: MetricState, field) -> None:
 
 # --------------------------------------------------------------------------
 # Periodic difference stencils (torus), spacing h, axis 0 = x, axis 1 = y
+#
+# ``_roll`` is numpy.roll for a shift of +-1 along axis 0 or 1, built from
+# two slice copies; it takes (N, N) grids and the (N, N, k) blocks of lambda0's
+# LOBPCG matvec.  Each stencil keeps the operand order of its numpy.roll
+# form, so the results are bitwise the same.
 # --------------------------------------------------------------------------
 
+def _roll(w, shift, axis):
+    """numpy.roll(w, shift, axis) for shift = +-1: out[i] = w[i - shift], periodic."""
+    out = np.empty_like(w)
+    lead = (slice(None),) * axis
+    if shift == -1:
+        out[lead + (slice(None, -1),)] = w[lead + (slice(1, None),)]
+        out[lead + (-1,)] = w[lead + (0,)]
+    else:
+        out[lead + (slice(1, None),)] = w[lead + (slice(None, -1),)]
+        out[lead + (0,)] = w[lead + (-1,)]
+    return out
+
+
 def _dp(w, axis, h):
-    return (np.roll(w, -1, axis) - w) / h
+    return (_roll(w, -1, axis) - w) / h
 
 
 def _dm(w, axis, h):
-    return (w - np.roll(w, 1, axis)) / h
+    return (w - _roll(w, 1, axis)) / h
 
 
 def _dc(w, axis, h):
-    return (np.roll(w, -1, axis) - np.roll(w, 1, axis)) / (2.0 * h)
+    return (_roll(w, -1, axis) - _roll(w, 1, axis)) / (2.0 * h)
 
 
 def _d2(w, axis, h):
-    return (np.roll(w, -1, axis) - 2.0 * w + np.roll(w, 1, axis)) / (h * h)
+    return (_roll(w, -1, axis) - 2.0 * w + _roll(w, 1, axis)) / (h * h)
 
 
 def _lap5(w, h):
     return (
-        np.roll(w, -1, 0) + np.roll(w, 1, 0) + np.roll(w, -1, 1) + np.roll(w, 1, 1)
+        _roll(w, -1, 0) + _roll(w, 1, 0) + _roll(w, -1, 1) + _roll(w, 1, 1)
         - 4.0 * w
     ) / (h * h)
 
 
 def _dcross(w, h):
+    xp, xm = _roll(w, -1, 0), _roll(w, 1, 0)
     return (
-        np.roll(np.roll(w, -1, 0), -1, 1)
-        - np.roll(np.roll(w, -1, 0), 1, 1)
-        - np.roll(np.roll(w, 1, 0), -1, 1)
-        + np.roll(np.roll(w, 1, 0), 1, 1)
+        _roll(xp, -1, 1) - _roll(xp, 1, 1) - _roll(xm, -1, 1) + _roll(xm, 1, 1)
     ) / (4.0 * h * h)
 
 

@@ -66,7 +66,7 @@ from .geometry import (
 from .functionals import (
     f_functional,
     lambda0,
-    log_entropy,
+    log_entropy_value,
     omega,
     shannon_entropy,
 )
@@ -84,8 +84,7 @@ from .variation import (
     matrix_quantity,
     monotonicity_check,
     proof_chain_check,
-    rhs_combined,
-    rhs_split,
+    rate_forms,
 )
 
 __all__ = [
@@ -242,6 +241,12 @@ def make_config(raw: dict) -> RunConfig:
         )
     if cfg.width is not None and not (cfg.width > 0):
         raise ConfigError("heat.width: must be positive")
+    if (cfg.center_x is None) != (cfg.center_y is None):
+        missing = "heat.center_y" if cfg.center_y is None else "heat.center_x"
+        raise ConfigError(f"{missing}: missing; heat.center_x and "
+                          f"heat.center_y must be set together")
+    if cfg.cutoff < 1:
+        raise ConfigError("heat.cutoff: must be at least 1")
     if not cfg.a_values:
         raise ConfigError("entropy.a: list must be nonempty")
     # Output columns and summary keys are tagged format(a, "g"), so values
@@ -371,12 +376,15 @@ def evaluate_tables(
 ) -> tuple[RunTables | None, Exception | None]:
     """Evaluate every functional and verification column row by row.
 
+    Each row builds F, S, lambda0 and the variation tensor T once; every
+    adjustment value then reuses them for omega, Y and both rate forms.
     On a numerical failure the completed rows are kept (truncated tables,
     finite differences over the surviving series) so a failed run still
     ships a partial CSV; returns (tables, error), tables None when fewer
     than 3 rows survived.
     """
     stride = int(round(dt / traj.dt))
+    n = dim(traj.backend)
     times = hist.times
     K = len(times)
     F = np.empty(K)
@@ -411,9 +419,8 @@ def evaluate_tables(
             sub_rhs[k] = integrate(m, scalar_field(m, gradient_sq(m, f).values * v))
             for a in a_values:
                 om[a][k] = omega(F[k], a)
-                Y[a][k] = log_entropy(m, u, a, float(t))
-                rt[a][k] = rhs_split(m, u, a)
-                ry[a][k] = rhs_combined(m, u, a)
+                Y[a][k] = log_entropy_value(S[k], om[a][k], n, a, float(t))
+                rt[a][k], ry[a][k] = rate_forms(m, u, T_var, F[k], a)
         except NUMERICAL_ERRORS as exc:
             error = exc
             break
@@ -566,7 +573,7 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
         v_T = terminal_datum(
             cfg.datum, m_T,
             amplitude=cfg.amplitude, seed=cfg.seed, mode_cutoff=cfg.cutoff,
-            center=(None if cfg.center_x is None or cfg.center_y is None
+            center=(None if cfg.center_x is None
                     else (cfg.center_x, cfg.center_y)),
             width=cfg.width,
         )

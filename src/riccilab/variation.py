@@ -8,10 +8,14 @@ each (metric, density) snapshot:
 * combined form   (n/(4 omega)) integral(|T - (4 omega / n) g|^2 u^2)
 
 with T = Ric - 2 Hess(u)/u + 2 grad u (x) grad u / u^2 (equivalently
-Ric + Hess(f) for f = -2 ln u).  Both are computed from the same tensor and
-the same quadrature, so their algebraic equivalence is tested free of
-independent discretization noise.  Since 4(omega - a) = F, the subtracted
-multiple in the split form equals (F/n) g.
+Ric + Hess(f) for f = -2 ln u).  ``rate_forms`` takes T and the energy F of
+the snapshot, already computed, and returns both rates: two separate
+deviation integrals over the same tensor and the same quadrature, so their
+algebraic equivalence is tested free of independent discretization noise.
+They are not merged into one integral by expanding the squares.  Since
+4(omega - a) = F, the subtracted multiple in the split form equals (F/n) g.
+``rhs_split`` and ``rhs_combined`` build T and F themselves and return one
+rate each.
 
 Time derivatives are always taken from the stored time series by finite
 differences, never from re-deriving evolution equations, so the verifier
@@ -47,6 +51,7 @@ from .functionals import f_functional, omega
 __all__ = [
     "matrix_quantity",
     "matrix_quantity_f_form",
+    "rate_forms",
     "rhs_split",
     "rhs_combined",
     "fd_time_derivative",
@@ -92,34 +97,44 @@ def matrix_quantity_f_form(m: MetricState, f: ScalarField) -> SymTensorField:
     return SymTensorField(m.backend, Ric.comps + H.comps)
 
 
-def _rate(m: MetricState, u: ScalarField, a: float, coeff_shift: float):
-    """(n/(4w)) integral(|T - c g|^2 u^2 dmu) and w, for c = (4w - coeff_shift)/n."""
+def _deviation_rate(m: MetricState, u: ScalarField, T: SymTensorField,
+                    g: SymTensorField, w: float, c: float) -> float:
+    """(n/(4w)) integral(|T - c g|^2 u^2 dmu)."""
     n = dim(m.backend)
-    F = f_functional(m, u)
-    w = omega(F, a)
-    c = (4.0 * w - coeff_shift) / n
-    T = matrix_quantity(m, u)
-    g = metric_tensor(m)
     dev = SymTensorField(m.backend, T.comps - c * g.comps)
     norm_sq = tensor_norm_sq(m, dev)
     val = integrate(m, scalar_field(m, norm_sq.values * u.values**2))
-    return n / (4.0 * w) * val, w
+    return n / (4.0 * w) * val
+
+
+def rate_forms(m: MetricState, u: ScalarField, T: SymTensorField, F: float,
+               a: float) -> tuple[float, float]:
+    """Split and combined rates from a given variation tensor T and energy F.
+
+    T must be :func:`matrix_quantity` of (m, u) and F the energy
+    :func:`f_functional` of (m, u); omega = a + F/4.  The two forms are two
+    separate deviation integrals over the same tensor and quadrature.
+    """
+    n = dim(m.backend)
+    w = omega(F, a)
+    g = metric_tensor(m)
+    split = _deviation_rate(m, u, T, g, w, (4.0 * w - 4.0 * a) / n)
+    combined = _deviation_rate(m, u, T, g, w, 4.0 * w / n)
+    return split + 4.0 * a * a / w, combined
 
 
 def rhs_split(m: MetricState, u: ScalarField, a: float) -> float:
     """Split-form rate: deviation from the (4(omega-a)/n) g multiple plus the
     adjustment term 4 a^2 / omega.  Vanishes exactly on a gradient shrinking
     soliton with a = 0; strictly positive whenever a != 0."""
-    val, w = _rate(m, u, a, coeff_shift=4.0 * a)
-    return val + 4.0 * a * a / w
+    return rate_forms(m, u, matrix_quantity(m, u), f_functional(m, u), a)[0]
 
 
 def rhs_combined(m: MetricState, u: ScalarField, a: float) -> float:
     """Combined-form rate: single squared deviation from the (4 omega/n) g
     multiple.  Algebraically equal to :func:`rhs_split` when the density has
     unit mass."""
-    val, _ = _rate(m, u, a, coeff_shift=0.0)
-    return val
+    return rate_forms(m, u, matrix_quantity(m, u), f_functional(m, u), a)[1]
 
 
 # --------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 discrete exactness properties the functional identities rely on."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import riccilab as rl
+from riccilab.geometry import _d2, _dc, _dcross, _dm, _dp, _lap5, _roll
 
 TWO_PI = 2.0 * math.pi
 
@@ -127,6 +130,52 @@ def test_berger_volume_identity_against_flow():
                    for k in range(traj.num_steps + 1)])
     d = rl.fd_time_derivative(np.log(vols), dt)
     assert np.max(np.abs(d + Rs)[1:-1]) < 1e-6
+
+
+# -------------------------------------------------------------------------
+# Periodic stencils
+# -------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    N=st.sampled_from([8, 10, 12, 14, 16]),
+    k=st.sampled_from([None, 1, 3]),
+    axis=st.sampled_from([0, 1]),
+    h=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stencils_match_numpy_roll_bitwise(N, k, axis, h, seed):
+    # k None is an (N, N) grid; otherwise an (N, N, k) block as lambda0's
+    # matvec passes to _lap5.  The reference formulas are the numpy.roll
+    # forms with the same operand order, so equality is exact.
+    shape = (N, N) if k is None else (N, N, k)
+    w = np.random.default_rng(seed).standard_normal(shape)
+    for shift in (-1, 1):
+        assert np.array_equal(_roll(w, shift, axis), np.roll(w, shift, axis))
+    assert np.array_equal(_dp(w, axis, h), (np.roll(w, -1, axis) - w) / h)
+    assert np.array_equal(_dm(w, axis, h), (w - np.roll(w, 1, axis)) / h)
+    assert np.array_equal(
+        _dc(w, axis, h), (np.roll(w, -1, axis) - np.roll(w, 1, axis)) / (2.0 * h))
+    assert np.array_equal(
+        _d2(w, axis, h),
+        (np.roll(w, -1, axis) - 2.0 * w + np.roll(w, 1, axis)) / (h * h))
+    assert np.array_equal(_lap5(w, h), (
+        np.roll(w, -1, 0) + np.roll(w, 1, 0) + np.roll(w, -1, 1) + np.roll(w, 1, 1)
+        - 4.0 * w
+    ) / (h * h))
+    assert np.array_equal(_dcross(w, h), (
+        np.roll(np.roll(w, -1, 0), -1, 1) - np.roll(np.roll(w, -1, 0), 1, 1)
+        - np.roll(np.roll(w, 1, 0), -1, 1) + np.roll(np.roll(w, 1, 0), 1, 1)
+    ) / (4.0 * h * h))
+
+
+def test_package_has_no_numpy_roll():
+    # The stencils shift by slice copies; numpy.roll's per-call overhead
+    # dominated them on the grids the runs use.
+    sources = sorted(Path(rl.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        assert "np.roll" not in path.read_text(encoding="utf-8"), path.name
 
 
 # -------------------------------------------------------------------------

@@ -90,8 +90,17 @@ def test_parse_rejects_bad_lines(tmp_path):
       "heat.datum": "gaussian"}, "heat.datum"),
     ({"backend.kind": "conformal_torus", "flow.T": "0.1", "heat.datum": "bump",
       "heat.width": "-1"}, "heat.width"),
+    ({"backend.kind": "conformal_torus", "flow.T": "0.1", "heat.datum": "bump",
+      "heat.center_x": "1.0"}, "heat.center_y"),
+    ({"backend.kind": "conformal_torus", "flow.T": "0.1", "heat.datum": "bump",
+      "heat.center_y": "1.0"}, "heat.center_x"),
+    ({"backend.kind": "conformal_torus", "flow.T": "0.1",
+      "heat.datum": "random_smooth", "heat.cutoff": "-1"}, "heat.cutoff"),
+    ({"backend.kind": "conformal_torus", "flow.T": "0.1",
+      "heat.datum": "random_smooth", "heat.cutoff": "0"}, "heat.cutoff"),
 ], ids=["no-kind", "no-T", "bad-kind", "unknown", "bad-dt", "empty-a", "neg-T",
-        "bad-tol", "repeated-a", "tag-collision-a", "bad-datum", "bad-width"])
+        "bad-tol", "repeated-a", "tag-collision-a", "bad-datum", "bad-width",
+        "lone-center-x", "lone-center-y", "negative-cutoff", "zero-cutoff"])
 def test_make_config_errors(raw, msg):
     with pytest.raises(rl.ConfigError) as exc:
         make_config(raw)
@@ -315,6 +324,84 @@ def test_sub_identity_kept_out_of_equivalence_count(curved_torus_result):
     assert s["sub_identity_violations"] > 0
 
 
+# Row-kernel configs: a curved torus and both homogeneous backends, each with
+# several adjustment values.
+ROW_KERNEL_CFGS = {
+    "curved_torus": {
+        "backend.kind": "conformal_torus", "backend.N": "16",
+        "backend.phi_amplitude": "0.1", "flow.T": "0.02", "flow.dt": "2e-3",
+        "heat.datum": "random_smooth", "heat.seed": "1",
+        "entropy.a": "0.1, 0.5, 2",
+    },
+    "round_sphere": {
+        "backend.kind": "round_sphere", "backend.n": "2", "flow.T": "0.02",
+        "flow.dt": "1e-3", "entropy.a": "0, 1",
+    },
+    "berger_sphere": {
+        "backend.kind": "berger_sphere", "backend.A0": "1.2", "flow.T": "0.02",
+        "flow.dt": "1e-3", "entropy.a": "0, 0.5",
+    },
+}
+
+
+def row_states(validated):
+    """(t, metric, u) of every row, rebuilt the way ``run`` builds them."""
+    cfg = validated.cfg
+    traj = rl.integrate_forward(validated.m0, validated.T, validated.dt / 2.0)
+    v_T = rl.terminal_datum(cfg.datum, traj.final_state(), amplitude=cfg.amplitude,
+                            seed=cfg.seed, mode_cutoff=cfg.cutoff)
+    hist = rl.solve_backward(traj, v_T, step=validated.dt, mass_tol=cfg.tol_mass)
+    for k, t in enumerate(hist.times):
+        u, _ = rl.change_variables(hist.field(k))
+        yield float(t), traj.state(2 * k), u
+
+
+@pytest.mark.parametrize("name", list(ROW_KERNEL_CFGS))
+def test_row_kernel_matches_public_functionals(name, tmp_path):
+    # The run builds T and F once per row and shares them across every a;
+    # each entry must equal the public functional on that row's state.
+    validated = validate_config(make_config(ROW_KERNEL_CFGS[name]))
+    tables = run(validated, tmp_path / name).tables
+    states = list(row_states(validated))
+    assert len(states) == len(tables.times) == validated.num_rows
+    for k, (t, m, u) in enumerate(states):
+        assert tables.times[k] == t
+        assert tables.F[k] == rl.f_functional(m, u)
+        assert tables.S[k] == rl.shannon_entropy(m, u)
+        for a in tables.a_values:
+            assert tables.Y[a][k] == rl.log_entropy(m, u, a, t)
+            assert tables.om[a][k] == rl.omega(rl.f_functional(m, u), a)
+            assert tables.rhs_thm[a][k] == rl.rhs_split(m, u, a)
+            assert tables.rhs_ye[a][k] == rl.rhs_combined(m, u, a)
+
+
+@pytest.mark.parametrize("a_values", ["0.1", "0.1, 0.5, 2"])
+def test_row_kernel_builds_tensor_and_energy_once_per_row(a_values, tmp_path,
+                                                          monkeypatch):
+    # Count every call, whichever module namespace it goes through.
+    from riccilab import functionals, harness, variation
+
+    counts = {}
+    for module, name in ((variation, "matrix_quantity"),
+                         (functionals, "f_functional")):
+        original = getattr(module, name)
+        counts[name] = 0
+
+        def counted(*args, _fn=original, _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        for ns in (functionals, variation, harness):
+            if getattr(ns, name, None) is original:
+                monkeypatch.setattr(ns, name, counted)
+    validated = validate_config(make_config(
+        {**ROW_KERNEL_CFGS["curved_torus"], "entropy.a": a_values}))
+    result = run(validated, tmp_path / "out")
+    assert result.exit_code == 0
+    assert counts == {"matrix_quantity": validated.num_rows,
+                      "f_functional": validated.num_rows}
+
+
 def test_evaluate_tables_keeps_completed_rows():
     from riccilab.harness import evaluate_tables
 
@@ -382,6 +469,9 @@ entropy.a = 0
     for field, text in (
         ("heat.datum", "heat.datum = gaussian"),
         ("heat.width", "heat.datum = bump\nheat.width = -1"),
+        ("heat.center_y", "heat.datum = bump\nheat.center_x = 1.0"),
+        ("heat.cutoff", "heat.datum = random_smooth\nheat.cutoff = -1"),
+        ("heat.cutoff", "heat.datum = random_smooth\nheat.cutoff = 0"),
     ):
         bad_heat = write_cfg(tmp_path / "bad_heat.cfg", FLAT_CFG.replace(
             "heat.datum = constant", text))
