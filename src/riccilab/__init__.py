@@ -6,10 +6,12 @@ from .errors import (
     AdmissibilityError,
     BlowUp,
     ConfigError,
+    InputError,
     MassDrift,
     NoConvergence,
     NonPositive,
     NonPositiveOmega,
+    NumericalError,
     PositivityLoss,
     RicciLabError,
     StepTooLarge,
@@ -42,7 +44,6 @@ from .geometry import (
 )
 from .flow import Trajectory, integrate_forward, stability_dt
 from .heat import (
-    DensityField,
     DensityHistory,
     change_variables,
     solve_backward,

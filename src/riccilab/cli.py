@@ -4,8 +4,8 @@ Subcommands: ``run <config>`` executes the pipeline and writes artifacts,
 ``converge <config> --levels k`` drives a refinement study, ``check
 <config>`` validates only.  ``--out`` overrides out.dir; the environment
 variable RICCILAB_OUT supplies the default output root for relative paths.
-Exit codes: 0 success, 2 configuration/admissibility error, 3 numerical
-failure.
+Exit codes: 0 success, 2 configuration/admissibility error (any
+``InputError``, also at a later ``converge`` level), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import AdmissibilityError, ConfigError
+from .errors import InputError
 from .harness import (
     convergence_study,
     make_config,
@@ -54,11 +54,14 @@ def _load(path: str):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg, validated = _load(args.config)
-    except (ConfigError, AdmissibilityError) as exc:
+        return _dispatch(args)
+    except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
+
+def _dispatch(args) -> int:
+    cfg, validated = _load(args.config)
     if args.command == "check":
         print(f"config ok: backend={cfg.backend_kind}")
         print(f"resolved T={validated.T:g} dt={validated.dt:g} rows={validated.num_rows}")
@@ -94,9 +97,6 @@ def main(argv=None) -> int:
 
     try:
         study = convergence_study(cfg, args.levels, out)
-    except ConfigError as exc:
-        print(f"error: ConfigError: {exc}", file=sys.stderr)
-        return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

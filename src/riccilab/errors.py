@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Numerical failures (blow-up, positivity loss, mass drift, non-positive
-shifted energy) are distinct from configuration errors so the CLI can map
-them to different exit codes.
+Two families set the CLI exit code: ``InputError`` (configuration or
+admissibility, exit 2) and ``NumericalError`` (blow-up, positivity loss,
+mass drift, non-positive shifted energy, ..., exit 3).
 """
 
 
@@ -10,31 +10,39 @@ class RicciLabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class BlowUp(RicciLabError):
+class InputError(RicciLabError):
+    """The requested run is invalid before any computation (exit 2)."""
+
+
+class NumericalError(RicciLabError):
+    """A numerical failure during a run (exit 3, partial artifacts kept)."""
+
+
+class BlowUp(NumericalError):
     """A metric parameter fell below the floor or became non-finite."""
 
 
-class StepTooLarge(RicciLabError):
+class StepTooLarge(NumericalError):
     """Time step exceeds the parabolic stability bound at some state."""
 
 
-class PositivityLoss(RicciLabError):
+class PositivityLoss(NumericalError):
     """Density lost positivity (maximum-principle violation)."""
 
 
-class MassDrift(RicciLabError):
+class MassDrift(NumericalError):
     """Density mass drifted from 1 beyond the conservation tolerance."""
 
 
-class NonPositive(RicciLabError):
+class NonPositive(NumericalError):
     """Terminal datum recipe produced a non-positive field."""
 
 
-class NonPositiveOmega(RicciLabError):
+class NonPositiveOmega(NumericalError):
     """Shifted energy a + F/4 is not positive; the adjustment a is inadmissible."""
 
 
-class NoConvergence(RicciLabError):
+class NoConvergence(NumericalError):
     """Eigenvalue iteration failed to converge within the iteration cap."""
 
 
@@ -42,9 +50,9 @@ class TooFewSamples(RicciLabError):
     """Time series too short for a finite-difference derivative."""
 
 
-class ConfigError(RicciLabError):
+class ConfigError(InputError):
     """Malformed or inconsistent run configuration; message names the field."""
 
 
-class AdmissibilityError(RicciLabError):
+class AdmissibilityError(InputError):
     """An adjustment value a violates a > -lambda0(g(0))."""

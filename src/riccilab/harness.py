@@ -13,11 +13,12 @@ not fit the fixed data.csv schema), and ``manifest.json`` (config echo,
 resolved step, admissibility checks, summary block, exit status), written
 exactly once per run, also for failed runs so partial artifacts carry a
 status marker.  One writer prints both CSV files from the ``RunTables``
-arrays (header only when no table exists); the summary counts come from
+arrays (header only when no table exists; per-a arrays hold one column per
+adjustment value); the summary counts come from
 ``variation``'s ``equivalence_check`` and ``monotonicity_check``.
 
-Exit codes: 0 success, 2 configuration or admissibility error, 3 numerical
-failure (partial CSV retained).
+Exit codes: 0 success, 2 ``InputError`` (configuration or admissibility),
+3 ``NumericalError`` (partial CSV retained).
 
 Time stepping: the flow trajectory is integrated and stored at half the
 row step, and the density solver steps at the row step, so its RK4 stage
@@ -38,17 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _VERSION
-from .errors import (
-    AdmissibilityError,
-    BlowUp,
-    ConfigError,
-    MassDrift,
-    NoConvergence,
-    NonPositive,
-    NonPositiveOmega,
-    PositivityLoss,
-    StepTooLarge,
-)
+from .errors import AdmissibilityError, ConfigError, NumericalError
 from .flow import Trajectory, integrate_forward, stability_dt
 from .geometry import (
     BergerSphere,
@@ -103,15 +94,6 @@ __all__ = [
 OUTPUT_ROOT_ENV = "RICCILAB_OUT"
 ADMISSIBILITY_MARGIN = 1e-12
 LAMBDA0_STEP_TOL = 1e-8
-NUMERICAL_ERRORS = (
-    BlowUp,
-    StepTooLarge,
-    PositivityLoss,
-    MassDrift,
-    NonPositive,
-    NonPositiveOmega,
-    NoConvergence,
-)
 
 
 # --------------------------------------------------------------------------
@@ -199,24 +181,25 @@ def parse_config_file(path) -> dict:
 
 
 def _convert(key: str, value, kind):
+    """Typed value of one config entry; float values must be finite."""
+    if kind == "dt" and str(value).strip() == "auto":
+        return "auto"
     try:
         if kind is str:
             return str(value)
         if kind is int:
             return int(str(value))
-        if kind is float:
-            return float(str(value))
-        if kind == "dt":
-            s = str(value).strip()
-            return "auto" if s == "auto" else float(s)
-        if kind == "float_list":
-            if isinstance(value, (list, tuple)):
-                return [float(a) for a in value]
-            items = [s.strip() for s in str(value).split(",") if s.strip()]
-            return [float(s) for s in items]
+        if kind != "float_list":
+            floats = [float(str(value))]
+        elif isinstance(value, (list, tuple)):
+            floats = [float(a) for a in value]
+        else:
+            floats = [float(s) for s in str(value).split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {value!r}") from exc
-    raise AssertionError(kind)
+    if not all(math.isfinite(x) for x in floats):
+        raise ConfigError(f"{key}: must be finite, got {value!r}")
+    return floats if kind == "float_list" else floats[0]
 
 
 def make_config(raw: dict) -> RunConfig:
@@ -350,20 +333,21 @@ def validate_config(cfg: RunConfig) -> ValidatedRun:
 
 @dataclass
 class RunTables:
-    """All per-row series of a completed run."""
+    """All per-row series of a completed run.  The per-a series (Y to
+    res_equiv) are (rows, len(a_values)) arrays, column j for a_values[j]."""
 
     times: np.ndarray
     F: np.ndarray
     S: np.ndarray
     lam0: np.ndarray
     a_values: list[float]
-    Y: dict[float, np.ndarray]
-    om: dict[float, np.ndarray]
-    dY_fd: dict[float, np.ndarray]
-    rhs_thm: dict[float, np.ndarray]
-    rhs_ye: dict[float, np.ndarray]
-    res_thm: dict[float, np.ndarray]
-    res_equiv: dict[float, np.ndarray]
+    Y: np.ndarray
+    om: np.ndarray
+    dY_fd: np.ndarray
+    rhs_thm: np.ndarray
+    rhs_ye: np.ndarray
+    res_thm: np.ndarray
+    res_equiv: np.ndarray
     dF_rhs: np.ndarray
     sub_lhs: np.ndarray
     sub_rhs: np.ndarray
@@ -378,30 +362,24 @@ def evaluate_tables(
 
     Each row builds F, S, lambda0 and the variation tensor T once; every
     adjustment value then reuses them for omega, Y and both rate forms.
-    On a numerical failure the completed rows are kept (truncated tables,
-    finite differences over the surviving series) so a failed run still
+    The per-row and per-a series live in two arrays cut by one slice.  On a
+    numerical failure the completed rows are kept (truncated tables, finite
+    differences over the surviving series) so a failed run still
     ships a partial CSV; returns (tables, error), tables None when fewer
     than 3 rows survived.
     """
     stride = int(round(dt / traj.dt))
     n = dim(traj.backend)
-    times = hist.times
-    K = len(times)
-    F = np.empty(K)
-    S = np.empty(K)
-    lam = np.empty(K)
-    dF_rhs = np.empty(K)
-    sub_lhs = np.empty(K)
-    sub_rhs = np.empty(K)
     a_values = list(a_values)
-    Y = {a: np.empty(K) for a in a_values}
-    om = {a: np.empty(K) for a in a_values}
-    rt = {a: np.empty(K) for a in a_values}
-    ry = {a: np.empty(K) for a in a_values}
+    K = len(hist.times)
+    row_series = np.empty((6, K))
+    a_series = np.empty((4, K, len(a_values)))
+    F, S, lam, dF_rhs, sub_lhs, sub_rhs = row_series
+    Y, om, rt, ry = a_series
 
     error = None
     done = 0
-    for k, t in enumerate(times):
+    for k, t in enumerate(hist.times):
         try:
             m = traj.state(k * stride)
             u, f = change_variables(hist.field(k))
@@ -417,64 +395,54 @@ def evaluate_tables(
                 m, scalar_field(m, laplace_beltrami(m, f).values * v)
             )
             sub_rhs[k] = integrate(m, scalar_field(m, gradient_sq(m, f).values * v))
-            for a in a_values:
-                om[a][k] = omega(F[k], a)
-                Y[a][k] = log_entropy_value(S[k], om[a][k], n, a, float(t))
-                rt[a][k], ry[a][k] = rate_forms(m, u, T_var, F[k], a)
-        except NUMERICAL_ERRORS as exc:
+            for j, a in enumerate(a_values):
+                om[k, j] = omega(F[k], a)
+                Y[k, j] = log_entropy_value(S[k], om[k, j], n, a, float(t))
+                rt[k, j], ry[k, j] = rate_forms(m, u, T_var, F[k], a)
+        except NumericalError as exc:
             error = exc
             break
         done = k + 1
 
     if done < 3:
         return None, error
-    sl = slice(0, done)
-    times, F, S, lam = times[sl], F[sl], S[sl], lam[sl]
-    dF_rhs, sub_lhs, sub_rhs = dF_rhs[sl], sub_lhs[sl], sub_rhs[sl]
-    Y = {a: Y[a][sl] for a in a_values}
-    om = {a: om[a][sl] for a in a_values}
-    rt = {a: rt[a][sl] for a in a_values}
-    ry = {a: ry[a][sl] for a in a_values}
-    dY = {a: fd_time_derivative(Y[a], dt) for a in a_values}
-    res_thm = {a: np.abs(dY[a] - rt[a]) for a in a_values}
-    res_equiv = {a: np.abs(rt[a] - ry[a]) for a in a_values}
-    report = proof_chain_check(times, S, F, dF_rhs, dt)
+    times = hist.times[:done]
+    F, S, lam, dF_rhs, sub_lhs, sub_rhs = row_series[:, :done]
+    Y, om, rt, ry = a_series[:, :done]
+    dY = fd_time_derivative(Y, dt)
     tables = RunTables(
         times=times, F=F, S=S, lam0=lam, a_values=a_values,
         Y=Y, om=om, dY_fd=dY, rhs_thm=rt, rhs_ye=ry,
-        res_thm=res_thm, res_equiv=res_equiv,
+        res_thm=np.abs(dY - rt), res_equiv=np.abs(rt - ry),
         dF_rhs=dF_rhs, sub_lhs=sub_lhs, sub_rhs=sub_rhs,
-        masses=hist.masses[sl], variation=report,
+        masses=hist.masses[:done],
+        variation=proof_chain_check(times, S, F, dF_rhs, dt),
     )
     return tables, error
 
 
 def _summary(tables: RunTables, cfg: RunConfig) -> dict:
     interior = tables.variation.interior
-    a_values = tables.a_values
-    mono = {a: monotonicity_check(tables.Y[a], cfg.tol_mono) for a in a_values}
     lam_drops = monotonicity_check(tables.lam0, LAMBDA0_STEP_TOL)
     # Only the main flags count as equivalence violations: the sub-identity
     # has an O(h^2) chain-rule floor that coarse grids exceed while the two
-    # rate forms still agree.  Its flags do not depend on a.
-    checks = [equivalence_check(tables.rhs_thm[a], tables.rhs_ye[a], tables.sub_lhs,
-                                tables.sub_rhs, cfg.tol_equiv) for a in a_values]
-    equiv_viol = sum(int(np.sum(~main_ok)) for main_ok, _ in checks)
-    sub_ok = checks[0][1]
+    # rate forms still agree.  Its flags do not depend on a: one column.
+    main_ok, sub_ok = equivalence_check(
+        tables.rhs_thm, tables.rhs_ye, tables.sub_lhs[:, None],
+        tables.sub_rhs[:, None], cfg.tol_equiv)
     sub_res = np.abs(tables.sub_lhs - tables.sub_rhs) / np.maximum(
         1.0, np.abs(tables.sub_lhs)
     )
     return {
         "rows": int(len(tables.times)),
-        "max_res_thm_interior": float(
-            max(np.max(tables.res_thm[a][interior]) for a in a_values)
-        ),
-        "max_res_equiv": float(max(np.max(tables.res_equiv[a]) for a in a_values)),
-        "equivalence_violations": equiv_viol,
+        "max_res_thm_interior": float(np.max(tables.res_thm[interior])),
+        "max_res_equiv": float(np.max(tables.res_equiv)),
+        "equivalence_violations": int(np.sum(~main_ok)),
         "max_sub_identity_residual": float(np.max(sub_res)),
         "sub_identity_violations": int(np.sum(~sub_ok)),
         "monotonicity_violations": {
-            format(a, "g"): int(len(mono[a])) for a in a_values
+            format(a, "g"): int(len(monotonicity_check(y, cfg.tol_mono)))
+            for a, y in zip(tables.a_values, tables.Y.T)
         },
         "lambda0_monotonicity_violations": int(len(lam_drops)),
         "max_mass_drift": float(np.max(np.abs(tables.masses - 1.0))),
@@ -518,7 +486,7 @@ def _write_artifact_csvs(out: Path, a_values, tables: RunTables | None) -> None:
     if tables is not None:
         rep = tables.variation
         data = [tables.times, tables.F, tables.S, tables.lam0] + [
-            getattr(tables, field)[a] for a in a_values
+            getattr(tables, field)[:, j] for j in range(len(a_values))
             for field in _PER_A_COLS.values()
         ]
         chain = [
@@ -582,7 +550,7 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
         if row_error is not None:
             raise row_error
         summary = _summary(tables, cfg)
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         status = type(exc).__name__
         error = str(exc)
     _write_artifact_csvs(out, cfg.a_values, tables)
@@ -620,7 +588,6 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
 class StudyResult:
     levels: list[dict]
     orders_thm: list[float]
-    exit_code: int
     out_dir: Path
 
 
@@ -673,4 +640,4 @@ def convergence_study(cfg: RunConfig, levels: int, out_dir) -> StudyResult:
             f'{_fmt(row["max_res_thm_interior"])},{order}'
         )
     (out / "study.csv").write_bytes(("\n".join(lines) + "\n").encode("ascii"))
-    return StudyResult(rows, orders, 0, out)
+    return StudyResult(rows, orders, out)

@@ -19,6 +19,9 @@ The RK4 stages need metrics at half-step times.  The solver therefore steps
 at an even multiple of the trajectory spacing so every stage time lands on
 a stored snapshot; no interpolation enters the solve.  Mass is checked at
 every step but never renormalized.
+
+A density at one instant is a plain ``ScalarField`` holding v; its
+positivity and unit mass are checked by the solver, not by its type.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "DensityField",
     "DensityHistory",
     "terminal_datum",
     "change_variables",
@@ -54,25 +56,12 @@ DATUM_KINDS = ("constant", "bump", "random_smooth")
 
 
 @dataclass(frozen=True, eq=False)
-class DensityField:
-    """Positive unit-mass density v = u^2 at one time instant."""
-
-    backend: object
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        object.__setattr__(self, "v", v)
-        if v.shape != _field_shape(self.backend):
-            raise ValueError(f"density shape {v.shape} does not match backend")
-
-
-@dataclass(frozen=True, eq=False)
 class DensityHistory:
     """Density fields indexed by increasing time, aligned with a trajectory.
 
-    ``masses[k]`` records integral(v dmu) at ``times[k]`` as measured, for
-    drift diagnostics; the fields themselves are never renormalized.
+    ``v[k]`` holds v at ``times[k]`` and ``field(k)`` wraps it as a
+    ``ScalarField``.  ``masses[k]`` records integral(v dmu) at ``times[k]``
+    as measured, for drift diagnostics; the fields are never renormalized.
     """
 
     backend: object
@@ -80,18 +69,18 @@ class DensityHistory:
     v: np.ndarray
     masses: np.ndarray
 
-    def field(self, k: int) -> DensityField:
-        return DensityField(self.backend, self.v[k])
+    def field(self, k: int) -> ScalarField:
+        return ScalarField(self.backend, self.v[k])
 
 
 # --------------------------------------------------------------------------
 # Terminal data
 # --------------------------------------------------------------------------
 
-def _normalized(m_T: MetricState, raw: np.ndarray) -> DensityField:
+def _normalized(m_T: MetricState, raw: np.ndarray) -> ScalarField:
     fld = scalar_field(m_T, raw)
     mass = integrate(m_T, fld)
-    return DensityField(m_T.backend, fld.values / mass)
+    return scalar_field(m_T, fld.values / mass)
 
 
 def terminal_datum(
@@ -103,7 +92,7 @@ def terminal_datum(
     mode_cutoff: int = 2,
     center: tuple[float, float] | None = None,
     width: float | None = None,
-) -> DensityField:
+) -> ScalarField:
     """Positive density normalized against the terminal metric.
 
     kinds: ``constant``; ``bump`` (constant plus a periodic Gaussian-like
@@ -154,12 +143,12 @@ def terminal_datum(
     return _normalized(m_T, np.exp(amplitude * w))
 
 
-def change_variables(vf: DensityField) -> tuple[ScalarField, ScalarField]:
+def change_variables(v: ScalarField) -> tuple[ScalarField, ScalarField]:
     """Return (u, f) with u = sqrt(v) and f = -ln v, so e^{-f} = v."""
-    if np.min(vf.v) <= 0.0:
+    if np.min(v.values) <= 0.0:
         raise PositivityLoss("density must be positive for the change of variables")
-    u = ScalarField(vf.backend, np.sqrt(vf.v))
-    f = ScalarField(vf.backend, -np.log(vf.v))
+    u = ScalarField(v.backend, np.sqrt(v.values))
+    f = ScalarField(v.backend, -np.log(v.values))
     return u, f
 
 
@@ -175,7 +164,7 @@ def _heat_rhs(m: MetricState, v: np.ndarray) -> np.ndarray:
 
 def solve_backward(
     traj: Trajectory,
-    v_T: DensityField,
+    v_T: ScalarField,
     *,
     step: float | None = None,
     mass_tol: float = 1e-6,
@@ -205,14 +194,14 @@ def solve_backward(
     M = K // stride
     half = stride // 2
 
-    out = np.empty((M + 1,) + v_T.v.shape)
+    out = np.empty((M + 1,) + v_T.values.shape)
     masses = np.empty(M + 1)
     m1 = traj.final_state()
-    out[M] = v_T.v
-    masses[M] = integrate(m1, scalar_field(m1, v_T.v))
+    out[M] = v_T.values
+    masses[M] = integrate(m1, v_T)
     _check_density(out[M], masses[M], mass_tol, m1.t)
 
-    v = v_T.v
+    v = v_T.values
     for j in range(M, 0, -1):
         # tau-step from the later snapshot m1 through the midpoint mm to m0.
         i1 = j * stride

@@ -142,23 +142,25 @@ def rhs_combined(m: MetricState, u: ScalarField, a: float) -> float:
 # --------------------------------------------------------------------------
 
 def fd_time_derivative(series, dt: float) -> np.ndarray:
-    """Derivative of a uniformly sampled series.
+    """Derivative of a uniformly sampled series along axis 0.
 
-    Interior points: fourth-order central stencils (five-point; the two
-    near-edge interior points use the offset five-point stencils).  The two
-    endpoints use one-sided second-order stencils; callers exclude them from
-    acceptance comparisons.  Series of length 3 or 4 fall back to
-    second-order central differences throughout.
+    A 2-D ``(rows, k)`` input holds k series, one per column, and gets the
+    same stencils as k separate 1-D calls.  Interior points: fourth-order
+    central stencils (five-point; the two near-edge interior points use the
+    offset five-point stencils).  The two endpoints use one-sided
+    second-order stencils; callers exclude them from acceptance comparisons.
+    Series of length 3 or 4 fall back to second-order central differences
+    throughout; fewer than 3 rows raise TooFewSamples.
     """
     y = np.asarray(series, dtype=float)
-    if y.ndim != 1 or y.size < 3:
+    if y.ndim == 0 or len(y) < 3:
         raise TooFewSamples("need at least 3 uniformly spaced samples")
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
     d = np.empty_like(y)
     d[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * dt)
     d[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * dt)
-    if y.size < 5:
+    if len(y) < 5:
         d[1:-1] = (y[2:] - y[:-2]) / (2.0 * dt)
         return d
     d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * dt)
@@ -176,13 +178,11 @@ def fd_time_derivative(series, dt: float) -> np.ndarray:
 @dataclass
 class VariationReport:
     """Time series of derivative checks; endpoint entries are flagged via
-    ``interior`` and excluded from the summary maxima."""
+    ``interior`` and excluded from the summary maxima.  The checked series
+    themselves (times, S, F, dF_rhs) stay with the caller."""
 
-    times: np.ndarray
     dS_dt_fd: np.ndarray
-    F: np.ndarray
     dF_dt_fd: np.ndarray
-    dF_rhs: np.ndarray
     res_dS: np.ndarray
     res_dF: np.ndarray
     interior: np.ndarray
@@ -204,20 +204,15 @@ def proof_chain_check(
     Both derivatives come from the stored series via finite differences;
     the right-hand sides are the snapshot evaluations passed in.
     """
-    times = np.asarray(times, dtype=float)
-    S = np.asarray(S_series, dtype=float)
     F = np.asarray(F_series, dtype=float)
     dF_rhs = np.asarray(dF_rhs_series, dtype=float)
-    dS_fd = fd_time_derivative(S, dt)
+    dS_fd = fd_time_derivative(S_series, dt)
     dF_fd = fd_time_derivative(F, dt)
-    interior = np.ones(times.shape, dtype=bool)
+    interior = np.ones(np.shape(times), dtype=bool)
     interior[0] = interior[-1] = False
     return VariationReport(
-        times=times,
         dS_dt_fd=dS_fd,
-        F=F,
         dF_dt_fd=dF_fd,
-        dF_rhs=dF_rhs,
         res_dS=np.abs(dS_fd - F),
         res_dF=np.abs(dF_fd - dF_rhs),
         interior=interior,

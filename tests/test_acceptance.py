@@ -142,8 +142,8 @@ def all_summaries(sphere_run, flat_run, variation_study,
 
 def test_criterion_1_soliton_constancy(sphere_run):
     t = sphere_run.tables
-    dev_Y = float(np.max(np.abs(t.Y[0.0] - LN_2PI)))
-    dev_rhs = float(np.max(np.abs(t.rhs_thm[0.0])))
+    dev_Y = float(np.max(np.abs(t.Y[:, 0] - LN_2PI)))
+    dev_rhs = float(np.max(np.abs(t.rhs_thm[:, 0])))
     criterion(1, dev_Y <= 1e-10 and dev_rhs <= 1e-10,
               f"max|Y0 - ln 2pi| = {dev_Y:.2e}, max|rhs| = {dev_rhs:.2e}")
 
@@ -151,20 +151,20 @@ def test_criterion_1_soliton_constancy(sphere_run):
 def test_criterion_2_pure_adjustment_rate(sphere_run):
     t = sphere_run.tables
     om = 1.0 + 1.0 / (2.0 * (1.0 - 2.0 * t.times))
-    res = np.abs(t.dY_fd[1.0] - 4.0 / om)[1:-1]
+    res = np.abs(t.dY_fd[:, 1] - 4.0 / om)[1:-1]
     criterion(2, float(np.max(res)) <= 1e-6,
               f"max interior |dY/dt - 4/omega| = {np.max(res):.2e}")
 
 
 def test_criterion_3_flat_torus_baseline(flat_run):
     t = flat_run.tables
-    a = 0.5
+    j = t.a_values.index(0.5)
     devs = [
-        float(np.max(np.abs(t.dY_fd[a][1:-1] - 2.0))),
-        float(np.max(np.abs(t.rhs_thm[a] - 2.0))),
-        float(np.max(np.abs(t.rhs_ye[a] - 2.0))),
-        float(np.max(t.res_thm[a][1:-1])),
-        float(np.max(t.res_equiv[a])),
+        float(np.max(np.abs(t.dY_fd[1:-1, j] - 2.0))),
+        float(np.max(np.abs(t.rhs_thm[:, j] - 2.0))),
+        float(np.max(np.abs(t.rhs_ye[:, j] - 2.0))),
+        float(np.max(t.res_thm[1:-1, j])),
+        float(np.max(t.res_equiv[:, j])),
     ]
     criterion(3, max(devs) <= 1e-8, f"max deviation from 2 = {max(devs):.2e}")
 
@@ -225,9 +225,9 @@ def test_criterion_9_berger_cross_check(berger_round_pair, berger_aniso_run):
     col_dev = 0.0
     for col_b, col_s in (
         (tb.times, ts.times), (tb.F, ts.F), (tb.S, ts.S), (tb.lam0, ts.lam0),
-        (tb.Y[0.0], ts.Y[0.0]), (tb.om[0.0], ts.om[0.0]),
-        (tb.dY_fd[0.0], ts.dY_fd[0.0]),
-        (tb.rhs_thm[0.0], ts.rhs_thm[0.0]), (tb.rhs_ye[0.0], ts.rhs_ye[0.0]),
+        (tb.Y[:, 0], ts.Y[:, 0]), (tb.om[:, 0], ts.om[:, 0]),
+        (tb.dY_fd[:, 0], ts.dY_fd[:, 0]),
+        (tb.rhs_thm[:, 0], ts.rhs_thm[:, 0]), (tb.rhs_ye[:, 0], ts.rhs_ye[:, 0]),
     ):
         col_dev = max(col_dev, float(np.max(np.abs(col_b - col_s))))
 
@@ -237,8 +237,8 @@ def test_criterion_9_berger_cross_check(berger_round_pair, berger_aniso_run):
     traj_dev = float(np.max(np.abs(traj.params - (1.0 - 4.0 * traj.times)[:, None])))
 
     ta = berger_aniso_run.tables
-    min_rhs = float(np.min(ta.rhs_thm[0.0]))
-    res = float(np.max(ta.res_thm[0.0][1:-1]))
+    min_rhs = float(np.min(ta.rhs_thm[:, 0]))
+    res = float(np.max(ta.res_thm[1:-1, 0]))
     criterion(9, col_dev <= 1e-10 and traj_dev <= 1e-10 and min_rhs > 0
               and res <= 1e-6,
               f"round-limit column dev = {col_dev:.2e}, traj dev = {traj_dev:.2e}, "

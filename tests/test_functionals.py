@@ -96,7 +96,7 @@ def test_f_functional_two_variable_forms_agree():
     m_T = rl.MetricState(m.backend, 0.0, m.params)
     vf = rl.terminal_datum("random_smooth", m_T, amplitude=0.01, seed=2)
     u, f = rl.change_variables(vf)
-    v = rl.scalar_field(m, vf.v)
+    v = rl.scalar_field(m, vf.values)
     lhs = rl.f_functional(m, u)
     rhs = rl.f_functional_f_form(m, f, v)
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))

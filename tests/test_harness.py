@@ -98,9 +98,26 @@ def test_parse_rejects_bad_lines(tmp_path):
       "heat.datum": "random_smooth", "heat.cutoff": "-1"}, "heat.cutoff"),
     ({"backend.kind": "conformal_torus", "flow.T": "0.1",
       "heat.datum": "random_smooth", "heat.cutoff": "0"}, "heat.cutoff"),
+    ({"backend.kind": "round_sphere", "flow.T": "0.1", "backend.c0": "inf"},
+     "backend.c0"),
+    ({"backend.kind": "berger_sphere", "flow.T": "0.1", "backend.A0": "inf"},
+     "backend.A0"),
+    ({"backend.kind": "conformal_torus", "flow.T": "0.1", "backend.L": "inf"},
+     "backend.L"),
+    ({"backend.kind": "conformal_torus", "flow.T": "0.1",
+      "backend.phi_amplitude": "nan"}, "backend.phi_amplitude"),
+    ({"backend.kind": "conformal_torus", "flow.T": "inf"}, "flow.T"),
+    ({"backend.kind": "round_sphere", "flow.T": "0.1", "entropy.a": "inf"},
+     "entropy.a"),
+    ({"backend.kind": "round_sphere", "flow.T": "0.1", "entropy.a": "0.1, -inf"},
+     "entropy.a"),
+    ({"backend.kind": "round_sphere", "flow.T": "0.1", "flow.dt": "inf"},
+     "flow.dt"),
 ], ids=["no-kind", "no-T", "bad-kind", "unknown", "bad-dt", "empty-a", "neg-T",
         "bad-tol", "repeated-a", "tag-collision-a", "bad-datum", "bad-width",
-        "lone-center-x", "lone-center-y", "negative-cutoff", "zero-cutoff"])
+        "lone-center-x", "lone-center-y", "negative-cutoff", "zero-cutoff",
+        "inf-c0", "inf-A0", "inf-L", "nan-phi-amplitude", "inf-T", "inf-a",
+        "neg-inf-in-a-list", "inf-dt"])
 def test_make_config_errors(raw, msg):
     with pytest.raises(rl.ConfigError) as exc:
         make_config(raw)
@@ -185,7 +202,7 @@ def test_run_sphere_summary(sphere_result):
     assert s["lambda0_monotonicity_violations"] == 0
     assert s["max_mass_drift"] < 1e-10
     t = sphere_result.tables
-    assert np.max(np.abs(t.Y[0.0] - math.log(2 * math.pi))) < 1e-10
+    assert np.max(np.abs(t.Y[:, 0] - math.log(2 * math.pi))) < 1e-10
 
 
 def test_run_artifacts_schema(sphere_result):
@@ -218,10 +235,10 @@ def test_run_flat_torus_closed_form(tmp_path):
     result = run(validate_config(cfg), tmp_path / "out")
     assert result.exit_code == 0
     t = result.tables
-    a = 0.5
-    assert np.max(np.abs(t.rhs_thm[a] - 2.0)) < 1e-12
-    assert np.max(np.abs(t.rhs_ye[a] - 2.0)) < 1e-12
-    assert np.max(np.abs(t.dY_fd[a][1:-1] - 2.0)) < 1e-8
+    j = t.a_values.index(0.5)
+    assert np.max(np.abs(t.rhs_thm[:, j] - 2.0)) < 1e-12
+    assert np.max(np.abs(t.rhs_ye[:, j] - 2.0)) < 1e-12
+    assert np.max(np.abs(t.dY_fd[1:-1, j] - 2.0)) < 1e-8
     assert np.all(t.F == 0.0)
     assert np.max(np.abs(t.lam0)) < 1e-10
 
@@ -290,13 +307,13 @@ def test_csvs_mirror_tables(fixture, request):
     t, rep = r.tables, r.tables.variation
     header, cols = read_csv(r.out_dir / "data.csv")
     expected = {"t": t.times, "F": t.F, "S": t.S, "lambda0": t.lam0}
-    for a in t.a_values:
+    for j, a in enumerate(t.a_values):
         tag = format(a, "g")
         expected |= {
-            f"Y[{tag}]": t.Y[a], f"omega[{tag}]": t.om[a],
-            f"dYdt_fd[{tag}]": t.dY_fd[a], f"rhs_thm[{tag}]": t.rhs_thm[a],
-            f"rhs_ye[{tag}]": t.rhs_ye[a], f"res_thm[{tag}]": t.res_thm[a],
-            f"res_equiv[{tag}]": t.res_equiv[a],
+            f"Y[{tag}]": t.Y[:, j], f"omega[{tag}]": t.om[:, j],
+            f"dYdt_fd[{tag}]": t.dY_fd[:, j], f"rhs_thm[{tag}]": t.rhs_thm[:, j],
+            f"rhs_ye[{tag}]": t.rhs_ye[:, j], f"res_thm[{tag}]": t.res_thm[:, j],
+            f"res_equiv[{tag}]": t.res_equiv[:, j],
         }
     assert header == list(expected)
     for name, col in zip(header, cols):
@@ -368,11 +385,11 @@ def test_row_kernel_matches_public_functionals(name, tmp_path):
         assert tables.times[k] == t
         assert tables.F[k] == rl.f_functional(m, u)
         assert tables.S[k] == rl.shannon_entropy(m, u)
-        for a in tables.a_values:
-            assert tables.Y[a][k] == rl.log_entropy(m, u, a, t)
-            assert tables.om[a][k] == rl.omega(rl.f_functional(m, u), a)
-            assert tables.rhs_thm[a][k] == rl.rhs_split(m, u, a)
-            assert tables.rhs_ye[a][k] == rl.rhs_combined(m, u, a)
+        for j, a in enumerate(tables.a_values):
+            assert tables.Y[k, j] == rl.log_entropy(m, u, a, t)
+            assert tables.om[k, j] == rl.omega(rl.f_functional(m, u), a)
+            assert tables.rhs_thm[k, j] == rl.rhs_split(m, u, a)
+            assert tables.rhs_ye[k, j] == rl.rhs_combined(m, u, a)
 
 
 @pytest.mark.parametrize("a_values", ["0.1", "0.1, 0.5, 2"])
@@ -465,20 +482,47 @@ entropy.a = 0
     assert cli_main(["check", dup_a]) == 2
     assert "entropy.a: 0.1000001 repeats" in capsys.readouterr().err
 
-    # bad terminal-datum settings are rejected before any artifact is written
+    # bad terminal-datum settings and non-finite numbers are rejected before
+    # any artifact is written
+    heat = "heat.datum = constant"
     for field, text in (
-        ("heat.datum", "heat.datum = gaussian"),
-        ("heat.width", "heat.datum = bump\nheat.width = -1"),
-        ("heat.center_y", "heat.datum = bump\nheat.center_x = 1.0"),
-        ("heat.cutoff", "heat.datum = random_smooth\nheat.cutoff = -1"),
-        ("heat.cutoff", "heat.datum = random_smooth\nheat.cutoff = 0"),
+        ("heat.datum", FLAT_CFG.replace(heat, "heat.datum = gaussian")),
+        ("heat.width", FLAT_CFG.replace(heat, "heat.datum = bump\nheat.width = -1")),
+        ("heat.center_y",
+         FLAT_CFG.replace(heat, "heat.datum = bump\nheat.center_x = 1.0")),
+        ("heat.cutoff",
+         FLAT_CFG.replace(heat, "heat.datum = random_smooth\nheat.cutoff = -1")),
+        ("heat.cutoff",
+         FLAT_CFG.replace(heat, "heat.datum = random_smooth\nheat.cutoff = 0")),
+        ("backend.c0", SPHERE_CFG.replace("backend.c0 = 1.0", "backend.c0 = inf")),
+        ("backend.A0",
+         SPHERE_CFG.replace("round_sphere", "berger_sphere") + "backend.A0 = inf\n"),
+        ("backend.L", FLAT_CFG.replace("6.283185307179586", "inf")),
+        ("backend.phi_amplitude", FLAT_CFG + "backend.phi_amplitude = inf\n"),
+        ("flow.T", FLAT_CFG.replace("flow.T = 0.02", "flow.T = inf")),
+        ("entropy.a", FLAT_CFG.replace("entropy.a = 0.5", "entropy.a = inf")),
     ):
-        bad_heat = write_cfg(tmp_path / "bad_heat.cfg", FLAT_CFG.replace(
-            "heat.datum = constant", text))
-        assert cli_main(["check", bad_heat]) == 2
+        bad_input = write_cfg(tmp_path / "bad_input.cfg", text)
+        assert cli_main(["check", bad_input]) == 2
         assert f"ConfigError: {field}" in capsys.readouterr().err
-        assert cli_main(["run", bad_heat, "--out", str(tmp_path / "h")]) == 2
+        assert cli_main(["run", bad_input, "--out", str(tmp_path / "h")]) == 2
         assert not (tmp_path / "h").exists()
+
+    # admissible at ladder level 0 (-lambda0 = 0.011016), not at level 1
+    # (-lambda0 = 0.011123): the level-1 rejection is an input error too
+    ladder = write_cfg(tmp_path / "ladder.cfg", """
+backend.kind = conformal_torus
+backend.N = 16
+backend.phi_amplitude = 0.3
+flow.T = 0.02
+flow.dt = 2e-3
+entropy.a = 0.0111
+""")
+    capsys.readouterr()
+    assert cli_main(["check", ladder]) == 0
+    assert cli_main(["converge", ladder, "--levels", "3",
+                     "--out", str(tmp_path / "c")]) == 2
+    assert "AdmissibilityError: entropy.a" in capsys.readouterr().err
 
     unstable = write_cfg(tmp_path / "unstable.cfg", """
 backend.kind = conformal_torus

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import riccilab as rl
 
@@ -22,6 +23,35 @@ def flat(N=32):
 def constant_u(m):
     vol = rl.integrate(m, rl.const_field(m, 1.0))
     return rl.const_field(m, 1.0 / math.sqrt(vol))
+
+
+def low_mode(backend, amplitude, rng):
+    """Random trigonometric polynomial in modes 0..2 with max |.| = amplitude."""
+    x, y = rl.grid_coords(backend)
+    w = np.zeros((backend.N, backend.N))
+    for kx in range(3):
+        for ky in range(3):
+            c, theta = rng.uniform(-1.0, 1.0), rng.uniform(0.0, TWO_PI)
+            w += c * np.cos(TWO_PI * (kx * x + ky * y) / backend.L + theta)
+    return w * (amplitude / np.max(np.abs(w)))
+
+
+# Even N in 8..32, L in [1, 4 pi], low-mode phi and log u.
+LOW_MODE_GRIDS = dict(
+    N=st.integers(4, 16).map(lambda k: 2 * k),
+    L=st.floats(1.0, 4.0 * math.pi),
+    phi_amp=st.floats(0.0, 0.3),
+    u_amp=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def low_mode_state(N, L, phi_amp, u_amp, seed):
+    """Torus metric with low-mode phi and a positive low-mode u = e^w."""
+    backend = rl.ConformalTorus2D(N, L)
+    rng = np.random.default_rng(seed)
+    m = rl.MetricState(backend, 0.0, low_mode(backend, phi_amp, rng))
+    return m, rl.scalar_field(m, np.exp(low_mode(backend, u_amp, rng)))
 
 
 def mode_u(m, amplitude=0.5):
@@ -48,6 +78,18 @@ def test_matrix_quantity_requires_positive_u():
     u[0, 0] = 0.0
     with pytest.raises(rl.PositivityLoss):
         rl.matrix_quantity(m, rl.scalar_field(m, u))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(scale=st.floats(0.1, 10.0), **LOW_MODE_GRIDS)
+def test_trace_integrates_to_energy_property(scale, N, L, phi_amp, u_amp, seed):
+    # integral(tr_g T u^2) = F for any positive u, whatever its mass.
+    m, u = low_mode_state(N, L, phi_amp, u_amp, seed)
+    u = rl.scalar_field(m, scale * u.values)
+    tr = rl.tensor_trace(m, rl.matrix_quantity(m, u))
+    lhs = rl.integrate(m, rl.scalar_field(m, tr.values * u.values**2))
+    F = rl.f_functional(m, u)
+    assert abs(lhs - F) <= 1e-13 * max(1.0, abs(F))
 
 
 def test_matrix_quantity_two_forms_converge_at_second_order():
@@ -87,6 +129,19 @@ def test_rates_on_flat_torus():
     u = constant_u(m)
     assert rl.rhs_split(m, u, 0.5) == pytest.approx(2.0, rel=1e-13)
     assert rl.rhs_combined(m, u, 0.5) == pytest.approx(2.0, rel=1e-13)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(a=st.floats(0.05, 2.0), **LOW_MODE_GRIDS)
+def test_rate_forms_agree_at_unit_mass_property(a, N, L, phi_amp, u_amp, seed):
+    # The split and combined forms are equal once integral(u^2) = 1.
+    m, u = low_mode_state(N, L, phi_amp, u_amp, seed)
+    mass = rl.integrate(m, rl.scalar_field(m, u.values**2))
+    u = rl.scalar_field(m, u.values / math.sqrt(mass))
+    F = rl.f_functional(m, u)
+    assume(a + F / 4.0 > 0.01)
+    split, combined = rl.rate_forms(m, u, rl.matrix_quantity(m, u), F, a)
+    assert abs(split - combined) <= 1e-14 * max(1.0, abs(split))
 
 
 @pytest.mark.parametrize("seed,a", [(0, 0.1), (1, 1.0), (2, 0.5)])
@@ -135,8 +190,20 @@ def test_fd_short_series_fallback_and_errors():
     assert d[1] == pytest.approx(2.0, abs=1e-14)
     with pytest.raises(rl.TooFewSamples):
         rl.fd_time_derivative(np.array([1.0, 2.0]), 1.0)
+    with pytest.raises(rl.TooFewSamples):
+        rl.fd_time_derivative(np.ones((2, 4)), 1.0)  # two rows of four series
     with pytest.raises(ValueError):
         rl.fd_time_derivative(np.arange(5.0), -1.0)
+
+
+@pytest.mark.parametrize("rows", [3, 4, 9, 12])
+def test_fd_columns_match_one_dimensional_calls(rows):
+    # A (rows, k) array is k series, one per column, under the same stencils.
+    y = np.exp(np.random.default_rng(rows).standard_normal((rows, 5)))
+    d = rl.fd_time_derivative(y, 0.01)
+    assert d.shape == y.shape
+    for j in range(5):
+        assert np.array_equal(d[:, j], rl.fd_time_derivative(y[:, j], 0.01))
 
 
 def test_fd_endpoints_second_order():
