@@ -5,7 +5,9 @@ Subcommands: ``run <config>`` executes the pipeline and writes artifacts,
 <config>`` validates only.  ``--out`` overrides out.dir; the environment
 variable RICCILAB_OUT supplies the default output root for relative paths.
 Exit codes: 0 success, 2 configuration/admissibility error (any
-``InputError``, also at a later ``converge`` level), 3 numerical failure.
+``InputError``; ``converge`` validates every level before it writes
+anything), 3 numerical failure (any ``NumericalError``, also a failed
+``converge`` level).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .harness import (
     convergence_study,
     make_config,
@@ -55,9 +57,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except InputError as exc:
+    except (InputError, NumericalError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, InputError) else 3
 
 
 def _dispatch(args) -> int:
@@ -95,11 +97,7 @@ def _dispatch(args) -> int:
             )
         return result.exit_code
 
-    try:
-        study = convergence_study(cfg, args.levels, out)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    study = convergence_study(cfg, args.levels, out)
     print(f"study ok -> {study.out_dir}")
     for i, row in enumerate(study.levels):
         order = "-" if i == 0 else f"{study.orders_thm[i - 1]:.2f}"

@@ -9,22 +9,30 @@ operator-level integration-by-parts exactness of the discretization.
 * ``omega``           a + F/4, required positive
 * ``log_entropy``     -S + (n/2) ln(omega) + 4 a t (the formula itself is
   ``log_entropy_value``, which takes S and omega already computed)
-* ``lambda0``         smallest eigenvalue of -Lap + R/4
+* ``lambda0``         smallest eigenvalue of -Lap + R/4; ``ground_states``
+  solves a whole stack of metrics, ``lambda0`` and ``lambda0_eig`` are its
+  stack of one
 
-On the torus ``lambda0`` is found by matrix-free LOBPCG with an exact FFT
-preconditioner.  It stops on the relative eigen-residual
-||-Lap_g x + (R/4) x - lambda x||_g / ||x||_g <= ``LAMBDA0_TOL`` and raises
-NoConvergence when that bound is not met within ``LAMBDA0_MAXITER``
-iterations.  The solve is a pure function of the metric.
+On the torus the ground state is found by matrix-free LOPCG with block size 1
+(Knyazev 2001), preconditioned by the exact FFT inverse of
+-Lap0 + mean(e^{2 phi}): Rayleigh-Ritz on span{x, M r, p} each iteration,
+with p dropped for the step when the 3x3 Gram matrix is ill-conditioned
+(Duersch, Shao, Yang and Gu 2018).  The rows of a (K, N, N) stack run
+independently, vectorised over blocks of at most ``LAMBDA0_CELLS`` grid cells
+(rows x N^2); the small eigenproblems of a block are solved together as
+(k, m, m) stacks.  A row is frozen and leaves its block once its relative
+eigen-residual ||-Lap_g x + (R/4) x - lambda x||_g / ||x||_g is at most
+``LAMBDA0_TOL``; a row still above it after ``LAMBDA0_MAXITER`` iterations
+has not converged, and reading its value raises NoConvergence.  Each row's
+result is a pure function of its own metric, bitwise the same in any block.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import NoConvergence, NonPositiveOmega, PositivityLoss
 from .geometry import (
@@ -32,11 +40,13 @@ from .geometry import (
     MetricState,
     ScalarField,
     _lap5,
+    _torus_scalar_curvature,
     dim,
     gradient_sq,
     integrate,
     scalar_curvature,
     scalar_field,
+    volume,
 )
 
 __all__ = [
@@ -48,10 +58,14 @@ __all__ = [
     "log_entropy_value",
     "lambda0",
     "lambda0_eig",
+    "ground_states",
+    "GroundStates",
 ]
 
 LAMBDA0_TOL = 1e-10       # bound on the relative g-norm eigen-residual
-LAMBDA0_MAXITER = 200     # LOBPCG iteration cap
+LAMBDA0_MAXITER = 200     # LOPCG iteration cap
+LAMBDA0_CELLS = 2**16     # cap on rows x N^2 of one LOPCG block
+GRAM_RCOND = 1e-12        # Gram eigenvalue ratio below which p is dropped
 
 
 def f_functional(m: MetricState, u: ScalarField) -> float:
@@ -106,12 +120,181 @@ def log_entropy(m: MetricState, u: ScalarField, a: float, t: float) -> float:
 # Ground state of -Lap + R/4
 # --------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class GroundStates:
+    """Ground states of a stack of metrics, one row per metric.
+
+    ``values[k]`` is the Rayleigh quotient of row k's eigenfunction, scaled
+    to unit g-norm and a positive sum; ``iterations[k]`` counts its LOPCG
+    updates and ``residuals[k]`` is its relative g-norm eigen-residual (0 and
+    0.0 in closed form).  Rows whose residual exceeds ``tol`` did not
+    converge.
+    """
+
+    values: np.ndarray
+    iterations: np.ndarray
+    residuals: np.ndarray
+    tol: float
+    maxiter: int
+
+    def value(self, k: int) -> float:
+        """Eigenvalue of row k; NoConvergence when its residual exceeds tol."""
+        if not self.residuals[k] <= self.tol:
+            raise NoConvergence(
+                f"ground-state LOPCG reached eigen-residual "
+                f"{self.residuals[k]:.3g} > {self.tol:g} within "
+                f"{self.maxiter} iterations"
+            )
+        return float(self.values[k])
+
+
 def _neg_lap_symbol(N: int, h: float) -> np.ndarray:
     """Fourier symbol of the periodic 5-point -Lap0 on the rfft2 half grid,
     (4/h^2)(sin^2(k_x h/2) + sin^2(k_y h/2)) with k h / 2 = pi j / N."""
     sx = np.sin(np.pi * np.arange(N) / N) ** 2
     sy = np.sin(np.pi * np.arange(N // 2 + 1) / N) ** 2
     return (4.0 / (h * h)) * (sx[:, None] + sy[None, :])
+
+
+def _closed_form_lambda0(m: MetricState) -> float:
+    """R/4 on a constant-curvature backend, where -Lap is nonnegative and
+    the constant is the ground state."""
+    return float(scalar_curvature(m).values) / 4.0
+
+
+def _row_sum(w: np.ndarray) -> np.ndarray:
+    """Sum over the trailing grid of each row of a (k, N, N) stack.  Each row
+    is one contiguous pairwise sum, so its value does not depend on k."""
+    return w.reshape(len(w), -1).sum(axis=1)
+
+
+def _lowest_ritz(GA: np.ndarray, GB: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest Ritz vector of each pencil (GA, GB) in a (k, m, m) stack.
+
+    The basis is first scaled to unit B-norm.  Returns the coefficients of
+    the B-normalised Ritz vector in the unscaled basis, shape (k, m), and a
+    mask of the rows whose scaled GB is numerically positive definite,
+    smallest eigenvalue above ``GRAM_RCOND`` times the largest; the
+    coefficients of the other rows are meaningless.
+    """
+    diag = np.diagonal(GB, axis1=1, axis2=2)
+    ok = (np.all(diag > 0.0, axis=1) & np.all(np.isfinite(GA), axis=(1, 2))
+          & np.all(np.isfinite(GB), axis=(1, 2)))
+    eye = np.eye(GB.shape[1])
+    d = 1.0 / np.sqrt(np.where(ok[:, None], diag, 1.0))
+    scale = d[:, :, None] * d[:, None, :]
+    GA = np.where(ok[:, None, None], GA * scale, eye)
+    e, V = np.linalg.eigh(np.where(ok[:, None, None], GB * scale, eye))
+    ok &= e[:, 0] > GRAM_RCOND * e[:, -1]
+    T = V / np.sqrt(np.where(ok[:, None], e, 1.0))[:, None, :]
+    _, Y = np.linalg.eigh(np.swapaxes(T, 1, 2) @ GA @ T)
+    return d * (T @ Y[:, :, 0, None])[:, :, 0], ok
+
+
+def _lopcg(b: ConformalTorus2D, phi: np.ndarray, tol: float, maxiter: int, out) -> None:
+    """Ground states of the torus metrics phi, a (k, N, N) stack, by
+    block-size-1 LOPCG on each row; writes values, vectors (unless None),
+    iterations and residuals into the rows of ``out``'s arrays."""
+    values, vectors, iterations, residuals = out
+    N, h = b.N, b.h
+    e2p = np.exp(2.0 * phi)
+    pot = 0.25 * _torus_scalar_curvature(phi, h) * e2p
+    inv_symbol = 1.0 / (_neg_lap_symbol(N, h)
+                        + (_row_sum(e2p) / (N * N))[:, None, None])
+    rows = np.arange(len(phi))
+    X = np.ones_like(phi)
+    P = AP = None
+    for it in range(maxiter + 1):
+        X *= (np.copysign(1.0, _row_sum(X))
+              / (np.sqrt(_row_sum(e2p * X * X)) * h))[:, None, None]
+        AX = pot * X - _lap5(X, h)
+        BX = e2p * X
+        xBx = _row_sum(X * BX)
+        lam = _row_sum(X * AX) / xBx
+        R = AX - lam[:, None, None] * BX
+        res = np.sqrt(_row_sum(R * R / e2p) / xBx)
+
+        # Freeze the rows that pass (or ran out of iterations).
+        done = (res <= tol) | (it == maxiter)
+        if np.any(done):
+            k = rows[done]
+            values[k], iterations[k], residuals[k] = lam[done], it, res[done]
+            if vectors is not None:
+                vectors[k] = X[done]
+            keep = ~done
+            if not np.any(keep):
+                return
+            rows, X, AX, BX, R = rows[keep], X[keep], AX[keep], BX[keep], R[keep]
+            e2p, pot, inv_symbol = e2p[keep], pot[keep], inv_symbol[keep]
+            if P is not None:
+                P, AP = P[keep], AP[keep]
+
+        W = np.fft.irfft2(np.fft.rfft2(R) * inv_symbol, s=(N, N))
+        AW = pot * W - _lap5(W, h)
+        S, AS, BS = [X, W], [AX, AW], [BX, e2p * W]
+        if P is not None:
+            S, AS, BS = S + [P], AS + [AP], BS + [e2p * P]
+        m = len(S)
+        GA = np.empty((len(rows), m, m))
+        GB = np.empty((len(rows), m, m))
+        for i in range(m):
+            for j in range(i, m):
+                GA[:, i, j] = GA[:, j, i] = _row_sum(S[i] * AS[j])
+                GB[:, i, j] = GB[:, j, i] = _row_sum(S[i] * BS[j])
+        c, ok = _lowest_ritz(GA, GB)
+        if m == 3 and not np.all(ok):
+            # Drop p where the three-vector Gram matrix is ill-conditioned.
+            c2, ok2 = _lowest_ritz(GA[~ok, :2, :2], GB[~ok, :2, :2])
+            c[~ok] = np.pad(c2, ((0, 0), (0, 1)))
+            ok[~ok] = ok2
+        # A row whose {x, M r} is degenerate keeps x; it cannot improve.
+        c[~ok] = np.eye(m)[0]
+        cw = c[:, 1, None, None]
+        if P is None:
+            P, AP = cw * W, cw * AW
+        else:
+            cp = c[:, 2, None, None]
+            P, AP = cw * W + cp * P, cw * AW + cp * AP
+        X = c[:, 0, None, None] * X + P
+
+
+def ground_states(
+    backend,
+    params,
+    tol: float = LAMBDA0_TOL,
+    maxiter: int = LAMBDA0_MAXITER,
+    vectors: np.ndarray | None = None,
+) -> GroundStates:
+    """Ground states of -Lap_g + R/4 for a stack of metrics, ``params[k]``
+    holding the backend parameters of row k.
+
+    Constant-curvature backends: R/4 in closed form with the constant ground
+    state (-Lap is nonnegative), 0 iterations and residual 0.0.  Torus:
+    block-size-1 LOPCG on the symmetric pencil
+    (-Lap0 + (R/4) e^{2 phi}, e^{2 phi}), the weak form of
+    (-Lap_g + R/4) u = lambda u, from the constant start vector (see the
+    module docstring).  ``tol`` bounds each row's relative eigen-residual and
+    ``maxiter`` caps its iterations; a row that misses the bound is reported,
+    not raised: ``GroundStates.value`` raises NoConvergence for it.
+    ``vectors``, when given on the torus, receives each row's eigenfunction
+    (shape (K, N, N)).
+    """
+    params = np.asarray(params, dtype=float)
+    K = len(params)
+    values = np.empty(K)
+    iterations = np.zeros(K, dtype=int)
+    residuals = np.zeros(K)
+    if not isinstance(backend, ConformalTorus2D):
+        for k, p in enumerate(params):
+            values[k] = _closed_form_lambda0(MetricState(backend, 0.0, p))
+    else:
+        block = max(1, LAMBDA0_CELLS // backend.N**2)
+        out = (values, vectors, iterations, residuals)
+        for start in range(0, K, block):
+            rows = slice(start, start + block)
+            _lopcg(backend, params[rows], tol, maxiter,
+                   tuple(None if a is None else a[rows] for a in out))
+    return GroundStates(values, iterations, residuals, tol, maxiter)
 
 
 def lambda0_eig(
@@ -121,68 +304,20 @@ def lambda0_eig(
 ) -> tuple[float, ScalarField]:
     """Smallest eigenvalue of -Lap_g + R/4 with its eigenfunction.
 
-    Constant-curvature backends: R/4 in closed form with the constant ground
-    state (-Lap is nonnegative).  Torus: matrix-free LOBPCG on the symmetric
-    pencil (-Lap0 + (R/4) e^{2 phi}, e^{2 phi}), the weak form of
-    (-Lap_g + R/4) u = lambda u, from the deterministic constant start
-    vector, preconditioned by the exact FFT inverse of -Lap0 + mean(e^{2 phi}).
-    ``tol`` bounds the relative eigen-residual
-    ||-Lap_g x + (R/4) x - lambda x||_g / ||x||_g of the returned pair and
-    ``maxiter`` caps the LOBPCG iterations; NoConvergence is raised when the
-    bound is not met within the cap.  The eigenvalue is the Rayleigh quotient
-    of the returned eigenfunction, which has unit g-norm.
+    Constant-curvature backends: the closed form with the constant ground
+    state.  Torus: the :func:`ground_states` stack of one; NoConvergence is
+    raised when the relative eigen-residual exceeds ``tol`` after
+    ``maxiter`` iterations.  The eigenvalue is the Rayleigh quotient of the
+    returned eigenfunction, which has unit g-norm.
     """
-    b = m.backend
-    if not isinstance(b, ConformalTorus2D):
-        lam = float(scalar_curvature(m).values) / 4.0
-        vol = integrate(m, scalar_field(m, 1.0))
-        return lam, scalar_field(m, 1.0 / math.sqrt(vol))
-
-    N, h = b.N, b.h
-    e2p = np.exp(2.0 * m.params).ravel()
-    pot = 0.25 * scalar_curvature(m).values.ravel() * e2p
-    inv_symbol = 1.0 / (_neg_lap_symbol(N, h) + float(np.mean(e2p)))
-
-    # Blocks of column vectors, shape (N*N, k).
-    def apply_A(X):
-        lap = _lap5(X.reshape(N, N, -1), h).reshape(X.shape)
-        return -lap + pot[:, None] * X
-
-    def apply_B(X):
-        return e2p[:, None] * X
-
-    def precondition(X):
-        spec = np.fft.rfft2(X.reshape(N, N, -1), axes=(0, 1))
-        spec *= inv_symbol[:, :, None]
-        return np.fft.irfft2(spec, s=(N, N), axes=(0, 1)).reshape(X.shape)
-
-    # lobpcg's Euclidean residual for a B-normalised vector bounds the
-    # g-norm residual after division by sqrt(min e2p).  Its non-convergence
-    # warnings are silenced: the residual check below decides.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        _, x = spla.lobpcg(
-            apply_A, np.ones((N * N, 1)), B=apply_B, M=precondition,
-            tol=tol * math.sqrt(float(np.min(e2p))), maxiter=maxiter,
-            largest=False,
-        )
-    x = x * (math.copysign(1.0, float(np.sum(x)))
-             / math.sqrt(float(np.sum(e2p[:, None] * x * x)) * h * h))
-    Ax = apply_A(x)
-    Bx = apply_B(x)
-    rho = float(np.sum(x * Ax)) / float(np.sum(x * Bx))
-    r = Ax - rho * Bx
-    res = math.sqrt(float(np.sum(r * r / e2p[:, None])) / float(np.sum(x * Bx)))
-    if not res <= tol:
-        raise NoConvergence(
-            f"ground-state LOBPCG reached eigen-residual {res:.3g} > {tol:g} "
-            f"within {maxiter} iterations"
-        )
-    return rho, scalar_field(m, x.reshape(N, N))
+    if not isinstance(m.backend, ConformalTorus2D):
+        return _closed_form_lambda0(m), scalar_field(m, 1.0 / math.sqrt(volume(m)))
+    vectors = np.empty((1,) + m.params.shape)
+    ground = ground_states(m.backend, m.params[None], tol, maxiter, vectors)
+    return ground.value(0), scalar_field(m, vectors[0])
 
 
 def lambda0(m: MetricState, tol: float = LAMBDA0_TOL, maxiter: int = LAMBDA0_MAXITER) -> float:
     """Smallest eigenvalue of -Lap_g + R/4 (Rayleigh-quotient infimum over
     unit-mass densities)."""
     return lambda0_eig(m, tol=tol, maxiter=maxiter)[0]
-

@@ -220,24 +220,28 @@ def _check_same_backend(m: MetricState, field) -> None:
 
 
 # --------------------------------------------------------------------------
-# Periodic difference stencils (torus), spacing h, axis 0 = x, axis 1 = y
+# Periodic difference stencils (torus), spacing h, on the last two axes:
+# axis 0 = x is the second-to-last axis, axis 1 = y the last.
 #
-# ``_roll`` is numpy.roll for a shift of +-1 along axis 0 or 1, built from
-# two slice copies; it takes (N, N) grids and the (N, N, k) blocks of lambda0's
-# LOBPCG matvec.  Each stencil keeps the operand order of its numpy.roll
-# form, so the results are bitwise the same.
+# ``_roll`` is numpy.roll for a shift of +-1 along x or y, built from two
+# slice copies.  Every stencil therefore takes an (N, N) grid and a (K, N, N)
+# stack of grids alike, as lambda0's row-stack LOPCG passes them.  Each
+# stencil keeps the operand order of its numpy.roll form, so the results are
+# bitwise the same, and each grid of a stack is bitwise what it would be
+# alone.
 # --------------------------------------------------------------------------
 
 def _roll(w, shift, axis):
-    """numpy.roll(w, shift, axis) for shift = +-1: out[i] = w[i - shift], periodic."""
+    """numpy.roll(w, shift, axis - 2) for shift = +-1: out[i] = w[i - shift]
+    along x (axis 0) or y (axis 1) of the trailing grid, periodic."""
     out = np.empty_like(w)
-    lead = (slice(None),) * axis
+    tail = (slice(None),) * (1 - axis)
     if shift == -1:
-        out[lead + (slice(None, -1),)] = w[lead + (slice(1, None),)]
-        out[lead + (-1,)] = w[lead + (0,)]
+        out[(..., slice(None, -1)) + tail] = w[(..., slice(1, None)) + tail]
+        out[(..., -1) + tail] = w[(..., 0) + tail]
     else:
-        out[lead + (slice(1, None),)] = w[lead + (slice(None, -1),)]
-        out[lead + (0,)] = w[lead + (-1,)]
+        out[(..., slice(1, None)) + tail] = w[(..., slice(None, -1)) + tail]
+        out[(..., 0) + tail] = w[(..., -1) + tail]
     return out
 
 
@@ -300,9 +304,12 @@ def scalar_curvature(m: MetricState) -> ScalarField:
         return const_field(m, b.n * (b.n - 1) / m.params[0])
     if isinstance(b, BergerSphere):
         return const_field(m, float(np.sum(_berger_ricci_values(m.params))))
-    phi = m.params
-    R = -2.0 * np.exp(-2.0 * phi) * _lap5(phi, b.h)
-    return ScalarField(b, R)
+    return ScalarField(b, _torus_scalar_curvature(m.params, b.h))
+
+
+def _torus_scalar_curvature(phi, h):
+    """R = -2 e^{-2 phi} Lap0 phi of a conformal exponent grid or grid stack."""
+    return -2.0 * np.exp(-2.0 * phi) * _lap5(phi, h)
 
 
 def ricci(m: MetricState) -> SymTensorField:

@@ -10,7 +10,8 @@ adjustment value Y[a], omega[a], dYdt_fd[a], rhs_thm[a], rhs_ye[a],
 res_thm[a], res_equiv[a]; 17 significant digits, comma separator, LF line
 endings), ``proof_chain.csv`` (the derivative-identity columns, which do
 not fit the fixed data.csv schema), and ``manifest.json`` (config echo,
-resolved step, admissibility checks, summary block, exit status), written
+resolved step, admissibility checks, summary block, ``lambda0`` solver
+diagnostics over the evaluated rows, exit status), written
 exactly once per run, also for failed runs so partial artifacts carry a
 status marker.  One writer prints both CSV files from the ``RunTables``
 arrays (header only when no table exists; per-a arrays hold one column per
@@ -56,6 +57,7 @@ from .geometry import (
 )
 from .functionals import (
     f_functional,
+    ground_states,
     lambda0,
     log_entropy_value,
     omega,
@@ -340,6 +342,8 @@ class RunTables:
     F: np.ndarray
     S: np.ndarray
     lam0: np.ndarray
+    lam0_iterations: np.ndarray
+    lam0_residuals: np.ndarray
     a_values: list[float]
     Y: np.ndarray
     om: np.ndarray
@@ -360,10 +364,13 @@ def evaluate_tables(
 ) -> tuple[RunTables | None, Exception | None]:
     """Evaluate every functional and verification column row by row.
 
-    Each row builds F, S, lambda0 and the variation tensor T once; every
-    adjustment value then reuses them for omega, Y and both rate forms.
-    The per-row and per-a series live in two arrays cut by one slice.  On a
-    numerical failure the completed rows are kept (truncated tables, finite
+    The lambda0 of every row comes from one ``ground_states`` call over the
+    row metrics before the loop; a row whose solve did not converge raises
+    NoConvergence where its own lambda0 is read, after its F and S.  Each
+    row builds F, S and the variation tensor T once; every adjustment value
+    then reuses them for omega, Y and both rate forms.  The per-row and
+    per-a series live in two arrays cut by one slice.  On a numerical
+    failure the completed rows are kept (truncated tables, finite
     differences over the surviving series) so a failed run still
     ships a partial CSV; returns (tables, error), tables None when fewer
     than 3 rows survived.
@@ -372,6 +379,7 @@ def evaluate_tables(
     n = dim(traj.backend)
     a_values = list(a_values)
     K = len(hist.times)
+    ground = ground_states(traj.backend, traj.params[::stride][:K])
     row_series = np.empty((6, K))
     a_series = np.empty((4, K, len(a_values)))
     F, S, lam, dF_rhs, sub_lhs, sub_rhs = row_series
@@ -386,7 +394,7 @@ def evaluate_tables(
             v = hist.v[k]
             F[k] = f_functional(m, u)
             S[k] = shannon_entropy(m, u)
-            lam[k] = lambda0(m)
+            lam[k] = ground.value(k)
             T_var = matrix_quantity(m, u)
             dF_rhs[k] = 2.0 * integrate(
                 m, scalar_field(m, tensor_norm_sq(m, T_var).values * u.values**2)
@@ -411,7 +419,9 @@ def evaluate_tables(
     Y, om, rt, ry = a_series[:, :done]
     dY = fd_time_derivative(Y, dt)
     tables = RunTables(
-        times=times, F=F, S=S, lam0=lam, a_values=a_values,
+        times=times, F=F, S=S, lam0=lam,
+        lam0_iterations=ground.iterations[:done],
+        lam0_residuals=ground.residuals[:done], a_values=a_values,
         Y=Y, om=om, dY_fd=dY, rhs_thm=rt, rhs_ye=ry,
         res_thm=np.abs(dY - rt), res_equiv=np.abs(rt - ry),
         dF_rhs=dF_rhs, sub_lhs=sub_lhs, sub_rhs=sub_rhs,
@@ -448,6 +458,15 @@ def _summary(tables: RunTables, cfg: RunConfig) -> dict:
         "max_mass_drift": float(np.max(np.abs(tables.masses - 1.0))),
         "max_res_dS_interior": tables.variation.max_interior_res_dS,
         "max_res_dF_interior": tables.variation.max_interior_res_dF,
+    }
+
+
+def _lambda0_diagnostics(tables: RunTables) -> dict:
+    """LOPCG iterations and eigen-residuals of the evaluated rows' lambda0."""
+    return {
+        "iterations_max": int(np.max(tables.lam0_iterations)),
+        "iterations_mean": float(np.mean(tables.lam0_iterations)),
+        "residual_max": float(np.max(tables.lam0_residuals)),
     }
 
 
@@ -572,6 +591,7 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
         "error": error,
         "exit_code": exit_code,
         "summary": summary,
+        "lambda0": None if tables is None else _lambda0_diagnostics(tables),
         "wall_clock_s": time.perf_counter() - started,
     }
     (out / "manifest.json").write_text(
@@ -593,7 +613,11 @@ class StudyResult:
 
 def convergence_study(cfg: RunConfig, levels: int, out_dir) -> StudyResult:
     """Repeat the run at (N, dt), (2N, dt/4), ...; report the max interior
-    split-form residual per level and observed orders per refinement."""
+    split-form residual per level and observed orders per refinement.
+
+    Every level is built and validated before the output directory is
+    created, so an invalid level leaves no artifacts.  A level whose run
+    fails raises NumericalError."""
     if cfg.backend_kind != "conformal_torus":
         raise ConfigError("convergence study requires the conformal_torus backend")
     if levels < 3:
@@ -601,24 +625,25 @@ def convergence_study(cfg: RunConfig, levels: int, out_dir) -> StudyResult:
     if cfg.dt == "auto":
         raise ConfigError("flow.dt: convergence study needs an explicit base dt")
 
+    validated_levels = [
+        validate_config(make_config(
+            cfg.raw | {"backend.N": cfg.N * 2**level,
+                       "flow.dt": float(cfg.dt) / 4.0**level}))
+        for level in range(levels)
+    ]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for level in range(levels):
-        lcfg_raw = dict(cfg.raw)
-        lcfg_raw["backend.N"] = cfg.N * 2**level
-        lcfg_raw["flow.dt"] = float(cfg.dt) / 4.0**level
-        lcfg = make_config(lcfg_raw)
-        validated = validate_config(lcfg)
+    for level, validated in enumerate(validated_levels):
         result = run(validated, out / f"level_{level}")
         if result.exit_code != 0:
-            raise RuntimeError(
+            raise NumericalError(
                 f"study level {level} failed with status {result.status}"
             )
         rows.append(
             {
                 "level": level,
-                "N": lcfg.N,
+                "N": validated.cfg.N,
                 "dt": validated.dt,
                 "max_res_thm_interior": result.summary["max_res_thm_interior"],
                 "max_res_dS_interior": result.summary["max_res_dS_interior"],

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import riccilab as rl
-from riccilab.functionals import LAMBDA0_TOL, _neg_lap_symbol
+from riccilab import functionals
+from riccilab.functionals import LAMBDA0_TOL, _lowest_ritz, _neg_lap_symbol
 from riccilab.geometry import _lap5
 
 TWO_PI = 2.0 * math.pi
@@ -255,6 +256,14 @@ def test_lambda0_eigenvector_rayleigh_quotient():
     assert abs(num / den - lam) <= 1e-10 * max(1.0, abs(lam))
 
 
+def test_lambda0_eigenfunction_has_unit_g_norm():
+    for m in (sine_torus(N=32), sphere(2.0, 3)):
+        _, vec = rl.lambda0_eig(m)
+        assert rl.integrate(m, rl.scalar_field(m, vec.values**2)) == \
+            pytest.approx(1.0, rel=1e-13)
+        assert np.sum(vec.values) > 0.0
+
+
 def test_lambda0_no_convergence_cap():
     with pytest.raises(rl.NoConvergence):
         rl.lambda0(sine_torus(N=32), maxiter=2)
@@ -270,3 +279,100 @@ def test_lambda0_nondecreasing_along_flow():
     a = -lams[0] + 1e-6
     assert np.all(a > -lams)
 
+
+# -------------------------------------------------------------------------
+# Row-stack solver
+# -------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, None])
+def test_ground_states_rows_independent_of_block(rows_per_block, monkeypatch):
+    # Each row is frozen once it passes, so its result is a pure function
+    # of its own metric: bitwise the same in any block as alone.  The rows
+    # come from a flow that smooths a large phi, so they need different
+    # iteration counts.
+    N = 16
+    backend = rl.ConformalTorus2D(N, TWO_PI)
+    x, y = rl.grid_coords(backend)
+    m0 = rl.MetricState(backend, 0.0,
+                        0.8 * np.sin(x) * np.cos(y) + 0.4 * np.sin(2 * y))
+    traj = rl.integrate_forward(m0, 2.0, 2.0 / 1600)
+    rows = range(0, traj.num_steps + 1, 100)
+    alone = [rl.lambda0_eig(traj.state(i)) for i in rows]
+    monkeypatch.setattr(functionals, "LAMBDA0_CELLS",
+                        (rows_per_block or len(rows)) * N * N)
+    params = traj.params[rows]
+    vectors = np.empty_like(params)
+    ground = functionals.ground_states(backend, params, vectors=vectors)
+    assert len(set(ground.iterations.tolist())) > 2
+    for k, (i, (lam, vec)) in enumerate(zip(rows, alone)):
+        assert ground.values[k] == lam == rl.lambda0(traj.state(i))
+        assert np.array_equal(vectors[k], vec.values)
+        assert ground.residuals[k] <= LAMBDA0_TOL
+
+
+def test_ground_states_closed_form_rows():
+    params = np.array([[1.0], [0.5], [2.0]])
+    ground = functionals.ground_states(rl.RoundSphere(3), params)
+    for i, c in enumerate(params):
+        assert ground.values[i] == rl.lambda0(sphere(c[0], 3))
+    assert np.all(ground.iterations == 0) and np.all(ground.residuals == 0.0)
+
+
+def test_lowest_ritz_flags_singular_and_nonfinite_rows():
+    # Gram pairs of three vectors in R^6 under A (SPD) and B (diagonal).
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((6, 6))
+    A, B = M @ M.T + np.eye(6), np.diag(rng.uniform(0.5, 2.0, 6))
+    good = rng.standard_normal((3, 6))
+    twin = good.copy()
+    twin[2] = twin[1]                 # p equal to M r
+    zero = good.copy()
+    zero[2] = 0.0                     # p vanished
+    bases = [good, twin, zero, good]
+    GA = np.stack([V @ A @ V.T for V in bases])
+    GB = np.stack([V @ B @ V.T for V in bases])
+    GA[3, 0, 1] = GA[3, 1, 0] = np.inf
+    c, ok = _lowest_ritz(GA, GB)
+    assert ok.tolist() == [True, False, False, False]
+    # the good row is the B-normalised lowest generalised eigenvector
+    L = np.linalg.cholesky(GB[0])
+    Li = np.linalg.inv(L)
+    vals, Y = np.linalg.eigh(Li @ GA[0] @ Li.T)
+    ref = Li.T @ Y[:, 0]
+    assert np.allclose(c[0] * np.sign(c[0] @ ref), ref, rtol=1e-12, atol=1e-12)
+    assert c[0] @ GB[0] @ c[0] == pytest.approx(1.0, rel=1e-13)
+    assert c[0] @ GA[0] @ c[0] == pytest.approx(vals[0], rel=1e-13)
+
+
+def test_lopcg_without_p_converges_to_the_same_value(monkeypatch):
+    # Force the drop-p fallback on every step: the two-vector iteration
+    # still converges, to the same ground state.
+    dropped = []
+
+    def ill_conditioned_p(GA, GB):
+        c, ok = _lowest_ritz(GA, GB)
+        if GA.shape[1] == 3:
+            dropped.append(len(ok))
+            ok = np.zeros_like(ok)
+        return c, ok
+
+    monkeypatch.setattr(functionals, "_lowest_ritz", ill_conditioned_p)
+    m = sine_torus(N=32)
+    lam, vec = rl.lambda0_eig(m)
+    assert dropped
+    assert eig_residual(m, lam, vec) <= LAMBDA0_TOL
+    assert lam == pytest.approx(dense_lambda0(m), abs=1e-12)
+
+
+def test_lopcg_degenerate_gram_raises_no_convergence(monkeypatch):
+    # No Gram matrix passes: every row keeps its start vector until the
+    # cap.  The failure is NoConvergence; no LinAlgError or warning escapes
+    # (warnings fail the suite).
+    monkeypatch.setattr(functionals, "GRAM_RCOND", 2.0)
+    with pytest.raises(rl.NoConvergence):
+        rl.lambda0(sine_torus(N=16), maxiter=20)
+    ground = functionals.ground_states(
+        rl.ConformalTorus2D(16, TWO_PI), np.stack([sine_torus(N=16).params] * 2),
+        maxiter=20)
+    assert np.all(ground.iterations == 20)
+    assert np.all(ground.residuals > LAMBDA0_TOL)

@@ -145,28 +145,33 @@ def test_berger_volume_identity_against_flow():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_stencils_match_numpy_roll_bitwise(N, k, axis, h, seed):
-    # k None is an (N, N) grid; otherwise an (N, N, k) block as lambda0's
-    # matvec passes to _lap5.  The reference formulas are the numpy.roll
-    # forms with the same operand order, so equality is exact.
-    shape = (N, N) if k is None else (N, N, k)
+    # k None is an (N, N) grid; otherwise a (k, N, N) stack as lambda0's
+    # row-stack LOPCG passes to _lap5.  The stencils act on the last two
+    # axes, so the reference formulas are the numpy.roll forms along axis
+    # - 2 (x) and - 1 (y), with the same operand order: equality is exact.
+    shape = (N, N) if k is None else (k, N, N)
     w = np.random.default_rng(seed).standard_normal(shape)
+    ax = axis - 2
     for shift in (-1, 1):
-        assert np.array_equal(_roll(w, shift, axis), np.roll(w, shift, axis))
-    assert np.array_equal(_dp(w, axis, h), (np.roll(w, -1, axis) - w) / h)
-    assert np.array_equal(_dm(w, axis, h), (w - np.roll(w, 1, axis)) / h)
+        assert np.array_equal(_roll(w, shift, axis), np.roll(w, shift, ax))
+    assert np.array_equal(_dp(w, axis, h), (np.roll(w, -1, ax) - w) / h)
+    assert np.array_equal(_dm(w, axis, h), (w - np.roll(w, 1, ax)) / h)
     assert np.array_equal(
-        _dc(w, axis, h), (np.roll(w, -1, axis) - np.roll(w, 1, axis)) / (2.0 * h))
+        _dc(w, axis, h), (np.roll(w, -1, ax) - np.roll(w, 1, ax)) / (2.0 * h))
     assert np.array_equal(
         _d2(w, axis, h),
-        (np.roll(w, -1, axis) - 2.0 * w + np.roll(w, 1, axis)) / (h * h))
+        (np.roll(w, -1, ax) - 2.0 * w + np.roll(w, 1, ax)) / (h * h))
     assert np.array_equal(_lap5(w, h), (
-        np.roll(w, -1, 0) + np.roll(w, 1, 0) + np.roll(w, -1, 1) + np.roll(w, 1, 1)
-        - 4.0 * w
+        np.roll(w, -1, -2) + np.roll(w, 1, -2) + np.roll(w, -1, -1)
+        + np.roll(w, 1, -1) - 4.0 * w
     ) / (h * h))
     assert np.array_equal(_dcross(w, h), (
-        np.roll(np.roll(w, -1, 0), -1, 1) - np.roll(np.roll(w, -1, 0), 1, 1)
-        - np.roll(np.roll(w, 1, 0), -1, 1) + np.roll(np.roll(w, 1, 0), 1, 1)
+        np.roll(np.roll(w, -1, -2), -1, -1) - np.roll(np.roll(w, -1, -2), 1, -1)
+        - np.roll(np.roll(w, 1, -2), -1, -1) + np.roll(np.roll(w, 1, -2), 1, -1)
     ) / (4.0 * h * h))
+    if k is not None:
+        # each grid of a stack is what it would be alone
+        assert np.array_equal(_lap5(w, h)[-1], _lap5(w[-1], h))
 
 
 def test_package_has_no_numpy_roll():
@@ -274,6 +279,46 @@ def test_discrete_integration_by_parts_exact(seed):
     lhs = rl.integrate(m, rl.scalar_field(m, rl.laplace_beltrami(m, w).values * z.values))
     rhs = -rl.integrate(m, rl.gradient_inner(m, w, z))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+# Even N in 8..32, L in [1, 4 pi], low-mode phi, white-noise grid fields.
+ANY_GRID = dict(
+    N=st.integers(4, 16).map(lambda k: 2 * k),
+    L=st.floats(1.0, 4.0 * math.pi),
+    phi_amp=st.floats(0.0, 0.3),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def any_grid_state(N, L, phi_amp, seed):
+    """Torus metric with low-mode phi and two white-noise grid fields."""
+    backend = rl.ConformalTorus2D(N, L)
+    m = rl.MetricState(backend, 0.0, smooth_random_field(
+        backend, seed, amplitude=phi_amp, cutoff=2))
+    rng = np.random.default_rng(seed)
+    w, z = (rl.scalar_field(m, rng.standard_normal((N, N))) for _ in range(2))
+    return m, w, z
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**ANY_GRID)
+def test_integration_by_parts_exact_property(N, L, phi_amp, seed):
+    # Bound relative to integral(|Lap_g w z|): the round-off of the terms.
+    m, w, z = any_grid_state(N, L, phi_amp, seed)
+    lap_z = rl.laplace_beltrami(m, w).values * z.values
+    lhs = rl.integrate(m, rl.scalar_field(m, lap_z))
+    rhs = -rl.integrate(m, rl.gradient_inner(m, w, z))
+    scale = rl.integrate(m, rl.scalar_field(m, np.abs(lap_z)))
+    assert abs(lhs - rhs) <= 1e-14 * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**ANY_GRID)
+def test_hessian_trace_equals_laplacian_property(N, L, phi_amp, seed):
+    m, w, _ = any_grid_state(N, L, phi_amp, seed)
+    lap = rl.laplace_beltrami(m, w).values
+    tr = rl.tensor_trace(m, rl.hessian(m, w)).values
+    assert np.max(np.abs(tr - lap)) <= 1e-14 * np.max(np.abs(lap))
 
 
 # -------------------------------------------------------------------------

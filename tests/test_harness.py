@@ -9,6 +9,7 @@ import pytest
 
 import riccilab as rl
 from riccilab.cli import main as cli_main
+from riccilab.functionals import LAMBDA0_TOL
 from riccilab.harness import (
     convergence_study,
     make_config,
@@ -341,6 +342,29 @@ def test_sub_identity_kept_out_of_equivalence_count(curved_torus_result):
     assert s["sub_identity_violations"] > 0
 
 
+def test_manifest_lambda0_diagnostics(sphere_result, curved_torus_result):
+    def block(result):
+        manifest = json.loads((result.out_dir / "manifest.json").read_text())
+        return manifest["lambda0"]
+
+    # closed form on the sphere
+    assert block(sphere_result) == {
+        "iterations_max": 0, "iterations_mean": 0, "residual_max": 0.0}
+    # on the torus: the LOPCG counts and residuals of the rows' own solves
+    t = curved_torus_result.tables
+    diag = block(curved_torus_result)
+    assert diag == {
+        "iterations_max": int(np.max(t.lam0_iterations)),
+        "iterations_mean": float(np.mean(t.lam0_iterations)),
+        "residual_max": float(np.max(t.lam0_residuals)),
+    }
+    assert len(t.lam0_iterations) == len(t.times) == 11
+    assert 1 <= diag["iterations_mean"] <= diag["iterations_max"] < 20
+    assert 0.0 < diag["residual_max"] <= LAMBDA0_TOL
+    header = (curved_torus_result.out_dir / "data.csv").read_text().split("\n")[0]
+    assert "iter" not in header and "resid" not in header
+
+
 # Row-kernel configs: a curved torus and both homogeneous backends, each with
 # several adjustment values.
 ROW_KERNEL_CFGS = {
@@ -435,6 +459,37 @@ def test_evaluate_tables_keeps_completed_rows():
     assert tables is not None and len(tables.times) == 4
 
 
+@pytest.mark.parametrize("k", [3, 7])
+def test_evaluate_tables_stops_at_unconverged_row(k, monkeypatch):
+    # The row solves run as one stack before the loop; a row whose solve
+    # did not converge fails where its lambda0 is read, keeping rows < k.
+    from riccilab import harness
+
+    backend = rl.ConformalTorus2D(16, TWO_PI)
+    x, _ = rl.grid_coords(backend)
+    m0 = rl.MetricState(backend, 0.0, 0.1 * np.sin(x) + np.zeros((16, 16)))
+    traj = rl.integrate_forward(m0, 0.01, 5e-4)
+    hist = rl.solve_backward(traj, rl.terminal_datum("constant", traj.final_state()),
+                             step=1e-3)
+    full, error = harness.evaluate_tables(traj, hist, [0.5], 1e-3)
+    assert error is None and len(full.times) == 11
+
+    solve = harness.ground_states
+
+    def unconverged_row_k(backend, params):
+        ground = solve(backend, params)
+        ground.residuals[k] = 2 * ground.tol
+        return ground
+
+    monkeypatch.setattr(harness, "ground_states", unconverged_row_k)
+    tables, error = harness.evaluate_tables(traj, hist, [0.5], 1e-3)
+    assert isinstance(error, rl.NoConvergence)
+    assert len(tables.times) == k
+    np.testing.assert_array_equal(tables.lam0, full.lam0[:k])
+    np.testing.assert_array_equal(tables.F, full.F[:k])
+    np.testing.assert_array_equal(tables.lam0_iterations, full.lam0_iterations[:k])
+
+
 def test_failed_run_keeps_artifacts_and_status(tmp_path):
     text = """
 backend.kind = conformal_torus
@@ -523,6 +578,8 @@ entropy.a = 0.0111
     assert cli_main(["converge", ladder, "--levels", "3",
                      "--out", str(tmp_path / "c")]) == 2
     assert "AdmissibilityError: entropy.a" in capsys.readouterr().err
+    # every level is validated before anything is written
+    assert not (tmp_path / "c").exists()
 
     unstable = write_cfg(tmp_path / "unstable.cfg", """
 backend.kind = conformal_torus
@@ -582,6 +639,29 @@ def test_convergence_study_residual_decreases(tmp_path):
     assert (tmp_path / "study" / "study.csv").exists()
     assert (tmp_path / "study" / "level_2" / "data.csv").exists()
     assert len(study.orders_thm) == 2
+
+
+def test_convergence_study_failed_level_is_numerical(tmp_path, monkeypatch,
+                                                     capsys):
+    from riccilab import harness
+
+    real_run = harness.run
+
+    def level_1_fails(validated, out_dir):
+        result = real_run(validated, out_dir)
+        if out_dir.name == "level_1":
+            result.exit_code, result.status = 3, "NoConvergence"
+        return result
+
+    monkeypatch.setattr(harness, "run", level_1_fails)
+    path = write_cfg(tmp_path / "s.cfg", STUDY_CFG)
+    with pytest.raises(rl.NumericalError, match="study level 1 failed"):
+        convergence_study(make_config(parse_config_file(path)), 3,
+                          tmp_path / "study")
+    assert not (tmp_path / "study" / "study.csv").exists()
+    capsys.readouterr()
+    assert cli_main(["converge", path, "--out", str(tmp_path / "cli")]) == 3
+    assert "NumericalError: study level 1 failed" in capsys.readouterr().err
 
 
 def test_convergence_study_validation(tmp_path):
