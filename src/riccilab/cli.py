@@ -3,16 +3,18 @@
 Subcommands: ``run <config>`` executes the pipeline and writes artifacts,
 ``converge <config> --levels k`` drives a refinement study, ``check
 <config>`` validates only.  ``--out`` overrides out.dir; the environment
-variable RICCILAB_OUT supplies the default output root for relative paths.
+variable RICCILAB_OUT supplies the default output root for relative paths;
+``--verbose`` (run, converge) logs each run's stage timings to stderr.
 Exit codes: 0 success, 2 configuration/admissibility error (any
-``InputError``; ``converge`` validates every level before it writes
-anything), 3 numerical failure (any ``NumericalError``, also a failed
-``converge`` level).
+``InputError``; ``converge`` validates every level, level 0 included, once,
+before it writes anything), 3 numerical failure (any ``NumericalError``,
+also a failed ``converge`` level).
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -43,27 +45,50 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--levels", type=int, default=3)
     p_conv.add_argument("--out", default=None)
 
+    for p in (p_run, p_conv):
+        p.add_argument("--verbose", action="store_true",
+                       help="log stage timings to stderr")
+
     p_check = sub.add_parser("check", help="validate a config without running")
     p_check.add_argument("config")
     return parser
 
 
-def _load(path: str):
-    cfg = make_config(parse_config_file(path))
-    return cfg, validate_config(cfg)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    log = logging.getLogger("riccilab")
+    handler, level = logging.StreamHandler(), log.level
+    if getattr(args, "verbose", False):
+        handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+        log.addHandler(handler)
+        log.setLevel(logging.INFO)
     try:
         return _dispatch(args)
     except (InputError, NumericalError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InputError) else 3
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 def _dispatch(args) -> int:
-    cfg, validated = _load(args.config)
+    cfg = make_config(parse_config_file(args.config))
+    default_name = Path(args.config).stem
+    if args.command == "converge":
+        # convergence_study validates every level, level 0 included.
+        study = convergence_study(cfg, args.levels,
+                                  resolve_out_dir(cfg, args.out, default_name))
+        print(f"study ok -> {study.out_dir}")
+        for i, row in enumerate(study.levels):
+            order = "-" if i == 0 else f"{study.orders_thm[i - 1]:.2f}"
+            print(
+                f"  level {row['level']}: N={row['N']:4d} dt={row['dt']:.3e} "
+                f"max_res_thm={row['max_res_thm_interior']:.3e} order={order}"
+            )
+        return 0
+
+    validated = validate_config(cfg)
     if args.command == "check":
         print(f"config ok: backend={cfg.backend_kind}")
         print(f"resolved T={validated.T:g} dt={validated.dt:g} rows={validated.num_rows}")
@@ -72,40 +97,26 @@ def _dispatch(args) -> int:
             print(f"  a={chk['a']:g}: admissible (a > {-chk['lambda0_g0']:g})")
         return 0
 
-    default_name = Path(args.config).stem
-    out = resolve_out_dir(cfg, args.out, default_name)
-
-    if args.command == "run":
-        result = run(validated, out)
-        if result.exit_code == 0:
-            s = result.summary
-            print(f"run ok: {s['rows']} rows -> {result.out_dir}")
-            print(
-                "  max interior |dY/dt - rhs| = "
-                f"{s['max_res_thm_interior']:.3e}, "
-                f"max |rhs_thm - rhs_ye| = {s['max_res_equiv']:.3e}"
-            )
-            print(
-                f"  monotonicity violations = {s['monotonicity_violations']}, "
-                f"mass drift = {s['max_mass_drift']:.3e}"
-            )
-        else:
-            print(
-                f"run failed ({result.status}): {result.error} "
-                f"[partial artifacts in {result.out_dir}]",
-                file=sys.stderr,
-            )
-        return result.exit_code
-
-    study = convergence_study(cfg, args.levels, out)
-    print(f"study ok -> {study.out_dir}")
-    for i, row in enumerate(study.levels):
-        order = "-" if i == 0 else f"{study.orders_thm[i - 1]:.2f}"
+    result = run(validated, resolve_out_dir(cfg, args.out, default_name))
+    if result.exit_code == 0:
+        s = result.summary
+        print(f"run ok: {s['rows']} rows -> {result.out_dir}")
         print(
-            f"  level {row['level']}: N={row['N']:4d} dt={row['dt']:.3e} "
-            f"max_res_thm={row['max_res_thm_interior']:.3e} order={order}"
+            "  max interior |dY/dt - rhs| = "
+            f"{s['max_res_thm_interior']:.3e}, "
+            f"max |rhs_thm - rhs_ye| = {s['max_res_equiv']:.3e}"
         )
-    return 0
+        print(
+            f"  monotonicity violations = {s['monotonicity_violations']}, "
+            f"mass drift = {s['max_mass_drift']:.3e}"
+        )
+    else:
+        print(
+            f"run failed ({result.status}): {result.error} "
+            f"[partial artifacts in {result.out_dir}]",
+            file=sys.stderr,
+        )
+    return result.exit_code
 
 
 if __name__ == "__main__":

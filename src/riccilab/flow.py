@@ -4,6 +4,10 @@ Classical fixed-step RK4 in backend parameters on a uniform time grid.
 Fixed steps keep every trajectory on a uniform grid so the backward density
 solve and finite-difference time derivatives stay aligned.  Completed
 trajectories are immutable.
+
+The loop steps on raw parameter arrays with the backend's velocity: each
+state is checked once, and its smallest metric scale serves both the floor
+check and the stability bound of the step that leaves it.
 """
 
 from __future__ import annotations
@@ -13,11 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUp, StepTooLarge
-from .geometry import (
-    ConformalTorus2D,
-    MetricState,
-    _flow_rhs_params,
-)
+from .geometry import ConformalTorus2D, MetricState
 
 __all__ = ["Trajectory", "stability_dt", "integrate_forward"]
 
@@ -29,12 +29,15 @@ class Trajectory:
     """Time-ordered metric states on a uniform grid t0 ... tK.
 
     ``params[k]`` holds the backend parameters at ``times[k]``.
+    ``max_step_ratio`` is the largest dt / stability_dt over the steps taken
+    (None when the trajectory was not integrated here).
     """
 
     backend: object
     times: np.ndarray
     params: np.ndarray
     dt: float
+    max_step_ratio: float | None = None
 
     @property
     def num_steps(self) -> int:
@@ -57,26 +60,27 @@ def stability_dt(m: MetricState, safety: float = 1.0) -> float:
     if not (0.0 < safety <= 1.0):
         raise ValueError(f"safety must lie in (0, 1], got {safety}")
     b = m.backend
-    if isinstance(b, ConformalTorus2D):
-        return safety * b.h**2 * float(np.exp(2.0 * np.min(m.params))) / 8.0
-    return safety * float(np.min(m.params)) / 8.0
+    return float(b.stability_dt(b.min_scale(m.params), safety))
 
 
-def _check_params(backend, p) -> None:
-    if not np.all(np.isfinite(p)):
+def _check_params(backend, p):
+    """Raise BlowUp for a non-finite or floored state; return its smallest
+    metric scale (``backend.min_scale``)."""
+    if not np.isfinite(p).all():
         raise BlowUp("metric parameters became non-finite")
-    if isinstance(backend, ConformalTorus2D):
-        if float(np.exp(2.0 * np.min(p))) < PARAM_FLOOR:
-            raise BlowUp("conformal factor fell below floor")
-    elif float(np.min(p)) < PARAM_FLOOR:
-        raise BlowUp("metric scale parameter fell below floor")
+    scale = backend.min_scale(p)
+    if scale < PARAM_FLOOR:
+        what = ("conformal factor" if isinstance(backend, ConformalTorus2D)
+                else "metric scale parameter")
+        raise BlowUp(f"{what} fell below floor")
+    return scale
 
 
-def _rk4_step(backend, p, dt):
-    k1 = _flow_rhs_params(backend, p)
-    k2 = _flow_rhs_params(backend, p + 0.5 * dt * k1)
-    k3 = _flow_rhs_params(backend, p + 0.5 * dt * k2)
-    k4 = _flow_rhs_params(backend, p + dt * k3)
+def _rk4_step(velocity, p, dt):
+    k1 = velocity(p)
+    k2 = velocity(p + 0.5 * dt * k1)
+    k3 = velocity(p + 0.5 * dt * k2)
+    k4 = velocity(p + dt * k3)
     return p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -100,14 +104,17 @@ def integrate_forward(m0: MetricState, T: float, dt: float) -> Trajectory:
     out = np.empty((K + 1,) + m0.params.shape)
     p = m0.params.copy()
     out[0] = p
+    scale = _check_params(backend, p)
+    ratio = 0.0
     for k in range(K):
-        _check_params(backend, p)
-        if dt > stability_dt(MetricState(backend, float(times[k]), p)) * (1 + 1e-12):
+        bound = backend.stability_dt(scale)
+        if dt > bound * (1 + 1e-12):
             raise StepTooLarge(
                 f"dt={dt:g} exceeds the stability bound at t={times[k]:g}"
             )
-        p = _rk4_step(backend, p, dt)
-        _check_params(backend, p)
+        ratio = max(ratio, dt / bound)
+        p = _rk4_step(backend.velocity, p, dt)
+        scale = _check_params(backend, p)
         out[k + 1] = p
-    return Trajectory(backend, times, out, dt)
+    return Trajectory(backend, times, out, dt, float(ratio))
 

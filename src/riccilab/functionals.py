@@ -8,7 +8,13 @@ operator-level integration-by-parts exactness of the discretization.
 * ``shannon_entropy`` S = integral(u^2 ln u^2)   (equals -integral(f e^{-f}))
 * ``omega``           a + F/4, required positive
 * ``log_entropy``     -S + (n/2) ln(omega) + 4 a t (the formula itself is
-  ``log_entropy_value``, which takes S and omega already computed)
+  ``log_entropy_value``, which takes S and omega already computed, also as
+  arrays)
+
+F and S are computed by ``_energy`` and ``_entropy`` on a
+``geometry.MetricStack`` and its (K, ...) density stack, one value per row;
+``f_functional`` and ``shannon_entropy`` are their typed stack of one, and
+the row kernel ``variation.row_values`` runs them over blocks of rows.
 * ``lambda0``         smallest eigenvalue of -Lap + R/4; ``ground_states``
   solves a whole stack of metrics, ``lambda0`` and ``lambda0_eig`` are its
   stack of one
@@ -40,11 +46,7 @@ from .geometry import (
     MetricState,
     ScalarField,
     _lap5,
-    _torus_scalar_curvature,
-    dim,
-    gradient_sq,
-    integrate,
-    scalar_curvature,
+    _row_sum,
     scalar_field,
     volume,
 )
@@ -68,29 +70,35 @@ LAMBDA0_CELLS = 2**16     # cap on rows x N^2 of one LOPCG block
 GRAM_RCOND = 1e-12        # Gram eigenvalue ratio below which p is dropped
 
 
+def _energy(g, u):
+    """F of each row of the metric stack g and positive density stack u."""
+    return 4.0 * g.integrate(g.gradient_inner(u, u) + 0.25 * g.R * u**2)
+
+
+def _entropy(g, u):
+    """S of each row of the metric stack g and positive density stack u."""
+    v = u**2
+    return g.integrate(v * np.log(v))
+
+
 def f_functional(m: MetricState, u: ScalarField) -> float:
     """Dirichlet-plus-curvature energy F = 4 integral(|grad u|^2 + R u^2/4) dmu."""
-    gs = gradient_sq(m, u)
-    R = scalar_curvature(m)
-    integrand = gs.values + 0.25 * R.values * u.values**2
-    return 4.0 * integrate(m, scalar_field(m, integrand))
+    return float(_energy(m.stack, u.values))
 
 
 def f_functional_f_form(m: MetricState, f: ScalarField, v: ScalarField) -> float:
     """Same energy in the potential variable: integral((R + |grad f|^2) e^{-f}),
     with e^{-f} supplied as the density v.  Used to cross-check the change of
     variables; agrees with :func:`f_functional` up to O(h^2) chain-rule error."""
-    gs = gradient_sq(m, f)
-    R = scalar_curvature(m)
-    return integrate(m, scalar_field(m, (R.values + gs.values) * v.values))
+    g = m.stack
+    return float(g.integrate((g.R + g.gradient_inner(f.values, f.values)) * v.values))
 
 
 def shannon_entropy(m: MetricState, u: ScalarField) -> float:
     """Differential entropy S = integral(u^2 ln u^2) dmu of the density u^2."""
     if np.min(u.values) <= 0.0:
         raise PositivityLoss("density must be positive for the entropy")
-    v = u.values**2
-    return integrate(m, scalar_field(m, v * np.log(v)))
+    return float(_entropy(m.stack, u.values))
 
 
 def omega(F: float, a: float) -> float:
@@ -103,17 +111,23 @@ def omega(F: float, a: float) -> float:
     return w
 
 
-def log_entropy_value(S: float, w: float, n: int, a: float, t: float) -> float:
+# math.log of each entry: numpy's vectorised log rounds some arguments
+# differently in the last bit.
+_math_log = np.vectorize(math.log, otypes=[float])
+
+
+def log_entropy_value(S, w, n: int, a, t):
     """Adjusted log entropy -S + (n/2) ln(w) + 4 a t from the entropy S and
-    omega w = a + F/4 of an n-dimensional snapshot at time t."""
-    return -S + 0.5 * n * math.log(w) + 4.0 * a * t
+    omega w = a + F/4 of an n-dimensional snapshot at time t.  Arrays
+    broadcast; every w must be positive (math.log raises otherwise)."""
+    return -S + 0.5 * n * _math_log(w) + 4.0 * a * t
 
 
 def log_entropy(m: MetricState, u: ScalarField, a: float, t: float) -> float:
     """Adjusted log entropy -S + (n/2) ln(a + F/4) + 4 a t."""
     S = shannon_entropy(m, u)
     w = omega(f_functional(m, u), a)
-    return log_entropy_value(S, w, dim(m.backend), a, t)
+    return float(log_entropy_value(S, w, m.backend.n, a, t))
 
 
 # --------------------------------------------------------------------------
@@ -159,13 +173,7 @@ def _neg_lap_symbol(N: int, h: float) -> np.ndarray:
 def _closed_form_lambda0(m: MetricState) -> float:
     """R/4 on a constant-curvature backend, where -Lap is nonnegative and
     the constant is the ground state."""
-    return float(scalar_curvature(m).values) / 4.0
-
-
-def _row_sum(w: np.ndarray) -> np.ndarray:
-    """Sum over the trailing grid of each row of a (k, N, N) stack.  Each row
-    is one contiguous pairwise sum, so its value does not depend on k."""
-    return w.reshape(len(w), -1).sum(axis=1)
+    return float(m.stack.R) / 4.0
 
 
 def _lowest_ritz(GA: np.ndarray, GB: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,8 +205,9 @@ def _lopcg(b: ConformalTorus2D, phi: np.ndarray, tol: float, maxiter: int, out) 
     iterations and residuals into the rows of ``out``'s arrays."""
     values, vectors, iterations, residuals = out
     N, h = b.N, b.h
-    e2p = np.exp(2.0 * phi)
-    pot = 0.25 * _torus_scalar_curvature(phi, h) * e2p
+    g = b.stack(phi)
+    e2p = g.weight
+    pot = 0.25 * g.R * e2p
     inv_symbol = 1.0 / (_neg_lap_symbol(N, h)
                         + (_row_sum(e2p) / (N * N))[:, None, None])
     rows = np.arange(len(phi))
@@ -285,8 +294,7 @@ def ground_states(
     iterations = np.zeros(K, dtype=int)
     residuals = np.zeros(K)
     if not isinstance(backend, ConformalTorus2D):
-        for k, p in enumerate(params):
-            values[k] = _closed_form_lambda0(MetricState(backend, 0.0, p))
+        values[:] = backend.stack(params).R / 4.0
     else:
         block = max(1, LAMBDA0_CELLS // backend.N**2)
         out = (values, vectors, iterations, residuals)

@@ -28,6 +28,26 @@ Scalar fields hold one value per node: shape () on homogeneous backends,
 shape (N, N) on the torus.  Symmetric 2-tensors hold principal values in
 the orthonormal frame on homogeneous backends (shape (n,)) and coordinate
 components (T11, T12, T22) on the torus (shape (3, N, N)).
+
+Array cores and the leading row axis.  ``backend.stack(params)`` returns a
+``MetricStack``: the metrics of one backend as raw arrays, with an optional
+leading ``(K, ...)`` row axis on the parameters (``params[k]`` holds row k;
+no leading axis for one state).  Its operators -- R, Ric, g, the
+Laplace-Beltrami operator, the gradient forms, the Hessian, ``integrate``
+and the volume as per-row ``_row_sum`` sums, the tensor norm and trace --
+take fields and tensors with the same leading axes and return one result
+per row.  Every operator is element-wise or reduces each row's own
+contiguous cells, so each row's result is bitwise what that row gives
+alone.  The metric-derived arrays (R, Ric, g, the volume weight, the
+Laplace-Beltrami factor) are built on first use and kept, so a stack
+computes each once.  The backends themselves carry the raw-array flow
+velocity and stability bound, which take parameters with the same optional
+leading axis.  A sphere row is one cell; a torus row is N^2 cells, and
+``ROW_CELLS`` caps the cells (rows x cells per row) of one stacked call.
+
+The public functions below take a ``MetricState`` and typed fields; they
+evaluate the state's own stack (``MetricState.stack``, no leading axis) and
+are the typed boundary for callers and tests.
 """
 
 from __future__ import annotations
@@ -44,8 +64,10 @@ __all__ = [
     "BergerSphere",
     "ConformalTorus2D",
     "MetricState",
+    "MetricStack",
     "ScalarField",
     "SymTensorField",
+    "ROW_CELLS",
     "dim",
     "const_field",
     "scalar_field",
@@ -65,13 +87,57 @@ __all__ = [
     "ricci_flow_rhs",
 ]
 
+# Cap on rows x cells per row of one stacked call (row evaluation and the
+# heat solve's snapshot geometry).  Measured on torus row blocks over 2^12
+# ... 2^16 cells (2-core Xeon, one BLAS thread): 2^14 is fastest at N = 32
+# (501 rows, six a: 0.31 s against 0.42 s at 2^15) and within 15 % of the
+# best at N = 64 and 128, where larger blocks gain a little (CHANGES.md).
+ROW_CELLS = 2**14
+
+
+class _cached:
+    """functools.cached_property without its per-access lock (Python < 3.12):
+    the first access stores the value in the instance dict, which later
+    accesses read directly."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
 
 # --------------------------------------------------------------------------
-# Backends and state containers
+# Backends: shapes, the flow velocity and the stability bound on raw arrays
 # --------------------------------------------------------------------------
+
+class _Homogeneous:
+    """Shared raw-array cores of the spatially constant backends."""
+
+    field_shape = ()
+    cells = 1
+
+    @staticmethod
+    def min_scale(p):
+        """Smallest scale parameter of each row."""
+        return p.min(axis=-1)
+
+    @staticmethod
+    def stability_dt(scale, safety=1.0):
+        """safety * (smallest scale parameter) / 8 from ``min_scale``."""
+        return safety * scale / 8.0
+
+    @staticmethod
+    def flat_laplacian(w):
+        """Derivatives of spatially constant fields vanish."""
+        return 0.0
+
 
 @dataclass(frozen=True)
-class RoundSphere:
+class RoundSphere(_Homogeneous):
     """Round n-sphere backend; metric parameter is a single factor c > 0."""
 
     n: int
@@ -80,14 +146,32 @@ class RoundSphere:
         if self.n < 2:
             raise ValueError(f"sphere dimension must be >= 2, got {self.n}")
 
+    param_shape = (1,)
+
+    def stack(self, params) -> MetricStack:
+        return _RoundStack(self, params)
+
+    def velocity(self, p):
+        """dc/dt = -2(n-1)."""
+        return np.full(np.shape(p), -2.0 * (self.n - 1))
+
 
 @dataclass(frozen=True)
-class BergerSphere:
+class BergerSphere(_Homogeneous):
     """Left-invariant 3-sphere backend; metric parameters (A, B, C) > 0."""
+
+    param_shape = (3,)
 
     @property
     def n(self) -> int:
         return 3
+
+    def stack(self, params) -> MetricStack:
+        return _BergerStack(self, params)
+
+    def velocity(self, p):
+        """dA/dt = -2 A r_1 and cyclic."""
+        return -2.0 * p * _berger_ricci_values(p)
 
 
 @dataclass(frozen=True)
@@ -103,9 +187,41 @@ class ConformalTorus2D:
         if not (self.L > 0):
             raise ValueError(f"period L must be positive, got {self.L}")
 
+    n = 2
+
     @property
     def h(self) -> float:
         return self.L / self.N
+
+    @property
+    def param_shape(self) -> tuple[int, int]:
+        return (self.N, self.N)
+
+    field_shape = param_shape
+
+    @property
+    def cells(self) -> int:
+        return self.N * self.N
+
+    def stack(self, params) -> MetricStack:
+        return _TorusStack(self, params)
+
+    def velocity(self, p):
+        """dphi/dt = e^{-2 phi} Lap0 phi (from dg/dt = -R g in two dimensions)."""
+        return np.exp(-2.0 * p) * _lap5(p, self.h)
+
+    @staticmethod
+    def min_scale(p):
+        """Smallest conformal factor e^{2 phi} of each row."""
+        return np.exp(2.0 * p.min(axis=(-2, -1)))
+
+    def stability_dt(self, scale, safety=1.0):
+        """safety * h^2 * min(e^{2 phi}) / 8 from ``min_scale``: the parabolic
+        bound of e^{-2 phi} Lap0 with the 5-point stencil."""
+        return safety * self.h**2 * scale / 8.0
+
+    def flat_laplacian(self, w):
+        return _lap5(w, self.h)
 
 
 Backend = RoundSphere | BergerSphere | ConformalTorus2D
@@ -113,32 +229,18 @@ Backend = RoundSphere | BergerSphere | ConformalTorus2D
 
 def dim(backend) -> int:
     """Manifold dimension of a backend."""
-    if isinstance(backend, RoundSphere):
-        return backend.n
-    if isinstance(backend, BergerSphere):
-        return 3
-    return 2
-
-
-def _param_shape(backend):
-    if isinstance(backend, RoundSphere):
-        return (1,)
-    if isinstance(backend, BergerSphere):
-        return (3,)
-    return (backend.N, backend.N)
-
-
-def _field_shape(backend):
-    if isinstance(backend, ConformalTorus2D):
-        return (backend.N, backend.N)
-    return ()
+    return backend.n
 
 
 def _tensor_shape(backend):
     if isinstance(backend, ConformalTorus2D):
         return (3, backend.N, backend.N)
-    return (dim(backend),)
+    return (backend.n,)
 
+
+# --------------------------------------------------------------------------
+# Typed state containers
+# --------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class MetricState:
@@ -155,7 +257,7 @@ class MetricState:
     def __post_init__(self):
         p = np.asarray(self.params, dtype=float)
         object.__setattr__(self, "params", p)
-        if p.shape != _param_shape(self.backend):
+        if p.shape != self.backend.param_shape:
             raise ValueError(
                 f"params shape {p.shape} does not match backend {self.backend}"
             )
@@ -163,6 +265,11 @@ class MetricState:
             raise ValueError("metric parameters must be finite")
         if not isinstance(self.backend, ConformalTorus2D) and np.any(p <= 0):
             raise ValueError("scale parameters must be positive")
+
+    @_cached
+    def stack(self) -> MetricStack:
+        """The operators of this one state (no leading row axis)."""
+        return self.backend.stack(self.params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +282,7 @@ class ScalarField:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if v.shape != _field_shape(self.backend):
+        if v.shape != self.backend.field_shape:
             raise ValueError(
                 f"field shape {v.shape} does not match backend {self.backend}"
             )
@@ -200,7 +307,7 @@ class SymTensorField:
 
 def const_field(m: MetricState, value: float) -> ScalarField:
     """Constant scalar field on the state's backend."""
-    return ScalarField(m.backend, np.full(_field_shape(m.backend), float(value)))
+    return ScalarField(m.backend, np.full(m.backend.field_shape, float(value)))
 
 
 def scalar_field(m: MetricState, values) -> ScalarField:
@@ -225,10 +332,9 @@ def _check_same_backend(m: MetricState, field) -> None:
 #
 # ``_roll`` is numpy.roll for a shift of +-1 along x or y, built from two
 # slice copies.  Every stencil therefore takes an (N, N) grid and a (K, N, N)
-# stack of grids alike, as lambda0's row-stack LOPCG passes them.  Each
-# stencil keeps the operand order of its numpy.roll form, so the results are
-# bitwise the same, and each grid of a stack is bitwise what it would be
-# alone.
+# stack of grids alike.  Each stencil keeps the operand order of its
+# numpy.roll form, so the results are bitwise the same, and each grid of a
+# stack is bitwise what it would be alone.
 # --------------------------------------------------------------------------
 
 def _roll(w, shift, axis):
@@ -275,23 +381,235 @@ def _dcross(w, h):
     ) / (4.0 * h * h)
 
 
+def _row_sum(w: np.ndarray) -> np.ndarray:
+    """Sum over the trailing grid of each row: (K,) for a (K, N, N) stack, a
+    scalar for one (N, N) grid.  Each row is one contiguous pairwise sum, so
+    its value does not depend on the rows beside it."""
+    return w.reshape(w.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+def _pow(x, e):
+    """x ** e through the C library's pow, entry by entry, as numpy scalars
+    and Python floats compute it.  numpy's vectorised power (and x * x for
+    e = 2) differ from it in the last bit for some x, which would move the
+    per-state results."""
+    if isinstance(x, float) or x.ndim == 0:  # scalars and 0-d arrays
+        return float(x) ** e
+    return np.fromiter((v ** e for v in x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
+
+
 # --------------------------------------------------------------------------
-# Curvature
+# Metric stacks: the operators on raw arrays with a leading row axis
 # --------------------------------------------------------------------------
+
+class MetricStack:
+    """Metrics of one backend as raw arrays, ``params[k]`` holding row k (no
+    leading axis for one state); see the module docstring.
+
+    Attributes built once on first use: ``R`` (scalar curvature, one field
+    per row), ``ricci`` and ``metric`` (tensors), ``weight`` (the volume
+    weight of a cell: e^{2 phi} on the torus, the volume on homogeneous
+    backends), ``lap_factor`` (Laplace-Beltrami = lap_factor times the
+    backend's flat Laplacian) and ``volume``.  Fields broadcast against
+    tensors through ``np.expand_dims(w, comp_axis)``.
+    """
+
+    comp_axis: int
+
+    def __init__(self, backend, params):
+        self.backend = backend
+        self.params = params
+        self.n = backend.n
+
+    def laplace_beltrami(self, w):
+        return self.lap_factor * self.backend.flat_laplacian(w)
+
+    def integrate(self, w):
+        """Integral of each row's field against its volume measure."""
+        return self.quadrature(w * self.weight)
+
+
+class _HomogeneousStack(MetricStack):
+    comp_axis = -1
+
+    @_cached
+    def _lead(self):
+        return self.params.shape[:-1]
+
+    @_cached
+    def lap_factor(self):
+        return np.zeros(self._lead)
+
+    @_cached
+    def metric(self):
+        return np.ones(self._lead + (self.n,))
+
+    @_cached
+    def weight(self):
+        return self.volume
+
+    @staticmethod
+    def quadrature(x):
+        """A homogeneous row is one cell whose weight is the whole volume."""
+        return x
+
+    def gradient_inner(self, w, z):
+        return np.zeros(self._lead)
+
+    def grad_outer(self, w):
+        return np.zeros(self._lead + (self.n,))
+
+    def hessian(self, w):
+        return np.zeros(self._lead + (self.n,))
+
+    def tensor_norm_sq(self, T):
+        return (T * T).sum(axis=-1)
+
+    def tensor_trace(self, T):
+        return T.sum(axis=-1)
+
+
+class _RoundStack(_HomogeneousStack):
+    @_cached
+    def R(self):
+        """R = n(n-1)/c."""
+        return self.n * (self.n - 1) / self.params[..., 0]
+
+    @_cached
+    def ricci(self):
+        """(n-1)/c in every principal direction."""
+        value = np.expand_dims((self.n - 1) / self.params[..., 0], -1)
+        return np.repeat(value, self.n, axis=-1)
+
+    @_cached
+    def volume(self):
+        n = self.n
+        unit = 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+        return unit * _pow(self.params[..., 0], n / 2.0)
+
+
+def _last_axis(p):
+    """The entries along the last axis of p: numpy scalars for one state."""
+    return np.moveaxis(p, -1, 0) if p.ndim > 1 else p
+
 
 def _berger_ricci_values(p):
-    """Principal Ricci values in the orthonormal frame for diag(A, B, C).
+    """Principal Ricci values in the orthonormal frame for diag(A, B, C),
+    the last axis of p.
 
     Milnor-frame structure constants are 2 (A = B = C = 1 is the unit round
-    3-sphere), giving r_1 = 2 (A^2 - (B - C)^2) / (ABC) and cyclic.
+    3-sphere), giving r_1 = 2 (A^2 - (B - C)^2) / (ABC) and cyclic.  One
+    state unpacks into numpy scalars, the flow's per-stage case.
     """
-    A, B, C = p
+    A, B, C = _last_axis(p)
     abc = A * B * C
-    r1 = 2.0 * (A * A - (B - C) ** 2) / abc
-    r2 = 2.0 * (B * B - (C - A) ** 2) / abc
-    r3 = 2.0 * (C * C - (A - B) ** 2) / abc
-    return np.array([r1, r2, r3])
+    r = np.empty(p.shape)
+    r[..., 0] = 2.0 * (A * A - _pow(B - C, 2)) / abc
+    r[..., 1] = 2.0 * (B * B - _pow(C - A, 2)) / abc
+    r[..., 2] = 2.0 * (C * C - _pow(A - B, 2)) / abc
+    return r
 
+
+class _BergerStack(_HomogeneousStack):
+    @_cached
+    def ricci(self):
+        return _berger_ricci_values(self.params)
+
+    @_cached
+    def R(self):
+        """Sum of the principal Ricci values."""
+        return self.ricci.sum(axis=-1)
+
+    @_cached
+    def volume(self):
+        A, B, C = _last_axis(self.params)
+        return 2.0 * math.pi**2 * np.sqrt(A * B * C)
+
+
+def _sym(t11, t12, t22):
+    """Coordinate components stacked on the component axis (-3)."""
+    return np.stack([t11, t12, t22], axis=-3)
+
+
+def _one_sided(w, h):
+    """Forward and backward differences along x, then along y."""
+    return _dp(w, 0, h), _dm(w, 0, h), _dp(w, 1, h), _dm(w, 1, h)
+
+
+class _TorusStack(MetricStack):
+    comp_axis = -3
+
+    @_cached
+    def weight(self):
+        """e^{2 phi}."""
+        return np.exp(2.0 * self.params)
+
+    @_cached
+    def lap_factor(self):
+        """e^{-2 phi}."""
+        return np.exp(-2.0 * self.params)
+
+    @_cached
+    def _inv_weight_sq(self):
+        return np.exp(-4.0 * self.params)
+
+    @_cached
+    def R(self):
+        """R = -2 e^{-2 phi} Lap0 phi."""
+        return -2.0 * self.lap_factor * _lap5(self.params, self.backend.h)
+
+    @_cached
+    def ricci(self):
+        """(R/2) g."""
+        half = 0.5 * self.R * self.weight
+        return _sym(half, np.zeros_like(half), half)
+
+    @_cached
+    def metric(self):
+        return _sym(self.weight, np.zeros_like(self.weight), self.weight)
+
+    @_cached
+    def volume(self):
+        return self.quadrature(self.weight)
+
+    def quadrature(self, x):
+        return _row_sum(x) * self.backend.h**2
+
+    def gradient_inner(self, w, z):
+        """e^{-2 phi} times the average of the forward and backward difference
+        products per axis."""
+        dw = _one_sided(w, self.backend.h)
+        dz = dw if z is w else _one_sided(z, self.backend.h)
+        ip = 0.5 * (dw[0] * dz[0] + dw[1] * dz[1] + dw[2] * dz[2] + dw[3] * dz[3])
+        return self.lap_factor * ip
+
+    def grad_outer(self, w):
+        px, mx, py, my = _one_sided(w, self.backend.h)
+        return _sym(0.5 * (px * px + mx * mx), 0.5 * (px * py + mx * my),
+                    0.5 * (py * py + my * my))
+
+    def hessian(self, w):
+        h = self.backend.h
+        wx, wy = _dc(w, 0, h), _dc(w, 1, h)
+        px, py = _dc(self.params, 0, h), _dc(self.params, 1, h)
+        gamma_diag = px * wx - py * wy
+        return _sym(_d2(w, 0, h) - gamma_diag,
+                    _dcross(w, h) - (py * wx + px * wy),
+                    _d2(w, 1, h) + gamma_diag)
+
+    def tensor_norm_sq(self, T):
+        t11, t12, t22 = np.moveaxis(T, -3, 0)
+        return self._inv_weight_sq * (t11 * t11 + 2.0 * t12 * t12 + t22 * t22)
+
+    def tensor_trace(self, T):
+        t11, _, t22 = np.moveaxis(T, -3, 0)
+        return self.lap_factor * (t11 + t22)
+
+
+# --------------------------------------------------------------------------
+# Typed operators on one state
+# --------------------------------------------------------------------------
 
 def scalar_curvature(m: MetricState) -> ScalarField:
     """Scalar curvature R of the metric.
@@ -299,52 +617,23 @@ def scalar_curvature(m: MetricState) -> ScalarField:
     RoundSphere: R = n(n-1)/c.  BergerSphere: sum of the principal Ricci
     values.  ConformalTorus2D: R = -2 e^{-2 phi} Lap0 phi.
     """
-    b = m.backend
-    if isinstance(b, RoundSphere):
-        return const_field(m, b.n * (b.n - 1) / m.params[0])
-    if isinstance(b, BergerSphere):
-        return const_field(m, float(np.sum(_berger_ricci_values(m.params))))
-    return ScalarField(b, _torus_scalar_curvature(m.params, b.h))
-
-
-def _torus_scalar_curvature(phi, h):
-    """R = -2 e^{-2 phi} Lap0 phi of a conformal exponent grid or grid stack."""
-    return -2.0 * np.exp(-2.0 * phi) * _lap5(phi, h)
+    return ScalarField(m.backend, m.stack.R)
 
 
 def ricci(m: MetricState) -> SymTensorField:
     """Ricci tensor; (R/2) g on 2-d backends, structure-constant values on Berger."""
-    b = m.backend
-    if isinstance(b, RoundSphere):
-        return SymTensorField(b, np.full(b.n, (b.n - 1) / m.params[0]))
-    if isinstance(b, BergerSphere):
-        return SymTensorField(b, _berger_ricci_values(m.params))
-    R = scalar_curvature(m).values
-    e2p = np.exp(2.0 * m.params)
-    half_Rg = 0.5 * R * e2p
-    return SymTensorField(b, np.stack([half_Rg, np.zeros_like(half_Rg), half_Rg]))
+    return SymTensorField(m.backend, m.stack.ricci)
 
 
 def metric_tensor(m: MetricState) -> SymTensorField:
     """The metric itself as a tensor field (identity in the orthonormal frame)."""
-    b = m.backend
-    if isinstance(b, ConformalTorus2D):
-        e2p = np.exp(2.0 * m.params)
-        return SymTensorField(b, np.stack([e2p, np.zeros_like(e2p), e2p]))
-    return SymTensorField(b, np.ones(dim(b)))
+    return SymTensorField(m.backend, m.stack.metric)
 
-
-# --------------------------------------------------------------------------
-# Derivatives of scalar fields
-# --------------------------------------------------------------------------
 
 def laplace_beltrami(m: MetricState, w: ScalarField) -> ScalarField:
     """Laplace-Beltrami operator; e^{-2 phi} Lap0 on the torus, 0 on constants."""
     _check_same_backend(m, w)
-    b = m.backend
-    if isinstance(b, ConformalTorus2D):
-        return ScalarField(b, np.exp(-2.0 * m.params) * _lap5(w.values, b.h))
-    return const_field(m, 0.0)
+    return ScalarField(m.backend, m.stack.laplace_beltrami(w.values))
 
 
 def gradient_sq(m: MetricState, w: ScalarField) -> ScalarField:
@@ -362,16 +651,8 @@ def gradient_inner(m: MetricState, w: ScalarField, z: ScalarField) -> ScalarFiel
     as :func:`gradient_sq`)."""
     _check_same_backend(m, w)
     _check_same_backend(m, z)
-    b = m.backend
-    if not isinstance(b, ConformalTorus2D):
-        return const_field(m, 0.0)
-    h = b.h
-    wv, zv = w.values, z.values
-    ip = 0.5 * (
-        _dp(wv, 0, h) * _dp(zv, 0, h) + _dm(wv, 0, h) * _dm(zv, 0, h)
-        + _dp(wv, 1, h) * _dp(zv, 1, h) + _dm(wv, 1, h) * _dm(zv, 1, h)
-    )
-    return ScalarField(b, np.exp(-2.0 * m.params) * ip)
+    zv = w.values if z is w else z.values
+    return ScalarField(m.backend, m.stack.gradient_inner(w.values, zv))
 
 
 def grad_outer(m: MetricState, w: ScalarField) -> SymTensorField:
@@ -382,17 +663,7 @@ def grad_outer(m: MetricState, w: ScalarField) -> SymTensorField:
     exactly at the discrete level.
     """
     _check_same_backend(m, w)
-    b = m.backend
-    if not isinstance(b, ConformalTorus2D):
-        return SymTensorField(b, np.zeros(dim(b)))
-    h = b.h
-    wv = w.values
-    px, mx = _dp(wv, 0, h), _dm(wv, 0, h)
-    py, my = _dp(wv, 1, h), _dm(wv, 1, h)
-    t11 = 0.5 * (px * px + mx * mx)
-    t22 = 0.5 * (py * py + my * my)
-    t12 = 0.5 * (px * py + mx * my)
-    return SymTensorField(b, np.stack([t11, t12, t22]))
+    return SymTensorField(m.backend, m.stack.grad_outer(w.values))
 
 
 def hessian(m: MetricState, w: ScalarField) -> SymTensorField:
@@ -404,86 +675,38 @@ def hessian(m: MetricState, w: ScalarField) -> SymTensorField:
     operator up to round-off.
     """
     _check_same_backend(m, w)
-    b = m.backend
-    if not isinstance(b, ConformalTorus2D):
-        return SymTensorField(b, np.zeros(dim(b)))
-    h = b.h
-    phi = m.params
-    wv = w.values
-    wx, wy = _dc(wv, 0, h), _dc(wv, 1, h)
-    px, py = _dc(phi, 0, h), _dc(phi, 1, h)
-    gamma_diag = px * wx - py * wy
-    t11 = _d2(wv, 0, h) - gamma_diag
-    t22 = _d2(wv, 1, h) + gamma_diag
-    t12 = _dcross(wv, h) - (py * wx + px * wy)
-    return SymTensorField(b, np.stack([t11, t12, t22]))
+    return SymTensorField(m.backend, m.stack.hessian(w.values))
 
-
-# --------------------------------------------------------------------------
-# Integration and tensor algebra
-# --------------------------------------------------------------------------
 
 def volume(m: MetricState) -> float:
     """Total volume of the metric."""
-    b = m.backend
-    if isinstance(b, RoundSphere):
-        n = b.n
-        unit = 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
-        return unit * m.params[0] ** (n / 2.0)
-    if isinstance(b, BergerSphere):
-        A, B, C = m.params
-        return 2.0 * math.pi**2 * math.sqrt(A * B * C)
-    return float(np.sum(np.exp(2.0 * m.params))) * b.h**2
+    return float(m.stack.volume)
 
 
 def integrate(m: MetricState, w: ScalarField) -> float:
     """Integral of w against the metric volume measure."""
     _check_same_backend(m, w)
-    b = m.backend
-    if isinstance(b, ConformalTorus2D):
-        return float(np.sum(w.values * np.exp(2.0 * m.params))) * b.h**2
-    return float(w.values) * volume(m)
+    return float(m.stack.integrate(w.values))
 
 
 def tensor_norm_sq(m: MetricState, T: SymTensorField) -> ScalarField:
     """Pointwise squared tensor norm |T|^2_g = g^{ik} g^{jl} T_ij T_kl."""
     _check_same_backend(m, T)
-    b = m.backend
-    if isinstance(b, ConformalTorus2D):
-        t11, t12, t22 = T.comps
-        val = np.exp(-4.0 * m.params) * (t11 * t11 + 2.0 * t12 * t12 + t22 * t22)
-        return ScalarField(b, val)
-    return const_field(m, float(np.sum(T.comps**2)))
+    return ScalarField(m.backend, m.stack.tensor_norm_sq(T.comps))
 
 
 def tensor_trace(m: MetricState, T: SymTensorField) -> ScalarField:
     """Pointwise g-trace g^{ij} T_ij."""
     _check_same_backend(m, T)
-    b = m.backend
-    if isinstance(b, ConformalTorus2D):
-        t11, _, t22 = T.comps
-        return ScalarField(b, np.exp(-2.0 * m.params) * (t11 + t22))
-    return const_field(m, float(np.sum(T.comps)))
+    return ScalarField(m.backend, m.stack.tensor_trace(T.comps))
 
 
-# --------------------------------------------------------------------------
-# Flow velocity
-# --------------------------------------------------------------------------
-
-def _flow_rhs_params(backend, p):
-    """Velocity of the curvature flow dg/dt = -2 Ric in backend parameters.
+def ricci_flow_rhs(m: MetricState) -> np.ndarray:
+    """Velocity of the curvature flow dg/dt = -2 Ric in backend parameters
+    (tangent to MetricState.params).
 
     RoundSphere: dc/dt = -2(n-1).  BergerSphere: dA/dt = -2 A r_1 and
     cyclic.  ConformalTorus2D: dphi/dt = e^{-2 phi} Lap0 phi (from
     dg/dt = -R g in two dimensions).
     """
-    if isinstance(backend, RoundSphere):
-        return np.array([-2.0 * (backend.n - 1)])
-    if isinstance(backend, BergerSphere):
-        return -2.0 * p * _berger_ricci_values(p)
-    return np.exp(-2.0 * p) * _lap5(p, backend.h)
-
-
-def ricci_flow_rhs(m: MetricState) -> np.ndarray:
-    """Flow velocity in backend parameters (tangent to MetricState.params)."""
-    return _flow_rhs_params(m.backend, m.params)
+    return m.backend.velocity(m.params)

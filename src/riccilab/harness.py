@@ -11,15 +11,23 @@ res_thm[a], res_equiv[a]; 17 significant digits, comma separator, LF line
 endings), ``proof_chain.csv`` (the derivative-identity columns, which do
 not fit the fixed data.csv schema), and ``manifest.json`` (config echo,
 resolved step, admissibility checks, summary block, ``lambda0`` solver
-diagnostics over the evaluated rows, exit status), written
-exactly once per run, also for failed runs so partial artifacts carry a
+diagnostics over the evaluated rows, stage ``timings``, flow and heat
+``steps``, exit status), written exactly once per run and on every exit
+path (a temporary file renamed into place), so partial artifacts carry a
 status marker.  One writer prints both CSV files from the ``RunTables``
 arrays (header only when no table exists; per-a arrays hold one column per
 adjustment value); the summary counts come from
 ``variation``'s ``equivalence_check`` and ``monotonicity_check``.
 
+Row evaluation: ``evaluate_tables`` solves lambda0 for every row in one
+``ground_states`` call, then runs the stacked row kernel
+``variation.row_values`` over blocks of at most ``geometry.ROW_CELLS``
+cells (rows x cells per row), with no per-row loop.
+
 Exit codes: 0 success, 2 ``InputError`` (configuration or admissibility),
-3 ``NumericalError`` (partial CSV retained).
+3 ``NumericalError`` (partial CSV retained).  Any other exception is an
+internal error: the manifest records it (status ``internal_error``) and
+``run`` re-raises it.
 
 Time stepping: the flow trajectory is integrated and stored at half the
 row step, and the density solver steps at the row step, so its RK4 stage
@@ -31,15 +39,18 @@ residual is directly sensitive to.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__ as _VERSION
+from . import geometry
 from .errors import AdmissibilityError, ConfigError, NumericalError
 from .flow import Trajectory, integrate_forward, stability_dt
 from .geometry import (
@@ -47,22 +58,9 @@ from .geometry import (
     ConformalTorus2D,
     MetricState,
     RoundSphere,
-    dim,
     grid_coords,
-    gradient_sq,
-    integrate,
-    laplace_beltrami,
-    scalar_field,
-    tensor_norm_sq,
 )
-from .functionals import (
-    f_functional,
-    ground_states,
-    lambda0,
-    log_entropy_value,
-    omega,
-    shannon_entropy,
-)
+from .functionals import ground_states, lambda0
 from .heat import (
     DATUM_KINDS,
     DensityHistory,
@@ -74,10 +72,9 @@ from .variation import (
     VariationReport,
     equivalence_check,
     fd_time_derivative,
-    matrix_quantity,
     monotonicity_check,
     proof_chain_check,
-    rate_forms,
+    row_values,
 )
 
 __all__ = [
@@ -96,6 +93,8 @@ __all__ = [
 OUTPUT_ROOT_ENV = "RICCILAB_OUT"
 ADMISSIBILITY_MARGIN = 1e-12
 LAMBDA0_STEP_TOL = 1e-8
+
+log = logging.getLogger(__name__)
 
 
 # --------------------------------------------------------------------------
@@ -301,7 +300,7 @@ def validate_config(cfg: RunConfig) -> ValidatedRun:
     m0 = _initial_state(cfg)
     T = cfg.T
     if not isinstance(m0.backend, ConformalTorus2D):
-        n = dim(m0.backend)
+        n = m0.backend.n
         T = min(T, 0.5 * float(np.min(m0.params)) / (2.0 * (n - 1)))
 
     if cfg.dt == "auto":
@@ -359,63 +358,79 @@ class RunTables:
     variation: VariationReport
 
 
+def _row_error(hist: DensityHistory, ground, k: int) -> NumericalError:
+    """The error row k raises first, in the row checks' order: the change of
+    variables, then its lambda0."""
+    try:
+        change_variables(hist.field(k))
+        ground.value(k)
+    except NumericalError as exc:
+        return exc
+    raise AssertionError(f"row {k} passes its change of variables and lambda0")
+
+
 def evaluate_tables(
-    traj: Trajectory, hist: DensityHistory, a_values, dt: float
+    traj: Trajectory, hist: DensityHistory, a_values, dt: float,
+    timings: dict | None = None,
 ) -> tuple[RunTables | None, Exception | None]:
-    """Evaluate every functional and verification column row by row.
+    """Evaluate every functional and verification column, one block of rows
+    at a time.
 
     The lambda0 of every row comes from one ``ground_states`` call over the
-    row metrics before the loop; a row whose solve did not converge raises
-    NoConvergence where its own lambda0 is read, after its F and S.  Each
-    row builds F, S and the variation tensor T once; every adjustment value
-    then reuses them for omega, Y and both rate forms.  The per-row and
-    per-a series live in two arrays cut by one slice.  On a numerical
-    failure the completed rows are kept (truncated tables, finite
-    differences over the surviving series) so a failed run still
-    ships a partial CSV; returns (tables, error), tables None when fewer
-    than 3 rows survived.
+    row metrics.  The row kernel ``variation.row_values`` then evaluates F,
+    S, the variation tensor T, dF_rhs, the sub-identity sides and, for each
+    adjustment value, omega, Y and both rate forms, over blocks of at most
+    ``geometry.ROW_CELLS`` cells.  Every check runs before the block takes a
+    square root, logarithm or rate of a failing row: the densities'
+    positivity and lambda0's convergence first, over all rows, then omega
+    inside the kernel.  The first failing row raises what the row checks
+    raise there, in their order: the change of variables, lambda0, then
+    omega for each a.  On a numerical failure the completed rows are kept
+    (truncated tables, finite differences over the surviving series) so a
+    failed run still ships a partial CSV; returns (tables, error), tables
+    None when fewer than 3 rows survived.  ``timings``, when given, receives
+    the ground-state solve time as ``lambda0_s``.
     """
     stride = int(round(dt / traj.dt))
-    n = dim(traj.backend)
+    backend = traj.backend
     a_values = list(a_values)
     K = len(hist.times)
-    ground = ground_states(traj.backend, traj.params[::stride][:K])
-    row_series = np.empty((6, K))
+    params = traj.params[::stride][:K]
+    started = time.perf_counter()
+    ground = ground_states(backend, params)
+    if timings is not None:
+        timings["lambda0_s"] = time.perf_counter() - started
+    row_series = np.empty((5, K))
     a_series = np.empty((4, K, len(a_values)))
-    F, S, lam, dF_rhs, sub_lhs, sub_rhs = row_series
-    Y, om, rt, ry = a_series
 
+    # The first row whose density is not positive or whose lambda0 did not
+    # converge fails before its omega is checked; the kernel runs only on
+    # the rows before it.
+    failing = ((np.min(hist.v.reshape(K, -1), axis=1) <= 0.0)
+               | ~(ground.residuals <= ground.tol))
+    limit = int(np.argmax(failing)) if np.any(failing) else K
+    block = max(1, geometry.ROW_CELLS // backend.cells)
     error = None
     done = 0
-    for k, t in enumerate(hist.times):
-        try:
-            m = traj.state(k * stride)
-            u, f = change_variables(hist.field(k))
-            v = hist.v[k]
-            F[k] = f_functional(m, u)
-            S[k] = shannon_entropy(m, u)
-            lam[k] = ground.value(k)
-            T_var = matrix_quantity(m, u)
-            dF_rhs[k] = 2.0 * integrate(
-                m, scalar_field(m, tensor_norm_sq(m, T_var).values * u.values**2)
-            )
-            sub_lhs[k] = integrate(
-                m, scalar_field(m, laplace_beltrami(m, f).values * v)
-            )
-            sub_rhs[k] = integrate(m, scalar_field(m, gradient_sq(m, f).values * v))
-            for j, a in enumerate(a_values):
-                om[k, j] = omega(F[k], a)
-                Y[k, j] = log_entropy_value(S[k], om[k, j], n, a, float(t))
-                rt[k, j], ry[k, j] = rate_forms(m, u, T_var, F[k], a)
-        except NumericalError as exc:
-            error = exc
+    for start in range(0, limit, block):
+        rows = slice(start, min(start + block, limit))
+        vals, error = row_values(backend.stack(params[rows]), hist.v[rows],
+                                 hist.times[rows], a_values)
+        done = start + len(vals.F)
+        row_series[:, start:done] = (vals.F, vals.S, vals.dF_rhs, vals.sub_lhs,
+                                     vals.sub_rhs)
+        a_series[:, start:done] = (vals.Y, vals.om, vals.rhs_split,
+                                   vals.rhs_combined)
+        if error is not None:
             break
-        done = k + 1
+    if error is None and limit < K:
+        error = _row_error(hist, ground, limit)
 
     if done < 3:
         return None, error
     times = hist.times[:done]
-    F, S, lam, dF_rhs, sub_lhs, sub_rhs = row_series[:, :done]
+    F, S, dF_rhs, sub_lhs, sub_rhs = row_series[:, :done]
+    lam = ground.values[:done]
     Y, om, rt, ry = a_series[:, :done]
     dY = fd_time_derivative(Y, dt)
     tables = RunTables(
@@ -479,9 +494,12 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Header line, then one line per row of the equal-length columns."""
+    """Header line, then one line per row of the equal-length columns, each
+    value as ``_fmt`` prints it (one %-template per line: "%.17g" % x is
+    format(x, ".17g") for every float and bool)."""
     rows = zip(*(c.tolist() for c in columns))
-    lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in rows]
+    template = ",".join(["%.17g"] * len(columns))
+    lines = [",".join(header)] + [template % row for row in rows]
     path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
@@ -542,61 +560,103 @@ def resolve_out_dir(cfg: RunConfig, override=None, default_name="run") -> Path:
     return target
 
 
+# Stage timings in manifest.json; lambda0_s is the part of rows_s spent in
+# the ground-state solve.
+_STAGES = ("flow_s", "heat_s", "rows_s", "lambda0_s", "summary_s", "writers_s")
+
+
+@contextmanager
+def _timed(timings: dict, stage: str, out: Path):
+    started = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[stage] += time.perf_counter() - started
+        log.info("%s: %s %.3f s", out, stage, timings[stage])
+
+
+def _write_manifest(out: Path, manifest: dict) -> None:
+    """Write manifest.json through a temporary file renamed into place."""
+    tmp = out / ".manifest.json.tmp"
+    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                   encoding="utf-8")
+    os.replace(tmp, out / "manifest.json")
+
+
 def run(validated: ValidatedRun, out_dir) -> RunResult:
     """Execute the pipeline and persist artifacts.
 
     Numerical failures produce exit code 3 with partial artifacts and a
     status marker in the manifest; the artifact set is the same for passed
-    and failed runs.
+    and failed runs.  Any other exception (an interrupt too) is recorded in
+    the manifest as status ``internal_error`` (exit code 1, the error as
+    "Type: message") and re-raised.  The manifest is written on every exit
+    path.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = validated.cfg
     started = time.perf_counter()
+    timings = dict.fromkeys(_STAGES, 0.0)
+    steps = {"flow": None, "heat": None, "max_dt_over_stability_dt": None}
     status, error, tables, summary = "ok", None, None, None
     try:
-        traj = integrate_forward(validated.m0, validated.T, validated.dt / 2.0)
-        m_T = traj.final_state()
-        v_T = terminal_datum(
-            cfg.datum, m_T,
-            amplitude=cfg.amplitude, seed=cfg.seed, mode_cutoff=cfg.cutoff,
-            center=(None if cfg.center_x is None
-                    else (cfg.center_x, cfg.center_y)),
-            width=cfg.width,
-        )
-        hist = solve_backward(traj, v_T, step=validated.dt, mass_tol=cfg.tol_mass)
-        tables, row_error = evaluate_tables(traj, hist, cfg.a_values, validated.dt)
-        if row_error is not None:
-            raise row_error
-        summary = _summary(tables, cfg)
-    except NumericalError as exc:
-        status = type(exc).__name__
-        error = str(exc)
-    _write_artifact_csvs(out, cfg.a_values, tables)
-    exit_code = 0 if status == "ok" else 3
-
-    manifest = {
-        "config": cfg.raw,
-        "resolved": {
-            "backend": cfg.backend_kind,
-            "T": validated.T,
-            "dt": validated.dt,
-            "rows": validated.num_rows,
-            "flow_dt": validated.dt / 2.0,
-        },
-        "version": _VERSION,
-        "lambda0_g0": validated.lambda0_g0,
-        "admissibility": validated.admissibility,
-        "status": status,
-        "error": error,
-        "exit_code": exit_code,
-        "summary": summary,
-        "lambda0": None if tables is None else _lambda0_diagnostics(tables),
-        "wall_clock_s": time.perf_counter() - started,
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+        try:
+            with _timed(timings, "flow_s", out):
+                traj = integrate_forward(validated.m0, validated.T,
+                                         validated.dt / 2.0)
+            steps["flow"] = traj.num_steps
+            steps["max_dt_over_stability_dt"] = traj.max_step_ratio
+            with _timed(timings, "heat_s", out):
+                v_T = terminal_datum(
+                    cfg.datum, traj.final_state(),
+                    amplitude=cfg.amplitude, seed=cfg.seed, mode_cutoff=cfg.cutoff,
+                    center=(None if cfg.center_x is None
+                            else (cfg.center_x, cfg.center_y)),
+                    width=cfg.width,
+                )
+                hist = solve_backward(traj, v_T, step=validated.dt,
+                                      mass_tol=cfg.tol_mass)
+            steps["heat"] = len(hist.times) - 1
+            with _timed(timings, "rows_s", out):
+                tables, row_error = evaluate_tables(
+                    traj, hist, cfg.a_values, validated.dt, timings)
+            log.info("%s: of which lambda0_s %.3f s", out, timings["lambda0_s"])
+            if row_error is not None:
+                raise row_error
+            with _timed(timings, "summary_s", out):
+                summary = _summary(tables, cfg)
+        except NumericalError as exc:
+            status = type(exc).__name__
+            error = str(exc)
+        with _timed(timings, "writers_s", out):
+            _write_artifact_csvs(out, cfg.a_values, tables)
+    except BaseException as exc:  # recorded, then re-raised
+        status, error = "internal_error", f"{type(exc).__name__}: {exc}"
+        raise
+    finally:
+        exit_code = {"ok": 0, "internal_error": 1}.get(status, 3)
+        _write_manifest(out, {
+            "config": cfg.raw,
+            "resolved": {
+                "backend": cfg.backend_kind,
+                "T": validated.T,
+                "dt": validated.dt,
+                "rows": validated.num_rows,
+                "flow_dt": validated.dt / 2.0,
+            },
+            "version": _VERSION,
+            "lambda0_g0": validated.lambda0_g0,
+            "admissibility": validated.admissibility,
+            "status": status,
+            "error": error,
+            "exit_code": exit_code,
+            "summary": summary,
+            "lambda0": None if tables is None else _lambda0_diagnostics(tables),
+            "timings": timings,
+            "steps": steps,
+            "wall_clock_s": time.perf_counter() - started,
+        })
     return RunResult(status, exit_code, out, summary, tables, error)
 
 

@@ -14,11 +14,14 @@ identically on the periodic grid, so the semi-discrete mass
 integral(v dmu_{g(t)}) is exactly conserved and the recorded drift is pure
 time-integration error.
 
-The right-hand side uses the geometry operators, one path for every backend.
-The RK4 stages need metrics at half-step times.  The solver therefore steps
-at an even multiple of the trajectory spacing so every stage time lands on
-a stored snapshot; no interpolation enters the solve.  Mass is checked at
-every step but never renormalized.
+The right-hand side Lap_g v - R v uses the geometry operators, one path for
+every backend.  The RK4 stages need metrics at half-step times.  The solver
+therefore steps at an even multiple of the trajectory spacing so every stage
+time lands on a stored snapshot; no interpolation enters the solve.  The
+snapshot geometry -- R, the Laplace-Beltrami factor and the volume weight
+-- is built once per snapshot by stacked calls over blocks of at most
+``geometry.ROW_CELLS`` cells (or one step), not once per RK4 stage.  Mass is
+checked at every step but never renormalized.
 
 A density at one instant is a plain ``ScalarField`` holding v; its
 positivity and unit mass are checked by the solver, not by its type.
@@ -30,17 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .errors import MassDrift, NonPositive, PositivityLoss
 from .flow import Trajectory
 from .geometry import (
     ConformalTorus2D,
     MetricState,
     ScalarField,
-    _field_shape,
     grid_coords,
     integrate,
-    laplace_beltrami,
-    scalar_curvature,
     scalar_field,
 )
 
@@ -108,7 +109,7 @@ def terminal_datum(
     if kind not in DATUM_KINDS:
         raise ValueError(f"unknown terminal datum kind {kind!r}")
     if not isinstance(b, ConformalTorus2D) or kind == "constant":
-        return _normalized(m_T, np.ones(_field_shape(b)))
+        return _normalized(m_T, np.ones(b.field_shape))
 
     x, y = grid_coords(b)
     if kind == "bump":
@@ -156,12 +157,6 @@ def change_variables(v: ScalarField) -> tuple[ScalarField, ScalarField]:
 # Backward solve
 # --------------------------------------------------------------------------
 
-def _heat_rhs(m: MetricState, v: np.ndarray) -> np.ndarray:
-    """dv/dtau = Lap_g v - R v at the metric m, on raw arrays."""
-    lap = laplace_beltrami(m, ScalarField(m.backend, v)).values
-    return lap - scalar_curvature(m).values * v
-
-
 def solve_backward(
     traj: Trajectory,
     v_T: ScalarField,
@@ -196,32 +191,43 @@ def solve_backward(
 
     out = np.empty((M + 1,) + v_T.values.shape)
     masses = np.empty(M + 1)
-    m1 = traj.final_state()
     out[M] = v_T.values
-    masses[M] = integrate(m1, v_T)
-    _check_density(out[M], masses[M], mass_tol, m1.t)
+    masses[M] = integrate(traj.final_state(), v_T)
+    _check_density(out[M], masses[M], mass_tol, traj.times[K])
 
+    backend = traj.backend
+    lap0 = backend.flat_laplacian
+    block = max(1, geometry.ROW_CELLS // (stride * backend.cells))
     v = v_T.values
-    for j in range(M, 0, -1):
-        # tau-step from the later snapshot m1 through the midpoint mm to m0.
-        i1 = j * stride
-        mm, m0 = traj.state(i1 - half), traj.state(i1 - stride)
-        k1 = _heat_rhs(m1, v)
-        k2 = _heat_rhs(mm, v + 0.5 * step * k1)
-        k3 = _heat_rhs(mm, v + 0.5 * step * k2)
-        k4 = _heat_rhs(m0, v + step * k3)
-        v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[j - 1] = v
-        masses[j - 1] = integrate(m0, scalar_field(m0, v))
-        _check_density(v, masses[j - 1], mass_tol, m0.t)
-        m1 = m0
+    for hi in range(M, 0, -block):
+        # Steps hi, hi - 1, ..., lo + 1 read snapshots lo * stride ... hi * stride.
+        lo = max(hi - block, 0)
+        g = backend.stack(traj.params[lo * stride:hi * stride + 1])
+        R, lap_factor, weight = g.R, g.lap_factor, g.weight
+
+        def rhs(i, w):
+            """dv/dtau = Lap_g w - R w at snapshot i of the block."""
+            return lap_factor[i] * lap0(w) - R[i] * w
+
+        for j in range(hi, lo, -1):
+            # tau-step from the later snapshot i1 through the midpoint im to i0.
+            i1 = (j - lo) * stride
+            im, i0 = i1 - half, i1 - stride
+            k1 = rhs(i1, v)
+            k2 = rhs(im, v + 0.5 * step * k1)
+            k3 = rhs(im, v + 0.5 * step * k2)
+            k4 = rhs(i0, v + step * k3)
+            v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out[j - 1] = v
+            masses[j - 1] = g.quadrature(v * weight[i0])
+            _check_density(v, masses[j - 1], mass_tol, traj.times[(j - 1) * stride])
 
     times = traj.times[:: stride].copy()
     return DensityHistory(traj.backend, times, out, masses)
 
 
 def _check_density(v, mass, mass_tol, t):
-    if not np.all(np.isfinite(v)) or np.min(v) <= POSITIVITY_FLOOR:
+    if not np.isfinite(v).all() or v.min() <= POSITIVITY_FLOOR:
         raise PositivityLoss(f"density positivity lost at t={t:g}")
     if abs(mass - 1.0) > mass_tol:
         raise MassDrift(f"mass drift {mass - 1.0:+.3e} at t={t:g} exceeds {mass_tol:g}")

@@ -17,6 +17,15 @@ They are not merged into one integral by expanding the squares.  Since
 ``rhs_split`` and ``rhs_combined`` build T and F themselves and return one
 rate each.
 
+The row kernel ``row_values`` evaluates a block of rows as one stack: F, S,
+T, dF_rhs, the sub-identity integrals and, for each adjustment value,
+omega, Y and both rates, over the (K, ...) arrays of a
+``geometry.MetricStack``.  The per-state functions (``matrix_quantity``,
+``rate_forms``, ``rhs_split``, ``rhs_combined``, and ``f_functional``,
+``shannon_entropy`` and ``log_entropy`` in ``functionals``) are the same
+stacked code on a stack of one, so each row of a block is bitwise what
+they return for that row.
+
 Time derivatives are always taken from the stored time series by finite
 differences, never from re-deriving evolution equations, so the verifier
 stays independent of the identities being verified.  Interior points use
@@ -32,26 +41,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PositivityLoss, TooFewSamples
-from .geometry import (
-    MetricState,
-    ScalarField,
-    SymTensorField,
-    dim,
-    grad_outer,
-    hessian,
-    integrate,
-    metric_tensor,
-    ricci,
-    scalar_field,
-    tensor_norm_sq,
-)
-from .functionals import f_functional, omega
+from .errors import NonPositiveOmega, PositivityLoss, TooFewSamples
+from .geometry import MetricState, ScalarField, SymTensorField
+from .functionals import _energy, _entropy, f_functional, log_entropy_value, omega
 
 __all__ = [
     "matrix_quantity",
     "matrix_quantity_f_form",
     "rate_forms",
+    "row_values",
+    "RowValues",
     "rhs_split",
     "rhs_combined",
     "fd_time_derivative",
@@ -68,6 +67,28 @@ SUB_IDENTITY_TOL = 1e-9   # relative bound on the integration-by-parts sub-ident
 # The variation tensor and the two rate forms
 # --------------------------------------------------------------------------
 
+def _variation_tensor(g, u):
+    """T of each row of the metric stack g and positive density stack u."""
+    ue = np.expand_dims(u, g.comp_axis)
+    return g.ricci - 2.0 * g.hessian(u) / ue + 2.0 * g.grad_outer(u) / ue**2
+
+
+def _deviation_rate(g, u, T, w, c):
+    """(n/(4w)) integral(|T - c g|^2 u^2 dmu) of each row; w and c hold one
+    value per row."""
+    c = np.reshape(c, np.shape(c) + (1,) * (T.ndim - np.ndim(c)))
+    val = g.integrate(g.tensor_norm_sq(T - c * g.metric) * u**2)
+    return g.n / (4.0 * w) * val
+
+
+def _rate_forms(g, u, T, w, a):
+    """Split and combined rates of each row at one adjustment value a, from
+    the row's omega w = a + F/4 > 0."""
+    split = _deviation_rate(g, u, T, w, (4.0 * w - 4.0 * a) / g.n)
+    combined = _deviation_rate(g, u, T, w, 4.0 * w / g.n)
+    return split + 4.0 * a * a / w, combined
+
+
 def matrix_quantity(m: MetricState, u: ScalarField) -> SymTensorField:
     """Tensor Ric - 2 Hess(u)/u + 2 grad u (x) grad u / u^2.
 
@@ -77,12 +98,7 @@ def matrix_quantity(m: MetricState, u: ScalarField) -> SymTensorField:
     """
     if np.min(u.values) <= 0.0:
         raise PositivityLoss("density must be positive in the variation tensor")
-    Ric = ricci(m)
-    H = hessian(m, u)
-    P = grad_outer(m, u)
-    uv = u.values
-    comps = Ric.comps - 2.0 * H.comps / uv + 2.0 * P.comps / uv**2
-    return SymTensorField(m.backend, comps)
+    return SymTensorField(m.backend, _variation_tensor(m.stack, u.values))
 
 
 def matrix_quantity_f_form(m: MetricState, f: ScalarField) -> SymTensorField:
@@ -92,19 +108,8 @@ def matrix_quantity_f_form(m: MetricState, f: ScalarField) -> SymTensorField:
     chain-rule error; it exists as an independent cross-check of the
     algebraic identity -2 Hess(u)/u + 2 grad u (x) grad u / u^2 = Hess(f).
     """
-    Ric = ricci(m)
-    H = hessian(m, f)
-    return SymTensorField(m.backend, Ric.comps + H.comps)
-
-
-def _deviation_rate(m: MetricState, u: ScalarField, T: SymTensorField,
-                    g: SymTensorField, w: float, c: float) -> float:
-    """(n/(4w)) integral(|T - c g|^2 u^2 dmu)."""
-    n = dim(m.backend)
-    dev = SymTensorField(m.backend, T.comps - c * g.comps)
-    norm_sq = tensor_norm_sq(m, dev)
-    val = integrate(m, scalar_field(m, norm_sq.values * u.values**2))
-    return n / (4.0 * w) * val
+    g = m.stack
+    return SymTensorField(m.backend, g.ricci + g.hessian(f.values))
 
 
 def rate_forms(m: MetricState, u: ScalarField, T: SymTensorField, F: float,
@@ -115,12 +120,9 @@ def rate_forms(m: MetricState, u: ScalarField, T: SymTensorField, F: float,
     :func:`f_functional` of (m, u); omega = a + F/4.  The two forms are two
     separate deviation integrals over the same tensor and quadrature.
     """
-    n = dim(m.backend)
     w = omega(F, a)
-    g = metric_tensor(m)
-    split = _deviation_rate(m, u, T, g, w, (4.0 * w - 4.0 * a) / n)
-    combined = _deviation_rate(m, u, T, g, w, 4.0 * w / n)
-    return split + 4.0 * a * a / w, combined
+    split, combined = _rate_forms(m.stack, u.values, T.comps, w, a)
+    return float(split), float(combined)
 
 
 def rhs_split(m: MetricState, u: ScalarField, a: float) -> float:
@@ -135,6 +137,74 @@ def rhs_combined(m: MetricState, u: ScalarField, a: float) -> float:
     multiple.  Algebraically equal to :func:`rhs_split` when the density has
     unit mass."""
     return rate_forms(m, u, matrix_quantity(m, u), f_functional(m, u), a)[1]
+
+
+# --------------------------------------------------------------------------
+# The row kernel
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class RowValues:
+    """Row-kernel results for the leading rows of a block.
+
+    F, S, dF_rhs, sub_lhs and sub_rhs have one entry per row; om, Y,
+    rhs_split and rhs_combined are (rows, len(a_values)) arrays, column j
+    for a_values[j].
+    """
+
+    F: np.ndarray
+    S: np.ndarray
+    dF_rhs: np.ndarray
+    sub_lhs: np.ndarray
+    sub_rhs: np.ndarray
+    om: np.ndarray
+    Y: np.ndarray
+    rhs_split: np.ndarray
+    rhs_combined: np.ndarray
+
+
+def row_values(g, v, times, a_values) -> tuple[RowValues, NonPositiveOmega | None]:
+    """Every per-row functional and rate of a block of rows, as one stack.
+
+    g is the ``MetricStack`` of the rows' metrics, v their densities (one
+    field per row, every value positive: the caller checks the change of
+    variables first) and times their times.  F, S, the variation tensor T,
+    dF_rhs = 2 integral(|T|^2 u^2), the sub-identity sides
+    integral(Lap f e^{-f}) and integral(|grad f|^2 e^{-f}) and omega come
+    from one pass over the block; each adjustment value then reuses them for
+    Y and both rate forms.  A row with omega <= 0 for some a ends the block
+    before any logarithm or rate is taken of it: the result covers the rows
+    before it, and the error is what ``omega`` raises on that row, at its
+    first failing a.
+    """
+    u, f = np.sqrt(v), -np.log(v)
+    F = _energy(g, u)
+    S = _entropy(g, u)
+    T = _variation_tensor(g, u)
+    dF_rhs = 2.0 * g.integrate(g.tensor_norm_sq(T) * u**2)
+    sub_lhs = g.integrate(g.laplace_beltrami(f) * v)
+    sub_rhs = g.integrate(g.gradient_inner(f, f) * v)
+    a = np.asarray(a_values, dtype=float)
+    om = a + F[:, None] / 4.0
+
+    error = None
+    positive = np.all(om > 0.0, axis=1)
+    if not np.all(positive):
+        k = int(np.argmin(positive))
+        try:
+            for aj in a_values:
+                omega(float(F[k]), aj)
+        except NonPositiveOmega as exc:
+            error = exc
+        g, u, T, times = g.backend.stack(g.params[:k]), u[:k], T[:k], times[:k]
+        F, S, dF_rhs, sub_lhs, sub_rhs, om = (
+            x[:k] for x in (F, S, dF_rhs, sub_lhs, sub_rhs, om))
+
+    Y = log_entropy_value(S[:, None], om, g.n, a, times[:, None])
+    rates = np.empty((2,) + om.shape)
+    for j, aj in enumerate(a_values):
+        rates[0, :, j], rates[1, :, j] = _rate_forms(g, u, T, om[:, j], aj)
+    return RowValues(F, S, dF_rhs, sub_lhs, sub_rhs, om, Y, *rates), error
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import riccilab as rl
-from riccilab.geometry import _flow_rhs_params
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,7 +26,7 @@ def euler_integrate(m0, T, dt):
     steps = int(round(T / dt))
     p = m0.params.copy()
     for _ in range(steps):
-        p = p + dt * _flow_rhs_params(m0.backend, p)
+        p = p + dt * m0.backend.velocity(p)
     return p
 
 

@@ -152,6 +152,18 @@ def test_log_entropy_sphere_scale_invariant_at_zero_adjustment():
             math.log(2 * math.pi), rel=1e-13)
 
 
+def test_log_entropy_value_takes_math_log_of_each_entry():
+    # The row kernel passes omega as an array; each entry still goes through
+    # math.log, as one state does.  numpy's vectorised log differs from it
+    # in the last bit for some arguments, which would move Y in data.csv.
+    w = np.random.default_rng(0).uniform(0.01, 10.0, 20000)
+    got = rl.log_entropy_value(0.25, w, 3, 0.5, 0.1)
+    want = [-0.25 + 0.5 * 3 * math.log(x) + 4.0 * 0.5 * 0.1 for x in w.tolist()]
+    assert np.array_equal(got, want)
+    assert rl.log_entropy_value(0.25, 1.5, 3, 0.5, 0.1) == (
+        -0.25 + 0.5 * 3 * math.log(1.5) + 4.0 * 0.5 * 0.1)
+
+
 def test_log_entropy_flat_torus_values():
     m = flat(N=16)
     u = constant_u(m)

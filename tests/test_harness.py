@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import riccilab as rl
 from riccilab.cli import main as cli_main
@@ -419,28 +420,246 @@ def test_row_kernel_matches_public_functionals(name, tmp_path):
 @pytest.mark.parametrize("a_values", ["0.1", "0.1, 0.5, 2"])
 def test_row_kernel_builds_tensor_and_energy_once_per_row(a_values, tmp_path,
                                                           monkeypatch):
-    # Count every call, whichever module namespace it goes through.
-    from riccilab import functionals, harness, variation
+    # The stacked kernel builds F and T once per row whatever len(a) is: over
+    # blocks of 3 rows its calls cover every row exactly once, in order, and
+    # no per-state functional runs beside it.
+    from riccilab import functionals, geometry, harness, variation
 
-    counts = {}
-    for module, name in ((variation, "matrix_quantity"),
-                         (functionals, "f_functional")):
+    covered = {"row_values": [], "_energy": [], "_variation_tensor": []}
+    per_state = dict.fromkeys(["f_functional", "shannon_entropy",
+                               "matrix_quantity", "rate_forms"], 0)
+
+    def spy(name, fn):
+        def wrapped(*args):
+            if name in covered:
+                # row_values(g, v, times, a): times; stacked cores: the rows of u
+                covered[name].append(args[2] if name == "row_values" else args[1])
+            else:
+                per_state[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in list(covered) + list(per_state):
+        module = variation if hasattr(variation, name) else functionals
         original = getattr(module, name)
-        counts[name] = 0
-
-        def counted(*args, _fn=original, _name=name):
-            counts[_name] += 1
-            return _fn(*args)
-
         for ns in (functionals, variation, harness):
             if getattr(ns, name, None) is original:
-                monkeypatch.setattr(ns, name, counted)
+                monkeypatch.setattr(ns, name, spy(name, original))
+    monkeypatch.setattr(geometry, "ROW_CELLS", 3 * 16**2)
     validated = validate_config(make_config(
         {**ROW_KERNEL_CFGS["curved_torus"], "entropy.a": a_values}))
     result = run(validated, tmp_path / "out")
     assert result.exit_code == 0
-    assert counts == {"matrix_quantity": validated.num_rows,
-                      "f_functional": validated.num_rows}
+    rows = validated.num_rows
+    assert [len(t) for t in covered["row_values"]] == [3, 3, 3, 2] and rows == 11
+    np.testing.assert_array_equal(np.concatenate(covered["row_values"]),
+                                  result.tables.times)
+    for name in ("_energy", "_variation_tensor"):
+        assert sum(len(u) for u in covered[name]) == rows, name
+        assert len(covered[name]) == len(covered["row_values"]), name
+    assert per_state == dict.fromkeys(per_state, 0)
+
+
+# -------------------------------------------------------------------------
+# Stacked row kernel: block independence and failure order
+# -------------------------------------------------------------------------
+
+def low_mode(backend, amplitude, rng):
+    """Random trigonometric polynomial in modes 0..2 with max |.| = amplitude."""
+    x, y = rl.grid_coords(backend)
+    w = np.zeros((backend.N, backend.N))
+    for kx in range(3):
+        for ky in range(3):
+            c, theta = rng.uniform(-1.0, 1.0), rng.uniform(0.0, TWO_PI)
+            w += c * np.cos(TWO_PI * (kx * x + ky * y) / backend.L + theta)
+    return w * (amplitude / max(np.max(np.abs(w)), 1e-300))
+
+
+def torus_case(N, L, phi_amp, logv_amp, seed):
+    backend = rl.ConformalTorus2D(N, L)
+    rng = np.random.default_rng(seed)
+    m0 = rl.MetricState(backend, 0.0, low_mode(backend, phi_amp, rng))
+    dt = 0.25 * rl.stability_dt(m0)
+    traj = rl.integrate_forward(m0, 12 * dt, dt)
+    m_T = traj.final_state()
+    v = np.exp(low_mode(backend, logv_amp, rng))
+    v_T = rl.scalar_field(m_T, v / rl.integrate(m_T, rl.scalar_field(m_T, v)))
+    return traj, v_T
+
+
+def homogeneous_case(m0, extinction):
+    dt = 0.05 * extinction / 12
+    traj = rl.integrate_forward(m0, 12 * dt, dt)
+    return traj, rl.terminal_datum("constant", traj.final_state())
+
+
+def round_case(n, c0):
+    m0 = rl.MetricState(rl.RoundSphere(n), 0.0, np.array([c0]))
+    return homogeneous_case(m0, c0 / (2.0 * (n - 1)))
+
+
+def berger_case(A, B, C):
+    m0 = rl.MetricState(rl.BergerSphere(), 0.0, np.array([A, B, C]))
+    return homogeneous_case(m0, min(A, B, C) / 8.0)
+
+
+KERNEL_A = [0.3, 1.0, 4.0]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=st.one_of(
+    st.builds(torus_case, N=st.integers(4, 16).map(lambda k: 2 * k),
+              L=st.floats(1.0, 4.0 * math.pi), phi_amp=st.floats(0.0, 0.3),
+              logv_amp=st.floats(0.0, 0.3), seed=st.integers(0, 2**32 - 1)),
+    st.builds(round_case, n=st.integers(2, 10), c0=st.floats(0.5, 2.0)),
+    st.builds(berger_case, A=st.floats(0.7, 1.5), B=st.floats(0.7, 1.5),
+              C=st.floats(0.7, 1.5)),
+))
+def test_row_blocks_match_public_functionals_bitwise(case):
+    # Blocks of 1 row, 3 rows and the whole stack give every table column
+    # bitwise equal to the public functionals on each row (a stack of one),
+    # and the heat solve's blocked snapshot geometry moves no bit either.
+    from riccilab import functionals, geometry, harness
+
+    traj, v_T = case
+    step = 2.0 * traj.dt
+    hist = rl.solve_backward(traj, v_T, step=step)
+    K, cells = len(hist.times), traj.backend.cells
+    expected = {name: [] for name in (
+        "F", "S", "lam0", "dF_rhs", "sub_lhs", "sub_rhs", "om", "Y",
+        "rhs_thm", "rhs_ye")}
+    for k, t in enumerate(hist.times):
+        m = traj.state(2 * k)
+        u, f = rl.change_variables(hist.field(k))
+        F = rl.f_functional(m, u)
+        T = rl.matrix_quantity(m, u)
+        v = hist.v[k]
+        for name, value in (
+            ("F", F), ("S", rl.shannon_entropy(m, u)),
+            ("lam0", functionals.lambda0(m)),
+            ("dF_rhs", 2.0 * rl.integrate(m, rl.scalar_field(
+                m, rl.tensor_norm_sq(m, T).values * u.values**2))),
+            ("sub_lhs", rl.integrate(m, rl.scalar_field(
+                m, rl.laplace_beltrami(m, f).values * v))),
+            ("sub_rhs", rl.integrate(m, rl.scalar_field(
+                m, rl.gradient_sq(m, f).values * v))),
+            ("om", [rl.omega(F, a) for a in KERNEL_A]),
+            ("Y", [rl.log_entropy(m, u, a, float(t)) for a in KERNEL_A]),
+            ("rhs_thm", [rl.rhs_split(m, u, a) for a in KERNEL_A]),
+            ("rhs_ye", [rl.rhs_combined(m, u, a) for a in KERNEL_A]),
+        ):
+            expected[name].append(value)
+    for rows in (1, 3, K):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "ROW_CELLS", rows * cells)
+            assert np.array_equal(rl.solve_backward(traj, v_T, step=step).v, hist.v)
+            tables, error = harness.evaluate_tables(traj, hist, KERNEL_A, step)
+        assert error is None and len(tables.times) == K
+        for name, want in expected.items():
+            assert np.array_equal(getattr(tables, name), np.array(want)), (rows, name)
+
+
+def sphere_rows(n_rows=11):
+    """Trajectory and density history of the unit round 2-sphere."""
+    m0 = rl.MetricState(rl.RoundSphere(2), 0.0, np.array([1.0]))
+    traj = rl.integrate_forward(m0, 1e-3 * (n_rows - 1), 5e-4)
+    return traj, rl.solve_backward(traj, rl.terminal_datum("constant",
+                                                           traj.final_state()),
+                                   step=1e-3)
+
+
+def poisoned(hist, k, scale):
+    v = hist.v.copy()
+    v[k] = v[k] * scale
+    return rl.DensityHistory(hist.backend, hist.times, v, hist.masses)
+
+
+def expected_error(fn, *args):
+    with pytest.raises(rl.NumericalError) as exc:
+        fn(*args)
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("k", [0, 4, 10])
+@pytest.mark.parametrize("scale", [0.0, -1.0])
+def test_row_kernel_stops_at_non_positive_density(k, scale, monkeypatch):
+    # One block holds every row; the bad row ends it before any square root or
+    # logarithm (a warning fails the suite), keeping rows < k.
+    from riccilab import geometry, harness
+
+    monkeypatch.setattr(geometry, "ROW_CELLS", 2**20)
+    backend = rl.ConformalTorus2D(16, TWO_PI)
+    x, _ = rl.grid_coords(backend)
+    m0 = rl.MetricState(backend, 0.0, 0.1 * np.sin(x) + np.zeros((16, 16)))
+    traj = rl.integrate_forward(m0, 0.01, 5e-4)
+    hist = rl.solve_backward(traj, rl.terminal_datum("random_smooth",
+                                                     traj.final_state()), step=1e-3)
+    bad = rl.DensityHistory(backend, hist.times, hist.v.copy(), hist.masses)
+    bad.v[k, 3, 5] = scale
+    full, _ = harness.evaluate_tables(traj, hist, [0.5, 1.0], 1e-3)
+    tables, error = harness.evaluate_tables(traj, bad, [0.5, 1.0], 1e-3)
+    assert (type(error), str(error)) == expected_error(
+        rl.change_variables, bad.field(k))
+    if k < 3:
+        assert tables is None
+    else:
+        assert len(tables.times) == k
+        for name in ("F", "S", "lam0", "Y", "rhs_thm", "rhs_ye", "dF_rhs"):
+            np.testing.assert_array_equal(getattr(tables, name),
+                                          getattr(full, name)[:k])
+
+
+@pytest.mark.parametrize("k", [4, 9])
+def test_row_kernel_stops_at_non_positive_omega_of_second_a(k, monkeypatch):
+    # Scaling row k's density down drops its F to 0.02, so omega = -0.3 + F/4
+    # fails there for the second a only; math.log never sees it.
+    from riccilab import geometry, harness
+
+    monkeypatch.setattr(geometry, "ROW_CELLS", 2**20)
+    traj, hist = sphere_rows()
+    full, error = harness.evaluate_tables(traj, hist, [1.0, -0.3], 1e-3)
+    assert error is None
+    bad = poisoned(hist, k, 0.01)
+    tables, error = harness.evaluate_tables(traj, bad, [1.0, -0.3], 1e-3)
+    u, _ = rl.change_variables(bad.field(k))
+    F_k = rl.f_functional(traj.state(2 * k), u)
+    rl.omega(F_k, 1.0)
+    assert (type(error), str(error)) == expected_error(rl.omega, F_k, -0.3)
+    assert len(tables.times) == k
+    for name in ("F", "S", "om", "Y", "rhs_thm", "rhs_ye"):
+        np.testing.assert_array_equal(getattr(tables, name),
+                                      getattr(full, name)[:k])
+
+
+@pytest.mark.parametrize("density,omega,lam0,raised", [
+    (4, 4, 4, rl.PositivityLoss),      # change of variables comes first
+    (None, 4, 4, rl.NoConvergence),    # then lambda0, before omega
+    (None, 4, 5, rl.NonPositiveOmega),  # the earlier row wins
+    (5, 5, 4, rl.NoConvergence),
+    (None, 5, None, rl.NonPositiveOmega),
+])
+def test_row_failures_follow_the_row_check_order(density, omega, lam0, raised,
+                                                 monkeypatch):
+    from riccilab import harness
+
+    traj, hist = sphere_rows()
+    if density is not None:
+        hist = poisoned(hist, density, 0.0)
+    if omega is not None and omega != density:
+        hist = poisoned(hist, omega, 0.01)
+    if lam0 is not None:
+        solve = harness.ground_states
+
+        def unconverged(backend, params):
+            ground = solve(backend, params)
+            ground.residuals[lam0] = 2 * ground.tol
+            return ground
+
+        monkeypatch.setattr(harness, "ground_states", unconverged)
+    tables, error = harness.evaluate_tables(traj, hist, [1.0, -0.3], 1e-3)
+    first = min(k for k in (density, omega, lam0) if k is not None)
+    assert type(error) is raised
+    assert len(tables.times) == first
 
 
 def test_evaluate_tables_keeps_completed_rows():
@@ -488,6 +707,69 @@ def test_evaluate_tables_stops_at_unconverged_row(k, monkeypatch):
     np.testing.assert_array_equal(tables.lam0, full.lam0[:k])
     np.testing.assert_array_equal(tables.F, full.F[:k])
     np.testing.assert_array_equal(tables.lam0_iterations, full.lam0_iterations[:k])
+
+
+STAGES = ("flow_s", "heat_s", "rows_s", "summary_s", "writers_s")
+
+
+def test_manifest_timings_and_steps(sphere_result, curved_torus_result):
+    for result in (sphere_result, curved_torus_result):
+        manifest = json.loads((result.out_dir / "manifest.json").read_text())
+        timings, steps = manifest["timings"], manifest["steps"]
+        assert set(timings) == set(STAGES) | {"lambda0_s"}
+        assert all(v >= 0.0 for v in timings.values())
+        assert timings["lambda0_s"] <= timings["rows_s"]
+        assert sum(timings[k] for k in STAGES) <= manifest["wall_clock_s"]
+        rows = manifest["summary"]["rows"]
+        # the flow is stored at half the row step
+        assert steps["flow"] == 2 * (rows - 1) and steps["heat"] == rows - 1
+        assert 0.0 < steps["max_dt_over_stability_dt"] <= 1.0
+        header = (result.out_dir / "data.csv").read_text().split("\n", 1)[0]
+        assert "_s" not in header and "steps" not in header
+    # unit round 2-sphere: c(t) = 1 - 2t, bound c/8 smallest at the last step
+    # from c = 0.5 + 2 * flow dt
+    dt_flow = sphere_result.tables.times[1] / 2.0
+    ratio = json.loads((sphere_result.out_dir / "manifest.json").read_text())[
+        "steps"]["max_dt_over_stability_dt"]
+    assert ratio == pytest.approx(dt_flow / ((0.5 + 2 * dt_flow) / 8.0), rel=1e-9)
+
+
+def test_internal_error_is_recorded_and_reraised(tmp_path, monkeypatch):
+    from riccilab import harness
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("row kernel exploded")
+
+    monkeypatch.setattr(harness, "evaluate_tables", broken)
+    validated = validate_config(make_config(ROW_KERNEL_CFGS["round_sphere"]))
+    with pytest.raises(RuntimeError, match="row kernel exploded"):
+        run(validated, tmp_path / "out")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "internal_error"
+    assert manifest["error"] == "RuntimeError: row kernel exploded"
+    assert manifest["exit_code"] == 1 and manifest["summary"] is None
+    assert manifest["timings"]["flow_s"] > 0.0 and manifest["steps"]["heat"] > 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
+
+
+def test_csv_writer_matches_format_17g_on_edge_values(tmp_path):
+    from riccilab.harness import _fmt, _write_csv
+
+    tiny = np.nextafter(0.0, 1.0)
+    edge = np.array([0.0, -0.0, tiny, -tiny, 1e-310, 2.2250738585072014e-308,
+                     np.finfo(float).max, -np.finfo(float).max, 0.1, 1.0 / 3.0,
+                     -2.5, 1e16, 123456789012345678.0, np.inf, -np.inf, np.nan])
+    bits = np.random.default_rng(3).integers(0, 2**63, 2000, dtype=np.uint64)
+    noise = bits.view(float)
+    noise = noise[np.isfinite(noise)][:len(edge) * 100]
+    cols = [np.resize(edge, len(noise)), noise,
+            np.arange(len(noise)) % 3 == 0]
+    _write_csv(tmp_path / "x.csv", ["a", "b", "flag"], cols)
+    lines = (tmp_path / "x.csv").read_text(encoding="ascii").split("\n")
+    assert lines[0] == "a,b,flag" and lines[-1] == ""
+    assert lines[1:-1] == [",".join(_fmt(x) for x in row)
+                           for row in zip(*(c.tolist() for c in cols))]
+    assert lines[1:3] == ["0,%s,1" % _fmt(noise[0]), "-0,%s,0" % _fmt(noise[1])]
 
 
 def test_failed_run_keeps_artifacts_and_status(tmp_path):
@@ -596,6 +878,41 @@ entropy.a = 0.5
     assert cli_main(["check", ok]) == 0
     assert cli_main(["run", ok, "--out", str(tmp_path / "z")]) == 0
     capsys.readouterr()
+
+
+def test_converge_validates_each_level_once(tmp_path, monkeypatch, capsys):
+    from riccilab import cli, harness
+
+    calls = []
+    real = harness.validate_config
+
+    def counted(cfg):
+        calls.append(cfg.N)
+        return real(cfg)
+
+    for ns in (cli, harness):
+        if hasattr(ns, "validate_config"):
+            monkeypatch.setattr(ns, "validate_config", counted)
+    path = write_cfg(tmp_path / "s.cfg", STUDY_CFG)
+    assert cli_main(["converge", path, "--levels", "3",
+                     "--out", str(tmp_path / "study")]) == 0
+    assert calls == [16, 32, 64]
+    capsys.readouterr()
+
+
+def test_verbose_logs_stage_timings(tmp_path, capsys):
+    ok = write_cfg(tmp_path / "ok.cfg", FLAT_CFG)
+    assert cli_main(["run", ok, "--out", str(tmp_path / "z"), "--verbose"]) == 0
+    err = capsys.readouterr().err
+    for stage in ("flow_s", "heat_s", "rows_s", "lambda0_s", "summary_s",
+                  "writers_s"):
+        assert f"riccilab.harness: {tmp_path / 'z'}: " in err
+        assert f" {stage} " in err, stage
+    assert cli_main(["run", ok, "--out", str(tmp_path / "q")]) == 0
+    assert "flow_s" not in capsys.readouterr().err
+    assert cli_main(["converge", write_cfg(tmp_path / "s.cfg", STUDY_CFG),
+                     "--out", str(tmp_path / "c"), "--verbose"]) == 0
+    assert f"{tmp_path / 'c' / 'level_2'}: writers_s" in capsys.readouterr().err
 
 
 def test_resolve_out_dir_env(tmp_path, monkeypatch):
