@@ -26,7 +26,6 @@ from .geometry import (
     SymTensorField,
     const_field,
     dim,
-    gradient_inner,
     gradient_sq,
     grad_outer,
     grid_coords,
@@ -35,11 +34,9 @@ from .geometry import (
     laplace_beltrami,
     metric_tensor,
     ricci,
-    ricci_flow_rhs,
     scalar_curvature,
     scalar_field,
     tensor_norm_sq,
-    tensor_trace,
     volume,
 )
 from .flow import Trajectory, integrate_forward, stability_dt
@@ -51,7 +48,6 @@ from .heat import (
 )
 from .functionals import (
     f_functional,
-    f_functional_f_form,
     lambda0,
     lambda0_eig,
     log_entropy,
@@ -64,7 +60,6 @@ from .variation import (
     equivalence_check,
     fd_time_derivative,
     matrix_quantity,
-    matrix_quantity_f_form,
     monotonicity_check,
     proof_chain_check,
     rate_forms,

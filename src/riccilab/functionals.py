@@ -24,9 +24,9 @@ On the torus the ground state is found by matrix-free LOPCG with block size 1
 -Lap0 + mean(e^{2 phi}): Rayleigh-Ritz on span{x, M r, p} each iteration,
 with p dropped for the step when the 3x3 Gram matrix is ill-conditioned
 (Duersch, Shao, Yang and Gu 2018).  The rows of a (K, N, N) stack run
-independently, vectorised over blocks of at most ``LAMBDA0_CELLS`` grid cells
-(rows x N^2); the small eigenproblems of a block are solved together as
-(k, m, m) stacks.  A row is frozen and leaves its block once its relative
+independently, vectorised over the row blocks of ``geometry.row_blocks``
+on its thread pool; the small eigenproblems of a block are solved together
+as (k, m, m) stacks.  A row is frozen and leaves its block once its relative
 eigen-residual ||-Lap_g x + (R/4) x - lambda x||_g / ||x||_g is at most
 ``LAMBDA0_TOL``; a row still above it after ``LAMBDA0_MAXITER`` iterations
 has not converged, and reading its value raises NoConvergence.  Each row's
@@ -47,13 +47,13 @@ from .geometry import (
     ScalarField,
     _lap5,
     _row_sum,
+    row_blocks,
     scalar_field,
     volume,
 )
 
 __all__ = [
     "f_functional",
-    "f_functional_f_form",
     "shannon_entropy",
     "omega",
     "log_entropy",
@@ -66,7 +66,6 @@ __all__ = [
 
 LAMBDA0_TOL = 1e-10       # bound on the relative g-norm eigen-residual
 LAMBDA0_MAXITER = 200     # LOPCG iteration cap
-LAMBDA0_CELLS = 2**16     # cap on rows x N^2 of one LOPCG block
 GRAM_RCOND = 1e-12        # Gram eigenvalue ratio below which p is dropped
 
 
@@ -84,14 +83,6 @@ def _entropy(g, u):
 def f_functional(m: MetricState, u: ScalarField) -> float:
     """Dirichlet-plus-curvature energy F = 4 integral(|grad u|^2 + R u^2/4) dmu."""
     return float(_energy(m.stack, u.values))
-
-
-def f_functional_f_form(m: MetricState, f: ScalarField, v: ScalarField) -> float:
-    """Same energy in the potential variable: integral((R + |grad f|^2) e^{-f}),
-    with e^{-f} supplied as the density v.  Used to cross-check the change of
-    variables; agrees with :func:`f_functional` up to O(h^2) chain-rule error."""
-    g = m.stack
-    return float(g.integrate((g.R + g.gradient_inner(f.values, f.values)) * v.values))
 
 
 def shannon_entropy(m: MetricState, u: ScalarField) -> float:
@@ -168,12 +159,6 @@ def _neg_lap_symbol(N: int, h: float) -> np.ndarray:
     sx = np.sin(np.pi * np.arange(N) / N) ** 2
     sy = np.sin(np.pi * np.arange(N // 2 + 1) / N) ** 2
     return (4.0 / (h * h)) * (sx[:, None] + sy[None, :])
-
-
-def _closed_form_lambda0(m: MetricState) -> float:
-    """R/4 on a constant-curvature backend, where -Lap is nonnegative and
-    the constant is the ground state."""
-    return float(m.stack.R) / 4.0
 
 
 def _lowest_ritz(GA: np.ndarray, GB: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,12 +281,14 @@ def ground_states(
     if not isinstance(backend, ConformalTorus2D):
         values[:] = backend.stack(params).R / 4.0
     else:
-        block = max(1, LAMBDA0_CELLS // backend.N**2)
         out = (values, vectors, iterations, residuals)
-        for start in range(0, K, block):
-            rows = slice(start, start + block)
+
+        def solve(rows):
             _lopcg(backend, params[rows], tol, maxiter,
                    tuple(None if a is None else a[rows] for a in out))
+
+        with row_blocks(solve, K, backend.cells) as blocks:
+            list(blocks)
     return GroundStates(values, iterations, residuals, tol, maxiter)
 
 
@@ -319,7 +306,7 @@ def lambda0_eig(
     returned eigenfunction, which has unit g-norm.
     """
     if not isinstance(m.backend, ConformalTorus2D):
-        return _closed_form_lambda0(m), scalar_field(m, 1.0 / math.sqrt(volume(m)))
+        return float(m.stack.R) / 4.0, scalar_field(m, 1.0 / math.sqrt(volume(m)))
     vectors = np.empty((1,) + m.params.shape)
     ground = ground_states(m.backend, m.params[None], tol, maxiter, vectors)
     return ground.value(0), scalar_field(m, vectors[0])

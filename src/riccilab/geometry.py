@@ -34,7 +34,7 @@ Array cores and the leading row axis.  ``backend.stack(params)`` returns a
 leading ``(K, ...)`` row axis on the parameters (``params[k]`` holds row k;
 no leading axis for one state).  Its operators -- R, Ric, g, the
 Laplace-Beltrami operator, the gradient forms, the Hessian, ``integrate``
-and the volume as per-row ``_row_sum`` sums, the tensor norm and trace --
+and the volume as per-row ``_row_sum`` sums, the tensor norm --
 take fields and tensors with the same leading axes and return one result
 per row.  Every operator is element-wise or reduces each row's own
 contiguous cells, so each row's result is bitwise what that row gives
@@ -42,8 +42,14 @@ alone.  The metric-derived arrays (R, Ric, g, the volume weight, the
 Laplace-Beltrami factor) are built on first use and kept, so a stack
 computes each once.  The backends themselves carry the raw-array flow
 velocity and stability bound, which take parameters with the same optional
-leading axis.  A sphere row is one cell; a torus row is N^2 cells, and
-``ROW_CELLS`` caps the cells (rows x cells per row) of one stacked call.
+leading axis.
+
+Row blocks.  A sphere row is one cell; a torus row is N^2 cells.
+``row_blocks`` maps a function over consecutive row blocks on a pool of
+``WORKERS`` threads (numpy's ufuncs and FFTs release the GIL), with at most
+``ROW_CELLS`` cells in flight across all workers, so peak memory does not
+grow with the core count.  Each row's result is bitwise what it gives
+alone, so no result depends on the block size or the worker count.
 
 The public functions below take a ``MetricState`` and typed fields; they
 evaluate the state's own stack (``MetricState.stack``, no leading axis) and
@@ -53,6 +59,9 @@ are the typed boundary for callers and tests.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +77,8 @@ __all__ = [
     "ScalarField",
     "SymTensorField",
     "ROW_CELLS",
+    "WORKERS",
+    "row_blocks",
     "dim",
     "const_field",
     "scalar_field",
@@ -78,21 +89,51 @@ __all__ = [
     "metric_tensor",
     "laplace_beltrami",
     "gradient_sq",
-    "gradient_inner",
     "grad_outer",
     "hessian",
     "integrate",
     "tensor_norm_sq",
-    "tensor_trace",
-    "ricci_flow_rhs",
 ]
 
-# Cap on rows x cells per row of one stacked call (row evaluation and the
-# heat solve's snapshot geometry).  Measured on torus row blocks over 2^12
-# ... 2^16 cells (2-core Xeon, one BLAS thread): 2^14 is fastest at N = 32
-# (501 rows, six a: 0.31 s against 0.42 s at 2^15) and within 15 % of the
-# best at N = 64 and 128, where larger blocks gain a little (CHANGES.md).
-ROW_CELLS = 2**14
+# Threads of the row-block pool: the CPUs this process may run on.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+
+# Cap on the cells (rows x cells per row) in flight across all workers: the
+# row blocks of ``row_blocks`` (lambda0 and the row kernel) hold at most
+# ROW_CELLS // WORKERS cells each, and the heat solve's serial snapshot
+# blocks at most ROW_CELLS.  Measured at 2^14 ... 2^17 (2-core Xeon, two
+# workers; CHANGES.md): 2^16 is within 5 % of the fastest at N = 32, 64 and
+# 128 (rows_s 1.00 s against 1.36 s at 2^15), and 2^17 adds 16 MiB of peak
+# memory at N = 128 for nothing.
+ROW_CELLS = 2**16
+
+
+@contextmanager
+def row_blocks(fn, rows: int, cells: int):
+    """Map ``fn(block)`` over the consecutive row slices of ``range(rows)``,
+    each of at most ``ROW_CELLS // WORKERS`` cells (at least one row); the
+    context yields an iterator of the results in block order.
+
+    With more than one block and worker the blocks run on a pool of
+    ``min(WORKERS, blocks)`` threads; otherwise they map lazily in the
+    calling thread.  ``fn`` must touch only its own rows.  Leaving the
+    context cancels the blocks not yet started and waits for the running
+    ones, so a consumer that stops early discards the later results, and no
+    thread outlives it.
+    """
+    size = max(1, ROW_CELLS // (WORKERS * cells))
+    blocks = [slice(start, min(start + size, rows))
+              for start in range(0, rows, size)]
+    threads = min(WORKERS, len(blocks))
+    if threads <= 1:
+        yield map(fn, blocks)
+        return
+    pool = ThreadPoolExecutor(threads)
+    try:
+        yield pool.map(fn, blocks)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 class _cached:
@@ -466,9 +507,6 @@ class _HomogeneousStack(MetricStack):
     def tensor_norm_sq(self, T):
         return (T * T).sum(axis=-1)
 
-    def tensor_trace(self, T):
-        return T.sum(axis=-1)
-
 
 class _RoundStack(_HomogeneousStack):
     @_cached
@@ -602,10 +640,6 @@ class _TorusStack(MetricStack):
         t11, t12, t22 = np.moveaxis(T, -3, 0)
         return self._inv_weight_sq * (t11 * t11 + 2.0 * t12 * t12 + t22 * t22)
 
-    def tensor_trace(self, T):
-        t11, _, t22 = np.moveaxis(T, -3, 0)
-        return self.lap_factor * (t11 + t22)
-
 
 # --------------------------------------------------------------------------
 # Typed operators on one state
@@ -643,16 +677,8 @@ def gradient_sq(m: MetricState, w: ScalarField) -> ScalarField:
     difference squares per axis (second-order accurate; summation by parts
     against the 5-point Laplacian is exact).
     """
-    return gradient_inner(m, w, w)
-
-
-def gradient_inner(m: MetricState, w: ScalarField, z: ScalarField) -> ScalarField:
-    """Pointwise gradient inner product <grad w, grad z>_g (same quadratic form
-    as :func:`gradient_sq`)."""
     _check_same_backend(m, w)
-    _check_same_backend(m, z)
-    zv = w.values if z is w else z.values
-    return ScalarField(m.backend, m.stack.gradient_inner(w.values, zv))
+    return ScalarField(m.backend, m.stack.gradient_inner(w.values, w.values))
 
 
 def grad_outer(m: MetricState, w: ScalarField) -> SymTensorField:
@@ -693,20 +719,3 @@ def tensor_norm_sq(m: MetricState, T: SymTensorField) -> ScalarField:
     """Pointwise squared tensor norm |T|^2_g = g^{ik} g^{jl} T_ij T_kl."""
     _check_same_backend(m, T)
     return ScalarField(m.backend, m.stack.tensor_norm_sq(T.comps))
-
-
-def tensor_trace(m: MetricState, T: SymTensorField) -> ScalarField:
-    """Pointwise g-trace g^{ij} T_ij."""
-    _check_same_backend(m, T)
-    return ScalarField(m.backend, m.stack.tensor_trace(T.comps))
-
-
-def ricci_flow_rhs(m: MetricState) -> np.ndarray:
-    """Velocity of the curvature flow dg/dt = -2 Ric in backend parameters
-    (tangent to MetricState.params).
-
-    RoundSphere: dc/dt = -2(n-1).  BergerSphere: dA/dt = -2 A r_1 and
-    cyclic.  ConformalTorus2D: dphi/dt = e^{-2 phi} Lap0 phi (from
-    dg/dt = -R g in two dimensions).
-    """
-    return m.backend.velocity(m.params)

@@ -21,8 +21,8 @@ adjustment value); the summary counts come from
 
 Row evaluation: ``evaluate_tables`` solves lambda0 for every row in one
 ``ground_states`` call, then runs the stacked row kernel
-``variation.row_values`` over blocks of at most ``geometry.ROW_CELLS``
-cells (rows x cells per row), with no per-row loop.
+``variation.row_values``, with no per-row loop.  Both run their row blocks
+on the ``geometry.row_blocks`` thread pool, results in block order.
 
 Exit codes: 0 success, 2 ``InputError`` (configuration or admissibility),
 3 ``NumericalError`` (partial CSV retained).  Any other exception is an
@@ -373,19 +373,21 @@ def evaluate_tables(
     traj: Trajectory, hist: DensityHistory, a_values, dt: float,
     timings: dict | None = None,
 ) -> tuple[RunTables | None, Exception | None]:
-    """Evaluate every functional and verification column, one block of rows
-    at a time.
+    """Evaluate every functional and verification column.
 
     The lambda0 of every row comes from one ``ground_states`` call over the
     row metrics.  The row kernel ``variation.row_values`` then evaluates F,
     S, the variation tensor T, dF_rhs, the sub-identity sides and, for each
-    adjustment value, omega, Y and both rate forms, over blocks of at most
-    ``geometry.ROW_CELLS`` cells.  Every check runs before the block takes a
-    square root, logarithm or rate of a failing row: the densities'
-    positivity and lambda0's convergence first, over all rows, then omega
-    inside the kernel.  The first failing row raises what the row checks
-    raise there, in their order: the change of variables, lambda0, then
-    omega for each a.  On a numerical failure the completed rows are kept
+    adjustment value, omega, Y and both rate forms, over the row blocks of
+    the ``geometry.row_blocks`` pool, consumed in block order.  Every check
+    runs before the block takes a square root, logarithm or rate of a
+    failing row: the densities' positivity and lambda0's convergence first,
+    over all rows, then omega inside the kernel.  The first failing row
+    raises what the row checks raise there, in their order: the change of
+    variables, lambda0, then omega for each a; the first block that returns
+    an error ends the evaluation and later blocks' results are discarded,
+    so neither depends on the pool.  On a numerical failure the completed
+    rows are kept
     (truncated tables, finite differences over the surviving series) so a
     failed run still ships a partial CSV; returns (tables, error), tables
     None when fewer than 3 rows survived.  ``timings``, when given, receives
@@ -409,20 +411,22 @@ def evaluate_tables(
     failing = ((np.min(hist.v.reshape(K, -1), axis=1) <= 0.0)
                | ~(ground.residuals <= ground.tol))
     limit = int(np.argmax(failing)) if np.any(failing) else K
-    block = max(1, geometry.ROW_CELLS // backend.cells)
+
+    def kernel(rows):
+        return row_values(backend.stack(params[rows]), hist.v[rows],
+                          hist.times[rows], a_values)
+
     error = None
     done = 0
-    for start in range(0, limit, block):
-        rows = slice(start, min(start + block, limit))
-        vals, error = row_values(backend.stack(params[rows]), hist.v[rows],
-                                 hist.times[rows], a_values)
-        done = start + len(vals.F)
-        row_series[:, start:done] = (vals.F, vals.S, vals.dF_rhs, vals.sub_lhs,
-                                     vals.sub_rhs)
-        a_series[:, start:done] = (vals.Y, vals.om, vals.rhs_split,
-                                   vals.rhs_combined)
-        if error is not None:
-            break
+    with geometry.row_blocks(kernel, limit, backend.cells) as blocks:
+        for vals, error in blocks:
+            start, done = done, done + len(vals.F)
+            row_series[:, start:done] = (vals.F, vals.S, vals.dF_rhs,
+                                         vals.sub_lhs, vals.sub_rhs)
+            a_series[:, start:done] = (vals.Y, vals.om, vals.rhs_split,
+                                       vals.rhs_combined)
+            if error is not None:
+                break
     if error is None and limit < K:
         error = _row_error(hist, ground, limit)
 
@@ -508,14 +512,16 @@ _PER_A_COLS = {
     "Y": "Y", "omega": "om", "dYdt_fd": "dY_fd", "rhs_thm": "rhs_thm",
     "rhs_ye": "rhs_ye", "res_thm": "res_thm", "res_equiv": "res_equiv",
 }
+_CSV_FILES = ("data.csv", "proof_chain.csv")
 _PROOF_CHAIN_COLS = [
     "t", "S", "dSdt_fd", "F", "dFdt_fd", "dF_rhs", "res_dS", "res_dF",
     "sub_lhs", "sub_rhs", "mass", "interior",
 ]
 
 
-def _write_artifact_csvs(out: Path, a_values, tables: RunTables | None) -> None:
-    """data.csv and proof_chain.csv; header-only files when tables is None."""
+def _artifact_csvs(a_values, tables: RunTables | None):
+    """(file name, header, columns) of data.csv and proof_chain.csv, in the
+    order they are written; header-only files when tables is None."""
     header = ["t", "F", "S", "lambda0"] + [
         f"{name}[{format(a, 'g')}]" for a in a_values for name in _PER_A_COLS
     ]
@@ -531,8 +537,7 @@ def _write_artifact_csvs(out: Path, a_values, tables: RunTables | None) -> None:
             tables.dF_rhs, rep.res_dS, rep.res_dF, tables.sub_lhs,
             tables.sub_rhs, tables.masses, rep.interior,
         ]
-    _write_csv(out / "data.csv", header, data)
-    _write_csv(out / "proof_chain.csv", _PROOF_CHAIN_COLS, chain)
+    return zip(_CSV_FILES, (header, _PROOF_CHAIN_COLS), (data, chain))
 
 
 # --------------------------------------------------------------------------
@@ -590,7 +595,9 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
     status marker in the manifest; the artifact set is the same for passed
     and failed runs.  Any other exception (an interrupt too) is recorded in
     the manifest as status ``internal_error`` (exit code 1, the error as
-    "Type: message") and re-raised.  The manifest is written on every exit
+    "Type: message") and re-raised; the CSVs this run did not write are
+    removed, so a reused directory keeps no earlier run's.  The manifest
+    (with ``workers``, the row-block pool size) is written on every exit
     path.
     """
     out = Path(out_dir)
@@ -600,6 +607,8 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
     timings = dict.fromkeys(_STAGES, 0.0)
     steps = {"flow": None, "heat": None, "max_dt_over_stability_dt": None}
     status, error, tables, summary = "ok", None, None, None
+    written = set()
+    log.info("%s: workers %d", out, geometry.WORKERS)
     try:
         try:
             with _timed(timings, "flow_s", out):
@@ -630,9 +639,13 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
             status = type(exc).__name__
             error = str(exc)
         with _timed(timings, "writers_s", out):
-            _write_artifact_csvs(out, cfg.a_values, tables)
+            for name, header, columns in _artifact_csvs(cfg.a_values, tables):
+                _write_csv(out / name, header, columns)
+                written.add(name)
     except BaseException as exc:  # recorded, then re-raised
         status, error = "internal_error", f"{type(exc).__name__}: {exc}"
+        for name in set(_CSV_FILES) - written:
+            (out / name).unlink(missing_ok=True)
         raise
     finally:
         exit_code = {"ok": 0, "internal_error": 1}.get(status, 3)
@@ -655,6 +668,7 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
             "lambda0": None if tables is None else _lambda0_diagnostics(tables),
             "timings": timings,
             "steps": steps,
+            "workers": geometry.WORKERS,
             "wall_clock_s": time.perf_counter() - started,
         })
     return RunResult(status, exit_code, out, summary, tables, error)

@@ -47,7 +47,6 @@ from .functionals import _energy, _entropy, f_functional, log_entropy_value, ome
 
 __all__ = [
     "matrix_quantity",
-    "matrix_quantity_f_form",
     "rate_forms",
     "row_values",
     "RowValues",
@@ -99,17 +98,6 @@ def matrix_quantity(m: MetricState, u: ScalarField) -> SymTensorField:
     if np.min(u.values) <= 0.0:
         raise PositivityLoss("density must be positive in the variation tensor")
     return SymTensorField(m.backend, _variation_tensor(m.stack, u.values))
-
-
-def matrix_quantity_f_form(m: MetricState, f: ScalarField) -> SymTensorField:
-    """Same tensor written as Ric + Hess(f) with f = -2 ln u.
-
-    Discretely this differs from :func:`matrix_quantity` by O(h^2)
-    chain-rule error; it exists as an independent cross-check of the
-    algebraic identity -2 Hess(u)/u + 2 grad u (x) grad u / u^2 = Hess(f).
-    """
-    g = m.stack
-    return SymTensorField(m.backend, g.ricci + g.hessian(f.values))
 
 
 def rate_forms(m: MetricState, u: ScalarField, T: SymTensorField, F: float,

@@ -2,15 +2,18 @@
 dense eigensolver oracle."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import riccilab as rl
-from riccilab import functionals
+from riccilab import functionals, geometry
 from riccilab.functionals import LAMBDA0_TOL, _lowest_ritz, _neg_lap_symbol
 from riccilab.geometry import _lap5
+
+from cross_checks import f_functional_f_form
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,7 +94,7 @@ def test_f_functional_two_variable_forms_agree():
         v = rl.scalar_field(m, u.values**2)
         f = rl.scalar_field(m, -np.log(u.values**2))
         assert rl.f_functional(m, u) == pytest.approx(
-            rl.f_functional_f_form(m, f, v), rel=1e-14)
+            f_functional_f_form(m, f, v), rel=1e-14)
 
     m = sine_torus(N=64)
     m_T = rl.MetricState(m.backend, 0.0, m.params)
@@ -99,7 +102,7 @@ def test_f_functional_two_variable_forms_agree():
     u, f = rl.change_variables(vf)
     v = rl.scalar_field(m, vf.values)
     lhs = rl.f_functional(m, u)
-    rhs = rl.f_functional_f_form(m, f, v)
+    rhs = f_functional_f_form(m, f, v)
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -310,8 +313,9 @@ def test_ground_states_rows_independent_of_block(rows_per_block, monkeypatch):
     traj = rl.integrate_forward(m0, 2.0, 2.0 / 1600)
     rows = range(0, traj.num_steps + 1, 100)
     alone = [rl.lambda0_eig(traj.state(i)) for i in rows]
-    monkeypatch.setattr(functionals, "LAMBDA0_CELLS",
-                        (rows_per_block or len(rows)) * N * N)
+    # A block holds ROW_CELLS // WORKERS cells.
+    monkeypatch.setattr(geometry, "ROW_CELLS",
+                        (rows_per_block or len(rows)) * N * N * geometry.WORKERS)
     params = traj.params[rows]
     vectors = np.empty_like(params)
     ground = functionals.ground_states(backend, params, vectors=vectors)
@@ -320,6 +324,34 @@ def test_ground_states_rows_independent_of_block(rows_per_block, monkeypatch):
         assert ground.values[k] == lam == rl.lambda0(traj.state(i))
         assert np.array_equal(vectors[k], vec.values)
         assert ground.residuals[k] <= LAMBDA0_TOL
+
+
+def test_ground_states_pool_stress(monkeypatch):
+    # Six workers, one-row blocks and a short switch interval:
+    # every block writes only its own rows of the shared output arrays, so
+    # the pooled solve matches the serial one bitwise, vectors included.
+    N = 8
+    backend = rl.ConformalTorus2D(N, TWO_PI)
+    x, y = rl.grid_coords(backend)
+    params = np.stack([0.05 * k * np.sin(x) * np.cos(y) + 0.0 * y
+                       for k in range(24)])
+    serial = np.empty_like(params)
+    monkeypatch.setattr(geometry, "WORKERS", 1)
+    want = functionals.ground_states(backend, params, vectors=serial)
+    monkeypatch.setattr(geometry, "WORKERS", 6)
+    monkeypatch.setattr(geometry, "ROW_CELLS", 6 * N * N)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(2):
+            pooled = np.empty_like(params)
+            got = functionals.ground_states(backend, params, vectors=pooled)
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.iterations, want.iterations)
+            assert np.array_equal(got.residuals, want.residuals)
+            assert np.array_equal(pooled, serial)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_ground_states_closed_form_rows():

@@ -2,6 +2,8 @@
 discrete exactness properties the functional identities rely on."""
 
 import math
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import riccilab as rl
 from riccilab.geometry import _d2, _dc, _dcross, _dm, _dp, _lap5, _roll
+
+from cross_checks import gradient_inner, ricci_flow_rhs, tensor_trace
 
 TWO_PI = 2.0 * math.pi
 
@@ -110,7 +114,7 @@ def test_berger_round_limit_matches_round_sphere(c):
     assert rl.scalar_curvature(mb).values == pytest.approx(
         float(rl.scalar_curvature(ms).values), rel=1e-12)
     np.testing.assert_allclose(rl.ricci(mb).comps, rl.ricci(ms).comps, rtol=1e-12)
-    np.testing.assert_allclose(rl.ricci_flow_rhs(mb), np.full(3, -4.0), rtol=1e-12)
+    np.testing.assert_allclose(ricci_flow_rhs(mb), np.full(3, -4.0), rtol=1e-12)
     assert rl.volume(mb) == pytest.approx(rl.volume(ms), rel=1e-12)
 
 
@@ -248,7 +252,7 @@ def test_hessian_trace_equals_laplacian(seed):
     rng = np.random.default_rng(seed)
     m = rl.MetricState(backend, 0.0, 0.4 * rng.standard_normal((32, 32)))
     w = rl.scalar_field(m, rng.standard_normal((32, 32)))
-    tr = rl.tensor_trace(m, rl.hessian(m, w))
+    tr = tensor_trace(m, rl.hessian(m, w))
     lap = rl.laplace_beltrami(m, w)
     scale = np.max(np.abs(lap.values)) + 1.0
     assert np.max(np.abs(tr.values - lap.values)) < 1e-12 * scale
@@ -260,7 +264,7 @@ def test_grad_outer_trace_equals_gradient_sq(seed):
     rng = np.random.default_rng(seed)
     m = rl.MetricState(backend, 0.0, 0.4 * rng.standard_normal((32, 32)))
     w = rl.scalar_field(m, rng.standard_normal((32, 32)))
-    tr = rl.tensor_trace(m, rl.grad_outer(m, w))
+    tr = tensor_trace(m, rl.grad_outer(m, w))
     gs = rl.gradient_sq(m, w)
     scale = np.max(np.abs(gs.values)) + 1.0
     assert np.max(np.abs(tr.values - gs.values)) < 1e-12 * scale
@@ -277,7 +281,7 @@ def test_discrete_integration_by_parts_exact(seed):
     w = rl.scalar_field(m, rng.standard_normal((32, 32)))
     z = rl.scalar_field(m, rng.standard_normal((32, 32)))
     lhs = rl.integrate(m, rl.scalar_field(m, rl.laplace_beltrami(m, w).values * z.values))
-    rhs = -rl.integrate(m, rl.gradient_inner(m, w, z))
+    rhs = -rl.integrate(m, gradient_inner(m, w, z))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -307,7 +311,7 @@ def test_integration_by_parts_exact_property(N, L, phi_amp, seed):
     m, w, z = any_grid_state(N, L, phi_amp, seed)
     lap_z = rl.laplace_beltrami(m, w).values * z.values
     lhs = rl.integrate(m, rl.scalar_field(m, lap_z))
-    rhs = -rl.integrate(m, rl.gradient_inner(m, w, z))
+    rhs = -rl.integrate(m, gradient_inner(m, w, z))
     scale = rl.integrate(m, rl.scalar_field(m, np.abs(lap_z)))
     assert abs(lhs - rhs) <= 1e-14 * scale
 
@@ -317,7 +321,7 @@ def test_integration_by_parts_exact_property(N, L, phi_amp, seed):
 def test_hessian_trace_equals_laplacian_property(N, L, phi_amp, seed):
     m, w, _ = any_grid_state(N, L, phi_amp, seed)
     lap = rl.laplace_beltrami(m, w).values
-    tr = rl.tensor_trace(m, rl.hessian(m, w)).values
+    tr = tensor_trace(m, rl.hessian(m, w)).values
     assert np.max(np.abs(tr - lap)) <= 1e-14 * np.max(np.abs(lap))
 
 
@@ -350,7 +354,7 @@ def test_tensor_norm_sq():
         g = rl.metric_tensor(mk)
         n = rl.dim(mk.backend)
         np.testing.assert_allclose(rl.tensor_norm_sq(mk, g).values, n, rtol=1e-12)
-        np.testing.assert_allclose(rl.tensor_trace(mk, g).values, n, rtol=1e-12)
+        np.testing.assert_allclose(tensor_trace(mk, g).values, n, rtol=1e-12)
 
 
 def test_tensor_norm_sq_componentwise():
@@ -378,9 +382,9 @@ def test_total_curvature():
 # -------------------------------------------------------------------------
 
 def test_flow_rhs_values():
-    np.testing.assert_allclose(rl.ricci_flow_rhs(sphere(1.0, 2)), [-2.0], rtol=0)
-    np.testing.assert_allclose(rl.ricci_flow_rhs(sphere(5.0, 3)), [-4.0], rtol=0)
-    assert np.all(rl.ricci_flow_rhs(flat()) == 0.0)
+    np.testing.assert_allclose(ricci_flow_rhs(sphere(1.0, 2)), [-2.0], rtol=0)
+    np.testing.assert_allclose(ricci_flow_rhs(sphere(5.0, 3)), [-4.0], rtol=0)
+    assert np.all(ricci_flow_rhs(flat()) == 0.0)
 
 
 # -------------------------------------------------------------------------
@@ -414,3 +418,65 @@ def test_cross_backend_field_rejected():
     w = rl.const_field(sphere(), 1.0)
     with pytest.raises(rl.RicciLabError):
         rl.laplace_beltrami(m, w)
+
+
+# -------------------------------------------------------------------------
+# Row-block pool
+# -------------------------------------------------------------------------
+
+def test_row_blocks_map_in_order_on_the_pool_and_join(monkeypatch):
+    from riccilab import geometry
+
+    # Blocks of 2 rows of 4 cells on 3 workers: 11 rows make 6 blocks.
+    monkeypatch.setattr(geometry, "WORKERS", 3)
+    monkeypatch.setattr(geometry, "ROW_CELLS", 3 * 2 * 4)
+    main, before = threading.get_ident(), threading.active_count()
+    with geometry.row_blocks(lambda rows: (rows, threading.get_ident()),
+                             11, 4) as blocks:
+        results = list(blocks)
+    assert [rows for rows, _ in results] == [
+        slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 8), slice(8, 10),
+        slice(10, 11)]
+    assert main not in {ident for _, ident in results}
+    assert threading.active_count() == before
+
+
+def test_row_blocks_cancel_the_blocks_not_started(monkeypatch):
+    # The consumer stops after the first block.  The blocks running then
+    # finish, the six after them never start, and no pool thread outlives
+    # the context.
+    from riccilab import geometry
+
+    monkeypatch.setattr(geometry, "WORKERS", 2)
+    monkeypatch.setattr(geometry, "ROW_CELLS", 2)
+    before = threading.active_count()
+    started = []
+
+    def block(rows):
+        started.append(rows.start)
+        if rows.start:
+            time.sleep(0.2)
+        return rows.start
+
+    with geometry.row_blocks(block, 9, 1) as blocks:
+        assert next(blocks) == 0
+    assert set(started) <= {0, 1, 2}
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers,rows", [(1, 9), (4, 1)])
+def test_row_blocks_one_worker_or_block_maps_in_the_calling_thread(
+        workers, rows, monkeypatch):
+    from riccilab import geometry
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(geometry, "WORKERS", workers)
+    monkeypatch.setattr(geometry, "ROW_CELLS", workers)
+    monkeypatch.setattr(geometry, "ThreadPoolExecutor", no_pool)
+    with geometry.row_blocks(lambda r: (r, threading.get_ident()), rows,
+                             1) as blocks:
+        results = list(blocks)
+    assert [r for r, _ in results] == [slice(k, k + 1) for k in range(rows)]
+    assert {ident for _, ident in results} == {threading.get_ident()}

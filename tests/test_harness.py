@@ -1,8 +1,11 @@
 """Config parsing/validation, run artifacts, determinism, exit codes, and
 the convergence-study driver."""
 
+import dataclasses
 import json
 import math
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -417,23 +420,26 @@ def test_row_kernel_matches_public_functionals(name, tmp_path):
             assert tables.rhs_ye[k, j] == rl.rhs_combined(m, u, a)
 
 
-@pytest.mark.parametrize("a_values", ["0.1", "0.1, 0.5, 2"])
-def test_row_kernel_builds_tensor_and_energy_once_per_row(a_values, tmp_path,
-                                                          monkeypatch):
-    # The stacked kernel builds F and T once per row whatever len(a) is: over
-    # blocks of 3 rows its calls cover every row exactly once, in order, and
-    # no per-state functional runs beside it.
+def spied_kernel_run(a_values, workers, tmp_path, monkeypatch):
+    """Run the curved torus over blocks of 3 rows on ``workers`` threads,
+    spying on the stacked kernel and the per-state functionals.  Returns the
+    result, the rows each stacked call covered (times for ``row_values``, the
+    density stack for the cores), the per-state call counts and the threads
+    ``row_values`` ran on."""
     from riccilab import functionals, geometry, harness, variation
 
     covered = {"row_values": [], "_energy": [], "_variation_tensor": []}
     per_state = dict.fromkeys(["f_functional", "shannon_entropy",
                                "matrix_quantity", "rate_forms"], 0)
+    threads = set()
 
     def spy(name, fn):
         def wrapped(*args):
             if name in covered:
                 # row_values(g, v, times, a): times; stacked cores: the rows of u
                 covered[name].append(args[2] if name == "row_values" else args[1])
+                if name == "row_values":
+                    threads.add(threading.get_ident())
             else:
                 per_state[name] += 1
             return fn(*args)
@@ -445,19 +451,42 @@ def test_row_kernel_builds_tensor_and_energy_once_per_row(a_values, tmp_path,
         for ns in (functionals, variation, harness):
             if getattr(ns, name, None) is original:
                 monkeypatch.setattr(ns, name, spy(name, original))
-    monkeypatch.setattr(geometry, "ROW_CELLS", 3 * 16**2)
+    monkeypatch.setattr(geometry, "WORKERS", workers)
+    monkeypatch.setattr(geometry, "ROW_CELLS", workers * 3 * 16**2)
     validated = validate_config(make_config(
         {**ROW_KERNEL_CFGS["curved_torus"], "entropy.a": a_values}))
     result = run(validated, tmp_path / "out")
-    assert result.exit_code == 0
-    rows = validated.num_rows
-    assert [len(t) for t in covered["row_values"]] == [3, 3, 3, 2] and rows == 11
-    np.testing.assert_array_equal(np.concatenate(covered["row_values"]),
-                                  result.tables.times)
+    assert result.exit_code == 0 and validated.num_rows == 11
     for name in ("_energy", "_variation_tensor"):
-        assert sum(len(u) for u in covered[name]) == rows, name
+        assert sum(len(u) for u in covered[name]) == 11, name
         assert len(covered[name]) == len(covered["row_values"]), name
     assert per_state == dict.fromkeys(per_state, 0)
+    return result, covered["row_values"], threads
+
+
+@pytest.mark.parametrize("a_values", ["0.1", "0.1, 0.5, 2"])
+def test_row_kernel_builds_tensor_and_energy_once_per_row(a_values, tmp_path,
+                                                          monkeypatch):
+    # The stacked kernel builds F and T once per row whatever len(a) is: over
+    # blocks of 3 rows its calls cover every row exactly once, in order, and
+    # no per-state functional runs beside it.  The order is the serial map's:
+    # one worker, which runs every block in the calling thread.
+    result, blocks, threads = spied_kernel_run(a_values, 1, tmp_path, monkeypatch)
+    assert [len(t) for t in blocks] == [3, 3, 3, 2]
+    np.testing.assert_array_equal(np.concatenate(blocks), result.tables.times)
+    assert threads == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("a_values", ["0.1", "0.1, 0.5, 2"])
+def test_row_kernel_covers_each_row_once_on_the_pool(a_values, tmp_path,
+                                                      monkeypatch):
+    # On two workers the blocks run on pool threads in any order, and still
+    # cover every row exactly once.
+    result, blocks, threads = spied_kernel_run(a_values, 2, tmp_path, monkeypatch)
+    assert sorted(len(t) for t in blocks) == [2, 3, 3, 3]
+    np.testing.assert_array_equal(np.sort(np.concatenate(blocks)),
+                                  result.tables.times)
+    assert threads and threading.get_ident() not in threads
 
 
 # -------------------------------------------------------------------------
@@ -506,15 +535,27 @@ def berger_case(A, B, C):
 KERNEL_A = [0.3, 1.0, 4.0]
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(case=st.one_of(
+def admissible(case):
+    """Every a of KERNEL_A satisfies a > -lambda0(g(0)), as validate_config
+    requires; for other a, omega = a + F/4 <= lambda0 + a fails on a row."""
+    traj, _ = case
+    return min(KERNEL_A) > -rl.lambda0(traj.state(0))
+
+
+# Trajectories of 12 flow steps and their terminal densities (7 rows at a row
+# step of two flow steps) on which every a of KERNEL_A is admissible.
+ROW_CASES = st.one_of(
     st.builds(torus_case, N=st.integers(4, 16).map(lambda k: 2 * k),
               L=st.floats(1.0, 4.0 * math.pi), phi_amp=st.floats(0.0, 0.3),
               logv_amp=st.floats(0.0, 0.3), seed=st.integers(0, 2**32 - 1)),
     st.builds(round_case, n=st.integers(2, 10), c0=st.floats(0.5, 2.0)),
     st.builds(berger_case, A=st.floats(0.7, 1.5), B=st.floats(0.7, 1.5),
               C=st.floats(0.7, 1.5)),
-))
+).filter(admissible)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=ROW_CASES)
 def test_row_blocks_match_public_functionals_bitwise(case):
     # Blocks of 1 row, 3 rows and the whole stack give every table column
     # bitwise equal to the public functionals on each row (a stack of one),
@@ -551,12 +592,50 @@ def test_row_blocks_match_public_functionals_bitwise(case):
             expected[name].append(value)
     for rows in (1, 3, K):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geometry, "ROW_CELLS", rows * cells)
+            # A row block holds ROW_CELLS // WORKERS cells.
+            mp.setattr(geometry, "ROW_CELLS", rows * cells * geometry.WORKERS)
             assert np.array_equal(rl.solve_backward(traj, v_T, step=step).v, hist.v)
             tables, error = harness.evaluate_tables(traj, hist, KERNEL_A, step)
         assert error is None and len(tables.times) == K
         for name, want in expected.items():
             assert np.array_equal(getattr(tables, name), np.array(want)), (rows, name)
+
+
+def table_arrays(tables):
+    """Every array of a RunTables, the VariationReport's included, by name."""
+    arrays = {f.name: getattr(tables, f.name) for f in dataclasses.fields(tables)}
+    report = arrays.pop("variation")
+    arrays.update((f.name, getattr(report, f.name))
+                  for f in dataclasses.fields(report))
+    return {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=ROW_CASES)
+def test_tables_independent_of_worker_count(case):
+    # One-row blocks make 7 blocks, which 2 and 3 workers do not divide
+    # evenly; every table column and lambda0's values, iterations and
+    # residuals are bitwise the same on 1, 2 and 3 workers.
+    from riccilab import geometry, harness
+
+    traj, v_T = case
+    step = 2.0 * traj.dt
+    hist = rl.solve_backward(traj, v_T, step=step)
+    assert len(hist.times) == 7
+    results = []
+    for workers in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "WORKERS", workers)
+            mp.setattr(geometry, "ROW_CELLS", workers * traj.backend.cells)
+            tables, error = harness.evaluate_tables(traj, hist, KERNEL_A, step)
+        assert error is None and len(tables.times) == 7
+        results.append(table_arrays(tables))
+    serial = results[0]
+    assert {"lam0", "lam0_iterations", "lam0_residuals", "dY_fd"} <= set(serial)
+    for pooled in results[1:]:
+        assert pooled.keys() == serial.keys()
+        for name, want in serial.items():
+            assert np.array_equal(pooled[name], want), name
 
 
 def sphere_rows(n_rows=11):
@@ -580,55 +659,80 @@ def expected_error(fn, *args):
     return type(exc.value), str(exc.value)
 
 
-@pytest.mark.parametrize("k", [0, 4, 10])
-@pytest.mark.parametrize("scale", [0.0, -1.0])
-def test_row_kernel_stops_at_non_positive_density(k, scale, monkeypatch):
-    # One block holds every row; the bad row ends it before any square root or
-    # logarithm (a warning fails the suite), keeping rows < k.
-    from riccilab import geometry, harness
+# (workers, rows per block) of the failure-order tests: every row in one
+# block, mapped in the calling thread, then blocks of 3 rows on two threads.
+POOLS = [(1, None), (2, 3)]
 
-    monkeypatch.setattr(geometry, "ROW_CELLS", 2**20)
+
+@contextmanager
+def pool(workers, rows, cells):
+    """Pin the row-block pool to ``workers`` threads and blocks of ``rows``
+    rows of ``cells`` cells (None: one block for every row of these tests)."""
+    from riccilab import geometry
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "WORKERS", workers)
+        mp.setattr(geometry, "ROW_CELLS", workers * (rows or 2**12) * cells)
+        yield
+
+
+def torus_rows(datum):
+    """Trajectory and density history of a curved N = 16 torus, 11 rows."""
     backend = rl.ConformalTorus2D(16, TWO_PI)
     x, _ = rl.grid_coords(backend)
     m0 = rl.MetricState(backend, 0.0, 0.1 * np.sin(x) + np.zeros((16, 16)))
     traj = rl.integrate_forward(m0, 0.01, 5e-4)
-    hist = rl.solve_backward(traj, rl.terminal_datum("random_smooth",
-                                                     traj.final_state()), step=1e-3)
-    bad = rl.DensityHistory(backend, hist.times, hist.v.copy(), hist.masses)
+    return traj, rl.solve_backward(traj, rl.terminal_datum(datum,
+                                                           traj.final_state()),
+                                   step=1e-3)
+
+
+@pytest.mark.parametrize("k", [0, 4, 10])
+@pytest.mark.parametrize("scale", [0.0, -1.0])
+def test_row_kernel_stops_at_non_positive_density(k, scale):
+    # The bad row ends the evaluation before any square root or logarithm (a
+    # warning fails the suite), keeping rows < k, in one block or several.
+    from riccilab import harness
+
+    traj, hist = torus_rows("random_smooth")
+    bad = rl.DensityHistory(traj.backend, hist.times, hist.v.copy(), hist.masses)
     bad.v[k, 3, 5] = scale
-    full, _ = harness.evaluate_tables(traj, hist, [0.5, 1.0], 1e-3)
-    tables, error = harness.evaluate_tables(traj, bad, [0.5, 1.0], 1e-3)
-    assert (type(error), str(error)) == expected_error(
-        rl.change_variables, bad.field(k))
-    if k < 3:
-        assert tables is None
-    else:
-        assert len(tables.times) == k
-        for name in ("F", "S", "lam0", "Y", "rhs_thm", "rhs_ye", "dF_rhs"):
-            np.testing.assert_array_equal(getattr(tables, name),
-                                          getattr(full, name)[:k])
+    for workers, rows in POOLS:
+        with pool(workers, rows, traj.backend.cells):
+            full, _ = harness.evaluate_tables(traj, hist, [0.5, 1.0], 1e-3)
+            tables, error = harness.evaluate_tables(traj, bad, [0.5, 1.0], 1e-3)
+        assert (type(error), str(error)) == expected_error(
+            rl.change_variables, bad.field(k))
+        if k < 3:
+            assert tables is None
+        else:
+            assert len(tables.times) == k
+            for name in ("F", "S", "lam0", "Y", "rhs_thm", "rhs_ye", "dF_rhs"):
+                np.testing.assert_array_equal(getattr(tables, name),
+                                              getattr(full, name)[:k])
 
 
 @pytest.mark.parametrize("k", [4, 9])
-def test_row_kernel_stops_at_non_positive_omega_of_second_a(k, monkeypatch):
+def test_row_kernel_stops_at_non_positive_omega_of_second_a(k):
     # Scaling row k's density down drops its F to 0.02, so omega = -0.3 + F/4
     # fails there for the second a only; math.log never sees it.
-    from riccilab import geometry, harness
+    from riccilab import harness
 
-    monkeypatch.setattr(geometry, "ROW_CELLS", 2**20)
     traj, hist = sphere_rows()
-    full, error = harness.evaluate_tables(traj, hist, [1.0, -0.3], 1e-3)
-    assert error is None
     bad = poisoned(hist, k, 0.01)
-    tables, error = harness.evaluate_tables(traj, bad, [1.0, -0.3], 1e-3)
     u, _ = rl.change_variables(bad.field(k))
     F_k = rl.f_functional(traj.state(2 * k), u)
     rl.omega(F_k, 1.0)
-    assert (type(error), str(error)) == expected_error(rl.omega, F_k, -0.3)
-    assert len(tables.times) == k
-    for name in ("F", "S", "om", "Y", "rhs_thm", "rhs_ye"):
-        np.testing.assert_array_equal(getattr(tables, name),
-                                      getattr(full, name)[:k])
+    for workers, rows in POOLS:
+        with pool(workers, rows, traj.backend.cells):
+            full, error = harness.evaluate_tables(traj, hist, [1.0, -0.3], 1e-3)
+            assert error is None
+            tables, error = harness.evaluate_tables(traj, bad, [1.0, -0.3], 1e-3)
+        assert (type(error), str(error)) == expected_error(rl.omega, F_k, -0.3)
+        assert len(tables.times) == k
+        for name in ("F", "S", "om", "Y", "rhs_thm", "rhs_ye"):
+            np.testing.assert_array_equal(getattr(tables, name),
+                                          getattr(full, name)[:k])
 
 
 @pytest.mark.parametrize("density,omega,lam0,raised", [
@@ -656,10 +760,47 @@ def test_row_failures_follow_the_row_check_order(density, omega, lam0, raised,
             return ground
 
         monkeypatch.setattr(harness, "ground_states", unconverged)
-    tables, error = harness.evaluate_tables(traj, hist, [1.0, -0.3], 1e-3)
     first = min(k for k in (density, omega, lam0) if k is not None)
-    assert type(error) is raised
-    assert len(tables.times) == first
+    for workers, rows in POOLS:
+        with pool(workers, rows, traj.backend.cells):
+            tables, error = harness.evaluate_tables(traj, hist, [1.0, -0.3], 1e-3)
+        assert type(error) is raised
+        assert len(tables.times) == first
+
+
+@pytest.mark.parametrize("later", ["omega", "exception"])
+def test_earliest_failing_block_wins_on_the_pool(later, monkeypatch):
+    # Row 4 fails its omega in the second 3-row block; a later block fails
+    # too, by its own omega at row 9 or by an exception.  The pool runs that
+    # block beside the earlier ones, yet row 4's class and message win and
+    # rows 0-3 are kept, as on one block in the calling thread.
+    from riccilab import harness
+
+    traj, hist = sphere_rows()
+    hist = poisoned(hist, 4, 0.01)
+    if later == "omega":
+        hist = poisoned(hist, 9, 0.01)
+    else:
+        kernel = harness.row_values
+
+        def exploding(g, v, times, a_values):
+            if times[0] >= hist.times[9]:
+                raise RuntimeError("later block exploded")
+            return kernel(g, v, times, a_values)
+
+        monkeypatch.setattr(harness, "row_values", exploding)
+    u, _ = rl.change_variables(hist.field(4))
+    want = expected_error(rl.omega, rl.f_functional(traj.state(8), u), -0.3)
+    with pool(1, None, 1):
+        serial, _ = harness.evaluate_tables(traj, sphere_rows()[1],
+                                            [1.0, -0.3], 1e-3)
+    with pool(2, 3, 1):
+        tables, error = harness.evaluate_tables(traj, hist, [1.0, -0.3], 1e-3)
+    assert (type(error), str(error)) == want
+    assert len(tables.times) == 4
+    for name in ("F", "S", "lam0", "om", "Y", "rhs_thm", "rhs_ye"):
+        np.testing.assert_array_equal(getattr(tables, name),
+                                      getattr(serial, name)[:4])
 
 
 def test_evaluate_tables_keeps_completed_rows():
@@ -673,23 +814,20 @@ def test_evaluate_tables_keeps_completed_rows():
     poisoned = rl.DensityHistory(
         backend, hist.times, hist.v.copy(), hist.masses.copy())
     poisoned.v[4] = 0.0  # change of variables fails at row 4
-    tables, error = evaluate_tables(traj, poisoned, [0.5], 1e-3)
-    assert isinstance(error, rl.PositivityLoss)
-    assert tables is not None and len(tables.times) == 4
+    for workers, rows in POOLS:
+        with pool(workers, rows, backend.cells):
+            tables, error = evaluate_tables(traj, poisoned, [0.5], 1e-3)
+        assert isinstance(error, rl.PositivityLoss)
+        assert tables is not None and len(tables.times) == 4
 
 
 @pytest.mark.parametrize("k", [3, 7])
 def test_evaluate_tables_stops_at_unconverged_row(k, monkeypatch):
-    # The row solves run as one stack before the loop; a row whose solve
+    # The row solves run as one stack before the kernel; a row whose solve
     # did not converge fails where its lambda0 is read, keeping rows < k.
     from riccilab import harness
 
-    backend = rl.ConformalTorus2D(16, TWO_PI)
-    x, _ = rl.grid_coords(backend)
-    m0 = rl.MetricState(backend, 0.0, 0.1 * np.sin(x) + np.zeros((16, 16)))
-    traj = rl.integrate_forward(m0, 0.01, 5e-4)
-    hist = rl.solve_backward(traj, rl.terminal_datum("constant", traj.final_state()),
-                             step=1e-3)
+    traj, hist = torus_rows("constant")
     full, error = harness.evaluate_tables(traj, hist, [0.5], 1e-3)
     assert error is None and len(full.times) == 11
 
@@ -701,12 +839,15 @@ def test_evaluate_tables_stops_at_unconverged_row(k, monkeypatch):
         return ground
 
     monkeypatch.setattr(harness, "ground_states", unconverged_row_k)
-    tables, error = harness.evaluate_tables(traj, hist, [0.5], 1e-3)
-    assert isinstance(error, rl.NoConvergence)
-    assert len(tables.times) == k
-    np.testing.assert_array_equal(tables.lam0, full.lam0[:k])
-    np.testing.assert_array_equal(tables.F, full.F[:k])
-    np.testing.assert_array_equal(tables.lam0_iterations, full.lam0_iterations[:k])
+    for workers, rows in POOLS:
+        with pool(workers, rows, traj.backend.cells):
+            tables, error = harness.evaluate_tables(traj, hist, [0.5], 1e-3)
+        assert isinstance(error, rl.NoConvergence)
+        assert len(tables.times) == k
+        np.testing.assert_array_equal(tables.lam0, full.lam0[:k])
+        np.testing.assert_array_equal(tables.F, full.F[:k])
+        np.testing.assert_array_equal(tables.lam0_iterations,
+                                      full.lam0_iterations[:k])
 
 
 STAGES = ("flow_s", "heat_s", "rows_s", "summary_s", "writers_s")
@@ -750,6 +891,79 @@ def test_internal_error_is_recorded_and_reraised(tmp_path, monkeypatch):
     assert manifest["exit_code"] == 1 and manifest["summary"] is None
     assert manifest["timings"]["flow_s"] > 0.0 and manifest["steps"]["heat"] > 0
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
+
+
+def test_internal_error_in_a_reused_directory_leaves_no_old_csv(tmp_path,
+                                                                 monkeypatch):
+    from riccilab import harness
+
+    validated = validate_config(make_config(ROW_KERNEL_CFGS["round_sphere"]))
+    out = tmp_path / "out"
+    assert run(validated, out).exit_code == 0
+    assert (out / "data.csv").stat().st_size > 0
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("row kernel exploded")
+
+    monkeypatch.setattr(harness, "evaluate_tables", broken)
+    with pytest.raises(RuntimeError, match="row kernel exploded"):
+        run(validated, out)
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    assert json.loads((out / "manifest.json").read_text())["status"] == \
+        "internal_error"
+
+
+@pytest.mark.parametrize("where", ["row_values", "_lopcg"])
+def test_worker_block_exception_is_internal_error(where, tmp_path, monkeypatch):
+    # An exception in a pool block (a later row-kernel block, or a lambda0
+    # block) reaches run(), which records it and re-raises; the pool's
+    # threads are joined.
+    from riccilab import functionals, geometry, harness
+
+    validated = validate_config(make_config(ROW_KERNEL_CFGS["curved_torus"]))
+    monkeypatch.setattr(geometry, "WORKERS", 2)
+    monkeypatch.setattr(geometry, "ROW_CELLS", 2 * 3 * 16**2)
+    module = harness if where == "row_values" else functionals
+    original = getattr(module, where)
+
+    def exploding(*args):
+        if where == "_lopcg" or args[2][0] > 0.0:
+            raise RuntimeError(f"{where} block exploded")
+        return original(*args)
+
+    monkeypatch.setattr(module, where, exploding)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{where} block exploded"):
+        run(validated, tmp_path / "out")
+    assert threading.active_count() == before
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "internal_error" and manifest["exit_code"] == 1
+    assert manifest["error"] == f"RuntimeError: {where} block exploded"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
+
+
+def test_manifest_records_workers(sphere_result, curved_torus_result):
+    from riccilab import geometry
+
+    for result in (sphere_result, curved_torus_result):
+        manifest = json.loads((result.out_dir / "manifest.json").read_text())
+        assert manifest["workers"] == geometry.WORKERS
+        for name in ("data.csv", "proof_chain.csv"):
+            assert "workers" not in (result.out_dir / name).read_text()
+
+
+def test_single_block_runs_start_no_pool(tmp_path, monkeypatch):
+    # validate_config's one-row lambda0 solve and a sphere run, whose rows
+    # form one block, map in the calling thread.
+    from riccilab import geometry
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(geometry, "ThreadPoolExecutor", no_pool)
+    validate_config(make_config(ROW_KERNEL_CFGS["curved_torus"]))
+    validated = validate_config(make_config(ROW_KERNEL_CFGS["round_sphere"]))
+    assert run(validated, tmp_path / "out").exit_code == 0
 
 
 def test_csv_writer_matches_format_17g_on_edge_values(tmp_path):
@@ -901,6 +1115,8 @@ def test_converge_validates_each_level_once(tmp_path, monkeypatch, capsys):
 
 
 def test_verbose_logs_stage_timings(tmp_path, capsys):
+    from riccilab import geometry
+
     ok = write_cfg(tmp_path / "ok.cfg", FLAT_CFG)
     assert cli_main(["run", ok, "--out", str(tmp_path / "z"), "--verbose"]) == 0
     err = capsys.readouterr().err
@@ -908,6 +1124,7 @@ def test_verbose_logs_stage_timings(tmp_path, capsys):
                   "writers_s"):
         assert f"riccilab.harness: {tmp_path / 'z'}: " in err
         assert f" {stage} " in err, stage
+    assert f"{tmp_path / 'z'}: workers {geometry.WORKERS}\n" in err
     assert cli_main(["run", ok, "--out", str(tmp_path / "q")]) == 0
     assert "flow_s" not in capsys.readouterr().err
     assert cli_main(["converge", write_cfg(tmp_path / "s.cfg", STUDY_CFG),

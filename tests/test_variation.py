@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import riccilab as rl
 
+from cross_checks import matrix_quantity_f_form, tensor_trace
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -86,7 +88,7 @@ def test_trace_integrates_to_energy_property(scale, N, L, phi_amp, u_amp, seed):
     # integral(tr_g T u^2) = F for any positive u, whatever its mass.
     m, u = low_mode_state(N, L, phi_amp, u_amp, seed)
     u = rl.scalar_field(m, scale * u.values)
-    tr = rl.tensor_trace(m, rl.matrix_quantity(m, u))
+    tr = tensor_trace(m, rl.matrix_quantity(m, u))
     lhs = rl.integrate(m, rl.scalar_field(m, tr.values * u.values**2))
     F = rl.f_functional(m, u)
     assert abs(lhs - F) <= 1e-13 * max(1.0, abs(F))
@@ -101,7 +103,7 @@ def test_matrix_quantity_two_forms_converge_at_second_order():
         u = mode_u(m)
         f = rl.scalar_field(m, -2.0 * np.log(u.values))
         Tu = rl.matrix_quantity(m, u)
-        Tf = rl.matrix_quantity_f_form(m, f)
+        Tf = matrix_quantity_f_form(m, f)
         errs.append(np.max(np.abs(Tu.comps - Tf.comps)))
     orders = np.log2(np.array(errs[:-1]) / errs[1:])
     assert np.all(orders > 1.9)
