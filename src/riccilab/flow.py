@@ -5,19 +5,23 @@ Fixed steps keep every trajectory on a uniform grid so the backward density
 solve and finite-difference time derivatives stay aligned.  Completed
 trajectories are immutable.
 
-The loop steps on raw parameter arrays with the backend's velocity: each
-state is checked once, and its smallest metric scale serves both the floor
-check and the stability bound of the step that leaves it.
+The loop steps a state in the backend's component form: Python floats on
+the spheres, the phi array on the torus.  RK4 combines the components entry
+by entry in the order of the array form, so the results are bitwise what
+numpy arrays give.  Each state is checked once, and its smallest metric
+scale serves both the floor check and the stability bound of the step that
+leaves it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BlowUp, StepTooLarge
-from .geometry import ConformalTorus2D, MetricState
+from .geometry import MetricState
 
 __all__ = ["Trajectory", "stability_dt", "integrate_forward"]
 
@@ -60,28 +64,31 @@ def stability_dt(m: MetricState, safety: float = 1.0) -> float:
     if not (0.0 < safety <= 1.0):
         raise ValueError(f"safety must lie in (0, 1], got {safety}")
     b = m.backend
-    return float(b.stability_dt(b.min_scale(m.params), safety))
+    return float(b.stability_dt(b.min_scale(b.components(m.params)), safety))
 
 
 def _check_params(backend, p):
-    """Raise BlowUp for a non-finite or floored state; return its smallest
-    metric scale (``backend.min_scale``)."""
-    if not np.isfinite(p).all():
-        raise BlowUp("metric parameters became non-finite")
+    """Raise BlowUp for a non-finite or floored state (components p); return
+    its smallest metric scale (``backend.min_scale``)."""
     scale = backend.min_scale(p)
+    if math.isnan(scale):
+        raise BlowUp("metric parameters became non-finite")
     if scale < PARAM_FLOOR:
-        what = ("conformal factor" if isinstance(backend, ConformalTorus2D)
-                else "metric scale parameter")
-        raise BlowUp(f"{what} fell below floor")
+        raise BlowUp(f"{backend.scale_name} fell below floor")
     return scale
 
 
-def _rk4_step(velocity, p, dt):
-    k1 = velocity(p)
-    k2 = velocity(p + 0.5 * dt * k1)
-    k3 = velocity(p + 0.5 * dt * k2)
-    k4 = velocity(p + dt * k3)
-    return p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(rates, p, dt):
+    """One RK4 step of the components p, entry by entry as the array form
+    p + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) with stages at p + (dt / 2) k."""
+    half = 0.5 * dt
+    k1 = rates(p)
+    k2 = rates([x + half * k for x, k in zip(p, k1)])
+    k3 = rates([x + half * k for x, k in zip(p, k2)])
+    k4 = rates([x + dt * k for x, k in zip(p, k3)])
+    sixth = dt / 6.0
+    return [x + sixth * (a + 2.0 * b + 2.0 * c + d)
+            for x, a, b, c, d in zip(p, k1, k2, k3, k4)]
 
 
 def integrate_forward(m0: MetricState, T: float, dt: float) -> Trajectory:
@@ -101,8 +108,10 @@ def integrate_forward(m0: MetricState, T: float, dt: float) -> Trajectory:
 
     backend = m0.backend
     times = m0.t + dt * np.arange(K + 1)
-    out = np.empty((K + 1,) + m0.params.shape)
-    p = m0.params.copy()
+    p = backend.components(m0.params)
+    # One entry per component: the torus's (1, N, N) rows drop their unit
+    # axis in the reshape below.
+    out = np.empty((K + 1, len(p)) + np.shape(p[0]))
     out[0] = p
     scale = _check_params(backend, p)
     ratio = 0.0
@@ -113,8 +122,11 @@ def integrate_forward(m0: MetricState, T: float, dt: float) -> Trajectory:
                 f"dt={dt:g} exceeds the stability bound at t={times[k]:g}"
             )
         ratio = max(ratio, dt / bound)
-        p = _rk4_step(backend.velocity, p, dt)
+        try:
+            p = _rk4_step(backend.rates, p, dt)
+        except ZeroDivisionError:  # inf or nan in the array form
+            raise BlowUp("metric parameters became non-finite") from None
         scale = _check_params(backend, p)
         out[k + 1] = p
-    return Trajectory(backend, times, out, dt, float(ratio))
-
+    params = out.reshape((K + 1,) + m0.params.shape)
+    return Trajectory(backend, times, params, dt, float(ratio))

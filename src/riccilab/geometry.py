@@ -40,9 +40,16 @@ per row.  Every operator is element-wise or reduces each row's own
 contiguous cells, so each row's result is bitwise what that row gives
 alone.  The metric-derived arrays (R, Ric, g, the volume weight, the
 Laplace-Beltrami factor) are built on first use and kept, so a stack
-computes each once.  The backends themselves carry the raw-array flow
-velocity and stability bound, which take parameters with the same optional
-leading axis.
+computes each once.
+
+The backends carry what the time-stepping loops use on one state.  The
+flow steps ``components(p)``: the parameters as Python floats on the
+spheres, where numpy's per-call dispatch would dwarf the arithmetic, and a
+one-entry list holding phi on the torus.  ``rates`` is the flow velocity in
+that form (``velocity(p)`` is ``rates`` on a raw parameter array), and
+``min_scale`` feeds the floor check and ``stability_dt``.  The heat solve
+reads stack arrays through ``rows`` and checks positivity by ``field_min``.
+Floats and numpy round each operation alike: either form gives the same bits.
 
 Row blocks.  A sphere row is one cell; a torus row is N^2 cells.
 ``row_blocks`` maps a function over consecutive row blocks on a pool of
@@ -160,11 +167,22 @@ class _Homogeneous:
 
     field_shape = ()
     cells = 1
+    scale_name = "metric scale parameter"
+
+    @staticmethod
+    def components(p):
+        """One state's parameters as Python floats: the flow's component form."""
+        return p.tolist()
+
+    def velocity(self, p):
+        """``rates`` on one state's raw parameter array."""
+        return np.array(self.rates(list(p)))
 
     @staticmethod
     def min_scale(p):
-        """Smallest scale parameter of each row."""
-        return p.min(axis=-1)
+        """Smallest scale parameter of one state's components; nan if one is
+        not finite."""
+        return min(p) if all(map(math.isfinite, p)) else math.nan
 
     @staticmethod
     def stability_dt(scale, safety=1.0):
@@ -175,6 +193,16 @@ class _Homogeneous:
     def flat_laplacian(w):
         """Derivatives of spatially constant fields vanish."""
         return 0.0
+
+    @staticmethod
+    def rows(x):
+        """The rows of a per-row array as Python floats."""
+        return x.tolist()
+
+    @staticmethod
+    def field_min(w):
+        """The value of a constant field; nan if it is not finite."""
+        return w if math.isfinite(w) else math.nan
 
 
 @dataclass(frozen=True)
@@ -192,9 +220,9 @@ class RoundSphere(_Homogeneous):
     def stack(self, params) -> MetricStack:
         return _RoundStack(self, params)
 
-    def velocity(self, p):
+    def rates(self, p):
         """dc/dt = -2(n-1)."""
-        return np.full(np.shape(p), -2.0 * (self.n - 1))
+        return [-2.0 * (self.n - 1)]
 
 
 @dataclass(frozen=True)
@@ -210,9 +238,12 @@ class BergerSphere(_Homogeneous):
     def stack(self, params) -> MetricStack:
         return _BergerStack(self, params)
 
-    def velocity(self, p):
+    @staticmethod
+    def rates(p):
         """dA/dt = -2 A r_1 and cyclic."""
-        return -2.0 * p * _berger_ricci_values(p)
+        A, B, C = p
+        r1, r2, r3 = _berger_ricci_values(A, B, C)
+        return [-2.0 * A * r1, -2.0 * B * r2, -2.0 * C * r3]
 
 
 @dataclass(frozen=True)
@@ -229,6 +260,7 @@ class ConformalTorus2D:
             raise ValueError(f"period L must be positive, got {self.L}")
 
     n = 2
+    scale_name = "conformal factor"
 
     @property
     def h(self) -> float:
@@ -247,14 +279,26 @@ class ConformalTorus2D:
     def stack(self, params) -> MetricStack:
         return _TorusStack(self, params)
 
-    def velocity(self, p):
+    @staticmethod
+    def components(p):
+        """The flow's component form: one entry, the phi array."""
+        return [p]
+
+    def rates(self, p):
         """dphi/dt = e^{-2 phi} Lap0 phi (from dg/dt = -R g in two dimensions)."""
-        return np.exp(-2.0 * p) * _lap5(p, self.h)
+        (phi,) = p
+        return [np.exp(-2.0 * phi) * _lap5(phi, self.h)]
+
+    def velocity(self, p):
+        """``rates`` on one state's raw parameter array."""
+        return self.rates([p])[0]
 
     @staticmethod
     def min_scale(p):
-        """Smallest conformal factor e^{2 phi} of each row."""
-        return np.exp(2.0 * p.min(axis=(-2, -1)))
+        """Smallest conformal factor e^{2 phi} of one state's components; nan
+        if a value is not finite."""
+        (phi,) = p
+        return np.exp(2.0 * phi.min()) if np.isfinite(phi).all() else math.nan
 
     def stability_dt(self, scale, safety=1.0):
         """safety * h^2 * min(e^{2 phi}) / 8 from ``min_scale``: the parabolic
@@ -263,6 +307,16 @@ class ConformalTorus2D:
 
     def flat_laplacian(self, w):
         return _lap5(w, self.h)
+
+    @staticmethod
+    def rows(x):
+        """A per-row array, whose row k is the grid x[k]."""
+        return x
+
+    @staticmethod
+    def field_min(w):
+        """Smallest value of a field; nan if a value is not finite."""
+        return w.min() if np.isfinite(w).all() else math.nan
 
 
 Backend = RoundSphere | BergerSphere | ConformalTorus2D
@@ -431,12 +485,15 @@ def _row_sum(w: np.ndarray) -> np.ndarray:
 
 def _pow(x, e):
     """x ** e through the C library's pow, entry by entry, as numpy scalars
-    and Python floats compute it.  numpy's vectorised power (and x * x for
-    e = 2) differ from it in the last bit for some x, which would move the
-    per-state results."""
+    and Python floats compute it, with inf (C's HUGE_VAL) where Python raises
+    on overflow.  numpy's vectorised power (and x * x for e = 2) differ from
+    it in the last bit for some x, which would move the per-state results."""
     if isinstance(x, float) or x.ndim == 0:  # scalars and 0-d arrays
-        return float(x) ** e
-    return np.fromiter((v ** e for v in x.ravel().tolist()), float,
+        try:
+            return float(x) ** e
+        except OverflowError:
+            return math.inf
+    return np.fromiter((_pow(v, e) for v in x.ravel().tolist()), float,
                        x.size).reshape(x.shape)
 
 
@@ -532,27 +589,26 @@ def _last_axis(p):
     return np.moveaxis(p, -1, 0) if p.ndim > 1 else p
 
 
-def _berger_ricci_values(p):
-    """Principal Ricci values in the orthonormal frame for diag(A, B, C),
-    the last axis of p.
+def _berger_ricci_values(A, B, C):
+    """Principal Ricci values (r_1, r_2, r_3) in the orthonormal frame for
+    diag(A, B, C): Python floats, numpy scalars or arrays.
 
     Milnor-frame structure constants are 2 (A = B = C = 1 is the unit round
-    3-sphere), giving r_1 = 2 (A^2 - (B - C)^2) / (ABC) and cyclic.  One
-    state unpacks into numpy scalars, the flow's per-stage case.
+    3-sphere), giving r_1 = 2 (A^2 - (B - C)^2) / (ABC) and cyclic.
     """
-    A, B, C = _last_axis(p)
     abc = A * B * C
-    r = np.empty(p.shape)
-    r[..., 0] = 2.0 * (A * A - _pow(B - C, 2)) / abc
-    r[..., 1] = 2.0 * (B * B - _pow(C - A, 2)) / abc
-    r[..., 2] = 2.0 * (C * C - _pow(A - B, 2)) / abc
-    return r
+    return (2.0 * (A * A - _pow(B - C, 2)) / abc,
+            2.0 * (B * B - _pow(C - A, 2)) / abc,
+            2.0 * (C * C - _pow(A - B, 2)) / abc)
 
 
 class _BergerStack(_HomogeneousStack):
     @_cached
     def ricci(self):
-        return _berger_ricci_values(self.params)
+        r = np.empty(self.params.shape)
+        r[..., 0], r[..., 1], r[..., 2] = _berger_ricci_values(
+            *_last_axis(self.params))
+        return r
 
     @_cached
     def R(self):

@@ -258,24 +258,34 @@ def make_config(raw: dict) -> RunConfig:
 
 
 def _initial_state(cfg: RunConfig) -> MetricState:
+    """The initial metric; one whose curvature or volume overflows is a
+    ConfigError keyed by the backend parameter."""
     if cfg.backend_kind == "round_sphere":
         if cfg.n < 2:
             raise ConfigError("backend.n: sphere dimension must be >= 2")
         if not (cfg.c0 > 0):
             raise ConfigError("backend.c0: must be positive")
-        return MetricState(RoundSphere(cfg.n), 0.0, np.array([cfg.c0]))
-    if cfg.backend_kind == "berger_sphere":
-        p = np.array([cfg.A0, cfg.B0, cfg.C0])
-        if np.any(p <= 0):
+        key, m0 = "backend.c0", MetricState(RoundSphere(cfg.n), 0.0,
+                                            np.array([cfg.c0]))
+    elif cfg.backend_kind == "berger_sphere":
+        if not min(cfg.A0, cfg.B0, cfg.C0) > 0:
             raise ConfigError("backend.A0/B0/C0: must be positive")
-        return MetricState(BergerSphere(), 0.0, p)
-    try:
-        backend = ConformalTorus2D(cfg.N, cfg.L)
-    except ValueError as exc:
-        raise ConfigError(f"backend.N/backend.L: {exc}") from exc
-    x, y = grid_coords(backend)
-    phi0 = cfg.phi_amplitude * np.sin(cfg.phi_mode * 2.0 * math.pi * x / cfg.L)
-    return MetricState(backend, 0.0, phi0 + 0.0 * y)
+        key, m0 = "backend.A0/B0/C0", MetricState(
+            BergerSphere(), 0.0, np.array([cfg.A0, cfg.B0, cfg.C0]))
+    else:
+        try:
+            backend = ConformalTorus2D(cfg.N, cfg.L)
+        except ValueError as exc:
+            raise ConfigError(f"backend.N/backend.L: {exc}") from exc
+        x, y = grid_coords(backend)
+        phi0 = cfg.phi_amplitude * np.sin(cfg.phi_mode * 2.0 * math.pi * x / cfg.L)
+        key, m0 = "backend.phi_amplitude", MetricState(backend, 0.0, phi0 + 0.0 * y)
+    with np.errstate(all="ignore"):
+        R, vol = m0.stack.R, m0.stack.volume
+    if math.isnan(m0.backend.field_min(R)) or not math.isfinite(vol):
+        raise ConfigError(f"{key}: the initial metric's curvature or volume "
+                          "is not finite")
+    return m0
 
 
 @dataclass
@@ -301,7 +311,7 @@ def validate_config(cfg: RunConfig) -> ValidatedRun:
     T = cfg.T
     if not isinstance(m0.backend, ConformalTorus2D):
         n = m0.backend.n
-        T = min(T, 0.5 * float(np.min(m0.params)) / (2.0 * (n - 1)))
+        T = min(T, 0.5 * min(m0.params.tolist()) / (2.0 * (n - 1)))
 
     if cfg.dt == "auto":
         raw_dt = cfg.safety * stability_dt(m0, 1.0)

@@ -20,8 +20,10 @@ therefore steps at an even multiple of the trajectory spacing so every stage
 time lands on a stored snapshot; no interpolation enters the solve.  The
 snapshot geometry -- R, the Laplace-Beltrami factor and the volume weight
 -- is built once per snapshot by stacked calls over blocks of at most
-``geometry.ROW_CELLS`` cells (or one step), not once per RK4 stage.  Mass is
-checked at every step but never renormalized.
+``geometry.ROW_CELLS`` cells (or one step), not once per RK4 stage, and
+read per row as ``backend.rows`` gives it: Python floats on the spheres,
+grids on the torus, either way bitwise alike.  Mass is checked at every
+step but never renormalized.
 
 A density at one instant is a plain ``ScalarField`` holding v; its
 positivity and unit mass are checked by the solver, not by its type.
@@ -189,21 +191,21 @@ def solve_backward(
     M = K // stride
     half = stride // 2
 
+    backend = traj.backend
     out = np.empty((M + 1,) + v_T.values.shape)
     masses = np.empty(M + 1)
     out[M] = v_T.values
     masses[M] = integrate(traj.final_state(), v_T)
-    _check_density(out[M], masses[M], mass_tol, traj.times[K])
+    lap0, rows = backend.flat_laplacian, backend.rows
+    (v,) = rows(out[M:])
+    _check_density(backend, v, masses[M], mass_tol, traj.times[K])
 
-    backend = traj.backend
-    lap0 = backend.flat_laplacian
     block = max(1, geometry.ROW_CELLS // (stride * backend.cells))
-    v = v_T.values
     for hi in range(M, 0, -block):
         # Steps hi, hi - 1, ..., lo + 1 read snapshots lo * stride ... hi * stride.
         lo = max(hi - block, 0)
         g = backend.stack(traj.params[lo * stride:hi * stride + 1])
-        R, lap_factor, weight = g.R, g.lap_factor, g.weight
+        R, lap_factor, weight = rows(g.R), rows(g.lap_factor), rows(g.weight)
 
         def rhs(i, w):
             """dv/dtau = Lap_g w - R w at snapshot i of the block."""
@@ -219,15 +221,16 @@ def solve_backward(
             k4 = rhs(i0, v + step * k3)
             v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             out[j - 1] = v
-            masses[j - 1] = g.quadrature(v * weight[i0])
-            _check_density(v, masses[j - 1], mass_tol, traj.times[(j - 1) * stride])
+            masses[j - 1] = mass = g.quadrature(v * weight[i0])
+            _check_density(backend, v, mass, mass_tol,
+                           traj.times[(j - 1) * stride])
 
     times = traj.times[:: stride].copy()
     return DensityHistory(traj.backend, times, out, masses)
 
 
-def _check_density(v, mass, mass_tol, t):
-    if not np.isfinite(v).all() or v.min() <= POSITIVITY_FLOOR:
+def _check_density(backend, v, mass, mass_tol, t):
+    if not backend.field_min(v) > POSITIVITY_FLOOR:  # nan if v is not finite
         raise PositivityLoss(f"density positivity lost at t={t:g}")
     if abs(mass - 1.0) > mass_tol:
         raise MassDrift(f"mass drift {mass - 1.0:+.3e} at t={t:g} exceeds {mass_tol:g}")

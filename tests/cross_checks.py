@@ -3,10 +3,14 @@
 Each helper is an independent way of writing a quantity that the package
 computes another way: the potential-variable forms of the energy and the
 variation tensor, the pointwise g-trace and gradient inner product of the
-typed fields, and the flow velocity of a state.
+typed fields, the flow velocity of a state, and the flow integrated on
+numpy arrays.
 """
 
+import numpy as np
+
 import riccilab as rl
+from riccilab.flow import PARAM_FLOOR
 
 
 def gradient_inner(m, w, z):
@@ -27,6 +31,39 @@ def tensor_trace(m, T):
 def ricci_flow_rhs(m):
     """Velocity of dg/dt = -2 Ric in the state's backend parameters."""
     return m.backend.velocity(m.params)
+
+
+def integrate_forward_arrays(m0, T, dt):
+    """``rl.integrate_forward`` stepped on numpy parameter arrays: RK4 in the
+    array form p + (dt / 6)(k1 + 2 k2 + 2 k3 + k4) of the raw-array
+    ``velocity``, with the same state checks, errors and messages.  Returns
+    the parameters of every state and the largest dt / stability_dt."""
+    b = m0.backend
+    torus = isinstance(b, rl.ConformalTorus2D)
+    K = int(round(T / dt))
+    times = m0.t + dt * np.arange(K + 1)
+    out = np.empty((K + 1,) + m0.params.shape)
+    p, ratio = m0.params.copy(), 0.0
+    for k in range(K + 1):
+        if not np.isfinite(p).all():
+            raise rl.BlowUp("metric parameters became non-finite")
+        scale = np.exp(2.0 * p.min()) if torus else p.min()
+        if scale < PARAM_FLOOR:
+            what = "conformal factor" if torus else "metric scale parameter"
+            raise rl.BlowUp(f"{what} fell below floor")
+        out[k] = p
+        if k == K:
+            return out, ratio
+        bound = b.stability_dt(scale)
+        if dt > bound * (1 + 1e-12):
+            raise rl.StepTooLarge(
+                f"dt={dt:g} exceeds the stability bound at t={times[k]:g}")
+        ratio = max(ratio, dt / bound)
+        k1 = b.velocity(p)
+        k2 = b.velocity(p + 0.5 * dt * k1)
+        k3 = b.velocity(p + 0.5 * dt * k2)
+        k4 = b.velocity(p + dt * k3)
+        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def f_functional_f_form(m, f, v):

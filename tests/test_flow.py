@@ -1,12 +1,15 @@
 """Forward-flow integrator tests: closed forms, stability guard, sampling,
-and a convergence check against an independent explicit-Euler oracle."""
+a convergence check against an independent explicit-Euler oracle, and the
+component-form loop against the same flow stepped on numpy arrays."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import riccilab as rl
+from cross_checks import integrate_forward_arrays
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,3 +132,98 @@ def test_trajectory_uniform_times():
     diffs = np.diff(traj.times)
     assert np.max(np.abs(diffs - 1e-3)) < 1e-15
     assert traj.state(3).t == float(traj.times[3])
+
+
+# -------------------------------------------------------------------------
+# The component-form loop against the array reference
+# -------------------------------------------------------------------------
+
+def outcome(fn, *args):
+    """fn's result, or the class and message of the numerical error it raised."""
+    try:
+        return fn(*args)
+    except rl.NumericalError as exc:
+        return type(exc), str(exc)
+
+
+def flow_outcome(m0, T, dt):
+    """integrate_forward's (params, max_step_ratio) as bytes, or its error."""
+    got = outcome(rl.integrate_forward, m0, T, dt)
+    if isinstance(got, rl.Trajectory):
+        return got.params.tobytes(), got.max_step_ratio.hex()
+    return got
+
+
+def reference_outcome(m0, T, dt):
+    """The same from the array reference, numpy's warnings silenced (it
+    overflows where the floats do)."""
+    with np.errstate(all="ignore"):
+        ref = outcome(integrate_forward_arrays, m0, T, dt)
+    if isinstance(ref[0], np.ndarray):
+        return ref[0].tobytes(), float(ref[1]).hex()
+    return ref
+
+
+def low_mode_state(N, L, amplitude, seed):
+    """A torus state whose phi is a random trigonometric polynomial in modes
+    0..2 with max |phi| = amplitude."""
+    backend = rl.ConformalTorus2D(N, L)
+    x, y = rl.grid_coords(backend)
+    rng = np.random.default_rng(seed)
+    w = np.zeros((N, N))
+    for kx in range(3):
+        for ky in range(3):
+            c, theta = rng.uniform(-1.0, 1.0), rng.uniform(0.0, TWO_PI)
+            w = w + c * np.cos(TWO_PI * (kx * x + ky * y) / L + theta)
+    return rl.MetricState(backend, 0.0, w * (amplitude / np.max(np.abs(w))))
+
+
+FLOW_STATES = st.one_of(
+    st.builds(lambda n, c0: rl.MetricState(rl.RoundSphere(n), 0.0, np.array([c0])),
+              st.integers(2, 5), st.floats(0.3, 3.0)),
+    st.builds(lambda p: rl.MetricState(rl.BergerSphere(), 0.0, np.array(p)),
+              st.tuples(*[st.floats(0.3, 3.0)] * 3)),
+    st.builds(low_mode_state, st.sampled_from([8, 12, 16]),
+              st.floats(1.0, 4.0 * math.pi), st.floats(0.0, 0.3),
+              st.integers(0, 2**32 - 1)),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(m0=FLOW_STATES, frac=st.floats(0.01, 0.5), steps=st.integers(1, 12))
+def test_flow_matches_array_reference_bitwise(m0, frac, steps):
+    # Parameters and max_step_ratio bitwise equal to the array form, or the
+    # same error class and message where the array form fails.
+    dt = frac * rl.stability_dt(m0)
+    assert flow_outcome(m0, steps * dt, dt) == reference_outcome(m0, steps * dt, dt)
+
+
+def berger_state(A, B, C):
+    return rl.MetricState(rl.BergerSphere(), 0.0, np.array([A, B, C]))
+
+
+@pytest.mark.parametrize("m0,T,dt,error,message", [
+    # near extinction the bound c/8 falls below dt (message names t)
+    (sphere_state(), 0.6, 1e-3, rl.StepTooLarge,
+     "dt=0.001 exceeds the stability bound at t=0.497"),
+    (berger_state(0.5, 0.5, 0.5), 0.2, 2e-3, rl.StepTooLarge,
+     "dt=0.002 exceeds the stability bound at t=0.122"),
+    # floors: A = B = C shrinks linearly, as the round sphere does
+    (sphere_state(1.2e-6), 1.4e-6, 1.4e-7, rl.BlowUp,
+     "metric scale parameter fell below floor"),
+    (berger_state(1.2e-6, 1.2e-6, 1.2e-6), 1.4e-6, 1.4e-7, rl.BlowUp,
+     "metric scale parameter fell below floor"),
+    (rl.MetricState(rl.ConformalTorus2D(8, 1.0), 0.0, np.full((8, 8), -7.0)),
+     1e-9, 1e-9, rl.BlowUp, "conformal factor fell below floor"),
+    # overflow: A^2 and (C - A)^2 of the first stage exceed the double range
+    (berger_state(1e140, 1.0, 1.0), 1e-3, 1e-3, rl.BlowUp,
+     "metric parameters became non-finite"),
+    # the second stage lands exactly on A = 0, so ABC = 0: the floats divide
+    # by zero where the arrays give inf and nan
+    (berger_state(1.0, 0.125, 0.125), 1 / 128, 1 / 128, rl.BlowUp,
+     "metric parameters became non-finite"),
+], ids=["sphere-step", "berger-step", "sphere-floor", "berger-floor",
+        "torus-floor", "berger-overflow", "berger-zero-stage"])
+def test_flow_errors_match_array_reference(m0, T, dt, error, message):
+    assert flow_outcome(m0, T, dt) == (error, message)
+    assert reference_outcome(m0, T, dt) == (error, message)

@@ -387,6 +387,17 @@ def test_flow_rhs_values():
     assert np.all(ricci_flow_rhs(flat()) == 0.0)
 
 
+def test_pow_overflow_is_inf_entry_by_entry():
+    # C's pow overflows to inf where Python's ** raises; the other entries
+    # keep their values.
+    from riccilab.geometry import _pow
+
+    assert _pow(np.array([1e200, 3.0, -1e160]), 2).tolist() == [
+        math.inf, 9.0, math.inf]
+    assert _pow(1e200, 2) == _pow(np.array(1e300), 1.5) == math.inf
+    assert _pow(np.float64(3.0), 2) == 9.0
+
+
 # -------------------------------------------------------------------------
 # Validation
 # -------------------------------------------------------------------------

@@ -1094,6 +1094,56 @@ entropy.a = 0.5
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key,text", [
+    # R = A^2 / ABC - ... overflows: inf - inf
+    ("backend.A0/B0/C0", "backend.kind = berger_sphere\nbackend.A0 = 1e160\n"),
+    # the volume 2 pi^2 c^{3/2} overflows while R = 6/c is finite
+    ("backend.c0", "backend.kind = round_sphere\nbackend.n = 3\n"
+                   "backend.c0 = 1e300\n"),
+    # R = 2/c overflows for a subnormal c
+    ("backend.c0", "backend.kind = round_sphere\nbackend.c0 = 1e-320\n"),
+    # e^{2 phi} overflows
+    ("backend.phi_amplitude", "backend.kind = conformal_torus\nbackend.N = 16\n"
+                              "backend.phi_amplitude = 400\nentropy.a = 1\n"),
+])
+def test_cli_rejects_an_initial_metric_that_overflows(key, text, tmp_path,
+                                                      capsys):
+    # A config error (exit 2) keyed by the backend parameter, before any
+    # artifact; no traceback and no numpy warning (which fail this suite).
+    path = write_cfg(tmp_path / "big.cfg",
+                     text + "flow.T = 0.1\nflow.dt = 1e-3\n")
+    capsys.readouterr()
+    assert cli_main(["check", path]) == 2
+    assert cli_main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"error: ConfigError: {key}: the initial metric's "
+                     "curvature or volume is not finite\n") == 2
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_flow_overflow_is_a_blow_up(tmp_path, capsys):
+    # An admissible Berger start whose first flow stage overflows: the float
+    # rates give inf and nan (and the squares of _pow overflow), which the
+    # flow reports as BlowUp (exit 3), not as an internal error.
+    path = write_cfg(tmp_path / "big.cfg", """
+backend.kind = berger_sphere
+backend.A0 = 1e140
+flow.T = 0.1
+flow.dt = 1e-3
+entropy.a = 1e141
+""")
+    out = tmp_path / "o"
+    assert cli_main(["run", path, "--out", str(out)]) == 3
+    assert "run failed (BlowUp)" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "BlowUp"
+    assert manifest["error"] == "metric parameters became non-finite"
+    assert manifest["exit_code"] == 3
+    assert manifest["steps"]["flow"] is None
+    assert (out / "data.csv").read_text().count("\n") == 1
+
+
 def test_converge_validates_each_level_once(tmp_path, monkeypatch, capsys):
     from riccilab import cli, harness
 

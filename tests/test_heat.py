@@ -2,6 +2,7 @@
 conservation, positivity/mass guards, terminal data, change of variables."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,8 +149,10 @@ def test_torus_backward_solve_matches_array_reference(N, L, amplitude, seed):
 
 @pytest.mark.parametrize("m0", [
     rl.MetricState(rl.RoundSphere(3), 0.0, np.array([1.0])),
+    rl.MetricState(rl.RoundSphere(2), 0.0, np.array([1.0])),
     rl.MetricState(rl.BergerSphere(), 0.0, np.array([1.0, 0.8, 0.6])),
-], ids=["round", "berger"])
+    rl.MetricState(rl.BergerSphere(), 0.0, np.array([2.0, 0.7, 1.3])),
+], ids=["round", "round2", "berger", "berger-aniso"])
 def test_homogeneous_backward_solve_bitwise_reference(m0):
     traj = rl.integrate_forward(m0, 0.02, 5e-4)
     v_T = rl.terminal_datum("constant", traj.final_state())
@@ -227,6 +230,45 @@ def test_mass_drift_on_non_flow_trajectory():
     v_T = rl.terminal_datum("constant", traj.final_state())
     with pytest.raises(rl.MassDrift):
         rl.solve_backward(traj, v_T, step=1e-3, mass_tol=1e-6)
+
+
+@pytest.mark.parametrize("m0", [
+    rl.MetricState(rl.RoundSphere(3), 0.0, np.array([1.0])),
+    rl.MetricState(rl.BergerSphere(), 0.0, np.array([1.0, 0.8, 0.6])),
+], ids=["round", "berger"])
+def test_mass_drift_on_the_float_path_matches_reference(m0):
+    # A frozen sphere (not a flow solution) has dv/dtau = -R v at a fixed
+    # volume, so the mass decays.  The guard fires at the first step whose
+    # reference mass leaves the tolerance, with that mass in its message.
+    K, dt, tol = 40, 1e-3, 0.05
+    params = np.broadcast_to(m0.params, (K + 1,) + m0.params.shape).copy()
+    traj = rl.Trajectory(m0.backend, dt * np.arange(K + 1), params, dt)
+    v_T = rl.terminal_datum("constant", traj.final_state())
+    R = float(rl.scalar_curvature(m0).values)
+    drift = reference_backward(traj, v_T, lambda p, v: -R * v) * rl.volume(m0) - 1.0
+    j = max(np.flatnonzero(np.abs(drift) > tol))
+    assert 0 < j < K // 2 - 1
+    message = (f"mass drift {drift[j]:+.3e} at t={traj.times[2 * j]:g} "
+               f"exceeds {tol:g}")
+    with pytest.raises(rl.MassDrift, match=f"^{re.escape(message)}$"):
+        rl.solve_backward(traj, v_T, mass_tol=tol)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, 1e-11])
+def test_check_density_rejects_alike_floats_0d_arrays_and_grids(bad):
+    from riccilab.heat import _check_density
+
+    sphere, torus = rl.RoundSphere(2), rl.ConformalTorus2D(8, 1.0)
+    grid = np.ones((8, 8))
+    grid[3, 5] = bad
+    for backend, v in ((sphere, bad), (sphere, np.array(bad)), (torus, grid),
+                       (torus, np.full((8, 8), bad))):
+        with pytest.raises(rl.PositivityLoss,
+                           match=r"^density positivity lost at t=0\.5$"):
+            _check_density(backend, v, 1.0, 1e-6, 0.5)
+    for backend, v in ((sphere, 1e-9), (sphere, np.array(1e-9)),
+                       (torus, np.full((8, 8), 1e-9))):
+        _check_density(backend, v, 1.0, 1e-6, 0.5)
 
 
 def test_solver_step_must_be_even_multiple():
