@@ -26,11 +26,13 @@ with p dropped for the step when the 3x3 Gram matrix is ill-conditioned
 (Duersch, Shao, Yang and Gu 2018).  The rows of a (K, N, N) stack run
 independently, vectorised over the row blocks of ``geometry.row_blocks``
 on its thread pool; the small eigenproblems of a block are solved together
-as (k, m, m) stacks.  A row is frozen and leaves its block once its relative
-eigen-residual ||-Lap_g x + (R/4) x - lambda x||_g / ||x||_g is at most
-``LAMBDA0_TOL``; a row still above it after ``LAMBDA0_MAXITER`` iterations
-has not converged, and reading its value raises NoConvergence.  Each row's
-result is a pure function of its own metric, bitwise the same in any block.
+as (k, m, m) stacks, on one workspace, with the Gram pencils from batched
+``matmul`` (BLAS dgemm).  A row is frozen and leaves its block once its
+relative eigen-residual ||-Lap_g x + (R/4) x - lambda x||_g / ||x||_g is at
+most ``LAMBDA0_TOL``; a row still above it after ``LAMBDA0_MAXITER``
+iterations has not converged, and reading its value raises NoConvergence.
+Each row's result is a pure function of its own metric, bitwise the same in
+any block and with any number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -69,27 +71,26 @@ LAMBDA0_MAXITER = 200     # LOPCG iteration cap
 GRAM_RCOND = 1e-12        # Gram eigenvalue ratio below which p is dropped
 
 
-def _energy(g, u):
-    """F of each row of the metric stack g and positive density stack u."""
-    return 4.0 * g.integrate(g.gradient_inner(u, u) + 0.25 * g.R * u**2)
+def _energy(g, u2, du):
+    """F of each row of the metric stack g from u**2 and g.differences(u)."""
+    return 4.0 * g.integrate(g.gradient_inner(du, du) + 0.25 * g.R * u2)
 
 
-def _entropy(g, u):
-    """S of each row of the metric stack g and positive density stack u."""
-    v = u**2
-    return g.integrate(v * np.log(v))
+def _entropy(g, u2):
+    """S of each row of the metric stack g from u**2 of its densities u."""
+    return g.integrate(u2 * np.log(u2))
 
 
 def f_functional(m: MetricState, u: ScalarField) -> float:
     """Dirichlet-plus-curvature energy F = 4 integral(|grad u|^2 + R u^2/4) dmu."""
-    return float(_energy(m.stack, u.values))
+    return float(_energy(m.stack, u.values**2, m.stack.differences(u.values)))
 
 
 def shannon_entropy(m: MetricState, u: ScalarField) -> float:
     """Differential entropy S = integral(u^2 ln u^2) dmu of the density u^2."""
     if np.min(u.values) <= 0.0:
         raise PositivityLoss("density must be positive for the entropy")
-    return float(_entropy(m.stack, u.values))
+    return float(_entropy(m.stack, u.values**2))
 
 
 def omega(F: float, a: float) -> float:
@@ -184,29 +185,36 @@ def _lowest_ritz(GA: np.ndarray, GB: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return d * (T @ Y[:, :, 0, None])[:, :, 0], ok
 
 
-def _lopcg(b: ConformalTorus2D, phi: np.ndarray, tol: float, maxiter: int, out) -> None:
-    """Ground states of the torus metrics phi, a (k, N, N) stack, by
-    block-size-1 LOPCG on each row; writes values, vectors (unless None),
-    iterations and residuals into the rows of ``out``'s arrays."""
-    values, vectors, iterations, residuals = out
-    N, h = b.N, b.h
-    g = b.stack(phi)
-    e2p = g.weight
-    pot = 0.25 * g.R * e2p
+def _lopcg(g, tol: float, maxiter: int, vectors=None):
+    """Ground states of the torus metric stack g, one state or a (k, N, N)
+    stack, by block-size-1 LOPCG on each row: its values, iterations and
+    residuals, and each row's eigenfunction in ``vectors`` unless None."""
+    N, h = g.backend.N, g.backend.h
+    e2p = g.weight.reshape(-1, N, N)
+    pot = (0.25 * g.R * g.weight).reshape(-1, N, N)
     inv_symbol = 1.0 / (_neg_lap_symbol(N, h)
                         + (_row_sum(e2p) / (N * N))[:, None, None])
-    rows = np.arange(len(phi))
-    X = np.ones_like(phi)
-    P = AP = None
+    K = len(e2p)
+    rows, values, iterations, residuals = (
+        np.arange(K), np.empty(K), np.zeros(K, dtype=int), np.zeros(K))
+    # [x, M r, p] of every row (p = 0 until set), their A- and B-images
+    S, AS, BS = Z = np.zeros((3, 3, K, N, N))
+    S[0] = 1.0
     for it in range(maxiter + 1):
+        n = len(rows)
+        X, W, P = S[:, :n]
+        AX, AW, BX = AS[0, :n], AS[1, :n], BS[0, :n]
+        np.multiply(e2p, X, out=BX)
+        BX *= X
         X *= (np.copysign(1.0, _row_sum(X))
-              / (np.sqrt(_row_sum(e2p * X * X)) * h))[:, None, None]
-        AX = pot * X - _lap5(X, h)
-        BX = e2p * X
-        xBx = _row_sum(X * BX)
-        lam = _row_sum(X * AX) / xBx
-        R = AX - lam[:, None, None] * BX
-        res = np.sqrt(_row_sum(R * R / e2p) / xBx)
+              / (np.sqrt(_row_sum(BX)) * h))[:, None, None]
+        np.subtract(np.multiply(pot, X, out=AX), _lap5(X, h), out=AX)
+        np.multiply(e2p, X, out=BX)
+        # W is scratch until M r fills it; r = A x - lam B x goes to AW.
+        xBx = _row_sum(np.multiply(X, BX, out=W))
+        lam = _row_sum(np.multiply(X, AX, out=W)) / xBx
+        R = np.subtract(AX, lam[:, None, None] * BX, out=AW)
+        res = np.sqrt(_row_sum(np.divide(R * R, e2p, out=W)) / xBx)
 
         # Freeze the rows that pass (or ran out of iterations).
         done = (res <= tol) | (it == maxiter)
@@ -217,24 +225,23 @@ def _lopcg(b: ConformalTorus2D, phi: np.ndarray, tol: float, maxiter: int, out) 
                 vectors[k] = X[done]
             keep = ~done
             if not np.any(keep):
-                return
-            rows, X, AX, BX, R = rows[keep], X[keep], AX[keep], BX[keep], R[keep]
+                return values, iterations, residuals
+            rows, n = rows[keep], np.count_nonzero(keep)
+            Z[:, :, :n] = Z[:, :, :len(keep)][:, :, keep]
             e2p, pot, inv_symbol = e2p[keep], pot[keep], inv_symbol[keep]
-            if P is not None:
-                P, AP = P[keep], AP[keep]
+            X, W, P = S[:, :n]
+            R = AW = AS[1, :n]
 
-        W = np.fft.irfft2(np.fft.rfft2(R) * inv_symbol, s=(N, N))
-        AW = pot * W - _lap5(W, h)
-        S, AS, BS = [X, W], [AX, AW], [BX, e2p * W]
-        if P is not None:
-            S, AS, BS = S + [P], AS + [AP], BS + [e2p * P]
-        m = len(S)
-        GA = np.empty((len(rows), m, m))
-        GB = np.empty((len(rows), m, m))
-        for i in range(m):
-            for j in range(i, m):
-                GA[:, i, j] = GA[:, j, i] = _row_sum(S[i] * AS[j])
-                GB[:, i, j] = GB[:, j, i] = _row_sum(S[i] * BS[j])
+        W[...] = np.fft.irfft2(np.fft.rfft2(R) * inv_symbol, s=(N, N))
+        np.subtract(np.multiply(pot, W, out=AW), _lap5(W, h), out=AW)
+        m = 3 if it else 2  # p joins the basis after the first step
+        np.multiply(e2p, S[1:m, :n], out=BS[1:m, :n])
+        # Both Gram pencils, their upper triangles mirrored down
+        basis = S[:m, :n].reshape(m, n, -1).swapaxes(0, 1)
+        GA = basis @ AS[:m, :n].reshape(m, n, -1).transpose(1, 2, 0)
+        GB = basis @ BS[:m, :n].reshape(m, n, -1).transpose(1, 2, 0)
+        i, j = np.triu_indices(m, 1)
+        GA[:, j, i], GB[:, j, i] = GA[:, i, j], GB[:, i, j]
         c, ok = _lowest_ritz(GA, GB)
         if m == 3 and not np.all(ok):
             # Drop p where the three-vector Gram matrix is ill-conditioned.
@@ -243,13 +250,14 @@ def _lopcg(b: ConformalTorus2D, phi: np.ndarray, tol: float, maxiter: int, out) 
             ok[~ok] = ok2
         # A row whose {x, M r} is degenerate keeps x; it cannot improve.
         c[~ok] = np.eye(m)[0]
-        cw = c[:, 1, None, None]
-        if P is None:
-            P, AP = cw * W, cw * AW
-        else:
-            cp = c[:, 2, None, None]
-            P, AP = cw * W + cp * P, cw * AW + cp * AP
-        X = c[:, 0, None, None] * X + P
+        # p <- c_w w + c_p p and its A-image, then x <- c_x x + p
+        coef = np.zeros((3, n, 1, 1))
+        coef[:m, :, 0, 0] = c.T
+        for A in (S, AS):
+            A[1:, :n] *= coef[1:]
+            A[2, :n] += A[1, :n]
+        X *= coef[0]
+        X += P
 
 
 def ground_states(
@@ -281,11 +289,10 @@ def ground_states(
     if not isinstance(backend, ConformalTorus2D):
         values[:] = backend.stack(params).R / 4.0
     else:
-        out = (values, vectors, iterations, residuals)
-
         def solve(rows):
-            _lopcg(backend, params[rows], tol, maxiter,
-                   tuple(None if a is None else a[rows] for a in out))
+            values[rows], iterations[rows], residuals[rows] = _lopcg(
+                backend.stack(params[rows]), tol, maxiter,
+                None if vectors is None else vectors[rows])
 
         with row_blocks(solve, K, backend.cells) as blocks:
             list(blocks)
@@ -300,15 +307,15 @@ def lambda0_eig(
     """Smallest eigenvalue of -Lap_g + R/4 with its eigenfunction.
 
     Constant-curvature backends: the closed form with the constant ground
-    state.  Torus: the :func:`ground_states` stack of one; NoConvergence is
-    raised when the relative eigen-residual exceeds ``tol`` after
-    ``maxiter`` iterations.  The eigenvalue is the Rayleigh quotient of the
-    returned eigenfunction, which has unit g-norm.
+    state.  Torus: the :func:`ground_states` LOPCG on the state's own stack;
+    NoConvergence is raised when the relative eigen-residual exceeds ``tol``
+    after ``maxiter`` iterations.  The eigenvalue is the Rayleigh quotient of
+    the returned eigenfunction, which has unit g-norm.
     """
     if not isinstance(m.backend, ConformalTorus2D):
         return float(m.stack.R) / 4.0, scalar_field(m, 1.0 / math.sqrt(volume(m)))
     vectors = np.empty((1,) + m.params.shape)
-    ground = ground_states(m.backend, m.params[None], tol, maxiter, vectors)
+    ground = GroundStates(*_lopcg(m.stack, tol, maxiter, vectors), tol, maxiter)
     return ground.value(0), scalar_field(m, vectors[0])
 
 

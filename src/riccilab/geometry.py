@@ -426,8 +426,9 @@ def _check_same_backend(m: MetricState, field) -> None:
 # axis 0 = x is the second-to-last axis, axis 1 = y the last.
 #
 # ``_roll`` is numpy.roll for a shift of +-1 along x or y, built from two
-# slice copies.  Every stencil therefore takes an (N, N) grid and a (K, N, N)
-# stack of grids alike.  Each stencil keeps the operand order of its
+# slice copies; ``_lap5`` adds flat shifted slices straight into its output,
+# fixing the wrapped rows and column.  Every stencil takes an (N, N) grid
+# and a (K, N, N) stack of grids alike and keeps the operand order of its
 # numpy.roll form, so the results are bitwise the same, and each grid of a
 # stack is bitwise what it would be alone.
 # --------------------------------------------------------------------------
@@ -463,10 +464,18 @@ def _d2(w, axis, h):
 
 
 def _lap5(w, h):
-    return (
-        _roll(w, -1, 0) + _roll(w, 1, 0) + _roll(w, -1, 1) + _roll(w, 1, 1)
-        - 4.0 * w
-    ) / (h * h)
+    N = w.shape[-1]
+    out, s = np.empty(w.shape), np.empty(w.shape)
+    wf, of, sf = w.reshape(-1), out.reshape(-1), s.reshape(-1)
+    np.add(wf[2 * N:], wf[:-2 * N], out=of[N:-N])  # x, then its wrapped rows
+    np.add(w[..., 1, :], w[..., -1, :], out=out[..., 0, :])
+    np.add(w[..., 0, :], w[..., -2, :], out=out[..., -1, :])
+    sf[:-1], s[..., -1] = wf[1:], w[..., 0]  # y, with its wrapped column
+    out += s
+    sf[1:], s[..., 0] = wf[:-1], w[..., -1]
+    out += s
+    out -= np.multiply(4.0, w, out=s)
+    return np.divide(out, h * h, out=out)
 
 
 def _dcross(w, h):
@@ -480,7 +489,7 @@ def _row_sum(w: np.ndarray) -> np.ndarray:
     """Sum over the trailing grid of each row: (K,) for a (K, N, N) stack, a
     scalar for one (N, N) grid.  Each row is one contiguous pairwise sum, so
     its value does not depend on the rows beside it."""
-    return w.reshape(w.shape[:-2] + (-1,)).sum(axis=-1)
+    return w.reshape(w.shape[:-2] + (w.shape[-2] * w.shape[-1],)).sum(axis=-1)
 
 
 def _pow(x, e):
@@ -511,6 +520,8 @@ class MetricStack:
     backends), ``lap_factor`` (Laplace-Beltrami = lap_factor times the
     backend's flat Laplacian) and ``volume``.  Fields broadcast against
     tensors through ``np.expand_dims(w, comp_axis)``.
+    The gradient forms take ``differences(w)``, and ``tensor_norm_sq(T,
+    cross, c)`` is |T - c g|^2_g (c per row or None) given ``cross_sq(T)``.
     """
 
     comp_axis: int
@@ -552,17 +563,21 @@ class _HomogeneousStack(MetricStack):
         """A homogeneous row is one cell whose weight is the whole volume."""
         return x
 
-    def gradient_inner(self, w, z):
+    # Constant fields have no differences, principal values no cross terms.
+    differences = cross_sq = staticmethod(lambda _: None)
+
+    def gradient_inner(self, dw, dz):
         return np.zeros(self._lead)
 
-    def grad_outer(self, w):
+    def grad_outer(self, dw):
         return np.zeros(self._lead + (self.n,))
 
     def hessian(self, w):
         return np.zeros(self._lead + (self.n,))
 
-    def tensor_norm_sq(self, T):
-        return (T * T).sum(axis=-1)
+    def tensor_norm_sq(self, T, cross, c=None):
+        D = T if c is None else T - np.expand_dims(c, -1) * self.metric
+        return (D * D).sum(axis=-1)
 
 
 class _RoundStack(_HomogeneousStack):
@@ -626,11 +641,6 @@ def _sym(t11, t12, t22):
     return np.stack([t11, t12, t22], axis=-3)
 
 
-def _one_sided(w, h):
-    """Forward and backward differences along x, then along y."""
-    return _dp(w, 0, h), _dm(w, 0, h), _dp(w, 1, h), _dm(w, 1, h)
-
-
 class _TorusStack(MetricStack):
     comp_axis = -3
 
@@ -670,16 +680,19 @@ class _TorusStack(MetricStack):
     def quadrature(self, x):
         return _row_sum(x) * self.backend.h**2
 
-    def gradient_inner(self, w, z):
+    def differences(self, w):
+        """Forward and backward differences along x, then along y."""
+        h = self.backend.h
+        return _dp(w, 0, h), _dm(w, 0, h), _dp(w, 1, h), _dm(w, 1, h)
+
+    def gradient_inner(self, dw, dz):
         """e^{-2 phi} times the average of the forward and backward difference
         products per axis."""
-        dw = _one_sided(w, self.backend.h)
-        dz = dw if z is w else _one_sided(z, self.backend.h)
         ip = 0.5 * (dw[0] * dz[0] + dw[1] * dz[1] + dw[2] * dz[2] + dw[3] * dz[3])
         return self.lap_factor * ip
 
-    def grad_outer(self, w):
-        px, mx, py, my = _one_sided(w, self.backend.h)
+    def grad_outer(self, dw):
+        px, mx, py, my = dw
         return _sym(0.5 * (px * px + mx * mx), 0.5 * (px * py + mx * my),
                     0.5 * (py * py + my * my))
 
@@ -692,9 +705,16 @@ class _TorusStack(MetricStack):
                     _dcross(w, h) - (py * wx + px * wy),
                     _d2(w, 1, h) + gamma_diag)
 
-    def tensor_norm_sq(self, T):
-        t11, t12, t22 = np.moveaxis(T, -3, 0)
-        return self._inv_weight_sq * (t11 * t11 + 2.0 * t12 * t12 + t22 * t22)
+    def cross_sq(self, T):
+        """2 T12^2, the part of |T - c g|^2 in coordinates free of c."""
+        return 2.0 * T[..., 1, :, :] * T[..., 1, :, :]
+
+    def tensor_norm_sq(self, T, cross, c=None):
+        t11, _, t22 = np.moveaxis(T, -3, 0)
+        if c is not None:  # c g is diagonal: (c e^{2 phi}, 0, c e^{2 phi})
+            cg = c * self.weight
+            t11, t22 = t11 - cg, t22 - cg
+        return self._inv_weight_sq * (t11 * t11 + cross + t22 * t22)
 
 
 # --------------------------------------------------------------------------
@@ -734,7 +754,8 @@ def gradient_sq(m: MetricState, w: ScalarField) -> ScalarField:
     against the 5-point Laplacian is exact).
     """
     _check_same_backend(m, w)
-    return ScalarField(m.backend, m.stack.gradient_inner(w.values, w.values))
+    dw = m.stack.differences(w.values)
+    return ScalarField(m.backend, m.stack.gradient_inner(dw, dw))
 
 
 def grad_outer(m: MetricState, w: ScalarField) -> SymTensorField:
@@ -745,7 +766,8 @@ def grad_outer(m: MetricState, w: ScalarField) -> SymTensorField:
     exactly at the discrete level.
     """
     _check_same_backend(m, w)
-    return SymTensorField(m.backend, m.stack.grad_outer(w.values))
+    return SymTensorField(m.backend,
+                          m.stack.grad_outer(m.stack.differences(w.values)))
 
 
 def hessian(m: MetricState, w: ScalarField) -> SymTensorField:
@@ -774,4 +796,5 @@ def integrate(m: MetricState, w: ScalarField) -> float:
 def tensor_norm_sq(m: MetricState, T: SymTensorField) -> ScalarField:
     """Pointwise squared tensor norm |T|^2_g = g^{ik} g^{jl} T_ij T_kl."""
     _check_same_backend(m, T)
-    return ScalarField(m.backend, m.stack.tensor_norm_sq(T.comps))
+    g, comps = m.stack, T.comps
+    return ScalarField(m.backend, g.tensor_norm_sq(comps, g.cross_sq(comps)))

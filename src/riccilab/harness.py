@@ -231,6 +231,8 @@ def make_config(raw: dict) -> RunConfig:
                           f"heat.center_y must be set together")
     if cfg.cutoff < 1:
         raise ConfigError("heat.cutoff: must be at least 1")
+    if cfg.seed < 0:
+        raise ConfigError("heat.seed: must be non-negative")
     if not cfg.a_values:
         raise ConfigError("entropy.a: list must be nonempty")
     # Output columns and summary keys are tagged format(a, "g"), so values

@@ -20,11 +20,14 @@ rate each.
 The row kernel ``row_values`` evaluates a block of rows as one stack: F, S,
 T, dF_rhs, the sub-identity integrals and, for each adjustment value,
 omega, Y and both rates, over the (K, ...) arrays of a
-``geometry.MetricStack``.  The per-state functions (``matrix_quantity``,
-``rate_forms``, ``rhs_split``, ``rhs_combined``, and ``f_functional``,
-``shannon_entropy`` and ``log_entropy`` in ``functionals``) are the same
-stacked code on a stack of one, so each row of a block is bitwise what
-they return for that row.
+``geometry.MetricStack``.  u**2, the differences of u and the c-free part
+of |T - c g|^2 (``cross_sq``) are built once per block and passed to
+``_energy``, ``_variation_tensor`` and the rates, each entry keeping its
+operations in order; c g is subtracted on its diagonal only.  The per-state
+functions (``matrix_quantity``, ``rate_forms``, ``rhs_split``,
+``rhs_combined``, and ``f_functional``, ``shannon_entropy`` and
+``log_entropy`` in ``functionals``) are the same stacked code on a stack of
+one, so each row of a block is bitwise what they return for that row.
 
 Time derivatives are always taken from the stored time series by finite
 differences, never from re-deriving evolution equations, so the verifier
@@ -66,25 +69,25 @@ SUB_IDENTITY_TOL = 1e-9   # relative bound on the integration-by-parts sub-ident
 # The variation tensor and the two rate forms
 # --------------------------------------------------------------------------
 
-def _variation_tensor(g, u):
-    """T of each row of the metric stack g and positive density stack u."""
-    ue = np.expand_dims(u, g.comp_axis)
-    return g.ricci - 2.0 * g.hessian(u) / ue + 2.0 * g.grad_outer(u) / ue**2
+def _variation_tensor(g, u, u2, du):
+    """T of each row of g and densities u, from u**2 and g.differences(u)."""
+    ue, ue2 = np.expand_dims(u, g.comp_axis), np.expand_dims(u2, g.comp_axis)
+    return g.ricci - 2.0 * g.hessian(u) / ue + 2.0 * g.grad_outer(du) / ue2
 
 
-def _deviation_rate(g, u, T, w, c):
-    """(n/(4w)) integral(|T - c g|^2 u^2 dmu) of each row; w and c hold one
-    value per row."""
-    c = np.reshape(c, np.shape(c) + (1,) * (T.ndim - np.ndim(c)))
-    val = g.integrate(g.tensor_norm_sq(T - c * g.metric) * u**2)
+def _deviation_rate(g, u2, T, cross, w, c):
+    """(n/(4w)) integral(|T - c g|^2 u^2 dmu) of each row from u2 = u**2 and
+    cross = g.cross_sq(T); w and c hold one value per row."""
+    c = np.reshape(c, np.shape(c) + (1,) * (np.ndim(u2) - np.ndim(c)))
+    val = g.integrate(g.tensor_norm_sq(T, cross, c) * u2)
     return g.n / (4.0 * w) * val
 
 
-def _rate_forms(g, u, T, w, a):
+def _rate_forms(g, u2, T, cross, w, a):
     """Split and combined rates of each row at one adjustment value a, from
-    the row's omega w = a + F/4 > 0."""
-    split = _deviation_rate(g, u, T, w, (4.0 * w - 4.0 * a) / g.n)
-    combined = _deviation_rate(g, u, T, w, 4.0 * w / g.n)
+    the row's omega w = a + F/4 > 0 (u2, cross: see ``_deviation_rate``)."""
+    split = _deviation_rate(g, u2, T, cross, w, (4.0 * w - 4.0 * a) / g.n)
+    combined = _deviation_rate(g, u2, T, cross, w, 4.0 * w / g.n)
     return split + 4.0 * a * a / w, combined
 
 
@@ -97,7 +100,9 @@ def matrix_quantity(m: MetricState, u: ScalarField) -> SymTensorField:
     """
     if np.min(u.values) <= 0.0:
         raise PositivityLoss("density must be positive in the variation tensor")
-    return SymTensorField(m.backend, _variation_tensor(m.stack, u.values))
+    g, w = m.stack, u.values
+    return SymTensorField(m.backend,
+                          _variation_tensor(g, w, w**2, g.differences(w)))
 
 
 def rate_forms(m: MetricState, u: ScalarField, T: SymTensorField, F: float,
@@ -109,7 +114,8 @@ def rate_forms(m: MetricState, u: ScalarField, T: SymTensorField, F: float,
     separate deviation integrals over the same tensor and quadrature.
     """
     w = omega(F, a)
-    split, combined = _rate_forms(m.stack, u.values, T.comps, w, a)
+    split, combined = _rate_forms(m.stack, u.values**2, T.comps,
+                                  m.stack.cross_sq(T.comps), w, a)
     return float(split), float(combined)
 
 
@@ -157,21 +163,22 @@ def row_values(g, v, times, a_values) -> tuple[RowValues, NonPositiveOmega | Non
     g is the ``MetricStack`` of the rows' metrics, v their densities (one
     field per row, every value positive: the caller checks the change of
     variables first) and times their times.  F, S, the variation tensor T,
-    dF_rhs = 2 integral(|T|^2 u^2), the sub-identity sides
-    integral(Lap f e^{-f}) and integral(|grad f|^2 e^{-f}) and omega come
-    from one pass over the block; each adjustment value then reuses them for
-    Y and both rate forms.  A row with omega <= 0 for some a ends the block
-    before any logarithm or rate is taken of it: the result covers the rows
-    before it, and the error is what ``omega`` raises on that row, at its
-    first failing a.
+    the sub-identity sides integral(Lap f e^{-f}) and
+    integral(|grad f|^2 e^{-f}) and omega come from one pass over the block;
+    dF_rhs = 2 integral(|T|^2 u^2) and, for each adjustment value, Y and
+    both rate forms then reuse them.  A row with omega <= 0 for some a ends
+    the block before any logarithm or rate is taken of it: the result covers
+    the rows before it, and the error is what ``omega`` raises on that row,
+    at its first failing a.
     """
     u, f = np.sqrt(v), -np.log(v)
-    F = _energy(g, u)
-    S = _entropy(g, u)
-    T = _variation_tensor(g, u)
-    dF_rhs = 2.0 * g.integrate(g.tensor_norm_sq(T) * u**2)
+    u2, du, df = u**2, g.differences(u), g.differences(f)
+    F = _energy(g, u2, du)
+    S = _entropy(g, u2)
+    T = _variation_tensor(g, u, u2, du)
     sub_lhs = g.integrate(g.laplace_beltrami(f) * v)
-    sub_rhs = g.integrate(g.gradient_inner(f, f) * v)
+    sub_rhs = g.integrate(g.gradient_inner(df, df) * v)
+    del du, df  # eight fields the rates below do not need
     a = np.asarray(a_values, dtype=float)
     om = a + F[:, None] / 4.0
 
@@ -184,14 +191,16 @@ def row_values(g, v, times, a_values) -> tuple[RowValues, NonPositiveOmega | Non
                 omega(float(F[k]), aj)
         except NonPositiveOmega as exc:
             error = exc
-        g, u, T, times = g.backend.stack(g.params[:k]), u[:k], T[:k], times[:k]
-        F, S, dF_rhs, sub_lhs, sub_rhs, om = (
-            x[:k] for x in (F, S, dF_rhs, sub_lhs, sub_rhs, om))
+        g = g.backend.stack(g.params[:k])
+        u2, T, times, F, S, sub_lhs, sub_rhs, om = (
+            x[:k] for x in (u2, T, times, F, S, sub_lhs, sub_rhs, om))
 
+    cross = g.cross_sq(T)
+    dF_rhs = 2.0 * g.integrate(g.tensor_norm_sq(T, cross) * u2)
     Y = log_entropy_value(S[:, None], om, g.n, a, times[:, None])
     rates = np.empty((2,) + om.shape)
     for j, aj in enumerate(a_values):
-        rates[0, :, j], rates[1, :, j] = _rate_forms(g, u, T, om[:, j], aj)
+        rates[:, :, j] = _rate_forms(g, u2, T, cross, om[:, j], aj)
     return RowValues(F, S, dF_rhs, sub_lhs, sub_rhs, om, Y, *rates), error
 
 

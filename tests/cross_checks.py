@@ -3,21 +3,25 @@
 Each helper is an independent way of writing a quantity that the package
 computes another way: the potential-variable forms of the energy and the
 variation tensor, the pointwise g-trace and gradient inner product of the
-typed fields, the flow velocity of a state, and the flow integrated on
-numpy arrays.
+typed fields, the flow velocity of a state, the flow integrated on numpy
+arrays, and the row kernel with every functional built on its own.
 """
 
 import numpy as np
 
 import riccilab as rl
 from riccilab.flow import PARAM_FLOOR
+from riccilab.functionals import log_entropy_value
+from riccilab.variation import RowValues
 
 
 def gradient_inner(m, w, z):
     """Pointwise gradient inner product <grad w, grad z>_g (the quadratic
     form of ``rl.gradient_sq``)."""
-    zv = w.values if z is w else z.values
-    return rl.scalar_field(m, m.stack.gradient_inner(w.values, zv))
+    g = m.stack
+    dw = g.differences(w.values)
+    dz = dw if z is w else g.differences(z.values)
+    return rl.scalar_field(m, g.gradient_inner(dw, dz))
 
 
 def tensor_trace(m, T):
@@ -71,7 +75,8 @@ def f_functional_f_form(m, f, v):
     with e^{-f} supplied as the density v.  Agrees with ``rl.f_functional``
     up to O(h^2) chain-rule error."""
     g = m.stack
-    return float(g.integrate((g.R + g.gradient_inner(f.values, f.values)) * v.values))
+    df = g.differences(f.values)
+    return float(g.integrate((g.R + g.gradient_inner(df, df)) * v.values))
 
 
 def matrix_quantity_f_form(m, f):
@@ -83,3 +88,53 @@ def matrix_quantity_f_form(m, f):
     """
     g = m.stack
     return rl.SymTensorField(m.backend, g.ricci + g.hessian(f.values))
+
+
+def row_values_reference(g, v, times, a_values):
+    """``variation.row_values`` written term by term: each functional builds
+    its own u**2, one-sided differences and deviation tensor T - c g, where
+    the kernel shares them, with the same operations in the same order, so
+    every field and the error are bitwise what the kernel returns."""
+    u, f = np.sqrt(v), -np.log(v)
+    du = g.differences(u)
+    F = 4.0 * g.integrate(g.gradient_inner(du, du) + 0.25 * g.R * u**2)
+    w = u**2
+    S = g.integrate(w * np.log(w))
+    ue = np.expand_dims(u, g.comp_axis)
+    T = (g.ricci - 2.0 * g.hessian(u) / ue
+         + 2.0 * g.grad_outer(g.differences(u)) / ue**2)
+    dF_rhs = 2.0 * g.integrate(g.tensor_norm_sq(T, g.cross_sq(T)) * u**2)
+    df = g.differences(f)
+    sub_lhs = g.integrate(g.laplace_beltrami(f) * v)
+    sub_rhs = g.integrate(g.gradient_inner(df, df) * v)
+    a = np.asarray(a_values, dtype=float)
+    om = a + F[:, None] / 4.0
+
+    error = None
+    positive = np.all(om > 0.0, axis=1)
+    if not np.all(positive):
+        k = int(np.argmin(positive))
+        try:
+            for aj in a_values:
+                rl.omega(float(F[k]), aj)
+        except rl.NonPositiveOmega as exc:
+            error = exc
+        g, u, T, times = g.backend.stack(g.params[:k]), u[:k], T[:k], times[:k]
+        F, S, dF_rhs, sub_lhs, sub_rhs, om = (
+            x[:k] for x in (F, S, dF_rhs, sub_lhs, sub_rhs, om))
+
+    def deviation_rate(w, c):
+        c = np.reshape(c, np.shape(c) + (1,) * (T.ndim - np.ndim(c)))
+        D = T - c * g.metric
+        val = g.integrate(g.tensor_norm_sq(D, g.cross_sq(D)) * u**2)
+        return g.n / (4.0 * w) * val
+
+    Y = log_entropy_value(S[:, None], om, g.n, a, times[:, None])
+    split, combined = np.empty(om.shape), np.empty(om.shape)
+    for j, aj in enumerate(a_values):
+        w = om[:, j]
+        split[:, j] = (deviation_rate(w, (4.0 * w - 4.0 * aj) / g.n)
+                       + 4.0 * aj * aj / w)
+        combined[:, j] = deviation_rate(w, 4.0 * w / g.n)
+    return RowValues(F, S, dF_rhs, sub_lhs, sub_rhs, om, Y, split,
+                     combined), error

@@ -2,7 +2,10 @@
 dense eigensolver oracle."""
 
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,6 +355,49 @@ def test_ground_states_pool_stress(monkeypatch):
             assert np.array_equal(pooled, serial)
     finally:
         sys.setswitchinterval(interval)
+
+
+# Solves two rows at N = 128 and two at N = 256 and saves every row's value,
+# iteration count and residual to the .npz path given as its argument.
+BLAS_THREADS_SCRIPT = """
+import sys
+import numpy as np
+import riccilab as rl
+from riccilab import functionals
+
+out = {}
+for N in (128, 256):
+    backend = rl.ConformalTorus2D(N, 2.0 * np.pi)
+    x, y = rl.grid_coords(backend)
+    params = np.stack([a * np.sin(x) * np.cos(y) + 0.1 * np.sin(2.0 * y)
+                       for a in (0.2, 0.5)])
+    ground = functionals.ground_states(backend, params)
+    for name in ("values", "iterations", "residuals"):
+        out[f"{name}_{N}"] = getattr(ground, name)
+np.savez(sys.argv[1], **out)
+"""
+
+
+def test_ground_states_independent_of_blas_threads(tmp_path):
+    # The Gram pencils are BLAS dgemm products, which OpenBLAS splits across
+    # threads only above a size threshold: 3 x 3 x N^2 multiply-adds are
+    # above it at N = 256 and below it at N = 128.  One and two BLAS threads
+    # give bitwise the same values, iteration counts and residuals.
+    src = str(Path(rl.__file__).resolve().parent.parent)
+    results = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"threads_{threads}.npz"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT, str(path)],
+                       env=env, check=True, timeout=300)
+        with np.load(path) as saved:
+            results.append(dict(saved))
+    one, two = results
+    assert sorted(one) == sorted(two) and len(one) == 6
+    for name, want in one.items():
+        assert np.array_equal(two[name], want), name
 
 
 def test_ground_states_closed_form_rows():

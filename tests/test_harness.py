@@ -23,6 +23,8 @@ from riccilab.harness import (
     validate_config,
 )
 
+from cross_checks import row_values_reference
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -103,6 +105,8 @@ def test_parse_rejects_bad_lines(tmp_path):
       "heat.datum": "random_smooth", "heat.cutoff": "-1"}, "heat.cutoff"),
     ({"backend.kind": "conformal_torus", "flow.T": "0.1",
       "heat.datum": "random_smooth", "heat.cutoff": "0"}, "heat.cutoff"),
+    ({"backend.kind": "conformal_torus", "flow.T": "0.1",
+      "heat.datum": "random_smooth", "heat.seed": "-1"}, "heat.seed"),
     ({"backend.kind": "round_sphere", "flow.T": "0.1", "backend.c0": "inf"},
      "backend.c0"),
     ({"backend.kind": "berger_sphere", "flow.T": "0.1", "backend.A0": "inf"},
@@ -121,7 +125,7 @@ def test_parse_rejects_bad_lines(tmp_path):
 ], ids=["no-kind", "no-T", "bad-kind", "unknown", "bad-dt", "empty-a", "neg-T",
         "bad-tol", "repeated-a", "tag-collision-a", "bad-datum", "bad-width",
         "lone-center-x", "lone-center-y", "negative-cutoff", "zero-cutoff",
-        "inf-c0", "inf-A0", "inf-L", "nan-phi-amplitude", "inf-T", "inf-a",
+        "negative-seed", "inf-c0", "inf-A0", "inf-L", "nan-phi-amplitude", "inf-T", "inf-a",
         "neg-inf-in-a-list", "inf-dt"])
 def test_make_config_errors(raw, msg):
     with pytest.raises(rl.ConfigError) as exc:
@@ -601,6 +605,46 @@ def test_row_blocks_match_public_functionals_bitwise(case):
             assert np.array_equal(getattr(tables, name), np.array(want)), (rows, name)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=ROW_CASES)
+def test_row_kernel_matches_reference_bitwise(case):
+    # The kernel shares u**2, the differences of u and the off-diagonal part
+    # of the tensor norm between F, S, T, dF_rhs and every rate; the
+    # reference builds each functional on its own.  Over blocks of 1 row, 3
+    # rows and all K rows every field is bitwise the same, and so is the
+    # error of a block cut short by the extra a = -min(F)/4, whose omega is
+    # 0 on the rows of least F, also at a block's first row (an empty
+    # result).  On nearly flat cases every omega of that a is nearly 0 and
+    # the rates overflow, alike in both: floating-point warnings are off.
+    from riccilab.variation import row_values
+
+    traj, v_T = case
+    hist = rl.solve_backward(traj, v_T, step=2.0 * traj.dt)
+    K = len(hist.times)
+    params = traj.params[::2][:K]
+    full, _ = row_values_reference(traj.backend.stack(params), hist.v,
+                                   hist.times, KERNEL_A)
+    a_values = KERNEL_A + [-float(np.min(full.F)) / 4.0]
+    cut = 0
+    for rows in (1, 3, K):
+        for start in range(0, K, rows):
+            block = slice(start, start + rows)
+            args = (traj.backend.stack(params[block]), hist.v[block],
+                    hist.times[block], a_values)
+            with np.errstate(all="ignore"):
+                got, error = row_values(*args)
+                want, want_error = row_values_reference(*args)
+            assert want_error is not None or len(want.F) == len(args[1])
+            assert type(error) is type(want_error)
+            assert str(error) == str(want_error)
+            cut += want_error is not None
+            for field in dataclasses.fields(want):
+                assert np.array_equal(getattr(got, field.name),
+                                      getattr(want, field.name),
+                                      equal_nan=True), (rows, start, field.name)
+    assert cut >= 3
+
+
 def table_arrays(tables):
     """Every array of a RunTables, the VariationReport's included, by name."""
     arrays = {f.name: getattr(tables, f.name) for f in dataclasses.fields(tables)}
@@ -1045,6 +1089,8 @@ entropy.a = 0
          FLAT_CFG.replace(heat, "heat.datum = random_smooth\nheat.cutoff = -1")),
         ("heat.cutoff",
          FLAT_CFG.replace(heat, "heat.datum = random_smooth\nheat.cutoff = 0")),
+        ("heat.seed",
+         FLAT_CFG.replace(heat, "heat.datum = random_smooth\nheat.seed = -1")),
         ("backend.c0", SPHERE_CFG.replace("backend.c0 = 1.0", "backend.c0 = inf")),
         ("backend.A0",
          SPHERE_CFG.replace("round_sphere", "berger_sphere") + "backend.A0 = inf\n"),
