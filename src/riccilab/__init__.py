@@ -24,19 +24,12 @@ from .geometry import (
     RoundSphere,
     ScalarField,
     SymTensorField,
-    const_field,
-    dim,
-    gradient_sq,
-    grad_outer,
     grid_coords,
     hessian,
     integrate,
     laplace_beltrami,
-    metric_tensor,
-    ricci,
     scalar_curvature,
     scalar_field,
-    tensor_norm_sq,
     volume,
 )
 from .flow import Trajectory, integrate_forward, stability_dt

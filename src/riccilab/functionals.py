@@ -133,23 +133,25 @@ class GroundStates:
     ``values[k]`` is the Rayleigh quotient of row k's eigenfunction, scaled
     to unit g-norm and a positive sum; ``iterations[k]`` counts its LOPCG
     updates and ``residuals[k]`` is its relative g-norm eigen-residual (0 and
-    0.0 in closed form).  Rows whose residual exceeds ``tol`` did not
-    converge.
+    0.0 in closed form).
     """
 
     values: np.ndarray
     iterations: np.ndarray
     residuals: np.ndarray
-    tol: float
-    maxiter: int
+
+    @property
+    def converged(self) -> np.ndarray:
+        """Per row: its residual is at most ``LAMBDA0_TOL`` (never for nan)."""
+        return self.residuals <= LAMBDA0_TOL
 
     def value(self, k: int) -> float:
-        """Eigenvalue of row k; NoConvergence when its residual exceeds tol."""
-        if not self.residuals[k] <= self.tol:
+        """Eigenvalue of row k; NoConvergence when it did not converge."""
+        if not self.converged[k]:
             raise NoConvergence(
                 f"ground-state LOPCG reached eigen-residual "
-                f"{self.residuals[k]:.3g} > {self.tol:g} within "
-                f"{self.maxiter} iterations"
+                f"{self.residuals[k]:.3g} > {LAMBDA0_TOL:g} within "
+                f"{LAMBDA0_MAXITER} iterations"
             )
         return float(self.values[k])
 
@@ -185,7 +187,7 @@ def _lowest_ritz(GA: np.ndarray, GB: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return d * (T @ Y[:, :, 0, None])[:, :, 0], ok
 
 
-def _lopcg(g, tol: float, maxiter: int, vectors=None):
+def _lopcg(g, vectors=None):
     """Ground states of the torus metric stack g, one state or a (k, N, N)
     stack, by block-size-1 LOPCG on each row: its values, iterations and
     residuals, and each row's eigenfunction in ``vectors`` unless None."""
@@ -200,7 +202,7 @@ def _lopcg(g, tol: float, maxiter: int, vectors=None):
     # [x, M r, p] of every row (p = 0 until set), their A- and B-images
     S, AS, BS = Z = np.zeros((3, 3, K, N, N))
     S[0] = 1.0
-    for it in range(maxiter + 1):
+    for it in range(LAMBDA0_MAXITER + 1):
         n = len(rows)
         X, W, P = S[:, :n]
         AX, AW, BX = AS[0, :n], AS[1, :n], BS[0, :n]
@@ -217,7 +219,7 @@ def _lopcg(g, tol: float, maxiter: int, vectors=None):
         res = np.sqrt(_row_sum(np.divide(R * R, e2p, out=W)) / xBx)
 
         # Freeze the rows that pass (or ran out of iterations).
-        done = (res <= tol) | (it == maxiter)
+        done = (res <= LAMBDA0_TOL) | (it == LAMBDA0_MAXITER)
         if np.any(done):
             k = rows[done]
             values[k], iterations[k], residuals[k] = lam[done], it, res[done]
@@ -260,13 +262,7 @@ def _lopcg(g, tol: float, maxiter: int, vectors=None):
         X += P
 
 
-def ground_states(
-    backend,
-    params,
-    tol: float = LAMBDA0_TOL,
-    maxiter: int = LAMBDA0_MAXITER,
-    vectors: np.ndarray | None = None,
-) -> GroundStates:
+def ground_states(backend, params, vectors: np.ndarray | None = None) -> GroundStates:
     """Ground states of -Lap_g + R/4 for a stack of metrics, ``params[k]``
     holding the backend parameters of row k.
 
@@ -275,9 +271,9 @@ def ground_states(
     block-size-1 LOPCG on the symmetric pencil
     (-Lap0 + (R/4) e^{2 phi}, e^{2 phi}), the weak form of
     (-Lap_g + R/4) u = lambda u, from the constant start vector (see the
-    module docstring).  ``tol`` bounds each row's relative eigen-residual and
-    ``maxiter`` caps its iterations; a row that misses the bound is reported,
-    not raised: ``GroundStates.value`` raises NoConvergence for it.
+    module docstring).  A row that misses ``LAMBDA0_TOL`` within
+    ``LAMBDA0_MAXITER`` iterations is reported, not raised:
+    ``GroundStates.value`` raises NoConvergence for it.
     ``vectors``, when given on the torus, receives each row's eigenfunction
     (shape (K, N, N)).
     """
@@ -291,35 +287,32 @@ def ground_states(
     else:
         def solve(rows):
             values[rows], iterations[rows], residuals[rows] = _lopcg(
-                backend.stack(params[rows]), tol, maxiter,
+                backend.stack(params[rows]),
                 None if vectors is None else vectors[rows])
 
         with row_blocks(solve, K, backend.cells) as blocks:
             list(blocks)
-    return GroundStates(values, iterations, residuals, tol, maxiter)
+    return GroundStates(values, iterations, residuals)
 
 
-def lambda0_eig(
-    m: MetricState,
-    tol: float = LAMBDA0_TOL,
-    maxiter: int = LAMBDA0_MAXITER,
-) -> tuple[float, ScalarField]:
+def lambda0_eig(m: MetricState) -> tuple[float, ScalarField]:
     """Smallest eigenvalue of -Lap_g + R/4 with its eigenfunction.
 
     Constant-curvature backends: the closed form with the constant ground
     state.  Torus: the :func:`ground_states` LOPCG on the state's own stack;
-    NoConvergence is raised when the relative eigen-residual exceeds ``tol``
-    after ``maxiter`` iterations.  The eigenvalue is the Rayleigh quotient of
-    the returned eigenfunction, which has unit g-norm.
+    NoConvergence is raised when the relative eigen-residual exceeds
+    ``LAMBDA0_TOL`` after ``LAMBDA0_MAXITER`` iterations.  The eigenvalue is
+    the Rayleigh quotient of the returned eigenfunction, which has unit
+    g-norm.
     """
     if not isinstance(m.backend, ConformalTorus2D):
         return float(m.stack.R) / 4.0, scalar_field(m, 1.0 / math.sqrt(volume(m)))
     vectors = np.empty((1,) + m.params.shape)
-    ground = GroundStates(*_lopcg(m.stack, tol, maxiter, vectors), tol, maxiter)
+    ground = GroundStates(*_lopcg(m.stack, vectors))
     return ground.value(0), scalar_field(m, vectors[0])
 
 
-def lambda0(m: MetricState, tol: float = LAMBDA0_TOL, maxiter: int = LAMBDA0_MAXITER) -> float:
+def lambda0(m: MetricState) -> float:
     """Smallest eigenvalue of -Lap_g + R/4 (Rayleigh-quotient infimum over
     unit-mass densities)."""
-    return lambda0_eig(m, tol=tol, maxiter=maxiter)[0]
+    return lambda0_eig(m)[0]

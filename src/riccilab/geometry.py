@@ -46,9 +46,9 @@ The backends carry what the time-stepping loops use on one state.  The
 flow steps ``components(p)``: the parameters as Python floats on the
 spheres, where numpy's per-call dispatch would dwarf the arithmetic, and a
 one-entry list holding phi on the torus.  ``rates`` is the flow velocity in
-that form (``velocity(p)`` is ``rates`` on a raw parameter array), and
-``min_scale`` feeds the floor check and ``stability_dt``.  The heat solve
-reads stack arrays through ``rows`` and checks positivity by ``field_min``.
+that form, and ``min_scale`` feeds the floor check and ``stability_dt``.
+The heat solve reads stack arrays through ``rows`` and checks positivity by
+``field_min``.
 Floats and numpy round each operation alike: either form gives the same bits.
 
 Row blocks.  A sphere row is one cell; a torus row is N^2 cells.
@@ -58,9 +58,11 @@ Row blocks.  A sphere row is one cell; a torus row is N^2 cells.
 grow with the core count.  Each row's result is bitwise what it gives
 alone, so no result depends on the block size or the worker count.
 
-The public functions below take a ``MetricState`` and typed fields; they
-evaluate the state's own stack (``MetricState.stack``, no leading axis) and
-are the typed boundary for callers and tests.
+The typed functions at the end (``scalar_curvature``, ``laplace_beltrami``,
+``hessian``, ``volume``, ``integrate``) take a ``MetricState`` and typed
+fields and evaluate the state's own stack (``MetricState.stack``, no leading
+axis).  Runs call the stack; these serve the per-state functionals, the
+tests and the benchmark's layer timings.
 """
 
 from __future__ import annotations
@@ -86,20 +88,13 @@ __all__ = [
     "ROW_CELLS",
     "WORKERS",
     "row_blocks",
-    "dim",
-    "const_field",
     "scalar_field",
     "grid_coords",
     "volume",
     "scalar_curvature",
-    "ricci",
-    "metric_tensor",
     "laplace_beltrami",
-    "gradient_sq",
-    "grad_outer",
     "hessian",
     "integrate",
-    "tensor_norm_sq",
 ]
 
 # Threads of the row-block pool: the CPUs this process may run on.
@@ -159,7 +154,7 @@ class _cached:
 
 
 # --------------------------------------------------------------------------
-# Backends: shapes, the flow velocity and the stability bound on raw arrays
+# Backends: shapes, the flow velocity and the stability bound of one state
 # --------------------------------------------------------------------------
 
 class _Homogeneous:
@@ -173,10 +168,6 @@ class _Homogeneous:
     def components(p):
         """One state's parameters as Python floats: the flow's component form."""
         return p.tolist()
-
-    def velocity(self, p):
-        """``rates`` on one state's raw parameter array."""
-        return np.array(self.rates(list(p)))
 
     @staticmethod
     def min_scale(p):
@@ -289,10 +280,6 @@ class ConformalTorus2D:
         (phi,) = p
         return [np.exp(-2.0 * phi) * _lap5(phi, self.h)]
 
-    def velocity(self, p):
-        """``rates`` on one state's raw parameter array."""
-        return self.rates([p])[0]
-
     @staticmethod
     def min_scale(p):
         """Smallest conformal factor e^{2 phi} of one state's components; nan
@@ -320,11 +307,6 @@ class ConformalTorus2D:
 
 
 Backend = RoundSphere | BergerSphere | ConformalTorus2D
-
-
-def dim(backend) -> int:
-    """Manifold dimension of a backend."""
-    return backend.n
 
 
 def _tensor_shape(backend):
@@ -398,11 +380,6 @@ class SymTensorField:
             raise ValueError(
                 f"tensor shape {c.shape} does not match backend {self.backend}"
             )
-
-
-def const_field(m: MetricState, value: float) -> ScalarField:
-    """Constant scalar field on the state's backend."""
-    return ScalarField(m.backend, np.full(m.backend.field_shape, float(value)))
 
 
 def scalar_field(m: MetricState, values) -> ScalarField:
@@ -692,6 +669,8 @@ class _TorusStack(MetricStack):
         return self.lap_factor * ip
 
     def grad_outer(self, dw):
+        """grad w (x) grad w from the averaged one-sided products of
+        ``gradient_inner``, so its g-trace is the squared gradient exactly."""
         px, mx, py, my = dw
         return _sym(0.5 * (px * px + mx * mx), 0.5 * (px * py + mx * my),
                     0.5 * (py * py + my * my))
@@ -730,44 +709,10 @@ def scalar_curvature(m: MetricState) -> ScalarField:
     return ScalarField(m.backend, m.stack.R)
 
 
-def ricci(m: MetricState) -> SymTensorField:
-    """Ricci tensor; (R/2) g on 2-d backends, structure-constant values on Berger."""
-    return SymTensorField(m.backend, m.stack.ricci)
-
-
-def metric_tensor(m: MetricState) -> SymTensorField:
-    """The metric itself as a tensor field (identity in the orthonormal frame)."""
-    return SymTensorField(m.backend, m.stack.metric)
-
-
 def laplace_beltrami(m: MetricState, w: ScalarField) -> ScalarField:
     """Laplace-Beltrami operator; e^{-2 phi} Lap0 on the torus, 0 on constants."""
     _check_same_backend(m, w)
     return ScalarField(m.backend, m.stack.laplace_beltrami(w.values))
-
-
-def gradient_sq(m: MetricState, w: ScalarField) -> ScalarField:
-    """Squared gradient norm |grad w|^2_g.
-
-    Torus form: e^{-2 phi} times the average of forward and backward
-    difference squares per axis (second-order accurate; summation by parts
-    against the 5-point Laplacian is exact).
-    """
-    _check_same_backend(m, w)
-    dw = m.stack.differences(w.values)
-    return ScalarField(m.backend, m.stack.gradient_inner(dw, dw))
-
-
-def grad_outer(m: MetricState, w: ScalarField) -> SymTensorField:
-    """Outer product grad w (x) grad w as a coordinate tensor.
-
-    Diagonal components use the same averaged one-sided products as
-    :func:`gradient_sq`, so the g-trace of the result equals gradient_sq
-    exactly at the discrete level.
-    """
-    _check_same_backend(m, w)
-    return SymTensorField(m.backend,
-                          m.stack.grad_outer(m.stack.differences(w.values)))
 
 
 def hessian(m: MetricState, w: ScalarField) -> SymTensorField:
@@ -791,10 +736,3 @@ def integrate(m: MetricState, w: ScalarField) -> float:
     """Integral of w against the metric volume measure."""
     _check_same_backend(m, w)
     return float(m.stack.integrate(w.values))
-
-
-def tensor_norm_sq(m: MetricState, T: SymTensorField) -> ScalarField:
-    """Pointwise squared tensor norm |T|^2_g = g^{ik} g^{jl} T_ij T_kl."""
-    _check_same_backend(m, T)
-    g, comps = m.stack, T.comps
-    return ScalarField(m.backend, g.tensor_norm_sq(comps, g.cross_sq(comps)))

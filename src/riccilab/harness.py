@@ -235,18 +235,19 @@ def make_config(raw: dict) -> RunConfig:
         raise ConfigError("heat.seed: must be non-negative")
     if not cfg.a_values:
         raise ConfigError("entropy.a: list must be nonempty")
-    # Output columns and summary keys are tagged format(a, "g"), so values
-    # that repeat or print the same would share a tag.
-    seen_tags = set()
+    # Output columns and summary keys are tagged format(a, "g"): a value equal
+    # to an earlier one (-0 to 0 too) would repeat its columns, and one that
+    # prints the same would share their tag.
+    seen = set()
     for a in cfg.a_values:
         tag = format(a, "g")
-        if tag in seen_tags:
+        if a in seen or tag in seen:
             raise ConfigError(
                 f"entropy.a: {a!r} repeats or prints the same as an earlier "
                 f"value (tag {tag!r}); values must be distinct to 6 "
                 f"significant digits"
             )
-        seen_tags.add(tag)
+        seen |= {a, tag}
     for name in ("tol_mono", "tol_equiv", "tol_mass"):
         if not (getattr(cfg, name) > 0):
             raise ConfigError(f"tol.{name.split('_')[1]}: must be positive")
@@ -283,7 +284,10 @@ def _initial_state(cfg: RunConfig) -> MetricState:
         phi0 = cfg.phi_amplitude * np.sin(cfg.phi_mode * 2.0 * math.pi * x / cfg.L)
         key, m0 = "backend.phi_amplitude", MetricState(backend, 0.0, phi0 + 0.0 * y)
     with np.errstate(all="ignore"):
-        R, vol = m0.stack.R, m0.stack.volume
+        try:
+            R, vol = m0.stack.R, m0.stack.volume
+        except OverflowError:  # the unit round sphere's volume at large n
+            key, R, vol = "backend.n", math.nan, math.nan
     if math.isnan(m0.backend.field_min(R)) or not math.isfinite(vol):
         raise ConfigError(f"{key}: the initial metric's curvature or volume "
                           "is not finite")
@@ -421,7 +425,7 @@ def evaluate_tables(
     # converge fails before its omega is checked; the kernel runs only on
     # the rows before it.
     failing = ((np.min(hist.v.reshape(K, -1), axis=1) <= 0.0)
-               | ~(ground.residuals <= ground.tol))
+               | ~ground.converged)
     limit = int(np.argmax(failing)) if np.any(failing) else K
 
     def kernel(rows):

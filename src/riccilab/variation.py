@@ -292,7 +292,6 @@ def equivalence_check(
     sub_lhs,
     sub_rhs,
     tol_equiv: float = 1e-8,
-    tol_sub: float = SUB_IDENTITY_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row pass flags (main_ok, sub_ok) for the two-form equivalence.
 
@@ -300,17 +299,17 @@ def equivalence_check(
     it exercises the algebra that the trace of the variation tensor
     integrates to F.  ``sub_ok`` holds where the integration-by-parts
     sub-identity integral(Lap f e^{-f}) = integral(|grad f|^2 e^{-f})
-    (values supplied per row) holds at tol_sub under the same normalization;
-    it isolates that ingredient, whose discrete chain-rule floor can exceed
-    tol_sub on coarse grids while the main check passes, so the two flags
-    are reported apart.
+    (values supplied per row) holds at ``SUB_IDENTITY_TOL`` under the same
+    normalization; it isolates that ingredient, whose discrete chain-rule
+    floor can exceed that bound on coarse grids while the main check passes,
+    so the two flags are reported apart.
     """
     rt = np.asarray(rhs_split_vals, dtype=float)
     ry = np.asarray(rhs_combined_vals, dtype=float)
     sl = np.asarray(sub_lhs, dtype=float)
     sr = np.asarray(sub_rhs, dtype=float)
     main_ok = np.abs(rt - ry) <= tol_equiv * np.maximum(1.0, np.abs(rt))
-    sub_ok = np.abs(sl - sr) <= tol_sub * np.maximum(1.0, np.abs(sl))
+    sub_ok = np.abs(sl - sr) <= SUB_IDENTITY_TOL * np.maximum(1.0, np.abs(sl))
     return main_ok, sub_ok
 
 

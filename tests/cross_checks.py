@@ -3,8 +3,9 @@
 Each helper is an independent way of writing a quantity that the package
 computes another way: the potential-variable forms of the energy and the
 variation tensor, the pointwise g-trace and gradient inner product of the
-typed fields, the flow velocity of a state, the flow integrated on numpy
-arrays, and the row kernel with every functional built on its own.
+typed fields, the flow velocity on a raw parameter array, the flow
+integrated on numpy arrays, and the row kernel with every functional built
+on its own.
 """
 
 import numpy as np
@@ -16,8 +17,8 @@ from riccilab.variation import RowValues
 
 
 def gradient_inner(m, w, z):
-    """Pointwise gradient inner product <grad w, grad z>_g (the quadratic
-    form of ``rl.gradient_sq``)."""
+    """Pointwise gradient inner product <grad w, grad z>_g; with z = w the
+    squared gradient |grad w|^2_g."""
     g = m.stack
     dw = g.differences(w.values)
     dz = dw if z is w else g.differences(z.values)
@@ -32,9 +33,16 @@ def tensor_trace(m, T):
     return rl.scalar_field(m, T.comps.sum(axis=-1))
 
 
+def velocity(b, p):
+    """The backend's ``rates`` on one state's raw parameter array p."""
+    if isinstance(b, rl.ConformalTorus2D):
+        return b.rates([p])[0]
+    return np.array(b.rates(list(p)))
+
+
 def ricci_flow_rhs(m):
     """Velocity of dg/dt = -2 Ric in the state's backend parameters."""
-    return m.backend.velocity(m.params)
+    return velocity(m.backend, m.params)
 
 
 def integrate_forward_arrays(m0, T, dt):
@@ -63,10 +71,10 @@ def integrate_forward_arrays(m0, T, dt):
             raise rl.StepTooLarge(
                 f"dt={dt:g} exceeds the stability bound at t={times[k]:g}")
         ratio = max(ratio, dt / bound)
-        k1 = b.velocity(p)
-        k2 = b.velocity(p + 0.5 * dt * k1)
-        k3 = b.velocity(p + 0.5 * dt * k2)
-        k4 = b.velocity(p + dt * k3)
+        k1 = velocity(b, p)
+        k2 = velocity(b, p + 0.5 * dt * k1)
+        k3 = velocity(b, p + 0.5 * dt * k2)
+        k4 = velocity(b, p + dt * k3)
         p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import riccilab as rl
-from cross_checks import integrate_forward_arrays
+from cross_checks import integrate_forward_arrays, velocity
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,7 +29,7 @@ def euler_integrate(m0, T, dt):
     steps = int(round(T / dt))
     p = m0.params.copy()
     for _ in range(steps):
-        p = p + dt * m0.backend.velocity(p)
+        p = p + dt * velocity(m0.backend, p)
     return p
 
 

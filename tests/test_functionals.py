@@ -16,7 +16,7 @@ from riccilab import functionals, geometry
 from riccilab.functionals import LAMBDA0_TOL, _lowest_ritz, _neg_lap_symbol
 from riccilab.geometry import _lap5
 
-from cross_checks import f_functional_f_form
+from cross_checks import f_functional_f_form, gradient_inner
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,8 +36,9 @@ def sine_torus(N=32, amplitude=0.1):
 
 
 def constant_u(m):
-    vol = rl.integrate(m, rl.const_field(m, 1.0))
-    return rl.const_field(m, 1.0 / math.sqrt(vol))
+    shape = m.backend.field_shape
+    vol = rl.integrate(m, rl.scalar_field(m, np.full(shape, 1.0)))
+    return rl.scalar_field(m, np.full(shape, 1.0 / math.sqrt(vol)))
 
 
 def mode_density_u(m):
@@ -268,7 +269,7 @@ def test_lambda0_eigenvector_rayleigh_quotient():
     m = sine_torus(N=32)
     lam, vec = rl.lambda0_eig(m)
     num = rl.integrate(m, rl.scalar_field(
-        m, rl.gradient_sq(m, vec).values
+        m, gradient_inner(m, vec, vec).values
         + 0.25 * rl.scalar_curvature(m).values * vec.values**2))
     den = rl.integrate(m, rl.scalar_field(m, vec.values**2))
     assert abs(num / den - lam) <= 1e-10 * max(1.0, abs(lam))
@@ -282,9 +283,10 @@ def test_lambda0_eigenfunction_has_unit_g_norm():
         assert np.sum(vec.values) > 0.0
 
 
-def test_lambda0_no_convergence_cap():
+def test_lambda0_no_convergence_cap(monkeypatch):
+    monkeypatch.setattr(functionals, "LAMBDA0_MAXITER", 2)
     with pytest.raises(rl.NoConvergence):
-        rl.lambda0(sine_torus(N=32), maxiter=2)
+        rl.lambda0(sine_torus(N=32))
 
 
 def test_lambda0_nondecreasing_along_flow():
@@ -459,10 +461,10 @@ def test_lopcg_degenerate_gram_raises_no_convergence(monkeypatch):
     # cap.  The failure is NoConvergence; no LinAlgError or warning escapes
     # (warnings fail the suite).
     monkeypatch.setattr(functionals, "GRAM_RCOND", 2.0)
+    monkeypatch.setattr(functionals, "LAMBDA0_MAXITER", 20)
     with pytest.raises(rl.NoConvergence):
-        rl.lambda0(sine_torus(N=16), maxiter=20)
+        rl.lambda0(sine_torus(N=16))
     ground = functionals.ground_states(
-        rl.ConformalTorus2D(16, TWO_PI), np.stack([sine_torus(N=16).params] * 2),
-        maxiter=20)
+        rl.ConformalTorus2D(16, TWO_PI), np.stack([sine_torus(N=16).params] * 2))
     assert np.all(ground.iterations == 20)
     assert np.all(ground.residuals > LAMBDA0_TOL)

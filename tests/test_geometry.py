@@ -90,21 +90,21 @@ def test_scalar_curvature_convergence_order():
 # -------------------------------------------------------------------------
 
 def test_ricci_flat_zero():
-    assert np.all(rl.ricci(flat()).comps == 0.0)
+    assert np.all(flat().stack.ricci == 0.0)
 
 
 def test_ricci_round_sphere_principal_values():
     # Ric = (n-1)/c in the orthonormal frame; for n=2, c=1 this is Ric = g.
-    np.testing.assert_allclose(rl.ricci(sphere(1.0, 2)).comps, [1.0, 1.0], rtol=0)
-    np.testing.assert_allclose(rl.ricci(sphere(0.5, 3)).comps, [4.0, 4.0, 4.0],
+    np.testing.assert_allclose(sphere(1.0, 2).stack.ricci, [1.0, 1.0], rtol=0)
+    np.testing.assert_allclose(sphere(0.5, 3).stack.ricci, [4.0, 4.0, 4.0],
                                rtol=1e-15)
 
 
 def test_ricci_torus_is_half_R_g():
     m = torus(lambda x, y: 0.05 * np.sin(x) + 0.03 * np.cos(y))
     R = rl.scalar_curvature(m).values
-    g = rl.metric_tensor(m).comps
-    ric = rl.ricci(m).comps
+    g = m.stack.metric
+    ric = m.stack.ricci
     np.testing.assert_allclose(ric, 0.5 * R * g, rtol=0, atol=1e-15)
 
 
@@ -113,7 +113,7 @@ def test_berger_round_limit_matches_round_sphere(c):
     mb, ms = berger(c, c, c), sphere(c, 3)
     assert rl.scalar_curvature(mb).values == pytest.approx(
         float(rl.scalar_curvature(ms).values), rel=1e-12)
-    np.testing.assert_allclose(rl.ricci(mb).comps, rl.ricci(ms).comps, rtol=1e-12)
+    np.testing.assert_allclose(mb.stack.ricci, ms.stack.ricci, rtol=1e-12)
     np.testing.assert_allclose(ricci_flow_rhs(mb), np.full(3, -4.0), rtol=1e-12)
     assert rl.volume(mb) == pytest.approx(rl.volume(ms), rel=1e-12)
 
@@ -198,9 +198,9 @@ def test_package_has_no_numpy_roll():
 ])
 def test_derivatives_of_constants_vanish(make):
     m = make()
-    w = rl.const_field(m, 3.7)
+    w = rl.scalar_field(m, np.full(m.backend.field_shape, 3.7))
     assert np.all(rl.laplace_beltrami(m, w).values == 0.0)
-    assert np.all(rl.gradient_sq(m, w).values == 0.0)
+    assert np.all(gradient_inner(m, w, w).values == 0.0)
     assert np.all(rl.hessian(m, w).comps == 0.0)
 
 
@@ -224,11 +224,11 @@ def test_gradient_sq_flat_and_rescaled():
     m = flat()
     x, y = rl.grid_coords(m.backend)
     w = rl.scalar_field(m, np.cos(x) + 0.0 * y)
-    err = np.max(np.abs(rl.gradient_sq(m, w).values - np.sin(x) ** 2 + 0.0 * y))
+    err = np.max(np.abs(gradient_inner(m, w, w).values - np.sin(x) ** 2 + 0.0 * y))
     assert err < 2 * (TWO_PI / 64) ** 2
     m2 = torus(lambda x, y: 0.5 + 0.0 * x + 0.0 * y)
     w2 = rl.scalar_field(m2, np.cos(x) + 0.0 * y)
-    err2 = np.max(np.abs(rl.gradient_sq(m2, w2).values
+    err2 = np.max(np.abs(gradient_inner(m2, w2, w2).values
                          - math.exp(-1.0) * np.sin(x) ** 2 + 0.0 * y))
     assert err2 < 2 * (TWO_PI / 64) ** 2
 
@@ -264,8 +264,9 @@ def test_grad_outer_trace_equals_gradient_sq(seed):
     rng = np.random.default_rng(seed)
     m = rl.MetricState(backend, 0.0, 0.4 * rng.standard_normal((32, 32)))
     w = rl.scalar_field(m, rng.standard_normal((32, 32)))
-    tr = tensor_trace(m, rl.grad_outer(m, w))
-    gs = rl.gradient_sq(m, w)
+    tr = tensor_trace(m, rl.SymTensorField(
+        m.backend, m.stack.grad_outer(m.stack.differences(w.values))))
+    gs = gradient_inner(m, w, w)
     scale = np.max(np.abs(gs.values)) + 1.0
     assert np.max(np.abs(tr.values - gs.values)) < 1e-12 * scale
 
@@ -330,15 +331,14 @@ def test_hessian_trace_equals_laplacian_property(N, L, phi_amp, seed):
 # -------------------------------------------------------------------------
 
 def test_integrate_constants():
-    m = flat()
-    assert rl.integrate(m, rl.const_field(m, 1.0)) == pytest.approx(4 * math.pi**2,
-                                                                    rel=1e-14)
-    ms = sphere(1.0, 2)
-    assert rl.integrate(ms, rl.const_field(ms, 1.0)) == pytest.approx(4 * math.pi,
-                                                                      rel=1e-14)
-    mc = torus(lambda x, y: 0.5 + 0.0 * x + 0.0 * y)
-    assert rl.integrate(mc, rl.const_field(mc, 1.0)) == pytest.approx(
-        4 * math.pi**2 * math.e, rel=1e-12)
+    for m, want, rel in (
+        (flat(), 4 * math.pi**2, 1e-14),
+        (sphere(1.0, 2), 4 * math.pi, 1e-14),
+        (torus(lambda x, y: 0.5 + 0.0 * x + 0.0 * y), 4 * math.pi**2 * math.e,
+         1e-12),
+    ):
+        one = rl.scalar_field(m, np.full(m.backend.field_shape, 1.0))
+        assert rl.integrate(m, one) == pytest.approx(want, rel=rel)
 
 
 def test_sphere_volume_scaling():
@@ -349,11 +349,14 @@ def test_sphere_volume_scaling():
 def test_tensor_norm_sq():
     m = flat()
     zero = rl.SymTensorField(m.backend, np.zeros((3, 64, 64)))
-    assert np.all(rl.tensor_norm_sq(m, zero).values == 0.0)
+    assert np.all(m.stack.tensor_norm_sq(zero.comps,
+                                         m.stack.cross_sq(zero.comps)) == 0.0)
     for mk in (flat(), sphere(0.7, 2), sphere(1.3, 4), berger(1.2, 1.0, 0.8)):
-        g = rl.metric_tensor(mk)
-        n = rl.dim(mk.backend)
-        np.testing.assert_allclose(rl.tensor_norm_sq(mk, g).values, n, rtol=1e-12)
+        g = rl.SymTensorField(mk.backend, mk.stack.metric)
+        n = mk.backend.n
+        np.testing.assert_allclose(
+            mk.stack.tensor_norm_sq(g.comps, mk.stack.cross_sq(g.comps)), n,
+            rtol=1e-12)
         np.testing.assert_allclose(tensor_trace(mk, g).values, n, rtol=1e-12)
 
 
@@ -362,7 +365,7 @@ def test_tensor_norm_sq_componentwise():
     m = flat(N=8)
     comps = np.zeros((3, 8, 8))
     comps[0, 2, 3], comps[1, 2, 3], comps[2, 2, 3] = 1.0, 2.0, 3.0
-    assert rl.tensor_norm_sq(m, rl.SymTensorField(m.backend, comps)).values[2, 3] \
+    assert m.stack.tensor_norm_sq(comps, m.stack.cross_sq(comps))[2, 3] \
         == pytest.approx(18.0, abs=0)
 
 
@@ -426,9 +429,12 @@ def test_state_validation():
 
 def test_cross_backend_field_rejected():
     m = flat()
-    w = rl.const_field(sphere(), 1.0)
+    ms = sphere()
+    w = rl.scalar_field(ms, np.full(ms.backend.field_shape, 1.0))
     with pytest.raises(rl.RicciLabError):
         rl.laplace_beltrami(m, w)
+    with pytest.raises(rl.RicciLabError):
+        rl.integrate(m, w)
 
 
 # -------------------------------------------------------------------------

@@ -1,11 +1,15 @@
-"""Config parsing/validation, run artifacts, determinism, exit codes, and
-the convergence-study driver."""
+"""Config parsing/validation, run artifacts, determinism, exit codes, the
+convergence-study driver, and the library names the benchmark reaches."""
 
+import ast
 import dataclasses
+import importlib.util
 import json
 import math
+import sys
 import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from riccilab.harness import (
     validate_config,
 )
 
-from cross_checks import row_values_reference
+from cross_checks import gradient_inner, row_values_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -93,6 +97,8 @@ def test_parse_rejects_bad_lines(tmp_path):
      "entropy.a"),
     ({"backend.kind": "round_sphere", "flow.T": "0.1",
       "entropy.a": "0.1, 0.5, 0.1000001"}, "entropy.a"),
+    ({"backend.kind": "round_sphere", "flow.T": "0.1", "entropy.a": "0, -0"},
+     "entropy.a"),
     ({"backend.kind": "conformal_torus", "flow.T": "0.1",
       "heat.datum": "gaussian"}, "heat.datum"),
     ({"backend.kind": "conformal_torus", "flow.T": "0.1", "heat.datum": "bump",
@@ -123,7 +129,7 @@ def test_parse_rejects_bad_lines(tmp_path):
     ({"backend.kind": "round_sphere", "flow.T": "0.1", "flow.dt": "inf"},
      "flow.dt"),
 ], ids=["no-kind", "no-T", "bad-kind", "unknown", "bad-dt", "empty-a", "neg-T",
-        "bad-tol", "repeated-a", "tag-collision-a", "bad-datum", "bad-width",
+        "bad-tol", "repeated-a", "tag-collision-a", "signed-zero-a", "bad-datum", "bad-width",
         "lone-center-x", "lone-center-y", "negative-cutoff", "zero-cutoff",
         "negative-seed", "inf-c0", "inf-A0", "inf-L", "nan-phi-amplitude", "inf-T", "inf-a",
         "neg-inf-in-a-list", "inf-dt"])
@@ -583,11 +589,12 @@ def test_row_blocks_match_public_functionals_bitwise(case):
             ("F", F), ("S", rl.shannon_entropy(m, u)),
             ("lam0", functionals.lambda0(m)),
             ("dF_rhs", 2.0 * rl.integrate(m, rl.scalar_field(
-                m, rl.tensor_norm_sq(m, T).values * u.values**2))),
+                m, m.stack.tensor_norm_sq(T.comps, m.stack.cross_sq(T.comps))
+                * u.values**2))),
             ("sub_lhs", rl.integrate(m, rl.scalar_field(
                 m, rl.laplace_beltrami(m, f).values * v))),
             ("sub_rhs", rl.integrate(m, rl.scalar_field(
-                m, rl.gradient_sq(m, f).values * v))),
+                m, gradient_inner(m, f, f).values * v))),
             ("om", [rl.omega(F, a) for a in KERNEL_A]),
             ("Y", [rl.log_entropy(m, u, a, float(t)) for a in KERNEL_A]),
             ("rhs_thm", [rl.rhs_split(m, u, a) for a in KERNEL_A]),
@@ -800,7 +807,7 @@ def test_row_failures_follow_the_row_check_order(density, omega, lam0, raised,
 
         def unconverged(backend, params):
             ground = solve(backend, params)
-            ground.residuals[lam0] = 2 * ground.tol
+            ground.residuals[lam0] = 2 * LAMBDA0_TOL
             return ground
 
         monkeypatch.setattr(harness, "ground_states", unconverged)
@@ -879,7 +886,7 @@ def test_evaluate_tables_stops_at_unconverged_row(k, monkeypatch):
 
     def unconverged_row_k(backend, params):
         ground = solve(backend, params)
-        ground.residuals[k] = 2 * ground.tol
+        ground.residuals[k] = 2 * LAMBDA0_TOL
         return ground
 
     monkeypatch.setattr(harness, "ground_states", unconverged_row_k)
@@ -1098,6 +1105,8 @@ entropy.a = 0
         ("backend.phi_amplitude", FLAT_CFG + "backend.phi_amplitude = inf\n"),
         ("flow.T", FLAT_CFG.replace("flow.T = 0.02", "flow.T = inf")),
         ("entropy.a", FLAT_CFG.replace("entropy.a = 0.5", "entropy.a = inf")),
+        ("entropy.a", FLAT_CFG.replace("entropy.a = 0.5", "entropy.a = 0, -0")),
+        ("backend.n", SPHERE_CFG.replace("backend.n = 2", "backend.n = 400")),
     ):
         bad_input = write_cfg(tmp_path / "bad_input.cfg", text)
         assert cli_main(["check", bad_input]) == 2
@@ -1148,6 +1157,8 @@ entropy.a = 0.5
                    "backend.c0 = 1e300\n"),
     # R = 2/c overflows for a subnormal c
     ("backend.c0", "backend.kind = round_sphere\nbackend.c0 = 1e-320\n"),
+    # the unit sphere's volume 2 pi^{(n+1)/2} / Gamma((n+1)/2) overflows
+    ("backend.n", "backend.kind = round_sphere\nbackend.n = 400\n"),
     # e^{2 phi} overflows
     ("backend.phi_amplitude", "backend.kind = conformal_torus\nbackend.N = 16\n"
                               "backend.phi_amplitude = 400\nentropy.a = 1\n"),
@@ -1302,3 +1313,37 @@ def test_convergence_study_validation(tmp_path):
                               "flow.dt": "1e-3", "entropy.a": "0"})
     with pytest.raises(rl.ConfigError):
         convergence_study(sphere_cfg, 3, tmp_path / "y")
+
+
+# -------------------------------------------------------------------------
+# The benchmark's import surface
+# -------------------------------------------------------------------------
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_bench_reaches_only_existing_names(monkeypatch):
+    # The benchmark calls the library from bench/, which changes apart from
+    # it: every function its tracer wraps must exist and be callable, and
+    # every module attribute its layer timings name must exist.  The tracer
+    # is imported without writing bytecode, and nothing is run.
+    from riccilab import flow, functionals, geometry, heat, variation
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracer",
+                                                  BENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    for module, name, _ in tracer.TRACED:
+        assert callable(getattr(module, name, None)), (module.__name__, name)
+
+    modules = {m.__name__.rsplit(".", 1)[-1]: m
+               for m in (flow, functionals, geometry, heat, variation)}
+    named = {(node.value.id, node.attr)
+             for node in ast.walk(ast.parse((BENCH / "layers.py").read_text()))
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id in modules}
+    assert {("geometry", "hessian"), ("geometry", "laplace_beltrami")} <= named
+    assert [(mod, attr) for mod, attr in sorted(named)
+            if not hasattr(modules[mod], attr)] == []
