@@ -11,6 +11,15 @@ by entry in the order of the array form, so the results are bitwise what
 numpy arrays give.  Each state is checked once, and its smallest metric
 scale serves both the floor check and the stability bound of the step that
 leaves it.
+
+A torus phi that is bitwise constant along y is stepped as its first
+column, shape (N, 1): e^{-2 phi}, the 5-point stencil and the RK4
+combination are entry-wise, and a y-constant grid's y-neighbours are the
+entries themselves, so the column holds exactly the bits of every column of
+the full grid (and the flow keeps phi y-constant).  The trajectory stores
+what was stepped and exposes ``params`` as a read-only ``np.broadcast_to``
+view of the full shape (K+1,) + param_shape; ``geometry``'s torus stack
+takes such a view back to its one column.
 """
 
 from __future__ import annotations
@@ -32,7 +41,9 @@ PARAM_FLOOR = 1e-6
 class Trajectory:
     """Time-ordered metric states on a uniform grid t0 ... tK.
 
-    ``params[k]`` holds the backend parameters at ``times[k]``.
+    ``params[k]`` holds the backend parameters at ``times[k]``; from
+    ``integrate_forward`` it is a read-only view broadcast from the stepped
+    storage (see the module docstring).
     ``max_step_ratio`` is the largest dt / stability_dt over the steps taken
     (None when the trajectory was not integrated here).
     """
@@ -109,8 +120,8 @@ def integrate_forward(m0: MetricState, T: float, dt: float) -> Trajectory:
     backend = m0.backend
     times = m0.t + dt * np.arange(K + 1)
     p = backend.components(m0.params)
-    # One entry per component: the torus's (1, N, N) rows drop their unit
-    # axis in the reshape below.
+    # One entry per component; the torus's single (N, Ny) entry drops its
+    # unit axis in the reshape below.
     out = np.empty((K + 1, len(p)) + np.shape(p[0]))
     out[0] = p
     scale = _check_params(backend, p)
@@ -128,5 +139,6 @@ def integrate_forward(m0: MetricState, T: float, dt: float) -> Trajectory:
             raise BlowUp("metric parameters became non-finite") from None
         scale = _check_params(backend, p)
         out[k + 1] = p
-    params = out.reshape((K + 1,) + m0.params.shape)
+    shape = (K + 1,) + m0.params.shape
+    params = np.broadcast_to(out.reshape(shape[:-1] + (-1,)), shape)
     return Trajectory(backend, times, params, dt, float(ratio))

@@ -23,8 +23,14 @@ On the torus the ground state is found by matrix-free LOPCG with block size 1
 (Knyazev 2001), preconditioned by the exact FFT inverse of
 -Lap0 + mean(e^{2 phi}): Rayleigh-Ritz on span{x, M r, p} each iteration,
 with p dropped for the step when the 3x3 Gram matrix is ill-conditioned
-(Duersch, Shao, Yang and Gu 2018).  The rows of a (K, N, N) stack run
-independently, vectorised over the row blocks of ``geometry.row_blocks``
+(Duersch, Shao, Yang and Gu 2018).  The solve runs on the grid the metric
+stack holds, (N, Ny): the full grid, or for a y-invariant stack
+(``geometry``'s one-column metrics) its column, Ny = 1.  A y-invariant
+pencil has a y-invariant ground state, so the column is the same
+eigenproblem: the symbol is the ky = 0 part of the rfft2 half grid, the
+preconditioner shift the mean of e^{2 phi} over the cells held, and the
+values agree with the full-grid solve to round-off.  The rows of a stack
+run independently, vectorised over the row blocks of ``geometry.row_blocks``
 on its thread pool; the small eigenproblems of a block are solved together
 as (k, m, m) stacks, on one workspace, with the Gram pencils from batched
 ``matmul`` (BLAS dgemm).  A row is frozen and leaves its block once its
@@ -188,19 +194,21 @@ def _lowest_ritz(GA: np.ndarray, GB: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _lopcg(g, vectors=None):
-    """Ground states of the torus metric stack g, one state or a (k, N, N)
-    stack, by block-size-1 LOPCG on each row: its values, iterations and
-    residuals, and each row's eigenfunction in ``vectors`` unless None."""
-    N, h = g.backend.N, g.backend.h
-    e2p = g.weight.reshape(-1, N, N)
-    pot = (0.25 * g.R * g.weight).reshape(-1, N, N)
-    inv_symbol = 1.0 / (_neg_lap_symbol(N, h)
-                        + (_row_sum(e2p) / (N * N))[:, None, None])
+    """Ground states of the torus metric stack g, one state or a (k, N, Ny)
+    stack (Ny = N, or 1 for a stack holding one column), by block-size-1
+    LOPCG on each row: its values, iterations and residuals, and each row's
+    eigenfunction in ``vectors`` ((k, N, N), broadcast along y) unless
+    None."""
+    N, Ny, h = g.backend.N, g.params.shape[-1], g.backend.h
+    e2p = g.weight.reshape(-1, N, Ny)
+    pot = (0.25 * g.R * g.weight).reshape(-1, N, Ny)
+    inv_symbol = 1.0 / (_neg_lap_symbol(N, h)[:, :Ny // 2 + 1]
+                        + (_row_sum(e2p) / (N * Ny))[:, None, None])
     K = len(e2p)
     rows, values, iterations, residuals = (
         np.arange(K), np.empty(K), np.zeros(K, dtype=int), np.zeros(K))
     # [x, M r, p] of every row (p = 0 until set), their A- and B-images
-    S, AS, BS = Z = np.zeros((3, 3, K, N, N))
+    S, AS, BS = Z = np.zeros((3, 3, K, N, Ny))
     S[0] = 1.0
     for it in range(LAMBDA0_MAXITER + 1):
         n = len(rows)
@@ -223,8 +231,8 @@ def _lopcg(g, vectors=None):
         if np.any(done):
             k = rows[done]
             values[k], iterations[k], residuals[k] = lam[done], it, res[done]
-            if vectors is not None:
-                vectors[k] = X[done]
+            if vectors is not None:  # unit g-norm on the full grid
+                vectors[k] = X[done] * math.sqrt(Ny / N)
             keep = ~done
             if not np.any(keep):
                 return values, iterations, residuals
@@ -234,7 +242,7 @@ def _lopcg(g, vectors=None):
             X, W, P = S[:, :n]
             R = AW = AS[1, :n]
 
-        W[...] = np.fft.irfft2(np.fft.rfft2(R) * inv_symbol, s=(N, N))
+        W[...] = np.fft.irfft2(np.fft.rfft2(R) * inv_symbol, s=(N, Ny))
         np.subtract(np.multiply(pot, W, out=AW), _lap5(W, h), out=AW)
         m = 3 if it else 2  # p joins the basis after the first step
         np.multiply(e2p, S[1:m, :n], out=BS[1:m, :n])
@@ -275,22 +283,24 @@ def ground_states(backend, params, vectors: np.ndarray | None = None) -> GroundS
     ``LAMBDA0_MAXITER`` iterations is reported, not raised:
     ``GroundStates.value`` raises NoConvergence for it.
     ``vectors``, when given on the torus, receives each row's eigenfunction
-    (shape (K, N, N)).
+    with unit g-norm (shape (K, N, N)).  A y-invariant metric stack (a view
+    broadcast along y, as ``integrate_forward`` returns) is solved on its
+    one column and its row blocks sized by the N cells it holds.
     """
-    params = np.asarray(params, dtype=float)
-    K = len(params)
+    g = backend.stack(np.asarray(params, dtype=float))
+    K = len(g.params)
     values = np.empty(K)
     iterations = np.zeros(K, dtype=int)
     residuals = np.zeros(K)
     if not isinstance(backend, ConformalTorus2D):
-        values[:] = backend.stack(params).R / 4.0
+        values[:] = g.R / 4.0
     else:
         def solve(rows):
             values[rows], iterations[rows], residuals[rows] = _lopcg(
-                backend.stack(params[rows]),
+                backend.stack(g.params[rows]),
                 None if vectors is None else vectors[rows])
 
-        with row_blocks(solve, K, backend.cells) as blocks:
+        with row_blocks(solve, K, math.prod(g.params.shape[1:])) as blocks:
             list(blocks)
     return GroundStates(values, iterations, residuals)
 

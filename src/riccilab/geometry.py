@@ -42,16 +42,33 @@ alone.  The metric-derived arrays (R, Ric, g, the volume weight, the
 Laplace-Beltrami factor) are built on first use and kept, so a stack
 computes each once.
 
+One-column torus metrics.  A phi that is bitwise constant along y (every
+run's initial ``amp * sin(mode * 2 pi x / L)``, and the flow keeps it so)
+is held as its first column, shape (..., N, 1), and numpy broadcasting
+carries it against the (..., N, N) density fields.  ``components`` steps
+it so, and a torus stack takes a params view broadcast along y (stride 0,
+as ``Trajectory.params`` is) back to that column: ``weight``,
+``lap_factor``, R, Ric, g and the phi differences of ``hessian`` are then
+(..., N, 1).  Each entry keeps its operations, and the y-neighbours of a
+y-constant grid are the entries themselves, so ``exp``, the 5-point stencil
+and every broadcast product give the bits of the full grid.  The torus
+``quadrature`` sums the full grid, a one-column operand broadcast to it
+first, so ``volume`` keeps its bits too.  A general phi(x, y) runs the same
+code on an (N, N) grid.  ``MetricState`` always holds a contiguous full
+grid, so the typed functions see (N, N).
+
 The backends carry what the time-stepping loops use on one state.  The
 flow steps ``components(p)``: the parameters as Python floats on the
 spheres, where numpy's per-call dispatch would dwarf the arithmetic, and a
-one-entry list holding phi on the torus.  ``rates`` is the flow velocity in
-that form, and ``min_scale`` feeds the floor check and ``stability_dt``.
+one-entry list holding phi on the torus (its column when y-invariant).
+``rates`` is the flow velocity in that form, and ``min_scale`` feeds the
+floor check and ``stability_dt``.
 The heat solve reads stack arrays through ``rows`` and checks positivity by
 ``field_min``.
 Floats and numpy round each operation alike: either form gives the same bits.
 
-Row blocks.  A sphere row is one cell; a torus row is N^2 cells.
+Row blocks.  A sphere row is one cell; a torus row is N^2 cells (N for the
+metric of a one-column stack).
 ``row_blocks`` maps a function over consecutive row blocks on a pool of
 ``WORKERS`` threads (numpy's ufuncs and FFTs release the GIL), with at most
 ``ROW_CELLS`` cells in flight across all workers, so peak memory does not
@@ -272,8 +289,12 @@ class ConformalTorus2D:
 
     @staticmethod
     def components(p):
-        """The flow's component form: one entry, the phi array."""
-        return [p]
+        """The flow's component form: one entry, phi.  A phi whose every row
+        is bitwise constant along y (bit patterns compared, so -0.0 and 0.0
+        differ) enters as its first column, shape (N, 1); any other as the
+        grid."""
+        bits = p.view(np.uint64)
+        return [p[..., :1] if (bits == bits[..., :1]).all() else p]
 
     def rates(self, p):
         """dphi/dt = e^{-2 phi} Lap0 phi (from dg/dt = -R g in two dimensions)."""
@@ -323,8 +344,9 @@ def _tensor_shape(backend):
 class MetricState:
     """A metric at one time instant, stored in backend parameters.
 
-    params: shape (1,) holding c for RoundSphere, (3,) holding (A, B, C)
-    for BergerSphere, (N, N) holding phi for ConformalTorus2D.
+    params: a C-contiguous array (a broadcast view is copied) of shape (1,)
+    holding c for RoundSphere, (3,) holding (A, B, C) for BergerSphere,
+    (N, N) holding phi for ConformalTorus2D.
     """
 
     backend: Backend
@@ -332,7 +354,7 @@ class MetricState:
     params: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.params, dtype=float)
+        p = np.require(self.params, float, "C")
         object.__setattr__(self, "params", p)
         if p.shape != self.backend.param_shape:
             raise ValueError(
@@ -404,10 +426,11 @@ def _check_same_backend(m: MetricState, field) -> None:
 #
 # ``_roll`` is numpy.roll for a shift of +-1 along x or y, built from two
 # slice copies; ``_lap5`` adds flat shifted slices straight into its output,
-# fixing the wrapped rows and column.  Every stencil takes an (N, N) grid
-# and a (K, N, N) stack of grids alike and keeps the operand order of its
-# numpy.roll form, so the results are bitwise the same, and each grid of a
-# stack is bitwise what it would be alone.
+# fixing the wrapped rows and column.  Every stencil takes an (N, Ny) grid
+# and a (K, N, Ny) stack of grids alike (Ny = N, or 1 for a one-column
+# metric, whose y-shifts are the column itself) and keeps the operand order
+# of its numpy.roll form, so the results are bitwise the same, and each
+# grid of a stack is bitwise what it would be alone.
 # --------------------------------------------------------------------------
 
 def _roll(w, shift, axis):
@@ -441,10 +464,10 @@ def _d2(w, axis, h):
 
 
 def _lap5(w, h):
-    N = w.shape[-1]
+    Ny = w.shape[-1]
     out, s = np.empty(w.shape), np.empty(w.shape)
     wf, of, sf = w.reshape(-1), out.reshape(-1), s.reshape(-1)
-    np.add(wf[2 * N:], wf[:-2 * N], out=of[N:-N])  # x, then its wrapped rows
+    np.add(wf[2 * Ny:], wf[:-2 * Ny], out=of[Ny:-Ny])  # x, then its wrapped rows
     np.add(w[..., 1, :], w[..., -1, :], out=out[..., 0, :])
     np.add(w[..., 0, :], w[..., -2, :], out=out[..., -1, :])
     sf[:-1], s[..., -1] = wf[1:], w[..., 0]  # y, with its wrapped column
@@ -489,7 +512,8 @@ def _pow(x, e):
 
 class MetricStack:
     """Metrics of one backend as raw arrays, ``params[k]`` holding row k (no
-    leading axis for one state); see the module docstring.
+    leading axis for one state; on the torus (N, 1) for a one-column
+    stack); see the module docstring.
 
     Attributes built once on first use: ``R`` (scalar curvature, one field
     per row), ``ricci`` and ``metric`` (tensors), ``weight`` (the volume
@@ -621,6 +645,12 @@ def _sym(t11, t12, t22):
 class _TorusStack(MetricStack):
     comp_axis = -3
 
+    def __init__(self, backend, params):
+        # A view broadcast along y (stride 0) holds its first column.
+        if params.strides[-1] == 0:
+            params = params[..., :1]
+        super().__init__(backend, params)
+
     @_cached
     def weight(self):
         """e^{2 phi}."""
@@ -655,7 +685,10 @@ class _TorusStack(MetricStack):
         return self.quadrature(self.weight)
 
     def quadrature(self, x):
-        return _row_sum(x) * self.backend.h**2
+        """h^2 times each row's sum over the full grid, a one-column x
+        broadcast to it first."""
+        full = np.broadcast_to(x, x.shape[:-1] + (self.backend.N,))
+        return _row_sum(full) * self.backend.h**2
 
     def differences(self, w):
         """Forward and backward differences along x, then along y."""

@@ -10,13 +10,13 @@ adjustment value Y[a], omega[a], dYdt_fd[a], rhs_thm[a], rhs_ye[a],
 res_thm[a], res_equiv[a]; 17 significant digits, comma separator, LF line
 endings), ``proof_chain.csv`` (the derivative-identity columns, which do
 not fit the fixed data.csv schema), and ``manifest.json`` (config echo,
-resolved step, admissibility checks, summary block, ``lambda0`` solver
-diagnostics over the evaluated rows, stage ``timings``, flow and heat
-``steps``, exit status), written exactly once per run and on every exit
-path (a temporary file renamed into place), so partial artifacts carry a
-status marker.  One writer prints both CSV files from the ``RunTables``
-arrays (header only when no table exists; per-a arrays hold one column per
-adjustment value); the summary counts come from
+resolved step and metric grid, admissibility checks, summary block,
+``lambda0`` solver diagnostics over the evaluated rows, stage ``timings``,
+flow and heat ``steps``, exit status), written exactly once per run and on
+every exit path (a temporary file renamed into place), so partial
+artifacts carry a status marker.  One writer prints both CSV files from the
+``RunTables`` arrays (header only when no table exists; per-a arrays hold
+one column per adjustment value); the summary counts come from
 ``variation``'s ``equivalence_check`` and ``monotonicity_check``.
 
 Row evaluation: ``evaluate_tables`` solves lambda0 for every row in one
@@ -328,8 +328,12 @@ def validate_config(cfg: RunConfig) -> ValidatedRun:
         K = int(math.floor(T / dt + 1e-6))
         T = K * dt
     if K < 4:
+        hint = "" if cfg.dt != "auto" else (
+            f" (flow.dt = auto resolves to {raw_dt:g}; flow.dt = {T / 4.0:g}, "
+            f"a quarter of the horizon T = {T:g}, gives 4)")
         raise ConfigError(
-            f"flow.T/flow.dt: horizon allows only {K} steps; need at least 4 rows"
+            f"flow.T/flow.dt: horizon allows only {K} steps; need at least "
+            f"4{hint}"
         )
 
     lam0 = lambda0(m0)
@@ -596,6 +600,15 @@ def _timed(timings: dict, stage: str, out: Path):
         log.info("%s: %s %.3f s", out, stage, timings[stage])
 
 
+def _metric_grid(m0: MetricState) -> list[int] | None:
+    """The grid the torus flow steps, [N, 1] for a y-invariant metric and
+    [N, N] otherwise (``ConformalTorus2D.components``); None on the spheres."""
+    if not isinstance(m0.backend, ConformalTorus2D):
+        return None
+    (phi,) = m0.backend.components(m0.params)
+    return list(phi.shape)
+
+
 def _write_manifest(out: Path, manifest: dict) -> None:
     """Write manifest.json through a temporary file renamed into place."""
     tmp = out / ".manifest.json.tmp"
@@ -673,6 +686,7 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
                 "dt": validated.dt,
                 "rows": validated.num_rows,
                 "flow_dt": validated.dt / 2.0,
+                "metric_grid": _metric_grid(validated.m0),
             },
             "version": _VERSION,
             "lambda0_g0": validated.lambda0_g0,

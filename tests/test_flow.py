@@ -1,7 +1,9 @@
 """Forward-flow integrator tests: closed forms, stability guard, sampling,
-a convergence check against an independent explicit-Euler oracle, and the
-component-form loop against the same flow stepped on numpy arrays."""
+a convergence check against an independent explicit-Euler oracle, the
+component-form loop against the same flow stepped on numpy arrays, and the
+one-column storage of y-invariant torus metrics against the full grid."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -227,3 +229,102 @@ def berger_state(A, B, C):
 def test_flow_errors_match_array_reference(m0, T, dt, error, message):
     assert flow_outcome(m0, T, dt) == (error, message)
     assert reference_outcome(m0, T, dt) == (error, message)
+
+
+# -------------------------------------------------------------------------
+# One-column storage of y-invariant torus metrics
+# -------------------------------------------------------------------------
+
+def x_profile_state(N, amplitude, seed):
+    """A torus state whose phi is constant along y: a random x-profile in
+    modes 0..3 with max |phi| = amplitude, on a contiguous (N, N) grid."""
+    backend = rl.ConformalTorus2D(N, TWO_PI)
+    x, _ = rl.grid_coords(backend)
+    rng = np.random.default_rng(seed)
+    w = sum(rng.uniform(-1.0, 1.0) * np.cos(k * x + rng.uniform(0.0, TWO_PI))
+            for k in range(4))
+    scale = amplitude / max(np.max(np.abs(w)), 1e-300)
+    return rl.MetricState(backend, 0.0, np.repeat(w * scale, N, axis=1))
+
+
+def full_grid_flow(m0, T, dt):
+    """``integrate_forward`` with the torus stepped on the full grid."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rl.ConformalTorus2D, "components", staticmethod(lambda p: [p]))
+        return rl.integrate_forward(m0, T, dt)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(N=st.sampled_from([8, 16, 32]), amplitude=st.floats(0.0, 0.5),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_column_path_is_bitwise_the_full_path(N, amplitude, seed):
+    # A y-invariant phi is stepped, stacked and solved on its first column.
+    # Flow, heat solve, row kernel and stack arrays are bitwise what the
+    # full grid gives; the ground state, whose preconditioner shift is the
+    # mean over the cells held, agrees to round-off in as many iterations.
+    from riccilab import functionals
+    from riccilab.variation import row_values
+
+    m0 = x_profile_state(N, amplitude, seed)
+    backend = m0.backend
+    assert m0.params.flags.c_contiguous
+    assert backend.components(m0.params)[0].shape == (N, 1)
+    dt = 0.25 * rl.stability_dt(m0)
+    col = rl.integrate_forward(m0, 12 * dt, dt)
+    full = full_grid_flow(m0, 12 * dt, dt)
+    assert col.params.strides[-1] == 0 and full.params.strides[-1] != 0
+    assert col.params.tobytes() == full.params.tobytes()
+    ref, _ = integrate_forward_arrays(m0, 12 * dt, dt)
+    assert col.params.tobytes() == ref.tobytes()
+    assert col.max_step_ratio == full.max_step_ratio
+
+    g_col, g_full = backend.stack(col.params), backend.stack(full.params)
+    assert g_col.params.shape == (13, N, 1)
+    assert g_full.params.shape == (13, N, N)
+    for name in ("R", "lap_factor", "weight"):
+        want = getattr(g_full, name)
+        got = np.broadcast_to(getattr(g_col, name), want.shape)
+        assert got.tobytes() == want.tobytes(), name
+    assert g_col.volume.tobytes() == g_full.volume.tobytes()
+
+    rng = np.random.default_rng(seed)
+    v = np.exp(0.2 * rng.uniform(-1.0, 1.0, (N, N)))
+    m_T = col.final_state()
+    v_T = rl.scalar_field(m_T, v / rl.integrate(m_T, rl.scalar_field(m_T, v)))
+    hist = rl.solve_backward(col, v_T, step=2 * dt)
+    hist_full = rl.solve_backward(full, v_T, step=2 * dt)
+    assert hist.v.tobytes() == hist_full.v.tobytes()
+    assert hist.masses.tobytes() == hist_full.masses.tobytes()
+
+    got, error = row_values(backend.stack(col.params[::2]), hist.v,
+                            hist.times, [0.5, 2.0])
+    want, want_error = row_values(backend.stack(full.params[::2]), hist.v,
+                                  hist.times, [0.5, 2.0])
+    assert error is None and want_error is None
+    for field in dataclasses.fields(want):
+        assert (getattr(got, field.name).tobytes()
+                == getattr(want, field.name).tobytes()), field.name
+
+    ground = functionals.ground_states(backend, col.params)
+    ground_full = functionals.ground_states(backend, full.params)
+    assert np.all(ground.converged)
+    assert np.max(np.abs(ground.values - ground_full.values)) <= 1e-13
+    assert np.array_equal(ground.iterations, ground_full.iterations)
+
+
+def test_signed_zeros_along_y_take_the_full_path():
+    # -0.0 and 0.0 compare equal but are different bits: a phi that differs
+    # along y only by signed zeros is stepped on the full grid, and matches
+    # the array reference bitwise.
+    m = torus_state(amplitude=0.1, N=16)
+    phi = m.params.copy()
+    assert np.all(phi[0] == 0.0)
+    phi[0, 1::2] = -0.0
+    m0 = rl.MetricState(m.backend, 0.0, phi)
+    assert m0.backend.components(m0.params)[0].shape == (16, 16)
+    dt = 0.25 * rl.stability_dt(m0)
+    traj = rl.integrate_forward(m0, 8 * dt, dt)
+    assert traj.params.strides[-1] != 0
+    ref, _ = integrate_forward_arrays(m0, 8 * dt, dt)
+    assert traj.params.tobytes() == ref.tobytes()
+    assert rl.integrate_forward(m, 8 * dt, dt).params.strides[-1] == 0

@@ -331,6 +331,42 @@ def test_ground_states_rows_independent_of_block(rows_per_block, monkeypatch):
         assert ground.residuals[k] <= LAMBDA0_TOL
 
 
+def test_ground_states_one_column_eigenfunctions(monkeypatch):
+    # The flow of a y-invariant phi stores one column, and ground_states
+    # solves its rows there, in blocks sized by the N cells a row holds.
+    # Each eigenfunction is written broadcast to the full grid with unit
+    # g-norm on it, and agrees with lambda0_eig of the same state, which
+    # solves on the full grid.
+    N = 16
+    m0 = sine_torus(N=N, amplitude=0.4)
+    traj = rl.integrate_forward(m0, 0.05, 0.05 / 8)
+    params = traj.params
+    assert m0.backend.stack(params).params.shape[1:] == (N, 1)
+    solve, blocks = functionals._lopcg, []
+
+    def spied(g, vectors=None):
+        blocks.append(g.params.shape)
+        return solve(g, vectors)
+
+    monkeypatch.setattr(functionals, "_lopcg", spied)
+    for rows_per_block in (1, len(params)):
+        # A block holds ROW_CELLS // WORKERS cells.
+        monkeypatch.setattr(geometry, "ROW_CELLS",
+                            rows_per_block * N * geometry.WORKERS)
+        blocks.clear()
+        vectors = np.full(params.shape, np.nan)
+        ground = functionals.ground_states(m0.backend, params, vectors=vectors)
+        assert sorted(blocks) == [(rows_per_block, N, 1)] * (
+            len(params) // rows_per_block)
+        for k in range(len(params)):
+            m = traj.state(k)
+            lam, vec = rl.lambda0_eig(m)
+            assert abs(ground.values[k] - lam) <= 1e-13
+            assert np.max(np.abs(vectors[k] - vec.values)) <= 1e-9
+            assert rl.integrate(m, rl.scalar_field(m, vectors[k] ** 2)) == \
+                pytest.approx(1.0, rel=1e-13)
+
+
 def test_ground_states_pool_stress(monkeypatch):
     # Six workers, one-row blocks and a short switch interval:
     # every block writes only its own rows of the shared output arrays, so

@@ -308,6 +308,18 @@ def curved_torus_result(tmp_path_factory):
     return run(validate_config(cfg), tmp_path_factory.mktemp("curved_torus"))
 
 
+def test_manifest_metric_grid(sphere_result, curved_torus_result, tmp_path):
+    # Config tori start from a y-invariant phi: the flow steps one column.
+    def grid(result):
+        manifest = json.loads((result.out_dir / "manifest.json").read_text())
+        return manifest["resolved"]["metric_grid"]
+
+    assert grid(curved_torus_result) == [16, 1]
+    assert grid(sphere_result) is None
+    cfg = make_config(parse_config_file(write_cfg(tmp_path / "flat.cfg", FLAT_CFG)))
+    assert grid(run(validate_config(cfg), tmp_path / "out")) == [cfg.N, 1]
+
+
 def read_csv(path):
     """Header and float columns of a run CSV."""
     lines = path.read_text(encoding="ascii").splitlines()
@@ -1303,6 +1315,24 @@ def test_convergence_study_failed_level_is_numerical(tmp_path, monkeypatch,
     capsys.readouterr()
     assert cli_main(["converge", path, "--out", str(tmp_path / "cli")]) == 3
     assert "NumericalError: study level 1 failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["round_sphere", "berger_sphere"])
+def test_auto_dt_too_coarse_on_spheres_names_the_fix(kind, tmp_path, capsys):
+    # At safety 0.5 the unit spheres' auto step is 0.0625: T = 0.1 allows
+    # 2 steps.  The error names the resolved step and flow.dt = T/4.
+    path = write_cfg(tmp_path / "auto.cfg", f"backend.kind = {kind}\nflow.T = 0.1\n")
+    assert cli_main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError: flow.T/flow.dt: horizon allows only 2 steps" in err
+    assert "flow.dt = auto resolves to 0.0625" in err
+    assert "flow.dt = 0.025" in err
+    with pytest.raises(rl.ConfigError, match="only 3 steps"):
+        validate_config(make_config({"backend.kind": kind, "flow.T": "0.1",
+                                     "flow.dt": "0.03"}))
+    v = validate_config(make_config({"backend.kind": kind, "flow.T": "0.1",
+                                     "flow.dt": "0.025"}))
+    assert v.num_rows == 5 and v.dt == 0.025
 
 
 def test_convergence_study_validation(tmp_path):
