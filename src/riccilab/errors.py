@@ -19,7 +19,8 @@ class NumericalError(RicciLabError):
 
 
 class BlowUp(NumericalError):
-    """A metric parameter fell below the floor or became non-finite."""
+    """A metric parameter fell below the floor or became non-finite, or a
+    row's Y, omega or rate overflowed (``variation.row_values``)."""
 
 
 class StepTooLarge(NumericalError):

@@ -19,7 +19,12 @@ entries themselves, so the column holds exactly the bits of every column of
 the full grid (and the flow keeps phi y-constant).  The trajectory stores
 what was stepped and exposes ``params`` as a read-only ``np.broadcast_to``
 view of the full shape (K+1,) + param_shape; ``geometry``'s torus stack
-takes such a view back to its one column.
+takes such a view back to its one column, and ``functionals.lambda0_eig``
+solves a state on the same column, so g(0) and row 0 share one solve.
+
+``stability_dt`` is the bound itself, with no safety factor: the step loop
+checks against it, and a run's ``flow.dt = auto`` scales it by
+``flow.safety``.
 """
 
 from __future__ import annotations
@@ -65,17 +70,15 @@ class Trajectory:
         return self.state(self.num_steps)
 
 
-def stability_dt(m: MetricState, safety: float = 1.0) -> float:
+def stability_dt(m: MetricState) -> float:
     """Largest safe explicit step at a state.
 
-    Torus: safety * h^2 * min(e^{2 phi}) / 8, the parabolic bound for
-    e^{-2 phi} Lap0 with the 5-point stencil.  Homogeneous backends:
-    safety * min(scale parameter) / 8.
+    Torus: h^2 * min(e^{2 phi}) / 8, the parabolic bound for e^{-2 phi} Lap0
+    with the 5-point stencil.  Homogeneous backends: min(scale parameter) / 8.
+    A run's ``flow.dt = auto`` scales it by ``flow.safety``.
     """
-    if not (0.0 < safety <= 1.0):
-        raise ValueError(f"safety must lie in (0, 1], got {safety}")
     b = m.backend
-    return float(b.stability_dt(b.min_scale(b.components(m.params)), safety))
+    return float(b.stability_dt(b.min_scale(b.components(m.params))))
 
 
 def _check_params(backend, p):

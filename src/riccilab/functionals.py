@@ -24,12 +24,15 @@ On the torus the ground state is found by matrix-free LOPCG with block size 1
 -Lap0 + mean(e^{2 phi}): Rayleigh-Ritz on span{x, M r, p} each iteration,
 with p dropped for the step when the 3x3 Gram matrix is ill-conditioned
 (Duersch, Shao, Yang and Gu 2018).  The solve runs on the grid the metric
-stack holds, (N, Ny): the full grid, or for a y-invariant stack
+stack holds, (N, Ny): the full grid, or for a y-invariant metric
 (``geometry``'s one-column metrics) its column, Ny = 1.  A y-invariant
 pencil has a y-invariant ground state, so the column is the same
 eigenproblem: the symbol is the ky = 0 part of the rfft2 half grid, the
 preconditioner shift the mean of e^{2 phi} over the cells held, and the
-values agree with the full-grid solve to round-off.  The rows of a stack
+values agree with the full-grid solve to round-off.  ``lambda0_eig`` takes
+the same column for a y-invariant state, so each metric has one solve: the
+admissibility value lambda0(g(0)) is bitwise row 0 of a run's ``lambda0``
+column.  The rows of a stack
 run independently, vectorised over the row blocks of ``geometry.row_blocks``
 on its thread pool; the small eigenproblems of a block are solved together
 as (k, m, m) stacks, on one workspace, with the Gram pencils from batched
@@ -270,7 +273,7 @@ def _lopcg(g, vectors=None):
         X += P
 
 
-def ground_states(backend, params, vectors: np.ndarray | None = None) -> GroundStates:
+def ground_states(backend, params) -> GroundStates:
     """Ground states of -Lap_g + R/4 for a stack of metrics, ``params[k]``
     holding the backend parameters of row k.
 
@@ -281,11 +284,10 @@ def ground_states(backend, params, vectors: np.ndarray | None = None) -> GroundS
     (-Lap_g + R/4) u = lambda u, from the constant start vector (see the
     module docstring).  A row that misses ``LAMBDA0_TOL`` within
     ``LAMBDA0_MAXITER`` iterations is reported, not raised:
-    ``GroundStates.value`` raises NoConvergence for it.
-    ``vectors``, when given on the torus, receives each row's eigenfunction
-    with unit g-norm (shape (K, N, N)).  A y-invariant metric stack (a view
-    broadcast along y, as ``integrate_forward`` returns) is solved on its
-    one column and its row blocks sized by the N cells it holds.
+    ``GroundStates.value`` raises NoConvergence for it.  A y-invariant
+    metric stack (a view broadcast along y, as ``integrate_forward``
+    returns) is solved on its one column and its row blocks sized by the N
+    cells it holds.
     """
     g = backend.stack(np.asarray(params, dtype=float))
     K = len(g.params)
@@ -297,8 +299,7 @@ def ground_states(backend, params, vectors: np.ndarray | None = None) -> GroundS
     else:
         def solve(rows):
             values[rows], iterations[rows], residuals[rows] = _lopcg(
-                backend.stack(g.params[rows]),
-                None if vectors is None else vectors[rows])
+                backend.stack(g.params[rows]))
 
         with row_blocks(solve, K, math.prod(g.params.shape[1:])) as blocks:
             list(blocks)
@@ -309,16 +310,19 @@ def lambda0_eig(m: MetricState) -> tuple[float, ScalarField]:
     """Smallest eigenvalue of -Lap_g + R/4 with its eigenfunction.
 
     Constant-curvature backends: the closed form with the constant ground
-    state.  Torus: the :func:`ground_states` LOPCG on the state's own stack;
-    NoConvergence is raised when the relative eigen-residual exceeds
-    ``LAMBDA0_TOL`` after ``LAMBDA0_MAXITER`` iterations.  The eigenvalue is
-    the Rayleigh quotient of the returned eigenfunction, which has unit
-    g-norm.
+    state.  Torus: the :func:`ground_states` LOPCG on the grid the flow
+    steps (``ConformalTorus2D.components``): phi's column when it is
+    y-invariant, so the value is bitwise the one ``ground_states`` gives the
+    same metric as a trajectory row, else the full grid.  NoConvergence is
+    raised when the relative eigen-residual exceeds ``LAMBDA0_TOL`` after
+    ``LAMBDA0_MAXITER`` iterations.  The eigenvalue is the Rayleigh quotient
+    of the returned eigenfunction, which has unit g-norm on the full grid.
     """
-    if not isinstance(m.backend, ConformalTorus2D):
+    b = m.backend
+    if not isinstance(b, ConformalTorus2D):
         return float(m.stack.R) / 4.0, scalar_field(m, 1.0 / math.sqrt(volume(m)))
     vectors = np.empty((1,) + m.params.shape)
-    ground = GroundStates(*_lopcg(m.stack, vectors))
+    ground = GroundStates(*_lopcg(b.stack(b.components(m.params)[0]), vectors))
     return ground.value(0), scalar_field(m, vectors[0])
 
 

@@ -39,8 +39,8 @@ take fields and tensors with the same leading axes and return one result
 per row.  Every operator is element-wise or reduces each row's own
 contiguous cells, so each row's result is bitwise what that row gives
 alone.  The metric-derived arrays (R, Ric, g, the volume weight, the
-Laplace-Beltrami factor) are built on first use and kept, so a stack
-computes each once.
+Laplace-Beltrami factor, phi's central differences for the Hessian) are
+built on first use and kept, so a stack computes each once.
 
 One-column torus metrics.  A phi that is bitwise constant along y (every
 run's initial ``amp * sin(mode * 2 pi x / L)``, and the flow keeps it so)
@@ -55,14 +55,17 @@ and every broadcast product give the bits of the full grid.  The torus
 ``quadrature`` sums the full grid, a one-column operand broadcast to it
 first, so ``volume`` keeps its bits too.  A general phi(x, y) runs the same
 code on an (N, N) grid.  ``MetricState`` always holds a contiguous full
-grid, so the typed functions see (N, N).
+grid, so the typed functions see (N, N); ``functionals.lambda0_eig`` takes
+the state's ``components`` instead, so it solves g(0) on the column the
+trajectory's rows are solved on.
 
 The backends carry what the time-stepping loops use on one state.  The
 flow steps ``components(p)``: the parameters as Python floats on the
 spheres, where numpy's per-call dispatch would dwarf the arithmetic, and a
 one-entry list holding phi on the torus (its column when y-invariant).
 ``rates`` is the flow velocity in that form, and ``min_scale`` feeds the
-floor check and ``stability_dt``.
+floor check and ``stability_dt``, the unscaled bound (``flow.dt = auto``
+applies ``flow.safety`` to it).
 The heat solve reads stack arrays through ``rows`` and checks positivity by
 ``field_min``.
 Floats and numpy round each operation alike: either form gives the same bits.
@@ -193,9 +196,9 @@ class _Homogeneous:
         return min(p) if all(map(math.isfinite, p)) else math.nan
 
     @staticmethod
-    def stability_dt(scale, safety=1.0):
-        """safety * (smallest scale parameter) / 8 from ``min_scale``."""
-        return safety * scale / 8.0
+    def stability_dt(scale):
+        """(smallest scale parameter) / 8 from ``min_scale``."""
+        return scale / 8.0
 
     @staticmethod
     def flat_laplacian(w):
@@ -308,10 +311,10 @@ class ConformalTorus2D:
         (phi,) = p
         return np.exp(2.0 * phi.min()) if np.isfinite(phi).all() else math.nan
 
-    def stability_dt(self, scale, safety=1.0):
-        """safety * h^2 * min(e^{2 phi}) / 8 from ``min_scale``: the parabolic
-        bound of e^{-2 phi} Lap0 with the 5-point stencil."""
-        return safety * self.h**2 * scale / 8.0
+    def stability_dt(self, scale):
+        """h^2 * min(e^{2 phi}) / 8 from ``min_scale``: the parabolic bound of
+        e^{-2 phi} Lap0 with the 5-point stencil."""
+        return self.h**2 * scale / 8.0
 
     def flat_laplacian(self, w):
         return _lap5(w, self.h)
@@ -455,14 +458,6 @@ def _dm(w, axis, h):
     return (w - _roll(w, 1, axis)) / h
 
 
-def _dc(w, axis, h):
-    return (_roll(w, -1, axis) - _roll(w, 1, axis)) / (2.0 * h)
-
-
-def _d2(w, axis, h):
-    return (_roll(w, -1, axis) - 2.0 * w + _roll(w, 1, axis)) / (h * h)
-
-
 def _lap5(w, h):
     Ny = w.shape[-1]
     out, s = np.empty(w.shape), np.empty(w.shape)
@@ -476,13 +471,6 @@ def _lap5(w, h):
     out += s
     out -= np.multiply(4.0, w, out=s)
     return np.divide(out, h * h, out=out)
-
-
-def _dcross(w, h):
-    xp, xm = _roll(w, -1, 0), _roll(w, 1, 0)
-    return (
-        _roll(xp, -1, 1) - _roll(xp, 1, 1) - _roll(xm, -1, 1) + _roll(xm, 1, 1)
-    ) / (4.0 * h * h)
 
 
 def _row_sum(w: np.ndarray) -> np.ndarray:
@@ -708,14 +696,29 @@ class _TorusStack(MetricStack):
         return _sym(0.5 * (px * px + mx * mx), 0.5 * (px * py + mx * my),
                     0.5 * (py * py + my * my))
 
+    @_cached
+    def _phi_central(self):
+        """Central differences of phi along x and y (the Christoffel terms)."""
+        phi, h2 = self.params, 2.0 * self.backend.h
+        return ((_roll(phi, -1, 0) - _roll(phi, 1, 0)) / h2,
+                (_roll(phi, -1, 1) - _roll(phi, 1, 1)) / h2)
+
     def hessian(self, w):
+        """Central second differences of w, its cross difference from the
+        y-shifts of its x-neighbours, minus the Christoffel terms."""
         h = self.backend.h
-        wx, wy = _dc(w, 0, h), _dc(w, 1, h)
-        px, py = _dc(self.params, 0, h), _dc(self.params, 1, h)
+        xp, xm = _roll(w, -1, 0), _roll(w, 1, 0)
+        wx, wxx = (xp - xm) / (2.0 * h), (xp - 2.0 * w + xm) / (h * h)
+        wxy = (_roll(xp, -1, 1) - _roll(xp, 1, 1) - _roll(xm, -1, 1)
+               + _roll(xm, 1, 1)) / (4.0 * h * h)
+        del xp, xm  # one axis's neighbours at a time: less peak memory
+        yp, ym = _roll(w, -1, 1), _roll(w, 1, 1)
+        wy, wyy = (yp - ym) / (2.0 * h), (yp - 2.0 * w + ym) / (h * h)
+        del yp, ym
+        px, py = self._phi_central
         gamma_diag = px * wx - py * wy
-        return _sym(_d2(w, 0, h) - gamma_diag,
-                    _dcross(w, h) - (py * wx + px * wy),
-                    _d2(w, 1, h) + gamma_diag)
+        return _sym(wxx - gamma_diag, wxy - (py * wx + px * wy),
+                    wyy + gamma_diag)
 
     def cross_sq(self, T):
         """2 T12^2, the part of |T - c g|^2 in coordinates free of c."""

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import __version__ as _VERSION
 from . import geometry
-from .errors import AdmissibilityError, ConfigError, NumericalError
+from .errors import AdmissibilityError, ConfigError, NonPositive, NumericalError
 from .flow import Trajectory, integrate_forward, stability_dt
 from .geometry import (
     BergerSphere,
@@ -294,6 +294,16 @@ def _initial_state(cfg: RunConfig) -> MetricState:
     return m0
 
 
+def _terminal_datum(cfg: RunConfig, m_T: MetricState):
+    """The configured terminal density on the metric m_T."""
+    return terminal_datum(
+        cfg.datum, m_T,
+        amplitude=cfg.amplitude, seed=cfg.seed, mode_cutoff=cfg.cutoff,
+        center=None if cfg.center_x is None else (cfg.center_x, cfg.center_y),
+        width=cfg.width,
+    )
+
+
 @dataclass
 class ValidatedRun:
     """Config with the initial state constructed and every invariant checked."""
@@ -311,16 +321,23 @@ def validate_config(cfg: RunConfig) -> ValidatedRun:
     """Check all config invariants, resolve dt, and verify a > -lambda0(g(0)).
 
     The horizon is capped at half the extinction time on homogeneous
-    backends and snapped down to an integer number of rows.
+    backends and snapped down to an integer number of rows.  A bump datum's
+    positivity depends only on the config and the grid, so it is checked
+    here on g(0), on the grid nodes the run's datum uses.
     """
     m0 = _initial_state(cfg)
+    if cfg.datum == "bump":
+        try:
+            _terminal_datum(cfg, m0)
+        except NonPositive as exc:
+            raise ConfigError(f"heat.amplitude: {exc}") from None
     T = cfg.T
     if not isinstance(m0.backend, ConformalTorus2D):
         n = m0.backend.n
         T = min(T, 0.5 * min(m0.params.tolist()) / (2.0 * (n - 1)))
 
     if cfg.dt == "auto":
-        raw_dt = cfg.safety * stability_dt(m0, 1.0)
+        raw_dt = cfg.safety * stability_dt(m0)
         K = max(int(math.ceil(T / raw_dt - 1e-9)), 1)
         dt = T / K
     else:
@@ -646,13 +663,7 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
             steps["flow"] = traj.num_steps
             steps["max_dt_over_stability_dt"] = traj.max_step_ratio
             with _timed(timings, "heat_s", out):
-                v_T = terminal_datum(
-                    cfg.datum, traj.final_state(),
-                    amplitude=cfg.amplitude, seed=cfg.seed, mode_cutoff=cfg.cutoff,
-                    center=(None if cfg.center_x is None
-                            else (cfg.center_x, cfg.center_y)),
-                    width=cfg.width,
-                )
+                v_T = _terminal_datum(cfg, traj.final_state())
                 hist = solve_backward(traj, v_T, step=validated.dt,
                                       mass_tol=cfg.tol_mass)
             steps["heat"] = len(hist.times) - 1

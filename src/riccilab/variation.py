@@ -44,7 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveOmega, PositivityLoss, TooFewSamples
+from .errors import (
+    BlowUp,
+    NonPositiveOmega,
+    NumericalError,
+    PositivityLoss,
+    TooFewSamples,
+)
 from .geometry import MetricState, ScalarField, SymTensorField
 from .functionals import _energy, _entropy, f_functional, log_entropy_value, omega
 
@@ -157,7 +163,11 @@ class RowValues:
     rhs_combined: np.ndarray
 
 
-def row_values(g, v, times, a_values) -> tuple[RowValues, NonPositiveOmega | None]:
+# The columns a row's finiteness check names, for each a, in data.csv's order.
+_ROW_COLUMNS = ("Y", "omega", "rhs_thm", "rhs_ye")
+
+
+def row_values(g, v, times, a_values) -> tuple[RowValues, NumericalError | None]:
     """Every per-row functional and rate of a block of rows, as one stack.
 
     g is the ``MetricStack`` of the rows' metrics, v their densities (one
@@ -169,7 +179,10 @@ def row_values(g, v, times, a_values) -> tuple[RowValues, NonPositiveOmega | Non
     both rate forms then reuse them.  A row with omega <= 0 for some a ends
     the block before any logarithm or rate is taken of it: the result covers
     the rows before it, and the error is what ``omega`` raises on that row,
-    at its first failing a.
+    at its first failing a.  After that check, a row whose Y, omega or
+    either rate is not finite (an overflow, at a huge a) ends the block the
+    same way, with BlowUp naming its first such column and a; no numpy
+    warning is raised for it.
     """
     u, f = np.sqrt(v), -np.log(v)
     u2, du, df = u**2, g.differences(u), g.differences(f)
@@ -197,11 +210,25 @@ def row_values(g, v, times, a_values) -> tuple[RowValues, NonPositiveOmega | Non
 
     cross = g.cross_sq(T)
     dF_rhs = 2.0 * g.integrate(g.tensor_norm_sq(T, cross) * u2)
-    Y = log_entropy_value(S[:, None], om, g.n, a, times[:, None])
-    rates = np.empty((2,) + om.shape)
-    for j, aj in enumerate(a_values):
-        rates[:, :, j] = _rate_forms(g, u2, T, cross, om[:, j], aj)
-    return RowValues(F, S, dF_rhs, sub_lhs, sub_rhs, om, Y, *rates), error
+    # Overflow is checked below, row by row, instead of warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = log_entropy_value(S[:, None], om, g.n, a, times[:, None])
+        rates = np.empty((2,) + om.shape)
+        for j, aj in enumerate(a_values):
+            rates[:, :, j] = _rate_forms(g, u2, T, cross, om[:, j], aj)
+    fields = (F, S, dF_rhs, sub_lhs, sub_rhs, om, Y, *rates)
+
+    cols = np.stack([Y, om, *rates], axis=-1)  # data.csv's order for each a
+    finite = np.isfinite(cols)
+    if not np.all(finite):
+        k = int(np.argmin(np.all(finite, axis=(1, 2))))
+        j, c = np.unravel_index(np.argmin(finite[k]), finite[k].shape)
+        a_tag = format(a_values[j], "g")
+        error = BlowUp(
+            f"{_ROW_COLUMNS[c]}[{a_tag}] = {cols[k, j, c]:g} is not finite at "
+            f"t={times[k]:g} (a={a_tag})")
+        fields = (x[:k] for x in fields)
+    return RowValues(*fields), error
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ integration-by-parts sub-identity stays under its 1e-9 tolerance.  One
 amplitude cannot do both; the two residual families scale together.
 """
 
+import json
 import math
 
 import numpy as np
@@ -175,6 +176,20 @@ def test_criterion_4_first_variation_convergence(variation_study):
     ok = res[0] > res[1] > res[2] and all(o >= 1.8 for o in orders)
     criterion(4, ok, "residuals " + " -> ".join(f"{e:.3e}" for e in res)
               + ", orders " + ", ".join(f"{o:.2f}" for o in orders))
+
+
+def test_lambda0_g0_is_row_0_on_every_ladder_level(variation_study,
+                                                  derivative_identity_study):
+    # The criterion-4 ladder is the benchmark's: on each level the manifest's
+    # lambda0(g(0)), which the admissibility check uses, is row 0's lambda0
+    # in data.csv bit for bit (.17g round-trips float64).
+    for study in (variation_study, derivative_identity_study):
+        for row in study.levels:
+            level = study.out_dir / f"level_{row['level']}"
+            manifest = json.loads((level / "manifest.json").read_text())
+            lines = (level / "data.csv").read_text().splitlines()
+            column = lines[0].split(",").index("lambda0")
+            assert manifest["lambda0_g0"] == float(lines[1].split(",")[column])
 
 
 def test_criterion_5_two_form_equivalence(all_summaries):

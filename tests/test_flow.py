@@ -94,17 +94,13 @@ def test_sphere_volume_identity():
 
 def test_stability_dt_values():
     m = torus_state(amplitude=0.0, N=64)
-    assert rl.stability_dt(m, 1.0) == pytest.approx((TWO_PI / 64) ** 2 / 8, rel=1e-14)
-    assert rl.stability_dt(sphere_state(1.0), 1.0) == pytest.approx(0.125, abs=0)
-    assert rl.stability_dt(m, 0.5) == pytest.approx(0.5 * rl.stability_dt(m, 1.0),
-                                                    rel=1e-15)
-    with pytest.raises(ValueError):
-        rl.stability_dt(m, 0.0)
+    assert rl.stability_dt(m) == pytest.approx((TWO_PI / 64) ** 2 / 8, rel=1e-14)
+    assert rl.stability_dt(sphere_state(1.0)) == pytest.approx(0.125, abs=0)
 
 
 def test_step_too_large_rejected():
     m0 = torus_state(amplitude=0.1, N=32)
-    bound = rl.stability_dt(m0, 1.0)
+    bound = rl.stability_dt(m0)
     with pytest.raises(rl.StepTooLarge):
         rl.integrate_forward(m0, 40 * bound, 10 * bound)
 

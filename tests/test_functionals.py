@@ -322,21 +322,19 @@ def test_ground_states_rows_independent_of_block(rows_per_block, monkeypatch):
     monkeypatch.setattr(geometry, "ROW_CELLS",
                         (rows_per_block or len(rows)) * N * N * geometry.WORKERS)
     params = traj.params[rows]
-    vectors = np.empty_like(params)
-    ground = functionals.ground_states(backend, params, vectors=vectors)
+    ground = functionals.ground_states(backend, params)
     assert len(set(ground.iterations.tolist())) > 2
-    for k, (i, (lam, vec)) in enumerate(zip(rows, alone)):
+    for k, (i, (lam, _)) in enumerate(zip(rows, alone)):
         assert ground.values[k] == lam == rl.lambda0(traj.state(i))
-        assert np.array_equal(vectors[k], vec.values)
         assert ground.residuals[k] <= LAMBDA0_TOL
 
 
 def test_ground_states_one_column_eigenfunctions(monkeypatch):
     # The flow of a y-invariant phi stores one column, and ground_states
     # solves its rows there, in blocks sized by the N cells a row holds.
-    # Each eigenfunction is written broadcast to the full grid with unit
-    # g-norm on it, and agrees with lambda0_eig of the same state, which
-    # solves on the full grid.
+    # lambda0_eig solves each state on the same column: its value is the
+    # row's bit for bit, and its eigenfunction, broadcast to the full grid
+    # with unit g-norm on it, agrees with a solve on the full grid.
     N = 16
     m0 = sine_torus(N=N, amplitude=0.4)
     traj = rl.integrate_forward(m0, 0.05, 0.05 / 8)
@@ -349,48 +347,56 @@ def test_ground_states_one_column_eigenfunctions(monkeypatch):
         return solve(g, vectors)
 
     monkeypatch.setattr(functionals, "_lopcg", spied)
+    values = []
     for rows_per_block in (1, len(params)):
         # A block holds ROW_CELLS // WORKERS cells.
         monkeypatch.setattr(geometry, "ROW_CELLS",
                             rows_per_block * N * geometry.WORKERS)
         blocks.clear()
-        vectors = np.full(params.shape, np.nan)
-        ground = functionals.ground_states(m0.backend, params, vectors=vectors)
+        values.append(functionals.ground_states(m0.backend, params).values)
         assert sorted(blocks) == [(rows_per_block, N, 1)] * (
             len(params) // rows_per_block)
-        for k in range(len(params)):
-            m = traj.state(k)
-            lam, vec = rl.lambda0_eig(m)
-            assert abs(ground.values[k] - lam) <= 1e-13
-            assert np.max(np.abs(vectors[k] - vec.values)) <= 1e-9
-            assert rl.integrate(m, rl.scalar_field(m, vectors[k] ** 2)) == \
-                pytest.approx(1.0, rel=1e-13)
+    assert np.array_equal(values[0], values[1])
+    for k in range(len(params)):
+        m = traj.state(k)
+        blocks.clear()
+        lam, vec = rl.lambda0_eig(m)
+        assert blocks == [(N, 1)]
+        assert lam == values[0][k]
+        full = np.full((1, N, N), np.nan)
+        assert m.stack.params.shape == (N, N)
+        assert abs(solve(m.stack, full)[0][0] - lam) <= 1e-13
+        assert np.max(np.abs(full[0] - vec.values)) <= 1e-9
+        assert rl.integrate(m, rl.scalar_field(m, vec.values ** 2)) == \
+            pytest.approx(1.0, rel=1e-13)
+    # A general phi(x, y) is solved on the full grid.
+    x, y = rl.grid_coords(m0.backend)
+    blocks.clear()
+    rl.lambda0_eig(rl.MetricState(m0.backend, 0.0, 0.4 * np.sin(x + y)))
+    assert blocks == [(N, N)]
 
 
 def test_ground_states_pool_stress(monkeypatch):
     # Six workers, one-row blocks and a short switch interval:
     # every block writes only its own rows of the shared output arrays, so
-    # the pooled solve matches the serial one bitwise, vectors included.
+    # the pooled solve matches the serial one bitwise.
     N = 8
     backend = rl.ConformalTorus2D(N, TWO_PI)
     x, y = rl.grid_coords(backend)
     params = np.stack([0.05 * k * np.sin(x) * np.cos(y) + 0.0 * y
                        for k in range(24)])
-    serial = np.empty_like(params)
     monkeypatch.setattr(geometry, "WORKERS", 1)
-    want = functionals.ground_states(backend, params, vectors=serial)
+    want = functionals.ground_states(backend, params)
     monkeypatch.setattr(geometry, "WORKERS", 6)
     monkeypatch.setattr(geometry, "ROW_CELLS", 6 * N * N)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(2):
-            pooled = np.empty_like(params)
-            got = functionals.ground_states(backend, params, vectors=pooled)
+            got = functionals.ground_states(backend, params)
             assert np.array_equal(got.values, want.values)
             assert np.array_equal(got.iterations, want.iterations)
             assert np.array_equal(got.residuals, want.residuals)
-            assert np.array_equal(pooled, serial)
     finally:
         sys.setswitchinterval(interval)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import riccilab as rl
-from riccilab.geometry import _d2, _dc, _dcross, _dm, _dp, _lap5, _roll
+from riccilab.geometry import _dm, _dp, _lap5, _roll
 
 from cross_checks import gradient_inner, ricci_flow_rhs, tensor_trace
 
@@ -146,33 +146,46 @@ def test_berger_volume_identity_against_flow():
     k=st.sampled_from([None, 1, 3]),
     axis=st.sampled_from([0, 1]),
     h=st.floats(0.05, 2.0),
+    column=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stencils_match_numpy_roll_bitwise(N, k, axis, h, seed):
+def test_stencils_match_numpy_roll_bitwise(N, k, axis, h, column, seed):
     # k None is an (N, N) grid; otherwise a (k, N, N) stack as lambda0's
     # row-stack LOPCG passes to _lap5.  The stencils act on the last two
     # axes, so the reference formulas are the numpy.roll forms along axis
     # - 2 (x) and - 1 (y), with the same operand order: equality is exact.
+    # The Hessian's phi is the grid's shape, or its one column (N, 1) when
+    # column is set, whose y-rolls are the column itself.
     shape = (N, N) if k is None else (k, N, N)
-    w = np.random.default_rng(seed).standard_normal(shape)
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(shape)
     ax = axis - 2
     for shift in (-1, 1):
         assert np.array_equal(_roll(w, shift, axis), np.roll(w, shift, ax))
     assert np.array_equal(_dp(w, axis, h), (np.roll(w, -1, ax) - w) / h)
     assert np.array_equal(_dm(w, axis, h), (w - np.roll(w, 1, ax)) / h)
-    assert np.array_equal(
-        _dc(w, axis, h), (np.roll(w, -1, ax) - np.roll(w, 1, ax)) / (2.0 * h))
-    assert np.array_equal(
-        _d2(w, axis, h),
-        (np.roll(w, -1, ax) - 2.0 * w + np.roll(w, 1, ax)) / (h * h))
     assert np.array_equal(_lap5(w, h), (
         np.roll(w, -1, -2) + np.roll(w, 1, -2) + np.roll(w, -1, -1)
         + np.roll(w, 1, -1) - 4.0 * w
     ) / (h * h))
-    assert np.array_equal(_dcross(w, h), (
-        np.roll(np.roll(w, -1, -2), -1, -1) - np.roll(np.roll(w, -1, -2), 1, -1)
-        - np.roll(np.roll(w, 1, -2), -1, -1) + np.roll(np.roll(w, 1, -2), 1, -1)
-    ) / (4.0 * h * h))
+
+    backend = rl.ConformalTorus2D(N, N * h)
+    phi = rng.standard_normal(shape[:-1] + (1 if column else N,))
+    hb, r = backend.h, np.roll
+    wx = (r(w, -1, -2) - r(w, 1, -2)) / (2.0 * hb)
+    wy = (r(w, -1, -1) - r(w, 1, -1)) / (2.0 * hb)
+    px = (r(phi, -1, -2) - r(phi, 1, -2)) / (2.0 * hb)
+    py = (r(phi, -1, -1) - r(phi, 1, -1)) / (2.0 * hb)
+    gamma_diag = px * wx - py * wy
+    t11 = (r(w, -1, -2) - 2.0 * w + r(w, 1, -2)) / (hb * hb) - gamma_diag
+    t12 = (r(r(w, -1, -2), -1, -1) - r(r(w, -1, -2), 1, -1)
+           - r(r(w, 1, -2), -1, -1) + r(r(w, 1, -2), 1, -1)) / (4.0 * hb * hb)
+    t22 = (r(w, -1, -1) - 2.0 * w + r(w, 1, -1)) / (hb * hb) + gamma_diag
+    hess = backend.stack(phi).hessian(w)
+    assert hess.shape == shape[:-2] + (3, N, N)
+    assert np.array_equal(hess[..., 0, :, :], t11)
+    assert np.array_equal(hess[..., 1, :, :], t12 - (py * wx + px * wy))
+    assert np.array_equal(hess[..., 2, :, :], t22)
     if k is not None:
         # each grid of a stack is what it would be alone
         assert np.array_equal(_lap5(w, h)[-1], _lap5(w[-1], h))

@@ -4,6 +4,7 @@ convergence-study driver, and the library names the benchmark reaches."""
 import ast
 import dataclasses
 import importlib.util
+import inspect
 import json
 import math
 import sys
@@ -318,6 +319,35 @@ def test_manifest_metric_grid(sphere_result, curved_torus_result, tmp_path):
     assert grid(sphere_result) is None
     cfg = make_config(parse_config_file(write_cfg(tmp_path / "flat.cfg", FLAT_CFG)))
     assert grid(run(validate_config(cfg), tmp_path / "out")) == [cfg.N, 1]
+
+
+def test_lambda0_g0_is_row_0_lambda0(tmp_path, capsys):
+    # g(0) has one ground-state solve: validate_config's admissibility value
+    # is the run's row-0 lambda0 bit for bit, both solved on the column the
+    # flow steps, and check prints it.  The config is the benchmark's
+    # many-a torus (501 rows, six adjustment values).
+    path = write_cfg(tmp_path / "many_a.cfg", """
+backend.kind = conformal_torus
+backend.N = 32
+backend.phi_amplitude = 0.1
+backend.phi_mode = 1
+flow.T = 1.0
+flow.dt = 2e-3
+heat.datum = random_smooth
+heat.seed = 1
+heat.amplitude = 0.02
+heat.cutoff = 2
+entropy.a = 0.1, 0.25, 0.5, 1, 2, 4
+""")
+    assert cli_main(["run", path, "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    header, cols = read_csv(tmp_path / "o" / "data.csv")
+    row0 = cols[header.index("lambda0")][0]
+    assert manifest["lambda0_g0"] == row0
+    assert [chk["lambda0_g0"] for chk in manifest["admissibility"]] == [row0] * 6
+    capsys.readouterr()
+    assert cli_main(["check", path]) == 0
+    assert f"lambda0(g(0)) = {row0:.12g}\n" in capsys.readouterr().out
 
 
 def read_csv(path):
@@ -1119,12 +1149,47 @@ entropy.a = 0
         ("entropy.a", FLAT_CFG.replace("entropy.a = 0.5", "entropy.a = inf")),
         ("entropy.a", FLAT_CFG.replace("entropy.a = 0.5", "entropy.a = 0, -0")),
         ("backend.n", SPHERE_CFG.replace("backend.n = 2", "backend.n = 400")),
+        # a bump datum that is non-positive on a grid node
+        ("heat.amplitude", FLAT_CFG.replace(
+            heat, "heat.datum = bump\nheat.amplitude = -1.5").replace(
+            "entropy.a = 0.5", "entropy.a = 0.1\nbackend.phi_amplitude = 0.1")),
     ):
         bad_input = write_cfg(tmp_path / "bad_input.cfg", text)
         assert cli_main(["check", bad_input]) == 2
         assert f"ConfigError: {field}" in capsys.readouterr().err
         assert cli_main(["run", bad_input, "--out", str(tmp_path / "h")]) == 2
         assert not (tmp_path / "h").exists()
+
+    # The bump's positivity is tested on the grid nodes: centred between
+    # nodes (h = 0.393, the nearest node 0.2 away on each axis), an
+    # amplitude below -1 keeps every node positive, and the centre node at
+    # -1.05 does not.
+    for centre, code in (("3.34", 0), ("3.141592653589793", 2)):
+        bump = write_cfg(tmp_path / "bump.cfg", FLAT_CFG.replace(
+            heat, f"heat.datum = bump\nheat.amplitude = -1.05\n"
+                  f"heat.center_x = {centre}\nheat.center_y = {centre}"))
+        assert cli_main(["check", bump]) == code
+
+    # Rates that overflow at a huge a end the run at that row (exit 3), not
+    # as an ok run with inf and nan columns; the manifest stays valid JSON.
+    def strict_json(text):
+        return json.loads(text, parse_constant=lambda c: pytest.fail(c))
+
+    huge_a = write_cfg(tmp_path / "huge_a.cfg", """
+backend.kind = round_sphere
+backend.n = 2
+flow.T = 0.1
+flow.dt = 1e-2
+entropy.a = 1e200
+""")
+    capsys.readouterr()
+    assert cli_main(["run", huge_a, "--out", str(tmp_path / "a")]) == 3
+    err = capsys.readouterr().err
+    assert ("run failed (BlowUp): rhs_thm[1e+200] = inf is not finite at t=0 "
+            "(a=1e+200)") in err
+    manifest = strict_json((tmp_path / "a" / "manifest.json").read_text())
+    assert (manifest["status"], manifest["exit_code"]) == ("BlowUp", 3)
+    assert len((tmp_path / "a" / "data.csv").read_text().splitlines()) == 1
 
     # admissible at ladder level 0 (-lambda0 = 0.011016), not at level 1
     # (-lambda0 = 0.011123): the level-1 rejection is an input error too
@@ -1354,10 +1419,12 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 def test_bench_reaches_only_existing_names(monkeypatch):
     # The benchmark calls the library from bench/, which changes apart from
-    # it: every function its tracer wraps must exist and be callable, and
-    # every module attribute its layer timings name must exist.  The tracer
-    # is imported without writing bytecode, and nothing is run.
-    from riccilab import flow, functionals, geometry, heat, variation
+    # it: every function its tracer wraps must exist and be callable, every
+    # module attribute its layer timings and workloads name must exist, and
+    # every call they make on one must bind to the function's signature, so
+    # a parameter the benchmark passes cannot be deleted either.  The
+    # tracer is imported without writing bytecode, and nothing is run.
+    from riccilab import flow, functionals, geometry, harness, heat, variation
 
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("bench_tracer",
@@ -1369,11 +1436,32 @@ def test_bench_reaches_only_existing_names(monkeypatch):
         assert callable(getattr(module, name, None)), (module.__name__, name)
 
     modules = {m.__name__.rsplit(".", 1)[-1]: m
-               for m in (flow, functionals, geometry, heat, variation)}
-    named = {(node.value.id, node.attr)
-             for node in ast.walk(ast.parse((BENCH / "layers.py").read_text()))
+               for m in (flow, functionals, geometry, harness, heat, variation)}
+    nodes = [node for name in ("layers.py", "workloads.py")
+             for node in ast.walk(ast.parse((BENCH / name).read_text()))]
+    named = {(node.value.id, node.attr) for node in nodes
              if isinstance(node, ast.Attribute)
              and isinstance(node.value, ast.Name) and node.value.id in modules}
-    assert {("geometry", "hessian"), ("geometry", "laplace_beltrami")} <= named
+    assert {("geometry", "hessian"), ("geometry", "laplace_beltrami"),
+            ("harness", "convergence_study")} <= named
     assert [(mod, attr) for mod, attr in sorted(named)
             if not hasattr(modules[mod], attr)] == []
+
+    bound = set()
+    for node in nodes:
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in modules):
+            continue
+        keywords = [k.arg for k in node.keywords]
+        assert None not in keywords and not any(
+            isinstance(a, ast.Starred) for a in node.args), ast.unparse(node)
+        fn = getattr(modules[node.func.value.id], node.func.attr)
+        try:
+            inspect.signature(fn).bind(*node.args, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            pytest.fail(f"bench call {ast.unparse(node)}: {exc}")
+        bound.add((node.func.attr, tuple(sorted(keywords))))
+    assert {("solve_backward", ("step",)),
+            ("terminal_datum", ("amplitude", "mode_cutoff", "seed")),
+            ("convergence_study", ())} <= bound
