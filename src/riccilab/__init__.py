@@ -37,6 +37,7 @@ from .heat import (
     DensityHistory,
     change_variables,
     solve_backward,
+    stream_backward,
     terminal_datum,
 )
 from .functionals import (

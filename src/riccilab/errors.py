@@ -36,7 +36,7 @@ class MassDrift(NumericalError):
 
 
 class NonPositive(NumericalError):
-    """Terminal datum recipe produced a non-positive field."""
+    """Terminal datum recipe produced a non-positive or non-finite field."""
 
 
 class NonPositiveOmega(NumericalError):

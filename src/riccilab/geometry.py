@@ -106,6 +106,7 @@ __all__ = [
     "ScalarField",
     "SymTensorField",
     "ROW_CELLS",
+    "CHUNK_CELLS",
     "WORKERS",
     "row_blocks",
     "scalar_field",
@@ -129,6 +130,15 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # 128 (rows_s 1.00 s against 1.36 s at 2^15), and 2^17 adds 16 MiB of peak
 # memory at N = 128 for nothing.
 ROW_CELLS = 2**16
+
+# Cap on the cells of one density chunk (8 MiB of float64): a run's heat
+# solve hands its rows to the row evaluation in chunks of at most
+# CHUNK_CELLS cells (at least one row), so a run holds one chunk of
+# densities, not their whole history.  Smaller chunks let glibc return the
+# row kernel's freed temporaries to the system between chunks, and the
+# faults of taking them back cost more wall time than the chunks save
+# (2^18: 52k-86k minor faults per ladder pass against a few hundred).
+CHUNK_CELLS = 2**20
 
 
 @contextmanager

@@ -12,17 +12,21 @@ endings), ``proof_chain.csv`` (the derivative-identity columns, which do
 not fit the fixed data.csv schema), and ``manifest.json`` (config echo,
 resolved step and metric grid, admissibility checks, summary block,
 ``lambda0`` solver diagnostics over the evaluated rows, stage ``timings``,
-flow and heat ``steps``, exit status), written exactly once per run and on
-every exit path (a temporary file renamed into place), so partial
-artifacts carry a status marker.  One writer prints both CSV files from the
-``RunTables`` arrays (header only when no table exists; per-a arrays hold
-one column per adjustment value); the summary counts come from
-``variation``'s ``equivalence_check`` and ``monotonicity_check``.
+``peak_rss_mb`` at the end of each stage, flow and heat ``steps``, exit
+status), written exactly once per run and on every exit path (a temporary
+file renamed into place), so partial artifacts carry a status marker.  One
+writer prints both CSV files from the ``RunTables`` arrays, a block of rows
+at a time (header only when no table exists; per-a arrays hold one column
+per adjustment value); the summary counts come from ``variation``'s
+``equivalence_check`` and ``monotonicity_check``.
 
 Row evaluation: ``evaluate_tables`` solves lambda0 for every row in one
 ``ground_states`` call, then runs the stacked row kernel
-``variation.row_values``, with no per-row loop.  Both run their row blocks
-on the ``geometry.row_blocks`` thread pool, results in block order.
+``variation.row_values`` on each chunk of densities the heat solve hands
+over (``heat.stream_backward``, top-down), with no per-row loop.  Both run
+their row blocks on the ``geometry.row_blocks`` thread pool, results in
+block order.  Only per-row scalars outlive a chunk, so a run holds one
+chunk of at most ``geometry.CHUNK_CELLS`` density cells, not the history.
 
 Exit codes: 0 success, 2 ``InputError`` (configuration or admissibility),
 3 ``NumericalError`` (partial CSV retained).  Any other exception is an
@@ -42,12 +46,18 @@ import json
 import logging
 import math
 import os
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on every platform; the memory block is then null
+    resource = None
 
 from . import __version__ as _VERSION
 from . import geometry
@@ -65,7 +75,8 @@ from .heat import (
     DATUM_KINDS,
     DensityHistory,
     change_variables,
-    solve_backward,
+    check_datum,
+    stream_backward,
     terminal_datum,
 )
 from .variation import (
@@ -294,10 +305,9 @@ def _initial_state(cfg: RunConfig) -> MetricState:
     return m0
 
 
-def _terminal_datum(cfg: RunConfig, m_T: MetricState):
-    """The configured terminal density on the metric m_T."""
-    return terminal_datum(
-        cfg.datum, m_T,
+def _datum_params(cfg: RunConfig) -> dict:
+    """The keyword arguments of the configured terminal datum."""
+    return dict(
         amplitude=cfg.amplitude, seed=cfg.seed, mode_cutoff=cfg.cutoff,
         center=None if cfg.center_x is None else (cfg.center_x, cfg.center_y),
         width=cfg.width,
@@ -322,15 +332,15 @@ def validate_config(cfg: RunConfig) -> ValidatedRun:
 
     The horizon is capped at half the extinction time on homogeneous
     backends and snapped down to an integer number of rows.  A bump datum's
-    positivity depends only on the config and the grid, so it is checked
-    here on g(0), on the grid nodes the run's datum uses.
+    positivity and a random datum's finiteness depend only on the config
+    and the grid, so ``heat.check_datum`` checks them here on g(0), on the
+    grid nodes the run's datum uses.
     """
     m0 = _initial_state(cfg)
-    if cfg.datum == "bump":
-        try:
-            _terminal_datum(cfg, m0)
-        except NonPositive as exc:
-            raise ConfigError(f"heat.amplitude: {exc}") from None
+    try:
+        check_datum(cfg.datum, m0, **_datum_params(cfg))
+    except NonPositive as exc:
+        raise ConfigError(f"heat.amplitude: {exc}") from None
     T = cfg.T
     if not isinstance(m0.backend, ConformalTorus2D):
         n = m0.backend.n
@@ -395,11 +405,11 @@ class RunTables:
     variation: VariationReport
 
 
-def _row_error(hist: DensityHistory, ground, k: int) -> NumericalError:
-    """The error row k raises first, in the row checks' order: the change of
-    variables, then its lambda0."""
+def _row_error(chunk: DensityHistory, ground, k: int) -> NumericalError:
+    """The error row k (held in ``chunk``) raises first, in the row checks'
+    order: the change of variables, then its lambda0."""
     try:
-        change_variables(hist.field(k))
+        change_variables(chunk.field(k - chunk.first))
         ground.value(k)
     except NumericalError as exc:
         return exc
@@ -407,81 +417,95 @@ def _row_error(hist: DensityHistory, ground, k: int) -> NumericalError:
 
 
 def evaluate_tables(
-    traj: Trajectory, hist: DensityHistory, a_values, dt: float,
+    traj: Trajectory, chunks, a_values, dt: float,
     timings: dict | None = None,
 ) -> tuple[RunTables | None, Exception | None]:
     """Evaluate every functional and verification column.
 
-    The lambda0 of every row comes from one ``ground_states`` call over the
-    row metrics.  The row kernel ``variation.row_values`` then evaluates F,
-    S, the variation tensor T, dF_rhs, the sub-identity sides and, for each
-    adjustment value, omega, Y and both rate forms, over the row blocks of
-    the ``geometry.row_blocks`` pool, consumed in block order.  Every check
-    runs before the block takes a square root, logarithm or rate of a
-    failing row: the densities' positivity and lambda0's convergence first,
-    over all rows, then omega inside the kernel.  The first failing row
-    raises what the row checks raise there, in their order: the change of
-    variables, lambda0, then omega for each a; the first block that returns
-    an error ends the evaluation and later blocks' results are discarded,
-    so neither depends on the pool.  On a numerical failure the completed
-    rows are kept
-    (truncated tables, finite differences over the surviving series) so a
-    failed run still ships a partial CSV; returns (tables, error), tables
-    None when fewer than 3 rows survived.  ``timings``, when given, receives
-    the ground-state solve time as ``lambda0_s``.
+    ``chunks`` are the rows' densities as ``DensityHistory`` chunks of
+    consecutive rows that together cover every row once, in any order:
+    ``heat.stream_backward``'s, consumed as they complete, or ``[hist]``.
+    The lambda0 of every row comes first, from one ``ground_states`` call
+    over the row metrics.  Then, chunk by chunk, the row kernel
+    ``variation.row_values`` evaluates F, S, the variation tensor T,
+    dF_rhs, the sub-identity sides and, for each adjustment value, omega, Y
+    and both rate forms, over the row blocks of the ``geometry.row_blocks``
+    pool, consumed in block order; only these per-row values outlive the
+    chunk.  Every check runs before a block takes a square root, logarithm
+    or rate of a failing row: the chunk's densities' positivity and
+    lambda0's convergence first, then omega inside the kernel.  In a chunk,
+    the first failing row raises what the row checks raise there, in their
+    order: the change of variables, lambda0, then omega for each a; the
+    first block that returns an error ends the chunk and later blocks'
+    results are discarded, so neither depends on the pool.  Over the
+    chunks, the lowest failing row decides the error and the truncation,
+    so neither depends on the chunks either.  An error the chunks raise (a
+    heat failure) propagates.  On a numerical failure the completed rows
+    are kept (truncated tables, finite differences over the surviving
+    series) so a failed run still ships a partial CSV; returns (tables,
+    error), tables None when fewer than 3 rows survived.  ``timings``, when
+    given, receives the ground-state solve time as ``lambda0_s``.
     """
     stride = int(round(dt / traj.dt))
     backend = traj.backend
     a_values = list(a_values)
-    K = len(hist.times)
-    params = traj.params[::stride][:K]
+    params, times = traj.params[::stride], traj.times[::stride]
+    K = len(params)
     started = time.perf_counter()
     ground = ground_states(backend, params)
     if timings is not None:
         timings["lambda0_s"] = time.perf_counter() - started
-    row_series = np.empty((5, K))
+    row_series = np.empty((6, K))  # F, S, dF_rhs, sub_lhs, sub_rhs, mass
     a_series = np.empty((4, K, len(a_values)))
 
-    # The first row whose density is not positive or whose lambda0 did not
-    # converge fails before its omega is checked; the kernel runs only on
-    # the rows before it.
-    failing = ((np.min(hist.v.reshape(K, -1), axis=1) <= 0.0)
-               | ~ground.converged)
-    limit = int(np.argmax(failing)) if np.any(failing) else K
+    done, error, covered = K, None, 0  # the lowest failing row, its error
+    for chunk in chunks:
+        lo, n = chunk.first, len(chunk.times)
+        covered += n
+        row_series[5, lo:lo + n] = chunk.masses
+        # The chunk's first row whose density is not positive or whose
+        # lambda0 did not converge fails before its omega is checked; the
+        # kernel runs only on the rows before it.
+        failing = ((np.min(chunk.v.reshape(n, -1), axis=1) <= 0.0)
+                   | ~ground.converged[lo:lo + n])
+        limit = int(np.argmax(failing)) if np.any(failing) else n
 
-    def kernel(rows):
-        return row_values(backend.stack(params[rows]), hist.v[rows],
-                          hist.times[rows], a_values)
+        def kernel(rows):
+            return row_values(
+                backend.stack(params[lo + rows.start:lo + rows.stop]),
+                chunk.v[rows], chunk.times[rows], a_values)
 
-    error = None
-    done = 0
-    with geometry.row_blocks(kernel, limit, backend.cells) as blocks:
-        for vals, error in blocks:
-            start, done = done, done + len(vals.F)
-            row_series[:, start:done] = (vals.F, vals.S, vals.dF_rhs,
-                                         vals.sub_lhs, vals.sub_rhs)
-            a_series[:, start:done] = (vals.Y, vals.om, vals.rhs_split,
-                                       vals.rhs_combined)
-            if error is not None:
-                break
-    if error is None and limit < K:
-        error = _row_error(hist, ground, limit)
+        cut, chunk_error = 0, None
+        with geometry.row_blocks(kernel, limit, backend.cells) as blocks:
+            for vals, chunk_error in blocks:
+                start, cut = cut, cut + len(vals.F)
+                row_series[:5, lo + start:lo + cut] = (
+                    vals.F, vals.S, vals.dF_rhs, vals.sub_lhs, vals.sub_rhs)
+                a_series[:, lo + start:lo + cut] = (
+                    vals.Y, vals.om, vals.rhs_split, vals.rhs_combined)
+                if chunk_error is not None:
+                    break
+        if chunk_error is None and limit < n:
+            chunk_error = _row_error(chunk, ground, lo + limit)
+        if chunk_error is not None and lo + cut < done:
+            done, error = lo + cut, chunk_error
+    if covered != K:
+        raise ValueError(f"density chunks hold {covered} rows, not the "
+                         f"trajectory's {K}")
 
     if done < 3:
         return None, error
-    times = hist.times[:done]
-    F, S, dF_rhs, sub_lhs, sub_rhs = row_series[:, :done]
-    lam = ground.values[:done]
+    F, S, dF_rhs, sub_lhs, sub_rhs, masses = row_series[:, :done]
+    times = times[:done].copy()
     Y, om, rt, ry = a_series[:, :done]
     dY = fd_time_derivative(Y, dt)
     tables = RunTables(
-        times=times, F=F, S=S, lam0=lam,
+        times=times, F=F, S=S, lam0=ground.values[:done],
         lam0_iterations=ground.iterations[:done],
         lam0_residuals=ground.residuals[:done], a_values=a_values,
         Y=Y, om=om, dY_fd=dY, rhs_thm=rt, rhs_ye=ry,
         res_thm=np.abs(dY - rt), res_equiv=np.abs(rt - ry),
-        dF_rhs=dF_rhs, sub_lhs=sub_lhs, sub_rhs=sub_rhs,
-        masses=hist.masses[:done],
+        dF_rhs=dF_rhs, sub_lhs=sub_lhs, sub_rhs=sub_rhs, masses=masses,
         variation=proof_chain_check(times, S, F, dF_rhs, dt),
     )
     return tables, error
@@ -537,11 +561,14 @@ def _fmt(x: float) -> str:
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Header line, then one line per row of the equal-length columns, each
     value as ``_fmt`` prints it (one %-template per line: "%.17g" % x is
-    format(x, ".17g") for every float and bool)."""
-    rows = zip(*(c.tolist() for c in columns))
-    template = ",".join(["%.17g"] * len(columns))
-    lines = [",".join(header)] + [template % row for row in rows]
-    path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    format(x, ".17g") for every float and bool).  Rows are formatted and
+    written 1024 at a time, so a long table's text is never held whole."""
+    template = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\n").encode("ascii"))
+        for start in range(0, len(columns[0]) if columns else 0, 1024):
+            rows = zip(*(c[start:start + 1024].tolist() for c in columns))
+            f.write("".join(template % row for row in rows).encode("ascii"))
 
 
 # data.csv columns repeated per adjustment value, mapped to RunTables fields.
@@ -602,19 +629,62 @@ def resolve_out_dir(cfg: RunConfig, override=None, default_name="run") -> Path:
     return target
 
 
-# Stage timings in manifest.json; lambda0_s is the part of rows_s spent in
-# the ground-state solve.
+# Stage timings in manifest.json.  The heat solve and the row evaluation
+# interleave, chunk by chunk: heat_s counts the terminal datum and the
+# chunks' solve, rows_s the rest of that stage, and lambda0_s is the part of
+# rows_s spent in the ground-state solve.
 _STAGES = ("flow_s", "heat_s", "rows_s", "lambda0_s", "summary_s", "writers_s")
+# Peak resident set (MiB) at the end of these stages in manifest.json.
+_MEMORY_STAGES = ("flow", "heat_and_rows", "summary", "writers")
 
 
 @contextmanager
-def _timed(timings: dict, stage: str, out: Path):
+def _timed(timings: dict, stage: str, out: Path, logged=()):
+    """Add the block's time to ``stage``, then log it and the ``logged``
+    stages."""
     started = time.perf_counter()
     try:
         yield
     finally:
         timings[stage] += time.perf_counter() - started
-        log.info("%s: %s %.3f s", out, stage, timings[stage])
+        for name in (stage, *logged):
+            log.info("%s: %s %.3f s", out, name, timings[name])
+
+
+@contextmanager
+def _heat_time(timings: dict):
+    """Count the block's time in heat_s instead of rows_s, the stage it runs
+    in."""
+    started = time.perf_counter()
+    try:
+        yield
+    finally:
+        elapsed = time.perf_counter() - started
+        timings["heat_s"] += elapsed
+        timings["rows_s"] -= elapsed
+
+
+def _heat_chunks(chunks, timings: dict, steps: dict):
+    """The heat stream's chunks, their solve time in heat_s; ``steps["heat"]``
+    is set once the stream completes."""
+    rows = 0
+    while True:
+        with _heat_time(timings):
+            chunk = next(chunks, None)
+        if chunk is None:
+            steps["heat"] = rows - 1
+            return
+        rows += len(chunk.times)
+        yield chunk
+
+
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set so far in MiB (``ru_maxrss`` is in
+    KiB on Linux, in bytes on macOS); None without ``resource``."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2.0**20 if sys.platform == "darwin" else 1024.0)
 
 
 def _metric_grid(m0: MetricState) -> list[int] | None:
@@ -644,7 +714,9 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
     "Type: message") and re-raised; the CSVs this run did not write are
     removed, so a reused directory keeps no earlier run's.  The manifest
     (with ``workers``, the row-block pool size) is written on every exit
-    path.
+    path.  The heat solve streams its rows into ``evaluate_tables`` chunk by
+    chunk; a heat failure ends the run as a row failure would, but before
+    any table exists, so both CSVs are header-only.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -652,6 +724,7 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
     started = time.perf_counter()
     timings = dict.fromkeys(_STAGES, 0.0)
     steps = {"flow": None, "heat": None, "max_dt_over_stability_dt": None}
+    memory = dict.fromkeys(_MEMORY_STAGES)
     status, error, tables, summary = "ok", None, None, None
     written = set()
     log.info("%s: workers %d", out, geometry.WORKERS)
@@ -662,19 +735,22 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
                                          validated.dt / 2.0)
             steps["flow"] = traj.num_steps
             steps["max_dt_over_stability_dt"] = traj.max_step_ratio
-            with _timed(timings, "heat_s", out):
-                v_T = _terminal_datum(cfg, traj.final_state())
-                hist = solve_backward(traj, v_T, step=validated.dt,
-                                      mass_tol=cfg.tol_mass)
-            steps["heat"] = len(hist.times) - 1
-            with _timed(timings, "rows_s", out):
+            memory["flow"] = _peak_rss_mb()
+            with _timed(timings, "rows_s", out, ("heat_s", "lambda0_s")):
+                with _heat_time(timings):
+                    v_T = terminal_datum(cfg.datum, traj.final_state(),
+                                         **_datum_params(cfg))
+                chunks = _heat_chunks(
+                    stream_backward(traj, v_T, step=validated.dt,
+                                    mass_tol=cfg.tol_mass), timings, steps)
                 tables, row_error = evaluate_tables(
-                    traj, hist, cfg.a_values, validated.dt, timings)
-            log.info("%s: of which lambda0_s %.3f s", out, timings["lambda0_s"])
+                    traj, chunks, cfg.a_values, validated.dt, timings)
+            memory["heat_and_rows"] = _peak_rss_mb()
             if row_error is not None:
                 raise row_error
             with _timed(timings, "summary_s", out):
                 summary = _summary(tables, cfg)
+            memory["summary"] = _peak_rss_mb()
         except NumericalError as exc:
             status = type(exc).__name__
             error = str(exc)
@@ -682,6 +758,7 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
             for name, header, columns in _artifact_csvs(cfg.a_values, tables):
                 _write_csv(out / name, header, columns)
                 written.add(name)
+        memory["writers"] = _peak_rss_mb()
     except BaseException as exc:  # recorded, then re-raised
         status, error = "internal_error", f"{type(exc).__name__}: {exc}"
         for name in set(_CSV_FILES) - written:
@@ -708,6 +785,7 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
             "summary": summary,
             "lambda0": None if tables is None else _lambda0_diagnostics(tables),
             "timings": timings,
+            "peak_rss_mb": memory,
             "steps": steps,
             "workers": geometry.WORKERS,
             "wall_clock_s": time.perf_counter() - started,

@@ -25,12 +25,19 @@ read per row as ``backend.rows`` gives it: Python floats on the spheres,
 grids on the torus, either way bitwise alike.  Mass is checked at every
 step but never renormalized.
 
+One RK4 loop serves two callers.  ``stream_backward`` hands the rows over
+as they complete, top-down, in chunks of at most ``geometry.CHUNK_CELLS``
+cells held in one reused buffer, so a run holds one chunk of densities
+instead of their whole history; ``solve_backward`` collects the same loop
+into one chunk of every row.  Either way a row's bits are the same.
+
 A density at one instant is a plain ``ScalarField`` holding v; its
 positivity and unit mass are checked by the solver, not by its type.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +52,15 @@ from .geometry import (
     grid_coords,
     integrate,
     scalar_field,
+    volume,
 )
 
 __all__ = [
     "DensityHistory",
     "terminal_datum",
+    "check_datum",
     "change_variables",
+    "stream_backward",
     "solve_backward",
 ]
 
@@ -60,17 +70,20 @@ DATUM_KINDS = ("constant", "bump", "random_smooth")
 
 @dataclass(frozen=True, eq=False)
 class DensityHistory:
-    """Density fields indexed by increasing time, aligned with a trajectory.
+    """Density fields of consecutive rows, indexed by increasing time.
 
-    ``v[k]`` holds v at ``times[k]`` and ``field(k)`` wraps it as a
-    ``ScalarField``.  ``masses[k]`` records integral(v dmu) at ``times[k]``
-    as measured, for drift diagnostics; the fields are never renormalized.
+    ``v[k]`` holds v at ``times[k]``, the row ``first + k`` of the
+    trajectory's row grid, and ``field(k)`` wraps it as a ``ScalarField``.
+    ``masses[k]`` records integral(v dmu) at ``times[k]`` as measured, for
+    drift diagnostics; the fields are never renormalized.  A whole history
+    starts at row 0; a chunk of ``stream_backward`` starts at ``first``.
     """
 
     backend: object
     times: np.ndarray
     v: np.ndarray
     masses: np.ndarray
+    first: int = 0
 
     def field(self, k: int) -> ScalarField:
         return ScalarField(self.backend, self.v[k])
@@ -80,10 +93,28 @@ class DensityHistory:
 # Terminal data
 # --------------------------------------------------------------------------
 
-def _normalized(m_T: MetricState, raw: np.ndarray) -> ScalarField:
+def _normalized(m_T: MetricState, raw: np.ndarray, what: str) -> ScalarField:
+    """raw / integral(raw dmu); NonPositive naming ``what``, and no numpy
+    warning, when the quotient is not finite."""
     fld = scalar_field(m_T, raw)
-    mass = integrate(m_T, fld)
-    return scalar_field(m_T, fld.values / mass)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mass = integrate(m_T, fld)
+        values = fld.values / mass
+    if not np.isfinite(values).all():
+        raise NonPositive(f"{what} makes the normalized datum non-finite "
+                          f"(mass {float(mass):g})")
+    return scalar_field(m_T, values)
+
+
+def _fourier_modes(seed: int, mode_cutoff: int):
+    """(kx, ky, a_k, b_k, decay) of the random_smooth series: a fixed
+    (kx, ky) order over a half-plane, so no mode appears twice, and the
+    coefficients drawn in that order."""
+    ks = [(kx, ky) for kx in range(0, mode_cutoff + 1)
+          for ky in range(1 if kx == 0 else -mode_cutoff, mode_cutoff + 1)]
+    coeffs = np.random.default_rng(seed).standard_normal((len(ks), 2)).tolist()
+    return [(kx, ky, a_k, b_k, 1.0 / (1.0 + kx * kx + ky * ky))
+            for (kx, ky), (a_k, b_k) in zip(ks, coeffs)]
 
 
 def terminal_datum(
@@ -105,13 +136,15 @@ def terminal_datum(
     random coefficients are drawn in a fixed mode order independent of the
     grid size, so one seed describes one continuum datum across
     resolutions.  Homogeneous backends carry single-value fields, so every
-    kind degenerates to the constant datum there.
+    kind degenerates to the constant datum there.  Raises NonPositive for a
+    bump that is not positive on every node and for a datum whose
+    normalized values are not finite (an overflowing random series).
     """
     b = m_T.backend
     if kind not in DATUM_KINDS:
         raise ValueError(f"unknown terminal datum kind {kind!r}")
     if not isinstance(b, ConformalTorus2D) or kind == "constant":
-        return _normalized(m_T, np.ones(b.field_shape))
+        return _normalized(m_T, np.ones(b.field_shape), "the constant datum")
 
     x, y = grid_coords(b)
     if kind == "bump":
@@ -128,22 +161,41 @@ def terminal_datum(
             raise NonPositive(
                 f"bump amplitude {amplitude:g} drives the datum non-positive"
             )
-        return _normalized(m_T, raw)
+        return _normalized(m_T, raw, f"bump amplitude {amplitude:g}")
 
-    rng = np.random.default_rng(seed)
     w = np.zeros((b.N, b.N))
     two_pi = 2.0 * np.pi / b.L
-    # Fixed (kx, ky) iteration order; half-plane to avoid duplicate modes.
-    for kx in range(0, mode_cutoff + 1):
-        ky_lo = 1 if kx == 0 else -mode_cutoff
-        for ky in range(ky_lo, mode_cutoff + 1):
-            if kx == 0 and ky <= 0:
-                continue
-            a_k, b_k = rng.standard_normal(2)
-            decay = 1.0 / (1.0 + kx * kx + ky * ky)
-            phase = two_pi * (kx * x + ky * y)
-            w = w + decay * (a_k * np.cos(phase) + b_k * np.sin(phase))
-    return _normalized(m_T, np.exp(amplitude * w))
+    for kx, ky, a_k, b_k, decay in _fourier_modes(seed, mode_cutoff):
+        phase = two_pi * (kx * x + ky * y)
+        w = w + decay * (a_k * np.cos(phase) + b_k * np.sin(phase))
+    with np.errstate(over="ignore"):
+        raw = np.exp(amplitude * w)
+    return _normalized(m_T, raw, f"random_smooth amplitude {amplitude:g}")
+
+
+def check_datum(kind: str, m: MetricState, *, amplitude: float = 0.5,
+                seed: int = 0, mode_cutoff: int = 2,
+                center: tuple[float, float] | None = None,
+                width: float | None = None) -> None:
+    """Raise what ``terminal_datum`` raises on m with these settings.
+
+    A bump is built, its positivity checked on the grid nodes.  A random
+    series is built only when its coefficient bound cannot show the datum
+    finite: with |w| <= B = sum of decay * (|a_k| + |b_k|), |amplitude| B <=
+    300 and |ln volume| <= 100 keep exp(amplitude w), its mass and their
+    quotient between e^-700 and e^700, which saves the N^2 sines and
+    cosines of every mode on every grid a run or study validates.  The
+    constant datum is 1/volume, finite once the volume is.
+    """
+    if kind == "constant" or not isinstance(m.backend, ConformalTorus2D):
+        return
+    if kind == "random_smooth":
+        bound = sum((abs(a_k) + abs(b_k)) * decay
+                    for _, _, a_k, b_k, decay in _fourier_modes(seed, mode_cutoff))
+        if abs(amplitude) * bound <= 300.0 and abs(math.log(volume(m))) <= 100.0:
+            return
+    terminal_datum(kind, m, amplitude=amplitude, seed=seed,
+                   mode_cutoff=mode_cutoff, center=center, width=width)
 
 
 def change_variables(v: ScalarField) -> tuple[ScalarField, ScalarField]:
@@ -171,11 +223,39 @@ def solve_backward(
     ``step`` is the solver step (in t), defaulting to twice the trajectory
     spacing; it must be an even integer multiple of it so RK4 stage times
     land exactly on stored snapshots.  Returns the history indexed by
-    increasing t at the solver step spacing.  Raises PositivityLoss when
+    increasing t at the solver step spacing: the one chunk of every row
+    of the loop ``stream_backward`` runs.  Raises PositivityLoss when
     min v <= 1e-10 (too-large step) and MassDrift when the measured mass
     leaves [1 - mass_tol, 1 + mass_tol]; the history is checked but never
     renormalized.
     """
+    (hist,) = _backward(traj, v_T, step, mass_tol, None)
+    return hist
+
+
+def stream_backward(
+    traj: Trajectory,
+    v_T: ScalarField,
+    *,
+    step: float | None = None,
+    mass_tol: float = 1e-6,
+):
+    """The backward solve of ``solve_backward``, handed over as it runs.
+
+    Yields ``DensityHistory`` chunks of consecutive rows, top-down: the
+    first holds the terminal row and the rows just below it, each chunk
+    holds at most ``geometry.CHUNK_CELLS`` cells (at least one row), and
+    its ``first`` is its lowest row.  Every chunk is a view of one buffer,
+    which the next chunk overwrites: a consumer copies what it keeps.  An
+    error is raised where ``solve_backward`` raises it, so the chunks above
+    the failing row have been handed over by then.
+    """
+    return _backward(traj, v_T, step, mass_tol, geometry.CHUNK_CELLS)
+
+
+def _backward(traj, v_T, step, mass_tol, chunk_cells):
+    """Chunks of the backward solve, top-down, each row checked as it is
+    stored; one chunk of every row when ``chunk_cells`` is None."""
     if v_T.backend != traj.backend:
         raise ValueError("terminal datum and trajectory live on different backends")
     step = 2.0 * traj.dt if step is None else float(step)
@@ -185,20 +265,36 @@ def solve_backward(
             f"solver step {step:g} must be an even integer multiple of the "
             f"trajectory spacing {traj.dt:g}"
         )
-    K = traj.num_steps
-    if K % stride != 0:
+    if traj.num_steps % stride != 0:
         raise ValueError("trajectory length is not divisible by the solver step")
-    M = K // stride
-    half = stride // 2
-
     backend = traj.backend
-    out = np.empty((M + 1,) + v_T.values.shape)
-    masses = np.empty(M + 1)
-    out[M] = v_T.values
-    masses[M] = integrate(traj.final_state(), v_T)
+    times = traj.times[::stride].copy()
+    M = len(times) - 1
+    size = M + 1 if chunk_cells is None else min(
+        M + 1, max(1, chunk_cells // backend.cells))
+    v_out = np.empty((size,) + v_T.values.shape)
+    m_out = np.empty(size)
+    top = M  # the highest row of the chunk being filled
+    for r, v, mass in _rk4_rows(traj, v_T, step, stride):
+        _check_density(backend, v, mass, mass_tol, times[r])
+        base = max(top - size + 1, 0)
+        v_out[r - base], m_out[r - base] = v, mass
+        if r == base:
+            n = top + 1 - base
+            yield DensityHistory(backend, times[base:top + 1], v_out[:n],
+                                 m_out[:n], base)
+            top = base - 1
+
+
+def _rk4_rows(traj, v_T, step, stride):
+    """(row, v, mass) of the terminal row, then of each row below it as its
+    RK4 tau-step completes."""
+    M = traj.num_steps // stride
+    half = stride // 2
+    backend = traj.backend
     lap0, rows = backend.flat_laplacian, backend.rows
-    (v,) = rows(out[M:])
-    _check_density(backend, v, masses[M], mass_tol, traj.times[K])
+    (v,) = rows(v_T.values[None])
+    yield M, v, integrate(traj.final_state(), v_T)
 
     block = max(1, geometry.ROW_CELLS // (stride * backend.cells))
     for hi in range(M, 0, -block):
@@ -220,13 +316,7 @@ def solve_backward(
             k3 = rhs(im, v + 0.5 * step * k2)
             k4 = rhs(i0, v + step * k3)
             v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[j - 1] = v
-            masses[j - 1] = mass = g.quadrature(v * weight[i0])
-            _check_density(backend, v, mass, mass_tol,
-                           traj.times[(j - 1) * stride])
-
-    times = traj.times[:: stride].copy()
-    return DensityHistory(traj.backend, times, out, masses)
+            yield j - 1, v, g.quadrature(v * weight[i0])
 
 
 def _check_density(backend, v, mass, mass_tol, t):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import riccilab as rl
 from riccilab.cli import main as cli_main
@@ -648,7 +648,7 @@ def test_row_blocks_match_public_functionals_bitwise(case):
             # A row block holds ROW_CELLS // WORKERS cells.
             mp.setattr(geometry, "ROW_CELLS", rows * cells * geometry.WORKERS)
             assert np.array_equal(rl.solve_backward(traj, v_T, step=step).v, hist.v)
-            tables, error = harness.evaluate_tables(traj, hist, KERNEL_A, step)
+            tables, error = harness.evaluate_tables(traj, [hist], KERNEL_A, step)
         assert error is None and len(tables.times) == K
         for name, want in expected.items():
             assert np.array_equal(getattr(tables, name), np.array(want)), (rows, name)
@@ -720,7 +720,7 @@ def test_tables_independent_of_worker_count(case):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "WORKERS", workers)
             mp.setattr(geometry, "ROW_CELLS", workers * traj.backend.cells)
-            tables, error = harness.evaluate_tables(traj, hist, KERNEL_A, step)
+            tables, error = harness.evaluate_tables(traj, [hist], KERNEL_A, step)
         assert error is None and len(tables.times) == 7
         results.append(table_arrays(tables))
     serial = results[0]
@@ -792,8 +792,8 @@ def test_row_kernel_stops_at_non_positive_density(k, scale):
     bad.v[k, 3, 5] = scale
     for workers, rows in POOLS:
         with pool(workers, rows, traj.backend.cells):
-            full, _ = harness.evaluate_tables(traj, hist, [0.5, 1.0], 1e-3)
-            tables, error = harness.evaluate_tables(traj, bad, [0.5, 1.0], 1e-3)
+            full, _ = harness.evaluate_tables(traj, [hist], [0.5, 1.0], 1e-3)
+            tables, error = harness.evaluate_tables(traj, [bad], [0.5, 1.0], 1e-3)
         assert (type(error), str(error)) == expected_error(
             rl.change_variables, bad.field(k))
         if k < 3:
@@ -818,9 +818,9 @@ def test_row_kernel_stops_at_non_positive_omega_of_second_a(k):
     rl.omega(F_k, 1.0)
     for workers, rows in POOLS:
         with pool(workers, rows, traj.backend.cells):
-            full, error = harness.evaluate_tables(traj, hist, [1.0, -0.3], 1e-3)
+            full, error = harness.evaluate_tables(traj, [hist], [1.0, -0.3], 1e-3)
             assert error is None
-            tables, error = harness.evaluate_tables(traj, bad, [1.0, -0.3], 1e-3)
+            tables, error = harness.evaluate_tables(traj, [bad], [1.0, -0.3], 1e-3)
         assert (type(error), str(error)) == expected_error(rl.omega, F_k, -0.3)
         assert len(tables.times) == k
         for name in ("F", "S", "om", "Y", "rhs_thm", "rhs_ye"):
@@ -856,7 +856,7 @@ def test_row_failures_follow_the_row_check_order(density, omega, lam0, raised,
     first = min(k for k in (density, omega, lam0) if k is not None)
     for workers, rows in POOLS:
         with pool(workers, rows, traj.backend.cells):
-            tables, error = harness.evaluate_tables(traj, hist, [1.0, -0.3], 1e-3)
+            tables, error = harness.evaluate_tables(traj, [hist], [1.0, -0.3], 1e-3)
         assert type(error) is raised
         assert len(tables.times) == first
 
@@ -885,10 +885,10 @@ def test_earliest_failing_block_wins_on_the_pool(later, monkeypatch):
     u, _ = rl.change_variables(hist.field(4))
     want = expected_error(rl.omega, rl.f_functional(traj.state(8), u), -0.3)
     with pool(1, None, 1):
-        serial, _ = harness.evaluate_tables(traj, sphere_rows()[1],
+        serial, _ = harness.evaluate_tables(traj, [sphere_rows()[1]],
                                             [1.0, -0.3], 1e-3)
     with pool(2, 3, 1):
-        tables, error = harness.evaluate_tables(traj, hist, [1.0, -0.3], 1e-3)
+        tables, error = harness.evaluate_tables(traj, [hist], [1.0, -0.3], 1e-3)
     assert (type(error), str(error)) == want
     assert len(tables.times) == 4
     for name in ("F", "S", "lam0", "om", "Y", "rhs_thm", "rhs_ye"):
@@ -909,7 +909,7 @@ def test_evaluate_tables_keeps_completed_rows():
     poisoned.v[4] = 0.0  # change of variables fails at row 4
     for workers, rows in POOLS:
         with pool(workers, rows, backend.cells):
-            tables, error = evaluate_tables(traj, poisoned, [0.5], 1e-3)
+            tables, error = evaluate_tables(traj, [poisoned], [0.5], 1e-3)
         assert isinstance(error, rl.PositivityLoss)
         assert tables is not None and len(tables.times) == 4
 
@@ -921,7 +921,7 @@ def test_evaluate_tables_stops_at_unconverged_row(k, monkeypatch):
     from riccilab import harness
 
     traj, hist = torus_rows("constant")
-    full, error = harness.evaluate_tables(traj, hist, [0.5], 1e-3)
+    full, error = harness.evaluate_tables(traj, [hist], [0.5], 1e-3)
     assert error is None and len(full.times) == 11
 
     solve = harness.ground_states
@@ -934,7 +934,7 @@ def test_evaluate_tables_stops_at_unconverged_row(k, monkeypatch):
     monkeypatch.setattr(harness, "ground_states", unconverged_row_k)
     for workers, rows in POOLS:
         with pool(workers, rows, traj.backend.cells):
-            tables, error = harness.evaluate_tables(traj, hist, [0.5], 1e-3)
+            tables, error = harness.evaluate_tables(traj, [hist], [0.5], 1e-3)
         assert isinstance(error, rl.NoConvergence)
         assert len(tables.times) == k
         np.testing.assert_array_equal(tables.lam0, full.lam0[:k])
@@ -968,10 +968,181 @@ def test_manifest_timings_and_steps(sphere_result, curved_torus_result):
     assert ratio == pytest.approx(dt_flow / ((0.5 + 2 * dt_flow) / 8.0), rel=1e-9)
 
 
+def test_manifest_peak_rss(sphere_result, curved_torus_result, tmp_path):
+    # The peak resident set at the end of each stage, never decreasing; a
+    # stage the run did not reach (the summary of a failed run) is null.
+    from riccilab import harness
+
+    unstable = make_config({
+        "backend.kind": "conformal_torus", "backend.N": "16",
+        "backend.phi_amplitude": "0.1", "flow.T": "0.4", "flow.dt": "0.08",
+        "heat.datum": "constant", "entropy.a": "0.5"})
+    failed = run(validate_config(unstable), tmp_path / "failed")
+    assert failed.status == "StepTooLarge"
+    for result, reached in ((sphere_result, 4), (curved_torus_result, 4),
+                            (failed, 0)):
+        manifest = json.loads((result.out_dir / "manifest.json").read_text())
+        memory = manifest["peak_rss_mb"]
+        assert list(memory) == ["flow", "heat_and_rows", "summary", "writers"]
+        values = [v for v in memory.values() if v is not None]
+        assert len(values) == reached + (result is failed)
+        assert all(v > 0.0 for v in values) and values == sorted(values)
+        assert "peak_rss_mb" not in manifest["timings"]
+    assert harness.resource is not None
+
+
+# -------------------------------------------------------------------------
+# Streamed heat solve and row evaluation
+# -------------------------------------------------------------------------
+
+def streamed_run(validated, out, chunk_rows, poison=None, unconverged=None):
+    """Run with density chunks of ``chunk_rows`` rows (None: one chunk of
+    every row).  ``poison`` names a row whose density is negated as it
+    streams past, ``unconverged`` one whose lambda0 is marked unconverged.
+    Returns the result, the ``first`` row of each chunk handed over and the
+    bytes of both CSVs."""
+    from riccilab import geometry, harness
+
+    stream, solve = harness.stream_backward, harness.ground_states
+    handed = []
+
+    def spied(*args, **kwargs):
+        for chunk in stream(*args, **kwargs):
+            k = None if poison is None else poison - chunk.first
+            if k is not None and 0 <= k < len(chunk.times):
+                chunk.v[k] *= -1.0
+            handed.append(chunk.first)
+            yield chunk
+
+    def marked(backend, params):
+        ground = solve(backend, params)
+        ground.residuals[unconverged] = 2 * LAMBDA0_TOL
+        return ground
+
+    rows = chunk_rows or validated.num_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "CHUNK_CELLS", rows * validated.m0.backend.cells)
+        mp.setattr(harness, "stream_backward", spied)
+        if unconverged is not None:
+            mp.setattr(harness, "ground_states", marked)
+        result = run(validated, out)
+    return result, handed, [(out / name).read_bytes() for name in
+                            ("data.csv", "proof_chain.csv")]
+
+
+def stream_cfg(kind, N, phi_amp, seed, amp):
+    if kind == "torus":
+        return {"backend.kind": "conformal_torus", "backend.N": str(N),
+                "backend.phi_amplitude": repr(phi_amp), "flow.T": "0.02",
+                "flow.dt": "2e-3", "heat.datum": "random_smooth",
+                "heat.seed": str(seed), "heat.amplitude": repr(amp),
+                "entropy.a": "0.1, 1"}
+    return {**ROW_KERNEL_CFGS[kind], "entropy.a": "0.1, 1"}
+
+
+STREAM_CASES = st.builds(
+    stream_cfg, kind=st.sampled_from(["torus", "torus", "round_sphere",
+                                      "berger_sphere"]),
+    N=st.sampled_from([8, 12, 16]), phi_amp=st.floats(0.0, 0.3),
+    seed=st.integers(0, 2**16), amp=st.floats(0.01, 0.3))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(raw=STREAM_CASES,
+       failure=st.sampled_from([None, "omega", "lambda0", "density",
+                                "density+lambda0", "mass"]),
+       chunk_rows=st.integers(1, 4), row=st.integers(0, 20))
+def test_streamed_run_matches_collected_run(raw, failure, chunk_rows, row):
+    # Chunks down to one row give the run of one chunk of every row (the
+    # collected history) bitwise: the same tables, error, status, exit code
+    # and CSV bytes, on a clean run and on each failure -- an omega cut by
+    # a = -min(F)/4, an unconverged lambda0 row, a non-positive density, both
+    # in two rows (the lower one wins, although a higher chunk fails first),
+    # a MassDrift raised after chunks above it were evaluated.
+    import tempfile
+
+    validated = validate_config(make_config(raw))
+    K = validated.num_rows
+    poison = row % K if failure in ("density", "density+lambda0") else None
+    unconverged = {"lambda0": row % K,
+                   "density+lambda0": (7 * row + 3) % K}.get(failure)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        clean = run(validated, tmp / "clean")
+        assert clean.exit_code == 0
+        if failure == "omega":
+            a = -float(np.min(clean.tables.F)) / 4.0
+            cfg = dataclasses.replace(validated.cfg,
+                                      a_values=validated.cfg.a_values + [a])
+            validated = dataclasses.replace(validated, cfg=cfg)
+        if failure == "mass":
+            # A tolerance between the drifts of the rows above the first
+            # chunk and a lower row's, which fails the solve mid-stream.
+            drift = np.abs(clean.tables.masses - 1.0)
+            lower = [k for k in range(K - chunk_rows)
+                     if drift[k] > np.max(drift[k + 1:]) > 0.0]
+            assume(lower)
+            cfg = dataclasses.replace(validated.cfg,
+                                      tol_mass=float(np.max(drift[lower[-1] + 1:])))
+            validated = dataclasses.replace(validated, cfg=cfg)
+        want, want_handed, want_csv = streamed_run(
+            validated, tmp / "collected", None, poison, unconverged)
+        got, handed, csv = streamed_run(
+            validated, tmp / "streamed", chunk_rows, poison, unconverged)
+    assert (got.status, got.exit_code, got.error) == (
+        want.status, want.exit_code, want.error)
+    assert (got.status == "ok") == (failure is None)
+    if failure == "mass":
+        assert got.status == "MassDrift" and handed and got.tables is None
+    else:
+        assert want_handed == [0]
+        assert handed == [max(top - chunk_rows, 0)
+                          for top in range(K, 0, -chunk_rows)]
+    assert csv == want_csv
+    assert (got.tables is None) == (want.tables is None)
+    if want.tables is not None:
+        arrays, want_arrays = table_arrays(got.tables), table_arrays(want.tables)
+        assert arrays.keys() == want_arrays.keys()
+        for name, array in want_arrays.items():
+            assert arrays[name].tobytes() == array.tobytes(), name
+
+
+def test_run_holds_one_density_chunk_not_the_history(tmp_path, monkeypatch):
+    # 257 rows of 32^2 cells make a 2.1 MB history.  In chunks of 4 rows (65
+    # chunks), on one worker with one-row kernel blocks, the run's traced
+    # peak stays below half of it (about 0.3 of it: the kernel's one-row
+    # temporaries and the writers' row blocks).
+    import tracemalloc
+
+    from riccilab import geometry
+
+    validated = validate_config(make_config({
+        "backend.kind": "conformal_torus", "backend.N": "32",
+        "backend.phi_amplitude": "0.1", "flow.T": "0.512", "flow.dt": "2e-3",
+        "heat.datum": "random_smooth", "heat.amplitude": "0.02",
+        "entropy.a": "0.1, 1"}))
+    cells = validated.m0.backend.cells
+    history = validated.num_rows * cells * 8
+    assert validated.num_rows == 257 and history == 2105344
+    monkeypatch.setattr(geometry, "CHUNK_CELLS", 4 * cells)
+    monkeypatch.setattr(geometry, "WORKERS", 1)
+    monkeypatch.setattr(geometry, "ROW_CELLS", cells)
+    tracemalloc.start()
+    try:
+        result = run(validated, tmp_path / "out")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0
+    assert peak < history / 2, (peak, history)
+
+
 def test_internal_error_is_recorded_and_reraised(tmp_path, monkeypatch):
     from riccilab import harness
 
-    def broken(*args, **kwargs):
+    def broken(traj, chunks, *args, **kwargs):
+        for _ in chunks:  # the heat solve streams into the row evaluation
+            pass
         raise RuntimeError("row kernel exploded")
 
     monkeypatch.setattr(harness, "evaluate_tables", broken)
@@ -1153,6 +1324,10 @@ entropy.a = 0
         ("heat.amplitude", FLAT_CFG.replace(
             heat, "heat.datum = bump\nheat.amplitude = -1.5").replace(
             "entropy.a = 0.5", "entropy.a = 0.1\nbackend.phi_amplitude = 0.1")),
+        # a random datum whose exponential overflows
+        ("heat.amplitude", FLAT_CFG.replace(
+            heat, "heat.datum = random_smooth\nheat.amplitude = 1000").replace(
+            "entropy.a = 0.5", "entropy.a = 0.1\nbackend.phi_amplitude = 0.1")),
     ):
         bad_input = write_cfg(tmp_path / "bad_input.cfg", text)
         assert cli_main(["check", bad_input]) == 2
@@ -1169,6 +1344,12 @@ entropy.a = 0
             heat, f"heat.datum = bump\nheat.amplitude = -1.05\n"
                   f"heat.center_x = {centre}\nheat.center_y = {centre}"))
         assert cli_main(["check", bump]) == code
+
+    # A random datum past its coefficient bound (|amplitude| B = 382 > 300)
+    # is built on g(0): finite at amplitude 100, so check passes it.
+    big = write_cfg(tmp_path / "big.cfg", FLAT_CFG.replace(
+        heat, "heat.datum = random_smooth\nheat.amplitude = 100"))
+    assert cli_main(["check", big]) == 0
 
     # Rates that overflow at a huge a end the run at that row (exit 3), not
     # as an ok run with inf and nan columns; the manifest stays valid JSON.

@@ -202,6 +202,69 @@ def test_mass_conservation_on_curved_run():
 
 
 # -------------------------------------------------------------------------
+# Streamed solve
+# -------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 11, 12])
+@pytest.mark.parametrize("case", ["torus", "sphere"])
+def test_stream_chunks_are_the_collected_history(rows, case, monkeypatch):
+    # Chunks of `rows` rows (CHUNK_CELLS // cells), top-down, each the
+    # bitwise slice of the collected history that its `first` names; every
+    # chunk is a view of one buffer, so the next chunk overwrites it.
+    from riccilab import geometry, heat
+
+    if case == "torus":
+        backend = rl.ConformalTorus2D(16, TWO_PI)
+        x, y = rl.grid_coords(backend)
+        m0 = rl.MetricState(backend, 0.0, 0.1 * np.sin(x) + 0.0 * y)
+        traj = rl.integrate_forward(m0, 0.02, 1e-3)
+        v_T = rl.terminal_datum("random_smooth", traj.final_state(),
+                                amplitude=0.05, seed=3)
+    else:
+        m0 = rl.MetricState(rl.BergerSphere(), 0.0, np.array([1.0, 0.8, 0.6]))
+        traj = rl.integrate_forward(m0, 0.02, 1e-3)
+        v_T = rl.terminal_datum("constant", traj.final_state())
+    hist = rl.solve_backward(traj, v_T)
+    K = len(hist.times)
+    assert K == 11 and hist.first == 0
+    monkeypatch.setattr(geometry, "CHUNK_CELLS", rows * traj.backend.cells)
+    firsts, buffers = [], set()
+    for chunk in heat.stream_backward(traj, v_T):
+        lo, n = chunk.first, len(chunk.times)
+        top = K - len(firsts) * rows  # one past the chunk's highest row
+        assert (lo, n) == (max(top - rows, 0), min(rows, top))
+        for name in ("times", "v", "masses"):
+            want = getattr(hist, name)[lo:lo + n]
+            assert getattr(chunk, name).tobytes() == want.tobytes(), name
+        firsts.append(lo)
+        buffers.add(chunk.v.__array_interface__["data"][0])
+    assert firsts == sorted(firsts, reverse=True) and firsts[-1] == 0
+    assert len(firsts) == -(-K // rows) and len(buffers) == 1
+
+
+def test_stream_hands_over_the_chunks_above_a_failing_row(monkeypatch):
+    # On a frozen curved metric the mass drifts by 1.3e-5 at row 4 of 11 and
+    # by 9.1e-6 at row 5: a 1e-5 tolerance fails the solve at row 4.  With
+    # 2-row chunks, rows 10 ... 5 have been handed over by then, and the
+    # error is the collected solve's.
+    from riccilab import geometry, heat
+
+    backend = rl.ConformalTorus2D(16, TWO_PI)
+    x, y = rl.grid_coords(backend)
+    traj = frozen_trajectory(0.3 * np.sin(x) + 0.0 * y, T=0.02, dt=1e-3, N=16)
+    v_T = rl.terminal_datum("constant", traj.final_state())
+    with pytest.raises(rl.MassDrift, match="at t=0.008 ") as want:
+        rl.solve_backward(traj, v_T, mass_tol=1e-5)
+    monkeypatch.setattr(geometry, "CHUNK_CELLS", 2 * backend.cells)
+    handed = []
+    with pytest.raises(rl.MassDrift) as got:
+        for chunk in heat.stream_backward(traj, v_T, mass_tol=1e-5):
+            handed += [chunk.first + k for k in range(len(chunk.times))]
+    assert str(got.value) == str(want.value)
+    assert handed == [9, 10, 7, 8, 5, 6]
+
+
+# -------------------------------------------------------------------------
 # Guards
 # -------------------------------------------------------------------------
 
@@ -327,6 +390,48 @@ def test_random_smooth_is_resolution_consistent():
         m = rl.MetricState(backend, 0.0, np.zeros((N, N)))
         vals[N] = rl.terminal_datum("random_smooth", m, amplitude=0.2, seed=4).values
     assert np.max(np.abs(vals[32] - vals[64][::2, ::2])) < 1e-8
+
+
+def test_random_modes_draw_in_the_fixed_order():
+    # One draw of all coefficients gives the values of the per-mode draws.
+    from riccilab.heat import _fourier_modes
+
+    for seed, cutoff in ((0, 1), (1, 2), (7, 4)):
+        rng = np.random.default_rng(seed)
+        want = [(kx, ky, *rng.standard_normal(2).tolist(),
+                 1.0 / (1.0 + kx * kx + ky * ky))
+                for kx in range(cutoff + 1)
+                for ky in range(1 if kx == 0 else -cutoff, cutoff + 1)]
+        assert _fourier_modes(seed, cutoff) == want
+
+
+@pytest.mark.parametrize("amplitude", [0.02, 50.0, 100.0, 400.0, 500.0,
+                                       1000.0, -1000.0, 1e300])
+@pytest.mark.parametrize("N", [8, 16])
+def test_check_datum_raises_what_terminal_datum_raises(amplitude, N):
+    # The coefficient bound lets small amplitudes pass unbuilt; past it the
+    # datum is built, and an overflow is NonPositive from both, with no
+    # numpy warning (a warning fails this suite).
+    from riccilab.heat import check_datum
+
+    backend = rl.ConformalTorus2D(N, TWO_PI)
+    x, y = rl.grid_coords(backend)
+    m = rl.MetricState(backend, 0.0, 0.1 * np.sin(x) + 0.0 * y)
+    try:
+        rl.terminal_datum("random_smooth", m, amplitude=amplitude)
+        want = None
+    except rl.NonPositive as exc:
+        want = str(exc)
+    try:
+        check_datum("random_smooth", m, amplitude=amplitude)
+        got = None
+    except rl.NonPositive as exc:
+        got = str(exc)
+    assert got == want
+    assert (want is None) == (abs(amplitude) <= 400.0)
+    if want is not None:
+        assert want.startswith(f"random_smooth amplitude {amplitude:g} makes the "
+                               "normalized datum non-finite")
 
 
 def test_bump_nonpositive_amplitude_rejected():
