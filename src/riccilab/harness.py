@@ -27,6 +27,11 @@ over (``heat.stream_backward``, top-down), with no per-row loop.  Both run
 their row blocks on the ``geometry.row_blocks`` thread pool, results in
 block order.  Only per-row scalars outlive a chunk, so a run holds one
 chunk of at most ``geometry.CHUNK_CELLS`` density cells, not the history.
+Each row condition is checked once, where its value is made, in one
+order.  First the heat failures (PositivityLoss, MassDrift), which the
+stream raises before it hands the row over; then, for each row, lambda0
+(``GroundStates``), omega for each a, then an overflow (BlowUp), the last
+two in ``row_values``.
 
 Exit codes: 0 success, 2 ``InputError`` (configuration or admissibility),
 3 ``NumericalError`` (partial CSV retained).  Any other exception is an
@@ -61,7 +66,13 @@ except ImportError:  # not on every platform; the memory block is then null
 
 from . import __version__ as _VERSION
 from . import geometry
-from .errors import AdmissibilityError, ConfigError, NonPositive, NumericalError
+from .errors import (
+    AdmissibilityError,
+    ConfigError,
+    NoConvergence,
+    NonPositive,
+    NumericalError,
+)
 from .flow import Trajectory, integrate_forward, stability_dt
 from .geometry import (
     BergerSphere,
@@ -71,14 +82,7 @@ from .geometry import (
     grid_coords,
 )
 from .functionals import ground_states, lambda0
-from .heat import (
-    DATUM_KINDS,
-    DensityHistory,
-    change_variables,
-    check_datum,
-    stream_backward,
-    terminal_datum,
-)
+from .heat import DATUM_KINDS, check_datum, stream_backward, terminal_datum
 from .variation import (
     VariationReport,
     equivalence_check,
@@ -382,7 +386,10 @@ def validate_config(cfg: RunConfig) -> ValidatedRun:
 @dataclass
 class RunTables:
     """All per-row series of a completed run.  The per-a series (Y to
-    res_equiv) are (rows, len(a_values)) arrays, column j for a_values[j]."""
+    res_equiv) are (rows, len(a_values)) arrays, column j for a_values[j].
+    res_equiv = |rhs_thm - rhs_ye| is formed with the tables, not taken
+    from ``equivalence_check`` in the summary, since a failed run writes it
+    without a summary."""
 
     times: np.ndarray
     F: np.ndarray
@@ -405,17 +412,6 @@ class RunTables:
     variation: VariationReport
 
 
-def _row_error(chunk: DensityHistory, ground, k: int) -> NumericalError:
-    """The error row k (held in ``chunk``) raises first, in the row checks'
-    order: the change of variables, then its lambda0."""
-    try:
-        change_variables(chunk.field(k - chunk.first))
-        ground.value(k)
-    except NumericalError as exc:
-        return exc
-    raise AssertionError(f"row {k} passes its change of variables and lambda0")
-
-
 def evaluate_tables(
     traj: Trajectory, chunks, a_values, dt: float,
     timings: dict | None = None,
@@ -431,20 +427,21 @@ def evaluate_tables(
     dF_rhs, the sub-identity sides and, for each adjustment value, omega, Y
     and both rate forms, over the row blocks of the ``geometry.row_blocks``
     pool, consumed in block order; only these per-row values outlive the
-    chunk.  Every check runs before a block takes a square root, logarithm
-    or rate of a failing row: the chunk's densities' positivity and
-    lambda0's convergence first, then omega inside the kernel.  In a chunk,
-    the first failing row raises what the row checks raise there, in their
-    order: the change of variables, lambda0, then omega for each a; the
-    first block that returns an error ends the chunk and later blocks'
-    results are discarded, so neither depends on the pool.  Over the
-    chunks, the lowest failing row decides the error and the truncation,
-    so neither depends on the chunks either.  An error the chunks raise (a
-    heat failure) propagates.  On a numerical failure the completed rows
-    are kept (truncated tables, finite differences over the surviving
-    series) so a failed run still ships a partial CSV; returns (tables,
-    error), tables None when fewer than 3 rows survived.  ``timings``, when
-    given, receives the ground-state solve time as ``lambda0_s``.
+    chunk.  The densities are taken as the heat solve hands them over,
+    finite and above ``heat.POSITIVITY_FLOOR``; an error the chunks raise
+    (PositivityLoss or MassDrift) propagates.  Each row is then checked in
+    one order: its lambda0 converged, else the ``NoConvergence`` of
+    ``GroundStates.value``; then, inside the kernel, omega for each a and
+    an overflow (BlowUp).  The kernel runs only on the rows before the
+    chunk's first unconverged one, and the first block that returns an
+    error ends the chunk, later blocks' results discarded, so neither
+    depends on the pool.  Over the chunks, the lowest failing row decides
+    the error and the truncation, so neither depends on the chunks either.
+    On a numerical failure the completed rows are kept (truncated tables,
+    finite differences over the surviving series) so a failed run still
+    ships a partial CSV; returns (tables, error), tables None when fewer
+    than 3 rows survived.  ``timings``, when given, receives the
+    ground-state solve time as ``lambda0_s``.
     """
     stride = int(round(dt / traj.dt))
     backend = traj.backend
@@ -463,12 +460,10 @@ def evaluate_tables(
         lo, n = chunk.first, len(chunk.times)
         covered += n
         row_series[5, lo:lo + n] = chunk.masses
-        # The chunk's first row whose density is not positive or whose
-        # lambda0 did not converge fails before its omega is checked; the
-        # kernel runs only on the rows before it.
-        failing = ((np.min(chunk.v.reshape(n, -1), axis=1) <= 0.0)
-                   | ~ground.converged[lo:lo + n])
-        limit = int(np.argmax(failing)) if np.any(failing) else n
+        # The chunk's first row whose lambda0 did not converge fails before
+        # its omega is checked; the kernel runs only on the rows before it.
+        unconverged = ~ground.converged[lo:lo + n]
+        limit = int(np.argmax(unconverged)) if np.any(unconverged) else n
 
         def kernel(rows):
             return row_values(
@@ -486,7 +481,10 @@ def evaluate_tables(
                 if chunk_error is not None:
                     break
         if chunk_error is None and limit < n:
-            chunk_error = _row_error(chunk, ground, lo + limit)
+            try:
+                ground.value(lo + limit)
+            except NoConvergence as exc:
+                chunk_error = exc
         if chunk_error is not None and lo + cut < done:
             done, error = lo + cut, chunk_error
     if covered != K:
@@ -517,12 +515,9 @@ def _summary(tables: RunTables, cfg: RunConfig) -> dict:
     # Only the main flags count as equivalence violations: the sub-identity
     # has an O(h^2) chain-rule floor that coarse grids exceed while the two
     # rate forms still agree.  Its flags do not depend on a: one column.
-    main_ok, sub_ok = equivalence_check(
+    main_ok, sub_ok, _, sub_res = equivalence_check(
         tables.rhs_thm, tables.rhs_ye, tables.sub_lhs[:, None],
         tables.sub_rhs[:, None], cfg.tol_equiv)
-    sub_res = np.abs(tables.sub_lhs - tables.sub_rhs) / np.maximum(
-        1.0, np.abs(tables.sub_lhs)
-    )
     return {
         "rows": int(len(tables.times)),
         "max_res_thm_interior": float(np.max(tables.res_thm[interior])),

@@ -31,8 +31,8 @@ cells held in one reused buffer, so a run holds one chunk of densities
 instead of their whole history; ``solve_backward`` collects the same loop
 into one chunk of every row.  Either way a row's bits are the same.
 
-A density at one instant is a plain ``ScalarField`` holding v; its
-positivity and unit mass are checked by the solver, not by its type.
+A density is a ``ScalarField`` of v; each row is checked (finite, above
+``POSITIVITY_FLOOR``, mass in tolerance) before any caller sees it.
 """
 
 from __future__ import annotations
@@ -177,25 +177,36 @@ def check_datum(kind: str, m: MetricState, *, amplitude: float = 0.5,
                 seed: int = 0, mode_cutoff: int = 2,
                 center: tuple[float, float] | None = None,
                 width: float | None = None) -> None:
-    """Raise what ``terminal_datum`` raises on m with these settings.
+    """Raise what ``terminal_datum`` raises on m with these settings, and
+    NonPositive when the normalized datum's minimum is not above
+    ``POSITIVITY_FLOOR``, where the backward solve would fail its first row.
 
-    A bump is built, its positivity checked on the grid nodes.  A random
-    series is built only when its coefficient bound cannot show the datum
-    finite: with |w| <= B = sum of decay * (|a_k| + |b_k|), |amplitude| B <=
-    300 and |ln volume| <= 100 keep exp(amplitude w), its mass and their
-    quotient between e^-700 and e^700, which saves the N^2 sines and
-    cosines of every mode on every grid a run or study validates.  The
-    constant datum is 1/volume, finite once the volume is.
+    A bump is built, its positivity and floor checked on the grid nodes.  A
+    random series is built only when its coefficient bound cannot decide:
+    with |w| <= B = sum of decay * (|a_k| + |b_k|), the normalized datum
+    exp(amplitude w) / integral(exp(amplitude w) dmu) is at least
+    exp(-2 |amplitude| B) / volume, so that bound above the floor and
+    |ln volume| <= 100 keep the datum finite and above the floor, which
+    saves the N^2 sines and cosines of every mode on every grid a run or
+    study validates.  The constant datum is 1/volume, finite once the
+    volume is, and is not checked against the floor.
     """
     if kind == "constant" or not isinstance(m.backend, ConformalTorus2D):
         return
     if kind == "random_smooth":
         bound = sum((abs(a_k) + abs(b_k)) * decay
                     for _, _, a_k, b_k, decay in _fourier_modes(seed, mode_cutoff))
-        if abs(amplitude) * bound <= 300.0 and abs(math.log(volume(m))) <= 100.0:
+        vol = volume(m)
+        if (abs(math.log(vol)) <= 100.0 and math.exp(
+                -2.0 * abs(amplitude) * bound) / vol > POSITIVITY_FLOOR):
             return
-    terminal_datum(kind, m, amplitude=amplitude, seed=seed,
-                   mode_cutoff=mode_cutoff, center=center, width=width)
+    low = float(np.min(terminal_datum(
+        kind, m, amplitude=amplitude, seed=seed, mode_cutoff=mode_cutoff,
+        center=center, width=width).values))
+    if not low > POSITIVITY_FLOOR:
+        raise NonPositive(
+            f"{kind} amplitude {amplitude:g} puts the normalized datum's "
+            f"minimum {low:g} below the positivity floor {POSITIVITY_FLOOR:g}")
 
 
 def change_variables(v: ScalarField) -> tuple[ScalarField, ScalarField]:
@@ -247,8 +258,8 @@ def stream_backward(
     holds at most ``geometry.CHUNK_CELLS`` cells (at least one row), and
     its ``first`` is its lowest row.  Every chunk is a view of one buffer,
     which the next chunk overwrites: a consumer copies what it keeps.  An
-    error is raised where ``solve_backward`` raises it, so the chunks above
-    the failing row have been handed over by then.
+    error is raised where ``solve_backward`` raises it: the chunks above the
+    failing row have been handed over by then, the failing row in none.
     """
     return _backward(traj, v_T, step, mass_tol, geometry.CHUNK_CELLS)
 

@@ -171,9 +171,9 @@ def row_values(g, v, times, a_values) -> tuple[RowValues, NumericalError | None]
     """Every per-row functional and rate of a block of rows, as one stack.
 
     g is the ``MetricStack`` of the rows' metrics, v their densities (one
-    field per row, every value positive: the caller checks the change of
-    variables first) and times their times.  F, S, the variation tensor T,
-    the sub-identity sides integral(Lap f e^{-f}) and
+    field per row, as the heat solve hands them over: finite and above
+    ``heat.POSITIVITY_FLOOR``) and times their times.  F, S, the variation
+    tensor T, the sub-identity sides integral(Lap f e^{-f}) and
     integral(|grad f|^2 e^{-f}) and omega come from one pass over the block;
     dF_rhs = 2 integral(|T|^2 u^2) and, for each adjustment value, Y and
     both rate forms then reuse them.  A row with omega <= 0 for some a ends
@@ -319,8 +319,8 @@ def equivalence_check(
     sub_lhs,
     sub_rhs,
     tol_equiv: float = 1e-8,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row pass flags (main_ok, sub_ok) for the two-form equivalence.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row flags and residuals (main_ok, sub_ok, main_res, sub_res).
 
     ``main_ok`` holds where |split - combined| <= tol_equiv * max(1, |split|);
     it exercises the algebra that the trace of the variation tensor
@@ -329,15 +329,15 @@ def equivalence_check(
     (values supplied per row) holds at ``SUB_IDENTITY_TOL`` under the same
     normalization; it isolates that ingredient, whose discrete chain-rule
     floor can exceed that bound on coarse grids while the main check passes,
-    so the two flags are reported apart.
+    so the two flags are reported apart.  Each residual is the |d| / max(1,
+    |s|) its flag bounds in the product form |d| <= tol * max(1, |s|).
     """
-    rt = np.asarray(rhs_split_vals, dtype=float)
-    ry = np.asarray(rhs_combined_vals, dtype=float)
-    sl = np.asarray(sub_lhs, dtype=float)
-    sr = np.asarray(sub_rhs, dtype=float)
-    main_ok = np.abs(rt - ry) <= tol_equiv * np.maximum(1.0, np.abs(rt))
-    sub_ok = np.abs(sl - sr) <= SUB_IDENTITY_TOL * np.maximum(1.0, np.abs(sl))
-    return main_ok, sub_ok
+    rt, ry, sl, sr = (np.asarray(x, dtype=float) for x in
+                      (rhs_split_vals, rhs_combined_vals, sub_lhs, sub_rhs))
+    main_d, main_s = np.abs(rt - ry), np.maximum(1.0, np.abs(rt))
+    sub_d, sub_s = np.abs(sl - sr), np.maximum(1.0, np.abs(sl))
+    return (main_d <= tol_equiv * main_s, sub_d <= SUB_IDENTITY_TOL * sub_s,
+            main_d / main_s, sub_d / sub_s)
 
 
 def monotonicity_check(Y_series, tol: float = 1e-6) -> np.ndarray:

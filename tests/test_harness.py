@@ -769,40 +769,16 @@ def pool(workers, rows, cells):
         yield
 
 
-def torus_rows(datum):
-    """Trajectory and density history of a curved N = 16 torus, 11 rows."""
+def torus_rows():
+    """Trajectory and constant-datum density history of a curved N = 16
+    torus, 11 rows."""
     backend = rl.ConformalTorus2D(16, TWO_PI)
     x, _ = rl.grid_coords(backend)
     m0 = rl.MetricState(backend, 0.0, 0.1 * np.sin(x) + np.zeros((16, 16)))
     traj = rl.integrate_forward(m0, 0.01, 5e-4)
-    return traj, rl.solve_backward(traj, rl.terminal_datum(datum,
+    return traj, rl.solve_backward(traj, rl.terminal_datum("constant",
                                                            traj.final_state()),
                                    step=1e-3)
-
-
-@pytest.mark.parametrize("k", [0, 4, 10])
-@pytest.mark.parametrize("scale", [0.0, -1.0])
-def test_row_kernel_stops_at_non_positive_density(k, scale):
-    # The bad row ends the evaluation before any square root or logarithm (a
-    # warning fails the suite), keeping rows < k, in one block or several.
-    from riccilab import harness
-
-    traj, hist = torus_rows("random_smooth")
-    bad = rl.DensityHistory(traj.backend, hist.times, hist.v.copy(), hist.masses)
-    bad.v[k, 3, 5] = scale
-    for workers, rows in POOLS:
-        with pool(workers, rows, traj.backend.cells):
-            full, _ = harness.evaluate_tables(traj, [hist], [0.5, 1.0], 1e-3)
-            tables, error = harness.evaluate_tables(traj, [bad], [0.5, 1.0], 1e-3)
-        assert (type(error), str(error)) == expected_error(
-            rl.change_variables, bad.field(k))
-        if k < 3:
-            assert tables is None
-        else:
-            assert len(tables.times) == k
-            for name in ("F", "S", "lam0", "Y", "rhs_thm", "rhs_ye", "dF_rhs"):
-                np.testing.assert_array_equal(getattr(tables, name),
-                                              getattr(full, name)[:k])
 
 
 @pytest.mark.parametrize("k", [4, 9])
@@ -828,22 +804,18 @@ def test_row_kernel_stops_at_non_positive_omega_of_second_a(k):
                                           getattr(full, name)[:k])
 
 
-@pytest.mark.parametrize("density,omega,lam0,raised", [
-    (4, 4, 4, rl.PositivityLoss),      # change of variables comes first
-    (None, 4, 4, rl.NoConvergence),    # then lambda0, before omega
-    (None, 4, 5, rl.NonPositiveOmega),  # the earlier row wins
-    (5, 5, 4, rl.NoConvergence),
-    (None, 5, None, rl.NonPositiveOmega),
+@pytest.mark.parametrize("omega,lam0,raised", [
+    (4, 4, rl.NoConvergence),    # lambda0 comes before omega
+    (4, 5, rl.NonPositiveOmega),  # the earlier row wins
+    (5, 4, rl.NoConvergence),
+    (5, None, rl.NonPositiveOmega),
 ])
-def test_row_failures_follow_the_row_check_order(density, omega, lam0, raised,
+def test_row_failures_follow_the_row_check_order(omega, lam0, raised,
                                                  monkeypatch):
     from riccilab import harness
 
     traj, hist = sphere_rows()
-    if density is not None:
-        hist = poisoned(hist, density, 0.0)
-    if omega is not None and omega != density:
-        hist = poisoned(hist, omega, 0.01)
+    hist = poisoned(hist, omega, 0.01)
     if lam0 is not None:
         solve = harness.ground_states
 
@@ -853,7 +825,7 @@ def test_row_failures_follow_the_row_check_order(density, omega, lam0, raised,
             return ground
 
         monkeypatch.setattr(harness, "ground_states", unconverged)
-    first = min(k for k in (density, omega, lam0) if k is not None)
+    first = min(k for k in (omega, lam0) if k is not None)
     for workers, rows in POOLS:
         with pool(workers, rows, traj.backend.cells):
             tables, error = harness.evaluate_tables(traj, [hist], [1.0, -0.3], 1e-3)
@@ -896,31 +868,13 @@ def test_earliest_failing_block_wins_on_the_pool(later, monkeypatch):
                                       getattr(serial, name)[:4])
 
 
-def test_evaluate_tables_keeps_completed_rows():
-    from riccilab.harness import evaluate_tables
-
-    backend = rl.ConformalTorus2D(16, TWO_PI)
-    m0 = rl.MetricState(backend, 0.0, np.zeros((16, 16)))
-    traj = rl.integrate_forward(m0, 0.01, 5e-4)
-    hist = rl.solve_backward(traj, rl.terminal_datum("constant", traj.final_state()),
-                             step=1e-3)
-    poisoned = rl.DensityHistory(
-        backend, hist.times, hist.v.copy(), hist.masses.copy())
-    poisoned.v[4] = 0.0  # change of variables fails at row 4
-    for workers, rows in POOLS:
-        with pool(workers, rows, backend.cells):
-            tables, error = evaluate_tables(traj, [poisoned], [0.5], 1e-3)
-        assert isinstance(error, rl.PositivityLoss)
-        assert tables is not None and len(tables.times) == 4
-
-
 @pytest.mark.parametrize("k", [3, 7])
 def test_evaluate_tables_stops_at_unconverged_row(k, monkeypatch):
     # The row solves run as one stack before the kernel; a row whose solve
     # did not converge fails where its lambda0 is read, keeping rows < k.
     from riccilab import harness
 
-    traj, hist = torus_rows("constant")
+    traj, hist = torus_rows()
     full, error = harness.evaluate_tables(traj, [hist], [0.5], 1e-3)
     assert error is None and len(full.times) == 11
 
@@ -995,12 +949,11 @@ def test_manifest_peak_rss(sphere_result, curved_torus_result, tmp_path):
 # Streamed heat solve and row evaluation
 # -------------------------------------------------------------------------
 
-def streamed_run(validated, out, chunk_rows, poison=None, unconverged=None):
+def streamed_run(validated, out, chunk_rows, unconverged=()):
     """Run with density chunks of ``chunk_rows`` rows (None: one chunk of
-    every row).  ``poison`` names a row whose density is negated as it
-    streams past, ``unconverged`` one whose lambda0 is marked unconverged.
-    Returns the result, the ``first`` row of each chunk handed over and the
-    bytes of both CSVs."""
+    every row), the lambda0 of the rows ``unconverged`` lists marked
+    unconverged.  Returns the result, the ``first`` row of each chunk
+    handed over and the bytes of both CSVs."""
     from riccilab import geometry, harness
 
     stream, solve = harness.stream_backward, harness.ground_states
@@ -1008,23 +961,19 @@ def streamed_run(validated, out, chunk_rows, poison=None, unconverged=None):
 
     def spied(*args, **kwargs):
         for chunk in stream(*args, **kwargs):
-            k = None if poison is None else poison - chunk.first
-            if k is not None and 0 <= k < len(chunk.times):
-                chunk.v[k] *= -1.0
             handed.append(chunk.first)
             yield chunk
 
     def marked(backend, params):
         ground = solve(backend, params)
-        ground.residuals[unconverged] = 2 * LAMBDA0_TOL
+        ground.residuals[list(unconverged)] = 2 * LAMBDA0_TOL
         return ground
 
     rows = chunk_rows or validated.num_rows
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "CHUNK_CELLS", rows * validated.m0.backend.cells)
         mp.setattr(harness, "stream_backward", spied)
-        if unconverged is not None:
-            mp.setattr(harness, "ground_states", marked)
+        mp.setattr(harness, "ground_states", marked)
         result = run(validated, out)
     return result, handed, [(out / name).read_bytes() for name in
                             ("data.csv", "proof_chain.csv")]
@@ -1049,23 +998,25 @@ STREAM_CASES = st.builds(
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(raw=STREAM_CASES,
-       failure=st.sampled_from([None, "omega", "lambda0", "density",
-                                "density+lambda0", "mass"]),
+       failure=st.sampled_from([None, "omega", "lambda0", "lambda0 x2",
+                                "mass"]),
        chunk_rows=st.integers(1, 4), row=st.integers(0, 20))
 def test_streamed_run_matches_collected_run(raw, failure, chunk_rows, row):
     # Chunks down to one row give the run of one chunk of every row (the
     # collected history) bitwise: the same tables, error, status, exit code
     # and CSV bytes, on a clean run and on each failure -- an omega cut by
-    # a = -min(F)/4, an unconverged lambda0 row, a non-positive density, both
-    # in two rows (the lower one wins, although a higher chunk fails first),
+    # a = -min(F)/4, an unconverged lambda0 row, two of them in different
+    # chunks (the lower one wins, although the higher chunk fails first),
     # a MassDrift raised after chunks above it were evaluated.
     import tempfile
 
     validated = validate_config(make_config(raw))
     K = validated.num_rows
-    poison = row % K if failure in ("density", "density+lambda0") else None
-    unconverged = {"lambda0": row % K,
-                   "density+lambda0": (7 * row + 3) % K}.get(failure)
+    # "lambda0 x2": a row below the top chunk and one in it.
+    unconverged = {"lambda0": [row % K],
+                   "lambda0 x2": [row % (K - chunk_rows),
+                                  K - 1 - (7 * row + 3) % chunk_rows],
+                   }.get(failure, [])
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         clean = run(validated, tmp / "clean")
@@ -1086,9 +1037,9 @@ def test_streamed_run_matches_collected_run(raw, failure, chunk_rows, row):
                                       tol_mass=float(np.max(drift[lower[-1] + 1:])))
             validated = dataclasses.replace(validated, cfg=cfg)
         want, want_handed, want_csv = streamed_run(
-            validated, tmp / "collected", None, poison, unconverged)
+            validated, tmp / "collected", None, unconverged)
         got, handed, csv = streamed_run(
-            validated, tmp / "streamed", chunk_rows, poison, unconverged)
+            validated, tmp / "streamed", chunk_rows, unconverged)
     assert (got.status, got.exit_code, got.error) == (
         want.status, want.exit_code, want.error)
     assert (got.status == "ok") == (failure is None)
@@ -1281,6 +1232,16 @@ entropy.a = 0.5
 # CLI
 # -------------------------------------------------------------------------
 
+FLOOR_CFG = """
+backend.kind = conformal_torus
+backend.N = 16
+backend.phi_amplitude = 0.1
+flow.T = 0.02
+flow.dt = 2e-3
+entropy.a = 1
+"""
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = write_cfg(tmp_path / "bad.cfg", """
 backend.kind = conformal_torus
@@ -1328,6 +1289,14 @@ entropy.a = 0
         ("heat.amplitude", FLAT_CFG.replace(
             heat, "heat.datum = random_smooth\nheat.amplitude = 1000").replace(
             "entropy.a = 0.5", "entropy.a = 0.1\nbackend.phi_amplitude = 0.1")),
+        # normalized data whose minimum is below the positivity floor, which
+        # would fail the run's terminal row: a finite random datum spanning
+        # 143 decades, and a bump whose centre node is 1e-12 before
+        # normalizing
+        ("heat.amplitude", FLOOR_CFG + "heat.datum = random_smooth\n"
+                                       "heat.amplitude = 100\n"),
+        ("heat.amplitude", FLOOR_CFG + "heat.datum = bump\n"
+                                       "heat.amplitude = -0.999999999999\n"),
     ):
         bad_input = write_cfg(tmp_path / "bad_input.cfg", text)
         assert cli_main(["check", bad_input]) == 2
@@ -1345,10 +1314,11 @@ entropy.a = 0
                   f"heat.center_x = {centre}\nheat.center_y = {centre}"))
         assert cli_main(["check", bump]) == code
 
-    # A random datum past its coefficient bound (|amplitude| B = 382 > 300)
-    # is built on g(0): finite at amplitude 100, so check passes it.
+    # A random datum past its coefficient bound (exp(-2 |amplitude| B) /
+    # volume = 6.2e-19 at amplitude 5) is built on g(0): its minimum,
+    # 6.0e-8, is above the floor, so check passes it.
     big = write_cfg(tmp_path / "big.cfg", FLAT_CFG.replace(
-        heat, "heat.datum = random_smooth\nheat.amplitude = 100"))
+        heat, "heat.datum = random_smooth\nheat.amplitude = 5"))
     assert cli_main(["check", big]) == 0
 
     # Rates that overflow at a huge a end the run at that row (exit 3), not

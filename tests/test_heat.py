@@ -264,6 +264,66 @@ def test_stream_hands_over_the_chunks_above_a_failing_row(monkeypatch):
     assert handed == [9, 10, 7, 8, 5, 6]
 
 
+def curved_torus(N, phi_amp):
+    backend = rl.ConformalTorus2D(N, TWO_PI)
+    x, y = rl.grid_coords(backend)
+    return rl.MetricState(backend, 0.0, phi_amp * np.sin(x) + 0.0 * y)
+
+
+STREAM_DATA = st.one_of(
+    st.tuples(st.builds(curved_torus, N=st.sampled_from([8, 12, 16]),
+                        phi_amp=st.floats(0.0, 0.3)),
+              st.sampled_from(["constant", "bump", "random_smooth"]),
+              st.fixed_dictionaries({"amplitude": st.floats(-0.9, 1.0),
+                                     "seed": st.integers(0, 15)})),
+    st.tuples(st.builds(lambda n, c0: rl.MetricState(
+        rl.RoundSphere(n), 0.0, np.array([c0])),
+        n=st.integers(2, 4), c0=st.floats(0.5, 2.0)),
+        st.just("constant"), st.just({})),
+    st.tuples(st.builds(lambda abc: rl.MetricState(
+        rl.BergerSphere(), 0.0, np.array(abc)),
+        abc=st.tuples(*[st.floats(0.6, 1.5)] * 3)),
+        st.just("constant"), st.just({})),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=STREAM_DATA, steps=st.integers(4, 10))
+def test_stream_hands_over_only_rows_above_the_floor(data, steps):
+    # The row evaluation takes the densities as the stream hands them over,
+    # unchecked: every row of every one-row chunk is finite and above the
+    # positivity floor.  With a mass tolerance that fails a row mid-stream,
+    # the rows above it have been handed over and the failing row has not.
+    from riccilab import geometry, heat
+
+    m0, kind, kwargs = data
+    traj = rl.integrate_forward(m0, steps * 1e-3, 5e-4)
+    v_T = rl.terminal_datum(kind, traj.final_state(), **kwargs)
+    drift = np.abs(rl.solve_backward(traj, v_T).masses - 1.0)
+    assert np.max(drift) <= 1e-6
+
+    def stream(mass_tol, rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "CHUNK_CELLS", traj.backend.cells)
+            for chunk in heat.stream_backward(traj, v_T, mass_tol=mass_tol):
+                assert len(chunk.times) == 1
+                assert np.all(np.isfinite(chunk.v))
+                assert np.min(chunk.v) > heat.POSITIVITY_FLOOR
+                rows.append(chunk.first)
+
+    rows = []
+    stream(1e-6, rows)
+    assert rows == list(range(steps, -1, -1))
+    # The highest row whose drift exceeds every drift above it fails a
+    # tolerance equal to the largest of those.
+    lower = [k for k in range(steps) if drift[k] > np.max(drift[k + 1:])]
+    if lower:
+        fail, rows = lower[-1], []
+        with pytest.raises(rl.MassDrift):
+            stream(float(np.max(drift[fail + 1:])), rows)
+        assert rows == list(range(steps, fail, -1))
+
+
 # -------------------------------------------------------------------------
 # Guards
 # -------------------------------------------------------------------------
@@ -411,15 +471,20 @@ def test_random_modes_draw_in_the_fixed_order():
 def test_check_datum_raises_what_terminal_datum_raises(amplitude, N):
     # The coefficient bound lets small amplitudes pass unbuilt; past it the
     # datum is built, and an overflow is NonPositive from both, with no
-    # numpy warning (a warning fails this suite).
-    from riccilab.heat import check_datum
+    # numpy warning (a warning fails this suite).  A finite datum whose
+    # minimum is not above the positivity floor is NonPositive from
+    # check_datum alone: the backward solve would fail its first row.
+    from riccilab.heat import POSITIVITY_FLOOR, check_datum
 
     backend = rl.ConformalTorus2D(N, TWO_PI)
     x, y = rl.grid_coords(backend)
     m = rl.MetricState(backend, 0.0, 0.1 * np.sin(x) + 0.0 * y)
     try:
-        rl.terminal_datum("random_smooth", m, amplitude=amplitude)
-        want = None
+        low = float(np.min(rl.terminal_datum("random_smooth", m,
+                                             amplitude=amplitude).values))
+        want = None if low > POSITIVITY_FLOOR else (
+            f"random_smooth amplitude {amplitude:g} puts the normalized "
+            f"datum's minimum {low:g} below the positivity floor 1e-10")
     except rl.NonPositive as exc:
         want = str(exc)
     try:
@@ -428,10 +493,38 @@ def test_check_datum_raises_what_terminal_datum_raises(amplitude, N):
     except rl.NonPositive as exc:
         got = str(exc)
     assert got == want
-    assert (want is None) == (abs(amplitude) <= 400.0)
-    if want is not None:
+    assert (want is None) == (abs(amplitude) <= 0.02)
+    if abs(amplitude) > 400.0:
         assert want.startswith(f"random_smooth amplitude {amplitude:g} makes the "
                                "normalized datum non-finite")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["bump", "random_smooth"]),
+       N=st.sampled_from([8, 16]), phi_amp=st.floats(0.0, 0.3),
+       amplitude=st.one_of(st.floats(-12.0, 12.0),
+                           st.floats(-1.0, -0.999999),
+                           st.just(-0.999999999999)),
+       seed=st.integers(0, 15))
+def test_check_datum_passes_the_data_above_the_floor(kind, N, phi_amp,
+                                                     amplitude, seed):
+    # Whether the coefficient bound decides or the datum is built, check_datum
+    # passes exactly the data terminal_datum builds with a minimum above the
+    # positivity floor.
+    from riccilab.heat import POSITIVITY_FLOOR, check_datum
+
+    m = curved_torus(N, phi_amp)
+    try:
+        v = rl.terminal_datum(kind, m, amplitude=amplitude, seed=seed)
+        above = bool(np.min(v.values) > POSITIVITY_FLOOR)
+    except rl.NonPositive:
+        above = False
+    try:
+        check_datum(kind, m, amplitude=amplitude, seed=seed)
+        passed = True
+    except rl.NonPositive:
+        passed = False
+    assert passed == above
 
 
 def test_bump_nonpositive_amplitude_rejected():

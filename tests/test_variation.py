@@ -278,16 +278,22 @@ def test_flat_torus_constant_proof_chain_trivial():
 # -------------------------------------------------------------------------
 
 def test_equivalence_check_flags():
-    main_ok, sub_ok = rl.equivalence_check([2.0, 2.0], [2.0, 2.0 + 1e-12],
-                                           [0.1, 0.1], [0.1, 0.1 + 1e-12])
+    main_ok, sub_ok, _, _ = rl.equivalence_check(
+        [2.0, 2.0], [2.0, 2.0 + 1e-12], [0.1, 0.1], [0.1, 0.1 + 1e-12])
     assert np.all(main_ok) and np.all(sub_ok)
-    main_ok, sub_ok = rl.equivalence_check([2.0], [2.1], [0.1], [0.1])
+    main_ok, sub_ok, main_res, sub_res = rl.equivalence_check(
+        [2.0], [2.1], [0.1], [0.1])
     assert not main_ok[0] and sub_ok[0]
-    main_ok, sub_ok = rl.equivalence_check([2.0], [2.0], [0.1], [0.2])
+    # the residuals each flag bounds: |d| / max(1, |s|)
+    assert (main_res[0], sub_res[0]) == (abs(2.0 - 2.1) / 2.0, 0.0)
+    main_ok, sub_ok, main_res, sub_res = rl.equivalence_check(
+        [2.0], [2.0], [0.1], [0.2])
     assert main_ok[0] and not sub_ok[0]
+    assert (main_res[0], sub_res[0]) == (0.0, abs(0.1 - 0.2))
     # the sub-identity tolerance is relative to max(1, |lhs|)
-    main_ok, sub_ok = rl.equivalence_check([2.0], [2.0], [1e3], [1e3 + 1e-7])
-    assert sub_ok[0]
+    main_ok, sub_ok, _, sub_res = rl.equivalence_check(
+        [2.0], [2.0], [1e3], [1e3 + 1e-7])
+    assert sub_ok[0] and sub_res[0] == abs(1e3 - (1e3 + 1e-7)) / 1e3
 
 
 def test_monotonicity_check():
