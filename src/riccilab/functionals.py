@@ -79,6 +79,10 @@ LAMBDA0_TOL = 1e-10       # bound on the relative g-norm eigen-residual
 LAMBDA0_MAXITER = 200     # LOPCG iteration cap
 GRAM_RCOND = 1e-12        # Gram eigenvalue ratio below which p is dropped
 
+# (i, j) index pairs of the strict upper triangle of the 2x2 and 3x3 Gram
+# pencils, which _lopcg mirrors down.
+_UPPER = {m: np.triu_indices(m, 1) for m in (2, 3)}
+
 
 def _energy(g, u2, du):
     """F of each row of the metric stack g from u**2 and g.differences(u)."""
@@ -253,7 +257,7 @@ def _lopcg(g, vectors=None):
         basis = S[:m, :n].reshape(m, n, -1).swapaxes(0, 1)
         GA = basis @ AS[:m, :n].reshape(m, n, -1).transpose(1, 2, 0)
         GB = basis @ BS[:m, :n].reshape(m, n, -1).transpose(1, 2, 0)
-        i, j = np.triu_indices(m, 1)
+        i, j = _UPPER[m]
         GA[:, j, i], GB[:, j, i] = GA[:, i, j], GB[:, i, j]
         c, ok = _lowest_ritz(GA, GB)
         if m == 3 and not np.all(ok):

@@ -128,17 +128,22 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # blocks at most ROW_CELLS.  Measured at 2^14 ... 2^17 (2-core Xeon, two
 # workers; CHANGES.md): 2^16 is within 5 % of the fastest at N = 32, 64 and
 # 128 (rows_s 1.00 s against 1.36 s at 2^15), and 2^17 adds 16 MiB of peak
-# memory at N = 128 for nothing.
+# memory at N = 128 for nothing.  A row-kernel block of 2^15 cells holds at
+# most about 12 block-sized fields at once (``variation.row_values``).
 ROW_CELLS = 2**16
 
-# Cap on the cells of one density chunk (8 MiB of float64): a run's heat
+# Cap on the cells of one density chunk (4 MiB of float64): a run's heat
 # solve hands its rows to the row evaluation in chunks of at most
 # CHUNK_CELLS cells (at least one row), so a run holds one chunk of
-# densities, not their whole history.  Smaller chunks let glibc return the
-# row kernel's freed temporaries to the system between chunks, and the
-# faults of taking them back cost more wall time than the chunks save
-# (2^18: 52k-86k minor faults per ladder pass against a few hundred).
-CHUNK_CELLS = 2**20
+# densities, not their whole history.  glibc sizes its dynamic mmap and trim
+# thresholds from the largest block freed so far, so the chunk buffer sets
+# them: a row-kernel block whose working set (its fields at their peak) is
+# above the trim threshold is returned to the system after each block and
+# faulted back on every block.  At 2^19 the threshold covers the kernel's
+# 12-field block of 2^15 cells: 12 minor faults per warm ladder pass and
+# 3.5 MiB less peak memory than 2^20 (2-core Xeon, two workers); a 23-field
+# block cost about 2k faults per pass at 2^19, and 52k-86k at 2^18.
+CHUNK_CELLS = 2**19
 
 
 @contextmanager
@@ -461,11 +466,15 @@ def _roll(w, shift, axis):
 
 
 def _dp(w, axis, h):
-    return (_roll(w, -1, axis) - w) / h
+    d = _roll(w, -1, axis)
+    np.subtract(d, w, out=d)
+    return np.divide(d, h, out=d)
 
 
 def _dm(w, axis, h):
-    return (w - _roll(w, 1, axis)) / h
+    d = _roll(w, 1, axis)
+    np.subtract(w, d, out=d)
+    return np.divide(d, h, out=d)
 
 
 def _lap5(w, h):
@@ -635,9 +644,34 @@ class _BergerStack(_HomogeneousStack):
         return 2.0 * math.pi**2 * np.sqrt(A * B * C)
 
 
+def _tensor(w):
+    """An uninitialised tensor of the grid shape of w, its components on axis
+    -3, and the views of its three components (T11, T12, T22)."""
+    T = np.empty(w.shape[:-2] + (3,) + w.shape[-2:])
+    return T, np.moveaxis(T, -3, 0)
+
+
 def _sym(t11, t12, t22):
-    """Coordinate components stacked on the component axis (-3)."""
-    return np.stack([t11, t12, t22], axis=-3)
+    """Coordinate components written into one tensor (component axis -3)."""
+    T, comps = _tensor(t11)
+    for c, t in zip(comps, (t11, t12, t22)):
+        c[...] = t
+    return T
+
+
+def _second(up, w, down, h, out):
+    """(up - 2.0 * w + down) / (h * h) into out: the central second
+    difference from w's neighbours up and down along one axis."""
+    np.multiply(2.0, w, out=out)
+    np.subtract(up, out, out=out)
+    out += down
+    return np.divide(out, h * h, out=out)
+
+
+def _central(up, down, h):
+    """(up - down) / (2.0 * h): the central first difference."""
+    d = np.subtract(up, down)
+    return np.divide(d, 2.0 * h, out=d)
 
 
 class _TorusStack(MetricStack):
@@ -672,11 +706,11 @@ class _TorusStack(MetricStack):
     def ricci(self):
         """(R/2) g."""
         half = 0.5 * self.R * self.weight
-        return _sym(half, np.zeros_like(half), half)
+        return _sym(half, 0.0, half)
 
     @_cached
     def metric(self):
-        return _sym(self.weight, np.zeros_like(self.weight), self.weight)
+        return _sym(self.weight, 0.0, self.weight)
 
     @_cached
     def volume(self):
@@ -701,10 +735,17 @@ class _TorusStack(MetricStack):
 
     def grad_outer(self, dw):
         """grad w (x) grad w from the averaged one-sided products of
-        ``gradient_inner``, so its g-trace is the squared gradient exactly."""
+        ``gradient_inner``, so its g-trace is the squared gradient exactly:
+        0.5 * (px * px + mx * mx), 0.5 * (px * py + mx * my) and
+        0.5 * (py * py + my * my), each written into its component."""
         px, mx, py, my = dw
-        return _sym(0.5 * (px * px + mx * mx), 0.5 * (px * py + mx * my),
-                    0.5 * (py * py + my * my))
+        T, comps = _tensor(px)
+        for c, (a, b, d, e) in zip(comps, ((px, px, mx, mx), (px, py, mx, my),
+                                           (py, py, my, my))):
+            np.multiply(a, b, out=c)
+            c += d * e
+            c *= 0.5
+        return T
 
     @_cached
     def _phi_central(self):
@@ -715,31 +756,54 @@ class _TorusStack(MetricStack):
 
     def hessian(self, w):
         """Central second differences of w, its cross difference from the
-        y-shifts of its x-neighbours, minus the Christoffel terms."""
+        y-shifts of its x-neighbours, minus the Christoffel terms, each
+        written into its component of one tensor: wxx - gamma_diag,
+        wxy - (py * wx + px * wy) and wyy + gamma_diag, with gamma_diag =
+        px * wx - py * wy for phi's central differences px, py."""
         h = self.backend.h
+        H, (hxx, hxy, hyy) = _tensor(w)
         xp, xm = _roll(w, -1, 0), _roll(w, 1, 0)
-        wx, wxx = (xp - xm) / (2.0 * h), (xp - 2.0 * w + xm) / (h * h)
-        wxy = (_roll(xp, -1, 1) - _roll(xp, 1, 1) - _roll(xm, -1, 1)
-               + _roll(xm, 1, 1)) / (4.0 * h * h)
+        # wxy = (xp(y+1) - xp(y-1) - xm(y+1) + xm(y-1)) / (4.0 * h * h)
+        np.subtract(_roll(xp, -1, 1), _roll(xp, 1, 1), out=hxy)
+        hxy -= _roll(xm, -1, 1)
+        hxy += _roll(xm, 1, 1)
+        hxy /= 4.0 * h * h
+        wx = _central(xp, xm, h)
+        _second(xp, w, xm, h, out=hxx)
         del xp, xm  # one axis's neighbours at a time: less peak memory
         yp, ym = _roll(w, -1, 1), _roll(w, 1, 1)
-        wy, wyy = (yp - ym) / (2.0 * h), (yp - 2.0 * w + ym) / (h * h)
+        wy = _central(yp, ym, h)
+        _second(yp, w, ym, h, out=hyy)
         del yp, ym
         px, py = self._phi_central
-        gamma_diag = px * wx - py * wy
-        return _sym(wxx - gamma_diag, wxy - (py * wx + px * wy),
-                    wyy + gamma_diag)
+        gamma_diag = px * wx
+        gamma_diag -= py * wy
+        hxx -= gamma_diag
+        hyy += gamma_diag
+        del gamma_diag
+        christoffel = np.multiply(py, wx, out=wx)
+        christoffel += px * wy
+        hxy -= christoffel
+        return H
 
     def cross_sq(self, T):
         """2 T12^2, the part of |T - c g|^2 in coordinates free of c."""
         return 2.0 * T[..., 1, :, :] * T[..., 1, :, :]
 
     def tensor_norm_sq(self, T, cross, c=None):
+        """e^{-4 phi} ((t11 * t11 + cross) + t22 * t22) of the diagonal
+        components t11, t22 of T - c g, squared in place."""
         t11, _, t22 = np.moveaxis(T, -3, 0)
-        if c is not None:  # c g is diagonal: (c e^{2 phi}, 0, c e^{2 phi})
+        if c is None:
+            s, d = t11 * t11, t22 * t22
+        else:  # c g is diagonal: (c e^{2 phi}, 0, c e^{2 phi})
             cg = c * self.weight
-            t11, t22 = t11 - cg, t22 - cg
-        return self._inv_weight_sq * (t11 * t11 + cross + t22 * t22)
+            s, d = t11 - cg, t22 - cg
+            s *= s
+            d *= d
+        s += cross
+        s += d
+        return np.multiply(self._inv_weight_sq, s, out=s)
 
 
 # --------------------------------------------------------------------------

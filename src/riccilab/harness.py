@@ -309,6 +309,11 @@ def _initial_state(cfg: RunConfig) -> MetricState:
     return m0
 
 
+# The backend keys that set the initial volume.
+_VOLUME_KEYS = {"round_sphere": "backend.c0", "berger_sphere": "backend.A0/B0/C0",
+                "conformal_torus": "backend.L"}
+
+
 def _datum_params(cfg: RunConfig) -> dict:
     """The keyword arguments of the configured terminal datum."""
     return dict(
@@ -338,13 +343,19 @@ def validate_config(cfg: RunConfig) -> ValidatedRun:
     backends and snapped down to an integer number of rows.  A bump datum's
     positivity and a random datum's finiteness depend only on the config
     and the grid, so ``heat.check_datum`` checks them here on g(0), on the
-    grid nodes the run's datum uses.
+    grid nodes the run's datum uses; a datum below the positivity floor is
+    a ConfigError on ``heat.amplitude``, or, for the constant datum
+    1/volume (every datum on the spheres), on the backend key that sets
+    the volume.
     """
     m0 = _initial_state(cfg)
     try:
         check_datum(cfg.datum, m0, **_datum_params(cfg))
     except NonPositive as exc:
-        raise ConfigError(f"heat.amplitude: {exc}") from None
+        # The constant datum (every datum on the spheres) is 1/volume.
+        shaped = cfg.datum != "constant" and isinstance(m0.backend, ConformalTorus2D)
+        key = "heat.amplitude" if shaped else _VOLUME_KEYS[cfg.backend_kind]
+        raise ConfigError(f"{key}: {exc}") from None
     T = cfg.T
     if not isinstance(m0.backend, ConformalTorus2D):
         n = m0.backend.n
@@ -629,20 +640,28 @@ def resolve_out_dir(cfg: RunConfig, override=None, default_name="run") -> Path:
 # chunks' solve, rows_s the rest of that stage, and lambda0_s is the part of
 # rows_s spent in the ground-state solve.
 _STAGES = ("flow_s", "heat_s", "rows_s", "lambda0_s", "summary_s", "writers_s")
-# Peak resident set (MiB) at the end of these stages in manifest.json.
-_MEMORY_STAGES = ("flow", "heat_and_rows", "summary", "writers")
+# The timed stages at whose end manifest.json records the peak resident set
+# (MiB), and its entry for each.
+_MEMORY_STAGES = {"flow_s": "flow", "rows_s": "heat_and_rows",
+                  "summary_s": "summary", "writers_s": "writers"}
 
 
 @contextmanager
-def _timed(timings: dict, stage: str, out: Path, logged=()):
-    """Add the block's time to ``stage``, then log it and the ``logged``
-    stages."""
+def _timed(timings: dict, memory: dict, stage: str, out: Path, logged=()):
+    """Add the block's time to ``stage`` and, once the block completes,
+    record the peak resident set in ``memory``; then log the time with that
+    peak beside it, and the times of the ``logged`` stages."""
     started = time.perf_counter()
+    entry = _MEMORY_STAGES[stage]
     try:
         yield
+        memory[entry] = _peak_rss_mb()
     finally:
         timings[stage] += time.perf_counter() - started
-        for name in (stage, *logged):
+        peak = memory[entry]
+        log.info("%s: %s %.3f s, peak RSS %s", out, stage, timings[stage],
+                 "unknown" if peak is None else f"{peak:.1f} MiB")
+        for name in logged:
             log.info("%s: %s %.3f s", out, name, timings[name])
 
 
@@ -719,19 +738,18 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
     started = time.perf_counter()
     timings = dict.fromkeys(_STAGES, 0.0)
     steps = {"flow": None, "heat": None, "max_dt_over_stability_dt": None}
-    memory = dict.fromkeys(_MEMORY_STAGES)
+    memory = dict.fromkeys(_MEMORY_STAGES.values())
     status, error, tables, summary = "ok", None, None, None
     written = set()
     log.info("%s: workers %d", out, geometry.WORKERS)
     try:
         try:
-            with _timed(timings, "flow_s", out):
+            with _timed(timings, memory, "flow_s", out):
                 traj = integrate_forward(validated.m0, validated.T,
                                          validated.dt / 2.0)
             steps["flow"] = traj.num_steps
             steps["max_dt_over_stability_dt"] = traj.max_step_ratio
-            memory["flow"] = _peak_rss_mb()
-            with _timed(timings, "rows_s", out, ("heat_s", "lambda0_s")):
+            with _timed(timings, memory, "rows_s", out, ("heat_s", "lambda0_s")):
                 with _heat_time(timings):
                     v_T = terminal_datum(cfg.datum, traj.final_state(),
                                          **_datum_params(cfg))
@@ -740,20 +758,17 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
                                     mass_tol=cfg.tol_mass), timings, steps)
                 tables, row_error = evaluate_tables(
                     traj, chunks, cfg.a_values, validated.dt, timings)
-            memory["heat_and_rows"] = _peak_rss_mb()
             if row_error is not None:
                 raise row_error
-            with _timed(timings, "summary_s", out):
+            with _timed(timings, memory, "summary_s", out):
                 summary = _summary(tables, cfg)
-            memory["summary"] = _peak_rss_mb()
         except NumericalError as exc:
             status = type(exc).__name__
             error = str(exc)
-        with _timed(timings, "writers_s", out):
+        with _timed(timings, memory, "writers_s", out):
             for name, header, columns in _artifact_csvs(cfg.a_values, tables):
                 _write_csv(out / name, header, columns)
                 written.add(name)
-        memory["writers"] = _peak_rss_mb()
     except BaseException as exc:  # recorded, then re-raised
         status, error = "internal_error", f"{type(exc).__name__}: {exc}"
         for name in set(_CSV_FILES) - written:

@@ -188,10 +188,15 @@ def check_datum(kind: str, m: MetricState, *, amplitude: float = 0.5,
     exp(-2 |amplitude| B) / volume, so that bound above the floor and
     |ln volume| <= 100 keep the datum finite and above the floor, which
     saves the N^2 sines and cosines of every mode on every grid a run or
-    study validates.  The constant datum is 1/volume, finite once the
-    volume is, and is not checked against the floor.
+    study validates.  The constant datum (every kind on the homogeneous
+    backends) is 1/volume, checked against the floor without building it.
     """
     if kind == "constant" or not isinstance(m.backend, ConformalTorus2D):
+        low = 1.0 / volume(m)
+        if not low > POSITIVITY_FLOOR:
+            raise NonPositive(
+                f"the constant datum 1/volume = {low:g} is below the "
+                f"positivity floor {POSITIVITY_FLOOR:g}")
         return
     if kind == "random_smooth":
         bound = sum((abs(a_k) + abs(b_k)) * decay

@@ -23,7 +23,15 @@ omega, Y and both rates, over the (K, ...) arrays of a
 ``geometry.MetricStack``.  u**2, the differences of u and the c-free part
 of |T - c g|^2 (``cross_sq``) are built once per block and passed to
 ``_energy``, ``_variation_tensor`` and the rates, each entry keeping its
-operations in order; c g is subtracted on its diagonal only.  The per-state
+operations in order; c g is subtracted on its diagonal only.  Each
+block-sized field is released after its last reader, in this order: f =
+-ln v and its four differences, once the sub-identity sides have read
+them, before u exists; u's four differences, once F and the outer product
+grad u (x) grad u have read them, before the Hessian; u and the outer
+product, once T is built in the Hessian's own output; u**2, T and
+cross_sq(T) last, after the rates.  A block of 2^15 cells thus holds at
+most about 12 block-sized fields at once besides v and its metric arrays.
+The per-state
 functions (``matrix_quantity``, ``rate_forms``, ``rhs_split``,
 ``rhs_combined``, and ``f_functional``, ``shannon_entropy`` and
 ``log_entropy`` in ``functionals``) are the same stacked code on a stack of
@@ -75,10 +83,22 @@ SUB_IDENTITY_TOL = 1e-9   # relative bound on the integration-by-parts sub-ident
 # The variation tensor and the two rate forms
 # --------------------------------------------------------------------------
 
-def _variation_tensor(g, u, u2, du):
-    """T of each row of g and densities u, from u**2 and g.differences(u)."""
+def _variation_tensor(g, u, u2, outer):
+    """T = Ric - 2.0 * Hess(u) / u + 2.0 * outer / u**2 of each row of g and
+    densities u, from u**2 and outer = g.grad_outer(g.differences(u)).
+
+    T is built in the Hessian's own output, entry by entry in that order, and
+    outer is scaled in place: no tensor-sized temporary, and outer's values
+    are consumed."""
     ue, ue2 = np.expand_dims(u, g.comp_axis), np.expand_dims(u2, g.comp_axis)
-    return g.ricci - 2.0 * g.hessian(u) / ue + 2.0 * g.grad_outer(du) / ue2
+    T = g.hessian(u)
+    T *= 2.0
+    T /= ue
+    np.subtract(g.ricci, T, out=T)
+    outer *= 2.0
+    outer /= ue2
+    T += outer
+    return T
 
 
 def _deviation_rate(g, u2, T, cross, w, c):
@@ -107,8 +127,8 @@ def matrix_quantity(m: MetricState, u: ScalarField) -> SymTensorField:
     if np.min(u.values) <= 0.0:
         raise PositivityLoss("density must be positive in the variation tensor")
     g, w = m.stack, u.values
-    return SymTensorField(m.backend,
-                          _variation_tensor(g, w, w**2, g.differences(w)))
+    return SymTensorField(m.backend, _variation_tensor(
+        g, w, w**2, g.grad_outer(g.differences(w))))
 
 
 def rate_forms(m: MetricState, u: ScalarField, T: SymTensorField, F: float,
@@ -184,14 +204,22 @@ def row_values(g, v, times, a_values) -> tuple[RowValues, NumericalError | None]
     same way, with BlowUp naming its first such column and a; no numpy
     warning is raised for it.
     """
-    u, f = np.sqrt(v), -np.log(v)
-    u2, du, df = u**2, g.differences(u), g.differences(f)
+    # Each field goes after its last reader (see the module docstring).
+    f = np.log(v)
+    np.negative(f, out=f)
+    sub_lhs = g.integrate(g.laplace_beltrami(f) * v)
+    df = g.differences(f)
+    del f
+    sub_rhs = g.integrate(g.gradient_inner(df, df) * v)
+    del df
+    u = np.sqrt(v)
+    u2, du = u**2, g.differences(u)
     F = _energy(g, u2, du)
     S = _entropy(g, u2)
-    T = _variation_tensor(g, u, u2, du)
-    sub_lhs = g.integrate(g.laplace_beltrami(f) * v)
-    sub_rhs = g.integrate(g.gradient_inner(df, df) * v)
-    del du, df  # eight fields the rates below do not need
+    outer = g.grad_outer(du)
+    del du
+    T = _variation_tensor(g, u, u2, outer)
+    del u, outer
     a = np.asarray(a_values, dtype=float)
     om = a + F[:, None] / 4.0
 

@@ -129,14 +129,27 @@ def test_parse_rejects_bad_lines(tmp_path):
      "entropy.a"),
     ({"backend.kind": "round_sphere", "flow.T": "0.1", "flow.dt": "inf"},
      "flow.dt"),
+    # The constant datum 1/volume(g(0)) below the positivity floor (1e-12
+    # and 8e-14) would fail the run's terminal row.
+    ({"backend.kind": "conformal_torus", "backend.N": "16", "backend.L": "1e6",
+      "flow.T": "0.02", "flow.dt": "2e-3", "entropy.a": "1"},
+     "backend.L: the constant datum 1/volume = 1e-12 is below the positivity "
+     "floor 1e-10"),
+    ({"backend.kind": "round_sphere", "backend.c0": "1e12", "flow.T": "0.1",
+      "flow.dt": "1e-2", "entropy.a": "1"},
+     "backend.c0: the constant datum 1/volume = 7.95775e-14 is below the "
+     "positivity floor 1e-10"),
 ], ids=["no-kind", "no-T", "bad-kind", "unknown", "bad-dt", "empty-a", "neg-T",
         "bad-tol", "repeated-a", "tag-collision-a", "signed-zero-a", "bad-datum", "bad-width",
         "lone-center-x", "lone-center-y", "negative-cutoff", "zero-cutoff",
         "negative-seed", "inf-c0", "inf-A0", "inf-L", "nan-phi-amplitude", "inf-T", "inf-a",
-        "neg-inf-in-a-list", "inf-dt"])
+        "neg-inf-in-a-list", "inf-dt", "constant-datum-large-L",
+        "constant-datum-large-c0"])
 def test_make_config_errors(raw, msg):
+    # make_config rejects the keys it parses; validate_config the settings
+    # that need the initial metric.
     with pytest.raises(rl.ConfigError) as exc:
-        make_config(raw)
+        validate_config(make_config(raw))
     assert msg in str(exc.value)
 
 
@@ -1297,6 +1310,12 @@ entropy.a = 0
                                        "heat.amplitude = 100\n"),
         ("heat.amplitude", FLOOR_CFG + "heat.datum = bump\n"
                                        "heat.amplitude = -0.999999999999\n"),
+        # the constant datum 1/volume(g(0)) below the floor: a large torus
+        # and a large round sphere
+        ("backend.L", FLOOR_CFG.replace("backend.phi_amplitude = 0.1",
+                                        "backend.L = 1e6")),
+        ("backend.c0", SPHERE_CFG.replace("backend.c0 = 1.0", "backend.c0 = 1e12")
+         .replace("flow.T = 0.4\nflow.dt = 1e-3", "flow.T = 0.1\nflow.dt = 1e-2")),
     ):
         bad_input = write_cfg(tmp_path / "bad_input.cfg", text)
         assert cli_main(["check", bad_input]) == 2
@@ -1407,26 +1426,45 @@ def test_cli_rejects_an_initial_metric_that_overflows(key, text, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_flow_overflow_is_a_blow_up(tmp_path, capsys):
-    # An admissible Berger start whose first flow stage overflows: the float
-    # rates give inf and nan (and the squares of _pow overflow), which the
-    # flow reports as BlowUp (exit 3), not as an internal error.
+def test_cli_flow_blow_up_is_exit_3(tmp_path, capsys):
+    # An admissible Berger start whose first flow step blows up (A = 1e28
+    # goes to -5e60) is BlowUp (exit 3) with a valid manifest, not an
+    # internal error.  A start whose float rates overflow (A0 = 1e140, the
+    # flow's inf and nan of test_flow's berger-overflow case) has a volume
+    # of 2e71, so its constant datum is below the positivity floor and
+    # check and run reject it first (exit 2, no output directory).
     path = write_cfg(tmp_path / "big.cfg", """
 backend.kind = berger_sphere
-backend.A0 = 1e140
-flow.T = 0.1
-flow.dt = 1e-3
-entropy.a = 1e141
+backend.A0 = 1e28
+backend.B0 = 1e-6
+backend.C0 = 1e-6
+flow.T = 1
+flow.dt = 2.5e-8
+entropy.a = 1e40
 """)
     out = tmp_path / "o"
     assert cli_main(["run", path, "--out", str(out)]) == 3
     assert "run failed (BlowUp)" in capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "BlowUp"
-    assert manifest["error"] == "metric parameters became non-finite"
+    assert manifest["error"] == "metric scale parameter fell below floor"
     assert manifest["exit_code"] == 3
     assert manifest["steps"]["flow"] is None
     assert (out / "data.csv").read_text().count("\n") == 1
+
+    huge = write_cfg(tmp_path / "huge.cfg", """
+backend.kind = berger_sphere
+backend.A0 = 1e140
+flow.T = 0.1
+flow.dt = 1e-3
+entropy.a = 1e141
+""")
+    for argv in (["check", huge], ["run", huge, "--out", str(tmp_path / "h")]):
+        assert cli_main(argv) == 2
+        assert ("ConfigError: backend.A0/B0/C0: the constant datum 1/volume = "
+                "5.06606e-72 is below the positivity floor 1e-10"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "h").exists()
 
 
 def test_converge_validates_each_level_once(tmp_path, monkeypatch, capsys):
@@ -1455,10 +1493,17 @@ def test_verbose_logs_stage_timings(tmp_path, capsys):
     ok = write_cfg(tmp_path / "ok.cfg", FLAT_CFG)
     assert cli_main(["run", ok, "--out", str(tmp_path / "z"), "--verbose"]) == 0
     err = capsys.readouterr().err
-    for stage in ("flow_s", "heat_s", "rows_s", "lambda0_s", "summary_s",
-                  "writers_s"):
-        assert f"riccilab.harness: {tmp_path / 'z'}: " in err
-        assert f" {stage} " in err, stage
+    manifest = json.loads((tmp_path / "z" / "manifest.json").read_text())
+    timings, peaks = manifest["timings"], manifest["peak_rss_mb"]
+    # Each stage's time, and beside it the manifest's peak RSS at its end.
+    for stage, entry in (("flow_s", "flow"), ("heat_s", None),
+                         ("rows_s", "heat_and_rows"), ("lambda0_s", None),
+                         ("summary_s", "summary"), ("writers_s", "writers")):
+        line = f"riccilab.harness: {tmp_path / 'z'}: {stage} {timings[stage]:.3f} s"
+        if entry is not None:
+            assert peaks[entry] > 0.0, entry
+            line += f", peak RSS {peaks[entry]:.1f} MiB"
+        assert line + "\n" in err, stage
     assert f"{tmp_path / 'z'}: workers {geometry.WORKERS}\n" in err
     assert cli_main(["run", ok, "--out", str(tmp_path / "q")]) == 0
     assert "flow_s" not in capsys.readouterr().err

@@ -527,6 +527,28 @@ def test_check_datum_passes_the_data_above_the_floor(kind, N, phi_amp,
     assert passed == above
 
 
+@pytest.mark.parametrize("kind", ["constant", "bump", "random_smooth"])
+def test_check_datum_checks_the_constant_datum_against_the_floor(kind):
+    # The constant datum, and every kind on a sphere, is 1/volume: below the
+    # floor on a large sphere or torus, where the run's rows would fail.
+    from riccilab.heat import check_datum
+
+    big = [rl.MetricState(rl.RoundSphere(2), 0.0, np.array([1e12]))]
+    unit = [rl.MetricState(rl.RoundSphere(2), 0.0, np.array([1.0]))]
+    if kind == "constant":
+        big.append(rl.MetricState(rl.ConformalTorus2D(8, 1e6), 0.0,
+                                  np.zeros((8, 8))))
+        unit.append(rl.MetricState(rl.ConformalTorus2D(8, 1e4), 0.0,
+                                   np.zeros((8, 8))))
+    for m in big:
+        with pytest.raises(rl.NonPositive, match="1/volume = .* is below the "
+                                                 "positivity floor 1e-10"):
+            check_datum(kind, m)
+    for m in unit:
+        assert 1.0 / rl.volume(m) > 1e-10
+        check_datum(kind, m)
+
+
 def test_bump_nonpositive_amplitude_rejected():
     traj = flat_trajectory(N=16, T=0.01, dt=5e-4)
     with pytest.raises(rl.NonPositive):

@@ -164,6 +164,51 @@ def test_split_rate_dominates_adjustment_term(seed, a):
 
 
 # -------------------------------------------------------------------------
+# Row kernel footprint
+# -------------------------------------------------------------------------
+
+@pytest.mark.parametrize("column,a_values", [
+    (True, [0.1, 0.25, 0.5, 1.0, 2.0, 4.0]),
+    (False, [0.1, 1.0]),
+])
+def test_row_kernel_holds_at_most_14_fields(column, a_values):
+    # One row_values call over a block of 2^15 cells (8 rows of 64^2), as a
+    # two-worker pool runs it, holds at most 14 block-sized fields at its
+    # traced peak beyond its inputs: v, times and the stack with the metric
+    # arrays it builds once (a first call builds them).  Each field is
+    # released after its last reader and T is built in the Hessian's output;
+    # with every field kept to the end of the block it holds 23.  column is
+    # a y-invariant metric, held as one (N, 1) column; otherwise phi(x, y).
+    import tracemalloc
+
+    from riccilab.variation import row_values
+
+    backend = rl.ConformalTorus2D(64, TWO_PI)
+    K = 8
+    x, y = rl.grid_coords(backend)
+    shift = 0.01 * np.arange(K)[:, None, None]
+    if column:
+        phi = np.broadcast_to((0.1 * np.sin(x) + shift)[..., :1], (K, 64, 64))
+    else:
+        phi = 0.1 * np.sin(x + y) * np.cos(y) + shift
+    v = np.exp(0.2 * np.cos(x) * np.sin(2.0 * y) + shift) / TWO_PI**2
+    times = 1e-3 * np.arange(K)
+    g = backend.stack(phi)
+    assert g.params.shape == ((K, 64, 1) if column else (K, 64, 64))
+    want, _ = row_values(g, v, times, a_values)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got, error = row_values(g, v, times, a_values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert error is None and np.array_equal(got.rhs_split, want.rhs_split)
+    fields = (peak - before) / v.nbytes
+    assert 8.0 < fields <= 14.0, fields
+
+
+# -------------------------------------------------------------------------
 # Finite differences
 # -------------------------------------------------------------------------
 
