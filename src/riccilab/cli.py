@@ -5,7 +5,8 @@ Subcommands: ``run <config>`` executes the pipeline and writes artifacts,
 <config>`` validates only.  ``--out`` overrides out.dir; the environment
 variable RICCILAB_OUT supplies the default output root for relative paths;
 ``--verbose`` (run, converge) logs each run's pool size and stage timings,
-with the peak resident set at the end of each stage, to stderr.
+with the peak resident set at the end of each stage and the flow's and heat
+solve's step counts beside theirs, to stderr.
 Exit codes: 0 success, 2 configuration/admissibility error (any
 ``InputError``; ``converge`` validates every level, level 0 included, once,
 before it writes anything), 3 numerical failure (any ``NumericalError``,
@@ -48,7 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for p in (p_run, p_conv):
         p.add_argument("--verbose", action="store_true",
-                       help="log pool size, stage timings and peak RSS to stderr")
+                       help="log pool size, stage timings, step counts and peak "
+                            "RSS to stderr")
 
     p_check = sub.add_parser("check", help="validate a config without running")
     p_check.add_argument("config")

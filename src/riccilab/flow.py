@@ -6,10 +6,14 @@ solve and finite-difference time derivatives stay aligned.  Completed
 trajectories are immutable.
 
 The loop steps a state in the backend's component form: Python floats on
-the spheres, the phi array on the torus.  RK4 combines the components entry
-by entry in the order of the array form, so the results are bitwise what
-numpy arrays give.  Each state is checked once, and its smallest metric
-scale serves both the floor check and the stability bound of the step that
+the spheres, the phi array on the torus.  Each backend's ``step`` is one
+RK4 step of its own component form, straight-line code on the spheres'
+floats, combining the components entry by entry in the order of the array
+form p + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) with stages at p + (dt / 2) k,
+so the results are bitwise what numpy arrays give; the tests pin each
+backend's step to the array form, overflow and division by zero at any
+stage included.  Each state is checked once, and its smallest metric scale
+serves both the floor check and the stability bound of the step that
 leaves it.
 
 A torus phi that is bitwise constant along y is stepped as its first
@@ -92,19 +96,6 @@ def _check_params(backend, p):
     return scale
 
 
-def _rk4_step(rates, p, dt):
-    """One RK4 step of the components p, entry by entry as the array form
-    p + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) with stages at p + (dt / 2) k."""
-    half = 0.5 * dt
-    k1 = rates(p)
-    k2 = rates([x + half * k for x, k in zip(p, k1)])
-    k3 = rates([x + half * k for x, k in zip(p, k2)])
-    k4 = rates([x + dt * k for x, k in zip(p, k3)])
-    sixth = dt / 6.0
-    return [x + sixth * (a + 2.0 * b + 2.0 * c + d)
-            for x, a, b, c, d in zip(p, k1, k2, k3, k4)]
-
-
 def integrate_forward(m0: MetricState, T: float, dt: float) -> Trajectory:
     """Integrate the flow from m0 over [t0, t0 + T] with fixed step dt.
 
@@ -137,7 +128,7 @@ def integrate_forward(m0: MetricState, T: float, dt: float) -> Trajectory:
             )
         ratio = max(ratio, dt / bound)
         try:
-            p = _rk4_step(backend.rates, p, dt)
+            p = backend.step(p, dt)
         except ZeroDivisionError:  # inf or nan in the array form
             raise BlowUp("metric parameters became non-finite") from None
         scale = _check_params(backend, p)

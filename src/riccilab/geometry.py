@@ -63,9 +63,14 @@ The backends carry what the time-stepping loops use on one state.  The
 flow steps ``components(p)``: the parameters as Python floats on the
 spheres, where numpy's per-call dispatch would dwarf the arithmetic, and a
 one-entry list holding phi on the torus (its column when y-invariant).
-``rates`` is the flow velocity in that form, and ``min_scale`` feeds the
-floor check and ``stability_dt``, the unscaled bound (``flow.dt = auto``
-applies ``flow.safety`` to it).
+``rates`` is the flow velocity in that form, and ``step(p, dt)`` one RK4
+step of it: one line on the round sphere, whose rate does not depend on c;
+straight-line code over A, B, C on the Berger sphere, whose float squares
+skip ``_pow``'s calls (``_squares``); the array RK4 on the torus.  Each
+keeps the array form's per-entry operation order, and the tests pin it to
+that form bitwise.  ``min_scale`` feeds the floor check and
+``stability_dt``, the unscaled bound (``flow.dt = auto`` applies
+``flow.safety`` to it).
 The heat solve reads stack arrays through ``rows`` and checks positivity by
 ``field_min``.
 Floats and numpy round each operation alike: either form gives the same bits.
@@ -92,6 +97,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -250,6 +256,12 @@ class RoundSphere(_Homogeneous):
         """dc/dt = -2(n-1)."""
         return [-2.0 * (self.n - 1)]
 
+    def step(self, p, dt):
+        """One RK4 step of [c]: the rate does not depend on c, so its four
+        stages are the same float r."""
+        (r,) = self.rates(p)
+        return [p[0] + (dt / 6.0) * (r + 2.0 * r + 2.0 * r + r)]
+
 
 @dataclass(frozen=True)
 class BergerSphere(_Homogeneous):
@@ -267,9 +279,21 @@ class BergerSphere(_Homogeneous):
     @staticmethod
     def rates(p):
         """dA/dt = -2 A r_1 and cyclic."""
+        return list(_berger_rates(*p))
+
+    @staticmethod
+    def step(p, dt):
+        """One RK4 step of [A, B, C], straight-line over the three floats."""
         A, B, C = p
-        r1, r2, r3 = _berger_ricci_values(A, B, C)
-        return [-2.0 * A * r1, -2.0 * B * r2, -2.0 * C * r3]
+        half = 0.5 * dt
+        a1, b1, c1 = _berger_rates(A, B, C)
+        a2, b2, c2 = _berger_rates(A + half * a1, B + half * b1, C + half * c1)
+        a3, b3, c3 = _berger_rates(A + half * a2, B + half * b2, C + half * c2)
+        a4, b4, c4 = _berger_rates(A + dt * a3, B + dt * b3, C + dt * c3)
+        sixth = dt / 6.0
+        return [A + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+                B + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+                C + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)]
 
 
 @dataclass(frozen=True)
@@ -318,6 +342,16 @@ class ConformalTorus2D:
         """dphi/dt = e^{-2 phi} Lap0 phi (from dg/dt = -R g in two dimensions)."""
         (phi,) = p
         return [np.exp(-2.0 * phi) * _lap5(phi, self.h)]
+
+    def step(self, p, dt):
+        """One RK4 step of [phi] on arrays."""
+        (phi,) = p
+        half = 0.5 * dt
+        (k1,) = self.rates(p)
+        (k2,) = self.rates([phi + half * k1])
+        (k3,) = self.rates([phi + half * k2])
+        (k4,) = self.rates([phi + dt * k3])
+        return [phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)]
 
     @staticmethod
     def min_scale(p):
@@ -503,14 +537,20 @@ def _pow(x, e):
     """x ** e through the C library's pow, entry by entry, as numpy scalars
     and Python floats compute it, with inf (C's HUGE_VAL) where Python raises
     on overflow.  numpy's vectorised power (and x * x for e = 2) differ from
-    it in the last bit for some x, which would move the per-state results."""
+    it in the last bit for some x, which would move the per-state results.
+    An array maps ``float.__pow__`` over its entries at once, and only when
+    an entry overflows goes entry by entry."""
     if isinstance(x, float) or x.ndim == 0:  # scalars and 0-d arrays
         try:
             return float(x) ** e
         except OverflowError:
             return math.inf
-    return np.fromiter((_pow(v, e) for v in x.ravel().tolist()), float,
-                       x.size).reshape(x.shape)
+    values = x.ravel().tolist()
+    try:
+        flat = np.fromiter(map(float.__pow__, values, repeat(e)), float, x.size)
+    except OverflowError:  # entry by entry, inf where an entry overflows
+        flat = np.fromiter((_pow(v, e) for v in values), float, x.size)
+    return flat.reshape(x.shape)
 
 
 # --------------------------------------------------------------------------
@@ -612,6 +652,18 @@ def _last_axis(p):
     return np.moveaxis(p, -1, 0) if p.ndim > 1 else p
 
 
+def _squares(d1, d2, d3):
+    """``_pow(d, 2)`` of each d: ``d ** 2`` straight on Python floats (the
+    same C pow, without three calls), ``_pow`` on arrays and numpy scalars
+    and where a square overflows."""
+    if type(d1) is type(d2) is type(d3) is float:
+        try:
+            return d1 ** 2, d2 ** 2, d3 ** 2
+        except OverflowError:
+            pass
+    return _pow(d1, 2), _pow(d2, 2), _pow(d3, 2)
+
+
 def _berger_ricci_values(A, B, C):
     """Principal Ricci values (r_1, r_2, r_3) in the orthonormal frame for
     diag(A, B, C): Python floats, numpy scalars or arrays.
@@ -619,10 +671,17 @@ def _berger_ricci_values(A, B, C):
     Milnor-frame structure constants are 2 (A = B = C = 1 is the unit round
     3-sphere), giving r_1 = 2 (A^2 - (B - C)^2) / (ABC) and cyclic.
     """
+    s1, s2, s3 = _squares(B - C, C - A, A - B)
     abc = A * B * C
-    return (2.0 * (A * A - _pow(B - C, 2)) / abc,
-            2.0 * (B * B - _pow(C - A, 2)) / abc,
-            2.0 * (C * C - _pow(A - B, 2)) / abc)
+    return (2.0 * (A * A - s1) / abc,
+            2.0 * (B * B - s2) / abc,
+            2.0 * (C * C - s3) / abc)
+
+
+def _berger_rates(A, B, C):
+    """The flow velocity (dA/dt, dB/dt, dC/dt) = -2 (A r_1, B r_2, C r_3)."""
+    r1, r2, r3 = _berger_ricci_values(A, B, C)
+    return -2.0 * A * r1, -2.0 * B * r2, -2.0 * C * r3
 
 
 class _BergerStack(_HomogeneousStack):

@@ -80,9 +80,16 @@ from .geometry import (
     MetricState,
     RoundSphere,
     grid_coords,
+    volume,
 )
 from .functionals import ground_states, lambda0
-from .heat import DATUM_KINDS, check_datum, stream_backward, terminal_datum
+from .heat import (
+    DATUM_KINDS,
+    POSITIVITY_FLOOR,
+    check_datum,
+    stream_backward,
+    terminal_datum,
+)
 from .variation import (
     VariationReport,
     equivalence_check,
@@ -343,18 +350,17 @@ def validate_config(cfg: RunConfig) -> ValidatedRun:
     backends and snapped down to an integer number of rows.  A bump datum's
     positivity and a random datum's finiteness depend only on the config
     and the grid, so ``heat.check_datum`` checks them here on g(0), on the
-    grid nodes the run's datum uses; a datum below the positivity floor is
-    a ConfigError on ``heat.amplitude``, or, for the constant datum
-    1/volume (every datum on the spheres), on the backend key that sets
-    the volume.
+    grid nodes the run's datum uses.  A datum below the positivity floor is
+    a ConfigError on the backend key that sets the volume when its mean
+    1/volume is below the floor already (no amplitude can lift it), and on
+    ``heat.amplitude`` otherwise.
     """
     m0 = _initial_state(cfg)
     try:
         check_datum(cfg.datum, m0, **_datum_params(cfg))
     except NonPositive as exc:
-        # The constant datum (every datum on the spheres) is 1/volume.
-        shaped = cfg.datum != "constant" and isinstance(m0.backend, ConformalTorus2D)
-        key = "heat.amplitude" if shaped else _VOLUME_KEYS[cfg.backend_kind]
+        small = not 1.0 / volume(m0) > POSITIVITY_FLOOR
+        key = _VOLUME_KEYS[cfg.backend_kind] if small else "heat.amplitude"
         raise ConfigError(f"{key}: {exc}") from None
     T = cfg.T
     if not isinstance(m0.backend, ConformalTorus2D):
@@ -647,10 +653,14 @@ _MEMORY_STAGES = {"flow_s": "flow", "rows_s": "heat_and_rows",
 
 
 @contextmanager
-def _timed(timings: dict, memory: dict, stage: str, out: Path, logged=()):
-    """Add the block's time to ``stage`` and, once the block completes,
-    record the peak resident set in ``memory``; then log the time with that
-    peak beside it, and the times of the ``logged`` stages."""
+def _timed(blocks: dict, stage: str, out: Path, logged=()):
+    """Add the block's time to ``stage`` of the manifest's ``timings`` block
+    and, once the block completes, record the peak resident set in its
+    ``peak_rss_mb`` block; then log the time with that peak beside it, and
+    the times of the ``logged`` stages, each with its step counts from the
+    ``steps`` block (``_step_counts``)."""
+    timings, steps = blocks["timings"], blocks["steps"]
+    memory = blocks["peak_rss_mb"]
     started = time.perf_counter()
     entry = _MEMORY_STAGES[stage]
     try:
@@ -659,10 +669,24 @@ def _timed(timings: dict, memory: dict, stage: str, out: Path, logged=()):
     finally:
         timings[stage] += time.perf_counter() - started
         peak = memory[entry]
-        log.info("%s: %s %.3f s, peak RSS %s", out, stage, timings[stage],
-                 "unknown" if peak is None else f"{peak:.1f} MiB")
+        log.info("%s: %s %.3f s, peak RSS %s%s", out, stage, timings[stage],
+                 "unknown" if peak is None else f"{peak:.1f} MiB",
+                 _step_counts(stage, steps))
         for name in logged:
-            log.info("%s: %s %.3f s", out, name, timings[name])
+            log.info("%s: %s %.3f s%s", out, name, timings[name],
+                     _step_counts(name, steps))
+
+
+def _step_counts(stage: str, steps: dict) -> str:
+    """How the stage's stepper behaved, from the manifest's ``steps`` block:
+    the flow's step count and largest dt / stability_dt beside flow_s, the
+    heat solve's step count beside heat_s; empty before they are known."""
+    if stage == "flow_s" and steps["flow"] is not None:
+        return (f", {steps['flow']} steps, max dt/stability_dt "
+                f"{steps['max_dt_over_stability_dt']:.3g}")
+    if stage == "heat_s" and steps["heat"] is not None:
+        return f", {steps['heat']} steps"
+    return ""
 
 
 @contextmanager
@@ -738,18 +762,20 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
     started = time.perf_counter()
     timings = dict.fromkeys(_STAGES, 0.0)
     steps = {"flow": None, "heat": None, "max_dt_over_stability_dt": None}
-    memory = dict.fromkeys(_MEMORY_STAGES.values())
+    # The manifest's timings, peak_rss_mb and steps blocks.
+    blocks = {"timings": timings, "steps": steps,
+              "peak_rss_mb": dict.fromkeys(_MEMORY_STAGES.values())}
     status, error, tables, summary = "ok", None, None, None
     written = set()
     log.info("%s: workers %d", out, geometry.WORKERS)
     try:
         try:
-            with _timed(timings, memory, "flow_s", out):
+            with _timed(blocks, "flow_s", out):
                 traj = integrate_forward(validated.m0, validated.T,
                                          validated.dt / 2.0)
-            steps["flow"] = traj.num_steps
-            steps["max_dt_over_stability_dt"] = traj.max_step_ratio
-            with _timed(timings, memory, "rows_s", out, ("heat_s", "lambda0_s")):
+                steps["flow"] = traj.num_steps
+                steps["max_dt_over_stability_dt"] = traj.max_step_ratio
+            with _timed(blocks, "rows_s", out, ("heat_s", "lambda0_s")):
                 with _heat_time(timings):
                     v_T = terminal_datum(cfg.datum, traj.final_state(),
                                          **_datum_params(cfg))
@@ -760,12 +786,12 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
                     traj, chunks, cfg.a_values, validated.dt, timings)
             if row_error is not None:
                 raise row_error
-            with _timed(timings, memory, "summary_s", out):
+            with _timed(blocks, "summary_s", out):
                 summary = _summary(tables, cfg)
         except NumericalError as exc:
             status = type(exc).__name__
             error = str(exc)
-        with _timed(timings, memory, "writers_s", out):
+        with _timed(blocks, "writers_s", out):
             for name, header, columns in _artifact_csvs(cfg.a_values, tables):
                 _write_csv(out / name, header, columns)
                 written.add(name)
@@ -794,9 +820,7 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
             "exit_code": exit_code,
             "summary": summary,
             "lambda0": None if tables is None else _lambda0_diagnostics(tables),
-            "timings": timings,
-            "peak_rss_mb": memory,
-            "steps": steps,
+            **blocks,
             "workers": geometry.WORKERS,
             "wall_clock_s": time.perf_counter() - started,
         })

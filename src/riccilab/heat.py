@@ -188,20 +188,23 @@ def check_datum(kind: str, m: MetricState, *, amplitude: float = 0.5,
     exp(-2 |amplitude| B) / volume, so that bound above the floor and
     |ln volume| <= 100 keep the datum finite and above the floor, which
     saves the N^2 sines and cosines of every mode on every grid a run or
-    study validates.  The constant datum (every kind on the homogeneous
-    backends) is 1/volume, checked against the floor without building it.
+    study validates.  The normalized datum's mean is 1/volume, so its
+    minimum is at most that: 1/volume is checked against the floor first,
+    for every kind, and is the whole check for the constant datum (every
+    kind on the homogeneous backends), which is never built.
     """
-    if kind == "constant" or not isinstance(m.backend, ConformalTorus2D):
-        low = 1.0 / volume(m)
-        if not low > POSITIVITY_FLOOR:
-            raise NonPositive(
-                f"the constant datum 1/volume = {low:g} is below the "
-                f"positivity floor {POSITIVITY_FLOOR:g}")
+    constant = kind == "constant" or not isinstance(m.backend, ConformalTorus2D)
+    vol = volume(m)
+    low = 1.0 / vol
+    if not low > POSITIVITY_FLOOR:
+        what = "the constant datum" if constant else f"the {kind} datum's mean"
+        raise NonPositive(f"{what} 1/volume = {low:g} is below the "
+                          f"positivity floor {POSITIVITY_FLOOR:g}")
+    if constant:
         return
     if kind == "random_smooth":
         bound = sum((abs(a_k) + abs(b_k)) * decay
                     for _, _, a_k, b_k, decay in _fourier_modes(seed, mode_cutoff))
-        vol = volume(m)
         if (abs(math.log(vol)) <= 100.0 and math.exp(
                 -2.0 * abs(amplitude) * bound) / vol > POSITIVITY_FLOOR):
             return

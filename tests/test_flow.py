@@ -176,18 +176,23 @@ def low_mode_state(N, L, amplitude, seed):
     return rl.MetricState(backend, 0.0, w * (amplitude / np.max(np.abs(w))))
 
 
+# Berger parameters log-uniform over 1e-3 ... 1e150, so that squares and
+# products overflow at any RK4 stage; round spheres up to n = 400, whose
+# large rate -2(n-1) can drive c below the floor within one step.
+LOG_UNIFORM = st.floats(-3.0, 150.0).map(lambda s: 10.0**s)
+
 FLOW_STATES = st.one_of(
     st.builds(lambda n, c0: rl.MetricState(rl.RoundSphere(n), 0.0, np.array([c0])),
-              st.integers(2, 5), st.floats(0.3, 3.0)),
+              st.integers(2, 400), st.floats(0.3, 3.0)),
     st.builds(lambda p: rl.MetricState(rl.BergerSphere(), 0.0, np.array(p)),
-              st.tuples(*[st.floats(0.3, 3.0)] * 3)),
+              st.tuples(*[LOG_UNIFORM] * 3)),
     st.builds(low_mode_state, st.sampled_from([8, 12, 16]),
               st.floats(1.0, 4.0 * math.pi), st.floats(0.0, 0.3),
               st.integers(0, 2**32 - 1)),
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(m0=FLOW_STATES, frac=st.floats(0.01, 0.5), steps=st.integers(1, 12))
 def test_flow_matches_array_reference_bitwise(m0, frac, steps):
     # Parameters and max_step_ratio bitwise equal to the array form, or the
@@ -220,11 +225,30 @@ def berger_state(A, B, C):
     # by zero where the arrays give inf and nan
     (berger_state(1.0, 0.125, 0.125), 1 / 128, 1 / 128, rl.BlowUp,
      "metric parameters became non-finite"),
+    # k1 is finite and the squares at the second stage's point overflow (see
+    # test_first_overflow_at_the_second_stage)
+    (berger_state(1e78, 1.0, 1.0), 1 / 16, 1 / 16, rl.BlowUp,
+     "metric parameters became non-finite"),
 ], ids=["sphere-step", "berger-step", "sphere-floor", "berger-floor",
-        "torus-floor", "berger-overflow", "berger-zero-stage"])
+        "torus-floor", "berger-overflow", "berger-zero-stage",
+        "berger-overflow-stage-2"])
 def test_flow_errors_match_array_reference(m0, T, dt, error, message):
     assert flow_outcome(m0, T, dt) == (error, message)
     assert reference_outcome(m0, T, dt) == (error, message)
+
+
+def test_first_overflow_at_the_second_stage():
+    # Found by scanning A = 10^a (a = -3 ... 150), B = C = 10^b (b = -3 ... 2)
+    # at half the stability bound for the states whose first non-finite rate
+    # comes after k1: at B = C = 1 the smallest is A = 1e78, at dt = 1/16.
+    # k1 = (-4 A^2, 4 A, 4 A) is finite; at the stage point A + k1 / 32 =
+    # -1.25e155, (C - A)^2 is past the double range.
+    A, dt = 1e78, 1 / 16
+    k1 = rl.BergerSphere.rates([A, 1.0, 1.0])
+    assert all(map(math.isfinite, k1))
+    stage = [x + 0.5 * dt * k for x, k in zip([A, 1.0, 1.0], k1)]
+    assert all(map(math.isfinite, stage))
+    assert not all(map(math.isfinite, rl.BergerSphere.rates(stage)))
 
 
 # -------------------------------------------------------------------------

@@ -414,6 +414,72 @@ def test_pow_overflow_is_inf_entry_by_entry():
     assert _pow(np.float64(3.0), 2) == 9.0
 
 
+POW_BASES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),  # subnormals and -0.0 too
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf,
+                     math.nan, 1e200, -1e160, -3.0]),
+    st.floats(1e100, 1e300), st.floats(-1e300, -1e100),  # squares overflow
+)
+
+
+def per_entry_pow(values, e):
+    """float(v) ** e entry by entry, inf where it overflows; or the class of
+    the error an entry raises (0.0 to a negative power)."""
+    out = []
+    for v in values:
+        try:
+            out.append(float(v) ** e)
+        except OverflowError:
+            out.append(math.inf)
+        except ZeroDivisionError as exc:
+            return type(exc)
+    return np.array(out).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(POW_BASES, min_size=1, max_size=12),
+       e=st.one_of(st.integers(-3, 4), st.sampled_from([0.5, 1.5, 2.5])),
+       rows=st.sampled_from([1, 2]))
+def test_pow_arrays_are_the_per_entry_float_pow_bitwise(values, e, rows):
+    # The array path maps float.__pow__ over the entries at once and falls
+    # back to the per-entry loop only when an entry overflows: either way
+    # each entry is float(x) ** e bitwise, inf where that overflows, in the
+    # array's shape.
+    from riccilab.geometry import _pow
+
+    if e != int(e):  # a negative base needs an integer exponent
+        values = [abs(v) for v in values]
+    x = np.array(values * rows).reshape(rows, -1)
+    try:
+        got = _pow(x, e)
+        assert got.shape == x.shape and got.dtype == float
+        got = got.tobytes()
+    except ZeroDivisionError as exc:
+        got = type(exc)
+    assert got == per_entry_pow(x.ravel().tolist(), e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=st.tuples(*[st.floats(-160.0, 160.0).map(lambda s: 10.0**s)] * 3),
+       signs=st.tuples(*[st.sampled_from([1.0, -1.0])] * 3))
+def test_berger_ricci_floats_are_the_array_form_bitwise(p, signs):
+    # The float form squares by ** without _pow's calls: bitwise the array
+    # form, overflow to inf included, and ZeroDivisionError exactly where
+    # ABC underflows to zero and the arrays give inf or nan.
+    from riccilab.geometry import _berger_ricci_values
+
+    A, B, C = (s * v for s, v in zip(signs, p))
+    if A * B * C == 0.0:
+        with pytest.raises(ZeroDivisionError):
+            _berger_ricci_values(A, B, C)
+        return
+    got = _berger_ricci_values(A, B, C)
+    assert all(type(r) is float for r in got)
+    with np.errstate(all="ignore"):
+        want = _berger_ricci_values(*(np.array([v]) for v in (A, B, C)))
+    assert np.array(got).tobytes() == np.concatenate(want).tobytes()
+
+
 # -------------------------------------------------------------------------
 # Validation
 # -------------------------------------------------------------------------

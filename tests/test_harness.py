@@ -139,12 +139,19 @@ def test_parse_rejects_bad_lines(tmp_path):
       "flow.dt": "1e-2", "entropy.a": "1"},
      "backend.c0: the constant datum 1/volume = 7.95775e-14 is below the "
      "positivity floor 1e-10"),
+    # A shaped datum's minimum is at most its mean 1/volume: on the large
+    # torus no amplitude lifts it above the floor, so the volume key is named.
+    ({"backend.kind": "conformal_torus", "backend.N": "16", "backend.L": "1e6",
+      "flow.T": "0.02", "flow.dt": "2e-3", "entropy.a": "1",
+      "heat.datum": "random_smooth", "heat.amplitude": "0.02"},
+     "backend.L: the random_smooth datum's mean 1/volume = 1e-12 is below the "
+     "positivity floor 1e-10"),
 ], ids=["no-kind", "no-T", "bad-kind", "unknown", "bad-dt", "empty-a", "neg-T",
         "bad-tol", "repeated-a", "tag-collision-a", "signed-zero-a", "bad-datum", "bad-width",
         "lone-center-x", "lone-center-y", "negative-cutoff", "zero-cutoff",
         "negative-seed", "inf-c0", "inf-A0", "inf-L", "nan-phi-amplitude", "inf-T", "inf-a",
         "neg-inf-in-a-list", "inf-dt", "constant-datum-large-L",
-        "constant-datum-large-c0"])
+        "constant-datum-large-c0", "random-datum-large-L"])
 def test_make_config_errors(raw, msg):
     # make_config rejects the keys it parses; validate_config the settings
     # that need the initial metric.
@@ -1314,6 +1321,11 @@ entropy.a = 0
         # and a large round sphere
         ("backend.L", FLOOR_CFG.replace("backend.phi_amplitude = 0.1",
                                         "backend.L = 1e6")),
+        # a shaped datum on that torus: its mean 1/volume is below the floor,
+        # which no amplitude changes
+        ("backend.L", FLOOR_CFG.replace("backend.phi_amplitude = 0.1",
+                                        "backend.L = 1e6")
+         + "heat.datum = random_smooth\nheat.amplitude = 0.02\n"),
         ("backend.c0", SPHERE_CFG.replace("backend.c0 = 1.0", "backend.c0 = 1e12")
          .replace("flow.T = 0.4\nflow.dt = 1e-3", "flow.T = 0.1\nflow.dt = 1e-2")),
     ):
@@ -1495,7 +1507,13 @@ def test_verbose_logs_stage_timings(tmp_path, capsys):
     err = capsys.readouterr().err
     manifest = json.loads((tmp_path / "z" / "manifest.json").read_text())
     timings, peaks = manifest["timings"], manifest["peak_rss_mb"]
-    # Each stage's time, and beside it the manifest's peak RSS at its end.
+    steps = manifest["steps"]
+    assert steps["flow"] == 40 and steps["heat"] == 20
+    # Each stage's time, and beside it the manifest's peak RSS at its end;
+    # beside flow_s and heat_s the steps block's counts.
+    counts = {"flow_s": f", {steps['flow']} steps, max dt/stability_dt "
+                        f"{steps['max_dt_over_stability_dt']:.3g}",
+              "heat_s": f", {steps['heat']} steps"}
     for stage, entry in (("flow_s", "flow"), ("heat_s", None),
                          ("rows_s", "heat_and_rows"), ("lambda0_s", None),
                          ("summary_s", "summary"), ("writers_s", "writers")):
@@ -1503,7 +1521,7 @@ def test_verbose_logs_stage_timings(tmp_path, capsys):
         if entry is not None:
             assert peaks[entry] > 0.0, entry
             line += f", peak RSS {peaks[entry]:.1f} MiB"
-        assert line + "\n" in err, stage
+        assert line + counts.get(stage, "") + "\n" in err, stage
     assert f"{tmp_path / 'z'}: workers {geometry.WORKERS}\n" in err
     assert cli_main(["run", ok, "--out", str(tmp_path / "q")]) == 0
     assert "flow_s" not in capsys.readouterr().err

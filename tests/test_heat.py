@@ -530,20 +530,22 @@ def test_check_datum_passes_the_data_above_the_floor(kind, N, phi_amp,
 @pytest.mark.parametrize("kind", ["constant", "bump", "random_smooth"])
 def test_check_datum_checks_the_constant_datum_against_the_floor(kind):
     # The constant datum, and every kind on a sphere, is 1/volume: below the
-    # floor on a large sphere or torus, where the run's rows would fail.
+    # floor on a large sphere or torus, where the run's rows would fail.  A
+    # shaped datum's minimum is at most its mean 1/volume, so on the large
+    # torus it is below the floor whatever its amplitude.
     from riccilab.heat import check_datum
 
-    big = [rl.MetricState(rl.RoundSphere(2), 0.0, np.array([1e12]))]
-    unit = [rl.MetricState(rl.RoundSphere(2), 0.0, np.array([1.0]))]
-    if kind == "constant":
-        big.append(rl.MetricState(rl.ConformalTorus2D(8, 1e6), 0.0,
-                                  np.zeros((8, 8))))
-        unit.append(rl.MetricState(rl.ConformalTorus2D(8, 1e4), 0.0,
-                                   np.zeros((8, 8))))
-    for m in big:
-        with pytest.raises(rl.NonPositive, match="1/volume = .* is below the "
-                                                 "positivity floor 1e-10"):
-            check_datum(kind, m)
+    sphere = rl.MetricState(rl.RoundSphere(2), 0.0, np.array([1e12]))
+    torus = rl.MetricState(rl.ConformalTorus2D(8, 1e6), 0.0, np.zeros((8, 8)))
+    unit = [rl.MetricState(rl.RoundSphere(2), 0.0, np.array([1.0])),
+            rl.MetricState(rl.ConformalTorus2D(8, 1e4), 0.0, np.zeros((8, 8)))]
+    with pytest.raises(rl.NonPositive, match="^the constant datum 1/volume = "
+                                             ".* is below the positivity floor 1e-10$"):
+        check_datum(kind, sphere)
+    what = "the constant datum" if kind == "constant" else f"the {kind} datum's mean"
+    with pytest.raises(rl.NonPositive, match=f"^{what} 1/volume = 1e-12 is below "
+                                             "the positivity floor 1e-10$"):
+        check_datum(kind, torus)
     for m in unit:
         assert 1.0 / rl.volume(m) > 1e-10
         check_datum(kind, m)
