@@ -12,9 +12,19 @@ floats, combining the components entry by entry in the order of the array
 form p + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) with stages at p + (dt / 2) k,
 so the results are bitwise what numpy arrays give; the tests pin each
 backend's step to the array form, overflow and division by zero at any
-stage included.  Each state is checked once, and its smallest metric scale
-serves both the floor check and the stability bound of the step that
-leaves it.
+stage included.
+
+The loop only steps and stores; the stored trajectory is then checked in
+one vectorised pass.  Each state's smallest metric scale (``min_scale``
+over the leading state axis, nan where the state is not finite) serves both
+its floor check and the stability bound of the step that leaves it.  The
+error raised is the first failing event in step order: state k's
+finiteness, then its floor, then step k's bound, then step k's division by
+zero (the float form's ``ZeroDivisionError``, which ends the stepping).
+Stepping and checking run with numpy's floating-point warnings off: a
+step that overflows shows as a non-finite state, which the check reports,
+and the steps taken past the failing event change nothing a run returns,
+print nothing and cost at most what the steps of a passing run cost.
 
 A torus phi that is bitwise constant along y is stepped as its first
 column, shape (N, 1): e^{-2 phi}, the 5-point stencil and the RK4
@@ -33,7 +43,6 @@ checks against it, and a run's ``flow.dt = auto`` scales it by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,29 +88,21 @@ def stability_dt(m: MetricState) -> float:
 
     Torus: h^2 * min(e^{2 phi}) / 8, the parabolic bound for e^{-2 phi} Lap0
     with the 5-point stencil.  Homogeneous backends: min(scale parameter) / 8.
-    A run's ``flow.dt = auto`` scales it by ``flow.safety``.
+    The bound is the stepping loop's, from ``min_scale`` on a stack of one
+    state.  A run's ``flow.dt = auto`` scales it by ``flow.safety``.
     """
     b = m.backend
-    return float(b.stability_dt(b.min_scale(b.components(m.params))))
-
-
-def _check_params(backend, p):
-    """Raise BlowUp for a non-finite or floored state (components p); return
-    its smallest metric scale (``backend.min_scale``)."""
-    scale = backend.min_scale(p)
-    if math.isnan(scale):
-        raise BlowUp("metric parameters became non-finite")
-    if scale < PARAM_FLOOR:
-        raise BlowUp(f"{backend.scale_name} fell below floor")
-    return scale
+    return float(b.stability_dt(b.min_scale(m.params[np.newaxis]))[0])
 
 
 def integrate_forward(m0: MetricState, T: float, dt: float) -> Trajectory:
     """Integrate the flow from m0 over [t0, t0 + T] with fixed step dt.
 
+    Steps first, then checks every stored state (see the module docstring).
     Raises StepTooLarge if dt exceeds the stability bound at any state and
-    BlowUp if a parameter floors out or becomes non-finite.  T is required
-    to be an integer multiple of dt (to grid round-off).
+    BlowUp if a parameter floors out or becomes non-finite, the first of
+    these in step order.  T is required to be an integer multiple of dt (to
+    grid round-off).
     """
     if not (T > 0):
         raise ValueError(f"horizon must be positive, got {T}")
@@ -118,21 +119,31 @@ def integrate_forward(m0: MetricState, T: float, dt: float) -> Trajectory:
     # unit axis in the reshape below.
     out = np.empty((K + 1, len(p)) + np.shape(p[0]))
     out[0] = p
-    scale = _check_params(backend, p)
-    ratio = 0.0
-    for k in range(K):
-        bound = backend.stability_dt(scale)
-        if dt > bound * (1 + 1e-12):
+    step, last = backend.step, K
+    with np.errstate(all="ignore"):
+        try:
+            for k in range(K):
+                p = step(p, dt)
+                out[k + 1] = p
+        except ZeroDivisionError:  # inf or nan in the array form
+            last = k
+        scale = backend.min_scale(out[:last + 1])
+        bound = backend.stability_dt(scale[:K])
+    # One row per stored state k, one column per event in step order: state
+    # k non-finite or floored, step k over its bound, step k dividing by zero.
+    fails = np.zeros((last + 1, 3), bool)
+    fails[:, 0] = ~(scale >= PARAM_FLOOR)
+    fails[:len(bound), 1] = dt > bound * (1 + 1e-12)
+    fails[last, 2] = last < K
+    if fails.any():
+        k, event = divmod(int(fails.argmax()), 3)
+        if event == 1:
             raise StepTooLarge(
                 f"dt={dt:g} exceeds the stability bound at t={times[k]:g}"
             )
-        ratio = max(ratio, dt / bound)
-        try:
-            p = backend.step(p, dt)
-        except ZeroDivisionError:  # inf or nan in the array form
-            raise BlowUp("metric parameters became non-finite") from None
-        scale = _check_params(backend, p)
-        out[k + 1] = p
+        if event == 0 and not np.isnan(scale[k]):
+            raise BlowUp(f"{backend.scale_name} fell below floor")
+        raise BlowUp("metric parameters became non-finite")
     shape = (K + 1,) + m0.params.shape
     params = np.broadcast_to(out.reshape(shape[:-1] + (-1,)), shape)
-    return Trajectory(backend, times, params, dt, float(ratio))
+    return Trajectory(backend, times, params, dt, float(np.max(dt / bound)))

@@ -68,7 +68,9 @@ step of it: one line on the round sphere, whose rate does not depend on c;
 straight-line code over A, B, C on the Berger sphere, whose float squares
 skip ``_pow``'s calls (``_squares``); the array RK4 on the torus.  Each
 keeps the array form's per-entry operation order, and the tests pin it to
-that form bitwise.  ``min_scale`` feeds the floor check and
+that form bitwise.  ``min_scale`` takes states on a leading axis (a stored
+trajectory, or one state as a stack of one) and returns each one's smallest
+metric scale, nan where a state is not finite; it feeds the floor check and
 ``stability_dt``, the unscaled bound (``flow.dt = auto`` applies
 ``flow.safety`` to it).
 The heat solve reads stack arrays through ``rows`` and checks positivity by
@@ -211,10 +213,9 @@ class _Homogeneous:
         return p.tolist()
 
     @staticmethod
-    def min_scale(p):
-        """Smallest scale parameter of one state's components; nan if one is
-        not finite."""
-        return min(p) if all(map(math.isfinite, p)) else math.nan
+    def min_scale(states):
+        """Smallest scale parameter of each state: ``_finite_min``."""
+        return _finite_min(states)
 
     @staticmethod
     def stability_dt(scale):
@@ -354,11 +355,10 @@ class ConformalTorus2D:
         return [phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)]
 
     @staticmethod
-    def min_scale(p):
-        """Smallest conformal factor e^{2 phi} of one state's components; nan
-        if a value is not finite."""
-        (phi,) = p
-        return np.exp(2.0 * phi.min()) if np.isfinite(phi).all() else math.nan
+    def min_scale(states):
+        """Smallest conformal factor e^{2 phi} of each state, from phi's
+        ``_finite_min``."""
+        return np.exp(2.0 * _finite_min(states))
 
     def stability_dt(self, scale):
         """h^2 * min(e^{2 phi}) / 8 from ``min_scale``: the parabolic bound of
@@ -380,6 +380,16 @@ class ConformalTorus2D:
 
 
 Backend = RoundSphere | BergerSphere | ConformalTorus2D
+
+
+def _finite_min(states):
+    """The smallest parameter of each state along the leading axis of
+    ``states``, nan for a state holding nan or +-inf: ``np.min`` and
+    ``np.max`` propagate both, so a state is finite exactly when its minimum
+    and maximum are."""
+    flat = states.reshape(len(states), -1)
+    lo, hi = flat.min(axis=1), flat.max(axis=1)
+    return np.where(np.isfinite(lo) & np.isfinite(hi), lo, np.nan)
 
 
 def _tensor_shape(backend):

@@ -302,6 +302,9 @@ def _initial_state(cfg: RunConfig) -> MetricState:
             backend = ConformalTorus2D(cfg.N, cfg.L)
         except ValueError as exc:
             raise ConfigError(f"backend.N/backend.L: {exc}") from exc
+        if 8 * cfg.N * cfg.N > _MAX_ARRAY_BYTES:
+            raise _past_index_range("backend.N", f"one {cfg.N} x {cfg.N} grid",
+                                    cfg.N * cfg.N)
         x, y = grid_coords(backend)
         phi0 = cfg.phi_amplitude * np.sin(cfg.phi_mode * 2.0 * math.pi * x / cfg.L)
         key, m0 = "backend.phi_amplitude", MetricState(backend, 0.0, phi0 + 0.0 * y)
@@ -314,6 +317,17 @@ def _initial_state(cfg: RunConfig) -> MetricState:
         raise ConfigError(f"{key}: the initial metric's curvature or volume "
                           "is not finite")
     return m0
+
+
+# The bytes of numpy's largest array.  A run whose flow states or grid take
+# more float64 bytes fails allocating them, or computing their size, so
+# validation rejects it by arithmetic first.
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
+
+
+def _past_index_range(key: str, what: str, values) -> ConfigError:
+    return ConfigError(f"{key}: {what}: {8 * values:.3g} bytes of float64, "
+                       f"past numpy's largest array ({_MAX_ARRAY_BYTES} bytes)")
 
 
 # The backend keys that set the initial volume.
@@ -367,16 +381,27 @@ def validate_config(cfg: RunConfig) -> ValidatedRun:
         n = m0.backend.n
         T = min(T, 0.5 * min(m0.params.tolist()) / (2.0 * (n - 1)))
 
-    if cfg.dt == "auto":
-        raw_dt = cfg.safety * stability_dt(m0)
-        K = max(int(math.ceil(T / raw_dt - 1e-9)), 1)
+    # The flow stores the 2K + 1 states of its half steps, each as
+    # len(p) components shaped like p[0] (``integrate_forward``'s storage);
+    # the row count K + 1 is checked in floats, before it is an int.
+    auto = cfg.dt == "auto"
+    raw_dt = cfg.safety * stability_dt(m0) if auto else float(cfg.dt)
+    steps = T / raw_dt
+    p = m0.backend.components(m0.params)
+    states = 2.0 * steps + 1.0
+    values = states * len(p) * np.asarray(p[0]).size
+    if 8 * values > _MAX_ARRAY_BYTES:
+        raise _past_index_range("flow.dt", f"{steps + 1.0:.6g} rows "
+                                f"({states:.6g} stored flow states)", values)
+    if auto:
+        K = max(int(math.ceil(steps - 1e-9)), 1)
         dt = T / K
     else:
-        dt = float(cfg.dt)
-        K = int(math.floor(T / dt + 1e-6))
+        dt = raw_dt
+        K = int(math.floor(steps + 1e-6))
         T = K * dt
     if K < 4:
-        hint = "" if cfg.dt != "auto" else (
+        hint = "" if not auto else (
             f" (flow.dt = auto resolves to {raw_dt:g}; flow.dt = {T / 4.0:g}, "
             f"a quarter of the horizon T = {T:g}, gives 4)")
         raise ConfigError(

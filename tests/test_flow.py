@@ -98,7 +98,41 @@ def test_stability_dt_values():
     assert rl.stability_dt(sphere_state(1.0)) == pytest.approx(0.125, abs=0)
 
 
+def test_auto_dt_bits_are_pinned():
+    # The stability bound comes from the same smallest-scale pass as the
+    # stepping loop's checks; these bits were recorded from the per-state
+    # form it replaced, for stability_dt and for flow.dt = auto.
+    from riccilab.harness import make_config, validate_config
+
+    states = [
+        rl.MetricState(rl.RoundSphere(3), 0.0, np.array([0.7])),
+        berger_state(1.2, 0.9, 0.7),
+        torus_state(amplitude=0.1, N=32),  # stepped as its (32, 1) column
+        low_mode_state(16, 5.0, 0.3, 7),  # stepped on the full grid
+    ]
+    assert [rl.stability_dt(m).hex() for m in states] == [
+        "0x1.6666666666666p-4", "0x1.6666666666666p-4",
+        "0x1.0293dabfe73bbp-8", "0x1.fa543128b88e2p-8"]
+    auto = {"flow.dt": "auto", "flow.safety": "0.15", "entropy.a": "1"}
+    configs = [
+        {"backend.kind": "round_sphere", "backend.n": "3", "backend.c0": "0.7",
+         "flow.T": "0.4"},
+        {"backend.kind": "berger_sphere", "backend.A0": "1.2",
+         "backend.B0": "0.9", "backend.C0": "0.7", "flow.T": "1"},
+        {"backend.kind": "conformal_torus", "backend.N": "32",
+         "backend.phi_amplitude": "0.1", "flow.T": "0.02",
+         "flow.safety": "0.5"},
+    ]
+    resolved = [validate_config(make_config({**auto, **raw})) for raw in configs]
+    assert [(v.dt.hex(), v.num_rows) for v in resolved] == [
+        ("0x1.9999999999999p-7", 8), ("0x1.9999999999999p-7", 8),
+        ("0x1.dca01dca01dcap-10", 12)]
+
+
 def test_step_too_large_rejected():
+    # The flow steps past the failure at state 0 (four steps at ten times
+    # the bound) before it checks; no numpy warning escapes (warnings fail
+    # the suite).
     m0 = torus_state(amplitude=0.1, N=32)
     bound = rl.stability_dt(m0)
     with pytest.raises(rl.StepTooLarge):
@@ -201,6 +235,15 @@ def test_flow_matches_array_reference_bitwise(m0, frac, steps):
     assert flow_outcome(m0, steps * dt, dt) == reference_outcome(m0, steps * dt, dt)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(m0=FLOW_STATES, frac=st.floats(0.01, 0.5), steps=st.integers(100, 400))
+def test_long_flow_matches_array_reference_bitwise(m0, frac, steps):
+    # The same over hundreds of steps, so that failures deep in a
+    # trajectory (a shrinking bound, a late overflow) are drawn too.
+    dt = frac * rl.stability_dt(m0)
+    assert flow_outcome(m0, steps * dt, dt) == reference_outcome(m0, steps * dt, dt)
+
+
 def berger_state(A, B, C):
     return rl.MetricState(rl.BergerSphere(), 0.0, np.array([A, B, C]))
 
@@ -229,12 +272,40 @@ def berger_state(A, B, C):
     # test_first_overflow_at_the_second_stage)
     (berger_state(1e78, 1.0, 1.0), 1 / 16, 1 / 16, rl.BlowUp,
      "metric parameters became non-finite"),
+    # The flow checks its stored states after stepping; these cases fix the
+    # order of the events found in one state.  A = B = C shrinks as 1 - 4t:
+    # state 3 (A = 1/4) has the bound 1/32 < dt, and step 3 would divide by
+    # zero (its last stage lands on A = 0); the bound comes first.
+    (berger_state(1.0, 1.0, 1.0), 1 / 4, 1 / 16, rl.StepTooLarge,
+     "dt=0.0625 exceeds the stability bound at t=0.1875"),
+    # c = 1.45e-6 - 2t passes states 0-2 and floors on the last state, 3
+    (sphere_state(1.45e-6), 3e-7, 1e-7, rl.BlowUp,
+     "metric scale parameter fell below floor"),
+    # state 2 (c = 8.6e-7) is below the floor and its bound c/8 < dt: the
+    # floor comes first
+    (sphere_state(1.34e-6), 4.8e-7, 1.2e-7, rl.BlowUp,
+     "metric scale parameter fell below floor"),
+    # state 0 (phi about -8) is below the floor, and the steps taken after
+    # it overflow e^{-2 phi}: numpy's warnings are off while stepping
+    (rl.MetricState(rl.ConformalTorus2D(8, 1.0), 0.0,
+                    low_mode_state(8, 1.0, 0.3, 0).params - 8.0),
+     8e-3, 1e-3, rl.BlowUp, "conformal factor fell below floor"),
 ], ids=["sphere-step", "berger-step", "sphere-floor", "berger-floor",
         "torus-floor", "berger-overflow", "berger-zero-stage",
-        "berger-overflow-stage-2"])
+        "berger-overflow-stage-2", "bound-before-zero-division",
+        "floor-on-last-state", "floor-before-bound",
+        "torus-floor-then-overflow"])
 def test_flow_errors_match_array_reference(m0, T, dt, error, message):
     assert flow_outcome(m0, T, dt) == (error, message)
     assert reference_outcome(m0, T, dt) == (error, message)
+
+
+def test_last_state_bound_is_not_checked():
+    # No step leaves the last state, so its bound does not count: c = 1 - 2t
+    # has c/8 < dt from t = 0.497 on, where the sphere-step case above fails.
+    m0, T, dt = sphere_state(), 0.497, 1e-3
+    assert rl.stability_dt(rl.integrate_forward(m0, T, dt).final_state()) < dt
+    assert flow_outcome(m0, T, dt) == reference_outcome(m0, T, dt)
 
 
 def test_first_overflow_at_the_second_stage():

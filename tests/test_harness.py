@@ -146,12 +146,24 @@ def test_parse_rejects_bad_lines(tmp_path):
       "heat.datum": "random_smooth", "heat.amplitude": "0.02"},
      "backend.L: the random_smooth datum's mean 1/volume = 1e-12 is below the "
      "positivity floor 1e-10"),
+    # Arrays past numpy's index range are rejected by arithmetic, before
+    # anything is allocated: the flow's 2e299 stored states, and one grid.
+    ({"backend.kind": "round_sphere", "flow.T": "0.1", "flow.dt": "1e-300"},
+     "flow.dt: 1e+299 rows (2e+299 stored flow states): 1.6e+300 bytes of "
+     "float64, past numpy's largest array (9223372036854775807 bytes)"),
+    ({"backend.kind": "conformal_torus", "backend.N": "100000000000",
+      "flow.T": "0.02", "flow.dt": "2e-3", "entropy.a": "1"},
+     "backend.N: one 100000000000 x 100000000000 grid: 8e+22 bytes"),
+    # T / dt past the double range: checked before it is made an int
+    ({"backend.kind": "round_sphere", "flow.T": "0.1", "flow.dt": "5e-324"},
+     "flow.dt: inf rows (inf stored flow states)"),
 ], ids=["no-kind", "no-T", "bad-kind", "unknown", "bad-dt", "empty-a", "neg-T",
         "bad-tol", "repeated-a", "tag-collision-a", "signed-zero-a", "bad-datum", "bad-width",
         "lone-center-x", "lone-center-y", "negative-cutoff", "zero-cutoff",
         "negative-seed", "inf-c0", "inf-A0", "inf-L", "nan-phi-amplitude", "inf-T", "inf-a",
         "neg-inf-in-a-list", "inf-dt", "constant-datum-large-L",
-        "constant-datum-large-c0", "random-datum-large-L"])
+        "constant-datum-large-c0", "random-datum-large-L", "flow-past-index-range",
+        "grid-past-index-range", "flow-steps-past-double-range"])
 def test_make_config_errors(raw, msg):
     # make_config rejects the keys it parses; validate_config the settings
     # that need the initial metric.
@@ -1328,6 +1340,11 @@ entropy.a = 0
          + "heat.datum = random_smooth\nheat.amplitude = 0.02\n"),
         ("backend.c0", SPHERE_CFG.replace("backend.c0 = 1.0", "backend.c0 = 1e12")
          .replace("flow.T = 0.4\nflow.dt = 1e-3", "flow.T = 0.1\nflow.dt = 1e-2")),
+        # sizes numpy cannot index: the flow's stored states, and one grid
+        ("flow.dt", SPHERE_CFG.replace("flow.T = 0.4\nflow.dt = 1e-3",
+                                       "flow.T = 0.1\nflow.dt = 1e-300")),
+        ("backend.N", FLAT_CFG.replace("backend.N = 16",
+                                       "backend.N = 100000000000")),
     ):
         bad_input = write_cfg(tmp_path / "bad_input.cfg", text)
         assert cli_main(["check", bad_input]) == 2
