@@ -39,10 +39,11 @@ internal error: the manifest records it (status ``internal_error``) and
 ``run`` re-raises it.
 
 Time stepping: the flow trajectory is integrated and stored at half the
-row step, and the density solver steps at the row step, so its RK4 stage
-times land exactly on stored snapshots.  Interpolating stage metrics
-instead would inject an O(dt^2) mass drift that the two-form equivalence
-residual is directly sensitive to.
+row step, and the density solver steps at the row step, 2 * traj.dt (bit
+for bit ``validate_config``'s dt), so its RK4 stage times land exactly on
+stored snapshots.  Interpolating stage metrics instead would inject an
+O(dt^2) mass drift that the two-form equivalence residual is directly
+sensitive to.
 """
 
 from __future__ import annotations
@@ -187,9 +188,14 @@ _BACKEND_KINDS = ("round_sphere", "berger_sphere", "conformal_torus")
 
 
 def parse_config_file(path) -> dict:
-    """Read a flat key = value config file into a raw string dict."""
+    """Read a flat key = value config file into a raw string dict; a
+    ConfigError naming the path when it cannot be read as UTF-8 text."""
     raw = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{path}: cannot read config: {reason}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -455,13 +461,13 @@ class RunTables:
 
 
 def evaluate_tables(
-    traj: Trajectory, chunks, a_values, dt: float,
-    timings: dict | None = None,
+    traj: Trajectory, chunks, a_values, timings: dict | None = None,
 ) -> tuple[RunTables | None, Exception | None]:
     """Evaluate every functional and verification column.
 
-    ``chunks`` are the rows' densities as ``DensityHistory`` chunks of
-    consecutive rows that together cover every row once, in any order:
+    The rows are every second state of ``traj``.  ``chunks`` are their
+    densities as ``DensityHistory`` chunks of consecutive rows that
+    together cover every row once, in any order:
     ``heat.stream_backward``'s, consumed as they complete, or ``[hist]``.
     The lambda0 of every row comes first, from one ``ground_states`` call
     over the row metrics.  Then, chunk by chunk, the row kernel
@@ -485,10 +491,9 @@ def evaluate_tables(
     than 3 rows survived.  ``timings``, when given, receives the
     ground-state solve time as ``lambda0_s``.
     """
-    stride = int(round(dt / traj.dt))
-    backend = traj.backend
+    backend, dt = traj.backend, 2.0 * traj.dt
     a_values = list(a_values)
-    params, times = traj.params[::stride], traj.times[::stride]
+    params, times = traj.params[::2], traj.times[::2]
     K = len(params)
     started = time.perf_counter()
     ground = ground_states(backend, params)
@@ -782,7 +787,11 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
     any table exists, so both CSVs are header-only.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out.dir: cannot create directory {out}: "
+                          f"{exc.strerror}") from None
     cfg = validated.cfg
     started = time.perf_counter()
     timings = dict.fromkeys(_STAGES, 0.0)
@@ -805,10 +814,10 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
                     v_T = terminal_datum(cfg.datum, traj.final_state(),
                                          **_datum_params(cfg))
                 chunks = _heat_chunks(
-                    stream_backward(traj, v_T, step=validated.dt,
-                                    mass_tol=cfg.tol_mass), timings, steps)
+                    stream_backward(traj, v_T, mass_tol=cfg.tol_mass),
+                    timings, steps)
                 tables, row_error = evaluate_tables(
-                    traj, chunks, cfg.a_values, validated.dt, timings)
+                    traj, chunks, cfg.a_values, timings)
             if row_error is not None:
                 raise row_error
             with _timed(blocks, "summary_s", out):
@@ -884,7 +893,6 @@ def convergence_study(cfg: RunConfig, levels: int, out_dir) -> StudyResult:
         for level in range(levels)
     ]
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for level, validated in enumerate(validated_levels):
         result = run(validated, out / f"level_{level}")

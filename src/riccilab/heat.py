@@ -15,15 +15,15 @@ integral(v dmu_{g(t)}) is exactly conserved and the recorded drift is pure
 time-integration error.
 
 The right-hand side Lap_g v - R v uses the geometry operators, one path for
-every backend.  The RK4 stages need metrics at half-step times.  The solver
-therefore steps at an even multiple of the trajectory spacing so every stage
-time lands on a stored snapshot; no interpolation enters the solve.  The
-snapshot geometry -- R, the Laplace-Beltrami factor and the volume weight
--- is built once per snapshot by stacked calls over blocks of at most
-``geometry.ROW_CELLS`` cells (or one step), not once per RK4 stage, and
-read per row as ``backend.rows`` gives it: Python floats on the spheres,
-grids on the torus, either way bitwise alike.  Mass is checked at every
-step but never renormalized.
+every backend.  The RK4 stages need metrics at half-step times, so the
+solver steps at twice the trajectory spacing, the row step: the step from
+snapshot i reads snapshots i, i - 1 and i - 2, and no interpolation enters
+the solve.  The snapshot geometry -- R, the Laplace-Beltrami factor and the
+volume weight -- is built once per snapshot by stacked calls over blocks of
+at most ``geometry.ROW_CELLS`` cells (or one step), not once per RK4 stage,
+and read per row as ``backend.rows`` gives it: Python floats on the
+spheres, grids on the torus, either way bitwise alike.  Mass is checked at
+every step but never renormalized.
 
 One RK4 loop serves two callers.  ``stream_backward`` hands the rows over
 as they complete, top-down, in chunks of at most ``geometry.CHUNK_CELLS``
@@ -239,26 +239,25 @@ def solve_backward(
 ) -> DensityHistory:
     """Solve the density equation backward in t from a terminal datum.
 
-    ``step`` is the solver step (in t), defaulting to twice the trajectory
-    spacing; it must be an even integer multiple of it so RK4 stage times
-    land exactly on stored snapshots.  Returns the history indexed by
-    increasing t at the solver step spacing: the one chunk of every row
-    of the loop ``stream_backward`` runs.  Raises PositivityLoss when
-    min v <= 1e-10 (too-large step) and MassDrift when the measured mass
-    leaves [1 - mass_tol, 1 + mass_tol]; the history is checked but never
-    renormalized.
+    The solver steps at twice the trajectory spacing, so RK4 stage times
+    land exactly on stored snapshots; ``step``, when given, must be that
+    step (within 1e-9 relative), else ValueError.  Returns the history
+    indexed by increasing t at the solver step spacing: the one chunk of
+    every row of the loop ``stream_backward`` runs.  Raises PositivityLoss
+    when min v <= 1e-10 (too-large step) and MassDrift when the measured
+    mass leaves [1 - mass_tol, 1 + mass_tol]; the history is checked but
+    never renormalized.
     """
-    (hist,) = _backward(traj, v_T, step, mass_tol, None)
+    row_step = 2.0 * traj.dt
+    if step is not None and not abs(float(step) - row_step) <= 1e-9 * row_step:
+        raise ValueError(f"solver step {float(step):g} must be {row_step:g}, "
+                         f"twice the trajectory spacing {traj.dt:g}")
+    (hist,) = _backward(traj, v_T, mass_tol, None)
     return hist
 
 
-def stream_backward(
-    traj: Trajectory,
-    v_T: ScalarField,
-    *,
-    step: float | None = None,
-    mass_tol: float = 1e-6,
-):
+def stream_backward(traj: Trajectory, v_T: ScalarField, *,
+                    mass_tol: float = 1e-6):
     """The backward solve of ``solve_backward``, handed over as it runs.
 
     Yields ``DensityHistory`` chunks of consecutive rows, top-down: the
@@ -269,32 +268,25 @@ def stream_backward(
     error is raised where ``solve_backward`` raises it: the chunks above the
     failing row have been handed over by then, the failing row in none.
     """
-    return _backward(traj, v_T, step, mass_tol, geometry.CHUNK_CELLS)
+    return _backward(traj, v_T, mass_tol, geometry.CHUNK_CELLS)
 
 
-def _backward(traj, v_T, step, mass_tol, chunk_cells):
+def _backward(traj, v_T, mass_tol, chunk_cells):
     """Chunks of the backward solve, top-down, each row checked as it is
     stored; one chunk of every row when ``chunk_cells`` is None."""
     if v_T.backend != traj.backend:
         raise ValueError("terminal datum and trajectory live on different backends")
-    step = 2.0 * traj.dt if step is None else float(step)
-    stride = int(round(step / traj.dt))
-    if stride < 2 or stride % 2 != 0 or abs(stride * traj.dt - step) > 1e-9 * step:
-        raise ValueError(
-            f"solver step {step:g} must be an even integer multiple of the "
-            f"trajectory spacing {traj.dt:g}"
-        )
-    if traj.num_steps % stride != 0:
+    if traj.num_steps % 2 != 0:
         raise ValueError("trajectory length is not divisible by the solver step")
     backend = traj.backend
-    times = traj.times[::stride].copy()
+    times = traj.times[::2].copy()
     M = len(times) - 1
     size = M + 1 if chunk_cells is None else min(
         M + 1, max(1, chunk_cells // backend.cells))
     v_out = np.empty((size,) + v_T.values.shape)
     m_out = np.empty(size)
     top = M  # the highest row of the chunk being filled
-    for r, v, mass in _rk4_rows(traj, v_T, step, stride):
+    for r, v, mass in _rk4_rows(traj, v_T):
         _check_density(backend, v, mass, mass_tol, times[r])
         base = max(top - size + 1, 0)
         v_out[r - base], m_out[r - base] = v, mass
@@ -305,21 +297,21 @@ def _backward(traj, v_T, step, mass_tol, chunk_cells):
             top = base - 1
 
 
-def _rk4_rows(traj, v_T, step, stride):
+def _rk4_rows(traj, v_T):
     """(row, v, mass) of the terminal row, then of each row below it as its
-    RK4 tau-step completes."""
-    M = traj.num_steps // stride
-    half = stride // 2
+    RK4 tau-step of twice the trajectory spacing completes."""
+    M = traj.num_steps // 2
+    step = 2.0 * traj.dt
     backend = traj.backend
     lap0, rows = backend.flat_laplacian, backend.rows
     (v,) = rows(v_T.values[None])
     yield M, v, integrate(traj.final_state(), v_T)
 
-    block = max(1, geometry.ROW_CELLS // (stride * backend.cells))
+    block = max(1, geometry.ROW_CELLS // (2 * backend.cells))
     for hi in range(M, 0, -block):
-        # Steps hi, hi - 1, ..., lo + 1 read snapshots lo * stride ... hi * stride.
+        # Steps hi, hi - 1, ..., lo + 1 read snapshots 2 lo ... 2 hi.
         lo = max(hi - block, 0)
-        g = backend.stack(traj.params[lo * stride:hi * stride + 1])
+        g = backend.stack(traj.params[2 * lo:2 * hi + 1])
         R, lap_factor, weight = rows(g.R), rows(g.lap_factor), rows(g.weight)
 
         def rhs(i, w):
@@ -327,15 +319,14 @@ def _rk4_rows(traj, v_T, step, stride):
             return lap_factor[i] * lap0(w) - R[i] * w
 
         for j in range(hi, lo, -1):
-            # tau-step from the later snapshot i1 through the midpoint im to i0.
-            i1 = (j - lo) * stride
-            im, i0 = i1 - half, i1 - stride
+            # tau-step from the later snapshot i1 through i1 - 1 to i1 - 2.
+            i1 = 2 * (j - lo)
             k1 = rhs(i1, v)
-            k2 = rhs(im, v + 0.5 * step * k1)
-            k3 = rhs(im, v + 0.5 * step * k2)
-            k4 = rhs(i0, v + step * k3)
+            k2 = rhs(i1 - 1, v + 0.5 * step * k1)
+            k3 = rhs(i1 - 1, v + 0.5 * step * k2)
+            k4 = rhs(i1 - 2, v + step * k3)
             v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            yield j - 1, v, g.quadrature(v * weight[i0])
+            yield j - 1, v, g.quadrature(v * weight[i1 - 2])
 
 
 def _check_density(backend, v, mass, mass_tol, t):

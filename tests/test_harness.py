@@ -680,7 +680,7 @@ def test_row_blocks_match_public_functionals_bitwise(case):
             # A row block holds ROW_CELLS // WORKERS cells.
             mp.setattr(geometry, "ROW_CELLS", rows * cells * geometry.WORKERS)
             assert np.array_equal(rl.solve_backward(traj, v_T, step=step).v, hist.v)
-            tables, error = harness.evaluate_tables(traj, [hist], KERNEL_A, step)
+            tables, error = harness.evaluate_tables(traj, [hist], KERNEL_A)
         assert error is None and len(tables.times) == K
         for name, want in expected.items():
             assert np.array_equal(getattr(tables, name), np.array(want)), (rows, name)
@@ -752,7 +752,7 @@ def test_tables_independent_of_worker_count(case):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "WORKERS", workers)
             mp.setattr(geometry, "ROW_CELLS", workers * traj.backend.cells)
-            tables, error = harness.evaluate_tables(traj, [hist], KERNEL_A, step)
+            tables, error = harness.evaluate_tables(traj, [hist], KERNEL_A)
         assert error is None and len(tables.times) == 7
         results.append(table_arrays(tables))
     serial = results[0]
@@ -826,9 +826,9 @@ def test_row_kernel_stops_at_non_positive_omega_of_second_a(k):
     rl.omega(F_k, 1.0)
     for workers, rows in POOLS:
         with pool(workers, rows, traj.backend.cells):
-            full, error = harness.evaluate_tables(traj, [hist], [1.0, -0.3], 1e-3)
+            full, error = harness.evaluate_tables(traj, [hist], [1.0, -0.3])
             assert error is None
-            tables, error = harness.evaluate_tables(traj, [bad], [1.0, -0.3], 1e-3)
+            tables, error = harness.evaluate_tables(traj, [bad], [1.0, -0.3])
         assert (type(error), str(error)) == expected_error(rl.omega, F_k, -0.3)
         assert len(tables.times) == k
         for name in ("F", "S", "om", "Y", "rhs_thm", "rhs_ye"):
@@ -860,7 +860,7 @@ def test_row_failures_follow_the_row_check_order(omega, lam0, raised,
     first = min(k for k in (omega, lam0) if k is not None)
     for workers, rows in POOLS:
         with pool(workers, rows, traj.backend.cells):
-            tables, error = harness.evaluate_tables(traj, [hist], [1.0, -0.3], 1e-3)
+            tables, error = harness.evaluate_tables(traj, [hist], [1.0, -0.3])
         assert type(error) is raised
         assert len(tables.times) == first
 
@@ -890,9 +890,9 @@ def test_earliest_failing_block_wins_on_the_pool(later, monkeypatch):
     want = expected_error(rl.omega, rl.f_functional(traj.state(8), u), -0.3)
     with pool(1, None, 1):
         serial, _ = harness.evaluate_tables(traj, [sphere_rows()[1]],
-                                            [1.0, -0.3], 1e-3)
+                                            [1.0, -0.3])
     with pool(2, 3, 1):
-        tables, error = harness.evaluate_tables(traj, [hist], [1.0, -0.3], 1e-3)
+        tables, error = harness.evaluate_tables(traj, [hist], [1.0, -0.3])
     assert (type(error), str(error)) == want
     assert len(tables.times) == 4
     for name in ("F", "S", "lam0", "om", "Y", "rhs_thm", "rhs_ye"):
@@ -907,7 +907,7 @@ def test_evaluate_tables_stops_at_unconverged_row(k, monkeypatch):
     from riccilab import harness
 
     traj, hist = torus_rows()
-    full, error = harness.evaluate_tables(traj, [hist], [0.5], 1e-3)
+    full, error = harness.evaluate_tables(traj, [hist], [0.5])
     assert error is None and len(full.times) == 11
 
     solve = harness.ground_states
@@ -920,7 +920,7 @@ def test_evaluate_tables_stops_at_unconverged_row(k, monkeypatch):
     monkeypatch.setattr(harness, "ground_states", unconverged_row_k)
     for workers, rows in POOLS:
         with pool(workers, rows, traj.backend.cells):
-            tables, error = harness.evaluate_tables(traj, [hist], [0.5], 1e-3)
+            tables, error = harness.evaluate_tables(traj, [hist], [0.5])
         assert isinstance(error, rl.NoConvergence)
         assert len(tables.times) == k
         np.testing.assert_array_equal(tables.lam0, full.lam0[:k])
@@ -1419,7 +1419,30 @@ entropy.a = 0.5
 """)
     assert cli_main(["run", unstable, "--out", str(tmp_path / "y")]) == 3
 
-    ok = write_cfg(tmp_path / "ok.cfg", FLAT_CFG)
+    # Unreadable config and output paths are input errors: one ConfigError
+    # line naming the path, no traceback, nothing written.
+    paths = tmp_path / "paths"
+    paths.mkdir()
+    ok = write_cfg(paths / "ok.cfg", FLAT_CFG)
+    (paths / "latin1.cfg").write_bytes(b"backend.kind = \xe9\n")
+    (paths / "taken").write_text("a regular file\n")
+    before = {f: f.read_bytes() for f in paths.iterdir() if f.is_file()}
+    for argv, named in (
+        (["check", str(paths / "missing.cfg")], str(paths / "missing.cfg")),
+        (["check", str(paths)], str(paths)),
+        (["check", str(paths / "latin1.cfg")], str(paths / "latin1.cfg")),
+        (["run", ok, "--out", str(paths / "taken")], str(paths / "taken")),
+        (["converge", ok, "--out", str(paths / "taken")], str(paths / "taken")),
+    ):
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+        assert named in err and "Traceback" not in err
+        assert {f: f.read_bytes() for f in paths.iterdir()
+                if f.is_file()} == before
+        assert not any(f.is_dir() for f in paths.iterdir())
+
     assert cli_main(["check", ok]) == 0
     assert cli_main(["run", ok, "--out", str(tmp_path / "z")]) == 0
     capsys.readouterr()

@@ -395,13 +395,37 @@ def test_check_density_rejects_alike_floats_0d_arrays_and_grids(bad):
 
 
 def test_solver_step_must_be_even_multiple():
+    # The solver steps at exactly twice the spacing: 1x, 3x and 4x are refused.
     traj = flat_trajectory(N=16, T=0.01, dt=5e-4)
-    with pytest.raises(ValueError):
-        rl.solve_backward(traj, rl.terminal_datum("constant", traj.final_state()),
-                          step=5e-4)
-    with pytest.raises(ValueError):
-        rl.solve_backward(traj, rl.terminal_datum("constant", traj.final_state()),
-                          step=1.5e-3)
+    for step in (5e-4, 1.5e-3, 2e-3):
+        with pytest.raises(ValueError, match=r"must be 0\.001, twice the "
+                                             r"trajectory spacing 0\.0005$"):
+            rl.solve_backward(traj, rl.terminal_datum("constant",
+                                                      traj.final_state()),
+                              step=step)
+
+
+def test_solver_needs_an_even_step_count():
+    # 19 flow steps cannot be cut into solver steps of two flow steps each.
+    traj = flat_trajectory(N=8, T=9.5e-3, dt=5e-4)
+    with pytest.raises(ValueError, match="not divisible by the solver step"):
+        rl.solve_backward(traj, rl.terminal_datum("constant", traj.final_state()))
+
+
+def test_solver_accepts_the_layer_benchmark_step():
+    # The layer benchmark's heat solve: a curved N = 32 torus stepped at half
+    # its stability bound for 16 steps, solved with step = 2 * dt, which must
+    # be the default step bit for bit.
+    backend = rl.ConformalTorus2D(32, TWO_PI)
+    x, y = rl.grid_coords(backend)
+    m0 = rl.MetricState(backend, 0.0, 0.1 * np.sin(x) + 0.0 * y)
+    dt = 0.5 * rl.stability_dt(m0)
+    traj = rl.integrate_forward(m0, 16 * dt, dt)
+    v_T = rl.terminal_datum("random_smooth", traj.final_state(),
+                            amplitude=0.02, seed=1, mode_cutoff=2)
+    hist = rl.solve_backward(traj, v_T, step=2.0 * dt)
+    assert len(hist.times) == 9
+    assert np.array_equal(hist.v, rl.solve_backward(traj, v_T).v)
 
 
 # -------------------------------------------------------------------------
