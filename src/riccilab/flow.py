@@ -30,11 +30,15 @@ A torus phi that is bitwise constant along y is stepped as its first
 column, shape (N, 1): e^{-2 phi}, the 5-point stencil and the RK4
 combination are entry-wise, and a y-constant grid's y-neighbours are the
 entries themselves, so the column holds exactly the bits of every column of
-the full grid (and the flow keeps phi y-constant).  The trajectory stores
-what was stepped and exposes ``params`` as a read-only ``np.broadcast_to``
-view of the full shape (K+1,) + param_shape; ``geometry``'s torus stack
-takes such a view back to its one column, and ``functionals.lambda0_eig``
-solves a state on the same column, so g(0) and row 0 share one solve.
+the full grid (and the flow keeps phi y-constant).  Its ``step`` works on
+the column's bare (N,) view, the stencil taking the x-neighbours by index
+arrays (``geometry._lap_column``), and accumulates the combination in k1,
+in the order above; the step returns a new (N, 1) array.  The trajectory
+stores what was stepped and exposes ``params`` as a read-only
+``np.broadcast_to`` view of the full shape (K+1,) + param_shape;
+``geometry``'s torus stack takes such a view back to its one column, and
+``functionals.lambda0_eig`` solves a state on the same column, so g(0) and
+row 0 share one solve.
 
 ``stability_dt`` is the bound itself, with no safety factor: the step loop
 checks against it, and a run's ``flow.dt = auto`` scales it by

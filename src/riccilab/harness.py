@@ -11,10 +11,12 @@ res_thm[a], res_equiv[a]; 17 significant digits, comma separator, LF line
 endings), ``proof_chain.csv`` (the derivative-identity columns, which do
 not fit the fixed data.csv schema), and ``manifest.json`` (config echo,
 resolved step and metric grid, admissibility checks, summary block,
-``lambda0`` solver diagnostics over the evaluated rows, stage ``timings``,
-``peak_rss_mb`` at the end of each stage, flow and heat ``steps``, exit
-status), written exactly once per run and on every exit path (a temporary
-file renamed into place), so partial artifacts carry a status marker.  One
+``lambda0`` solver diagnostics over the evaluated rows, stage ``timings``
+with each stage's ``cpu_s`` and ``minor_faults``, ``peak_rss_mb`` at the
+end of each stage, flow and heat ``steps``, numpy's version and SIMD
+dispatch, exit status), written exactly once per run and on every exit
+path (a temporary file renamed into place), so partial artifacts carry a
+status marker.  One
 writer prints both CSV files from the ``RunTables`` arrays, a block of rows
 at a time (header only when no table exists; per-a arrays hold one column
 per adjustment value); the summary counts come from ``variation``'s
@@ -676,35 +678,70 @@ def resolve_out_dir(cfg: RunConfig, override=None, default_name="run") -> Path:
 # chunks' solve, rows_s the rest of that stage, and lambda0_s is the part of
 # rows_s spent in the ground-state solve.
 _STAGES = ("flow_s", "heat_s", "rows_s", "lambda0_s", "summary_s", "writers_s")
+# The stages whose CPU time (all threads) and minor page faults manifest.json
+# records beside their wall time, split as the timings are; lambda0_s's share
+# stays in rows_s.
+_USAGE_STAGES = ("flow_s", "heat_s", "rows_s", "summary_s", "writers_s")
 # The timed stages at whose end manifest.json records the peak resident set
 # (MiB), and its entry for each.
 _MEMORY_STAGES = {"flow_s": "flow", "rows_s": "heat_and_rows",
                   "summary_s": "summary", "writers_s": "writers"}
 
 
+def _usage() -> tuple:
+    """This process's wall clock, CPU time of all its threads and minor page
+    faults so far (None without ``resource``); about 1.5 us a call."""
+    faults = (None if resource is None
+              else resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return time.perf_counter(), time.process_time(), faults
+
+
+def _charge(blocks: dict, since: tuple, stage: str, instead_of=None) -> None:
+    """Add the usage since ``since`` (``_usage``) to ``stage`` of the
+    ``timings``, ``cpu_s`` and ``minor_faults`` blocks and, given
+    ``instead_of``, take it from that stage."""
+    now = _usage()
+    for name, i in (("timings", 0), ("cpu_s", 1), ("minor_faults", 2)):
+        if now[i] is not None:
+            used = now[i] - since[i]
+            blocks[name][stage] += used
+            if instead_of is not None:
+                blocks[name][instead_of] -= used
+
+
 @contextmanager
 def _timed(blocks: dict, stage: str, out: Path, logged=()):
-    """Add the block's time to ``stage`` of the manifest's ``timings`` block
-    and, once the block completes, record the peak resident set in its
-    ``peak_rss_mb`` block; then log the time with that peak beside it, and
-    the times of the ``logged`` stages, each with its step counts from the
-    ``steps`` block (``_step_counts``)."""
-    timings, steps = blocks["timings"], blocks["steps"]
+    """Charge the block's wall time, CPU time and minor faults to ``stage``
+    (``_charge``) and, once the block completes, record the peak resident
+    set in the ``peak_rss_mb`` block; then log the stage's usage with that
+    peak beside it, and the usage of the ``logged`` stages, each with its
+    step counts from the ``steps`` block (``_step_counts``)."""
     memory = blocks["peak_rss_mb"]
-    started = time.perf_counter()
+    started = _usage()
     entry = _MEMORY_STAGES[stage]
     try:
         yield
         memory[entry] = _peak_rss_mb()
     finally:
-        timings[stage] += time.perf_counter() - started
+        _charge(blocks, started, stage)
         peak = memory[entry]
-        log.info("%s: %s %.3f s, peak RSS %s%s", out, stage, timings[stage],
+        log.info("%s: %s, peak RSS %s%s", out, _stage_usage(blocks, stage),
                  "unknown" if peak is None else f"{peak:.1f} MiB",
-                 _step_counts(stage, steps))
+                 _step_counts(stage, blocks["steps"]))
         for name in logged:
-            log.info("%s: %s %.3f s%s", out, name, timings[name],
-                     _step_counts(name, steps))
+            log.info("%s: %s%s", out, _stage_usage(blocks, name),
+                     _step_counts(name, blocks["steps"]))
+
+
+def _stage_usage(blocks: dict, stage: str) -> str:
+    """The stage's wall time, then its CPU time and minor faults where the
+    manifest records them."""
+    text = f"{stage} {blocks['timings'][stage]:.3f} s"
+    if stage in _USAGE_STAGES:
+        text += f", cpu {blocks['cpu_s'][stage]:.3f} s"
+        faults = blocks["minor_faults"][stage]
+        text += f", {'unknown' if faults is None else faults} minor faults"
+    return text
 
 
 def _step_counts(stage: str, steps: dict) -> str:
@@ -720,27 +757,25 @@ def _step_counts(stage: str, steps: dict) -> str:
 
 
 @contextmanager
-def _heat_time(timings: dict):
-    """Count the block's time in heat_s instead of rows_s, the stage it runs
-    in."""
-    started = time.perf_counter()
+def _heat_time(blocks: dict):
+    """Charge the block's usage to heat_s instead of rows_s, the stage it
+    runs in."""
+    started = _usage()
     try:
         yield
     finally:
-        elapsed = time.perf_counter() - started
-        timings["heat_s"] += elapsed
-        timings["rows_s"] -= elapsed
+        _charge(blocks, started, "heat_s", instead_of="rows_s")
 
 
-def _heat_chunks(chunks, timings: dict, steps: dict):
-    """The heat stream's chunks, their solve time in heat_s; ``steps["heat"]``
-    is set once the stream completes."""
+def _heat_chunks(chunks, blocks: dict):
+    """The heat stream's chunks, their solve's usage in heat_s;
+    ``steps["heat"]`` is set once the stream completes."""
     rows = 0
     while True:
-        with _heat_time(timings):
+        with _heat_time(blocks):
             chunk = next(chunks, None)
         if chunk is None:
-            steps["heat"] = rows - 1
+            blocks["steps"]["heat"] = rows - 1
             return
         rows += len(chunk.times)
         yield chunk
@@ -762,6 +797,24 @@ def _metric_grid(m0: MetricState) -> list[int] | None:
         return None
     (phi,) = m0.backend.components(m0.params)
     return list(phi.shape)
+
+
+def _numeric_environment() -> dict:
+    """numpy's version and the SIMD targets its dispatch takes on this CPU
+    (``__cpu_dispatch__`` filtered by ``__cpu_features__``).  Output bytes
+    are reproducible only within one of these: the AVX-512 and AVX2 paths
+    of ``np.exp`` and ``np.log`` differ in the last bit for some inputs."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    features = umath.__cpu_features__
+    return {"numpy_version": np.__version__,
+            "numpy_simd_dispatch": [name for name in umath.__cpu_dispatch__
+                                    if features.get(name)]}
+
+
+_NUMERIC_ENVIRONMENT = _numeric_environment()
 
 
 def _write_manifest(out: Path, manifest: dict) -> None:
@@ -794,10 +847,14 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
                           f"{exc.strerror}") from None
     cfg = validated.cfg
     started = time.perf_counter()
-    timings = dict.fromkeys(_STAGES, 0.0)
     steps = {"flow": None, "heat": None, "max_dt_over_stability_dt": None}
-    # The manifest's timings, peak_rss_mb and steps blocks.
-    blocks = {"timings": timings, "steps": steps,
+    # The manifest's timings, cpu_s, minor_faults (null without
+    # ``resource``), peak_rss_mb and steps blocks.
+    blocks = {"timings": dict.fromkeys(_STAGES, 0.0),
+              "cpu_s": dict.fromkeys(_USAGE_STAGES, 0.0),
+              "minor_faults": dict.fromkeys(_USAGE_STAGES,
+                                            None if resource is None else 0),
+              "steps": steps,
               "peak_rss_mb": dict.fromkeys(_MEMORY_STAGES.values())}
     status, error, tables, summary = "ok", None, None, None
     written = set()
@@ -810,14 +867,13 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
                 steps["flow"] = traj.num_steps
                 steps["max_dt_over_stability_dt"] = traj.max_step_ratio
             with _timed(blocks, "rows_s", out, ("heat_s", "lambda0_s")):
-                with _heat_time(timings):
+                with _heat_time(blocks):
                     v_T = terminal_datum(cfg.datum, traj.final_state(),
                                          **_datum_params(cfg))
                 chunks = _heat_chunks(
-                    stream_backward(traj, v_T, mass_tol=cfg.tol_mass),
-                    timings, steps)
+                    stream_backward(traj, v_T, mass_tol=cfg.tol_mass), blocks)
                 tables, row_error = evaluate_tables(
-                    traj, chunks, cfg.a_values, timings)
+                    traj, chunks, cfg.a_values, blocks["timings"])
             if row_error is not None:
                 raise row_error
             with _timed(blocks, "summary_s", out):
@@ -847,6 +903,7 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
                 "metric_grid": _metric_grid(validated.m0),
             },
             "version": _VERSION,
+            **_NUMERIC_ENVIRONMENT,
             "lambda0_g0": validated.lambda0_g0,
             "admissibility": validated.admissibility,
             "status": status,

@@ -22,8 +22,12 @@ the solve.  The snapshot geometry -- R, the Laplace-Beltrami factor and the
 volume weight -- is built once per snapshot by stacked calls over blocks of
 at most ``geometry.ROW_CELLS`` cells (or one step), not once per RK4 stage,
 and read per row as ``backend.rows`` gives it: Python floats on the
-spheres, grids on the torus, either way bitwise alike.  Mass is checked at
-every step but never renormalized.
+spheres, grids on the torus, either way bitwise alike.  Each stage's
+right-hand side is written into the output of the flat Laplacian, and the
+combination v + (step / 6) (k1 + 2 k2 + 2 k3 + k4) is accumulated in k1 in
+that order, so every entry keeps the array form's operations; on the
+spheres the same statements rebind floats.  Mass is checked at every step
+but never renormalized.
 
 One RK4 loop serves two callers.  ``stream_backward`` hands the rows over
 as they complete, top-down, in chunks of at most ``geometry.CHUNK_CELLS``
@@ -302,6 +306,7 @@ def _rk4_rows(traj, v_T):
     RK4 tau-step of twice the trajectory spacing completes."""
     M = traj.num_steps // 2
     step = 2.0 * traj.dt
+    half, sixth = 0.5 * step, step / 6.0
     backend = traj.backend
     lap0, rows = backend.flat_laplacian, backend.rows
     (v,) = rows(v_T.values[None])
@@ -315,17 +320,29 @@ def _rk4_rows(traj, v_T):
         R, lap_factor, weight = rows(g.R), rows(g.lap_factor), rows(g.weight)
 
         def rhs(i, w):
-            """dv/dtau = Lap_g w - R w at snapshot i of the block."""
-            return lap_factor[i] * lap0(w) - R[i] * w
+            """dv/dtau = Lap_g w - R w at snapshot i of the block, written
+            into lap0(w)'s output (a new float on the spheres)."""
+            out = lap0(w)
+            out *= lap_factor[i]
+            out -= R[i] * w
+            return out
 
         for j in range(hi, lo, -1):
-            # tau-step from the later snapshot i1 through i1 - 1 to i1 - 2.
+            # tau-step from the later snapshot i1 through i1 - 1 to i1 - 2;
+            # v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) accumulated in k1.
             i1 = 2 * (j - lo)
             k1 = rhs(i1, v)
-            k2 = rhs(i1 - 1, v + 0.5 * step * k1)
-            k3 = rhs(i1 - 1, v + 0.5 * step * k2)
+            k2 = rhs(i1 - 1, v + half * k1)
+            k3 = rhs(i1 - 1, v + half * k2)
             k4 = rhs(i1 - 2, v + step * k3)
-            v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 *= 2.0
+            k1 += k2
+            k3 *= 2.0
+            k1 += k3
+            k1 += k4
+            k1 *= sixth
+            k1 += v
+            v = k1
             yield j - 1, v, g.quadrature(v * weight[i1 - 2])
 
 

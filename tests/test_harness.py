@@ -253,6 +253,35 @@ def test_run_sphere_summary(sphere_result):
     assert np.max(np.abs(t.Y[:, 0] - math.log(2 * math.pi))) < 1e-10
 
 
+def test_summary_counts_a_y_drop_of_five_tol_mono(sphere_result):
+    # A Y drop of 5 tol.mono at one interior row of the a = 0 soliton, whose
+    # Y is constant to round-off, is one monotonicity violation for a = 0;
+    # a = 1's Y, which rises by far more per row, has none.
+    from riccilab import harness
+
+    cfg = make_config({"backend.kind": "round_sphere", "flow.T": "0.4",
+                       "entropy.a": "0, 1", "tol.mono": "1e-6"})
+    Y = sphere_result.tables.Y.copy()
+    Y[100:, 0] -= 5e-6
+    summary = harness._summary(
+        dataclasses.replace(sphere_result.tables, Y=Y), cfg)
+    assert summary["monotonicity_violations"] == {"0": 1, "1": 0}
+
+
+@pytest.mark.parametrize("row", [0, -1])
+def test_summary_max_res_equiv_includes_the_endpoint_rows(sphere_result, row):
+    # max_res_equiv is taken over every row, the endpoints too.
+    from riccilab import harness
+
+    cfg = make_config({"backend.kind": "round_sphere", "flow.T": "0.4",
+                       "entropy.a": "0, 1"})
+    res = sphere_result.tables.res_equiv.copy()
+    res[row, 1] = 10.0 * np.max(res) + 1e-9
+    summary = harness._summary(
+        dataclasses.replace(sphere_result.tables, res_equiv=res), cfg)
+    assert summary["max_res_equiv"] == res[row, 1]
+
+
 def test_run_artifacts_schema(sphere_result):
     out = sphere_result.out_dir
     data = (out / "data.csv").read_bytes()
@@ -977,6 +1006,59 @@ def test_manifest_peak_rss(sphere_result, curved_torus_result, tmp_path):
     assert harness.resource is not None
 
 
+def test_manifest_cpu_time_and_minor_faults(curved_torus_result, tmp_path,
+                                            monkeypatch):
+    # Every stage but lambda0_s records its CPU time and minor page faults
+    # beside its wall time, non-negative on every exit path: a passing run,
+    # a numerical failure (the flow's StepTooLarge) and an internal error in
+    # the row evaluation.
+    from riccilab import harness
+
+    unstable = make_config({
+        "backend.kind": "conformal_torus", "backend.N": "16",
+        "backend.phi_amplitude": "0.1", "flow.T": "0.4", "flow.dt": "0.08",
+        "heat.datum": "constant", "entropy.a": "0.5"})
+    failed = run(validate_config(unstable), tmp_path / "failed")
+    assert failed.status == "StepTooLarge"
+
+    def broken(traj, chunks, *args, **kwargs):
+        for _ in chunks:
+            pass
+        raise RuntimeError("row kernel exploded")
+
+    validated = validate_config(make_config(ROW_KERNEL_CFGS["round_sphere"]))
+    monkeypatch.setattr(harness, "evaluate_tables", broken)
+    with pytest.raises(RuntimeError):
+        run(validated, tmp_path / "internal")
+    stages = ["flow_s", "heat_s", "rows_s", "summary_s", "writers_s"]
+    for out in (curved_torus_result.out_dir, tmp_path / "failed",
+                tmp_path / "internal"):
+        manifest = json.loads((out / "manifest.json").read_text())
+        cpu, faults = manifest["cpu_s"], manifest["minor_faults"]
+        assert list(cpu) == stages and list(faults) == stages, out
+        assert all(isinstance(v, float) and v >= 0.0 for v in cpu.values())
+        assert all(isinstance(v, int) and v >= 0 for v in faults.values())
+        assert cpu["flow_s"] > 0.0
+        assert set(manifest["timings"]) == set(stages) | {"lambda0_s"}
+    internal = json.loads((tmp_path / "internal" / "manifest.json").read_text())
+    assert internal["status"] == "internal_error"
+    assert internal["cpu_s"]["heat_s"] > 0.0
+
+
+def test_manifest_records_the_numeric_environment(sphere_result):
+    # numpy's version and the SIMD targets its dispatch takes here: output
+    # bytes are reproducible within one of these.
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath
+    manifest = json.loads((sphere_result.out_dir / "manifest.json").read_text())
+    assert manifest["numpy_version"] == np.__version__
+    dispatch = manifest["numpy_simd_dispatch"]
+    assert dispatch == [name for name in umath.__cpu_dispatch__
+                        if umath.__cpu_features__.get(name)]
+
+
 # -------------------------------------------------------------------------
 # Streamed heat solve and row evaluation
 # -------------------------------------------------------------------------
@@ -1547,9 +1629,11 @@ def test_verbose_logs_stage_timings(tmp_path, capsys):
     err = capsys.readouterr().err
     manifest = json.loads((tmp_path / "z" / "manifest.json").read_text())
     timings, peaks = manifest["timings"], manifest["peak_rss_mb"]
+    cpu, faults = manifest["cpu_s"], manifest["minor_faults"]
     steps = manifest["steps"]
     assert steps["flow"] == 40 and steps["heat"] == 20
-    # Each stage's time, and beside it the manifest's peak RSS at its end;
+    # Each stage's time, its CPU time and minor faults (every stage but
+    # lambda0_s), and beside them the manifest's peak RSS at its end;
     # beside flow_s and heat_s the steps block's counts.
     counts = {"flow_s": f", {steps['flow']} steps, max dt/stability_dt "
                         f"{steps['max_dt_over_stability_dt']:.3g}",
@@ -1558,6 +1642,8 @@ def test_verbose_logs_stage_timings(tmp_path, capsys):
                          ("rows_s", "heat_and_rows"), ("lambda0_s", None),
                          ("summary_s", "summary"), ("writers_s", "writers")):
         line = f"riccilab.harness: {tmp_path / 'z'}: {stage} {timings[stage]:.3f} s"
+        if stage != "lambda0_s":
+            line += f", cpu {cpu[stage]:.3f} s, {faults[stage]} minor faults"
         if entry is not None:
             assert peaks[entry] > 0.0, entry
             line += f", peak RSS {peaks[entry]:.1f} MiB"
@@ -1611,6 +1697,31 @@ def test_convergence_study_residual_decreases(tmp_path):
     assert (tmp_path / "study" / "study.csv").exists()
     assert (tmp_path / "study" / "level_2" / "data.csv").exists()
     assert len(study.orders_thm) == 2
+
+
+def test_study_csv_order_is_log2_of_the_level_residuals(tmp_path):
+    # Each order_vs_prev is _fmt(log2(e0 / e1)) of the previous and this
+    # level's max_res_thm_interior, as study.csv prints them and as each
+    # level's own data.csv gives them.
+    from riccilab.harness import _fmt
+
+    cfg = make_config(parse_config_file(write_cfg(tmp_path / "s.cfg", STUDY_CFG)))
+    study = convergence_study(cfg, 3, tmp_path / "study")
+    lines = (tmp_path / "study" / "study.csv").read_text().splitlines()
+    assert lines[0] == "level,N,dt,max_res_thm_interior,order_vs_prev"
+    rows = [line.split(",") for line in lines[1:]]
+    res = []
+    for level, row in enumerate(rows):
+        header, *table = (tmp_path / "study" / f"level_{level}" / "data.csv"
+                          ).read_text().splitlines()
+        col = header.split(",").index("res_thm[0.1]")
+        res.append(max(float(line.split(",")[col]) for line in table[1:-1]))
+        assert row[3] == _fmt(res[-1]) == _fmt(
+            study.levels[level]["max_res_thm_interior"])
+    assert [row[4] for row in rows] == [""] + [
+        _fmt(math.log2(e0 / e1)) for e0, e1 in zip(res[:-1], res[1:])]
+    assert study.orders_thm == [math.log2(e0 / e1)
+                                for e0, e1 in zip(res[:-1], res[1:])]
 
 
 def test_convergence_study_failed_level_is_numerical(tmp_path, monkeypatch,

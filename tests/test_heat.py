@@ -147,6 +147,44 @@ def test_torus_backward_solve_matches_array_reference(N, L, amplitude, seed):
     assert np.max(np.abs(hist.v - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    N=st.sampled_from([8, 10, 12, 14, 16]),
+    L=st.floats(1.0, 4.0 * math.pi),
+    amplitude=st.floats(0.0, 0.3),
+    column=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_torus_backward_solve_is_bitwise_the_stack_reference(N, L, amplitude,
+                                                              column, seed):
+    # The array-form RK4 of lf * lap0(w) - R * w from each snapshot's own
+    # stack (lap_factor, R) and the 5-point stencil: the solver's in-place
+    # stages keep every entry's operations, so the bytes are the same, on a
+    # full-grid phi and on a y-invariant one held as its (N, 1) column.
+    from riccilab.geometry import _lap5
+
+    backend = rl.ConformalTorus2D(N, L)
+    rng = np.random.default_rng(seed)
+    phi = low_mode(backend, amplitude, rng)
+    if column:
+        phi = np.repeat(phi[:, :1], N, axis=1)
+    m0 = rl.MetricState(backend, 0.0, phi)
+    dt = 0.25 * rl.stability_dt(m0)
+    traj = rl.integrate_forward(m0, 8 * dt, dt)
+    assert (traj.params.strides[-1] == 0) == column
+    v_T = rl.terminal_datum("random_smooth", traj.final_state(), amplitude=0.2,
+                            seed=seed)
+
+    def rhs(p, v):
+        g = backend.stack(p)
+        assert g.params.shape == (N, 1 if column else N)
+        return g.lap_factor * _lap5(v, backend.h) - g.R * v
+
+    ref = reference_backward(traj, v_T, rhs)
+    hist = rl.solve_backward(traj, v_T)
+    assert hist.v.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("m0", [
     rl.MetricState(rl.RoundSphere(3), 0.0, np.array([1.0])),
     rl.MetricState(rl.RoundSphere(2), 0.0, np.array([1.0])),

@@ -347,3 +347,11 @@ def test_monotonicity_check():
     np.testing.assert_array_equal(drops, [0, 1, 2])
     # drops within tolerance are not flagged
     assert len(rl.monotonicity_check(np.array([1.0, 1.0 - 1e-8]), 1e-6)) == 0
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
+def test_monotonicity_check_counts_a_drop_of_five_tol(tol):
+    # Negative control between tol and 10 tol: a drop of 5 tol is counted
+    # wherever it falls, one of 0.5 tol is not.
+    y = np.array([1.0, 1.0 - 5.0 * tol, 1.0 - 5.5 * tol, 1.0, 1.0 - 5.0 * tol])
+    np.testing.assert_array_equal(rl.monotonicity_check(y, tol), [0, 3])
