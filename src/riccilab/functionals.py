@@ -10,14 +10,14 @@ operator-level integration-by-parts exactness of the discretization.
 * ``log_entropy``     -S + (n/2) ln(omega) + 4 a t (the formula itself is
   ``log_entropy_value``, which takes S and omega already computed, also as
   arrays)
+* ``lambda0``         smallest eigenvalue of -Lap + R/4; ``ground_states``
+  solves a whole stack of metrics, ``lambda0`` and ``lambda0_eig`` are its
+  stack of one
 
 F and S are computed by ``_energy`` and ``_entropy`` on a
 ``geometry.MetricStack`` and its (K, ...) density stack, one value per row;
 ``f_functional`` and ``shannon_entropy`` are their typed stack of one, and
 the row kernel ``variation.row_values`` runs them over blocks of rows.
-* ``lambda0``         smallest eigenvalue of -Lap + R/4; ``ground_states``
-  solves a whole stack of metrics, ``lambda0`` and ``lambda0_eig`` are its
-  stack of one
 
 On the torus the ground state is found by matrix-free LOPCG with block size 1
 (Knyazev 2001), preconditioned by the exact FFT inverse of

@@ -11,12 +11,13 @@ res_thm[a], res_equiv[a]; 17 significant digits, comma separator, LF line
 endings), ``proof_chain.csv`` (the derivative-identity columns, which do
 not fit the fixed data.csv schema), and ``manifest.json`` (config echo,
 resolved step and metric grid, admissibility checks, summary block,
-``lambda0`` solver diagnostics over the evaluated rows, stage ``timings``
-with each stage's ``cpu_s`` and ``minor_faults``, ``peak_rss_mb`` at the
-end of each stage, flow and heat ``steps``, numpy's version and SIMD
-dispatch, exit status), written exactly once per run and on every exit
-path (a temporary file renamed into place), so partial artifacts carry a
-status marker.  One
+``lambda0`` solver diagnostics over the evaluated rows, the ``timings``,
+``cpu_s`` and ``minor_faults`` of every stage, each charged by ``_charged``
+from one ``_usage`` reading at each end of its block, ``peak_rss_mb`` from
+the reading at the end of each timed stage, flow and heat ``steps``,
+numpy's version and SIMD dispatch, exit status), written exactly once per
+run and on every exit path (a temporary file renamed into place), so
+partial artifacts carry a status marker.  One
 writer prints both CSV files from the ``RunTables`` arrays, a block of rows
 at a time (header only when no table exists; per-a arrays hold one column
 per adjustment value); the summary counts come from ``variation``'s
@@ -95,6 +96,7 @@ from .heat import (
 )
 from .variation import (
     VariationReport,
+    a_tag,
     equivalence_check,
     fd_time_derivative,
     monotonicity_check,
@@ -265,12 +267,12 @@ def make_config(raw: dict) -> RunConfig:
         raise ConfigError("heat.seed: must be non-negative")
     if not cfg.a_values:
         raise ConfigError("entropy.a: list must be nonempty")
-    # Output columns and summary keys are tagged format(a, "g"): a value equal
+    # Output columns and summary keys are tagged ``a_tag(a)``: a value equal
     # to an earlier one (-0 to 0 too) would repeat its columns, and one that
     # prints the same would share their tag.
     seen = set()
     for a in cfg.a_values:
-        tag = format(a, "g")
+        tag = a_tag(a)
         if a in seen or tag in seen:
             raise ConfigError(
                 f"entropy.a: {a!r} repeats or prints the same as an earlier "
@@ -463,7 +465,7 @@ class RunTables:
 
 
 def evaluate_tables(
-    traj: Trajectory, chunks, a_values, timings: dict | None = None,
+    traj: Trajectory, chunks, a_values, blocks: dict | None = None,
 ) -> tuple[RunTables | None, Exception | None]:
     """Evaluate every functional and verification column.
 
@@ -490,17 +492,15 @@ def evaluate_tables(
     On a numerical failure the completed rows are kept (truncated tables,
     finite differences over the surviving series) so a failed run still
     ships a partial CSV; returns (tables, error), tables None when fewer
-    than 3 rows survived.  ``timings``, when given, receives the
-    ground-state solve time as ``lambda0_s``.
+    than 3 rows survived.  Given ``run``'s usage ``blocks``, the
+    ground-state solve is charged to their ``lambda0_s`` (``_charged``).
     """
     backend, dt = traj.backend, 2.0 * traj.dt
     a_values = list(a_values)
     params, times = traj.params[::2], traj.times[::2]
     K = len(params)
-    started = time.perf_counter()
-    ground = ground_states(backend, params)
-    if timings is not None:
-        timings["lambda0_s"] = time.perf_counter() - started
+    with _charged(blocks, "lambda0_s"):
+        ground = ground_states(backend, params)
     row_series = np.empty((6, K))  # F, S, dF_rhs, sub_lhs, sub_rhs, mass
     a_series = np.empty((4, K, len(a_values)))
 
@@ -575,7 +575,7 @@ def _summary(tables: RunTables, cfg: RunConfig) -> dict:
         "max_sub_identity_residual": float(np.max(sub_res)),
         "sub_identity_violations": int(np.sum(~sub_ok)),
         "monotonicity_violations": {
-            format(a, "g"): int(len(monotonicity_check(y, cfg.tol_mono)))
+            a_tag(a): int(len(monotonicity_check(y, cfg.tol_mono)))
             for a, y in zip(tables.a_values, tables.Y.T)
         },
         "lambda0_monotonicity_violations": int(len(lam_drops)),
@@ -631,7 +631,7 @@ def _artifact_csvs(a_values, tables: RunTables | None):
     """(file name, header, columns) of data.csv and proof_chain.csv, in the
     order they are written; header-only files when tables is None."""
     header = ["t", "F", "S", "lambda0"] + [
-        f"{name}[{format(a, 'g')}]" for a in a_values for name in _PER_A_COLS
+        f"{name}[{a_tag(a)}]" for a in a_values for name in _PER_A_COLS
     ]
     data, chain = [], []
     if tables is not None:
@@ -673,15 +673,11 @@ def resolve_out_dir(cfg: RunConfig, override=None, default_name="run") -> Path:
     return target
 
 
-# Stage timings in manifest.json.  The heat solve and the row evaluation
-# interleave, chunk by chunk: heat_s counts the terminal datum and the
-# chunks' solve, rows_s the rest of that stage, and lambda0_s is the part of
-# rows_s spent in the ground-state solve.
+# Stages, each with its wall time, CPU time and minor faults in manifest.json.
+# The heat solve and the row evaluation interleave, chunk by chunk: heat_s
+# counts the terminal datum and the chunks' solve, rows_s the rest of that
+# stage, and lambda0_s is the part of rows_s spent in the ground-state solve.
 _STAGES = ("flow_s", "heat_s", "rows_s", "lambda0_s", "summary_s", "writers_s")
-# The stages whose CPU time (all threads) and minor page faults manifest.json
-# records beside their wall time, split as the timings are; lambda0_s's share
-# stays in rows_s.
-_USAGE_STAGES = ("flow_s", "heat_s", "rows_s", "summary_s", "writers_s")
 # The timed stages at whose end manifest.json records the peak resident set
 # (MiB), and its entry for each.
 _MEMORY_STAGES = {"flow_s": "flow", "rows_s": "heat_and_rows",
@@ -689,59 +685,62 @@ _MEMORY_STAGES = {"flow_s": "flow", "rows_s": "heat_and_rows",
 
 
 def _usage() -> tuple:
-    """This process's wall clock, CPU time of all its threads and minor page
-    faults so far (None without ``resource``); about 1.5 us a call."""
-    faults = (None if resource is None
-              else resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
-    return time.perf_counter(), time.process_time(), faults
+    """This process's wall clock, CPU time of all its threads, minor page
+    faults and peak resident set in MiB so far, the last two from one
+    ``getrusage`` call (None without ``resource``; ``ru_maxrss`` is in KiB
+    on Linux, in bytes on macOS)."""
+    wall, cpu = time.perf_counter(), time.process_time()
+    if resource is None:
+        return wall, cpu, None, None
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return wall, cpu, usage.ru_minflt, usage.ru_maxrss / (
+        2.0**20 if sys.platform == "darwin" else 1024.0)
 
 
-def _charge(blocks: dict, since: tuple, stage: str, instead_of=None) -> None:
-    """Add the usage since ``since`` (``_usage``) to ``stage`` of the
-    ``timings``, ``cpu_s`` and ``minor_faults`` blocks and, given
-    ``instead_of``, take it from that stage."""
-    now = _usage()
-    for name, i in (("timings", 0), ("cpu_s", 1), ("minor_faults", 2)):
-        if now[i] is not None:
-            used = now[i] - since[i]
-            blocks[name][stage] += used
-            if instead_of is not None:
-                blocks[name][instead_of] -= used
+@contextmanager
+def _charged(blocks: dict | None, stage: str, within: str | None = None):
+    """Add the block's wall time, CPU time and minor faults to ``stage`` of
+    the ``timings``, ``cpu_s`` and ``minor_faults`` blocks and, given
+    ``within`` (the stage the block runs in), take them out of that one.
+    Yields the list of ``_usage`` readings, at the block's start and, once
+    it ends, at its end; none is taken when ``blocks`` is None."""
+    readings = []
+    if blocks is None:
+        yield readings
+        return
+    readings.append(_usage())
+    try:
+        yield readings
+    finally:
+        readings.append(_usage())
+        for name, since, now in zip(("timings", "cpu_s", "minor_faults"),
+                                    *readings):
+            if now is not None:
+                blocks[name][stage] += now - since
+                if within is not None:
+                    blocks[name][within] -= now - since
 
 
 @contextmanager
 def _timed(blocks: dict, stage: str, out: Path, logged=()):
-    """Charge the block's wall time, CPU time and minor faults to ``stage``
-    (``_charge``) and, once the block completes, record the peak resident
-    set in the ``peak_rss_mb`` block; then log the stage's usage with that
-    peak beside it, and the usage of the ``logged`` stages, each with its
-    step counts from the ``steps`` block (``_step_counts``)."""
-    memory = blocks["peak_rss_mb"]
-    started = _usage()
-    entry = _MEMORY_STAGES[stage]
+    """Charge the block's usage to ``stage`` (``_charged``) and, once the
+    block completes, record its peak resident set at its end in the
+    ``peak_rss_mb`` block; then log the usage of the stage, with that peak,
+    and of the ``logged`` stages, each with its ``_step_counts``."""
+    peaks, entry = blocks["peak_rss_mb"], _MEMORY_STAGES[stage]
     try:
-        yield
-        memory[entry] = _peak_rss_mb()
+        with _charged(blocks, stage) as readings:
+            yield
+        peaks[entry] = readings[-1][3]
     finally:
-        _charge(blocks, started, stage)
-        peak = memory[entry]
-        log.info("%s: %s, peak RSS %s%s", out, _stage_usage(blocks, stage),
-                 "unknown" if peak is None else f"{peak:.1f} MiB",
-                 _step_counts(stage, blocks["steps"]))
-        for name in logged:
-            log.info("%s: %s%s", out, _stage_usage(blocks, name),
+        for name in (stage, *logged):
+            peak = peaks[entry] if name == stage else None
+            faults = blocks["minor_faults"][name]
+            log.info("%s: %s %.3f s, cpu %.3f s, %s minor faults%s%s", out,
+                     name, blocks["timings"][name], blocks["cpu_s"][name],
+                     "unknown" if faults is None else faults,
+                     "" if peak is None else f", peak RSS {peak:.1f} MiB",
                      _step_counts(name, blocks["steps"]))
-
-
-def _stage_usage(blocks: dict, stage: str) -> str:
-    """The stage's wall time, then its CPU time and minor faults where the
-    manifest records them."""
-    text = f"{stage} {blocks['timings'][stage]:.3f} s"
-    if stage in _USAGE_STAGES:
-        text += f", cpu {blocks['cpu_s'][stage]:.3f} s"
-        faults = blocks["minor_faults"][stage]
-        text += f", {'unknown' if faults is None else faults} minor faults"
-    return text
 
 
 def _step_counts(stage: str, steps: dict) -> str:
@@ -756,38 +755,18 @@ def _step_counts(stage: str, steps: dict) -> str:
     return ""
 
 
-@contextmanager
-def _heat_time(blocks: dict):
-    """Charge the block's usage to heat_s instead of rows_s, the stage it
-    runs in."""
-    started = _usage()
-    try:
-        yield
-    finally:
-        _charge(blocks, started, "heat_s", instead_of="rows_s")
-
-
 def _heat_chunks(chunks, blocks: dict):
     """The heat stream's chunks, their solve's usage in heat_s;
     ``steps["heat"]`` is set once the stream completes."""
     rows = 0
     while True:
-        with _heat_time(blocks):
+        with _charged(blocks, "heat_s", within="rows_s"):
             chunk = next(chunks, None)
         if chunk is None:
             blocks["steps"]["heat"] = rows - 1
             return
         rows += len(chunk.times)
         yield chunk
-
-
-def _peak_rss_mb() -> float | None:
-    """The process's peak resident set so far in MiB (``ru_maxrss`` is in
-    KiB on Linux, in bytes on macOS); None without ``resource``."""
-    if resource is None:
-        return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak / (2.0**20 if sys.platform == "darwin" else 1024.0)
 
 
 def _metric_grid(m0: MetricState) -> list[int] | None:
@@ -851,8 +830,8 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
     # The manifest's timings, cpu_s, minor_faults (null without
     # ``resource``), peak_rss_mb and steps blocks.
     blocks = {"timings": dict.fromkeys(_STAGES, 0.0),
-              "cpu_s": dict.fromkeys(_USAGE_STAGES, 0.0),
-              "minor_faults": dict.fromkeys(_USAGE_STAGES,
+              "cpu_s": dict.fromkeys(_STAGES, 0.0),
+              "minor_faults": dict.fromkeys(_STAGES,
                                             None if resource is None else 0),
               "steps": steps,
               "peak_rss_mb": dict.fromkeys(_MEMORY_STAGES.values())}
@@ -867,13 +846,13 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
                 steps["flow"] = traj.num_steps
                 steps["max_dt_over_stability_dt"] = traj.max_step_ratio
             with _timed(blocks, "rows_s", out, ("heat_s", "lambda0_s")):
-                with _heat_time(blocks):
+                with _charged(blocks, "heat_s", within="rows_s"):
                     v_T = terminal_datum(cfg.datum, traj.final_state(),
                                          **_datum_params(cfg))
                 chunks = _heat_chunks(
                     stream_backward(traj, v_T, mass_tol=cfg.tol_mass), blocks)
-                tables, row_error = evaluate_tables(
-                    traj, chunks, cfg.a_values, blocks["timings"])
+                tables, row_error = evaluate_tables(traj, chunks,
+                                                    cfg.a_values, blocks)
             if row_error is not None:
                 raise row_error
             with _timed(blocks, "summary_s", out):
@@ -972,7 +951,10 @@ def convergence_study(cfg: RunConfig, levels: int, out_dir) -> StudyResult:
     orders = []
     for prev, cur in zip(rows[:-1], rows[1:]):
         e0, e1 = prev["max_res_thm_interior"], cur["max_res_thm_interior"]
-        orders.append(math.log2(e0 / e1) if e1 > 0 else math.inf)
+        # The order into a level with no residual left is inf, the order
+        # out of one -inf (as when e0 / e1 underflows to 0).
+        ratio = e0 / e1 if e1 > 0 else math.inf
+        orders.append(-math.inf if ratio == 0 else math.log2(ratio))
 
     lines = ["level,N,dt,max_res_thm_interior,order_vs_prev"]
     for i, row in enumerate(rows):

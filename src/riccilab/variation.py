@@ -63,6 +63,7 @@ from .geometry import MetricState, ScalarField, SymTensorField
 from .functionals import _energy, _entropy, f_functional, log_entropy_value, omega
 
 __all__ = [
+    "a_tag",
     "matrix_quantity",
     "rate_forms",
     "row_values",
@@ -77,6 +78,12 @@ __all__ = [
 ]
 
 SUB_IDENTITY_TOL = 1e-9   # relative bound on the integration-by-parts sub-identity
+
+
+def a_tag(a: float) -> str:
+    """The tag of adjustment value ``a`` in column names, summary keys and
+    messages; values equal to 6 significant digits share one."""
+    return format(a, "g")
 
 
 # --------------------------------------------------------------------------
@@ -251,10 +258,10 @@ def row_values(g, v, times, a_values) -> tuple[RowValues, NumericalError | None]
     if not np.all(finite):
         k = int(np.argmin(np.all(finite, axis=(1, 2))))
         j, c = np.unravel_index(np.argmin(finite[k]), finite[k].shape)
-        a_tag = format(a_values[j], "g")
+        tag = a_tag(a_values[j])
         error = BlowUp(
-            f"{_ROW_COLUMNS[c]}[{a_tag}] = {cols[k, j, c]:g} is not finite at "
-            f"t={times[k]:g} (a={a_tag})")
+            f"{_ROW_COLUMNS[c]}[{tag}] = {cols[k, j, c]:g} is not finite at "
+            f"t={times[k]:g} (a={tag})")
         fields = (x[:k] for x in fields)
     return RowValues(*fields), error
 

@@ -1,0 +1,179 @@
+"""Mutation check: does the test suite notice small, wrong edits of src/?
+
+Each entry of ``MUTANTS`` is a one-place edit of a file under src/riccilab:
+the exact old string, which must occur once in the file, and its new
+string, with the test files that should catch it.  For each mutant the
+runner copies src/, tests/, bench/ (which tests read) and pyproject.toml
+(the pytest settings, warnings as errors among them) into a temporary
+directory, applies the edit there and runs ``python -m pytest -x -q -p
+no:cacheprovider`` on the named test files.  A failing run kills the
+mutant, and the runner names the first test that failed; a passing run
+lets it survive.  First the same files run once on the unmutated copy,
+which must pass, so a broken checkout cannot pass for kills.
+
+Run it from anywhere, outside the tier-1 suite:
+
+    python tools/mutants.py            # every mutant
+    python tools/mutants.py NAME ...   # the named mutants only
+
+It prints one line per mutant and the total time, and exits 1 if any
+mutant survived (2 if the baseline fails or an old string does not occur
+exactly once).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file under src/riccilab, old string, new string, test files)
+MUTANTS = [
+    # RK4 stage offsets: the snapshot or the stage a later stage reads.
+    ("heat-rk4-stage-2-snapshot", "heat.py",
+     "k2 = rhs(i1 - 1, v + half * k1)", "k2 = rhs(i1, v + half * k1)",
+     ["tests/test_heat.py"]),
+    ("flow-torus-rk4-stage-3", "geometry.py",
+     "k3 = _phi_rate(w + half * k2, lap, h)",
+     "k3 = _phi_rate(w + half * k1, lap, h)",
+     ["tests/test_flow.py"]),
+    ("flow-berger-rk4-stage-4", "geometry.py",
+     "a4, b4, c4 = _berger_rates(A + dt * a3,",
+     "a4, b4, c4 = _berger_rates(A + dt * a2,",
+     ["tests/test_flow.py"]),
+    # Tolerances and the order of the row checks.
+    ("heat-mass-tol-times-10", "heat.py",
+     "if abs(mass - 1.0) > mass_tol:", "if abs(mass - 1.0) > 10.0 * mass_tol:",
+     ["tests/test_heat.py"]),
+    ("monotonicity-tol-times-10", "variation.py",
+     "drops = y[1:] < y[:-1] - tol", "drops = y[1:] < y[:-1] - 10.0 * tol",
+     ["tests/test_variation.py", "tests/test_harness.py"]),
+    ("rows-ignore-unconverged-lambda0", "harness.py",
+     "limit = int(np.argmax(unconverged)) if np.any(unconverged) else n",
+     "limit = n",
+     ["tests/test_harness.py"]),
+    # Finite-difference stencils and the interior mask.
+    ("fd-near-edge-stencil", "variation.py",
+     "d[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[4])",
+     "d[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[3])",
+     ["tests/test_variation.py"]),
+    ("last-endpoint-interior", "variation.py",
+     "interior[0] = interior[-1] = False", "interior[0] = False",
+     ["tests/test_variation.py", "tests/test_harness.py"]),
+    # Relative errors in the quantities the identities compare.
+    ("split-rate-adjustment-1e-10", "variation.py",
+     "return split + 4.0 * a * a / w, combined",
+     "return split + 4.0 * a * a / w * (1.0 + 1e-10), combined",
+     ["tests/test_variation.py", "tests/test_harness.py"]),
+    ("dF-rhs-1e-10", "variation.py",
+     "dF_rhs = 2.0 * g.integrate(g.tensor_norm_sq(T, cross) * u2)",
+     "dF_rhs = 2.0 * g.integrate(g.tensor_norm_sq(T, cross) * u2) * (1.0 + 1e-10)",
+     ["tests/test_variation.py", "tests/test_harness.py"]),
+    ("sub-rhs-1e-7", "variation.py",
+     "sub_rhs = g.integrate(g.gradient_inner(df, df) * v)",
+     "sub_rhs = g.integrate(g.gradient_inner(df, df) * v) * (1.0 + 1e-7)",
+     ["tests/test_variation.py", "tests/test_harness.py"]),
+    ("entropy-1e-11", "functionals.py",
+     "return g.integrate(u2 * np.log(u2))",
+     "return g.integrate(u2 * np.log(u2)) * (1.0 + 1e-11)",
+     ["tests/test_functionals.py", "tests/test_harness.py"]),
+    ("Y-4at-shift-1e-9", "functionals.py",
+     "+ 4.0 * a * t", "+ 4.0 * a * (t + 1e-9)",
+     ["tests/test_functionals.py", "tests/test_harness.py"]),
+    # Summary fields, the study and the writers.
+    ("max-res-equiv-interior-only", "harness.py",
+     '"max_res_equiv": float(np.max(tables.res_equiv)),',
+     '"max_res_equiv": float(np.max(tables.res_equiv[interior])),',
+     ["tests/test_harness.py"]),
+    ("study-order-1e-7", "harness.py",
+     "else math.log2(ratio))", "else math.log2(ratio) * (1.0 + 1e-7))",
+     ["tests/test_harness.py"]),
+    ("study-order-zero-residual-sign", "harness.py",
+     "orders.append(-math.inf if ratio == 0", "orders.append(math.inf if ratio == 0",
+     ["tests/test_harness.py"]),
+    ("csv-16-digits", "harness.py",
+     'template = ",".join(["%.17g"]', 'template = ",".join(["%.16g"]',
+     ["tests/test_harness.py"]),
+    ("a-tag-str", "variation.py",
+     'return format(a, "g")', "return str(a)",
+     ["tests/test_harness.py"]),
+    # The stage clock.
+    ("heat-usage-left-in-rows", "harness.py",
+     'with _charged(blocks, "heat_s", within="rows_s"):\n'
+     '            chunk = next(chunks, None)',
+     'with _charged(blocks, "heat_s"):\n'
+     '            chunk = next(chunks, None)',
+     ["tests/test_harness.py"]),
+    ("lambda0-charged-to-none", "harness.py",
+     'with _charged(blocks, "lambda0_s"):', 'with _charged(None, "lambda0_s"):',
+     ["tests/test_harness.py"]),
+    ("peak-rss-at-stage-start", "harness.py",
+     "peaks[entry] = readings[-1][3]", "peaks[entry] = readings[0][3]",
+     ["tests/test_harness.py"]),
+]
+
+
+def _pytest(copy: Path, tests) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         *tests], cwd=copy, env=env, capture_output=True, text=True)
+
+
+def _copy(into: Path) -> Path:
+    copy = into / "repo"
+    for name in ("src", "tests", "bench"):
+        shutil.copytree(ROOT / name, copy / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+    return copy
+
+
+def main(argv) -> int:
+    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
+    unknown = set(argv) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}")
+        return 2
+    for name, path, old, _, _ in chosen:
+        found = (ROOT / "src" / "riccilab" / path).read_text().count(old)
+        if found != 1:
+            print(f"{name}: the old string occurs {found} times in {path}")
+            return 2
+    started = time.perf_counter()
+    tests = sorted({t for m in chosen for t in m[4]})
+    with tempfile.TemporaryDirectory() as tmp:
+        baseline = _pytest(_copy(Path(tmp)), tests)
+    if baseline.returncode != 0:
+        print(f"baseline fails on {' '.join(tests)}:\n{baseline.stdout[-2000:]}")
+        return 2
+    survived = []
+    for name, path, old, new, tests in chosen:
+        t0 = time.perf_counter()
+        with tempfile.TemporaryDirectory() as tmp:
+            copy = _copy(Path(tmp))
+            target = copy / "src" / "riccilab" / path
+            target.write_text(target.read_text().replace(old, new))
+            result = _pytest(copy, tests)
+        if result.returncode == 0:
+            survived.append(name)
+            verdict = "survived"
+        else:
+            verdict = "killed  " + next(
+                (line.split(" - ")[0] for line in result.stdout.splitlines()
+                 if line.startswith(("FAILED ", "ERROR "))), "")
+        print(f"{name}  ({time.perf_counter() - t0:.1f} s)  {verdict}",
+              flush=True)
+    print(f"{len(chosen) - len(survived)} of {len(chosen)} killed in "
+          f"{time.perf_counter() - started:.0f} s")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
