@@ -20,7 +20,7 @@ class NumericalError(RicciLabError):
 
 class BlowUp(NumericalError):
     """A metric parameter fell below the floor or became non-finite, or a
-    row's Y, omega or rate overflowed (``variation.row_values``)."""
+    row's Y, omega or rate overflowed (``variation.row_failure``)."""
 
 
 class StepTooLarge(NumericalError):

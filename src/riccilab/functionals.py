@@ -305,8 +305,7 @@ def ground_states(backend, params) -> GroundStates:
             values[rows], iterations[rows], residuals[rows] = _lopcg(
                 backend.stack(g.params[rows]))
 
-        with row_blocks(solve, K, math.prod(g.params.shape[1:])) as blocks:
-            list(blocks)
+        row_blocks(solve, K, math.prod(g.params.shape[1:]))
     return GroundStates(values, iterations, residuals)
 
 

@@ -83,11 +83,13 @@ Floats and numpy round each operation alike: either form gives the same bits.
 
 Row blocks.  A sphere row is one cell; a torus row is N^2 cells (N for the
 metric of a one-column stack).
-``row_blocks`` maps a function over consecutive row blocks on a pool of
-``WORKERS`` threads (numpy's ufuncs and FFTs release the GIL), with at most
-``ROW_CELLS`` cells in flight across all workers, so peak memory does not
-grow with the core count.  Each row's result is bitwise what it gives
-alone, so no result depends on the block size or the worker count.
+``row_blocks`` is a blocking map of a function over consecutive row blocks
+on a pool of ``WORKERS`` threads (numpy's ufuncs and FFTs release the GIL),
+with at most ``ROW_CELLS`` cells in flight across all workers, so peak
+memory does not grow with the core count.  It returns when every block has
+run, or raises the exception of the first block in order that raised.
+Each row's result is bitwise what it gives alone, so no result depends on
+the block size or the worker count.
 
 The typed functions at the end (``scalar_curvature``, ``laplace_beltrami``,
 ``hessian``, ``volume``, ``integrate``) take a ``MetricState`` and typed
@@ -102,7 +104,6 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -159,29 +160,27 @@ ROW_CELLS = 2**16
 CHUNK_CELLS = 2**19
 
 
-@contextmanager
-def row_blocks(fn, rows: int, cells: int):
-    """Map ``fn(block)`` over the consecutive row slices of ``range(rows)``,
-    each of at most ``ROW_CELLS // WORKERS`` cells (at least one row); the
-    context yields an iterator of the results in block order.
+def row_blocks(fn, rows: int, cells: int) -> list:
+    """``fn(block)`` of each consecutive row slice of ``range(rows)``, each of
+    at most ``ROW_CELLS // WORKERS`` cells (at least one row), in block
+    order.
 
     With more than one block and worker the blocks run on a pool of
-    ``min(WORKERS, blocks)`` threads; otherwise they map lazily in the
-    calling thread.  ``fn`` must touch only its own rows.  Leaving the
-    context cancels the blocks not yet started and waits for the running
-    ones, so a consumer that stops early discards the later results, and no
-    thread outlives it.
+    ``min(WORKERS, blocks)`` threads; otherwise they map in the calling
+    thread.  ``fn`` must touch only its own rows.  The exception of the
+    first block in order that raises propagates; the blocks not yet started
+    then never start, the running ones finish, and no thread outlives the
+    call.
     """
     size = max(1, ROW_CELLS // (WORKERS * cells))
     blocks = [slice(start, min(start + size, rows))
               for start in range(0, rows, size)]
     threads = min(WORKERS, len(blocks))
     if threads <= 1:
-        yield map(fn, blocks)
-        return
+        return list(map(fn, blocks))
     pool = ThreadPoolExecutor(threads)
     try:
-        yield pool.map(fn, blocks)
+        return list(pool.map(fn, blocks))
     finally:
         pool.shutdown(cancel_futures=True)
 

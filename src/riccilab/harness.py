@@ -13,8 +13,8 @@ not fit the fixed data.csv schema), and ``manifest.json`` (config echo,
 resolved step and metric grid, admissibility checks, summary block,
 ``lambda0`` solver diagnostics over the evaluated rows, the ``timings``,
 ``cpu_s`` and ``minor_faults`` of every stage, each charged by ``_charged``
-from one ``_usage`` reading at each end of its block, ``peak_rss_mb`` from
-the reading at the end of each timed stage, flow and heat ``steps``,
+from one ``_usage`` reading at each end of its block, ``peak_rss_mb`` read
+at the end of each timed stage (``_peak_rss_mb``), flow and heat ``steps``,
 numpy's version and SIMD dispatch, exit status), written exactly once per
 run and on every exit path (a temporary file renamed into place), so
 partial artifacts carry a status marker.  One
@@ -27,14 +27,15 @@ Row evaluation: ``evaluate_tables`` solves lambda0 for every row in one
 ``ground_states`` call, then runs the stacked row kernel
 ``variation.row_values`` on each chunk of densities the heat solve hands
 over (``heat.stream_backward``, top-down), with no per-row loop.  Both run
-their row blocks on the ``geometry.row_blocks`` thread pool, results in
-block order.  Only per-row scalars outlive a chunk, so a run holds one
-chunk of at most ``geometry.CHUNK_CELLS`` density cells, not the history.
-Each row condition is checked once, where its value is made, in one
-order.  First the heat failures (PositivityLoss, MassDrift), which the
-stream raises before it hands the row over; then, for each row, lambda0
-(``GroundStates``), omega for each a, then an overflow (BlowUp), the last
-two in ``row_values``.
+their row blocks on the ``geometry.row_blocks`` thread pool, each block
+writing its own rows of the tables.  Only per-row scalars outlive a chunk,
+so a run holds one chunk of at most ``geometry.CHUNK_CELLS`` density
+cells, not the history.  The heat failures (PositivityLoss, MassDrift) are
+raised by the stream before it hands a row over.  Every row is evaluated
+first; then ``variation.row_failure`` checks the filled table once, in
+one order per row: lambda0 (``GroundStates``), omega for each a, then an
+overflow (BlowUp), and the lowest failing row decides the error and the
+truncation.
 
 Exit codes: 0 success, 2 ``InputError`` (configuration or admissibility),
 3 ``NumericalError`` (partial CSV retained).  Any other exception is an
@@ -73,7 +74,6 @@ from . import geometry
 from .errors import (
     AdmissibilityError,
     ConfigError,
-    NoConvergence,
     NonPositive,
     NumericalError,
 )
@@ -101,6 +101,7 @@ from .variation import (
     fd_time_derivative,
     monotonicity_check,
     proof_chain_check,
+    row_failure,
     row_values,
 )
 
@@ -478,22 +479,19 @@ def evaluate_tables(
     ``variation.row_values`` evaluates F, S, the variation tensor T,
     dF_rhs, the sub-identity sides and, for each adjustment value, omega, Y
     and both rate forms, over the row blocks of the ``geometry.row_blocks``
-    pool, consumed in block order; only these per-row values outlive the
-    chunk.  The densities are taken as the heat solve hands them over,
-    finite and above ``heat.POSITIVITY_FLOOR``; an error the chunks raise
-    (PositivityLoss or MassDrift) propagates.  Each row is then checked in
-    one order: its lambda0 converged, else the ``NoConvergence`` of
-    ``GroundStates.value``; then, inside the kernel, omega for each a and
-    an overflow (BlowUp).  The kernel runs only on the rows before the
-    chunk's first unconverged one, and the first block that returns an
-    error ends the chunk, later blocks' results discarded, so neither
-    depends on the pool.  Over the chunks, the lowest failing row decides
-    the error and the truncation, so neither depends on the chunks either.
-    On a numerical failure the completed rows are kept (truncated tables,
-    finite differences over the surviving series) so a failed run still
-    ships a partial CSV; returns (tables, error), tables None when fewer
-    than 3 rows survived.  Given ``run``'s usage ``blocks``, the
-    ground-state solve is charged to their ``lambda0_s`` (``_charged``).
+    pool, each block writing its rows of the tables; only these per-row
+    values outlive the chunk.  The densities are taken as the heat solve
+    hands them over, finite and above ``heat.POSITIVITY_FLOOR``; an error
+    the chunks raise (PositivityLoss or MassDrift) propagates, and so does
+    any exception of a kernel block.  Once every row is evaluated,
+    ``variation.row_failure`` finds the lowest failing row (lambda0, then
+    omega for each a, then an overflow) and its error, so neither the
+    error nor the truncation depends on the pool or the chunks.  On a
+    numerical failure the completed rows are kept (truncated tables, finite
+    differences over the surviving series) so a failed run still ships a
+    partial CSV; returns (tables, error), tables None when fewer than 3
+    rows survived.  Given ``run``'s usage ``blocks``, the ground-state
+    solve is charged to their ``lambda0_s`` (``_charged``).
     """
     backend, dt = traj.backend, 2.0 * traj.dt
     a_values = list(a_values)
@@ -502,43 +500,28 @@ def evaluate_tables(
     with _charged(blocks, "lambda0_s"):
         ground = ground_states(backend, params)
     row_series = np.empty((6, K))  # F, S, dF_rhs, sub_lhs, sub_rhs, mass
-    a_series = np.empty((4, K, len(a_values)))
+    a_series = np.empty((4, K, len(a_values)))  # Y, omega, rhs_thm, rhs_ye
 
-    done, error, covered = K, None, 0  # the lowest failing row, its error
+    covered = 0
     for chunk in chunks:
         lo, n = chunk.first, len(chunk.times)
         covered += n
         row_series[5, lo:lo + n] = chunk.masses
-        # The chunk's first row whose lambda0 did not converge fails before
-        # its omega is checked; the kernel runs only on the rows before it.
-        unconverged = ~ground.converged[lo:lo + n]
-        limit = int(np.argmax(unconverged)) if np.any(unconverged) else n
 
         def kernel(rows):
-            return row_values(
-                backend.stack(params[lo + rows.start:lo + rows.stop]),
-                chunk.v[rows], chunk.times[rows], a_values)
+            at = slice(lo + rows.start, lo + rows.stop)
+            vals = row_values(backend.stack(params[at]), chunk.v[rows],
+                              chunk.times[rows], a_values)
+            row_series[:5, at] = (vals.F, vals.S, vals.dF_rhs, vals.sub_lhs,
+                                  vals.sub_rhs)
+            a_series[:, at] = (vals.Y, vals.om, vals.rhs_split,
+                               vals.rhs_combined)
 
-        cut, chunk_error = 0, None
-        with geometry.row_blocks(kernel, limit, backend.cells) as blocks:
-            for vals, chunk_error in blocks:
-                start, cut = cut, cut + len(vals.F)
-                row_series[:5, lo + start:lo + cut] = (
-                    vals.F, vals.S, vals.dF_rhs, vals.sub_lhs, vals.sub_rhs)
-                a_series[:, lo + start:lo + cut] = (
-                    vals.Y, vals.om, vals.rhs_split, vals.rhs_combined)
-                if chunk_error is not None:
-                    break
-        if chunk_error is None and limit < n:
-            try:
-                ground.value(lo + limit)
-            except NoConvergence as exc:
-                chunk_error = exc
-        if chunk_error is not None and lo + cut < done:
-            done, error = lo + cut, chunk_error
+        geometry.row_blocks(kernel, n, backend.cells)
     if covered != K:
         raise ValueError(f"density chunks hold {covered} rows, not the "
                          f"trajectory's {K}")
+    done, error = row_failure(ground, row_series[0], a_series, times, a_values)
 
     if done < 3:
         return None, error
@@ -685,40 +668,54 @@ _MEMORY_STAGES = {"flow_s": "flow", "rows_s": "heat_and_rows",
 
 
 def _usage() -> tuple:
-    """This process's wall clock, CPU time of all its threads, minor page
-    faults and peak resident set in MiB so far, the last two from one
-    ``getrusage`` call (None without ``resource``; ``ru_maxrss`` is in KiB
-    on Linux, in bytes on macOS)."""
+    """This process's wall clock, CPU time of all its threads and minor page
+    faults so far, the last from one ``getrusage`` call (None without
+    ``resource``)."""
     wall, cpu = time.perf_counter(), time.process_time()
     if resource is None:
-        return wall, cpu, None, None
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    return wall, cpu, usage.ru_minflt, usage.ru_maxrss / (
+        return wall, cpu, None
+    return wall, cpu, resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set so far in MiB: ``VmHWM`` of
+    /proc/self/status where that file exists, which exec resets, so a run
+    started as a child process does not report its parent's peak; else
+    ``getrusage``'s ``ru_maxrss`` (KiB on Linux, bytes on macOS), None
+    without ``resource``."""
+    try:
+        with open("/proc/self/status", "rb") as status:
+            for line in status:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    if resource is None:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
         2.0**20 if sys.platform == "darwin" else 1024.0)
 
 
 @contextmanager
 def _charged(blocks: dict | None, stage: str, within: str | None = None):
-    """Add the block's wall time, CPU time and minor faults to ``stage`` of
-    the ``timings``, ``cpu_s`` and ``minor_faults`` blocks and, given
-    ``within`` (the stage the block runs in), take them out of that one.
-    Yields the list of ``_usage`` readings, at the block's start and, once
-    it ends, at its end; none is taken when ``blocks`` is None."""
-    readings = []
+    """Add the block's wall time, CPU time and minor faults, from a
+    ``_usage`` reading at each end, to ``stage`` of the ``timings``,
+    ``cpu_s`` and ``minor_faults`` blocks and, given ``within`` (the stage
+    the block runs in), take them out of that one; no reading is taken when
+    ``blocks`` is None."""
     if blocks is None:
-        yield readings
+        yield
         return
-    readings.append(_usage())
+    since = _usage()
     try:
-        yield readings
+        yield
     finally:
-        readings.append(_usage())
-        for name, since, now in zip(("timings", "cpu_s", "minor_faults"),
-                                    *readings):
+        for name, start, now in zip(("timings", "cpu_s", "minor_faults"),
+                                    since, _usage()):
             if now is not None:
-                blocks[name][stage] += now - since
+                blocks[name][stage] += now - start
                 if within is not None:
-                    blocks[name][within] -= now - since
+                    blocks[name][within] -= now - start
 
 
 @contextmanager
@@ -729,9 +726,9 @@ def _timed(blocks: dict, stage: str, out: Path, logged=()):
     and of the ``logged`` stages, each with its ``_step_counts``."""
     peaks, entry = blocks["peak_rss_mb"], _MEMORY_STAGES[stage]
     try:
-        with _charged(blocks, stage) as readings:
+        with _charged(blocks, stage):
             yield
-        peaks[entry] = readings[-1][3]
+        peaks[entry] = _peak_rss_mb()
     finally:
         for name in (stage, *logged):
             peak = peaks[entry] if name == stage else None

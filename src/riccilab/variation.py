@@ -36,6 +36,9 @@ functions (``matrix_quantity``, ``rate_forms``, ``rhs_split``,
 ``rhs_combined``, and ``f_functional``, ``shannon_entropy`` and
 ``log_entropy`` in ``functionals``) are the same stacked code on a stack of
 one, so each row of a block is bitwise what they return for that row.
+The kernel evaluates every row it is given and checks none; ``row_failure``
+checks the filled table of a run once, in one vectorised pass, for its
+lowest failing row.
 
 Time derivatives are always taken from the stored time series by finite
 differences, never from re-deriving evolution equations, so the verifier
@@ -54,7 +57,6 @@ import numpy as np
 
 from .errors import (
     BlowUp,
-    NonPositiveOmega,
     NumericalError,
     PositivityLoss,
     TooFewSamples,
@@ -67,6 +69,7 @@ __all__ = [
     "matrix_quantity",
     "rate_forms",
     "row_values",
+    "row_failure",
     "RowValues",
     "rhs_split",
     "rhs_combined",
@@ -172,11 +175,12 @@ def rhs_combined(m: MetricState, u: ScalarField, a: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RowValues:
-    """Row-kernel results for the leading rows of a block.
+    """Row-kernel results for every row of a block.
 
     F, S, dF_rhs, sub_lhs and sub_rhs have one entry per row; om, Y,
     rhs_split and rhs_combined are (rows, len(a_values)) arrays, column j
-    for a_values[j].
+    for a_values[j].  Y is nan where omega is not positive; a row's values
+    are meaningful only if ``row_failure`` passes it.
     """
 
     F: np.ndarray
@@ -190,11 +194,7 @@ class RowValues:
     rhs_combined: np.ndarray
 
 
-# The columns a row's finiteness check names, for each a, in data.csv's order.
-_ROW_COLUMNS = ("Y", "omega", "rhs_thm", "rhs_ye")
-
-
-def row_values(g, v, times, a_values) -> tuple[RowValues, NumericalError | None]:
+def row_values(g, v, times, a_values) -> RowValues:
     """Every per-row functional and rate of a block of rows, as one stack.
 
     g is the ``MetricStack`` of the rows' metrics, v their densities (one
@@ -203,13 +203,10 @@ def row_values(g, v, times, a_values) -> tuple[RowValues, NumericalError | None]
     tensor T, the sub-identity sides integral(Lap f e^{-f}) and
     integral(|grad f|^2 e^{-f}) and omega come from one pass over the block;
     dF_rhs = 2 integral(|T|^2 u^2) and, for each adjustment value, Y and
-    both rate forms then reuse them.  A row with omega <= 0 for some a ends
-    the block before any logarithm or rate is taken of it: the result covers
-    the rows before it, and the error is what ``omega`` raises on that row,
-    at its first failing a.  After that check, a row whose Y, omega or
-    either rate is not finite (an overflow, at a huge a) ends the block the
-    same way, with BlowUp naming its first such column and a; no numpy
-    warning is raised for it.
+    both rate forms then reuse them.  Every row is evaluated and nothing is
+    checked here: Y takes the logarithm of the positive omegas only (nan
+    elsewhere), and Y and the rates are formed with numpy's floating-point
+    warnings off, so a row that fails ``row_failure`` costs only its values.
     """
     # Each field goes after its last reader (see the module docstring).
     f = np.log(v)
@@ -229,41 +226,60 @@ def row_values(g, v, times, a_values) -> tuple[RowValues, NumericalError | None]
     del u, outer
     a = np.asarray(a_values, dtype=float)
     om = a + F[:, None] / 4.0
-
-    error = None
-    positive = np.all(om > 0.0, axis=1)
-    if not np.all(positive):
-        k = int(np.argmin(positive))
-        try:
-            for aj in a_values:
-                omega(float(F[k]), aj)
-        except NonPositiveOmega as exc:
-            error = exc
-        g = g.backend.stack(g.params[:k])
-        u2, T, times, F, S, sub_lhs, sub_rhs, om = (
-            x[:k] for x in (u2, T, times, F, S, sub_lhs, sub_rhs, om))
-
     cross = g.cross_sq(T)
     dF_rhs = 2.0 * g.integrate(g.tensor_norm_sq(T, cross) * u2)
-    # Overflow is checked below, row by row, instead of warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        Y = log_entropy_value(S[:, None], om, g.n, a, times[:, None])
+    with np.errstate(all="ignore"):  # checked by row_failure instead
+        Y = log_entropy_value(S[:, None], np.where(om > 0.0, om, np.nan),
+                              g.n, a, times[:, None])
         rates = np.empty((2,) + om.shape)
         for j, aj in enumerate(a_values):
             rates[:, :, j] = _rate_forms(g, u2, T, cross, om[:, j], aj)
-    fields = (F, S, dF_rhs, sub_lhs, sub_rhs, om, Y, *rates)
+    return RowValues(F, S, dF_rhs, sub_lhs, sub_rhs, om, Y, *rates)
 
-    cols = np.stack([Y, om, *rates], axis=-1)  # data.csv's order for each a
+
+# The columns a row's finiteness check names, for each a, in data.csv's order.
+_ROW_COLUMNS = ("Y", "omega", "rhs_thm", "rhs_ye")
+
+
+def _raised(fn, *args) -> NumericalError:
+    """The NumericalError that fn(*args) raises."""
+    try:
+        fn(*args)
+    except NumericalError as exc:
+        return exc
+    raise AssertionError(f"{fn.__name__}{args} raised nothing")
+
+
+def row_failure(ground, F, a_series, times, a_values
+                ) -> tuple[int, NumericalError | None]:
+    """The lowest failing row of a table of rows and its error, or
+    (rows, None) when every row passes.
+
+    ground is the rows' ``GroundStates``, F their energies and a_series the
+    (4, rows, len(a_values)) stack of Y, omega, rhs_split and rhs_combined,
+    data.csv's order for each a.  A row fails on three checks, in this
+    order: its lambda0 did not converge (the ``NoConvergence`` of
+    ``ground.value``); omega not positive for some a (what ``omega`` raises
+    at its first such a); its Y, omega or either rate is not finite (BlowUp naming
+    its first such column and a).
+    """
+    cols = np.moveaxis(a_series, 0, -1)  # (rows, a, column)
     finite = np.isfinite(cols)
-    if not np.all(finite):
-        k = int(np.argmin(np.all(finite, axis=(1, 2))))
-        j, c = np.unravel_index(np.argmin(finite[k]), finite[k].shape)
-        tag = a_tag(a_values[j])
-        error = BlowUp(
-            f"{_ROW_COLUMNS[c]}[{tag}] = {cols[k, j, c]:g} is not finite at "
-            f"t={times[k]:g} (a={tag})")
-        fields = (x[:k] for x in fields)
-    return RowValues(*fields), error
+    fails = np.stack([~ground.converged,
+                      ~np.all(a_series[1] > 0.0, axis=1),
+                      ~np.all(finite, axis=(1, 2))], axis=1)
+    k, check = divmod(int(fails.argmax()), 3)
+    if not fails[k, check]:
+        return len(F), None
+    if check == 0:
+        return k, _raised(ground.value, k)
+    if check == 1:
+        j = int(np.argmin(a_series[1, k] > 0.0))
+        return k, _raised(omega, float(F[k]), a_values[j])
+    j, c = np.unravel_index(np.argmin(finite[k]), finite[k].shape)
+    tag = a_tag(a_values[j])
+    return k, BlowUp(f"{_ROW_COLUMNS[c]}[{tag}] = {cols[k, j, c]:g} is not "
+                     f"finite at t={times[k]:g} (a={tag})")
 
 
 # --------------------------------------------------------------------------

@@ -4,9 +4,11 @@ Each helper is an independent way of writing a quantity that the package
 computes another way: the potential-variable forms of the energy and the
 variation tensor, the pointwise g-trace and gradient inner product of the
 typed fields, the flow velocity on a raw parameter array, the flow
-integrated on numpy arrays, and the row kernel with every functional built
-on its own.
+integrated on numpy arrays, the row kernel with every functional built
+on its own, and the row-failure rule as a loop over rows.
 """
+
+import math
 
 import numpy as np
 
@@ -101,8 +103,9 @@ def matrix_quantity_f_form(m, f):
 def row_values_reference(g, v, times, a_values):
     """``variation.row_values`` written term by term: each functional builds
     its own u**2, one-sided differences and deviation tensor T - c g, where
-    the kernel shares them, with the same operations in the same order, so
-    every field and the error are bitwise what the kernel returns."""
+    the kernel shares them, with the same operations in the same order, and
+    Y is taken entry by entry where omega is positive (nan elsewhere), so
+    every field is bitwise what the kernel returns."""
     u, f = np.sqrt(v), -np.log(v)
     du = g.differences(u)
     F = 4.0 * g.integrate(g.gradient_inner(du, du) + 0.25 * g.R * u**2)
@@ -118,31 +121,41 @@ def row_values_reference(g, v, times, a_values):
     a = np.asarray(a_values, dtype=float)
     om = a + F[:, None] / 4.0
 
-    error = None
-    positive = np.all(om > 0.0, axis=1)
-    if not np.all(positive):
-        k = int(np.argmin(positive))
-        try:
-            for aj in a_values:
-                rl.omega(float(F[k]), aj)
-        except rl.NonPositiveOmega as exc:
-            error = exc
-        g, u, T, times = g.backend.stack(g.params[:k]), u[:k], T[:k], times[:k]
-        F, S, dF_rhs, sub_lhs, sub_rhs, om = (
-            x[:k] for x in (F, S, dF_rhs, sub_lhs, sub_rhs, om))
-
     def deviation_rate(w, c):
         c = np.reshape(c, np.shape(c) + (1,) * (T.ndim - np.ndim(c)))
         D = T - c * g.metric
         val = g.integrate(g.tensor_norm_sq(D, g.cross_sq(D)) * u**2)
         return g.n / (4.0 * w) * val
 
-    Y = log_entropy_value(S[:, None], om, g.n, a, times[:, None])
+    Y = np.full(om.shape, np.nan)
     split, combined = np.empty(om.shape), np.empty(om.shape)
     for j, aj in enumerate(a_values):
+        for k in np.flatnonzero(om[:, j] > 0.0):
+            Y[k, j] = log_entropy_value(S[k], om[k, j], g.n, aj, times[k])
         w = om[:, j]
         split[:, j] = (deviation_rate(w, (4.0 * w - 4.0 * aj) / g.n)
                        + 4.0 * aj * aj / w)
         combined[:, j] = deviation_rate(w, 4.0 * w / g.n)
-    return RowValues(F, S, dF_rhs, sub_lhs, sub_rhs, om, Y, split,
-                     combined), error
+    return RowValues(F, S, dF_rhs, sub_lhs, sub_rhs, om, Y, split, combined)
+
+
+def row_failure_reference(ground, F, a_series, times, a_values):
+    """``variation.row_failure`` as a loop: row by row, the row's lambda0
+    (``ground.value``), then ``omega`` at each a in turn, then each a's Y,
+    omega, rhs_thm and rhs_ye in turn for a non-finite value.  Returns the
+    first failing row and its error, or (rows, None)."""
+    for k in range(len(F)):
+        try:
+            ground.value(k)
+            for a in a_values:
+                rl.omega(float(F[k]), a)
+        except rl.NumericalError as exc:
+            return k, exc
+        for j, a in enumerate(a_values):
+            for name, x in zip(("Y", "omega", "rhs_thm", "rhs_ye"),
+                               a_series[:, k, j]):
+                if not math.isfinite(x):
+                    tag = format(a, "g")
+                    return k, rl.BlowUp(f"{name}[{tag}] = {x:g} is not finite "
+                                        f"at t={times[k]:g} (a={tag})")
+    return len(F), None

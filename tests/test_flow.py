@@ -430,11 +430,11 @@ def test_one_column_path_is_bitwise_the_full_path(N, amplitude, seed):
     assert hist.v.tobytes() == hist_full.v.tobytes()
     assert hist.masses.tobytes() == hist_full.masses.tobytes()
 
-    got, error = row_values(backend.stack(col.params[::2]), hist.v,
-                            hist.times, [0.5, 2.0])
-    want, want_error = row_values(backend.stack(full.params[::2]), hist.v,
-                                  hist.times, [0.5, 2.0])
-    assert error is None and want_error is None
+    got = row_values(backend.stack(col.params[::2]), hist.v, hist.times,
+                     [0.5, 2.0])
+    want = row_values(backend.stack(full.params[::2]), hist.v, hist.times,
+                      [0.5, 2.0])
+    assert np.all(want.om > 0.0) and np.all(np.isfinite(want.rhs_split))
     for field in dataclasses.fields(want):
         assert (getattr(got, field.name).tobytes()
                 == getattr(want, field.name).tobytes()), field.name

@@ -527,9 +527,8 @@ def test_row_blocks_map_in_order_on_the_pool_and_join(monkeypatch):
     monkeypatch.setattr(geometry, "WORKERS", 3)
     monkeypatch.setattr(geometry, "ROW_CELLS", 3 * 2 * 4)
     main, before = threading.get_ident(), threading.active_count()
-    with geometry.row_blocks(lambda rows: (rows, threading.get_ident()),
-                             11, 4) as blocks:
-        results = list(blocks)
+    results = geometry.row_blocks(lambda rows: (rows, threading.get_ident()),
+                                  11, 4)
     assert [rows for rows, _ in results] == [
         slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 8), slice(8, 10),
         slice(10, 11)]
@@ -538,9 +537,9 @@ def test_row_blocks_map_in_order_on_the_pool_and_join(monkeypatch):
 
 
 def test_row_blocks_cancel_the_blocks_not_started(monkeypatch):
-    # The consumer stops after the first block.  The blocks running then
-    # finish, the six after them never start, and no pool thread outlives
-    # the context.
+    # The first block raises.  Its exception propagates, the blocks running
+    # then finish, the six after them never start, and no pool thread
+    # outlives the call.
     from riccilab import geometry
 
     monkeypatch.setattr(geometry, "WORKERS", 2)
@@ -550,12 +549,13 @@ def test_row_blocks_cancel_the_blocks_not_started(monkeypatch):
 
     def block(rows):
         started.append(rows.start)
-        if rows.start:
-            time.sleep(0.2)
+        if not rows.start:
+            raise RuntimeError("first block failed")
+        time.sleep(0.2)
         return rows.start
 
-    with geometry.row_blocks(block, 9, 1) as blocks:
-        assert next(blocks) == 0
+    with pytest.raises(RuntimeError, match="first block failed"):
+        geometry.row_blocks(block, 9, 1)
     assert set(started) <= {0, 1, 2}
     assert threading.active_count() == before
 
@@ -571,8 +571,6 @@ def test_row_blocks_one_worker_or_block_maps_in_the_calling_thread(
     monkeypatch.setattr(geometry, "WORKERS", workers)
     monkeypatch.setattr(geometry, "ROW_CELLS", workers)
     monkeypatch.setattr(geometry, "ThreadPoolExecutor", no_pool)
-    with geometry.row_blocks(lambda r: (r, threading.get_ident()), rows,
-                             1) as blocks:
-        results = list(blocks)
+    results = geometry.row_blocks(lambda r: (r, threading.get_ident()), rows, 1)
     assert [r for r, _ in results] == [slice(k, k + 1) for k in range(rows)]
     assert {ident for _, ident in results} == {threading.get_ident()}

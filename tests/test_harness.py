@@ -31,7 +31,11 @@ from riccilab.harness import (
     validate_config,
 )
 
-from cross_checks import gradient_inner, row_values_reference
+from cross_checks import (
+    gradient_inner,
+    row_failure_reference,
+    row_values_reference,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -160,13 +164,33 @@ def test_parse_rejects_bad_lines(tmp_path):
     # T / dt past the double range: checked before it is made an int
     ({"backend.kind": "round_sphere", "flow.T": "0.1", "flow.dt": "5e-324"},
      "flow.dt: inf rows (inf stored flow states)"),
+    ({"backend.kind": "round_sphere", "flow.T": "0.1", "flow.dt": "0"},
+     "flow.dt: must be positive or 'auto'"),
+    ({"backend.kind": "round_sphere", "flow.T": "0.1", "flow.dt": "-1e-3"},
+     "flow.dt: must be positive or 'auto'"),
+    ({"backend.kind": "round_sphere", "flow.T": "0.1", "flow.safety": "0"},
+     "flow.safety: must lie in (0, 1]"),
+    ({"backend.kind": "round_sphere", "flow.T": "0.1", "flow.safety": "1.5"},
+     "flow.safety: must lie in (0, 1]"),
+    ({"backend.kind": "round_sphere", "flow.T": "0.1", "backend.n": "1"},
+     "backend.n: sphere dimension must be >= 2"),
+    ({"backend.kind": "round_sphere", "flow.T": "0.1", "backend.c0": "-1"},
+     "backend.c0: must be positive"),
+    ({"backend.kind": "berger_sphere", "flow.T": "0.1", "backend.B0": "0"},
+     "backend.A0/B0/C0: must be positive"),
+    ({"backend.kind": "conformal_torus", "flow.T": "0.1", "backend.N": "7"},
+     "backend.N/backend.L: grid size N must be even and >= 8, got 7"),
+    ({"backend.kind": "conformal_torus", "flow.T": "0.1", "backend.L": "-1"},
+     "backend.N/backend.L: period L must be positive, got -1.0"),
 ], ids=["no-kind", "no-T", "bad-kind", "unknown", "bad-dt", "empty-a", "neg-T",
         "bad-tol", "repeated-a", "tag-collision-a", "signed-zero-a", "bad-datum", "bad-width",
         "lone-center-x", "lone-center-y", "negative-cutoff", "zero-cutoff",
         "negative-seed", "inf-c0", "inf-A0", "inf-L", "nan-phi-amplitude", "inf-T", "inf-a",
         "neg-inf-in-a-list", "inf-dt", "constant-datum-large-L",
         "constant-datum-large-c0", "random-datum-large-L", "flow-past-index-range",
-        "grid-past-index-range", "flow-steps-past-double-range"])
+        "grid-past-index-range", "flow-steps-past-double-range", "zero-dt",
+        "negative-dt", "zero-safety", "safety-above-1", "sphere-n-1",
+        "negative-c0", "zero-B0", "odd-N", "negative-L"])
 def test_make_config_errors(raw, msg):
     # make_config rejects the keys it parses; validate_config the settings
     # that need the initial metric.
@@ -724,38 +748,52 @@ def test_row_kernel_matches_reference_bitwise(case):
     # The kernel shares u**2, the differences of u and the off-diagonal part
     # of the tensor norm between F, S, T, dF_rhs and every rate; the
     # reference builds each functional on its own.  Over blocks of 1 row, 3
-    # rows and all K rows every field is bitwise the same, and so is the
-    # error of a block cut short by the extra a = -min(F)/4, whose omega is
-    # 0 on the rows of least F, also at a block's first row (an empty
-    # result).  On nearly flat cases every omega of that a is nearly 0 and
-    # the rates overflow, alike in both: floating-point warnings are off.
-    from riccilab.variation import row_values
+    # rows and all K rows every field is bitwise the same, and the same as
+    # the reference over all K rows, also with the extra a = -min(F)/4,
+    # whose omega is 0 on the rows of least F, so that Y is nan there.
+    # row_failure finds the same row and error as the reference loop, at
+    # least once at a block's first row.  On nearly flat cases every omega
+    # of that a is nearly 0 and the rates overflow, alike in both:
+    # floating-point warnings are off.
+    from riccilab.functionals import GroundStates
+    from riccilab.variation import row_failure, row_values
 
     traj, v_T = case
     hist = rl.solve_backward(traj, v_T, step=2.0 * traj.dt)
     K = len(hist.times)
     params = traj.params[::2][:K]
-    full, _ = row_values_reference(traj.backend.stack(params), hist.v,
-                                   hist.times, KERNEL_A)
-    a_values = KERNEL_A + [-float(np.min(full.F)) / 4.0]
-    cut = 0
+    F = row_values_reference(traj.backend.stack(params), hist.v, hist.times,
+                             KERNEL_A).F
+    a_values = KERNEL_A + [-float(np.min(F)) / 4.0]
+    with np.errstate(all="ignore"):
+        full = row_values_reference(traj.backend.stack(params), hist.v,
+                                    hist.times, a_values)
+    failures = []
     for rows in (1, 3, K):
         for start in range(0, K, rows):
             block = slice(start, start + rows)
             args = (traj.backend.stack(params[block]), hist.v[block],
                     hist.times[block], a_values)
             with np.errstate(all="ignore"):
-                got, error = row_values(*args)
-                want, want_error = row_values_reference(*args)
-            assert want_error is not None or len(want.F) == len(args[1])
-            assert type(error) is type(want_error)
-            assert str(error) == str(want_error)
-            cut += want_error is not None
+                got = row_values(*args)
+                want = row_values_reference(*args)
             for field in dataclasses.fields(want):
-                assert np.array_equal(getattr(got, field.name),
-                                      getattr(want, field.name),
-                                      equal_nan=True), (rows, start, field.name)
-    assert cut >= 3
+                name = field.name
+                for expected in (getattr(want, name), getattr(full, name)[block]):
+                    assert np.array_equal(getattr(got, name), expected,
+                                          equal_nan=True), (rows, start, name)
+            n = len(got.F)
+            ground = GroundStates(np.zeros(n), np.zeros(n, dtype=int),
+                                  np.zeros(n))
+            table = np.stack([got.Y, got.om, got.rhs_split, got.rhs_combined])
+            k, error = row_failure(ground, got.F, table, args[2], a_values)
+            want_k, want_error = row_failure_reference(ground, got.F, table,
+                                                       args[2], a_values)
+            assert (k, type(error), str(error)) == (
+                want_k, type(want_error), str(want_error))
+            if error is not None:
+                failures.append(k)
+    assert len(failures) >= 3 and 0 in failures
 
 
 def table_arrays(tables):
@@ -897,10 +935,10 @@ def test_row_failures_follow_the_row_check_order(omega, lam0, raised,
         assert len(tables.times) == first
 
 
-@pytest.mark.parametrize("later", ["omega", "exception"])
+@pytest.mark.parametrize("later", ["omega", "lambda0"])
 def test_earliest_failing_block_wins_on_the_pool(later, monkeypatch):
     # Row 4 fails its omega in the second 3-row block; a later block fails
-    # too, by its own omega at row 9 or by an exception.  The pool runs that
+    # too, by its own omega at row 9 or by its lambda0.  The pool runs that
     # block beside the earlier ones, yet row 4's class and message win and
     # rows 0-3 are kept, as on one block in the calling thread.
     from riccilab import harness
@@ -910,14 +948,14 @@ def test_earliest_failing_block_wins_on_the_pool(later, monkeypatch):
     if later == "omega":
         hist = poisoned(hist, 9, 0.01)
     else:
-        kernel = harness.row_values
+        solve = harness.ground_states
 
-        def exploding(g, v, times, a_values):
-            if times[0] >= hist.times[9]:
-                raise RuntimeError("later block exploded")
-            return kernel(g, v, times, a_values)
+        def unconverged(backend, params):
+            ground = solve(backend, params)
+            ground.residuals[9] = 2 * LAMBDA0_TOL
+            return ground
 
-        monkeypatch.setattr(harness, "row_values", exploding)
+        monkeypatch.setattr(harness, "ground_states", unconverged)
     u, _ = rl.change_variables(hist.field(4))
     want = expected_error(rl.omega, rl.f_functional(traj.state(8), u), -0.3)
     with pool(1, None, 1):
@@ -930,6 +968,30 @@ def test_earliest_failing_block_wins_on_the_pool(later, monkeypatch):
     for name in ("F", "S", "lam0", "om", "Y", "rhs_thm", "rhs_ye"):
         np.testing.assert_array_equal(getattr(tables, name),
                                       getattr(serial, name)[:4])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_later_block_exception_propagates(workers, monkeypatch):
+    # Row 4 fails its omega, and the block of rows 9-10 raises.  Every row
+    # is evaluated before the table is checked, so the exception propagates
+    # on one worker and on two alike, and no pool thread outlives it.
+    from riccilab import harness
+
+    traj, hist = sphere_rows()
+    hist = poisoned(hist, 4, 0.01)
+    kernel = harness.row_values
+
+    def exploding(g, v, times, a_values):
+        if times[0] >= hist.times[9]:
+            raise RuntimeError("later block exploded")
+        return kernel(g, v, times, a_values)
+
+    monkeypatch.setattr(harness, "row_values", exploding)
+    before = threading.active_count()
+    with pool(workers, 3, 1):
+        with pytest.raises(RuntimeError, match="later block exploded"):
+            harness.evaluate_tables(traj, [hist], [1.0, -0.3])
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("k", [3, 7])
@@ -959,6 +1021,19 @@ def test_evaluate_tables_stops_at_unconverged_row(k, monkeypatch):
         np.testing.assert_array_equal(tables.F, full.F[:k])
         np.testing.assert_array_equal(tables.lam0_iterations,
                                       full.lam0_iterations[:k])
+
+
+def test_evaluate_tables_rejects_chunks_that_miss_a_row():
+    # Chunks of rows 0-4 and 6-10 leave row 5 unevaluated.
+    from riccilab import harness
+
+    traj, hist = sphere_rows()
+    chunks = [rl.DensityHistory(hist.backend, hist.times[rows], hist.v[rows],
+                                hist.masses[rows], rows.start)
+              for rows in (slice(0, 5), slice(6, 11))]
+    with pytest.raises(ValueError, match="density chunks hold 10 rows, not "
+                                         "the trajectory's 11"):
+        harness.evaluate_tables(traj, chunks, [1.0])
 
 
 STAGES = ("flow_s", "heat_s", "rows_s", "summary_s", "writers_s")
@@ -1085,34 +1160,52 @@ def test_stage_clock_invariants(tmp_path):
 
 def test_peak_rss_is_read_at_the_stage_end(tmp_path, monkeypatch):
     # Each stage's peak_rss_mb is the reading at its end, after the stage's
-    # work: under a getrusage whose ru_maxrss grows by 1 MiB a call, the
-    # summary stage records more than the reading its work ran after.
-    import resource
-    from types import SimpleNamespace
-
+    # work: under a reader whose peak grows by 1 MiB a call, the summary
+    # stage records more than the reading its work ran after.
     from riccilab import harness
 
-    calls, inside = [], []
-    mib = 2**20 if sys.platform == "darwin" else 1024  # ru_maxrss's unit
-
-    def getrusage(who):
-        calls.append(who)
-        return SimpleNamespace(ru_minflt=resource.getrusage(who).ru_minflt,
-                               ru_maxrss=mib * len(calls))
+    inside = []
+    calls = iter(range(1, 100))
 
     def summary(tables, cfg):
-        inside.append(len(calls))
+        inside.append(next(calls))
         return real_summary(tables, cfg)
 
     real_summary = harness._summary
-    monkeypatch.setattr(harness, "resource", SimpleNamespace(
-        RUSAGE_SELF=resource.RUSAGE_SELF, getrusage=getrusage))
+    monkeypatch.setattr(harness, "_peak_rss_mb", lambda: float(next(calls)))
     monkeypatch.setattr(harness, "_summary", summary)
     validated = validate_config(make_config(ROW_KERNEL_CFGS["round_sphere"]))
     assert run(validated, tmp_path / "z").status == "ok"
     peaks = json.loads((tmp_path / "z" / "manifest.json").read_text())[
         "peak_rss_mb"]
-    assert peaks["heat_and_rows"] <= inside[0] < peaks["summary"]
+    assert peaks["heat_and_rows"] < inside[0] < peaks["summary"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                    reason="VmHWM needs /proc/self/status")
+def test_child_run_reports_its_own_peak_rss(tmp_path):
+    # A run started as a child of a process that first touched 128 MiB:
+    # getrusage's ru_maxrss in the child starts at that parent's peak, the
+    # VmHWM that peak_rss_mb reads is reset by exec, and every stage's peak
+    # stays below 100 MiB.
+    child = ("import resource, sys\n"
+             "from riccilab.harness import make_config, run, validate_config\n"
+             f"cfg = make_config({ROW_KERNEL_CFGS['round_sphere']!r})\n"
+             "assert run(validate_config(cfg), sys.argv[1]).status == 'ok'\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    parent = ("import subprocess, sys\n"
+              "held = b'x' * (128 << 20)\n"
+              "subprocess.run([sys.executable, '-c', sys.argv[1], sys.argv[2]],"
+              " check=True)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(rl.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", parent, child, str(tmp_path / "out")], env=env,
+        capture_output=True, text=True, check=True)
+    assert int(done.stdout) / 1024.0 >= 128.0  # KiB on Linux
+    peaks = json.loads((tmp_path / "out" / "manifest.json").read_text())[
+        "peak_rss_mb"]
+    assert set(peaks) == {"flow", "heat_and_rows", "summary", "writers"}
+    assert all(0.0 < peak < 100.0 for peak in peaks.values()), peaks
 
 
 def test_manifest_records_the_numeric_environment(sphere_result):
@@ -1934,6 +2027,11 @@ def test_convergence_study_validation(tmp_path):
                               "flow.dt": "1e-3", "entropy.a": "0"})
     with pytest.raises(rl.ConfigError):
         convergence_study(sphere_cfg, 3, tmp_path / "y")
+    auto_cfg = make_config({"backend.kind": "conformal_torus", "flow.T": "0.02",
+                            "backend.N": "16", "entropy.a": "1"})
+    with pytest.raises(rl.ConfigError, match="explicit base dt"):
+        convergence_study(auto_cfg, 3, tmp_path / "z")
+    assert not (tmp_path / "z").exists()
 
 
 # -------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import riccilab as rl
 
@@ -195,17 +196,72 @@ def test_row_kernel_holds_at_most_14_fields(column, a_values):
     times = 1e-3 * np.arange(K)
     g = backend.stack(phi)
     assert g.params.shape == ((K, 64, 1) if column else (K, 64, 64))
-    want, _ = row_values(g, v, times, a_values)
+    want = row_values(g, v, times, a_values)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        got, error = row_values(g, v, times, a_values)
+        got = row_values(g, v, times, a_values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert error is None and np.array_equal(got.rhs_split, want.rhs_split)
+    assert np.all(got.om > 0.0) and np.array_equal(got.rhs_split, want.rhs_split)
     fields = (peak - before) / v.nbytes
     assert 8.0 < fields <= 14.0, fields
+
+
+# -------------------------------------------------------------------------
+# Row-failure rule
+# -------------------------------------------------------------------------
+
+SPECIAL = np.array([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def row_tables(draw):
+    """A table as ``harness.evaluate_tables`` fills it, with random failing
+    rows: (ground, F, a_series, times, a_values).  Each example draws its
+    own odds of a failing cell.  At those odds a row's lambda0 is
+    unconverged (residual twice the tolerance, or nan), its F is nan, inf or
+    -inf, and so is each Y and rate cell.  omega = a + F/4 is built as the
+    kernel builds it: non-positive where F < -4 a, nan or infinite where F
+    is."""
+    from riccilab.functionals import LAMBDA0_TOL, GroundStates
+
+    rows, odds = draw(st.integers(1, 8)), draw(st.integers(2, 16))
+    a_values = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3))
+    shape = (5, rows, len(a_values))  # lambda0, F, Y and the two rates
+    cells = draw(arrays(float, shape, elements=st.floats(0.0, 40.0)))
+    # The top three of 0 ... 3 * odds - 1 pick nan, inf or -inf.
+    pick = draw(arrays(np.int64, shape, elements=st.integers(0, 3 * odds - 1),
+                       fill=st.nothing()))
+    pick -= 3 * odds - 3
+    cells = np.where(pick >= 0, SPECIAL[pick.clip(0)], cells)
+    lam0 = pick[0].max(axis=1)  # as likely to fail as Y at each a
+    residuals = np.where(lam0 >= 0, np.where(lam0, 2.0 * LAMBDA0_TOL,
+                                             math.nan), 0.0)
+    F = 40.0 - cells[1, :, 0]  # simple draws give omega > 0
+    om = np.asarray(a_values) + F[:, None] / 4.0
+    Y, split, combined = cells[2:]
+    ground = GroundStates(np.zeros(rows), np.zeros(rows, dtype=int),
+                          residuals)
+    times = 1e-3 * np.arange(rows)
+    return ground, F, np.stack([Y, om, split, combined]), times, a_values
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(table=row_tables())
+def test_row_failure_matches_the_row_loop(table):
+    # The vectorised rule finds the same row, error class and message as
+    # the loop over rows: lambda0, then omega at each a, then the first
+    # non-finite of each a's Y, omega, rhs_thm and rhs_ye.
+    from riccilab.variation import row_failure
+
+    from cross_checks import row_failure_reference
+
+    k, error = row_failure(*table)
+    want_k, want_error = row_failure_reference(*table)
+    assert (k, type(error), str(error)) == (want_k, type(want_error),
+                                            str(want_error))
 
 
 # -------------------------------------------------------------------------

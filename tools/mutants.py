@@ -47,17 +47,27 @@ MUTANTS = [
      "a4, b4, c4 = _berger_rates(A + dt * a3,",
      "a4, b4, c4 = _berger_rates(A + dt * a2,",
      ["tests/test_flow.py"]),
-    # Tolerances and the order of the row checks.
+    # Tolerances.
     ("heat-mass-tol-times-10", "heat.py",
      "if abs(mass - 1.0) > mass_tol:", "if abs(mass - 1.0) > 10.0 * mass_tol:",
      ["tests/test_heat.py"]),
     ("monotonicity-tol-times-10", "variation.py",
      "drops = y[1:] < y[:-1] - tol", "drops = y[1:] < y[:-1] - 10.0 * tol",
      ["tests/test_variation.py", "tests/test_harness.py"]),
-    ("rows-ignore-unconverged-lambda0", "harness.py",
-     "limit = int(np.argmax(unconverged)) if np.any(unconverged) else n",
-     "limit = n",
-     ["tests/test_harness.py"]),
+    # The row-failure rule: its check order and the masked logarithm.
+    ("row-failure-without-lambda0", "variation.py",
+     "fails = np.stack([~ground.converged,",
+     "fails = np.stack([np.zeros_like(ground.converged),",
+     ["tests/test_variation.py", "tests/test_harness.py"]),
+    ("row-failure-finite-before-omega", "variation.py",
+     "                      ~np.all(a_series[1] > 0.0, axis=1),\n"
+     "                      ~np.all(finite, axis=(1, 2))], axis=1)",
+     "                      ~np.all(finite, axis=(1, 2)),\n"
+     "                      ~np.all(a_series[1] > 0.0, axis=1)], axis=1)",
+     ["tests/test_variation.py", "tests/test_harness.py"]),
+    ("row-kernel-log-of-raw-omega", "variation.py",
+     "np.where(om > 0.0, om, np.nan)", "om",
+     ["tests/test_variation.py", "tests/test_harness.py"]),
     # Finite-difference stencils and the interior mask.
     ("fd-near-edge-stencil", "variation.py",
      "d[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[4])",
@@ -103,7 +113,7 @@ MUTANTS = [
     ("a-tag-str", "variation.py",
      'return format(a, "g")', "return str(a)",
      ["tests/test_harness.py"]),
-    # The stage clock.
+    # The stage clock and the peak-RSS reader.
     ("heat-usage-left-in-rows", "harness.py",
      'with _charged(blocks, "heat_s", within="rows_s"):\n'
      '            chunk = next(chunks, None)',
@@ -114,7 +124,11 @@ MUTANTS = [
      'with _charged(blocks, "lambda0_s"):', 'with _charged(None, "lambda0_s"):',
      ["tests/test_harness.py"]),
     ("peak-rss-at-stage-start", "harness.py",
-     "peaks[entry] = readings[-1][3]", "peaks[entry] = readings[0][3]",
+     "            yield\n        peaks[entry] = _peak_rss_mb()",
+     "            peaks[entry] = _peak_rss_mb()\n            yield",
+     ["tests/test_harness.py"]),
+    ("peak-rss-from-ru-maxrss", "harness.py",
+     'open("/proc/self/status", "rb")', 'open("/proc/self/no-status", "rb")',
      ["tests/test_harness.py"]),
 ]
 
