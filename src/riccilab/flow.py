@@ -7,12 +7,11 @@ trajectories are immutable.
 
 The loop steps a state in the backend's component form: Python floats on
 the spheres, the phi array on the torus.  Each backend's ``step`` is one
-RK4 step of its own component form, straight-line code on the spheres'
-floats, combining the components entry by entry in the order of the array
-form p + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) with stages at p + (dt / 2) k,
-so the results are bitwise what numpy arrays give; the tests pin each
-backend's step to the array form, overflow and division by zero at any
-stage included.
+RK4 step of its own component form: ``geometry.rk4_step`` on the torus,
+where its stages and combination are described, and straight-line code in
+the same order on the spheres' floats, so the results are bitwise what
+numpy arrays give; the tests pin each backend's step to the array form,
+overflow and division by zero at any stage included.
 
 The loop only steps and stores; the stored trajectory is then checked in
 one vectorised pass.  Each state's smallest metric scale (``min_scale``
@@ -32,9 +31,8 @@ combination are entry-wise, and a y-constant grid's y-neighbours are the
 entries themselves, so the column holds exactly the bits of every column of
 the full grid (and the flow keeps phi y-constant).  Its ``step`` works on
 the column's bare (N,) view, the stencil taking the x-neighbours by index
-arrays (``geometry._lap_column``), and accumulates the combination in k1,
-in the order above; the step returns a new (N, 1) array.  The trajectory
-stores what was stepped and exposes ``params`` as a read-only
+arrays (``geometry._lap_column``), and returns a new (N, 1) array.  The
+trajectory stores what was stepped and exposes ``params`` as a read-only
 ``np.broadcast_to`` view of the full shape (K+1,) + param_shape;
 ``geometry``'s torus stack takes such a view back to its one column, and
 ``functionals.lambda0_eig`` solves a state on the same column, so g(0) and

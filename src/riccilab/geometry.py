@@ -66,8 +66,8 @@ one-entry list holding phi on the torus (its column when y-invariant).
 ``rates`` is the flow velocity in that form, and ``step(p, dt)`` one RK4
 step of it: one line on the round sphere, whose rate does not depend on c;
 straight-line code over A, B, C on the Berger sphere, whose float squares
-skip ``_pow``'s calls (``_squares``); the array RK4 on the torus, each
-rate and the combination accumulated in place, a y-invariant column
+skip ``_pow``'s calls (``_squares``); ``rk4_step`` on the torus, each
+rate written into its stencil's output, a y-invariant column
 stepped on its bare (N,) view through ``_lap_column`` (25-28 us a step at
 N = 32 against 47-58 us for the (N, 1) array form on a 2-core Xeon: numpy's
 per-call cost, not the arithmetic, sets both).  Each keeps the array
@@ -123,6 +123,7 @@ __all__ = [
     "CHUNK_CELLS",
     "WORKERS",
     "row_blocks",
+    "rk4_step",
     "scalar_field",
     "grid_coords",
     "volume",
@@ -183,6 +184,34 @@ def row_blocks(fn, rows: int, cells: int) -> list:
         return list(pool.map(fn, blocks))
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def rk4_step(rate, w, dt):
+    """One classical RK4 step of dw/dt = rate from w: the torus flow's and the
+    backward heat solve's one step.
+
+    ``rate(s, x)`` is the velocity at x, ``s`` half steps into the step
+    (stages at offsets 0, 1, 1, 2), written into an array it returns (or a
+    new float).  The stages are k1 = rate(0, w), k2 = rate(1, w + (dt / 2)
+    k1), k3 = rate(1, w + (dt / 2) k2) and k4 = rate(2, w + dt k3); then
+    w + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) is accumulated in k1 in that order
+    (2 k2, 2 k3, k4, the factor dt / 6, then w), so an array updates in
+    place and a float rebinds, each entry by the same operations.  The
+    spheres' flow steps write the same order out on floats (``step``).
+    """
+    half = 0.5 * dt
+    k1 = rate(0, w)
+    k2 = rate(1, w + half * k1)
+    k3 = rate(1, w + half * k2)
+    k4 = rate(2, w + dt * k3)
+    k2 *= 2.0
+    k1 += k2
+    k3 *= 2.0
+    k1 += k3
+    k1 += k4
+    k1 *= dt / 6.0
+    k1 += w
+    return k1
 
 
 class _cached:
@@ -288,7 +317,8 @@ class BergerSphere(_Homogeneous):
 
     @staticmethod
     def step(p, dt):
-        """One RK4 step of [A, B, C], straight-line over the three floats."""
+        """One RK4 step of [A, B, C], straight-line over the three floats in
+        ``rk4_step``'s order."""
         A, B, C = p
         half = 0.5 * dt
         a1, b1, c1 = _berger_rates(A, B, C)
@@ -345,32 +375,22 @@ class ConformalTorus2D:
 
     def rates(self, p):
         """dphi/dt = e^{-2 phi} Lap0 phi (from dg/dt = -R g in two dimensions)."""
-        (phi,) = p
-        return [_phi_rate(phi, _lap5, self.h)]
+        return [self._rate(0, p[0])]
 
     def step(self, p, dt):
-        """One RK4 step of [phi]: each rate written into its stencil's
-        output, and phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        accumulated in k1 in that order.  A column (N, 1) steps its bare
-        (N,) view through ``_lap_column``; the result is a new array shaped
-        like phi."""
+        """One ``rk4_step`` of [phi].  A column (N, 1) steps its bare (N,)
+        view; the result is a new array shaped like phi."""
         (phi,) = p
-        w, lap, h = phi, _lap5, self.h
-        if phi.shape[-1] == 1:
-            w, lap = phi.reshape(-1), _lap_column
-        half = 0.5 * dt
-        k1 = _phi_rate(w, lap, h)
-        k2 = _phi_rate(w + half * k1, lap, h)
-        k3 = _phi_rate(w + half * k2, lap, h)
-        k4 = _phi_rate(w + dt * k3, lap, h)
-        k2 *= 2.0
-        k1 += k2
-        k3 *= 2.0
-        k1 += k3
-        k1 += k4
-        k1 *= dt / 6.0
-        k1 += w
-        return [k1.reshape(phi.shape)]
+        w = phi.reshape(-1) if phi.shape[-1] == 1 else phi
+        return [rk4_step(self._rate, w, dt).reshape(phi.shape)]
+
+    def _rate(self, s, w):
+        """The flow velocity e^{-2 w} Lap0 w at any stage s, written into the
+        stencil's output: ``_lap_column`` for a bare (N,) column, else
+        ``_lap5``."""
+        out = (_lap_column if w.ndim == 1 else _lap5)(w, self.h)
+        out *= np.exp(-2.0 * w)
+        return out
 
     @staticmethod
     def min_scale(states):
@@ -581,13 +601,6 @@ def _lap_column(w, h):
     out += w
     out -= 4.0 * w
     out /= h * h
-    return out
-
-
-def _phi_rate(w, lap, h):
-    """The flow velocity e^{-2 w} lap(w, h), written into lap's output."""
-    out = lap(w, h)
-    out *= np.exp(-2.0 * w)
     return out
 
 
@@ -874,9 +887,9 @@ class _TorusStack(MetricStack):
     @_cached
     def _phi_central(self):
         """Central differences of phi along x and y (the Christoffel terms)."""
-        phi, h2 = self.params, 2.0 * self.backend.h
-        return ((_roll(phi, -1, 0) - _roll(phi, 1, 0)) / h2,
-                (_roll(phi, -1, 1) - _roll(phi, 1, 1)) / h2)
+        phi, h = self.params, self.backend.h
+        return (_central(_roll(phi, -1, 0), _roll(phi, 1, 0), h),
+                _central(_roll(phi, -1, 1), _roll(phi, 1, 1), h))
 
     def hessian(self, w):
         """Central second differences of w, its cross difference from the

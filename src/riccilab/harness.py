@@ -2,8 +2,9 @@
 manifest persistence, and convergence studies.
 
 Config format: flat ``key = value`` text, ``#`` comments, dotted keys
-(``backend.kind``, ``flow.T``, ``entropy.a`` as a comma list, ...).  See
-README for the full key table.
+(``backend.kind``, ``flow.T``, ``entropy.a`` as a comma list, ...), each
+declared once, by its ``RunConfig`` field.  See README for the full key
+table.
 
 Artifacts per run: ``data.csv`` (fixed schema: t, F, S, lambda0, then per
 adjustment value Y[a], omega[a], dYdt_fd[a], rhs_thm[a], rhs_ye[a],
@@ -52,6 +53,7 @@ sensitive to.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -59,7 +61,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +92,7 @@ from .functionals import ground_states, lambda0
 from .heat import (
     DATUM_KINDS,
     POSITIVITY_FLOOR,
+    bump_terms,
     check_datum,
     stream_backward,
     terminal_datum,
@@ -129,65 +132,46 @@ log = logging.getLogger(__name__)
 # Configuration
 # --------------------------------------------------------------------------
 
-@dataclass
-class RunConfig:
-    """Typed run configuration with defaults applied."""
+def _key(key: str, kind, default=MISSING, **options):
+    """A ``RunConfig`` field read from the config key ``key``, converted as
+    ``_convert``'s ``kind``; without a default the key is required."""
+    return field(default=default, metadata=dict(key=key, kind=kind), **options)
 
-    backend_kind: str
-    n: int = 2
-    c0: float = 1.0
-    A0: float = 1.0
-    B0: float = 1.0
-    C0: float = 1.0
-    N: int = 64
-    L: float = 2.0 * math.pi
-    phi_amplitude: float = 0.0
-    phi_mode: int = 1
-    T: float = 0.1
-    dt: float | str = "auto"
-    safety: float = 0.5
-    datum: str = "constant"
-    seed: int = 0
-    amplitude: float = 0.1
-    cutoff: int = 2
-    center_x: float | None = None
-    center_y: float | None = None
-    width: float | None = None
-    a_values: list[float] = field(default_factory=lambda: [0.0])
-    tol_mono: float = 1e-6
-    tol_equiv: float = 1e-8
-    tol_mass: float = 1e-6
-    out_dir: str | None = None
+
+@dataclass(kw_only=True)
+class RunConfig:
+    """Typed run configuration with defaults applied.  Each field but ``raw``
+    declares its config key and kind (``_key``), in the order the required
+    keys are checked."""
+
+    backend_kind: str = _key("backend.kind", str)
+    n: int = _key("backend.n", int, 2)
+    c0: float = _key("backend.c0", float, 1.0)
+    A0: float = _key("backend.A0", float, 1.0)
+    B0: float = _key("backend.B0", float, 1.0)
+    C0: float = _key("backend.C0", float, 1.0)
+    N: int = _key("backend.N", int, 64)
+    L: float = _key("backend.L", float, 2.0 * math.pi)
+    phi_amplitude: float = _key("backend.phi_amplitude", float, 0.0)
+    phi_mode: int = _key("backend.phi_mode", int, 1)
+    T: float = _key("flow.T", float)
+    dt: float | str = _key("flow.dt", "dt", "auto")
+    safety: float = _key("flow.safety", float, 0.5)
+    datum: str = _key("heat.datum", str, "constant")
+    seed: int = _key("heat.seed", int, 0)
+    amplitude: float = _key("heat.amplitude", float, 0.1)
+    cutoff: int = _key("heat.cutoff", int, 2)
+    center_x: float | None = _key("heat.center_x", float, None)
+    center_y: float | None = _key("heat.center_y", float, None)
+    width: float | None = _key("heat.width", float, None)
+    a_values: list[float] = _key("entropy.a", "float_list",
+                                 default_factory=lambda: [0.0])
+    tol_mono: float = _key("tol.mono", float, 1e-6)
+    tol_equiv: float = _key("tol.equiv", float, 1e-8)
+    tol_mass: float = _key("tol.mass", float, 1e-6)
+    out_dir: str | None = _key("out.dir", str, None)
     raw: dict = field(default_factory=dict)
 
-
-_KEY_TABLE = {
-    "backend.kind": ("backend_kind", str),
-    "backend.n": ("n", int),
-    "backend.c0": ("c0", float),
-    "backend.A0": ("A0", float),
-    "backend.B0": ("B0", float),
-    "backend.C0": ("C0", float),
-    "backend.N": ("N", int),
-    "backend.L": ("L", float),
-    "backend.phi_amplitude": ("phi_amplitude", float),
-    "backend.phi_mode": ("phi_mode", int),
-    "flow.T": ("T", float),
-    "flow.dt": ("dt", "dt"),
-    "flow.safety": ("safety", float),
-    "heat.datum": ("datum", str),
-    "heat.seed": ("seed", int),
-    "heat.amplitude": ("amplitude", float),
-    "heat.cutoff": ("cutoff", int),
-    "heat.center_x": ("center_x", float),
-    "heat.center_y": ("center_y", float),
-    "heat.width": ("width", float),
-    "entropy.a": ("a_values", "float_list"),
-    "tol.mono": ("tol_mono", float),
-    "tol.equiv": ("tol_equiv", float),
-    "tol.mass": ("tol_mass", float),
-    "out.dir": ("out_dir", str),
-}
 
 _BACKEND_KINDS = ("round_sphere", "berger_sphere", "conformal_torus")
 
@@ -236,18 +220,28 @@ def _convert(key: str, value, kind):
     return floats if kind == "float_list" else floats[0]
 
 
+@functools.cache
+def _declared() -> tuple[dict, tuple]:
+    """Each config key's ``RunConfig`` field, and the required keys (the
+    fields without a default) in field order."""
+    declared = {f.metadata["key"]: f for f in fields(RunConfig) if f.metadata}
+    return declared, tuple(key for key, f in declared.items()
+                           if f.default is MISSING is f.default_factory)
+
+
 def make_config(raw: dict) -> RunConfig:
     """Build a typed RunConfig from raw key/value pairs (strings or typed)."""
-    if "backend.kind" not in raw:
-        raise ConfigError("backend.kind: missing required key")
-    if "flow.T" not in raw:
-        raise ConfigError("flow.T: missing required key")
-    cfg = RunConfig(backend_kind="", raw=dict(raw))
+    declared, required = _declared()
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"{key}: missing required key")
+    values = {}
     for key, value in raw.items():
-        if key not in _KEY_TABLE:
+        if key not in declared:
             raise ConfigError(f"{key}: unknown configuration key")
-        attr, kind = _KEY_TABLE[key]
-        setattr(cfg, attr, _convert(key, value, kind))
+        f = declared[key]
+        values[f.name] = _convert(key, value, f.metadata["kind"])
+    cfg = RunConfig(**values, raw=dict(raw))
     if cfg.backend_kind not in _BACKEND_KINDS:
         raise ConfigError(
             f"backend.kind: must be one of {_BACKEND_KINDS}, got {cfg.backend_kind!r}"
@@ -295,7 +289,8 @@ def make_config(raw: dict) -> RunConfig:
 
 def _initial_state(cfg: RunConfig) -> MetricState:
     """The initial metric; one whose curvature or volume overflows is a
-    ConfigError keyed by the backend parameter."""
+    ConfigError keyed by the backend parameter, and so is a torus whose
+    initial phase mode * 2 pi x / L is not finite at some node."""
     if cfg.backend_kind == "round_sphere":
         if cfg.n < 2:
             raise ConfigError("backend.n: sphere dimension must be >= 2")
@@ -317,13 +312,25 @@ def _initial_state(cfg: RunConfig) -> MetricState:
             raise _past_index_range("backend.N", f"one {cfg.N} x {cfg.N} grid",
                                     cfg.N * cfg.N)
         x, y = grid_coords(backend)
-        phi0 = cfg.phi_amplitude * np.sin(cfg.phi_mode * 2.0 * math.pi * x / cfg.L)
-        key, m0 = "backend.phi_amplitude", MetricState(backend, 0.0, phi0 + 0.0 * y)
+        try:
+            k = cfg.phi_mode * 2.0 * math.pi
+        except OverflowError:  # an int past the float range
+            k = math.inf
+        with np.errstate(all="ignore"):
+            phase = k * x / cfg.L
+        if not np.isfinite(phase).all():
+            key = "backend.phi_mode" if abs(k) > cfg.L else "backend.L"
+            raise ConfigError(f"{key}: the initial phi's phase is not finite")
+        phi0 = cfg.phi_amplitude * np.sin(phase)
+        # h * h = 0 makes the 5-point stencil 0 / 0 whatever phi is.
+        key = "backend.phi_amplitude" if backend.h * backend.h > 0 else "backend.L"
+        m0 = MetricState(backend, 0.0, phi0 + 0.0 * y)
     with np.errstate(all="ignore"):
         try:
             R, vol = m0.stack.R, m0.stack.volume
-        except OverflowError:  # the unit round sphere's volume at large n
-            key, R, vol = "backend.n", math.nan, math.nan
+        except OverflowError:  # the unit round sphere's volume, or the torus's h**2
+            key = "backend.n" if cfg.backend_kind == "round_sphere" else "backend.L"
+            R, vol = math.nan, math.nan
     if math.isnan(m0.backend.field_min(R)) or not math.isfinite(vol):
         raise ConfigError(f"{key}: the initial metric's curvature or volume "
                           "is not finite")
@@ -378,11 +385,20 @@ def validate_config(cfg: RunConfig) -> ValidatedRun:
     grid nodes the run's datum uses.  A datum below the positivity floor is
     a ConfigError on the backend key that sets the volume when its mean
     1/volume is below the floor already (no amplitude can lift it), and on
-    ``heat.amplitude`` otherwise.
+    ``heat.amplitude`` otherwise.  A torus bump whose ``heat.bump_terms``
+    are not finite is a ConfigError on ``heat.center_x/center_y`` (a phase)
+    or ``heat.width`` (the scale), checked first.
     """
     m0 = _initial_state(cfg)
+    params = _datum_params(cfg)
+    if cfg.datum == "bump" and isinstance(m0.backend, ConformalTorus2D):
+        px, py, scale = bump_terms(m0.backend, params["center"], params["width"])
+        if not (np.isfinite(px).all() and np.isfinite(py).all()):
+            raise ConfigError("heat.center_x/center_y: a bump phase is not finite")
+        if not scale < math.inf:
+            raise ConfigError("heat.width: the bump scale is not finite")
     try:
-        check_datum(cfg.datum, m0, **_datum_params(cfg))
+        check_datum(cfg.datum, m0, **params)
     except NonPositive as exc:
         small = not 1.0 / volume(m0) > POSITIVITY_FLOOR
         key = _VOLUME_KEYS[cfg.backend_kind] if small else "heat.amplitude"

@@ -22,12 +22,11 @@ the solve.  The snapshot geometry -- R, the Laplace-Beltrami factor and the
 volume weight -- is built once per snapshot by stacked calls over blocks of
 at most ``geometry.ROW_CELLS`` cells (or one step), not once per RK4 stage,
 and read per row as ``backend.rows`` gives it: Python floats on the
-spheres, grids on the torus, either way bitwise alike.  Each stage's
-right-hand side is written into the output of the flat Laplacian, and the
-combination v + (step / 6) (k1 + 2 k2 + 2 k3 + k4) is accumulated in k1 in
-that order, so every entry keeps the array form's operations; on the
-spheres the same statements rebind floats.  Mass is checked at every step
-but never renormalized.
+spheres, grids on the torus, either way bitwise alike.  Each step is one
+``geometry.rk4_step``, its stage offsets 0, 1, 1 and 2 reading snapshots
+i, i - 1, i - 1 and i - 2, each stage's right-hand side written into the
+output of the flat Laplacian; on the spheres the same statements rebind
+floats.  Mass is checked at every step but never renormalized.
 
 One RK4 loop serves two callers.  ``stream_backward`` hands the rows over
 as they complete, top-down, in chunks of at most ``geometry.CHUNK_CELLS``
@@ -53,6 +52,7 @@ from .geometry import (
     ConformalTorus2D,
     MetricState,
     ScalarField,
+    _pow,
     grid_coords,
     integrate,
     scalar_field,
@@ -62,6 +62,7 @@ from .geometry import (
 __all__ = [
     "DensityHistory",
     "terminal_datum",
+    "bump_terms",
     "check_datum",
     "change_variables",
     "stream_backward",
@@ -142,7 +143,8 @@ def terminal_datum(
     resolutions.  Homogeneous backends carry single-value fields, so every
     kind degenerates to the constant datum there.  Raises NonPositive for a
     bump that is not positive on every node and for a datum whose
-    normalized values are not finite (an overflowing random series).
+    normalized values are not finite (an overflowing random series), and
+    ValueError for a bump whose ``bump_terms`` are not finite.
     """
     b = m_T.backend
     if kind not in DATUM_KINDS:
@@ -150,16 +152,13 @@ def terminal_datum(
     if not isinstance(b, ConformalTorus2D) or kind == "constant":
         return _normalized(m_T, np.ones(b.field_shape), "the constant datum")
 
-    x, y = grid_coords(b)
     if kind == "bump":
-        cx, cy = center if center is not None else (b.L / 2.0, b.L / 2.0)
-        bw = width if width is not None else b.L / 8.0
-        if not (bw > 0):
-            raise ValueError(f"bump width must be positive, got {bw}")
-        shape = np.exp(
-            -(np.sin(np.pi * (x - cx) / b.L) ** 2 + np.sin(np.pi * (y - cy) / b.L) ** 2)
-            * (b.L / (np.pi * bw)) ** 2 / 2.0
-        )
+        px, py, scale = bump_terms(b, center, width)
+        if not (np.isfinite(px).all() and np.isfinite(py).all()
+                and scale < math.inf):
+            raise ValueError("bump center or width past the float range")
+        with np.errstate(over="ignore"):  # an exponent of -inf gives 0
+            shape = np.exp(-(np.sin(px) ** 2 + np.sin(py) ** 2) * scale / 2.0)
         raw = 1.0 + amplitude * shape
         if np.min(raw) <= 0.0:
             raise NonPositive(
@@ -167,6 +166,7 @@ def terminal_datum(
             )
         return _normalized(m_T, raw, f"bump amplitude {amplitude:g}")
 
+    x, y = grid_coords(b)
     w = np.zeros((b.N, b.N))
     two_pi = 2.0 * np.pi / b.L
     for kx, ky, a_k, b_k, decay in _fourier_modes(seed, mode_cutoff):
@@ -175,6 +175,22 @@ def terminal_datum(
     with np.errstate(over="ignore"):
         raw = np.exp(amplitude * w)
     return _normalized(m_T, raw, f"random_smooth amplitude {amplitude:g}")
+
+
+def bump_terms(b: ConformalTorus2D, center=None, width=None):
+    """The bump datum's terms on b's grid nodes: the phases pi (x - cx) / L
+    and pi (y - cy) / L and the scale (L / (pi * width))^2, with the centre
+    (L/2, L/2) and the width L/8 by default.  A term past the float range is
+    not finite, and no numpy warning is printed; ValueError for a width
+    that is not positive."""
+    x, y = grid_coords(b)
+    cx, cy = center if center is not None else (b.L / 2.0, b.L / 2.0)
+    bw = width if width is not None else b.L / 8.0
+    if not (bw > 0):
+        raise ValueError(f"bump width must be positive, got {bw}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        px, py = np.pi * (x - cx) / b.L, np.pi * (y - cy) / b.L
+    return px, py, _pow(b.L / (np.pi * bw), 2)
 
 
 def check_datum(kind: str, m: MetricState, *, amplitude: float = 0.5,
@@ -303,10 +319,9 @@ def _backward(traj, v_T, mass_tol, chunk_cells):
 
 def _rk4_rows(traj, v_T):
     """(row, v, mass) of the terminal row, then of each row below it as its
-    RK4 tau-step of twice the trajectory spacing completes."""
+    ``geometry.rk4_step`` in tau of twice the trajectory spacing completes."""
     M = traj.num_steps // 2
     step = 2.0 * traj.dt
-    half, sixth = 0.5 * step, step / 6.0
     backend = traj.backend
     lap0, rows = backend.flat_laplacian, backend.rows
     (v,) = rows(v_T.values[None])
@@ -319,30 +334,18 @@ def _rk4_rows(traj, v_T):
         g = backend.stack(traj.params[2 * lo:2 * hi + 1])
         R, lap_factor, weight = rows(g.R), rows(g.lap_factor), rows(g.weight)
 
-        def rhs(i, w):
-            """dv/dtau = Lap_g w - R w at snapshot i of the block, written
-            into lap0(w)'s output (a new float on the spheres)."""
+        def rhs(s, w):
+            """dv/dtau = Lap_g w - R w at snapshot i1 - s of the block,
+            written into lap0(w)'s output (a new float on the spheres)."""
             out = lap0(w)
-            out *= lap_factor[i]
-            out -= R[i] * w
+            out *= lap_factor[i1 - s]
+            out -= R[i1 - s] * w
             return out
 
         for j in range(hi, lo, -1):
-            # tau-step from the later snapshot i1 through i1 - 1 to i1 - 2;
-            # v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) accumulated in k1.
+            # The tau-step from the later snapshot i1 reads i1 - 1 and i1 - 2.
             i1 = 2 * (j - lo)
-            k1 = rhs(i1, v)
-            k2 = rhs(i1 - 1, v + half * k1)
-            k3 = rhs(i1 - 1, v + half * k2)
-            k4 = rhs(i1 - 2, v + step * k3)
-            k2 *= 2.0
-            k1 += k2
-            k3 *= 2.0
-            k1 += k3
-            k1 += k4
-            k1 *= sixth
-            k1 += v
-            v = k1
+            v = geometry.rk4_step(rhs, v, step)
             yield j - 1, v, g.quadrature(v * weight[i1 - 2])
 
 

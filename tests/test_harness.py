@@ -8,6 +8,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -23,6 +24,7 @@ import riccilab as rl
 from riccilab.cli import main as cli_main
 from riccilab.functionals import LAMBDA0_TOL
 from riccilab.harness import (
+    RunConfig,
     convergence_study,
     make_config,
     parse_config_file,
@@ -92,7 +94,13 @@ def test_parse_rejects_bad_lines(tmp_path):
         parse_config_file(p2)
 
 
+# The N = 16 torus of the float-range rows below.
+EDGE = {"backend.kind": "conformal_torus", "backend.N": "16", "flow.T": "0.02",
+        "flow.dt": "2e-3", "entropy.a": "1"}
+
+
 @pytest.mark.parametrize("raw,msg", [
+    ({}, "backend.kind: missing required key"),
     ({"flow.T": "0.1"}, "backend.kind"),
     ({"backend.kind": "round_sphere"}, "flow.T"),
     ({"backend.kind": "klein_bottle", "flow.T": "0.1"}, "backend.kind"),
@@ -182,7 +190,31 @@ def test_parse_rejects_bad_lines(tmp_path):
      "backend.N/backend.L: grid size N must be even and >= 8, got 7"),
     ({"backend.kind": "conformal_torus", "flow.T": "0.1", "backend.L": "-1"},
      "backend.N/backend.L: period L must be positive, got -1.0"),
-], ids=["no-kind", "no-T", "bad-kind", "unknown", "bad-dt", "empty-a", "neg-T",
+    # Inputs at the edge of the float range, each named by its own key: the
+    # torus h**2 of the volume overflows (an OverflowError, as the large-n
+    # round sphere's volume raises), the phase mode * 2 pi x / L overflows
+    # in x or in mode, a 400-digit mode does not convert to a float, and
+    # h * h underflows to 0.
+    ({**EDGE, "backend.L": "1e200"},
+     "backend.L: the initial metric's curvature or volume is not finite"),
+    ({**EDGE, "backend.L": "1e308"},
+     "backend.L: the initial phi's phase is not finite"),
+    ({**EDGE, "backend.phi_mode": "1" + "0" * 307},
+     "backend.phi_mode: the initial phi's phase is not finite"),
+    ({**EDGE, "backend.phi_mode": "1" + "0" * 399},
+     "backend.phi_mode: the initial phi's phase is not finite"),
+    ({**EDGE, "backend.L": "1e-200"},
+     "backend.L: the initial metric's curvature or volume is not finite"),
+    # The bump's scale (L / (pi * width))**2 and its phases pi (x - cx) / L.
+    ({**EDGE, "heat.datum": "bump", "heat.width": "1e-300"},
+     "heat.width: the bump scale is not finite"),
+    ({**EDGE, "heat.datum": "bump", "heat.center_x": "1e308",
+      "heat.center_y": "0"},
+     "heat.center_x/center_y: a bump phase is not finite"),
+    ({**EDGE, "heat.datum": "bump", "heat.center_x": "0",
+      "heat.center_y": "-1e308"},
+     "heat.center_x/center_y: a bump phase is not finite"),
+], ids=["no-keys", "no-kind", "no-T", "bad-kind", "unknown", "bad-dt", "empty-a", "neg-T",
         "bad-tol", "repeated-a", "tag-collision-a", "signed-zero-a", "bad-datum", "bad-width",
         "lone-center-x", "lone-center-y", "negative-cutoff", "zero-cutoff",
         "negative-seed", "inf-c0", "inf-A0", "inf-L", "nan-phi-amplitude", "inf-T", "inf-a",
@@ -190,13 +222,43 @@ def test_parse_rejects_bad_lines(tmp_path):
         "constant-datum-large-c0", "random-datum-large-L", "flow-past-index-range",
         "grid-past-index-range", "flow-steps-past-double-range", "zero-dt",
         "negative-dt", "zero-safety", "safety-above-1", "sphere-n-1",
-        "negative-c0", "zero-B0", "odd-N", "negative-L"])
+        "negative-c0", "zero-B0", "odd-N", "negative-L", "torus-L-1e200",
+        "torus-L-1e308", "torus-mode-1e307", "torus-mode-400-digits",
+        "torus-L-1e-200", "bump-width-1e-300", "bump-center-x-1e308",
+        "bump-center-y-minus-1e308"])
 def test_make_config_errors(raw, msg):
     # make_config rejects the keys it parses; validate_config the settings
     # that need the initial metric.
     with pytest.raises(rl.ConfigError) as exc:
         validate_config(make_config(raw))
     assert msg in str(exc.value)
+
+
+def test_readme_key_table_lists_every_declared_key():
+    # README's key table names each key a RunConfig field declares, a row
+    # like `backend.A0/B0/C0` standing for backend.A0, B0 and C0, with one
+    # default per named key group; exactly the required keys (fields with
+    # no default) read "required".
+    declared = {f.metadata["key"]: f for f in dataclasses.fields(RunConfig)
+                if f.metadata}
+    required = {key for key, f in declared.items()
+                if f.default is f.default_factory is dataclasses.MISSING}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("\n| key ", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    marked = {}
+    for line in table:
+        cells = line.strip().strip("|").split("|")
+        groups = re.findall(r"`([^`]+)`", cells[0])
+        defaults = [d.strip() for d in cells[-1].split(",")]
+        assert len(defaults) == len(groups), line
+        for group, default in zip(groups, defaults):
+            head, *rest = group.split("/")
+            section = head.rsplit(".", 1)[0]
+            for key in [head] + [f"{section}.{name}" for name in rest]:
+                marked[key] = default == "required"
+    assert set(marked) == set(declared)
+    assert {key for key, req in marked.items() if req} == required
+    assert required == {"backend.kind", "flow.T"}
 
 
 def test_flat_torus_zero_adjustment_inadmissible():

@@ -3,6 +3,7 @@ conservation, positivity/mass guards, terminal data, change of variables."""
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -617,6 +618,27 @@ def test_bump_nonpositive_amplitude_rejected():
     traj = flat_trajectory(N=16, T=0.01, dt=5e-4)
     with pytest.raises(rl.NonPositive):
         rl.terminal_datum("bump", traj.final_state(), amplitude=-1.1)
+
+
+def test_bump_at_the_edge_of_the_float_range():
+    # A bump whose phase pi (x - cx) / L or scale (L / (pi * width))**2 is
+    # past the float range is a ValueError, with no numpy warning (the suite
+    # makes warnings errors).
+    from riccilab.heat import bump_terms
+
+    m = flat_trajectory(N=16, T=0.01, dt=5e-4).final_state()
+    for kw in (dict(width=1e-300), dict(center=(1e308, 0.0)),
+               dict(center=(0.0, -1e308))):
+        with pytest.raises(ValueError, match="past the float range"):
+            rl.terminal_datum("bump", m, **kw)
+    # A finite scale above half the float range overflows the exponent at the
+    # nodes far from the centre, where exp(-inf) = 0 is the bump's value.
+    width = 2.0 / math.sqrt(1.5e308)
+    assert bump_terms(m.backend, width=width)[2] > 0.5 * sys.float_info.max
+    v = rl.terminal_datum("bump", m, amplitude=0.5, width=width).values
+    assert np.unravel_index(np.argmax(v), v.shape) == (8, 8)
+    assert np.count_nonzero(v != v.min()) == 1
+    assert v.max() / v.min() == pytest.approx(1.5, rel=1e-15)
 
 
 def test_unknown_datum_kind():

@@ -3,10 +3,10 @@
 Each entry of ``MUTANTS`` is a one-place edit of a file under src/riccilab:
 the exact old string, which must occur once in the file, and its new
 string, with the test files that should catch it.  For each mutant the
-runner copies src/, tests/, bench/ (which tests read) and pyproject.toml
-(the pytest settings, warnings as errors among them) into a temporary
-directory, applies the edit there and runs ``python -m pytest -x -q -p
-no:cacheprovider`` on the named test files.  A failing run kills the
+runner copies src/, tests/, bench/ and README.md (which tests read) and
+pyproject.toml (the pytest settings, warnings as errors among them) into a
+temporary directory, applies the edit there and runs ``python -m pytest -x
+-q -p no:cacheprovider`` on the named test files.  A failing run kills the
 mutant, and the runner names the first test that failed; a passing run
 lets it survive.  First the same files run once on the unmutated copy,
 which must pass, so a broken checkout cannot pass for kills.
@@ -35,14 +35,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # (name, file under src/riccilab, old string, new string, test files)
 MUTANTS = [
-    # RK4 stage offsets: the snapshot or the stage a later stage reads.
-    ("heat-rk4-stage-2-snapshot", "heat.py",
-     "k2 = rhs(i1 - 1, v + half * k1)", "k2 = rhs(i1, v + half * k1)",
+    # RK4 stage offsets: the snapshot or the stage a later stage reads.  The
+    # torus flow's rate ignores the offset, so only the heat solve sees it.
+    ("heat-rk4-stage-2-snapshot", "geometry.py",
+     "k2 = rate(1, w + half * k1)", "k2 = rate(0, w + half * k1)",
      ["tests/test_heat.py"]),
     ("flow-torus-rk4-stage-3", "geometry.py",
-     "k3 = _phi_rate(w + half * k2, lap, h)",
-     "k3 = _phi_rate(w + half * k1, lap, h)",
-     ["tests/test_flow.py"]),
+     "k3 = rate(1, w + half * k2)", "k3 = rate(1, w + half * k1)",
+     ["tests/test_flow.py", "tests/test_heat.py"]),
     ("flow-berger-rk4-stage-4", "geometry.py",
      "a4, b4, c4 = _berger_rates(A + dt * a3,",
      "a4, b4, c4 = _berger_rates(A + dt * a2,",
@@ -68,6 +68,40 @@ MUTANTS = [
     ("row-kernel-log-of-raw-omega", "variation.py",
      "np.where(om > 0.0, om, np.nan)", "om",
      ["tests/test_variation.py", "tests/test_harness.py"]),
+    # The required-key rule and the guards of inputs at the edge of the
+    # float range, each naming its key.
+    ("required-keys-reversed", "harness.py",
+     "for key in required:", "for key in reversed(required):",
+     ["tests/test_harness.py"]),
+    ("torus-volume-overflow-blames-n", "harness.py",
+     'key = "backend.n" if cfg.backend_kind == "round_sphere" else "backend.L"',
+     'key = "backend.n"',
+     ["tests/test_harness.py"]),
+    ("torus-mode-overflow-unhandled", "harness.py",
+     "except OverflowError:  # an int past the float range",
+     "except ZeroDivisionError:  # an int past the float range",
+     ["tests/test_harness.py"]),
+    ("torus-phase-guard-off", "harness.py",
+     "if not np.isfinite(phase).all():", "if False:",
+     ["tests/test_harness.py"]),
+    ("torus-phase-blames-L", "harness.py",
+     'key = "backend.phi_mode" if abs(k) > cfg.L else "backend.L"',
+     'key = "backend.L"',
+     ["tests/test_harness.py"]),
+    ("torus-stencil-underflow-blames-amplitude", "harness.py",
+     'key = "backend.phi_amplitude" if backend.h * backend.h > 0 else "backend.L"',
+     'key = "backend.phi_amplitude"',
+     ["tests/test_harness.py"]),
+    ("bump-center-guard-off", "harness.py",
+     "if not (np.isfinite(px).all() and np.isfinite(py).all()):", "if False:",
+     ["tests/test_harness.py"]),
+    ("bump-width-guard-off", "harness.py",
+     "if not scale < math.inf:", "if False:",
+     ["tests/test_harness.py"]),
+    ("bump-exponent-overflow-warns", "heat.py",
+     'with np.errstate(over="ignore"):  # an exponent of -inf gives 0',
+     'with np.errstate():',
+     ["tests/test_heat.py"]),
     # Finite-difference stencils and the interior mask.
     ("fd-near-edge-stencil", "variation.py",
      "d[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[4])",
@@ -145,7 +179,8 @@ def _copy(into: Path) -> Path:
     for name in ("src", "tests", "bench"):
         shutil.copytree(ROOT / name, copy / name,
                         ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, copy / name)
     return copy
 
 
