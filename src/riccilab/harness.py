@@ -19,8 +19,9 @@ at the end of each timed stage (``_peak_rss_mb``), flow and heat ``steps``,
 numpy's version and SIMD dispatch, exit status), written exactly once per
 run and on every exit path (a temporary file renamed into place), so
 partial artifacts carry a status marker.  One
-writer prints both CSV files from the ``RunTables`` arrays, a block of rows
-at a time (header only when no table exists; per-a arrays hold one column
+writer, ``csvtext.write_rows``, prints both CSV files from the ``RunTables``
+arrays, a block of at most 2^11 values at a time, each value as ``_fmt``
+prints it (header only when no table exists; per-a arrays hold one column
 per adjustment value); the summary counts come from ``variation``'s
 ``equivalence_check`` and ``monotonicity_check``.
 
@@ -72,7 +73,7 @@ except ImportError:  # not on every platform; the memory block is then null
     resource = None
 
 from . import __version__ as _VERSION
-from . import geometry
+from . import csvtext, geometry
 from .errors import (
     AdmissibilityError,
     ConfigError,
@@ -258,6 +259,13 @@ def make_config(raw: dict) -> RunConfig:
                           f"heat.center_y must be set together")
     if cfg.cutoff < 1:
         raise ConfigError("heat.cutoff: must be at least 1")
+    if cfg.backend_kind == "conformal_torus" and cfg.datum == "random_smooth":
+        modes = 2 * cfg.cutoff * (cfg.cutoff + 1)
+        if modes * max(cfg.N * cfg.N, _MODE_CELLS_FLOOR) > _MAX_MODE_CELLS:
+            raise ConfigError(
+                f"heat.cutoff: {modes} random_smooth modes on a {cfg.N} x "
+                f"{cfg.N} grid (at least {_MODE_CELLS_FLOOR} cells a mode) "
+                f"are past the cap of {_MAX_MODE_CELLS} mode-cells")
     if cfg.seed < 0:
         raise ConfigError("heat.seed: must be non-negative")
     if not cfg.a_values:
@@ -285,6 +293,15 @@ def make_config(raw: dict) -> RunConfig:
     if not (0.0 < cfg.safety <= 1.0):
         raise ConfigError("flow.safety: must lie in (0, 1]")
     return cfg
+
+
+# The random_smooth datum sums 2 c (c + 1) Fourier modes of cutoff c, each a
+# pass over the grid in ``heat.terminal_datum`` and ``heat.check_datum``.
+# Its mode-cells are capped, a grid counting at least 32 x 32 cells (a
+# mode's fixed cost), so the datum's time and its mode list stay bounded:
+# at most 65536 modes (cutoff 180) up to N = 32, cutoff 22 at N = 256.
+_MAX_MODE_CELLS = 2**26
+_MODE_CELLS_FLOOR = 32 * 32
 
 
 def _initial_state(cfg: RunConfig) -> MetricState:
@@ -598,20 +615,18 @@ def _lambda0_diagnostics(tables: RunTables) -> dict:
 # --------------------------------------------------------------------------
 
 def _fmt(x: float) -> str:
+    """One value as the artifacts print it: study.csv's writer, and the
+    reference the CSV writer's tests compare ``csvtext`` with."""
     return format(float(x), ".17g")
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Header line, then one line per row of the equal-length columns, each
-    value as ``_fmt`` prints it (one %-template per line: "%.17g" % x is
-    format(x, ".17g") for every float and bool).  Rows are formatted and
-    written 1024 at a time, so a long table's text is never held whole."""
-    template = ",".join(["%.17g"] * len(columns)) + "\n"
+    value as ``_fmt`` prints it, written by ``csvtext.write_rows`` a block
+    of values at a time, so a long table's text is never held whole."""
     with open(path, "wb") as f:
         f.write((",".join(header) + "\n").encode("ascii"))
-        for start in range(0, len(columns[0]) if columns else 0, 1024):
-            rows = zip(*(c[start:start + 1024].tolist() for c in columns))
-            f.write("".join(template % row for row in rows).encode("ascii"))
+        csvtext.write_rows(f, columns)
 
 
 # data.csv columns repeated per adjustment value, mapped to RunTables fields.

@@ -234,6 +234,33 @@ def test_make_config_errors(raw, msg):
     assert msg in str(exc.value)
 
 
+def test_random_datum_mode_cells_are_capped(monkeypatch):
+    # Cutoff c gives 2 c (c + 1) modes, each a pass over at least 32 x 32
+    # cells: 65160 modes (cutoff 180) are under the cap of 2^26 mode-cells on
+    # N = 32 and N = 16, 65884 (cutoff 181) past it.
+    from riccilab import harness
+
+    raw = {"backend.kind": "conformal_torus", "flow.T": "0.1",
+           "heat.datum": "random_smooth"}
+    for n in ("16", "32"):
+        assert make_config({**raw, "backend.N": n, "heat.cutoff": "180"}).cutoff == 180
+        with pytest.raises(rl.ConfigError) as exc:
+            make_config({**raw, "backend.N": n, "heat.cutoff": "181"})
+        assert str(exc.value).startswith("heat.cutoff: 65884 random_smooth modes")
+    # The cap itself passes, one mode-cell past it does not: cutoff 2 (12
+    # modes) on a 64 x 64 grid.
+    at_cap = {**raw, "backend.N": "64", "heat.cutoff": "2"}
+    monkeypatch.setattr(harness, "_MAX_MODE_CELLS", 12 * 64 * 64)
+    assert make_config(at_cap).cutoff == 2
+    monkeypatch.setattr(harness, "_MAX_MODE_CELLS", 12 * 64 * 64 - 1)
+    with pytest.raises(rl.ConfigError, match="^heat.cutoff: 12 random_smooth"):
+        make_config(at_cap)
+    # No other datum or backend builds the modes.
+    monkeypatch.undo()
+    for other in ({"heat.datum": "bump"}, {"backend.kind": "round_sphere"}):
+        assert make_config({**raw, **other, "heat.cutoff": "1000000"}).cutoff == 10**6
+
+
 def test_readme_key_table_lists_every_declared_key():
     # README's key table names each key a RunConfig field declares, a row
     # like `backend.A0/B0/C0` standing for backend.A0, B0 and C0, with one
@@ -1670,6 +1697,9 @@ entropy.a = 0
          FLAT_CFG.replace(heat, "heat.datum = random_smooth\nheat.cutoff = -1")),
         ("heat.cutoff",
          FLAT_CFG.replace(heat, "heat.datum = random_smooth\nheat.cutoff = 0")),
+        # 2 * 10^12 modes, which would exhaust memory before printing
+        ("heat.cutoff",
+         FLAT_CFG.replace(heat, "heat.datum = random_smooth\nheat.cutoff = 1000000")),
         ("heat.seed",
          FLAT_CFG.replace(heat, "heat.datum = random_smooth\nheat.seed = -1")),
         ("backend.c0", SPHERE_CFG.replace("backend.c0 = 1.0", "backend.c0 = inf")),

@@ -95,6 +95,10 @@ MUTANTS = [
     ("bump-center-guard-off", "harness.py",
      "if not (np.isfinite(px).all() and np.isfinite(py).all()):", "if False:",
      ["tests/test_harness.py"]),
+    ("mode-cells-cap-off", "harness.py",
+     "if modes * max(cfg.N * cfg.N, _MODE_CELLS_FLOOR) > _MAX_MODE_CELLS:",
+     "if False:",
+     ["tests/test_harness.py"]),
     ("bump-width-guard-off", "harness.py",
      "if not scale < math.inf:", "if False:",
      ["tests/test_harness.py"]),
@@ -130,7 +134,7 @@ MUTANTS = [
     ("Y-4at-shift-1e-9", "functionals.py",
      "+ 4.0 * a * t", "+ 4.0 * a * (t + 1e-9)",
      ["tests/test_functionals.py", "tests/test_harness.py"]),
-    # Summary fields, the study and the writers.
+    # Summary fields, the study and the adjustment-value tag.
     ("max-res-equiv-interior-only", "harness.py",
      '"max_res_equiv": float(np.max(tables.res_equiv)),',
      '"max_res_equiv": float(np.max(tables.res_equiv[interior])),',
@@ -141,12 +145,28 @@ MUTANTS = [
     ("study-order-zero-residual-sign", "harness.py",
      "orders.append(-math.inf if ratio == 0", "orders.append(math.inf if ratio == 0",
      ["tests/test_harness.py"]),
-    ("csv-16-digits", "harness.py",
-     'template = ",".join(["%.17g"]', 'template = ",".join(["%.16g"]',
-     ["tests/test_harness.py"]),
     ("a-tag-str", "variation.py",
      'return format(a, "g")', "return str(a)",
      ["tests/test_harness.py"]),
+    # The CSV text writer: its digits, its tie rule and its %g layouts.
+    ("csv-16-digits", "csvtext.py",
+     "nd = np.arange(18)[:, None]", "nd = np.minimum(np.arange(18), 16)[:, None]",
+     ["tests/test_csvtext.py"]),
+    ("csv-tie-margin-collapsed", "csvtext.py",
+     "d = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)\n"
+     "    return d, np.abs(frac - 0.5) < TIE_MARGIN",
+     "d = p.astype(np.int64) + whole.astype(np.int64) + (frac >= 0.5)\n"
+     "    return d, np.abs(frac - 0.5) < 0.0",
+     ["tests/test_csvtext.py"]),
+    ("csv-scientific-from-k-18", "csvtext.py",
+     "if k < -4 or k >= 17 else k + 4", "if k < -4 or k > 17 else k + 4",
+     ["tests/test_csvtext.py"]),
+    ("csv-minus-zero-unsigned", "csvtext.py",
+     "negative = np.signbit(x)", "negative = x < 0.0",
+     ["tests/test_csvtext.py"]),
+    ("csv-nan-signed", "csvtext.py",
+     "negative &= ~np.isnan(x)  # nan prints unsigned", "pass",
+     ["tests/test_csvtext.py"]),
     # The stage clock and the peak-RSS reader.
     ("heat-usage-left-in-rows", "harness.py",
      'with _charged(blocks, "heat_s", within="rows_s"):\n'
