@@ -2,7 +2,9 @@
 
 Subcommands: ``run <config>`` executes the pipeline and writes artifacts,
 ``converge <config> --levels k`` drives a refinement study, ``check
-<config>`` validates only.  ``--out`` overrides out.dir; the environment
+<config>`` validates only (``harness.check_config``: ``validate_config``
+and the flow step against g(0)'s stability bound, which ``run`` leaves to
+the flow).  ``--out`` overrides out.dir; the environment
 variable RICCILAB_OUT supplies the default output root for relative paths;
 ``--verbose`` (run, converge) logs each run's pool size and stage timings,
 with the peak resident set at the end of each stage and the flow's and heat
@@ -22,6 +24,7 @@ from pathlib import Path
 
 from .errors import InputError, NumericalError
 from .harness import (
+    check_config,
     convergence_study,
     make_config,
     parse_config_file,
@@ -91,8 +94,8 @@ def _dispatch(args) -> int:
             )
         return 0
 
-    validated = validate_config(cfg)
     if args.command == "check":
+        validated = check_config(cfg)
         print(f"config ok: backend={cfg.backend_kind}")
         print(f"resolved T={validated.T:g} dt={validated.dt:g} rows={validated.num_rows}")
         print(f"lambda0(g(0)) = {validated.lambda0_g0:.12g}")
@@ -100,7 +103,8 @@ def _dispatch(args) -> int:
             print(f"  a={chk['a']:g}: admissible (a > {-chk['lambda0_g0']:g})")
         return 0
 
-    result = run(validated, resolve_out_dir(cfg, args.out, default_name))
+    result = run(validate_config(cfg),
+                 resolve_out_dir(cfg, args.out, default_name))
     if result.exit_code == 0:
         s = result.summary
         print(f"run ok: {s['rows']} rows -> {result.out_dir}")

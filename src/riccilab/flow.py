@@ -40,7 +40,8 @@ row 0 share one solve.
 
 ``stability_dt`` is the bound itself, with no safety factor: the step loop
 checks against it, and a run's ``flow.dt = auto`` scales it by
-``flow.safety``.
+``flow.safety``.  ``step_limit`` is the one rule a step is checked by, here
+on every state and by ``harness.check_config`` on g(0).
 """
 
 from __future__ import annotations
@@ -97,6 +98,12 @@ def stability_dt(m: MetricState) -> float:
     return float(b.stability_dt(b.min_scale(m.params[np.newaxis]))[0])
 
 
+def step_limit(bound):
+    """The largest step that passes a state's ``stability_dt`` of ``bound``:
+    the bound widened by a relative 1e-12 for round-off."""
+    return bound * (1 + 1e-12)
+
+
 def integrate_forward(m0: MetricState, T: float, dt: float) -> Trajectory:
     """Integrate the flow from m0 over [t0, t0 + T] with fixed step dt.
 
@@ -135,7 +142,7 @@ def integrate_forward(m0: MetricState, T: float, dt: float) -> Trajectory:
     # k non-finite or floored, step k over its bound, step k dividing by zero.
     fails = np.zeros((last + 1, 3), bool)
     fails[:, 0] = ~(scale >= PARAM_FLOOR)
-    fails[:len(bound), 1] = dt > bound * (1 + 1e-12)
+    fails[:len(bound), 1] = dt > step_limit(bound)
     fails[last, 2] = last < K
     if fails.any():
         k, event = divmod(int(fails.argmax()), 3)

@@ -80,7 +80,7 @@ from .errors import (
     NonPositive,
     NumericalError,
 )
-from .flow import Trajectory, integrate_forward, stability_dt
+from .flow import Trajectory, integrate_forward, stability_dt, step_limit
 from .geometry import (
     BergerSphere,
     ConformalTorus2D,
@@ -117,6 +117,7 @@ __all__ = [
     "parse_config_file",
     "make_config",
     "validate_config",
+    "check_config",
     "run",
     "convergence_study",
     "OUTPUT_ROOT_ENV",
@@ -133,48 +134,65 @@ log = logging.getLogger(__name__)
 # Configuration
 # --------------------------------------------------------------------------
 
-def _key(key: str, kind, default=MISSING, **options):
+def _key(key: str, kind, default=MISSING, rule=None, backend=None, **options):
     """A ``RunConfig`` field read from the config key ``key``, converted as
-    ``_convert``'s ``kind``; without a default the key is required."""
-    return field(default=default, metadata=dict(key=key, kind=kind), **options)
+    ``_convert``'s ``kind``; without a default the key is required.  A
+    ``rule`` is the key's own range: a predicate on the converted value and
+    the message that follows ``"<key>: "`` (``{!r}`` standing for the
+    value), checked only when the configured backend is ``backend`` (any
+    backend when None)."""
+    return field(default=default, metadata=dict(key=key, kind=kind, rule=rule,
+                                                backend=backend), **options)
+
+
+_ROUND, _BERGER = "round_sphere", "berger_sphere"
+_BACKEND_KINDS = (_ROUND, _BERGER, "conformal_torus")
+_POSITIVE = (lambda x: x > 0, "must be positive")
+
+
+def _one_of(kinds: tuple) -> tuple:
+    return (lambda s: s in kinds, f"must be one of {kinds}, got {{!r}}")
 
 
 @dataclass(kw_only=True)
 class RunConfig:
     """Typed run configuration with defaults applied.  Each field but ``raw``
-    declares its config key and kind (``_key``), in the order the required
-    keys are checked."""
+    declares its config key, kind and rule (``_key``), in the order the
+    required keys and the rules are checked; every default satisfies its
+    key's rule."""
 
-    backend_kind: str = _key("backend.kind", str)
-    n: int = _key("backend.n", int, 2)
-    c0: float = _key("backend.c0", float, 1.0)
-    A0: float = _key("backend.A0", float, 1.0)
-    B0: float = _key("backend.B0", float, 1.0)
-    C0: float = _key("backend.C0", float, 1.0)
+    backend_kind: str = _key("backend.kind", str, rule=_one_of(_BACKEND_KINDS))
+    n: int = _key("backend.n", int, 2, backend=_ROUND,
+                  rule=(lambda n: n >= 2, "sphere dimension must be >= 2"))
+    c0: float = _key("backend.c0", float, 1.0, rule=_POSITIVE, backend=_ROUND)
+    A0: float = _key("backend.A0", float, 1.0, rule=_POSITIVE, backend=_BERGER)
+    B0: float = _key("backend.B0", float, 1.0, rule=_POSITIVE, backend=_BERGER)
+    C0: float = _key("backend.C0", float, 1.0, rule=_POSITIVE, backend=_BERGER)
     N: int = _key("backend.N", int, 64)
     L: float = _key("backend.L", float, 2.0 * math.pi)
     phi_amplitude: float = _key("backend.phi_amplitude", float, 0.0)
     phi_mode: int = _key("backend.phi_mode", int, 1)
-    T: float = _key("flow.T", float)
-    dt: float | str = _key("flow.dt", "dt", "auto")
-    safety: float = _key("flow.safety", float, 0.5)
-    datum: str = _key("heat.datum", str, "constant")
-    seed: int = _key("heat.seed", int, 0)
+    T: float = _key("flow.T", float, rule=_POSITIVE)
+    dt: float | str = _key("flow.dt", "dt", "auto", rule=(
+        lambda dt: dt == "auto" or dt > 0, "must be positive or 'auto'"))
+    safety: float = _key("flow.safety", float, 0.5,
+                         rule=(lambda s: 0.0 < s <= 1.0, "must lie in (0, 1]"))
+    datum: str = _key("heat.datum", str, "constant", rule=_one_of(DATUM_KINDS))
+    seed: int = _key("heat.seed", int, 0,
+                     rule=(lambda s: s >= 0, "must be non-negative"))
     amplitude: float = _key("heat.amplitude", float, 0.1)
-    cutoff: int = _key("heat.cutoff", int, 2)
+    cutoff: int = _key("heat.cutoff", int, 2,
+                       rule=(lambda c: c >= 1, "must be at least 1"))
     center_x: float | None = _key("heat.center_x", float, None)
     center_y: float | None = _key("heat.center_y", float, None)
-    width: float | None = _key("heat.width", float, None)
-    a_values: list[float] = _key("entropy.a", "float_list",
-                                 default_factory=lambda: [0.0])
-    tol_mono: float = _key("tol.mono", float, 1e-6)
-    tol_equiv: float = _key("tol.equiv", float, 1e-8)
-    tol_mass: float = _key("tol.mass", float, 1e-6)
+    width: float | None = _key("heat.width", float, None, rule=_POSITIVE)
+    a_values: list[float] = _key("entropy.a", "float_list", rule=(
+        bool, "list must be nonempty"), default_factory=lambda: [0.0])
+    tol_mono: float = _key("tol.mono", float, 1e-6, rule=_POSITIVE)
+    tol_equiv: float = _key("tol.equiv", float, 1e-8, rule=_POSITIVE)
+    tol_mass: float = _key("tol.mass", float, 1e-6, rule=_POSITIVE)
     out_dir: str | None = _key("out.dir", str, None)
     raw: dict = field(default_factory=dict)
-
-
-_BACKEND_KINDS = ("round_sphere", "berger_sphere", "conformal_torus")
 
 
 def parse_config_file(path) -> dict:
@@ -222,17 +240,24 @@ def _convert(key: str, value, kind):
 
 
 @functools.cache
-def _declared() -> tuple[dict, tuple]:
-    """Each config key's ``RunConfig`` field, and the required keys (the
-    fields without a default) in field order."""
+def _declared() -> tuple[dict, tuple, tuple]:
+    """Each config key's ``RunConfig`` field, the required keys (the fields
+    without a default), and each declared rule as (key, field name, rule,
+    backend), all in field order."""
     declared = {f.metadata["key"]: f for f in fields(RunConfig) if f.metadata}
     return declared, tuple(key for key, f in declared.items()
-                           if f.default is MISSING is f.default_factory)
+                           if f.default is MISSING is f.default_factory), tuple(
+        (key, f.name, f.metadata["rule"], f.metadata["backend"])
+        for key, f in declared.items() if f.metadata["rule"])
 
 
 def make_config(raw: dict) -> RunConfig:
-    """Build a typed RunConfig from raw key/value pairs (strings or typed)."""
-    declared, required = _declared()
+    """Build a typed RunConfig from raw key/value pairs (strings or typed).
+
+    Each key given is checked against its declared rule, in field order (a
+    default satisfies its own), then the rules across keys: the bump centre
+    pair, the random datum's mode cap and distinct adjustment values."""
+    declared, required, rules = _declared()
     for key in required:
         if key not in raw:
             raise ConfigError(f"{key}: missing required key")
@@ -243,22 +268,14 @@ def make_config(raw: dict) -> RunConfig:
         f = declared[key]
         values[f.name] = _convert(key, value, f.metadata["kind"])
     cfg = RunConfig(**values, raw=dict(raw))
-    if cfg.backend_kind not in _BACKEND_KINDS:
-        raise ConfigError(
-            f"backend.kind: must be one of {_BACKEND_KINDS}, got {cfg.backend_kind!r}"
-        )
-    if cfg.datum not in DATUM_KINDS:
-        raise ConfigError(
-            f"heat.datum: must be one of {DATUM_KINDS}, got {cfg.datum!r}"
-        )
-    if cfg.width is not None and not (cfg.width > 0):
-        raise ConfigError("heat.width: must be positive")
+    for key, name, (ok, message), backend in rules:
+        value = getattr(cfg, name)
+        if key in raw and backend in (None, cfg.backend_kind) and not ok(value):
+            raise ConfigError(f"{key}: {message.format(value)}")
     if (cfg.center_x is None) != (cfg.center_y is None):
         missing = "heat.center_y" if cfg.center_y is None else "heat.center_x"
         raise ConfigError(f"{missing}: missing; heat.center_x and "
                           f"heat.center_y must be set together")
-    if cfg.cutoff < 1:
-        raise ConfigError("heat.cutoff: must be at least 1")
     if cfg.backend_kind == "conformal_torus" and cfg.datum == "random_smooth":
         modes = 2 * cfg.cutoff * (cfg.cutoff + 1)
         if modes * max(cfg.N * cfg.N, _MODE_CELLS_FLOOR) > _MAX_MODE_CELLS:
@@ -266,10 +283,6 @@ def make_config(raw: dict) -> RunConfig:
                 f"heat.cutoff: {modes} random_smooth modes on a {cfg.N} x "
                 f"{cfg.N} grid (at least {_MODE_CELLS_FLOOR} cells a mode) "
                 f"are past the cap of {_MAX_MODE_CELLS} mode-cells")
-    if cfg.seed < 0:
-        raise ConfigError("heat.seed: must be non-negative")
-    if not cfg.a_values:
-        raise ConfigError("entropy.a: list must be nonempty")
     # Output columns and summary keys are tagged ``a_tag(a)``: a value equal
     # to an earlier one (-0 to 0 too) would repeat its columns, and one that
     # prints the same would share their tag.
@@ -283,15 +296,6 @@ def make_config(raw: dict) -> RunConfig:
                 f"significant digits"
             )
         seen |= {a, tag}
-    for name in ("tol_mono", "tol_equiv", "tol_mass"):
-        if not (getattr(cfg, name) > 0):
-            raise ConfigError(f"tol.{name.split('_')[1]}: must be positive")
-    if not (cfg.T > 0):
-        raise ConfigError("flow.T: must be positive")
-    if isinstance(cfg.dt, float) and not (cfg.dt > 0):
-        raise ConfigError("flow.dt: must be positive or 'auto'")
-    if not (0.0 < cfg.safety <= 1.0):
-        raise ConfigError("flow.safety: must lie in (0, 1]")
     return cfg
 
 
@@ -305,19 +309,14 @@ _MODE_CELLS_FLOOR = 32 * 32
 
 
 def _initial_state(cfg: RunConfig) -> MetricState:
-    """The initial metric; one whose curvature or volume overflows is a
-    ConfigError keyed by the backend parameter, and so is a torus whose
-    initial phase mode * 2 pi x / L is not finite at some node."""
+    """The initial metric; one whose curvature or volume overflows, or whose
+    volume underflows to 0, is a ConfigError keyed by the backend parameter,
+    and so is a torus whose initial phase mode * 2 pi x / L is not finite at
+    some node."""
     if cfg.backend_kind == "round_sphere":
-        if cfg.n < 2:
-            raise ConfigError("backend.n: sphere dimension must be >= 2")
-        if not (cfg.c0 > 0):
-            raise ConfigError("backend.c0: must be positive")
         key, m0 = "backend.c0", MetricState(RoundSphere(cfg.n), 0.0,
                                             np.array([cfg.c0]))
     elif cfg.backend_kind == "berger_sphere":
-        if not min(cfg.A0, cfg.B0, cfg.C0) > 0:
-            raise ConfigError("backend.A0/B0/C0: must be positive")
         key, m0 = "backend.A0/B0/C0", MetricState(
             BergerSphere(), 0.0, np.array([cfg.A0, cfg.B0, cfg.C0]))
     else:
@@ -351,6 +350,8 @@ def _initial_state(cfg: RunConfig) -> MetricState:
     if math.isnan(m0.backend.field_min(R)) or not math.isfinite(vol):
         raise ConfigError(f"{key}: the initial metric's curvature or volume "
                           "is not finite")
+    if not vol > 0:
+        raise ConfigError(f"{key}: the initial metric's volume underflows to 0")
     return m0
 
 
@@ -427,10 +428,11 @@ def validate_config(cfg: RunConfig) -> ValidatedRun:
 
     # The flow stores the 2K + 1 states of its half steps, each as
     # len(p) components shaped like p[0] (``integrate_forward``'s storage);
-    # the row count K + 1 is checked in floats, before it is an int.
+    # the row count K + 1 is checked in floats, before it is an int.  The
+    # auto step of a subnormal scale underflows to 0: infinitely many rows.
     auto = cfg.dt == "auto"
     raw_dt = cfg.safety * stability_dt(m0) if auto else float(cfg.dt)
-    steps = T / raw_dt
+    steps = T / raw_dt if raw_dt > 0 else math.inf
     p = m0.backend.components(m0.params)
     states = 2.0 * steps + 1.0
     values = states * len(p) * np.asarray(p[0]).size
@@ -463,6 +465,23 @@ def validate_config(cfg: RunConfig) -> ValidatedRun:
                 f"entropy.a: a={a:g} violates a > -lambda0(g(0)) = {-lam0:g}"
             )
     return ValidatedRun(cfg, m0, T, dt, K + 1, lam0, checks)
+
+
+def check_config(cfg: RunConfig) -> ValidatedRun:
+    """``riccilab check``'s verdict: ``validate_config``, then the run's flow
+    step dt / 2 against g(0)'s stability bound by the flow's own rule
+    (``flow.step_limit``), a ConfigError on ``flow.dt`` naming the bound and
+    the largest flow.dt that passes.  ``run`` does not take this verdict: a
+    step over the bound is its own numerical failure, StepTooLarge at t = 0
+    (exit 3, header-only CSVs)."""
+    validated = validate_config(cfg)
+    bound = stability_dt(validated.m0)
+    if validated.dt / 2.0 > step_limit(bound):
+        raise ConfigError(
+            f"flow.dt: the flow step dt/2 = {validated.dt / 2.0:g} exceeds the "
+            f"stability bound {bound:g} of g(0); the largest flow.dt that "
+            f"passes is {2.0 * step_limit(bound)!r}")
+    return validated
 
 
 # --------------------------------------------------------------------------

@@ -387,8 +387,10 @@ def equivalence_check(
                       (rhs_split_vals, rhs_combined_vals, sub_lhs, sub_rhs))
     main_d, main_s = np.abs(rt - ry), np.maximum(1.0, np.abs(rt))
     sub_d, sub_s = np.abs(sl - sr), np.maximum(1.0, np.abs(sl))
-    return (main_d <= tol_equiv * main_s, sub_d <= SUB_IDENTITY_TOL * sub_s,
-            main_d / main_s, sub_d / sub_s)
+    with np.errstate(over="ignore"):  # a bound past the float range is inf
+        main_ok = main_d <= tol_equiv * main_s
+    return (main_ok, sub_d <= SUB_IDENTITY_TOL * sub_s, main_d / main_s,
+            sub_d / sub_s)
 
 
 def monotonicity_check(Y_series, tol: float = 1e-6) -> np.ndarray:

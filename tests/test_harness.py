@@ -25,6 +25,7 @@ from riccilab.cli import main as cli_main
 from riccilab.functionals import LAMBDA0_TOL
 from riccilab.harness import (
     RunConfig,
+    check_config,
     convergence_study,
     make_config,
     parse_config_file,
@@ -108,7 +109,12 @@ EDGE = {"backend.kind": "conformal_torus", "backend.N": "16", "flow.T": "0.02",
     ({"backend.kind": "round_sphere", "flow.T": "0.1", "flow.dt": "zero"}, "flow.dt"),
     ({"backend.kind": "round_sphere", "flow.T": "0.1", "entropy.a": ""}, "entropy.a"),
     ({"backend.kind": "round_sphere", "flow.T": "-1"}, "flow.T"),
+    ({"backend.kind": "round_sphere", "flow.T": "0"}, "flow.T: must be positive"),
     ({"backend.kind": "round_sphere", "flow.T": "0.1", "tol.mono": "0"}, "tol.mono"),
+    ({"backend.kind": "round_sphere", "flow.T": "0.1", "tol.equiv": "0"},
+     "tol.equiv: must be positive"),
+    ({"backend.kind": "round_sphere", "flow.T": "0.1", "tol.mass": "-1e-6"},
+     "tol.mass: must be positive"),
     ({"backend.kind": "round_sphere", "flow.T": "0.1", "entropy.a": "0.1, 0.1"},
      "entropy.a"),
     ({"backend.kind": "round_sphere", "flow.T": "0.1",
@@ -119,6 +125,8 @@ EDGE = {"backend.kind": "conformal_torus", "backend.N": "16", "flow.T": "0.02",
       "heat.datum": "gaussian"}, "heat.datum"),
     ({"backend.kind": "conformal_torus", "flow.T": "0.1", "heat.datum": "bump",
       "heat.width": "-1"}, "heat.width"),
+    ({"backend.kind": "conformal_torus", "flow.T": "0.1", "heat.datum": "bump",
+      "heat.width": "0"}, "heat.width: must be positive"),
     ({"backend.kind": "conformal_torus", "flow.T": "0.1", "heat.datum": "bump",
       "heat.center_x": "1.0"}, "heat.center_y"),
     ({"backend.kind": "conformal_torus", "flow.T": "0.1", "heat.datum": "bump",
@@ -172,6 +180,9 @@ EDGE = {"backend.kind": "conformal_torus", "backend.N": "16", "flow.T": "0.02",
     # T / dt past the double range: checked before it is made an int
     ({"backend.kind": "round_sphere", "flow.T": "0.1", "flow.dt": "5e-324"},
      "flow.dt: inf rows (inf stored flow states)"),
+    # flow.dt = auto on a subnormal scale: the bound c / 8 underflows to 0
+    ({"backend.kind": "berger_sphere", "backend.A0": "5e-324", "flow.T": "1"},
+     "flow.dt: inf rows (inf stored flow states)"),
     ({"backend.kind": "round_sphere", "flow.T": "0.1", "flow.dt": "0"},
      "flow.dt: must be positive or 'auto'"),
     ({"backend.kind": "round_sphere", "flow.T": "0.1", "flow.dt": "-1e-3"},
@@ -184,8 +195,12 @@ EDGE = {"backend.kind": "conformal_torus", "backend.N": "16", "flow.T": "0.02",
      "backend.n: sphere dimension must be >= 2"),
     ({"backend.kind": "round_sphere", "flow.T": "0.1", "backend.c0": "-1"},
      "backend.c0: must be positive"),
+    ({"backend.kind": "berger_sphere", "flow.T": "0.1", "backend.A0": "0"},
+     "backend.A0: must be positive"),
     ({"backend.kind": "berger_sphere", "flow.T": "0.1", "backend.B0": "0"},
-     "backend.A0/B0/C0: must be positive"),
+     "backend.B0: must be positive"),
+    ({"backend.kind": "berger_sphere", "flow.T": "0.1", "backend.C0": "-2"},
+     "backend.C0: must be positive"),
     ({"backend.kind": "conformal_torus", "flow.T": "0.1", "backend.N": "7"},
      "backend.N/backend.L: grid size N must be even and >= 8, got 7"),
     ({"backend.kind": "conformal_torus", "flow.T": "0.1", "backend.L": "-1"},
@@ -205,6 +220,9 @@ EDGE = {"backend.kind": "conformal_torus", "backend.N": "16", "flow.T": "0.02",
      "backend.phi_mode: the initial phi's phase is not finite"),
     ({**EDGE, "backend.L": "1e-200"},
      "backend.L: the initial metric's curvature or volume is not finite"),
+    # The volume c^{n/2} times the unit 260-sphere's 1e-155 underflows to 0.
+    ({"backend.kind": "round_sphere", "backend.n": "260", "backend.c0": "1e-62",
+      "flow.T": "1"}, "backend.c0: the initial metric's volume underflows to 0"),
     # The bump's scale (L / (pi * width))**2 and its phases pi (x - cx) / L.
     ({**EDGE, "heat.datum": "bump", "heat.width": "1e-300"},
      "heat.width: the bump scale is not finite"),
@@ -214,24 +232,89 @@ EDGE = {"backend.kind": "conformal_torus", "backend.N": "16", "flow.T": "0.02",
     ({**EDGE, "heat.datum": "bump", "heat.center_x": "0",
       "heat.center_y": "-1e308"},
      "heat.center_x/center_y: a bump phase is not finite"),
-], ids=["no-keys", "no-kind", "no-T", "bad-kind", "unknown", "bad-dt", "empty-a", "neg-T",
-        "bad-tol", "repeated-a", "tag-collision-a", "signed-zero-a", "bad-datum", "bad-width",
-        "lone-center-x", "lone-center-y", "negative-cutoff", "zero-cutoff",
-        "negative-seed", "inf-c0", "inf-A0", "inf-L", "nan-phi-amplitude", "inf-T", "inf-a",
+    # An explicit step whose flow half step is over g(0)'s stability bound
+    # h^2 / 8 = 0.0192766: the run would end in StepTooLarge at t = 0.
+    ({**EDGE, "flow.T": "0.8", "flow.dt": "0.05", "entropy.a": "0.1"},
+     "flow.dt: the flow step dt/2 = 0.025 exceeds the stability bound "
+     "0.0192766 of g(0); the largest flow.dt that passes is "
+     "0.038553142191793864"),
+], ids=["no-keys", "no-kind", "no-T", "bad-kind", "unknown", "bad-dt",
+        "empty-a", "neg-T", "zero-T", "bad-tol", "zero-tol-equiv",
+        "negative-tol-mass", "repeated-a", "tag-collision-a", "signed-zero-a",
+        "bad-datum", "bad-width", "zero-width", "lone-center-x",
+        "lone-center-y", "negative-cutoff", "zero-cutoff", "negative-seed",
+        "inf-c0", "inf-A0", "inf-L", "nan-phi-amplitude", "inf-T", "inf-a",
         "neg-inf-in-a-list", "inf-dt", "constant-datum-large-L",
-        "constant-datum-large-c0", "random-datum-large-L", "flow-past-index-range",
-        "grid-past-index-range", "flow-steps-past-double-range", "zero-dt",
+        "constant-datum-large-c0", "random-datum-large-L",
+        "flow-past-index-range", "grid-past-index-range",
+        "flow-steps-past-double-range", "auto-dt-underflows-to-0", "zero-dt",
         "negative-dt", "zero-safety", "safety-above-1", "sphere-n-1",
-        "negative-c0", "zero-B0", "odd-N", "negative-L", "torus-L-1e200",
-        "torus-L-1e308", "torus-mode-1e307", "torus-mode-400-digits",
-        "torus-L-1e-200", "bump-width-1e-300", "bump-center-x-1e308",
-        "bump-center-y-minus-1e308"])
+        "negative-c0", "zero-A0", "zero-B0", "negative-C0", "odd-N",
+        "negative-L", "torus-L-1e200", "torus-L-1e308", "torus-mode-1e307",
+        "torus-mode-400-digits", "torus-L-1e-200", "sphere-volume-underflows",
+        "bump-width-1e-300", "bump-center-x-1e308",
+        "bump-center-y-minus-1e308", "flow-step-over-the-bound"])
 def test_make_config_errors(raw, msg):
     # make_config rejects the keys it parses; validate_config the settings
-    # that need the initial metric.
+    # that need the initial metric; check_config, after validate_config, the
+    # flow step over g(0)'s stability bound.
     with pytest.raises(rl.ConfigError) as exc:
-        validate_config(make_config(raw))
+        check_config(make_config(raw))
     assert msg in str(exc.value)
+
+
+def test_declared_defaults_satisfy_their_rules():
+    # make_config checks only the keys given, which is complete because each
+    # default satisfies its own key's rule (None, an unset key, is never
+    # checked); a required key has no default.
+    ruled = [f for f in dataclasses.fields(RunConfig)
+             if f.metadata and f.metadata["rule"]]
+    assert len(ruled) == 17
+    for f in ruled:
+        ok, _ = f.metadata["rule"]
+        default = (f.default if f.default_factory is dataclasses.MISSING
+                   else f.default_factory())
+        if default is not dataclasses.MISSING and default is not None:
+            assert ok(default), f.name
+    assert {f.metadata["backend"] for f in ruled} == {
+        None, "round_sphere", "berger_sphere"}
+
+
+@pytest.mark.parametrize("raw", [
+    {**EDGE, "backend.n": "1"},
+    {**EDGE, "backend.c0": "-1"},
+    {**EDGE, "backend.A0": "0"},
+    {"backend.kind": "round_sphere", "flow.T": "0.1", "flow.dt": "1e-2",
+     "entropy.a": "1", "backend.B0": "0"},
+    {"backend.kind": "berger_sphere", "flow.T": "0.1", "flow.dt": "1e-2",
+     "entropy.a": "1", "backend.n": "1", "backend.c0": "0"},
+], ids=["torus-n-1", "torus-c0-negative", "torus-A0-zero", "round-B0-zero",
+        "berger-n-1-c0-zero"])
+def test_backend_rules_apply_to_their_backend_only(raw):
+    # A round-sphere or Berger rule applies only when its backend is the
+    # configured one; on the others the key is accepted and unused.
+    check_config(make_config(raw))
+
+
+def test_flow_dt_at_the_stability_bound_passes_check(tmp_path):
+    # The flow steps dt / 2 and fails a step over its bound by the rule
+    # flow.step_limit; check_config takes the same rule at g(0).  A flow.dt
+    # of exactly twice the bound passes, and so does the largest flow.dt the
+    # error names, whose run finishes; the next float up is rejected.
+    raw = {**EDGE, "flow.T": "0.8", "entropy.a": "0.1"}
+    bound = rl.stability_dt(validate_config(make_config(raw)).m0)
+    assert bound == (TWO_PI / 16) ** 2 / 8.0
+    check_config(make_config({**raw, "flow.dt": 2.0 * bound}))
+    with pytest.raises(rl.ConfigError) as exc:
+        check_config(make_config({**raw, "flow.dt": "0.05"}))
+    largest = float(str(exc.value).rsplit(" ", 1)[1])
+    assert largest > 2.0 * bound
+    validated = check_config(make_config(
+        {**raw, "flow.T": 4.0 * largest, "flow.dt": largest}))
+    assert run(validated, tmp_path / "edge").exit_code == 0
+    with pytest.raises(rl.ConfigError, match="^flow.dt: the flow step"):
+        check_config(make_config(
+            {**raw, "flow.dt": math.nextafter(largest, math.inf)}))
 
 
 def test_random_datum_mode_cells_are_capped(monkeypatch):
@@ -1815,6 +1898,13 @@ flow.dt = 0.08
 heat.datum = constant
 entropy.a = 0.5
 """)
+    # check rejects a flow step over g(0)'s stability bound; run takes it
+    # and ends in StepTooLarge at t = 0, the numerical failure (exit 3)
+    capsys.readouterr()
+    assert cli_main(["check", unstable]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: flow.dt: the flow step dt/2 = "
+                          "0.04 exceeds the stability bound") and err.count("\n") == 1
     assert cli_main(["run", unstable, "--out", str(tmp_path / "y")]) == 3
 
     # Unreadable config and output paths are input errors: one ConfigError

@@ -395,6 +395,11 @@ def test_equivalence_check_flags():
     main_ok, sub_ok, _, sub_res = rl.equivalence_check(
         [2.0], [2.0], [1e3], [1e3 + 1e-7])
     assert sub_ok[0] and sub_res[0] == abs(1e3 - (1e3 + 1e-7)) / 1e3
+    # a bound tol_equiv * max(1, |split|) past the float range holds any
+    # finite difference, with no overflow warning (which fails this suite)
+    main_ok, _, _, _ = rl.equivalence_check([1e200], [-1e200], [0.1], [0.1],
+                                            tol_equiv=1e200)
+    assert main_ok[0]
 
 
 def test_monotonicity_check():

@@ -2,14 +2,21 @@
 
 Each entry of ``MUTANTS`` is a one-place edit of a file under src/riccilab:
 the exact old string, which must occur once in the file, and its new
-string, with the test files that should catch it.  For each mutant the
-runner copies src/, tests/, bench/ and README.md (which tests read) and
-pyproject.toml (the pytest settings, warnings as errors among them) into a
-temporary directory, applies the edit there and runs ``python -m pytest -x
--q -p no:cacheprovider`` on the named test files.  A failing run kills the
-mutant, and the runner names the first test that failed; a passing run
-lets it survive.  First the same files run once on the unmutated copy,
-which must pass, so a broken checkout cannot pass for kills.
+string, with the tests that should catch it: test files, and test node IDs
+(``file::test``) of a file's test that kills the mutant but runs late in
+it.  For each mutant the runner copies src/, tests/, bench/ and README.md
+(which tests read) and pyproject.toml (the pytest settings, warnings as
+errors among them) into a temporary directory, applies the edit there and
+runs ``python -m pytest -x -q -p no:cacheprovider`` on the named node IDs
+first and then, if they pass, on the named files without those node IDs,
+so no test runs twice.  Hypothesis runs its tests' own examples but stops
+at the first failure: a plugin in the copy loads a profile without the
+shrink and explain phases, which would only refine a failure already found
+(explaining one row-kernel failure took 85 of the 88 s its test ran).  A
+failing run kills the mutant, and the runner names the first test that
+failed; a passing run lets it survive.  First the same tests run once on
+the unmutated copy, which must pass, so a broken checkout cannot pass for
+kills.
 
 Run it from anywhere, outside the tier-1 suite:
 
@@ -33,7 +40,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (name, file under src/riccilab, old string, new string, test files)
+ROW_BLOCKS_TEST = (
+    "tests/test_harness.py::test_row_blocks_match_public_functionals_bitwise")
+
+# (name, file under src/riccilab, old string, new string, tests)
 MUTANTS = [
     # RK4 stage offsets: the snapshot or the stage a later stage reads.  The
     # torus flow's rate ignores the offset, so only the heat solve sees it.
@@ -68,10 +78,21 @@ MUTANTS = [
     ("row-kernel-log-of-raw-omega", "variation.py",
      "np.where(om > 0.0, om, np.nan)", "om",
      ["tests/test_variation.py", "tests/test_harness.py"]),
-    # The required-key rule and the guards of inputs at the edge of the
-    # float range, each naming its key.
+    # The required-key rule, the declared key rules, the flow step checked
+    # at g(0), and the guards of inputs at the edge of the float range, each
+    # naming its key.
     ("required-keys-reversed", "harness.py",
      "for key in required:", "for key in reversed(required):",
+     ["tests/test_harness.py"]),
+    ("key-rules-ignore-backend", "harness.py",
+     "if key in raw and backend in (None, cfg.backend_kind) and not ok(value):",
+     "if key in raw and not ok(value):",
+     ["tests/test_harness.py"]),
+    ("positive-rule-accepts-0", "harness.py",
+     "_POSITIVE = (lambda x: x > 0,", "_POSITIVE = (lambda x: x >= 0,",
+     ["tests/test_harness.py"]),
+    ("check-flow-step-bound-off", "harness.py",
+     "if validated.dt / 2.0 > step_limit(bound):", "if False:",
      ["tests/test_harness.py"]),
     ("torus-volume-overflow-blames-n", "harness.py",
      'key = "backend.n" if cfg.backend_kind == "round_sphere" else "backend.L"',
@@ -119,14 +140,16 @@ MUTANTS = [
      "return split + 4.0 * a * a / w, combined",
      "return split + 4.0 * a * a / w * (1.0 + 1e-10), combined",
      ["tests/test_variation.py", "tests/test_harness.py"]),
+    # Only the row kernel's comparison with the per-state functions kills
+    # these two, and it runs late in its file: it is named to run first.
     ("dF-rhs-1e-10", "variation.py",
      "dF_rhs = 2.0 * g.integrate(g.tensor_norm_sq(T, cross) * u2)",
      "dF_rhs = 2.0 * g.integrate(g.tensor_norm_sq(T, cross) * u2) * (1.0 + 1e-10)",
-     ["tests/test_variation.py", "tests/test_harness.py"]),
+     [ROW_BLOCKS_TEST, "tests/test_variation.py", "tests/test_harness.py"]),
     ("sub-rhs-1e-7", "variation.py",
      "sub_rhs = g.integrate(g.gradient_inner(df, df) * v)",
      "sub_rhs = g.integrate(g.gradient_inner(df, df) * v) * (1.0 + 1e-7)",
-     ["tests/test_variation.py", "tests/test_harness.py"]),
+     [ROW_BLOCKS_TEST, "tests/test_variation.py", "tests/test_harness.py"]),
     ("entropy-1e-11", "functionals.py",
      "return g.integrate(u2 * np.log(u2))",
      "return g.integrate(u2 * np.log(u2)) * (1.0 + 1e-11)",
@@ -187,11 +210,35 @@ MUTANTS = [
 ]
 
 
+# A pytest plugin, written into each copy: Hypothesis tests keep their own
+# settings but stop at their first failing example.
+_PLUGIN = "mutants_hypothesis"
+_PLUGIN_SOURCE = """from hypothesis import Phase, settings
+
+settings.register_profile(
+    "mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate))
+settings.load_profile("mutants")
+"""
+
+
 def _pytest(copy: Path, tests) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         *tests], cwd=copy, env=env, capture_output=True, text=True)
+    """Run the named node IDs, then, if they pass, the named files without
+    them; the result of the last run."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join((str(copy / "src"), str(copy)))}
+    ids = [t for t in tests if "::" in t]
+    files = [t for t in tests if "::" not in t]
+    for named, args in ((ids, ids),
+                        (files, files + [f"--deselect={t}" for t in ids])):
+        if not named:
+            continue
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider", "-p", _PLUGIN, *args],
+            cwd=copy, env=env, capture_output=True, text=True)
+        if result.returncode != 0:
+            break
+    return result
 
 
 def _copy(into: Path) -> Path:
@@ -201,6 +248,7 @@ def _copy(into: Path) -> Path:
                         ignore=shutil.ignore_patterns("__pycache__"))
     for name in ("pyproject.toml", "README.md"):
         shutil.copy2(ROOT / name, copy / name)
+    (copy / f"{_PLUGIN}.py").write_text(_PLUGIN_SOURCE)
     return copy
 
 
