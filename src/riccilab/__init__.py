@@ -23,7 +23,6 @@ from .geometry import (
     MetricState,
     RoundSphere,
     ScalarField,
-    SymTensorField,
     grid_coords,
     hessian,
     integrate,
@@ -56,7 +55,6 @@ from .variation import (
     matrix_quantity,
     monotonicity_check,
     proof_chain_check,
-    rate_forms,
     rhs_combined,
     rhs_split,
 )

@@ -25,9 +25,10 @@ verbatim to the curved operators.  Functional identities downstream
 this exactness.
 
 Scalar fields hold one value per node: shape () on homogeneous backends,
-shape (N, N) on the torus.  Symmetric 2-tensors hold principal values in
-the orthonormal frame on homogeneous backends (shape (n,)) and coordinate
-components (T11, T12, T22) on the torus (shape (3, N, N)).
+shape (N, N) on the torus.  Symmetric 2-tensors are the stack's plain
+arrays: principal values in the orthonormal frame on homogeneous backends
+(shape (n,)) and coordinate components (T11, T12, T22) on the torus (shape
+(3, N, N), the components on axis -3).
 
 Array cores and the leading row axis.  ``backend.stack(params)`` returns a
 ``MetricStack``: the metrics of one backend as raw arrays, with an optional
@@ -118,7 +119,6 @@ __all__ = [
     "MetricState",
     "MetricStack",
     "ScalarField",
-    "SymTensorField",
     "ROW_CELLS",
     "CHUNK_CELLS",
     "WORKERS",
@@ -212,21 +212,6 @@ def rk4_step(rate, w, dt):
     k1 *= dt / 6.0
     k1 += w
     return k1
-
-
-class _cached:
-    """functools.cached_property without its per-access lock (Python < 3.12):
-    the first access stores the value in the instance dict, which later
-    accesses read directly."""
-
-    def __init__(self, fn):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 # --------------------------------------------------------------------------
@@ -430,12 +415,6 @@ def _finite_min(states):
     return np.where(np.isfinite(lo) & np.isfinite(hi), lo, np.nan)
 
 
-def _tensor_shape(backend):
-    if isinstance(backend, ConformalTorus2D):
-        return (3, backend.N, backend.N)
-    return (backend.n,)
-
-
 # --------------------------------------------------------------------------
 # Typed state containers
 # --------------------------------------------------------------------------
@@ -465,7 +444,7 @@ class MetricState:
         if not isinstance(self.backend, ConformalTorus2D) and np.any(p <= 0):
             raise ValueError("scale parameters must be positive")
 
-    @_cached
+    @functools.cached_property
     def stack(self) -> MetricStack:
         """The operators of this one state (no leading row axis)."""
         return self.backend.stack(self.params)
@@ -484,23 +463,6 @@ class ScalarField:
         if v.shape != self.backend.field_shape:
             raise ValueError(
                 f"field shape {v.shape} does not match backend {self.backend}"
-            )
-
-
-@dataclass(frozen=True, eq=False)
-class SymTensorField:
-    """Symmetric 2-tensor: coordinate components (T11, T12, T22) on the torus,
-    principal values in the orthonormal frame on homogeneous backends."""
-
-    backend: Backend
-    comps: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.comps, dtype=float)
-        object.__setattr__(self, "comps", c)
-        if c.shape != _tensor_shape(self.backend):
-            raise ValueError(
-                f"tensor shape {c.shape} does not match backend {self.backend}"
             )
 
 
@@ -668,19 +630,19 @@ class MetricStack:
 class _HomogeneousStack(MetricStack):
     comp_axis = -1
 
-    @_cached
+    @functools.cached_property
     def _lead(self):
         return self.params.shape[:-1]
 
-    @_cached
+    @functools.cached_property
     def lap_factor(self):
         return np.zeros(self._lead)
 
-    @_cached
+    @functools.cached_property
     def metric(self):
         return np.ones(self._lead + (self.n,))
 
-    @_cached
+    @functools.cached_property
     def weight(self):
         return self.volume
 
@@ -707,18 +669,18 @@ class _HomogeneousStack(MetricStack):
 
 
 class _RoundStack(_HomogeneousStack):
-    @_cached
+    @functools.cached_property
     def R(self):
         """R = n(n-1)/c."""
         return self.n * (self.n - 1) / self.params[..., 0]
 
-    @_cached
+    @functools.cached_property
     def ricci(self):
         """(n-1)/c in every principal direction."""
         value = np.expand_dims((self.n - 1) / self.params[..., 0], -1)
         return np.repeat(value, self.n, axis=-1)
 
-    @_cached
+    @functools.cached_property
     def volume(self):
         n = self.n
         unit = 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
@@ -763,19 +725,19 @@ def _berger_rates(A, B, C):
 
 
 class _BergerStack(_HomogeneousStack):
-    @_cached
+    @functools.cached_property
     def ricci(self):
         r = np.empty(self.params.shape)
         r[..., 0], r[..., 1], r[..., 2] = _berger_ricci_values(
             *_last_axis(self.params))
         return r
 
-    @_cached
+    @functools.cached_property
     def R(self):
         """Sum of the principal Ricci values."""
         return self.ricci.sum(axis=-1)
 
-    @_cached
+    @functools.cached_property
     def volume(self):
         A, B, C = _last_axis(self.params)
         return 2.0 * math.pi**2 * np.sqrt(A * B * C)
@@ -820,36 +782,36 @@ class _TorusStack(MetricStack):
             params = params[..., :1]
         super().__init__(backend, params)
 
-    @_cached
+    @functools.cached_property
     def weight(self):
         """e^{2 phi}."""
         return np.exp(2.0 * self.params)
 
-    @_cached
+    @functools.cached_property
     def lap_factor(self):
         """e^{-2 phi}."""
         return np.exp(-2.0 * self.params)
 
-    @_cached
+    @functools.cached_property
     def _inv_weight_sq(self):
         return np.exp(-4.0 * self.params)
 
-    @_cached
+    @functools.cached_property
     def R(self):
         """R = -2 e^{-2 phi} Lap0 phi."""
         return -2.0 * self.lap_factor * _lap5(self.params, self.backend.h)
 
-    @_cached
+    @functools.cached_property
     def ricci(self):
         """(R/2) g."""
         half = 0.5 * self.R * self.weight
         return _sym(half, 0.0, half)
 
-    @_cached
+    @functools.cached_property
     def metric(self):
         return _sym(self.weight, 0.0, self.weight)
 
-    @_cached
+    @functools.cached_property
     def volume(self):
         return self.quadrature(self.weight)
 
@@ -884,7 +846,7 @@ class _TorusStack(MetricStack):
             c *= 0.5
         return T
 
-    @_cached
+    @functools.cached_property
     def _phi_central(self):
         """Central differences of phi along x and y (the Christoffel terms)."""
         phi, h = self.params, self.backend.h
@@ -962,8 +924,10 @@ def laplace_beltrami(m: MetricState, w: ScalarField) -> ScalarField:
     return ScalarField(m.backend, m.stack.laplace_beltrami(w.values))
 
 
-def hessian(m: MetricState, w: ScalarField) -> SymTensorField:
-    """Covariant Hessian (second derivatives minus Christoffel terms).
+def hessian(m: MetricState, w: ScalarField) -> np.ndarray:
+    """Covariant Hessian (second derivatives minus Christoffel terms), as the
+    stack's tensor array: (T11, T12, T22) on axis -3 on the torus, the
+    principal values on the spheres.
 
     Conformal 2-d Christoffel symbols reduce to first derivatives of phi.
     The Christoffel contributions to T11 and T22 are exact negatives, so the
@@ -971,7 +935,7 @@ def hessian(m: MetricState, w: ScalarField) -> SymTensorField:
     operator up to round-off.
     """
     _check_same_backend(m, w)
-    return SymTensorField(m.backend, m.stack.hessian(w.values))
+    return m.stack.hessian(w.values)
 
 
 def volume(m: MetricState) -> float:

@@ -73,7 +73,7 @@ except ImportError:  # not on every platform; the memory block is then null
     resource = None
 
 from . import __version__ as _VERSION
-from . import csvtext, geometry
+from . import csvtext, flow, geometry
 from .errors import (
     AdmissibilityError,
     ConfigError,
@@ -369,6 +369,8 @@ def _past_index_range(key: str, what: str, values) -> ConfigError:
 # The backend keys that set the initial volume.
 _VOLUME_KEYS = {"round_sphere": "backend.c0", "berger_sphere": "backend.A0/B0/C0",
                 "conformal_torus": "backend.L"}
+# The keys that set g(0)'s smallest metric scale.
+_SCALE_KEYS = {**_VOLUME_KEYS, "conformal_torus": "backend.phi_amplitude"}
 
 
 def _datum_params(cfg: RunConfig) -> dict:
@@ -405,7 +407,12 @@ def validate_config(cfg: RunConfig) -> ValidatedRun:
     1/volume is below the floor already (no amplitude can lift it), and on
     ``heat.amplitude`` otherwise.  A torus bump whose ``heat.bump_terms``
     are not finite is a ConfigError on ``heat.center_x/center_y`` (a phase)
-    or ``heat.width`` (the scale), checked first.
+    or ``heat.width`` (the scale), checked first.  After the horizon and
+    step checks (the flow's half step dt/2 must be a normal float, or its
+    horizon is no multiple of it to round-off), g(0)'s smallest metric scale
+    must pass the flow's floor (``flow.PARAM_FLOOR``) by the flow's own
+    comparison, a ConfigError on the backend key that sets it; lambda0 is
+    solved last.
     """
     m0 = _initial_state(cfg)
     params = _datum_params(cfg)
@@ -422,9 +429,11 @@ def validate_config(cfg: RunConfig) -> ValidatedRun:
         key = _VOLUME_KEYS[cfg.backend_kind] if small else "heat.amplitude"
         raise ConfigError(f"{key}: {exc}") from None
     T = cfg.T
-    if not isinstance(m0.backend, ConformalTorus2D):
-        n = m0.backend.n
-        T = min(T, 0.5 * min(m0.params.tolist()) / (2.0 * (n - 1)))
+    if isinstance(m0.backend, ConformalTorus2D):
+        scale = float(m0.backend.min_scale(m0.params[np.newaxis])[0])
+    else:
+        scale = min(m0.params.tolist())
+        T = min(T, 0.5 * scale / (2.0 * (m0.backend.n - 1)))
 
     # The flow stores the 2K + 1 states of its half steps, each as
     # len(p) components shaped like p[0] (``integrate_forward``'s storage);
@@ -454,6 +463,13 @@ def validate_config(cfg: RunConfig) -> ValidatedRun:
             f"flow.T/flow.dt: horizon allows only {K} steps; need at least "
             f"4{hint}"
         )
+    if dt / 2.0 < sys.float_info.min:  # flow.integrate_forward's grid test
+        raise ConfigError(f"flow.dt: the flow step dt/2 = {dt / 2.0:g} is "
+                          f"subnormal, below {sys.float_info.min:g}")
+    if not scale >= flow.PARAM_FLOOR:  # the flow's own test of each state
+        raise ConfigError(
+            f"{_SCALE_KEYS[cfg.backend_kind]}: g(0)'s smallest metric scale "
+            f"{scale:g} is below the flow's floor {flow.PARAM_FLOOR:g}")
 
     lam0 = lambda0(m0)
     checks = []

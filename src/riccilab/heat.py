@@ -78,7 +78,7 @@ class DensityHistory:
     """Density fields of consecutive rows, indexed by increasing time.
 
     ``v[k]`` holds v at ``times[k]``, the row ``first + k`` of the
-    trajectory's row grid, and ``field(k)`` wraps it as a ``ScalarField``.
+    trajectory's row grid.
     ``masses[k]`` records integral(v dmu) at ``times[k]`` as measured, for
     drift diagnostics; the fields are never renormalized.  A whole history
     starts at row 0; a chunk of ``stream_backward`` starts at ``first``.
@@ -89,9 +89,6 @@ class DensityHistory:
     v: np.ndarray
     masses: np.ndarray
     first: int = 0
-
-    def field(self, k: int) -> ScalarField:
-        return ScalarField(self.backend, self.v[k])
 
 
 # --------------------------------------------------------------------------

@@ -8,14 +8,13 @@ each (metric, density) snapshot:
 * combined form   (n/(4 omega)) integral(|T - (4 omega / n) g|^2 u^2)
 
 with T = Ric - 2 Hess(u)/u + 2 grad u (x) grad u / u^2 (equivalently
-Ric + Hess(f) for f = -2 ln u).  ``rate_forms`` takes T and the energy F of
-the snapshot, already computed, and returns both rates: two separate
-deviation integrals over the same tensor and the same quadrature, so their
-algebraic equivalence is tested free of independent discretization noise.
-They are not merged into one integral by expanding the squares.  Since
-4(omega - a) = F, the subtracted multiple in the split form equals (F/n) g.
-``rhs_split`` and ``rhs_combined`` build T and F themselves and return one
-rate each.
+Ric + Hess(f) for f = -2 ln u).  Both rates come from T and the energy F of
+the snapshot, computed once: two separate deviation integrals over the same
+tensor and the same quadrature, so their algebraic equivalence is tested
+free of independent discretization noise.  They are not merged into one
+integral by expanding the squares.  Since 4(omega - a) = F, the subtracted
+multiple in the split form equals (F/n) g.  ``rhs_split`` and
+``rhs_combined`` return one rate each of a single state.
 
 The row kernel ``row_values`` evaluates a block of rows as one stack: F, S,
 T, dF_rhs, the sub-identity integrals and, for each adjustment value,
@@ -32,10 +31,10 @@ product, once T is built in the Hessian's own output; u**2, T and
 cross_sq(T) last, after the rates.  A block of 2^15 cells thus holds at
 most about 12 block-sized fields at once besides v and its metric arrays.
 The per-state
-functions (``matrix_quantity``, ``rate_forms``, ``rhs_split``,
-``rhs_combined``, and ``f_functional``, ``shannon_entropy`` and
-``log_entropy`` in ``functionals``) are the same stacked code on a stack of
-one, so each row of a block is bitwise what they return for that row.
+functions (``matrix_quantity``, ``rhs_split``, ``rhs_combined``, and
+``f_functional``, ``shannon_entropy`` and ``log_entropy`` in
+``functionals``) are the same stacked code on a stack of one, so each row
+of a block is bitwise what they return for that row.
 The kernel evaluates every row it is given and checks none; ``row_failure``
 checks the filled table of a run once, in one vectorised pass, for its
 lowest failing row.
@@ -61,13 +60,12 @@ from .errors import (
     PositivityLoss,
     TooFewSamples,
 )
-from .geometry import MetricState, ScalarField, SymTensorField
+from .geometry import MetricState, ScalarField
 from .functionals import _energy, _entropy, f_functional, log_entropy_value, omega
 
 __all__ = [
     "a_tag",
     "matrix_quantity",
-    "rate_forms",
     "row_values",
     "row_failure",
     "RowValues",
@@ -127,8 +125,10 @@ def _rate_forms(g, u2, T, cross, w, a):
     return split + 4.0 * a * a / w, combined
 
 
-def matrix_quantity(m: MetricState, u: ScalarField) -> SymTensorField:
-    """Tensor Ric - 2 Hess(u)/u + 2 grad u (x) grad u / u^2.
+def matrix_quantity(m: MetricState, u: ScalarField) -> np.ndarray:
+    """Tensor Ric - 2 Hess(u)/u + 2 grad u (x) grad u / u^2, as the stack's
+    tensor array: (T11, T12, T22) on axis -3 on the torus, the principal
+    values on the spheres.
 
     Its trace integrates (against u^2 dmu) to the energy F exactly at the
     discrete level: the Hessian trace telescopes to the Laplacian and the
@@ -137,21 +137,17 @@ def matrix_quantity(m: MetricState, u: ScalarField) -> SymTensorField:
     if np.min(u.values) <= 0.0:
         raise PositivityLoss("density must be positive in the variation tensor")
     g, w = m.stack, u.values
-    return SymTensorField(m.backend, _variation_tensor(
-        g, w, w**2, g.grad_outer(g.differences(w))))
+    return _variation_tensor(g, w, w**2, g.grad_outer(g.differences(w)))
 
 
-def rate_forms(m: MetricState, u: ScalarField, T: SymTensorField, F: float,
-               a: float) -> tuple[float, float]:
-    """Split and combined rates from a given variation tensor T and energy F.
-
-    T must be :func:`matrix_quantity` of (m, u) and F the energy
-    :func:`f_functional` of (m, u); omega = a + F/4.  The two forms are two
-    separate deviation integrals over the same tensor and quadrature.
-    """
-    w = omega(F, a)
-    split, combined = _rate_forms(m.stack, u.values**2, T.comps,
-                                  m.stack.cross_sq(T.comps), w, a)
+def _state_rates(m: MetricState, u: ScalarField,
+                 a: float) -> tuple[float, float]:
+    """Split and combined rates of one state: T, F and omega = a + F/4 (which
+    raises when not positive), then the kernel's two deviation integrals over
+    that one tensor and quadrature."""
+    T, g = matrix_quantity(m, u), m.stack
+    w = omega(f_functional(m, u), a)
+    split, combined = _rate_forms(g, u.values**2, T, g.cross_sq(T), w, a)
     return float(split), float(combined)
 
 
@@ -159,14 +155,14 @@ def rhs_split(m: MetricState, u: ScalarField, a: float) -> float:
     """Split-form rate: deviation from the (4(omega-a)/n) g multiple plus the
     adjustment term 4 a^2 / omega.  Vanishes exactly on a gradient shrinking
     soliton with a = 0; strictly positive whenever a != 0."""
-    return rate_forms(m, u, matrix_quantity(m, u), f_functional(m, u), a)[0]
+    return _state_rates(m, u, a)[0]
 
 
 def rhs_combined(m: MetricState, u: ScalarField, a: float) -> float:
     """Combined-form rate: single squared deviation from the (4 omega/n) g
     multiple.  Algebraically equal to :func:`rhs_split` when the density has
     unit mass."""
-    return rate_forms(m, u, matrix_quantity(m, u), f_functional(m, u), a)[1]
+    return _state_rates(m, u, a)[1]
 
 
 # --------------------------------------------------------------------------

@@ -31,8 +31,8 @@ def tensor_trace(m, T):
     """Pointwise g-trace g^{ij} T_ij: e^{-2 phi} (T11 + T22) on the torus, the
     sum of the principal values on homogeneous backends."""
     if isinstance(m.backend, rl.ConformalTorus2D):
-        return rl.scalar_field(m, m.stack.lap_factor * (T.comps[0] + T.comps[2]))
-    return rl.scalar_field(m, T.comps.sum(axis=-1))
+        return rl.scalar_field(m, m.stack.lap_factor * (T[0] + T[2]))
+    return rl.scalar_field(m, T.sum(axis=-1))
 
 
 def velocity(b, p):
@@ -97,7 +97,7 @@ def matrix_quantity_f_form(m, f):
     -2 Hess(u)/u + 2 grad u (x) grad u / u^2 = Hess(f).
     """
     g = m.stack
-    return rl.SymTensorField(m.backend, g.ricci + g.hessian(f.values))
+    return g.ricci + g.hessian(f.values)
 
 
 def row_values_reference(g, v, times, a_values):

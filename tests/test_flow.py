@@ -287,6 +287,18 @@ def test_long_flow_matches_array_reference_bitwise():
     assert ends["ok"] > 0 and ends[FLOOR] > 0, ends
 
 
+def test_a_state_exactly_at_the_floor_passes(monkeypatch):
+    # The floor test is scale >= PARAM_FLOOR.  The flat torus is a fixed
+    # point of the flow, and its conformal factor e^0 is exactly 1: with the
+    # floor at 1, every state sits exactly on it and the run passes.
+    from riccilab import flow
+
+    monkeypatch.setattr(flow, "PARAM_FLOOR", 1.0)
+    m0 = rl.MetricState(rl.ConformalTorus2D(8, 1.0), 0.0, np.zeros((8, 8)))
+    traj = rl.integrate_forward(m0, 1e-3, 1e-4)
+    assert traj.num_steps == 10 and np.all(traj.params == 0.0)
+
+
 def berger_state(A, B, C):
     return rl.MetricState(rl.BergerSphere(), 0.0, np.array([A, B, C]))
 

@@ -214,7 +214,7 @@ def test_derivatives_of_constants_vanish(make):
     w = rl.scalar_field(m, np.full(m.backend.field_shape, 3.7))
     assert np.all(rl.laplace_beltrami(m, w).values == 0.0)
     assert np.all(gradient_inner(m, w, w).values == 0.0)
-    assert np.all(rl.hessian(m, w).comps == 0.0)
+    assert np.all(rl.hessian(m, w) == 0.0)
 
 
 def test_laplacian_flat_eigenfunction():
@@ -252,9 +252,18 @@ def test_hessian_flat_cosine():
     w = rl.scalar_field(m, np.cos(x) + 0.0 * y)
     H = rl.hessian(m, w)
     h2 = (TWO_PI / 64) ** 2
-    assert np.max(np.abs(H.comps[0] + np.cos(x) + 0.0 * y)) < h2 / 10
-    assert np.max(np.abs(H.comps[1])) < 1e-14
-    assert np.max(np.abs(H.comps[2])) < 1e-14
+    assert np.max(np.abs(H[0] + np.cos(x) + 0.0 * y)) < h2 / 10
+    assert np.max(np.abs(H[1])) < 1e-14
+    assert np.max(np.abs(H[2])) < 1e-14
+
+
+def test_hessian_flat_cross_derivative():
+    # The cross component of sin x sin y is cos x cos y, to second order in h.
+    m = flat()
+    x, y = rl.grid_coords(m.backend)
+    H = rl.hessian(m, rl.scalar_field(m, np.sin(x) * np.sin(y)))
+    h2 = (TWO_PI / 64) ** 2
+    assert np.max(np.abs(H[1] - np.cos(x) * np.cos(y))) < h2 / 2
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -277,8 +286,7 @@ def test_grad_outer_trace_equals_gradient_sq(seed):
     rng = np.random.default_rng(seed)
     m = rl.MetricState(backend, 0.0, 0.4 * rng.standard_normal((32, 32)))
     w = rl.scalar_field(m, rng.standard_normal((32, 32)))
-    tr = tensor_trace(m, rl.SymTensorField(
-        m.backend, m.stack.grad_outer(m.stack.differences(w.values))))
+    tr = tensor_trace(m, m.stack.grad_outer(m.stack.differences(w.values)))
     gs = gradient_inner(m, w, w)
     scale = np.max(np.abs(gs.values)) + 1.0
     assert np.max(np.abs(tr.values - gs.values)) < 1e-12 * scale
@@ -361,14 +369,13 @@ def test_sphere_volume_scaling():
 
 def test_tensor_norm_sq():
     m = flat()
-    zero = rl.SymTensorField(m.backend, np.zeros((3, 64, 64)))
-    assert np.all(m.stack.tensor_norm_sq(zero.comps,
-                                         m.stack.cross_sq(zero.comps)) == 0.0)
+    zero = np.zeros((3, 64, 64))
+    assert np.all(m.stack.tensor_norm_sq(zero, m.stack.cross_sq(zero)) == 0.0)
     for mk in (flat(), sphere(0.7, 2), sphere(1.3, 4), berger(1.2, 1.0, 0.8)):
-        g = rl.SymTensorField(mk.backend, mk.stack.metric)
+        g = mk.stack.metric
         n = mk.backend.n
         np.testing.assert_allclose(
-            mk.stack.tensor_norm_sq(g.comps, mk.stack.cross_sq(g.comps)), n,
+            mk.stack.tensor_norm_sq(g, mk.stack.cross_sq(g)), n,
             rtol=1e-12)
         np.testing.assert_allclose(tensor_trace(mk, g).values, n, rtol=1e-12)
 

@@ -238,6 +238,24 @@ EDGE = {"backend.kind": "conformal_torus", "backend.N": "16", "flow.T": "0.02",
      "flow.dt: the flow step dt/2 = 0.025 exceeds the stability bound "
      "0.0192766 of g(0); the largest flow.dt that passes is "
      "0.038553142191793864"),
+    # g(0)'s smallest scale below the flow's floor 1e-6 would end the run in
+    # BlowUp at t = 0: c0 = 1e-7, and e^{2 min phi} = e^{-14} on the torus,
+    # rejected before the ground-state solve on that metric.
+    ({"backend.kind": "round_sphere", "backend.c0": "1e-7", "flow.T": "1",
+      "flow.dt": "1e-9", "entropy.a": "1"},
+     "backend.c0: g(0)'s smallest metric scale 1e-07 is below the flow's "
+     "floor 1e-06"),
+    ({"backend.kind": "conformal_torus", "backend.N": "16",
+      "backend.phi_amplitude": "7", "flow.T": "1e-9", "flow.dt": "1e-10",
+      "entropy.a": "100"},
+     "backend.phi_amplitude: g(0)'s smallest metric scale 8.31529e-07 is "
+     "below the flow's floor 1e-06"),
+    # A subnormal half step holds too few digits for the flow's horizon to
+    # be a multiple of it: integrate_forward would raise a ValueError.
+    ({"backend.kind": "round_sphere", "flow.T": "2.36214e-318",
+      "flow.dt": "1.138e-320", "entropy.a": "1"},
+     "flow.dt: the flow step dt/2 = 5.69164e-321 is subnormal, below "
+     "2.22507e-308"),
 ], ids=["no-keys", "no-kind", "no-T", "bad-kind", "unknown", "bad-dt",
         "empty-a", "neg-T", "zero-T", "bad-tol", "zero-tol-equiv",
         "negative-tol-mass", "repeated-a", "tag-collision-a", "signed-zero-a",
@@ -253,7 +271,9 @@ EDGE = {"backend.kind": "conformal_torus", "backend.N": "16", "flow.T": "0.02",
         "negative-L", "torus-L-1e200", "torus-L-1e308", "torus-mode-1e307",
         "torus-mode-400-digits", "torus-L-1e-200", "sphere-volume-underflows",
         "bump-width-1e-300", "bump-center-x-1e308",
-        "bump-center-y-minus-1e308", "flow-step-over-the-bound"])
+        "bump-center-y-minus-1e308", "flow-step-over-the-bound",
+        "sphere-c0-below-floor", "torus-scale-below-floor",
+        "subnormal-flow-step"])
 def test_make_config_errors(raw, msg):
     # make_config rejects the keys it parses; validate_config the settings
     # that need the initial metric; check_config, after validate_config, the
@@ -465,6 +485,12 @@ def test_summary_counts_a_y_drop_of_five_tol_mono(sphere_result):
     summary = harness._summary(
         dataclasses.replace(sphere_result.tables, Y=Y), cfg)
     assert summary["monotonicity_violations"] == {"0": 1, "1": 0}
+    # Two more such drops are three violations: every drop is counted.
+    Y[60:, 0] -= 5e-6
+    Y[150:, 0] -= 5e-6
+    summary = harness._summary(
+        dataclasses.replace(sphere_result.tables, Y=Y), cfg)
+    assert summary["monotonicity_violations"] == {"0": 3, "1": 0}
 
 
 @pytest.mark.parametrize("row", [0, -1])
@@ -709,7 +735,7 @@ def row_states(validated):
                             seed=cfg.seed, mode_cutoff=cfg.cutoff)
     hist = rl.solve_backward(traj, v_T, step=validated.dt, mass_tol=cfg.tol_mass)
     for k, t in enumerate(hist.times):
-        u, _ = rl.change_variables(hist.field(k))
+        u, _ = rl.change_variables(rl.ScalarField(hist.backend, hist.v[k]))
         yield float(t), traj.state(2 * k), u
 
 
@@ -742,7 +768,7 @@ def spied_kernel_run(a_values, workers, tmp_path, monkeypatch):
 
     covered = {"row_values": [], "_energy": [], "_variation_tensor": []}
     per_state = dict.fromkeys(["f_functional", "shannon_entropy",
-                               "matrix_quantity", "rate_forms"], 0)
+                               "matrix_quantity", "_state_rates"], 0)
     threads = set()
 
     def spy(name, fn):
@@ -883,7 +909,7 @@ def test_row_blocks_match_public_functionals_bitwise(case):
         "rhs_thm", "rhs_ye")}
     for k, t in enumerate(hist.times):
         m = traj.state(2 * k)
-        u, f = rl.change_variables(hist.field(k))
+        u, f = rl.change_variables(rl.ScalarField(hist.backend, hist.v[k]))
         F = rl.f_functional(m, u)
         T = rl.matrix_quantity(m, u)
         v = hist.v[k]
@@ -891,7 +917,7 @@ def test_row_blocks_match_public_functionals_bitwise(case):
             ("F", F), ("S", rl.shannon_entropy(m, u)),
             ("lam0", functionals.lambda0(m)),
             ("dF_rhs", 2.0 * rl.integrate(m, rl.scalar_field(
-                m, m.stack.tensor_norm_sq(T.comps, m.stack.cross_sq(T.comps))
+                m, m.stack.tensor_norm_sq(T, m.stack.cross_sq(T))
                 * u.values**2))),
             ("sub_lhs", rl.integrate(m, rl.scalar_field(
                 m, rl.laplace_beltrami(m, f).values * v))),
@@ -1063,7 +1089,7 @@ def test_row_kernel_stops_at_non_positive_omega_of_second_a(k):
 
     traj, hist = sphere_rows()
     bad = poisoned(hist, k, 0.01)
-    u, _ = rl.change_variables(bad.field(k))
+    u, _ = rl.change_variables(rl.ScalarField(bad.backend, bad.v[k]))
     F_k = rl.f_functional(traj.state(2 * k), u)
     rl.omega(F_k, 1.0)
     for workers, rows in POOLS:
@@ -1107,6 +1133,28 @@ def test_row_failures_follow_the_row_check_order(omega, lam0, raised,
         assert len(tables.times) == first
 
 
+def test_heat_failure_comes_before_lambda0(tmp_path, monkeypatch):
+    # The heat failures come first (README): the backward solve raises its
+    # MassDrift before it hands the row over, so it ends the run even though
+    # row 0's lambda0 did not converge, and both CSVs are header-only.
+    from riccilab import harness
+
+    solve = harness.ground_states
+
+    def unconverged(backend, params):
+        ground = solve(backend, params)
+        ground.residuals[0] = 2 * LAMBDA0_TOL
+        return ground
+
+    monkeypatch.setattr(harness, "ground_states", unconverged)
+    validated = validate_config(make_config(
+        {**ROW_KERNEL_CFGS["curved_torus"], "tol.mass": "5e-324"}))
+    result = run(validated, tmp_path)
+    assert (result.status, result.exit_code, result.tables) == (
+        "MassDrift", 3, None)
+    assert (tmp_path / "data.csv").read_text().count("\n") == 1
+
+
 @pytest.mark.parametrize("later", ["omega", "lambda0"])
 def test_earliest_failing_block_wins_on_the_pool(later, monkeypatch):
     # Row 4 fails its omega in the second 3-row block; a later block fails
@@ -1128,7 +1176,7 @@ def test_earliest_failing_block_wins_on_the_pool(later, monkeypatch):
             return ground
 
         monkeypatch.setattr(harness, "ground_states", unconverged)
-    u, _ = rl.change_variables(hist.field(4))
+    u, _ = rl.change_variables(rl.ScalarField(hist.backend, hist.v[4]))
     want = expected_error(rl.omega, rl.f_functional(traj.state(8), u), -0.3)
     with pool(1, None, 1):
         serial, _ = harness.evaluate_tables(traj, [sphere_rows()[1]],
@@ -2271,3 +2319,45 @@ def test_bench_reaches_only_existing_names(monkeypatch):
     assert {("solve_backward", ("step",)),
             ("terminal_datum", ("amplitude", "mode_cutoff", "seed")),
             ("convergence_study", ())} <= bound
+
+
+def unit_sphere():
+    return rl.MetricState(rl.RoundSphere(2), 0.0, np.array([1.0]))
+
+
+def small_torus():
+    return rl.MetricState(rl.ConformalTorus2D(8, TWO_PI), 0.0,
+                          np.zeros((8, 8)))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: rl.integrate_forward(unit_sphere(), 0.0, 1e-3),
+     (ValueError, "horizon must be positive, got 0.0")),
+    (lambda: rl.integrate_forward(unit_sphere(), 0.1, -1e-3),
+     (ValueError, "step must be positive, got -0.001")),
+    (lambda: rl.shannon_entropy(small_torus(), rl.ScalarField(
+        small_torus().backend, np.zeros((8, 8)))),
+     (rl.PositivityLoss, "density must be positive for the entropy")),
+    (lambda: rl.ScalarField(rl.RoundSphere(2), np.ones(3)),
+     (ValueError, "field shape (3,) does not match backend")),
+    (lambda: rl.heat.bump_terms(small_torus().backend, width=0.0),
+     (ValueError, "bump width must be positive, got 0.0")),
+    (lambda: next(rl.stream_backward(
+        rl.integrate_forward(unit_sphere(), 0.02, 1e-3),
+        rl.terminal_datum("constant", small_torus()))),
+     (ValueError, "terminal datum and trajectory live on different backends")),
+    (lambda: make_config({"backend.kind": "round_sphere", "flow.T": "0.1",
+                          "entropy.a": [0.1, 2]}).a_values, [0.1, 2.0]),
+], ids=["flow-T-0", "flow-dt-negative", "entropy-zero-density",
+        "field-shape", "bump-width-0", "stream-backend-mismatch",
+        "a-as-typed-list"])
+def test_guards_no_run_reaches(call, error):
+    # Library guards that no run reaches, since validate_config rejects
+    # their inputs first or a run never builds them; make_config also takes
+    # entropy.a as a typed list, as a caller in Python passes it.
+    if isinstance(error, list):
+        assert call() == error
+        return
+    kind, message = error
+    with pytest.raises(kind, match=re.escape(message)):
+        call()

@@ -3,25 +3,30 @@
 One generator, ``draw_raw``, draws a raw config over every key that a
 ``RunConfig`` field declares (``harness._declared()``), by the key's kind:
 
-- floats: a log-uniform magnitude (over 1e-4 .. 1e4, and 1 draw in 10 each
-  end over the whole float range) or one of 0, 1 and 2 with its
-  neighbouring floats, which are the edges of every declared rule
-  (``tests/test_contract.py`` checks that each numeric rule accepts some of
-  them and rejects others); negative 1 time in 10;
+- floats: a log-uniform magnitude (over 1e-4 .. 1e4, or a key's own span
+  in ``SPANS``, and 1 draw in 10 each end out to the whole float range) or,
+  with the share ``EDGE``, one of 0, 1 and 2 with its neighbouring floats,
+  which are the edges of every declared rule (``tests/test_contract.py``
+  checks that each numeric rule accepts some of them and rejects others);
+  negative with the share ``NEGATIVE``;
 - ints: the same from a magnitude of 1 (up to 1e20), rounded, with 0, 1 and
   2 and their neighbours -1 and 3 as the edges;
-- ``entropy.a``: zero to three such floats;
-- ``flow.dt``: ``auto``, an edge value, or ``flow.T`` over a log-uniform row
-  count up to ``MAX_ROWS``, of either sign;
-- ``backend.kind`` and ``heat.datum``: one of their kinds, or 1 time in 20
-  a wrong name.
+- ``entropy.a``: one to three such floats, or with the share ``EMPTY`` none;
+- ``flow.dt``: ``auto``, a float as above (``DT_FLOAT``), or ``flow.T`` over
+  a log-uniform row count (``DT_ROWS``), of either sign: from 4 up to
+  ``MAX_ROWS``, or with the share ``FEW_ROWS`` from 0.1 up to 4;
+- ``backend.kind`` and ``heat.datum``: one of their kinds, or with the share
+  ``WRONG`` a wrong name.
 
-The required keys are always drawn, every other key 1 time in 6, and
-``heat.center_y`` with ``heat.center_x``, which are set together.  Sizes
-are capped so that one run takes at most about 0.1 s: ``backend.N`` and
-``heat.cutoff`` draw their magnitudes up to ``CAPS``, and an accepted config
-of more than ``MAX_ROWS`` rows is counted, not run.  ``out.dir`` is never
-drawn: the fuzzer chooses where each run writes.
+The required keys and ``flow.dt`` are always drawn, ``entropy.a`` 9 times
+in 10, every other ``backend.*`` key 1 time in 3 and the rest 1 in 8
+(``SHARES``), and ``heat.center_y`` with ``heat.center_x``, which are set
+together.  The shares lean the draws toward configs that run, and no draw
+is filtered out or drawn again.  Sizes are capped so that one run takes at
+most about 0.1 s: ``backend.N`` and ``heat.cutoff`` draw their magnitudes
+up to ``CAPS``, and an accepted config of more than ``MAX_ROWS`` rows is
+counted, not run.  ``out.dir`` is never drawn: the fuzzer chooses where
+each run writes.
 
 ``outcome`` runs one config in process as the CLI would, with every warning
 an error: ``make_config``, ``check_config`` (``riccilab check``), then
@@ -70,6 +75,25 @@ from riccilab.heat import DATUM_KINDS  # noqa: E402
 MAX_ROWS = 3000
 # Largest magnitude drawn for the keys that set a run's size.
 CAPS = {"backend.N": 24, "heat.cutoff": 30}
+# The log10 span of a float's common magnitudes (0 .. 4 for ints), and each
+# key's own span where it differs: a sphere caps flow.T at half its
+# extinction time (0.25 on the unit 2-sphere), flow.safety lies in (0, 1],
+# and a sphere's scales set its horizon and, on the Berger sphere, the sign
+# of lambda0 that entropy.a must exceed.
+SPAN = (-4.0, 4.0)
+SPANS = {"flow.T": (-4.0, 0.0), "flow.safety": (-2.0, 0.0),
+         **dict.fromkeys(("backend.c0", "backend.A0", "backend.B0",
+                          "backend.C0"), (-1.0, 1.0))}
+# The shares of the draws that are an edge value, a negative number, a wrong
+# name and an empty entropy.a list.
+EDGE, NEGATIVE, WRONG, EMPTY = 0.15, 0.05, 0.02, 0.05
+# flow.dt: the shares of a float draw and of flow.T over a row count (the
+# rest is auto), and the share of those row counts that are under 4.
+DT_FLOAT, DT_ROWS, FEW_ROWS = 0.15, 0.7, 0.1
+# How often an optional key is drawn: flow.dt and entropy.a as given, the
+# other backend.* keys 1 time in 3, the rest 1 in 8.
+SHARES = {"flow.dt": 1.0, "entropy.a": 0.9}
+BACKEND_KEY, OTHER_KEY = 1 / 3, 1 / 8
 # The edges of every declared rule: floats at these values or their
 # neighbouring floats, ints at these.
 EDGES = (0.0, 1.0, 2.0)
@@ -79,10 +103,14 @@ CHOICES = {"backend.kind": (harness._BACKEND_KINDS, "klein_bottle"),
 UNDRAWN = {"out.dir"}
 
 
-def _magnitude(rng: random.Random, lo: float, cap: float) -> float:
-    """A log-uniform magnitude from ``lo`` up to ``cap``: up to 1e4, and one
-    draw in ten up to the largest float."""
-    hi = 4.0 if rng.random() < 0.9 else 308.0
+def _magnitude(rng: random.Random, span: tuple, floor: float,
+               cap: float) -> float:
+    """A log-uniform magnitude over the log10 ``span``, its lower end one
+    draw in ten down to 10^floor and its upper end one in ten up to the
+    largest float; never above ``cap``."""
+    lo, hi = span
+    lo = lo if rng.random() < 0.9 else floor
+    hi = hi if rng.random() < 0.9 else 308.0
     return 10.0 ** rng.uniform(lo, min(hi, math.log10(cap)))
 
 
@@ -92,19 +120,29 @@ def edge_floats() -> tuple:
         math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)))
 
 
-def _float(rng: random.Random) -> float:
-    if rng.random() < 0.3:
+def _float(rng: random.Random, span: tuple = SPAN) -> float:
+    if rng.random() < EDGE:
         x = rng.choice(edge_floats())
     else:
-        x = _magnitude(rng, -4.0 if rng.random() < 0.9 else -323.0, math.inf)
-    return -x if rng.random() < 0.1 else x
+        x = _magnitude(rng, span, -323.0, math.inf)
+    return -x if rng.random() < NEGATIVE else x
 
 
 def _int(rng: random.Random, cap: float) -> int:
-    if rng.random() < 0.3:
+    if rng.random() < EDGE:
         return rng.choice(INT_EDGES)
-    n = round(_magnitude(rng, 0.0, min(cap, 1e20)))
-    return -n if rng.random() < 0.1 else n
+    n = round(_magnitude(rng, (0.0, 4.0), 0.0, min(cap, 1e20)))
+    return -n if rng.random() < NEGATIVE else n
+
+
+def _drawn(rng: random.Random, key: str, required) -> bool:
+    if key in UNDRAWN:
+        return False
+    if key in required:
+        return True
+    share = SHARES.get(key, BACKEND_KEY if key.startswith("backend.")
+                       else OTHER_KEY)
+    return rng.random() < share
 
 
 def draw_raw(rng: random.Random) -> dict:
@@ -115,31 +153,33 @@ def draw_raw(rng: random.Random) -> dict:
         if key == "heat.center_y":
             if "heat.center_x" not in raw:
                 continue
-        elif key in UNDRAWN or (key not in required and rng.random() < 5 / 6):
+        elif not _drawn(rng, key, required):
             continue
         kind = f.metadata["kind"]
         if key in CHOICES:
             kinds, wrong = CHOICES[key]
-            raw[key] = wrong if rng.random() < 0.05 else rng.choice(kinds)
+            raw[key] = wrong if rng.random() < WRONG else rng.choice(kinds)
         elif kind is int:
             raw[key] = str(_int(rng, CAPS.get(key, math.inf)))
         elif kind is float:
-            raw[key] = repr(_float(rng))
+            raw[key] = repr(_float(rng, SPANS.get(key, SPAN)))
         elif kind == "float_list":
-            raw[key] = ", ".join(repr(_float(rng))
-                                 for _ in range(rng.randrange(4)))
+            count = 0 if rng.random() < EMPTY else rng.randint(1, 3)
+            raw[key] = ", ".join(repr(_float(rng)) for _ in range(count))
         elif kind == "dt":
             raw[key] = "auto"  # set below, from flow.T
         else:
             raise ValueError(f"{key}: no generator for kind {kind!r}")
     if "flow.dt" in raw:
         r = rng.random()
-        if r < 0.3:
+        if r < DT_FLOAT:
             raw["flow.dt"] = repr(_float(rng))
-        elif r < 0.8:
+        elif r < DT_FLOAT + DT_ROWS:
             T = float(raw["flow.T"])
-            dt = T / 10.0 ** rng.uniform(-1.0, math.log10(MAX_ROWS))
-            raw["flow.dt"] = repr(-dt if rng.random() < 0.1 else dt)
+            lo, hi = (-1.0, math.log10(4.0)) if rng.random() < FEW_ROWS else (
+                math.log10(4.0), math.log10(MAX_ROWS))
+            dt = T / 10.0 ** rng.uniform(lo, hi)
+            raw["flow.dt"] = repr(-dt if rng.random() < NEGATIVE else dt)
     return raw
 
 

@@ -94,6 +94,28 @@ MUTANTS = [
     ("check-flow-step-bound-off", "harness.py",
      "if validated.dt / 2.0 > step_limit(bound):", "if False:",
      ["tests/test_harness.py"]),
+    # g(0)'s scale against the flow's floor: the flow's own >= (a Berger
+    # metric exactly at the floor passes check and fails its first step).
+    ("g0-floor-check-strict", "harness.py",
+     "if not scale >= flow.PARAM_FLOOR:", "if not scale > flow.PARAM_FLOOR:",
+     ["tests/test_harness.py"]),
+    ("g0-floor-check-off", "harness.py",
+     "if not scale >= flow.PARAM_FLOOR:", "if False:",
+     ["tests/test_harness.py"]),
+    ("flow-floor-strict", "flow.py",
+     "fails[:, 0] = ~(scale >= PARAM_FLOOR)",
+     "fails[:, 0] = ~(scale > PARAM_FLOOR)",
+     ["tests/test_flow.py", "tests/test_harness.py"]),
+    ("positivity-floor-0", "heat.py",
+     "POSITIVITY_FLOOR = 1e-10", "POSITIVITY_FLOOR = 0.0",
+     ["tests/test_heat.py", "tests/test_harness.py"]),
+    # The failure order: lambda0 raised before the heat solve's failures.
+    ("lambda0-failure-before-heat", "harness.py",
+     "        ground = ground_states(backend, params)\n",
+     "        ground = ground_states(backend, params)\n"
+     "        ground.value(int(np.argmin(ground.converged)))\n",
+     ["tests/test_harness.py::test_heat_failure_comes_before_lambda0",
+      "tests/test_harness.py"]),
     ("torus-volume-overflow-blames-n", "harness.py",
      'key = "backend.n" if cfg.backend_kind == "round_sphere" else "backend.L"',
      'key = "backend.n"',
@@ -127,6 +149,15 @@ MUTANTS = [
      'with np.errstate(over="ignore"):  # an exponent of -inf gives 0',
      'with np.errstate():',
      ["tests/test_heat.py"]),
+    # The torus stencils: the full-grid 5-point Laplacian's centre weight and
+    # the Hessian's cross difference.
+    ("lap5-centre-weight", "geometry.py",
+     "out -= np.multiply(4.0, w, out=s)", "out -= np.multiply(3.9, w, out=s)",
+     ["tests/test_geometry.py"]),
+    ("hessian-cross-difference-halved", "geometry.py",
+     "hxy /= 4.0 * h * h", "hxy /= 2.0 * h * h",
+     ["tests/test_geometry.py::test_hessian_flat_cross_derivative",
+      "tests/test_geometry.py", "tests/test_variation.py"]),
     # Finite-difference stencils and the interior mask.
     ("fd-near-edge-stencil", "variation.py",
      "d[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[4])",
@@ -158,6 +189,14 @@ MUTANTS = [
      "+ 4.0 * a * t", "+ 4.0 * a * (t + 1e-9)",
      ["tests/test_functionals.py", "tests/test_harness.py"]),
     # Summary fields, the study and the adjustment-value tag.
+    ("equivalence-violations-count-sub-identity", "harness.py",
+     '"equivalence_violations": int(np.sum(~main_ok)),',
+     '"equivalence_violations": int(np.sum(~sub_ok)),',
+     ["tests/test_harness.py"]),
+    ("monotonicity-violations-count-flags", "harness.py",
+     "a_tag(a): int(len(monotonicity_check(y, cfg.tol_mono)))",
+     "a_tag(a): int(len(monotonicity_check(y, cfg.tol_mono)) > 0)",
+     ["tests/test_harness.py"]),
     ("max-res-equiv-interior-only", "harness.py",
      '"max_res_equiv": float(np.max(tables.res_equiv)),',
      '"max_res_equiv": float(np.max(tables.res_equiv[interior])),',
