@@ -9,7 +9,8 @@ The loop steps a state in the backend's component form: Python floats on
 the spheres, the phi array on the torus.  Each backend's ``step`` is one
 RK4 step of its own component form: ``geometry.rk4_step`` on the torus,
 where its stages and combination are described, and straight-line code in
-the same order on the spheres' floats, so the results are bitwise what
+the same order on the spheres' floats (on the Berger sphere each stage's
+three rates too, written out with no call), so the results are bitwise what
 numpy arrays give; the tests pin each backend's step to the array form,
 overflow and division by zero at any stage included.
 

@@ -206,75 +206,79 @@ def _lopcg(g, vectors=None):
     LOPCG on each row: its values, iterations and residuals, and each row's
     eigenfunction in ``vectors`` ((k, N, N), broadcast along y) unless
     None."""
-    N, Ny, h = g.backend.N, g.params.shape[-1], g.backend.h
-    e2p = g.weight.reshape(-1, N, Ny)
-    pot = (0.25 * g.R * g.weight).reshape(-1, N, Ny)
-    inv_symbol = 1.0 / (_neg_lap_symbol(N, h)[:, :Ny // 2 + 1]
-                        + (_row_sum(e2p) / (N * Ny))[:, None, None])
-    K = len(e2p)
-    rows, values, iterations, residuals = (
-        np.arange(K), np.empty(K), np.zeros(K, dtype=int), np.zeros(K))
-    # [x, M r, p] of every row (p = 0 until set), their A- and B-images
-    S, AS, BS = Z = np.zeros((3, 3, K, N, Ny))
-    S[0] = 1.0
-    for it in range(LAMBDA0_MAXITER + 1):
-        n = len(rows)
-        X, W, P = S[:, :n]
-        AX, AW, BX = AS[0, :n], AS[1, :n], BS[0, :n]
-        np.multiply(e2p, X, out=BX)
-        BX *= X
-        X *= (np.copysign(1.0, _row_sum(X))
-              / (np.sqrt(_row_sum(BX)) * h))[:, None, None]
-        np.subtract(np.multiply(pot, X, out=AX), _lap5(X, h), out=AX)
-        np.multiply(e2p, X, out=BX)
-        # W is scratch until M r fills it; r = A x - lam B x goes to AW.
-        xBx = _row_sum(np.multiply(X, BX, out=W))
-        lam = _row_sum(np.multiply(X, AX, out=W)) / xBx
-        R = np.subtract(AX, lam[:, None, None] * BX, out=AW)
-        res = np.sqrt(_row_sum(np.divide(R * R, e2p, out=W)) / xBx)
-
-        # Freeze the rows that pass (or ran out of iterations).
-        done = (res <= LAMBDA0_TOL) | (it == LAMBDA0_MAXITER)
-        if np.any(done):
-            k = rows[done]
-            values[k], iterations[k], residuals[k] = lam[done], it, res[done]
-            if vectors is not None:  # unit g-norm on the full grid
-                vectors[k] = X[done] * math.sqrt(Ny / N)
-            keep = ~done
-            if not np.any(keep):
-                return values, iterations, residuals
-            rows, n = rows[keep], np.count_nonzero(keep)
-            Z[:, :, :n] = Z[:, :, :len(keep)][:, :, keep]
-            e2p, pot, inv_symbol = e2p[keep], pot[keep], inv_symbol[keep]
+    # A tiny grid spacing overflows the arithmetic; the residual is then
+    # not finite, fails LAMBDA0_TOL and reports the row unconverged.
+    with np.errstate(all="ignore"):
+        N, Ny, h = g.backend.N, g.params.shape[-1], g.backend.h
+        e2p = g.weight.reshape(-1, N, Ny)
+        pot = (0.25 * g.R * g.weight).reshape(-1, N, Ny)
+        inv_symbol = 1.0 / (_neg_lap_symbol(N, h)[:, :Ny // 2 + 1]
+                            + (_row_sum(e2p) / (N * Ny))[:, None, None])
+        K = len(e2p)
+        rows, values, iterations, residuals = (
+            np.arange(K), np.empty(K), np.zeros(K, dtype=int), np.zeros(K))
+        # [x, M r, p] of every row (p = 0 until set), their A- and B-images
+        S, AS, BS = Z = np.zeros((3, 3, K, N, Ny))
+        S[0] = 1.0
+        for it in range(LAMBDA0_MAXITER + 1):
+            n = len(rows)
             X, W, P = S[:, :n]
-            R = AW = AS[1, :n]
+            AX, AW, BX = AS[0, :n], AS[1, :n], BS[0, :n]
+            np.multiply(e2p, X, out=BX)
+            BX *= X
+            X *= (np.copysign(1.0, _row_sum(X))
+                  / (np.sqrt(_row_sum(BX)) * h))[:, None, None]
+            np.subtract(np.multiply(pot, X, out=AX), _lap5(X, h), out=AX)
+            np.multiply(e2p, X, out=BX)
+            # W is scratch until M r fills it; r = A x - lam B x goes to AW.
+            xBx = _row_sum(np.multiply(X, BX, out=W))
+            lam = _row_sum(np.multiply(X, AX, out=W)) / xBx
+            R = np.subtract(AX, lam[:, None, None] * BX, out=AW)
+            res = np.sqrt(_row_sum(np.divide(R * R, e2p, out=W)) / xBx)
 
-        W[...] = np.fft.irfft2(np.fft.rfft2(R) * inv_symbol, s=(N, Ny))
-        np.subtract(np.multiply(pot, W, out=AW), _lap5(W, h), out=AW)
-        m = 3 if it else 2  # p joins the basis after the first step
-        np.multiply(e2p, S[1:m, :n], out=BS[1:m, :n])
-        # Both Gram pencils, their upper triangles mirrored down
-        basis = S[:m, :n].reshape(m, n, -1).swapaxes(0, 1)
-        GA = basis @ AS[:m, :n].reshape(m, n, -1).transpose(1, 2, 0)
-        GB = basis @ BS[:m, :n].reshape(m, n, -1).transpose(1, 2, 0)
-        i, j = _UPPER[m]
-        GA[:, j, i], GB[:, j, i] = GA[:, i, j], GB[:, i, j]
-        c, ok = _lowest_ritz(GA, GB)
-        if m == 3 and not np.all(ok):
-            # Drop p where the three-vector Gram matrix is ill-conditioned.
-            c2, ok2 = _lowest_ritz(GA[~ok, :2, :2], GB[~ok, :2, :2])
-            c[~ok] = np.pad(c2, ((0, 0), (0, 1)))
-            ok[~ok] = ok2
-        # A row whose {x, M r} is degenerate keeps x; it cannot improve.
-        c[~ok] = np.eye(m)[0]
-        # p <- c_w w + c_p p and its A-image, then x <- c_x x + p
-        coef = np.zeros((3, n, 1, 1))
-        coef[:m, :, 0, 0] = c.T
-        for A in (S, AS):
-            A[1:, :n] *= coef[1:]
-            A[2, :n] += A[1, :n]
-        X *= coef[0]
-        X += P
+            # Freeze the rows that pass (or ran out of iterations).
+            done = (res <= LAMBDA0_TOL) | (it == LAMBDA0_MAXITER)
+            if np.any(done):
+                k = rows[done]
+                values[k], iterations[k] = lam[done], it
+                residuals[k] = res[done]
+                if vectors is not None:  # unit g-norm on the full grid
+                    vectors[k] = X[done] * math.sqrt(Ny / N)
+                keep = ~done
+                if not np.any(keep):
+                    return values, iterations, residuals
+                rows, n = rows[keep], np.count_nonzero(keep)
+                Z[:, :, :n] = Z[:, :, :len(keep)][:, :, keep]
+                e2p, pot, inv_symbol = e2p[keep], pot[keep], inv_symbol[keep]
+                X, W, P = S[:, :n]
+                R = AW = AS[1, :n]
+
+            W[...] = np.fft.irfft2(np.fft.rfft2(R) * inv_symbol, s=(N, Ny))
+            np.subtract(np.multiply(pot, W, out=AW), _lap5(W, h), out=AW)
+            m = 3 if it else 2  # p joins the basis after the first step
+            np.multiply(e2p, S[1:m, :n], out=BS[1:m, :n])
+            # Both Gram pencils, their upper triangles mirrored down
+            basis = S[:m, :n].reshape(m, n, -1).swapaxes(0, 1)
+            GA = basis @ AS[:m, :n].reshape(m, n, -1).transpose(1, 2, 0)
+            GB = basis @ BS[:m, :n].reshape(m, n, -1).transpose(1, 2, 0)
+            i, j = _UPPER[m]
+            GA[:, j, i], GB[:, j, i] = GA[:, i, j], GB[:, i, j]
+            c, ok = _lowest_ritz(GA, GB)
+            if m == 3 and not np.all(ok):
+                # Drop p where the three-vector Gram matrix is ill-conditioned.
+                c2, ok2 = _lowest_ritz(GA[~ok, :2, :2], GB[~ok, :2, :2])
+                c[~ok] = np.pad(c2, ((0, 0), (0, 1)))
+                ok[~ok] = ok2
+            # A row whose {x, M r} is degenerate keeps x; it cannot improve.
+            c[~ok] = np.eye(m)[0]
+            # p <- c_w w + c_p p and its A-image, then x <- c_x x + p
+            coef = np.zeros((3, n, 1, 1))
+            coef[:m, :, 0, 0] = c.T
+            for A in (S, AS):
+                A[1:, :n] *= coef[1:]
+                A[2, :n] += A[1, :n]
+            X *= coef[0]
+            X += P
 
 
 def ground_states(backend, params) -> GroundStates:

@@ -66,8 +66,10 @@ spheres, where numpy's per-call dispatch would dwarf the arithmetic, and a
 one-entry list holding phi on the torus (its column when y-invariant).
 ``rates`` is the flow velocity in that form, and ``step(p, dt)`` one RK4
 step of it: one line on the round sphere, whose rate does not depend on c;
-straight-line code over A, B, C on the Berger sphere, whose float squares
-skip ``_pow``'s calls (``_squares``); ``rk4_step`` on the torus, each
+straight-line code over A, B, C on the Berger sphere, each stage's three
+rates written out on the floats with no call (a float square that
+overflows redoes the step through ``_berger_rates``, whose ``_pow`` squares
+are inf); ``rk4_step`` on the torus, each
 rate written into its stencil's output, a y-invariant column
 stepped on its bare (N,) view through ``_lap_column`` (25-28 us a step at
 N = 32 against 47-58 us for the (N, 1) array form on a 2-core Xeon: numpy's
@@ -79,7 +81,7 @@ metric scale, nan where a state is not finite; it feeds the floor check and
 ``stability_dt``, the unscaled bound (``flow.dt = auto`` applies
 ``flow.safety`` to it).
 The heat solve reads stack arrays through ``rows`` and checks positivity by
-``field_min``.
+``_finite_min``.
 Floats and numpy round each operation alike: either form gives the same bits.
 
 Row blocks.  A sphere row is one cell; a torus row is N^2 cells (N for the
@@ -250,11 +252,6 @@ class _Homogeneous:
         """The rows of a per-row array as Python floats."""
         return x.tolist()
 
-    @staticmethod
-    def field_min(w):
-        """The value of a constant field; nan if it is not finite."""
-        return w if math.isfinite(w) else math.nan
-
 
 @dataclass(frozen=True)
 class RoundSphere(_Homogeneous):
@@ -303,13 +300,43 @@ class BergerSphere(_Homogeneous):
     @staticmethod
     def step(p, dt):
         """One RK4 step of [A, B, C], straight-line over the three floats in
-        ``rk4_step``'s order."""
+        ``rk4_step``'s order, each stage's rates written out in
+        ``_berger_rates``'s operations: the squares by ``**``, then
+        X * Y * Z, then the divisions.  A square that overflows (Python
+        raises where C's pow gives inf) redoes the step through
+        ``_berger_rates``, whose ``_pow`` squares are inf; a division by zero
+        raises ``ZeroDivisionError``."""
         A, B, C = p
         half = 0.5 * dt
-        a1, b1, c1 = _berger_rates(A, B, C)
-        a2, b2, c2 = _berger_rates(A + half * a1, B + half * b1, C + half * c1)
-        a3, b3, c3 = _berger_rates(A + half * a2, B + half * b2, C + half * c2)
-        a4, b4, c4 = _berger_rates(A + dt * a3, B + dt * b3, C + dt * c3)
+        try:
+            s1, s2, s3 = (B - C) ** 2, (C - A) ** 2, (A - B) ** 2
+            xyz = A * B * C
+            a1 = -2.0 * A * (2.0 * (A * A - s1) / xyz)
+            b1 = -2.0 * B * (2.0 * (B * B - s2) / xyz)
+            c1 = -2.0 * C * (2.0 * (C * C - s3) / xyz)
+            X, Y, Z = A + half * a1, B + half * b1, C + half * c1
+            s1, s2, s3 = (Y - Z) ** 2, (Z - X) ** 2, (X - Y) ** 2
+            xyz = X * Y * Z
+            a2 = -2.0 * X * (2.0 * (X * X - s1) / xyz)
+            b2 = -2.0 * Y * (2.0 * (Y * Y - s2) / xyz)
+            c2 = -2.0 * Z * (2.0 * (Z * Z - s3) / xyz)
+            X, Y, Z = A + half * a2, B + half * b2, C + half * c2
+            s1, s2, s3 = (Y - Z) ** 2, (Z - X) ** 2, (X - Y) ** 2
+            xyz = X * Y * Z
+            a3 = -2.0 * X * (2.0 * (X * X - s1) / xyz)
+            b3 = -2.0 * Y * (2.0 * (Y * Y - s2) / xyz)
+            c3 = -2.0 * Z * (2.0 * (Z * Z - s3) / xyz)
+            X, Y, Z = A + dt * a3, B + dt * b3, C + dt * c3
+            s1, s2, s3 = (Y - Z) ** 2, (Z - X) ** 2, (X - Y) ** 2
+            xyz = X * Y * Z
+            a4 = -2.0 * X * (2.0 * (X * X - s1) / xyz)
+            b4 = -2.0 * Y * (2.0 * (Y * Y - s2) / xyz)
+            c4 = -2.0 * Z * (2.0 * (Z * Z - s3) / xyz)
+        except OverflowError:
+            a1, b1, c1 = _berger_rates(A, B, C)
+            a2, b2, c2 = _berger_rates(A + half * a1, B + half * b1, C + half * c1)
+            a3, b3, c3 = _berger_rates(A + half * a2, B + half * b2, C + half * c2)
+            a4, b4, c4 = _berger_rates(A + dt * a3, B + dt * b3, C + dt * c3)
         sixth = dt / 6.0
         return [A + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
                 B + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
@@ -395,11 +422,6 @@ class ConformalTorus2D:
     def rows(x):
         """A per-row array, whose row k is the grid x[k]."""
         return x
-
-    @staticmethod
-    def field_min(w):
-        """Smallest value of a field; nan if a value is not finite."""
-        return w.min() if np.isfinite(w).all() else math.nan
 
 
 Backend = RoundSphere | BergerSphere | ConformalTorus2D
@@ -692,18 +714,6 @@ def _last_axis(p):
     return np.moveaxis(p, -1, 0) if p.ndim > 1 else p
 
 
-def _squares(d1, d2, d3):
-    """``_pow(d, 2)`` of each d: ``d ** 2`` straight on Python floats (the
-    same C pow, without three calls), ``_pow`` on arrays and numpy scalars
-    and where a square overflows."""
-    if type(d1) is type(d2) is type(d3) is float:
-        try:
-            return d1 ** 2, d2 ** 2, d3 ** 2
-        except OverflowError:
-            pass
-    return _pow(d1, 2), _pow(d2, 2), _pow(d3, 2)
-
-
 def _berger_ricci_values(A, B, C):
     """Principal Ricci values (r_1, r_2, r_3) in the orthonormal frame for
     diag(A, B, C): Python floats, numpy scalars or arrays.
@@ -711,7 +721,7 @@ def _berger_ricci_values(A, B, C):
     Milnor-frame structure constants are 2 (A = B = C = 1 is the unit round
     3-sphere), giving r_1 = 2 (A^2 - (B - C)^2) / (ABC) and cyclic.
     """
-    s1, s2, s3 = _squares(B - C, C - A, A - B)
+    s1, s2, s3 = _pow(B - C, 2), _pow(C - A, 2), _pow(A - B, 2)
     abc = A * B * C
     return (2.0 * (A * A - s1) / abc,
             2.0 * (B * B - s2) / abc,

@@ -347,7 +347,10 @@ def _initial_state(cfg: RunConfig) -> MetricState:
         except OverflowError:  # the unit round sphere's volume, or the torus's h**2
             key = "backend.n" if cfg.backend_kind == "round_sphere" else "backend.L"
             R, vol = math.nan, math.nan
-    if math.isnan(m0.backend.field_min(R)) or not math.isfinite(vol):
+    # R is a float on the spheres (math.isfinite is the cheap test) and a
+    # grid on the torus.
+    finite = math.isfinite(R) if isinstance(R, float) else np.isfinite(R).all()
+    if not (finite and math.isfinite(vol)):
         raise ConfigError(f"{key}: the initial metric's curvature or volume "
                           "is not finite")
     if not vol > 0:

@@ -26,16 +26,27 @@ spheres, grids on the torus, either way bitwise alike.  Each step is one
 ``geometry.rk4_step``, its stage offsets 0, 1, 1 and 2 reading snapshots
 i, i - 1, i - 1 and i - 2, each stage's right-hand side written into the
 output of the flat Laplacian; on the spheres the same statements rebind
-floats.  Mass is checked at every step but never renormalized.
+floats.  The mass is measured at every row but never renormalized.
 
 One RK4 loop serves two callers.  ``stream_backward`` hands the rows over
-as they complete, top-down, in chunks of at most ``geometry.CHUNK_CELLS``
-cells held in one reused buffer, so a run holds one chunk of densities
-instead of their whole history; ``solve_backward`` collects the same loop
-into one chunk of every row.  Either way a row's bits are the same.
+top-down, in chunks of at most ``geometry.CHUNK_CELLS`` cells held in one
+reused buffer, so a run holds one chunk of densities instead of their
+whole history; ``solve_backward`` collects the same loop into one chunk of
+every row.  Either way a row's bits are the same.
 
-A density is a ``ScalarField`` of v; each row is checked (finite, above
-``POSITIVITY_FLOOR``, mass in tolerance) before any caller sees it.
+Step first, check after.  The loop steps a chunk's rows into its buffer,
+one ``rk4_step`` and one store a row, with numpy's floating-point warnings
+off; then ``_check_chunk`` checks the chunk in sub-blocks of at most
+``ROW_CELLS // WORKERS`` cells, each one vectorised pass: every row's mass
+``quadrature(v * weight)`` (the same products and contiguous row sums as
+the row alone; the weights from one stack of the sub-block's snapshots)
+and its positivity (``geometry._finite_min`` above ``POSITIVITY_FLOOR``,
+nan for a row that is not finite).  The first failing event top-down is
+raised, a row's positivity before its mass.  A chunk is handed over only
+when every row of it passes, so the chunks above a failing row have been
+handed over and the failing row's chunk is not; the steps past the failing
+row (at most the rest of its chunk) print nothing.  A density is a
+``ScalarField`` of v.
 """
 
 from __future__ import annotations
@@ -289,8 +300,9 @@ def stream_backward(traj: Trajectory, v_T: ScalarField, *,
 
 
 def _backward(traj, v_T, mass_tol, chunk_cells):
-    """Chunks of the backward solve, top-down, each row checked as it is
-    stored; one chunk of every row when ``chunk_cells`` is None."""
+    """Chunks of the backward solve, top-down, each stepped into one reused
+    buffer and then checked by ``_check_chunk``; one chunk of every row when
+    ``chunk_cells`` is None."""
     if v_T.backend != traj.backend:
         raise ValueError("terminal datum and trajectory live on different backends")
     if traj.num_steps % 2 != 0:
@@ -302,52 +314,62 @@ def _backward(traj, v_T, mass_tol, chunk_cells):
         M + 1, max(1, chunk_cells // backend.cells))
     v_out = np.empty((size,) + v_T.values.shape)
     m_out = np.empty(size)
-    top = M  # the highest row of the chunk being filled
-    for r, v, mass in _rk4_rows(traj, v_T):
-        _check_density(backend, v, mass, mass_tol, times[r])
-        base = max(top - size + 1, 0)
-        v_out[r - base], m_out[r - base] = v, mass
-        if r == base:
-            n = top + 1 - base
-            yield DensityHistory(backend, times[base:top + 1], v_out[:n],
-                                 m_out[:n], base)
-            top = base - 1
-
-
-def _rk4_rows(traj, v_T):
-    """(row, v, mass) of the terminal row, then of each row below it as its
-    ``geometry.rk4_step`` in tau of twice the trajectory spacing completes."""
-    M = traj.num_steps // 2
     step = 2.0 * traj.dt
-    backend = traj.backend
     lap0, rows = backend.flat_laplacian, backend.rows
-    (v,) = rows(v_T.values[None])
-    yield M, v, integrate(traj.final_state(), v_T)
-
     block = max(1, geometry.ROW_CELLS // (2 * backend.cells))
-    for hi in range(M, 0, -block):
-        # Steps hi, hi - 1, ..., lo + 1 read snapshots 2 lo ... 2 hi.
-        lo = max(hi - block, 0)
-        g = backend.stack(traj.params[2 * lo:2 * hi + 1])
-        R, lap_factor, weight = rows(g.R), rows(g.lap_factor), rows(g.weight)
 
-        def rhs(s, w):
-            """dv/dtau = Lap_g w - R w at snapshot i1 - s of the block,
-            written into lap0(w)'s output (a new float on the spheres)."""
-            out = lap0(w)
-            out *= lap_factor[i1 - s]
-            out -= R[i1 - s] * w
-            return out
+    def rhs(s, w):
+        """dv/dtau = Lap_g w - R w at snapshot i1 - s of the snapshot block,
+        written into lap0(w)'s output (a new float on the spheres)."""
+        out = lap0(w)
+        out *= lap_factor[i1 - s]
+        out -= R[i1 - s] * w
+        return out
 
-        for j in range(hi, lo, -1):
-            # The tau-step from the later snapshot i1 reads i1 - 1 and i1 - 2.
-            i1 = 2 * (j - lo)
-            v = geometry.rk4_step(rhs, v, step)
-            yield j - 1, v, g.quadrature(v * weight[i1 - 2])
+    (v,) = rows(v_T.values[None])
+    lo = M  # the lowest row of the snapshot block read
+    for top in range(M, -1, -size):
+        base = max(top - size + 1, 0)
+        with np.errstate(all="ignore"):  # the check reports what overflows
+            if top == M:
+                v_out[top - base] = v
+            for r in range(min(top, M - 1), base - 1, -1):
+                if r < lo:  # the next snapshot block
+                    lo = max(r + 1 - block, 0)
+                    # Steps r + 1, r, ..., lo + 1 read snapshots 2 lo ... 2 r + 2.
+                    g = backend.stack(traj.params[2 * lo:2 * r + 3])
+                    R, lap_factor = rows(g.R), rows(g.lap_factor)
+                # The tau-step from snapshot i1 reads i1 - 1 and i1 - 2.
+                i1 = 2 * (r + 1 - lo)
+                v = geometry.rk4_step(rhs, v, step)
+                v_out[r - base] = v
+            n = top + 1 - base
+            hist = DensityHistory(backend, times[base:top + 1], v_out[:n],
+                                  m_out[:n], base)
+            _check_chunk(hist, traj.params[2 * base:2 * top + 1:2], mass_tol)
+        yield hist
 
 
-def _check_density(backend, v, mass, mass_tol, t):
-    if not backend.field_min(v) > POSITIVITY_FLOOR:  # nan if v is not finite
-        raise PositivityLoss(f"density positivity lost at t={t:g}")
-    if abs(mass - 1.0) > mass_tol:
-        raise MassDrift(f"mass drift {mass - 1.0:+.3e} at t={t:g} exceeds {mass_tol:g}")
+def _check_chunk(hist, params, mass_tol):
+    """Fill ``hist.masses`` with each row's integral(v dmu) under its metric
+    ``params[k]``, and raise the first failing event top-down, a row's
+    positivity (finite and above ``POSITIVITY_FLOOR``) before its mass.
+    The rows are checked in sub-blocks of at most ``ROW_CELLS // WORKERS``
+    cells, top sub-block first, so no temporary outgrows a row-kernel
+    block."""
+    backend = hist.backend
+    sub = max(1, geometry.ROW_CELLS // (geometry.WORKERS * backend.cells))
+    for hi in range(len(hist.v), 0, -sub):
+        lo = max(hi - sub, 0)
+        v, g = hist.v[lo:hi], backend.stack(params[lo:hi])
+        hist.masses[lo:hi] = masses = g.quadrature(v * g.weight)
+        # One row per checked row, top-down; one column per event in order.
+        fails = np.stack([~(geometry._finite_min(v) > POSITIVITY_FLOOR),
+                          np.abs(masses - 1.0) > mass_tol], axis=1)[::-1]
+        if fails.any():
+            k, event = divmod(int(fails.argmax()), 2)
+            t, mass = hist.times[hi - 1 - k], hist.masses[hi - 1 - k]
+            if event == 0:  # _finite_min is nan where v is not finite
+                raise PositivityLoss(f"density positivity lost at t={t:g}")
+            raise MassDrift(f"mass drift {mass - 1.0:+.3e} at t={t:g} "
+                            f"exceeds {mass_tol:g}")

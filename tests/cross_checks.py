@@ -5,7 +5,8 @@ computes another way: the potential-variable forms of the energy and the
 variation tensor, the pointwise g-trace and gradient inner product of the
 typed fields, the flow velocity on a raw parameter array, the flow
 integrated on numpy arrays, the row kernel with every functional built
-on its own, and the row-failure rule as a loop over rows.
+on its own, the row-failure rule as a loop over rows, and the backward
+heat solve's checks row by row.
 """
 
 import math
@@ -15,6 +16,8 @@ import numpy as np
 import riccilab as rl
 from riccilab.flow import PARAM_FLOOR
 from riccilab.functionals import log_entropy_value
+from riccilab.geometry import rk4_step
+from riccilab.heat import POSITIVITY_FLOOR
 from riccilab.variation import RowValues
 
 
@@ -159,3 +162,53 @@ def row_failure_reference(ground, F, a_series, times, a_values):
                     return k, rl.BlowUp(f"{name}[{tag}] = {x:g} is not finite "
                                         f"at t={times[k]:g} (a={tag})")
     return len(F), None
+
+
+def check_density(v, mass, mass_tol, t):
+    """One row's density check as the backward solve ran it row by row: v
+    finite and above ``heat.POSITIVITY_FLOOR``, then its mass within
+    ``mass_tol`` of 1."""
+    if not (np.all(np.isfinite(v)) and np.min(v) > POSITIVITY_FLOOR):
+        raise rl.PositivityLoss(f"density positivity lost at t={t:g}")
+    if abs(mass - 1.0) > mass_tol:
+        raise rl.MassDrift(f"mass drift {mass - 1.0:+.3e} at t={t:g} "
+                           f"exceeds {mass_tol:g}")
+
+
+def stream_backward_per_row(traj, v_T, mass_tol, chunk_cells):
+    """``heat.stream_backward`` row by row: each row's ``rk4_step`` on a
+    stack of the three snapshots it reads, its mass, then ``check_density``
+    before it is stored, and a chunk handed over once its lowest row is
+    stored.  Yields (first, v, masses) of each chunk, as copies;
+    ``chunk_cells`` None makes one chunk of every row."""
+    backend, step = traj.backend, 2.0 * traj.dt
+    times = traj.times[::2]
+    M = len(times) - 1
+    size = M + 1 if chunk_cells is None else min(
+        M + 1, max(1, chunk_cells // backend.cells))
+    v_out = np.empty((size,) + v_T.values.shape)
+    m_out = np.empty(size)
+    (v,) = backend.rows(v_T.values[None])
+    mass = rl.integrate(traj.final_state(), v_T)
+    top = M
+    for r in range(M, -1, -1):
+        if r < M:
+            g = backend.stack(traj.params[2 * r:2 * r + 3])
+            R, lap_factor = backend.rows(g.R), backend.rows(g.lap_factor)
+
+            def rhs(s, w):
+                out = backend.flat_laplacian(w)
+                out *= lap_factor[2 - s]
+                out -= R[2 - s] * w
+                return out
+
+            with np.errstate(all="ignore"):
+                v = rk4_step(rhs, v, step)
+                mass = g.quadrature(v * backend.rows(g.weight)[0])
+        check_density(v, mass, mass_tol, times[r])
+        base = max(top - size + 1, 0)
+        v_out[r - base], m_out[r - base] = v, mass
+        if r == base:
+            n = top + 1 - base
+            yield base, v_out[:n].copy(), m_out[:n].copy()
+            top = base - 1

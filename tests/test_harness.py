@@ -2014,6 +2014,29 @@ def test_cli_rejects_an_initial_metric_that_overflows(key, text, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_check_of_a_tiny_torus_period_is_one_error_line(tmp_path, capsys):
+    # At L = 1e-100 the ground-state arithmetic overflows (its vectors scale
+    # like 1/L, the potential like 1/h^2): the residual is not finite, so
+    # check ends in NoConvergence (exit 3) on one error line, with no numpy
+    # warning (which fails this suite) and no traceback.
+    path = write_cfg(tmp_path / "tiny.cfg", """
+backend.kind = conformal_torus
+backend.N = 16
+backend.L = 1e-100
+backend.phi_amplitude = 0.01
+flow.T = 1e-203
+flow.dt = 1e-204
+entropy.a = 1
+""")
+    capsys.readouterr()
+    assert cli_main(["check", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: NoConvergence: ground-state LOPCG reached eigen-residual nan "
+        f"> {LAMBDA0_TOL:g} within 200 iterations"]
+
+
 def test_cli_flow_blow_up_is_exit_3(tmp_path, capsys):
     # An admissible Berger start whose first flow step blows up (A = 1e28
     # goes to -5e60) is BlowUp (exit 3) with a valid manifest, not an

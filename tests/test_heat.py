@@ -4,12 +4,14 @@ conservation, positivity/mass guards, terminal data, change of variables."""
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import riccilab as rl
+from cross_checks import stream_backward_per_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -363,6 +365,100 @@ def test_stream_hands_over_only_rows_above_the_floor(data, steps):
         assert rows == list(range(steps, fail, -1))
 
 
+def frozen_case(kind, N, column, scale, seed, M, factor):
+    """A metric held fixed over 2 M flow steps of factor times its flow
+    bound, and a positive terminal datum: exp of 5 % noise on a torus (the
+    metric held as its column or as the grid), the constant one on a
+    sphere."""
+    rng = np.random.default_rng(seed)
+    if kind == "torus":
+        backend = rl.ConformalTorus2D(N, TWO_PI)
+        x, y = rl.grid_coords(backend)
+        phi = scale * np.sin(x) + 0.0 * y
+    else:
+        backend = rl.RoundSphere(N // 4) if kind == "round" else rl.BergerSphere()
+        phi = (1.0 + scale * rng.uniform(-1.0, 1.0, backend.param_shape))
+    m0 = rl.MetricState(backend, 0.0, phi)
+    dt = factor * rl.stability_dt(m0)
+    params = np.broadcast_to(phi, (2 * M + 1,) + phi.shape)
+    if kind != "torus" or not column:
+        params = params.copy()
+    traj = rl.Trajectory(backend, dt * np.arange(2 * M + 1), params, dt)
+    m_T = traj.final_state()
+    if kind != "torus":
+        return traj, rl.terminal_datum("constant", m_T)
+    raw = np.exp(0.05 * rng.standard_normal((N, N)))
+    return traj, rl.scalar_field(m_T, raw / rl.integrate(m_T, rl.scalar_field(m_T, raw)))
+
+
+def chunk_outcome(chunks):
+    """The (first, v bytes, masses bytes) of each chunk handed over, and the
+    class and message of the error that ended the stream (None if none)."""
+    handed = []
+    try:
+        for first, v, masses in chunks:
+            handed.append((first, v.tobytes(), masses.tobytes()))
+    except rl.NumericalError as exc:
+        return handed, (type(exc), str(exc))
+    return handed, None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["torus", "round", "berger"]),
+       N=st.sampled_from([8, 12, 16]), column=st.booleans(),
+       scale=st.floats(0.0, 0.3), seed=st.integers(0, 15),
+       M=st.integers(1, 30), over=st.sampled_from([0, 1, 2]),
+       f=st.floats(0.0, 1.0),
+       cut=st.one_of(st.none(), st.integers(1, 30)),
+       rows=st.integers(1, 31), sub=st.integers(1, 31))
+# Each failure mid-way, and an overflow past the failing row in one chunk.
+@example("round", 8, False, 0.2, 1, 30, 1, 0.5, None, 7, 3)
+@example("torus", 16, True, 0.2, 3, 20, 1, 0.2, None, 4, 3)
+@example("torus", 12, False, 0.3, 2, 12, 0, 0.9, 6, 5, 2)
+@example("berger", 8, False, 0.3, 5, 16, 0, 0.5, 9, 3, 1)
+@example("torus", 8, True, 0.1, 0, 12, 2, 0.1, None, 13, 13)
+def test_chunk_checks_match_the_per_row_reference(kind, N, column, scale, seed,
+                                                  M, over, f, cut, rows, sub):
+    # Chunks of 1 row to every row, checked in sub-blocks of 1 row to every
+    # row, hand over the rows and raise the error of the per-row check.
+    # Positivity is lost on a step over the bound (`over` 1 and 2): the
+    # torus's density oscillates negative, mid-way just over the bound, at
+    # once far over it, and overflows; a sphere's overflows to inf, mid-way
+    # or at once.
+    # The mass fails a tolerance cut at the largest drift of the rows from
+    # `cut` up, on a frozen metric, which conserves no mass.  Stepping the
+    # rest of a chunk past a failing row prints no numpy warning; collected,
+    # the solve raises the same error.
+    from riccilab import geometry, heat
+
+    lo, hi = [(-1.3, -0.3), (0.18, 0.5) if kind == "torus" else (3.0, 4.0),
+              (1.0, 80.0) if kind == "torus" else (78.0, 80.0)][over]
+    traj, v_T = frozen_case(kind, N, column, scale, seed, M,
+                            10.0 ** (lo + (hi - lo) * f))
+    cells = traj.backend.cells
+    mass_tol = math.inf
+    if cut is not None:
+        handed, _ = chunk_outcome(stream_backward_per_row(traj, v_T, math.inf,
+                                                          cells))
+        mass_tol = max((abs(np.frombuffer(m)[0] - 1.0) for first, _, m in handed
+                        if first >= min(cut, M)), default=math.inf)
+
+    def stream(chunk_cells):
+        for chunk in heat._backward(traj, v_T, mass_tol, chunk_cells):
+            yield chunk.first, chunk.v, chunk.masses
+
+    rows = min(rows, M + 1)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mp.setattr(geometry, "ROW_CELLS", sub * geometry.WORKERS * cells)
+        got = chunk_outcome(stream(rows * cells))
+        whole = chunk_outcome(stream(None))
+    assert got == chunk_outcome(stream_backward_per_row(traj, v_T, mass_tol,
+                                                        rows * cells))
+    assert whole == chunk_outcome(stream_backward_per_row(traj, v_T, mass_tol,
+                                                          None))
+
+
 # -------------------------------------------------------------------------
 # Guards
 # -------------------------------------------------------------------------
@@ -418,19 +514,32 @@ def test_mass_drift_on_the_float_path_matches_reference(m0):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, 1e-11])
 def test_check_density_rejects_alike_floats_0d_arrays_and_grids(bad):
-    from riccilab.heat import _check_density
+    # The chunk check on a one-row chunk stored from a float, a 0-d array or
+    # a grid: a density not finite or not above the floor loses positivity,
+    # before its mass (far from 1 here) is looked at.  At 1e-9 on a metric
+    # of volume 1e9 the row passes both checks.
+    from riccilab.heat import DensityHistory, _check_chunk
 
-    sphere, torus = rl.RoundSphere(2), rl.ConformalTorus2D(8, 1.0)
+    sphere, torus = rl.RoundSphere(2), rl.ConformalTorus2D(8, math.sqrt(1e9))
+    scale = {sphere: 1e9 / (4.0 * math.pi), torus: 0.0}
+
+    def check(backend, v):
+        row = np.empty((1,) + backend.field_shape)
+        row[0] = v
+        params = np.full((1,) + backend.param_shape, scale[backend])
+        _check_chunk(DensityHistory(backend, np.array([0.5]), row, np.empty(1)),
+                     params, 1e-6)
+
     grid = np.ones((8, 8))
     grid[3, 5] = bad
     for backend, v in ((sphere, bad), (sphere, np.array(bad)), (torus, grid),
                        (torus, np.full((8, 8), bad))):
         with pytest.raises(rl.PositivityLoss,
                            match=r"^density positivity lost at t=0\.5$"):
-            _check_density(backend, v, 1.0, 1e-6, 0.5)
+            check(backend, v)
     for backend, v in ((sphere, 1e-9), (sphere, np.array(1e-9)),
                        (torus, np.full((8, 8), 1e-9))):
-        _check_density(backend, v, 1.0, 1e-6, 0.5)
+        check(backend, v)
 
 
 def test_solver_step_must_be_even_multiple():

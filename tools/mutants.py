@@ -54,13 +54,59 @@ MUTANTS = [
      "k3 = rate(1, w + half * k2)", "k3 = rate(1, w + half * k1)",
      ["tests/test_flow.py", "tests/test_heat.py"]),
     ("flow-berger-rk4-stage-4", "geometry.py",
-     "a4, b4, c4 = _berger_rates(A + dt * a3,",
-     "a4, b4, c4 = _berger_rates(A + dt * a2,",
+     "X, Y, Z = A + dt * a3,", "X, Y, Z = A + dt * a2,",
+     ["tests/test_flow.py"]),
+    # The Berger step's float squares: an overflow must redo the step with
+    # _pow's inf squares, not escape the flow.
+    ("flow-berger-overflow-fallback-off", "geometry.py",
+     "except OverflowError:\n            a1, b1, c1 = _berger_rates(A, B, C)",
+     "except MemoryError:\n            a1, b1, c1 = _berger_rates(A, B, C)",
      ["tests/test_flow.py"]),
     # Tolerances.
     ("heat-mass-tol-times-10", "heat.py",
-     "if abs(mass - 1.0) > mass_tol:", "if abs(mass - 1.0) > 10.0 * mass_tol:",
+     "np.abs(masses - 1.0) > mass_tol]",
+     "np.abs(masses - 1.0) > 10.0 * mass_tol]",
      ["tests/test_heat.py"]),
+    # The heat chunk check: its event order, its row order, every row of a
+    # sub-block, and no numpy warning from the steps past a failing row.
+    ("heat-mass-before-positivity", "heat.py",
+     "fails = np.stack([~(geometry._finite_min(v) > POSITIVITY_FLOOR),\n"
+     "                          np.abs(masses - 1.0) > mass_tol], axis=1)"
+     "[::-1]\n"
+     "        if fails.any():\n"
+     "            k, event = divmod(int(fails.argmax()), 2)\n"
+     "            t, mass = hist.times[hi - 1 - k], hist.masses[hi - 1 - k]\n"
+     "            if event == 0:",
+     "fails = np.stack([np.abs(masses - 1.0) > mass_tol,\n"
+     "                          ~(geometry._finite_min(v) > POSITIVITY_FLOOR)],"
+     " axis=1)[::-1]\n"
+     "        if fails.any():\n"
+     "            k, event = divmod(int(fails.argmax()), 2)\n"
+     "            t, mass = hist.times[hi - 1 - k], hist.masses[hi - 1 - k]\n"
+     "            if event == 1:",
+     ["tests/test_heat.py"]),
+    ("heat-rows-bottom-up", "heat.py",
+     "mass_tol], axis=1)[::-1]\n"
+     "        if fails.any():\n"
+     "            k, event = divmod(int(fails.argmax()), 2)\n"
+     "            t, mass = hist.times[hi - 1 - k], hist.masses[hi - 1 - k]",
+     "mass_tol], axis=1)\n"
+     "        if fails.any():\n"
+     "            k, event = divmod(int(fails.argmax()), 2)\n"
+     "            t, mass = hist.times[lo + k], hist.masses[lo + k]",
+     ["tests/test_heat.py"]),
+    ("heat-sub-block-last-row-unchecked", "heat.py",
+     "mass_tol], axis=1)[::-1]", "mass_tol], axis=1)[:0:-1]",
+     ["tests/test_heat.py"]),
+    ("heat-stepping-warns", "heat.py",
+     'with np.errstate(all="ignore"):  # the check reports what overflows',
+     "with np.errstate():",
+     ["tests/test_heat.py"]),
+    # The ground state's arithmetic past the float range: no numpy warning.
+    ("lopcg-warns", "functionals.py",
+     'with np.errstate(all="ignore"):', "with np.errstate():",
+     ["tests/test_harness.py::"
+      "test_cli_check_of_a_tiny_torus_period_is_one_error_line"]),
     ("monotonicity-tol-times-10", "variation.py",
      "drops = y[1:] < y[:-1] - tol", "drops = y[1:] < y[:-1] - 10.0 * tol",
      ["tests/test_variation.py", "tests/test_harness.py"]),
