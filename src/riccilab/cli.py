@@ -100,7 +100,7 @@ def _dispatch(args) -> int:
         print(f"resolved T={validated.T:g} dt={validated.dt:g} rows={validated.num_rows}")
         print(f"lambda0(g(0)) = {validated.lambda0_g0:.12g}")
         for chk in validated.admissibility:
-            print(f"  a={chk['a']:g}: admissible (a > {-chk['lambda0_g0']:g})")
+            print(f"  a={chk['a']:g}: admissible (a > {0.0 - chk['lambda0_g0']:g})")
         return 0
 
     result = run(validate_config(cfg),

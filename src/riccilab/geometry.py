@@ -85,7 +85,9 @@ The heat solve reads stack arrays through ``rows`` and checks positivity by
 Floats and numpy round each operation alike: either form gives the same bits.
 
 Row blocks.  A sphere row is one cell; a torus row is N^2 cells (N for the
-metric of a one-column stack).
+metric of a one-column stack).  ``row_slices`` cuts consecutive rows into
+blocks of at most ``ROW_CELLS // WORKERS`` cells, the one block rule of the
+pool and the heat solve.
 ``row_blocks`` is a blocking map of a function over consecutive row blocks
 on a pool of ``WORKERS`` threads (numpy's ufuncs and FFTs release the GIL),
 with at most ``ROW_CELLS`` cells in flight across all workers, so peak
@@ -125,6 +127,7 @@ __all__ = [
     "CHUNK_CELLS",
     "WORKERS",
     "row_blocks",
+    "row_slices",
     "rk4_step",
     "scalar_field",
     "grid_coords",
@@ -140,13 +143,14 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
 # Cap on the cells (rows x cells per row) in flight across all workers: the
-# row blocks of ``row_blocks`` (lambda0 and the row kernel) hold at most
-# ROW_CELLS // WORKERS cells each, and the heat solve's serial snapshot
-# blocks at most ROW_CELLS.  Measured at 2^14 ... 2^17 (2-core Xeon, two
-# workers; CHANGES.md): 2^16 is within 5 % of the fastest at N = 32, 64 and
-# 128 (rows_s 1.00 s against 1.36 s at 2^15), and 2^17 adds 16 MiB of peak
-# memory at N = 128 for nothing.  A row-kernel block of 2^15 cells holds at
-# most about 12 block-sized fields at once (``variation.row_values``).
+# row blocks of ``row_slices`` hold at most ROW_CELLS // WORKERS cells each,
+# whether ``row_blocks`` maps them on the pool (lambda0 and the row kernel)
+# or the heat solve steps and checks them in turn.  Measured at 2^14 ...
+# 2^17 (2-core Xeon, two workers; CHANGES.md): 2^16 is within 5 % of the
+# fastest at N = 32, 64 and 128 (rows_s 1.00 s against 1.36 s at 2^15), and
+# 2^17 adds 16 MiB of peak memory at N = 128 for nothing.  A row-kernel
+# block of 2^15 cells holds at most about 12 block-sized fields at once
+# (``variation.row_values``).
 ROW_CELLS = 2**16
 
 # Cap on the cells of one density chunk (4 MiB of float64): a run's heat
@@ -164,9 +168,8 @@ CHUNK_CELLS = 2**19
 
 
 def row_blocks(fn, rows: int, cells: int) -> list:
-    """``fn(block)`` of each consecutive row slice of ``range(rows)``, each of
-    at most ``ROW_CELLS // WORKERS`` cells (at least one row), in block
-    order.
+    """``fn(block)`` of each slice of ``row_slices(0, rows, cells)``, in
+    block order.
 
     With more than one block and worker the blocks run on a pool of
     ``min(WORKERS, blocks)`` threads; otherwise they map in the calling
@@ -175,9 +178,7 @@ def row_blocks(fn, rows: int, cells: int) -> list:
     then never start, the running ones finish, and no thread outlives the
     call.
     """
-    size = max(1, ROW_CELLS // (WORKERS * cells))
-    blocks = [slice(start, min(start + size, rows))
-              for start in range(0, rows, size)]
+    blocks = row_slices(0, rows, cells)
     threads = min(WORKERS, len(blocks))
     if threads <= 1:
         return list(map(fn, blocks))
@@ -186,6 +187,13 @@ def row_blocks(fn, rows: int, cells: int) -> list:
         return list(pool.map(fn, blocks))
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def row_slices(start: int, stop: int, cells: int) -> list:
+    """The consecutive slices of ``range(start, stop)``, lowest first, each
+    of at most ``ROW_CELLS // WORKERS`` cells (at least one row)."""
+    size = max(1, ROW_CELLS // (WORKERS * cells))
+    return [slice(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
 
 
 def rk4_step(rate, w, dt):

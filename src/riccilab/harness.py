@@ -481,7 +481,7 @@ def validate_config(cfg: RunConfig) -> ValidatedRun:
         checks.append({"a": a, "lambda0_g0": lam0, "admissible": bool(ok)})
         if not ok:
             raise AdmissibilityError(
-                f"entropy.a: a={a:g} violates a > -lambda0(g(0)) = {-lam0:g}"
+                f"entropy.a: a={a:g} violates a > -lambda0(g(0)) = {0.0 - lam0:g}"
             )
     return ValidatedRun(cfg, m0, T, dt, K + 1, lam0, checks)
 

@@ -18,15 +18,11 @@ The right-hand side Lap_g v - R v uses the geometry operators, one path for
 every backend.  The RK4 stages need metrics at half-step times, so the
 solver steps at twice the trajectory spacing, the row step: the step from
 snapshot i reads snapshots i, i - 1 and i - 2, and no interpolation enters
-the solve.  The snapshot geometry -- R, the Laplace-Beltrami factor and the
-volume weight -- is built once per snapshot by stacked calls over blocks of
-at most ``geometry.ROW_CELLS`` cells (or one step), not once per RK4 stage,
-and read per row as ``backend.rows`` gives it: Python floats on the
-spheres, grids on the torus, either way bitwise alike.  Each step is one
-``geometry.rk4_step``, its stage offsets 0, 1, 1 and 2 reading snapshots
-i, i - 1, i - 1 and i - 2, each stage's right-hand side written into the
-output of the flat Laplacian; on the spheres the same statements rebind
-floats.  The mass is measured at every row but never renormalized.
+the solve.  Each step is one ``geometry.rk4_step``, its stage offsets 0,
+1, 1 and 2 reading snapshots i, i - 1, i - 1 and i - 2, each stage's
+right-hand side written into the output of the flat Laplacian; on the
+spheres the same statements rebind floats.  The mass is measured at every
+row but never renormalized.
 
 One RK4 loop serves two callers.  ``stream_backward`` hands the rows over
 top-down, in chunks of at most ``geometry.CHUNK_CELLS`` cells held in one
@@ -34,19 +30,25 @@ reused buffer, so a run holds one chunk of densities instead of their
 whole history; ``solve_backward`` collects the same loop into one chunk of
 every row.  Either way a row's bits are the same.
 
-Step first, check after.  The loop steps a chunk's rows into its buffer,
-one ``rk4_step`` and one store a row, with numpy's floating-point warnings
-off; then ``_check_chunk`` checks the chunk in sub-blocks of at most
-``ROW_CELLS // WORKERS`` cells, each one vectorised pass: every row's mass
-``quadrature(v * weight)`` (the same products and contiguous row sums as
-the row alone; the weights from one stack of the sub-block's snapshots)
-and its positivity (``geometry._finite_min`` above ``POSITIVITY_FLOOR``,
-nan for a row that is not finite).  The first failing event top-down is
-raised, a row's positivity before its mass.  A chunk is handed over only
-when every row of it passes, so the chunks above a failing row have been
-handed over and the failing row's chunk is not; the steps past the failing
-row (at most the rest of its chunk) print nothing.  A density is a
-``ScalarField`` of v.
+One stack per block.  A chunk is stepped and checked in the row blocks of
+``geometry.row_slices``, the pool's blocks of at most ``ROW_CELLS //
+WORKERS`` cells, top block first.  A block of rows lo ... hi - 1 builds one
+``backend.stack`` of its snapshots 2 lo ... 2 hi (2 M at the run's top
+row M), so the snapshot geometry -- R, the Laplace-Beltrami factor and the
+volume weight -- is built once per snapshot, not once per RK4 stage.  The
+steps read R and the factor per row as ``backend.rows`` gives them (Python
+floats on the spheres, grids on the torus, either way bitwise alike), one
+``rk4_step`` and one store a row, with numpy's floating-point warnings off.
+Then ``_check_rows`` checks the block's rows in one vectorised pass on the
+same stack: every row's mass ``quadrature(v * weight)`` under its own
+snapshot's weight (the same products and contiguous row sums as the row
+alone) and its positivity (``geometry._finite_min`` above
+``POSITIVITY_FLOOR``, nan for a row that is not finite).  The first failing
+event top-down is raised, a row's positivity before its mass.  A chunk is
+handed over only when every block of it passes, so the chunks above a
+failing row have been handed over and the failing row's chunk is not; the
+steps past the failing row (at most the rest of its block) print nothing.
+A density is a ``ScalarField`` of v.
 """
 
 from __future__ import annotations
@@ -301,8 +303,8 @@ def stream_backward(traj: Trajectory, v_T: ScalarField, *,
 
 def _backward(traj, v_T, mass_tol, chunk_cells):
     """Chunks of the backward solve, top-down, each stepped into one reused
-    buffer and then checked by ``_check_chunk``; one chunk of every row when
-    ``chunk_cells`` is None."""
+    buffer and checked by ``_check_rows`` a row block at a time; one chunk
+    of every row when ``chunk_cells`` is None."""
     if v_T.backend != traj.backend:
         raise ValueError("terminal datum and trajectory live on different backends")
     if traj.num_steps % 2 != 0:
@@ -316,10 +318,9 @@ def _backward(traj, v_T, mass_tol, chunk_cells):
     m_out = np.empty(size)
     step = 2.0 * traj.dt
     lap0, rows = backend.flat_laplacian, backend.rows
-    block = max(1, geometry.ROW_CELLS // (2 * backend.cells))
 
     def rhs(s, w):
-        """dv/dtau = Lap_g w - R w at snapshot i1 - s of the snapshot block,
+        """dv/dtau = Lap_g w - R w at snapshot i1 - s of the block's stack,
         written into lap0(w)'s output (a new float on the spheres)."""
         out = lap0(w)
         out *= lap_factor[i1 - s]
@@ -327,49 +328,43 @@ def _backward(traj, v_T, mass_tol, chunk_cells):
         return out
 
     (v,) = rows(v_T.values[None])
-    lo = M  # the lowest row of the snapshot block read
     for top in range(M, -1, -size):
         base = max(top - size + 1, 0)
         with np.errstate(all="ignore"):  # the check reports what overflows
             if top == M:
                 v_out[top - base] = v
-            for r in range(min(top, M - 1), base - 1, -1):
-                if r < lo:  # the next snapshot block
-                    lo = max(r + 1 - block, 0)
-                    # Steps r + 1, r, ..., lo + 1 read snapshots 2 lo ... 2 r + 2.
-                    g = backend.stack(traj.params[2 * lo:2 * r + 3])
-                    R, lap_factor = rows(g.R), rows(g.lap_factor)
-                # The tau-step from snapshot i1 reads i1 - 1 and i1 - 2.
-                i1 = 2 * (r + 1 - lo)
-                v = geometry.rk4_step(rhs, v, step)
-                v_out[r - base] = v
-            n = top + 1 - base
-            hist = DensityHistory(backend, times[base:top + 1], v_out[:n],
-                                  m_out[:n], base)
-            _check_chunk(hist, traj.params[2 * base:2 * top + 1:2], mass_tol)
-        yield hist
+            for block in reversed(geometry.row_slices(base, top + 1,
+                                                      backend.cells)):
+                lo, hi = block.start, block.stop
+                # Rows lo ... hi - 1 sit at snapshots 2 lo ... 2 hi - 2, and
+                # the step to row hi - 1 reads snapshots 2 hi - 1 and 2 hi.
+                g = backend.stack(traj.params[2 * lo:2 * hi + 1])
+                R, lap_factor = rows(g.R), rows(g.lap_factor)
+                for r in range(min(hi, M) - 1, lo - 1, -1):
+                    # The tau-step from snapshot i1 reads i1 - 1 and i1 - 2.
+                    i1 = 2 * (r + 1 - lo)
+                    v = geometry.rk4_step(rhs, v, step)
+                    v_out[r - base] = v
+                _check_rows(g, times[lo:hi], v_out[lo - base:hi - base],
+                            m_out[lo - base:hi - base], mass_tol)
+        n = top + 1 - base
+        yield DensityHistory(backend, times[base:top + 1], v_out[:n],
+                             m_out[:n], base)
 
 
-def _check_chunk(hist, params, mass_tol):
-    """Fill ``hist.masses`` with each row's integral(v dmu) under its metric
-    ``params[k]``, and raise the first failing event top-down, a row's
-    positivity (finite and above ``POSITIVITY_FLOOR``) before its mass.
-    The rows are checked in sub-blocks of at most ``ROW_CELLS // WORKERS``
-    cells, top sub-block first, so no temporary outgrows a row-kernel
-    block."""
-    backend = hist.backend
-    sub = max(1, geometry.ROW_CELLS // (geometry.WORKERS * backend.cells))
-    for hi in range(len(hist.v), 0, -sub):
-        lo = max(hi - sub, 0)
-        v, g = hist.v[lo:hi], backend.stack(params[lo:hi])
-        hist.masses[lo:hi] = masses = g.quadrature(v * g.weight)
-        # One row per checked row, top-down; one column per event in order.
-        fails = np.stack([~(geometry._finite_min(v) > POSITIVITY_FLOOR),
-                          np.abs(masses - 1.0) > mass_tol], axis=1)[::-1]
-        if fails.any():
-            k, event = divmod(int(fails.argmax()), 2)
-            t, mass = hist.times[hi - 1 - k], hist.masses[hi - 1 - k]
-            if event == 0:  # _finite_min is nan where v is not finite
-                raise PositivityLoss(f"density positivity lost at t={t:g}")
-            raise MassDrift(f"mass drift {mass - 1.0:+.3e} at t={t:g} "
-                            f"exceeds {mass_tol:g}")
+def _check_rows(g, times, v, masses, mass_tol):
+    """Write into ``masses`` each row's integral(v dmu), row k under the
+    metric of g's snapshot 2 k, and raise the first failing event top-down,
+    a row's positivity (finite and above ``POSITIVITY_FLOOR``) before its
+    mass."""
+    masses[:] = g.quadrature(v * g.weight[:2 * len(v):2])
+    # One row per checked row, top-down; one column per event in order.
+    fails = np.stack([~(geometry._finite_min(v) > POSITIVITY_FLOOR),
+                      np.abs(masses - 1.0) > mass_tol], axis=1)[::-1]
+    if fails.any():
+        k, event = divmod(int(fails.argmax()), 2)
+        t, mass = times[-1 - k], masses[-1 - k]
+        if event == 0:  # _finite_min is nan where v is not finite
+            raise PositivityLoss(f"density positivity lost at t={t:g}")
+        raise MassDrift(f"mass drift {mass - 1.0:+.3e} at t={t:g} "
+                        f"exceeds {mass_tol:g}")

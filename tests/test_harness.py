@@ -399,6 +399,22 @@ def test_flat_torus_zero_adjustment_inadmissible():
     with pytest.raises(rl.AdmissibilityError) as exc:
         validate_config(cfg)
     assert "a=0" in str(exc.value)
+    # lambda0 = 0 on the flat torus: the bound prints as 0, not -0.
+    assert str(exc.value).endswith(" = 0")
+
+
+def test_cli_check_prints_a_zero_bound_unsigned(tmp_path, capsys):
+    # The flat torus (phi_amplitude 0 by default) has lambda0(g(0)) = 0.
+    path = write_cfg(tmp_path / "flat.cfg", """
+backend.kind = conformal_torus
+backend.N = 16
+flow.T = 0.02
+flow.dt = 1e-3
+entropy.a = 0.5
+""")
+    capsys.readouterr()
+    assert cli_main(["check", path]) == 0
+    assert "  a=0.5: admissible (a > 0)\n" in capsys.readouterr().out
 
 
 def test_sphere_negative_adjustment_admissible():

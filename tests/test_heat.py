@@ -459,6 +459,81 @@ def test_chunk_checks_match_the_per_row_reference(kind, N, column, scale, seed,
                                                           None))
 
 
+def flowing_case(name):
+    """A flowing trajectory, T = 0.04 at dt = 1e-3 (21 rows), and its
+    terminal datum: the N = 16 torus held as its column or on the full grid,
+    the Berger sphere and the round 3-sphere."""
+    if name in ("column", "grid"):
+        backend = rl.ConformalTorus2D(16, TWO_PI)
+        x, y = rl.grid_coords(backend)
+        phi = (0.1 * np.sin(x) + 0.0 * y if name == "column"
+               else 0.2 * np.sin(x) * np.cos(y))
+        m0 = rl.MetricState(backend, 0.0, phi)
+    elif name == "berger":
+        m0 = rl.MetricState(rl.BergerSphere(), 0.0, np.array([1.0, 0.8, 0.6]))
+    else:
+        m0 = rl.MetricState(rl.RoundSphere(3), 0.0, np.array([1.0]))
+    traj = rl.integrate_forward(m0, 0.04, 1e-3)
+    if name in ("column", "grid"):
+        return traj, rl.terminal_datum("random_smooth", traj.final_state(),
+                                       amplitude=0.05, seed=3)
+    return traj, rl.terminal_datum("constant", traj.final_state())
+
+
+@pytest.mark.parametrize("name", ["column", "grid", "berger", "round"])
+def test_flowing_solve_bytes_do_not_depend_on_block_or_chunk_size(name):
+    # On a flowing metric every snapshot differs, so a block that reads the
+    # wrong snapshot, steps from the wrong row or checks a row under the
+    # wrong metric shows in the bytes.  Blocks of 1, 2, 3, 7 and every row,
+    # in chunks of 1, 4 and every row (and collected), give the default
+    # solve's v and masses; a mass tolerance cut at a lower-half row's
+    # drift raises the same error at every size, with the chunks above it handed
+    # over.
+    from riccilab import geometry, heat
+
+    traj, v_T = flowing_case(name)
+    want = rl.solve_backward(traj, v_T)
+    K, cells = len(want.times), traj.backend.cells
+    assert K == 21
+    drift = np.abs(want.masses - 1.0)
+    # The highest row of the lower half whose drift exceeds every drift
+    # above it fails a tolerance equal to the largest of those.
+    fail = max(k for k in range(K // 2 + 1) if drift[k] > np.max(drift[k + 1:]))
+    tol = float(np.max(drift[fail + 1:]))
+    message = (f"mass drift {want.masses[fail] - 1.0:+.3e} at "
+               f"t={want.times[fail]:g} exceeds {tol:g}")
+
+    def solve(mass_tol, chunk_rows):
+        """The rows handed over, reassembled by ``first``, and the error."""
+        v, masses, handed = np.empty_like(want.v), np.empty(K), []
+        chunk_cells = None if chunk_rows is None else chunk_rows * cells
+        try:
+            for chunk in heat._backward(traj, v_T, mass_tol, chunk_cells):
+                rows = slice(chunk.first, chunk.first + len(chunk.times))
+                v[rows], masses[rows] = chunk.v, chunk.masses
+                handed += range(rows.start, rows.stop)
+        except rl.MassDrift as exc:
+            return v, masses, sorted(handed), str(exc)
+        return v, masses, sorted(handed), None
+
+    for block in (1, 2, 3, 7, K):
+        for chunk_rows in (1, 4, K, None):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(geometry, "ROW_CELLS",
+                           block * geometry.WORKERS * cells)
+                v, masses, handed, error = solve(1e-6, chunk_rows)
+                assert handed == list(range(K)) and error is None
+                assert v.tobytes() == want.v.tobytes(), (block, chunk_rows)
+                assert masses.tobytes() == want.masses.tobytes()
+                v, masses, handed, error = solve(tol, chunk_rows)
+            assert error == message, (block, chunk_rows)
+            assert handed == list(range(K - len(handed), K))
+            # Every chunk above the failing row's chunk, and no other.
+            size = chunk_rows or K
+            assert len(handed) == (K - 1 - fail) // size * size
+            assert v[handed].tobytes() == want.v[handed].tobytes()
+
+
 # -------------------------------------------------------------------------
 # Guards
 # -------------------------------------------------------------------------
@@ -514,11 +589,12 @@ def test_mass_drift_on_the_float_path_matches_reference(m0):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, 1e-11])
 def test_check_density_rejects_alike_floats_0d_arrays_and_grids(bad):
-    # The chunk check on a one-row chunk stored from a float, a 0-d array or
-    # a grid: a density not finite or not above the floor loses positivity,
-    # before its mass (far from 1 here) is looked at.  At 1e-9 on a metric
-    # of volume 1e9 the row passes both checks.
-    from riccilab.heat import DensityHistory, _check_chunk
+    # The row check on a one-row block stored from a float, a 0-d array or
+    # a grid, under a one-snapshot stack: a density not finite or not above
+    # the floor loses positivity, before its mass (far from 1 here) is
+    # looked at.  At 1e-9 on a metric of volume 1e9 the row passes both
+    # checks.
+    from riccilab.heat import _check_rows
 
     sphere, torus = rl.RoundSphere(2), rl.ConformalTorus2D(8, math.sqrt(1e9))
     scale = {sphere: 1e9 / (4.0 * math.pi), torus: 0.0}
@@ -526,9 +602,8 @@ def test_check_density_rejects_alike_floats_0d_arrays_and_grids(bad):
     def check(backend, v):
         row = np.empty((1,) + backend.field_shape)
         row[0] = v
-        params = np.full((1,) + backend.param_shape, scale[backend])
-        _check_chunk(DensityHistory(backend, np.array([0.5]), row, np.empty(1)),
-                     params, 1e-6)
+        g = backend.stack(np.full((1,) + backend.param_shape, scale[backend]))
+        _check_rows(g, np.array([0.5]), row, np.empty(1), 1e-6)
 
     grid = np.ones((8, 8))
     grid[3, 5] = bad

@@ -43,6 +43,10 @@ ROOT = Path(__file__).resolve().parent.parent
 ROW_BLOCKS_TEST = (
     "tests/test_harness.py::test_row_blocks_match_public_functionals_bitwise")
 
+FLOWING_HEAT_TEST = (
+    "tests/test_heat.py::"
+    "test_flowing_solve_bytes_do_not_depend_on_block_or_chunk_size")
+
 # (name, file under src/riccilab, old string, new string, tests)
 MUTANTS = [
     # RK4 stage offsets: the snapshot or the stage a later stage reads.  The
@@ -67,41 +71,51 @@ MUTANTS = [
      "np.abs(masses - 1.0) > mass_tol]",
      "np.abs(masses - 1.0) > 10.0 * mass_tol]",
      ["tests/test_heat.py"]),
-    # The heat chunk check: its event order, its row order, every row of a
-    # sub-block, and no numpy warning from the steps past a failing row.
+    # The heat row check: its event order, its row order, every row of a
+    # block, each row's own snapshot's weight, and no numpy warning from the
+    # steps past a failing row.  The flowing-metric test reads every
+    # snapshot: a block stack or slice one row off shows in the bytes.
     ("heat-mass-before-positivity", "heat.py",
      "fails = np.stack([~(geometry._finite_min(v) > POSITIVITY_FLOOR),\n"
-     "                          np.abs(masses - 1.0) > mass_tol], axis=1)"
-     "[::-1]\n"
-     "        if fails.any():\n"
-     "            k, event = divmod(int(fails.argmax()), 2)\n"
-     "            t, mass = hist.times[hi - 1 - k], hist.masses[hi - 1 - k]\n"
-     "            if event == 0:",
+     "                      np.abs(masses - 1.0) > mass_tol], axis=1)[::-1]\n"
+     "    if fails.any():\n"
+     "        k, event = divmod(int(fails.argmax()), 2)\n"
+     "        t, mass = times[-1 - k], masses[-1 - k]\n"
+     "        if event == 0:",
      "fails = np.stack([np.abs(masses - 1.0) > mass_tol,\n"
-     "                          ~(geometry._finite_min(v) > POSITIVITY_FLOOR)],"
+     "                      ~(geometry._finite_min(v) > POSITIVITY_FLOOR)],"
      " axis=1)[::-1]\n"
-     "        if fails.any():\n"
-     "            k, event = divmod(int(fails.argmax()), 2)\n"
-     "            t, mass = hist.times[hi - 1 - k], hist.masses[hi - 1 - k]\n"
-     "            if event == 1:",
+     "    if fails.any():\n"
+     "        k, event = divmod(int(fails.argmax()), 2)\n"
+     "        t, mass = times[-1 - k], masses[-1 - k]\n"
+     "        if event == 1:",
      ["tests/test_heat.py"]),
     ("heat-rows-bottom-up", "heat.py",
      "mass_tol], axis=1)[::-1]\n"
-     "        if fails.any():\n"
-     "            k, event = divmod(int(fails.argmax()), 2)\n"
-     "            t, mass = hist.times[hi - 1 - k], hist.masses[hi - 1 - k]",
+     "    if fails.any():\n"
+     "        k, event = divmod(int(fails.argmax()), 2)\n"
+     "        t, mass = times[-1 - k], masses[-1 - k]",
      "mass_tol], axis=1)\n"
-     "        if fails.any():\n"
-     "            k, event = divmod(int(fails.argmax()), 2)\n"
-     "            t, mass = hist.times[lo + k], hist.masses[lo + k]",
+     "    if fails.any():\n"
+     "        k, event = divmod(int(fails.argmax()), 2)\n"
+     "        t, mass = times[k], masses[k]",
      ["tests/test_heat.py"]),
-    ("heat-sub-block-last-row-unchecked", "heat.py",
+    ("heat-block-last-row-unchecked", "heat.py",
      "mass_tol], axis=1)[::-1]", "mass_tol], axis=1)[:0:-1]",
      ["tests/test_heat.py"]),
     ("heat-stepping-warns", "heat.py",
      'with np.errstate(all="ignore"):  # the check reports what overflows',
      "with np.errstate():",
      ["tests/test_heat.py"]),
+    ("heat-check-half-step-weights", "heat.py",
+     "g.weight[:2 * len(v):2]", "g.weight[1:2 * len(v):2]",
+     [FLOWING_HEAT_TEST, "tests/test_heat.py"]),
+    ("heat-block-stack-one-row-late", "heat.py",
+     "traj.params[2 * lo:2 * hi + 1]", "traj.params[2 * lo + 2:2 * hi + 1]",
+     [FLOWING_HEAT_TEST, "tests/test_heat.py"]),
+    ("row-slices-drop-last-row", "geometry.py",
+     "slice(lo, min(lo + size, stop))", "slice(lo, min(lo + size, stop) - 1)",
+     [FLOWING_HEAT_TEST, "tests/test_heat.py"]),
     # The ground state's arithmetic past the float range: no numpy warning.
     ("lopcg-warns", "functionals.py",
      'with np.errstate(all="ignore"):', "with np.errstate():",
