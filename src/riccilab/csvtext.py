@@ -23,11 +23,11 @@ columns:
 
 Both digit zones hold D's 17 digits.  A keep mask, one row of a table
 indexed by (sign, layout, significant digits), drops the unused bytes, and
-one ``np.compress`` packs what is left, in field order, into the line
-text.  The table encodes the ``%g`` rules: scientific notation iff k < -4
-or k >= 17; trailing zeros and a bare point dropped; an exponent of at
-least two digits; ``0``, ``-0``, ``inf``, ``-inf`` and ``nan`` (never
-``-nan``).  Bools print as 1 and 0.
+one 1-D boolean index of the flat fields packs what is left, in field
+order, into the line text.  The table encodes the ``%g`` rules: scientific
+notation iff k < -4 or k >= 17; trailing zeros and a bare point dropped; an
+exponent of at least two digits; ``0``, ``-0``, ``inf``, ``-inf`` and
+``nan`` (never ``-nan``).  Bools print as 1 and 0.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def _format_block(x: np.ndarray, buf: np.ndarray, mask: np.ndarray) -> np.ndarra
     code = (negative * _LAYOUTS + layout) * 18 + nd
     keep = mask[:len(x)]
     _MASKS.take(code, axis=0, out=keep, mode="clip")  # clip: unbuffered
-    return np.compress(keep.ravel(), field.ravel())
+    return field.ravel()[keep.ravel()]
 
 
 def write_rows(f, columns) -> None:

@@ -6,13 +6,18 @@ solve and finite-difference time derivatives stay aligned.  Completed
 trajectories are immutable.
 
 The loop steps a state in the backend's component form: Python floats on
-the spheres, the phi array on the torus.  Each backend's ``step`` is one
-RK4 step of its own component form: ``geometry.rk4_step`` on the torus,
-where its stages and combination are described, and straight-line code in
-the same order on the spheres' floats (on the Berger sphere each stage's
-three rates too, written out with no call), so the results are bitwise what
-numpy arrays give; the tests pin each backend's step to the array form,
-overflow and division by zero at any stage included.
+the Berger sphere, the phi array on the torus.  Each of these backends'
+``step`` is one RK4 step of its own component form: ``geometry.rk4_step``
+on the torus, where its stages and combination are described, and
+straight-line code in the same order on the Berger sphere's floats, each
+stage's three rates written out with no call, so the results are bitwise
+what numpy arrays give; the tests pin each backend's step to the array
+form, overflow and division by zero at any stage included.  The round
+sphere's rate does not depend on c, so every step adds the same
+``increment(dt)``: its states are one ``np.add.accumulate`` of c0 and K
+increments, which sums in step order, each state the previous one plus
+the increment, as a loop of float steps gives it (the tests pin it to that
+loop).
 
 The loop only steps and stores; the stored trajectory is then checked in
 one vectorised pass.  Each state's smallest metric scale (``min_scale``
@@ -52,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUp, StepTooLarge
-from .geometry import MetricState
+from .geometry import MetricState, RoundSphere
 
 __all__ = ["Trajectory", "stability_dt", "integrate_forward"]
 
@@ -129,14 +134,21 @@ def integrate_forward(m0: MetricState, T: float, dt: float) -> Trajectory:
     # unit axis in the reshape below.
     out = np.empty((K + 1, len(p)) + np.shape(p[0]))
     out[0] = p
-    step, last = backend.step, K
+    last = K
     with np.errstate(all="ignore"):
-        try:
-            for k in range(K):
-                p = step(p, dt)
-                out[k + 1] = p
-        except ZeroDivisionError:  # inf or nan in the array form
-            last = k
+        if isinstance(backend, RoundSphere):
+            # Every step adds the same increment, and add.accumulate sums in
+            # step order: state k + 1 is state k plus the increment.
+            out[1:] = backend.increment(dt)
+            np.add.accumulate(out, out=out)
+        else:
+            step = backend.step
+            try:
+                for k in range(K):
+                    p = step(p, dt)
+                    out[k + 1] = p
+            except ZeroDivisionError:  # inf or nan in the array form
+                last = k
         scale = backend.min_scale(out[:last + 1])
         bound = backend.stability_dt(scale[:K])
     # One row per stored state k, one column per event in step order: state

@@ -64,8 +64,10 @@ The backends carry what the time-stepping loops use on one state.  The
 flow steps ``components(p)``: the parameters as Python floats on the
 spheres, where numpy's per-call dispatch would dwarf the arithmetic, and a
 one-entry list holding phi on the torus (its column when y-invariant).
-``rates`` is the flow velocity in that form, and ``step(p, dt)`` one RK4
-step of it: one line on the round sphere, whose rate does not depend on c;
+``rates`` is the flow velocity in that form.  The round sphere's rate does
+not depend on c, so its ``increment(dt)`` is the change of c over any RK4
+step, and the flow sums its states by one ``np.add.accumulate``.  On the
+other backends ``step(p, dt)`` is one RK4 step of that form:
 straight-line code over A, B, C on the Berger sphere, each stage's three
 rates written out on the floats with no call (a float square that
 overflows redoes the step through ``_berger_rates``, whose ``_pow`` squares
@@ -80,8 +82,9 @@ trajectory, or one state as a stack of one) and returns each one's smallest
 metric scale, nan where a state is not finite; it feeds the floor check and
 ``stability_dt``, the unscaled bound (``flow.dt = auto`` applies
 ``flow.safety`` to it).
-The heat solve reads stack arrays through ``rows`` and checks positivity by
-``_finite_min``.
+The heat solve reads stack arrays through ``rows`` (the curvatures as
+Python floats on the spheres, where it steps straight-line float code) and
+checks positivity by ``_finite_min``.
 Floats and numpy round each operation alike: either form gives the same bits.
 
 Row blocks.  A sphere row is one cell; a torus row is N^2 cells (N for the
@@ -198,7 +201,7 @@ def row_slices(start: int, stop: int, cells: int) -> list:
 
 def rk4_step(rate, w, dt):
     """One classical RK4 step of dw/dt = rate from w: the torus flow's and the
-    backward heat solve's one step.
+    torus backward heat solve's one step.
 
     ``rate(s, x)`` is the velocity at x, ``s`` half steps into the step
     (stages at offsets 0, 1, 1, 2), written into an array it returns (or a
@@ -207,7 +210,8 @@ def rk4_step(rate, w, dt):
     w + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) is accumulated in k1 in that order
     (2 k2, 2 k3, k4, the factor dt / 6, then w), so an array updates in
     place and a float rebinds, each entry by the same operations.  The
-    spheres' flow steps write the same order out on floats (``step``).
+    Berger flow step (``step``) and the spheres' heat steps
+    (``heat._float_steps``) write the same order out on floats.
     """
     half = 0.5 * dt
     k1 = rate(0, w)
@@ -280,11 +284,11 @@ class RoundSphere(_Homogeneous):
         """dc/dt = -2(n-1)."""
         return [-2.0 * (self.n - 1)]
 
-    def step(self, p, dt):
-        """One RK4 step of [c]: the rate does not depend on c, so its four
-        stages are the same float r."""
-        (r,) = self.rates(p)
-        return [p[0] + (dt / 6.0) * (r + 2.0 * r + 2.0 * r + r)]
+    def increment(self, dt):
+        """The change of c over one RK4 step: the rate does not depend on c,
+        so its four stages are the same float r."""
+        (r,) = self.rates(None)
+        return (dt / 6.0) * (r + 2.0 * r + 2.0 * r + r)
 
 
 @dataclass(frozen=True)
@@ -608,8 +612,11 @@ def _pow(x, e):
     and Python floats compute it, with inf (C's HUGE_VAL) where Python raises
     on overflow.  numpy's vectorised power (and x * x for e = 2) differ from
     it in the last bit for some x, which would move the per-state results.
-    An array maps ``float.__pow__`` over its entries at once, and only when
-    an entry overflows goes entry by entry."""
+    An array maps ``math.pow`` over its entries at once: the same C pow
+    behind the same special cases as ``**``, without the slot wrapper's
+    call cost.  Only when an entry overflows, or is outside ``math.pow``'s
+    domain, does it go entry by entry, so ``**``'s errors stay (0.0 to a
+    negative power raises ZeroDivisionError)."""
     if isinstance(x, float) or x.ndim == 0:  # scalars and 0-d arrays
         try:
             return float(x) ** e
@@ -617,8 +624,8 @@ def _pow(x, e):
             return math.inf
     values = x.ravel().tolist()
     try:
-        flat = np.fromiter(map(float.__pow__, values, repeat(e)), float, x.size)
-    except OverflowError:  # entry by entry, inf where an entry overflows
+        flat = np.fromiter(map(math.pow, values, repeat(e)), float, x.size)
+    except (OverflowError, ValueError):  # entry by entry, inf on overflow
         flat = np.fromiter((_pow(v, e) for v in values), float, x.size)
     return flat.reshape(x.shape)
 

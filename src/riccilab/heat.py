@@ -14,15 +14,18 @@ identically on the periodic grid, so the semi-discrete mass
 integral(v dmu_{g(t)}) is exactly conserved and the recorded drift is pure
 time-integration error.
 
-The right-hand side Lap_g v - R v uses the geometry operators, one path for
-every backend.  The RK4 stages need metrics at half-step times, so the
-solver steps at twice the trajectory spacing, the row step: the step from
-snapshot i reads snapshots i, i - 1 and i - 2, and no interpolation enters
-the solve.  Each step is one ``geometry.rk4_step``, its stage offsets 0,
-1, 1 and 2 reading snapshots i, i - 1, i - 1 and i - 2, each stage's
-right-hand side written into the output of the flat Laplacian; on the
-spheres the same statements rebind floats.  The mass is measured at every
-row but never renormalized.
+The right-hand side Lap_g v - R v uses the geometry operators.  The RK4
+stages need metrics at half-step times, so the solver steps at twice the
+trajectory spacing, the row step: the step from snapshot i reads snapshots
+i, i - 1 and i - 2, and no interpolation enters the solve.  On the torus
+each step is one ``geometry.rk4_step``, its stage offsets 0, 1, 1 and 2
+reading snapshots i, i - 1, i - 1 and i - 2, each stage's right-hand side
+written into the output of the flat Laplacian.  On the spheres, where v is
+one float and the flat Laplacian vanishes, ``_float_steps`` steps a
+block's rows in straight-line float code: each stage rate 0.0 - R w at the
+same offsets, and the stages and the combination in ``rk4_step``'s order,
+so every row is bitwise what ``rk4_step`` gives there, with no call per
+stage.  The mass is measured at every row but never renormalized.
 
 One RK4 loop serves two callers.  ``stream_backward`` hands the rows over
 top-down, in chunks of at most ``geometry.CHUNK_CELLS`` cells held in one
@@ -36,9 +39,9 @@ WORKERS`` cells, top block first.  A block of rows lo ... hi - 1 builds one
 ``backend.stack`` of its snapshots 2 lo ... 2 hi (2 M at the run's top
 row M), so the snapshot geometry -- R, the Laplace-Beltrami factor and the
 volume weight -- is built once per snapshot, not once per RK4 stage.  The
-steps read R and the factor per row as ``backend.rows`` gives them (Python
-floats on the spheres, grids on the torus, either way bitwise alike), one
-``rk4_step`` and one store a row, with numpy's floating-point warnings off.
+steps read R per row as ``backend.rows`` gives it (Python floats on the
+spheres, grids on the torus, either way bitwise alike), one step and one
+store a row, with numpy's floating-point warnings off.
 Then ``_check_rows`` checks the block's rows in one vectorised pass on the
 same stack: every row's mass ``quadrature(v * weight)`` under its own
 snapshot's weight (the same products and contiguous row sums as the row
@@ -317,11 +320,12 @@ def _backward(traj, v_T, mass_tol, chunk_cells):
     v_out = np.empty((size,) + v_T.values.shape)
     m_out = np.empty(size)
     step = 2.0 * traj.dt
+    floats = not isinstance(backend, ConformalTorus2D)
     lap0, rows = backend.flat_laplacian, backend.rows
 
     def rhs(s, w):
         """dv/dtau = Lap_g w - R w at snapshot i1 - s of the block's stack,
-        written into lap0(w)'s output (a new float on the spheres)."""
+        written into lap0(w)'s output."""
         out = lap0(w)
         out *= lap_factor[i1 - s]
         out -= R[i1 - s] * w
@@ -339,17 +343,44 @@ def _backward(traj, v_T, mass_tol, chunk_cells):
                 # Rows lo ... hi - 1 sit at snapshots 2 lo ... 2 hi - 2, and
                 # the step to row hi - 1 reads snapshots 2 hi - 1 and 2 hi.
                 g = backend.stack(traj.params[2 * lo:2 * hi + 1])
-                R, lap_factor = rows(g.R), rows(g.lap_factor)
-                for r in range(min(hi, M) - 1, lo - 1, -1):
-                    # The tau-step from snapshot i1 reads i1 - 1 and i1 - 2.
-                    i1 = 2 * (r + 1 - lo)
-                    v = geometry.rk4_step(rhs, v, step)
-                    v_out[r - base] = v
+                R, stop = rows(g.R), min(hi, M)
+                if floats:
+                    v = _float_steps(v, R, v_out[lo - base:stop - base], step)
+                else:
+                    lap_factor = g.lap_factor
+                    for r in range(stop - 1, lo - 1, -1):
+                        # The tau-step from snapshot i1 reads i1 - 1 and i1 - 2.
+                        i1 = 2 * (r + 1 - lo)
+                        v = geometry.rk4_step(rhs, v, step)
+                        v_out[r - base] = v
                 _check_rows(g, times[lo:hi], v_out[lo - base:hi - base],
                             m_out[lo - base:hi - base], mass_tol)
         n = top + 1 - base
         yield DensityHistory(backend, times[base:top + 1], v_out[:n],
                              m_out[:n], base)
+
+
+def _float_steps(v, R, out, step):
+    """Step the float v down the rows of ``out``, top row first, and return
+    the lowest row's v.  R holds the 2 len(out) + 1 snapshots' curvatures,
+    row k's at R[2 k]; row k is one RK4 step from row k + 1 (the float v for
+    the top row) whose stages read R[2 k + 2], R[2 k + 1], R[2 k + 1] and
+    R[2 k].  Each stage rate is 0.0 - R w, ``rhs``'s statements on a sphere
+    (its flat Laplacian 0.0 times its factor 0.0), and the stages and the
+    combination are ``geometry.rk4_step``'s operations in its order, so
+    every row is bitwise what ``rk4_step`` gives."""
+    half, sixth = 0.5 * step, step / 6.0
+    down = R[::-1]  # one step reads down[2 j], down[2 j + 1] and down[2 j + 2]
+    values = []
+    for r0, r1, r2 in zip(down[::2], down[1::2], down[2::2]):
+        k1 = 0.0 - r0 * v
+        k2 = 0.0 - r1 * (v + half * k1)
+        k3 = 0.0 - r1 * (v + half * k2)
+        k4 = 0.0 - r2 * (v + step * k3)
+        v = (k1 + k2 * 2.0 + k3 * 2.0 + k4) * sixth + v
+        values.append(v)
+    out[::-1] = values
+    return v
 
 
 def _check_rows(g, times, v, masses, mass_tol):

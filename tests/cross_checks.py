@@ -4,7 +4,8 @@ Each helper is an independent way of writing a quantity that the package
 computes another way: the potential-variable forms of the energy and the
 variation tensor, the pointwise g-trace and gradient inner product of the
 typed fields, the flow velocity on a raw parameter array, the flow
-integrated on numpy arrays, the row kernel with every functional built
+integrated on numpy arrays, the round sphere's flow stepped one float step
+at a time, the row kernel with every functional built
 on its own, the row-failure rule as a loop over rows, and the backward
 heat solve's checks row by row.
 """
@@ -81,6 +82,18 @@ def integrate_forward_arrays(m0, T, dt):
         k3 = velocity(b, p + 0.5 * dt * k2)
         k4 = velocity(b, p + dt * k3)
         p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def round_sphere_per_step(c0, n, dt, K):
+    """The round n-sphere's flow states c_0 ... c_K, one RK4 step at a time
+    on Python floats: the rate -2(n - 1) does not depend on c, so the four
+    stages are the same float r, and c_{k+1} = c_k + (dt / 6)(r + 2 r + 2 r
+    + r)."""
+    (r,) = rl.RoundSphere(n).rates([c0])
+    states = [c0]
+    for _ in range(K):
+        states.append(states[-1] + (dt / 6.0) * (r + 2.0 * r + 2.0 * r + r))
+    return states
 
 
 def f_functional_f_form(m, f, v):

@@ -8,10 +8,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import riccilab as rl
-from cross_checks import integrate_forward_arrays, velocity
+from cross_checks import (integrate_forward_arrays, round_sphere_per_step,
+                          velocity)
+from riccilab.flow import PARAM_FLOOR, step_limit
 
 TWO_PI = 2.0 * math.pi
 
@@ -353,6 +355,52 @@ def berger_state(A, B, C):
 def test_flow_errors_match_array_reference(m0, T, dt, error, message):
     assert flow_outcome(m0, T, dt) == (error, message)
     assert reference_outcome(m0, T, dt) == (error, message)
+
+
+def per_step_round_outcome(c0, n, dt, K):
+    """``integrate_forward``'s outcome over K steps from the per-step float
+    loop's states: the first failing event in step order (state k below the
+    floor, then step k over its bound c_k / 8), else the states as bytes."""
+    states = round_sphere_per_step(c0, n, dt, K)
+    for k, c in enumerate(states):
+        if not c >= PARAM_FLOOR:
+            return rl.BlowUp, "metric scale parameter fell below floor"
+        if k < K and dt > step_limit(c / 8.0):
+            return (rl.StepTooLarge,
+                    f"dt={dt:g} exceeds the stability bound at t={k * dt:g}")
+    return np.array(states).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 400), c0=st.floats(1e-6, 3.0),
+       frac=st.floats(0.01, 1.0), steps=st.integers(1, 40))
+@example(n=2, c0=1.45e-6, frac=0.55172413793103448, steps=4)
+def test_round_flow_states_are_the_per_step_loop_bitwise(n, c0, frac, steps):
+    # The round sphere's states are one add.accumulate of the step's
+    # increment: every horizon of 1 ... steps steps gives the per-step float
+    # loop's states bitwise, and fails where the loop's states first fail;
+    # a run whose state k first crosses the floor raises BlowUp from k steps
+    # on and passes with k - 1.
+    m0 = sphere_state(c0, n)
+    dt = frac * rl.stability_dt(m0)
+    for K in range(1, steps + 1):
+        got = outcome(rl.integrate_forward, m0, K * dt, dt)
+        if isinstance(got, rl.Trajectory):
+            assert got.times.tobytes() == (dt * np.arange(K + 1)).tobytes()
+            got = got.params.tobytes()
+        assert got == per_step_round_outcome(c0, n, dt, K)
+
+
+def test_round_flow_floor_crossing_is_at_the_loops_step():
+    # c = 1.45e-6 - 2t at dt = 1e-7: the loop's state 3 is the first below
+    # the floor, so 2 steps pass with the loop's bits and 3 raise BlowUp.
+    c0, dt = 1.45e-6, 1e-7
+    states = round_sphere_per_step(c0, 2, dt, 3)
+    assert min(states[:3]) >= PARAM_FLOOR > states[3]
+    traj = rl.integrate_forward(sphere_state(c0), 2 * dt, dt)
+    assert traj.params.tobytes() == np.array(states[:3]).tobytes()
+    with pytest.raises(rl.BlowUp, match="^metric scale parameter fell below floor$"):
+        rl.integrate_forward(sphere_state(c0), 3 * dt, dt)
 
 
 def test_last_state_bound_is_not_checked():

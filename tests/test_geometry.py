@@ -466,6 +466,58 @@ def test_pow_arrays_are_the_per_entry_float_pow_bitwise(values, e, rows):
     assert got == per_entry_pow(x.ravel().tolist(), e)
 
 
+def from_bits(bits):
+    """The float64 values of the unsigned 64-bit patterns ``bits``."""
+    return np.array(bits, np.uint64).view(float)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12),
+       e=st.sampled_from([2, 2.0, 0.5, 1.0, 1.5, 2.5, 5.0]))
+def test_pow_arrays_of_any_bit_patterns_are_the_per_entry_float_pow(bits, e):
+    # Arbitrary float64 bit patterns (subnormals, signalling and quiet nan
+    # payloads, infinities): negative bases at the Berger squares' e = 2,
+    # positive bases at the round volume's e = n / 2.  Each entry is
+    # float(x) ** e bitwise, inf where that overflows, whether the array
+    # path maps math.pow at once or falls back entry by entry.
+    from riccilab.geometry import _pow
+
+    x = from_bits(bits)
+    if e != 2:
+        x = np.abs(x)
+    assert _pow(x, e).tobytes() == per_entry_pow(x.tolist(), e)
+
+
+@pytest.mark.parametrize("e", [2, 0.5, 1.5])
+def test_pow_of_random_bit_patterns_in_bulk(e):
+    # 2^16 random patterns, and the same patterns scaled into the range
+    # where no power overflows, so both the at-once map and its per-entry
+    # fallback run on every kind of entry.
+    from riccilab.geometry import _pow
+
+    x = from_bits(np.random.default_rng(7).integers(0, 2**64, 2**16, np.uint64))
+    if e != 2:
+        x = np.abs(x)
+    with np.errstate(all="ignore"):
+        tame = np.where(np.isfinite(x), np.fmod(x, 1e100), x)
+    for values in (x, tame):
+        assert _pow(values, e).tobytes() == per_entry_pow(values.tolist(), e)
+
+
+def test_pow_keeps_the_per_entry_errors():
+    # math.pow raises ValueError where ** raises ZeroDivisionError (0.0 to a
+    # negative power) or returns a complex (a negative base to a fractional
+    # power): the per-entry fallback raises what ** does.
+    from riccilab.geometry import _pow
+
+    with pytest.raises(ZeroDivisionError):
+        _pow(np.array([2.0, 0.0]), -1)
+    with pytest.raises(ZeroDivisionError):
+        _pow(np.array([[1e200], [-0.0]]), -2)
+    with pytest.raises(TypeError):  # a complex entry in a float array
+        _pow(np.array([4.0, -8.0]), 0.5)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(p=st.tuples(*[st.floats(-160.0, 160.0).map(lambda s: 10.0**s)] * 3),
        signs=st.tuples(*[st.sampled_from([1.0, -1.0])] * 3))

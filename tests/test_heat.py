@@ -206,6 +206,54 @@ def test_homogeneous_backward_solve_bitwise_reference(m0):
     assert np.array_equal(rl.solve_backward(traj, v_T).v, ref)
 
 
+# Curvatures and densities of any sign and size: products and sums that
+# overflow to inf, and inf - inf stages that give nan.
+HEAT_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(v=HEAT_FLOATS, R=st.lists(HEAT_FLOATS, min_size=1, max_size=15),
+       step=st.floats(1e-6, 1e3) | st.sampled_from([1e-300, 1e300]))
+def test_sphere_heat_steps_are_rk4_step_bitwise(v, R, step):
+    # The spheres' straight-line steps against geometry.rk4_step with the
+    # closure the heat solve ran on floats (the flat Laplacian 0.0, times
+    # the factor 0.0, minus R w), row by row top-down: every row and the
+    # returned float bitwise alike, nan where the reference is nan.  The
+    # sign of a nan that CPython's float arithmetic makes depends on whether
+    # the generic or the specialised instruction ran the operation, which
+    # changes as a function warms up, so nans compare as nan.
+    from riccilab.geometry import rk4_step
+    from riccilab.heat import _float_steps
+
+    R = R[:len(R) - 1 + len(R) % 2]  # 2 n + 1 snapshots for n rows
+    rows = len(R) // 2
+    want, w = np.empty(rows), v
+    for k in range(rows - 1, -1, -1):
+        def rhs(s, x, i1=2 * k + 2):
+            out = 0.0
+            out *= 0.0
+            out -= R[i1 - s] * x
+            return out
+
+        w = rk4_step(rhs, w, step)
+        want[k] = w
+    out = np.empty(rows)
+    got = _float_steps(v, R, out, step)
+    assert type(got) is float
+    assert nan_canonical(out) == nan_canonical(want)
+    assert nan_canonical([got]) == nan_canonical([w])
+
+
+def nan_canonical(x):
+    """The bytes of x with every nan replaced by numpy's own nan."""
+    x = np.asarray(x, float)
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     N=st.integers(4, 16).map(lambda k: 2 * k),

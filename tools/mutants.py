@@ -60,6 +60,23 @@ MUTANTS = [
     ("flow-berger-rk4-stage-4", "geometry.py",
      "X, Y, Z = A + dt * a3,", "X, Y, Z = A + dt * a2,",
      ["tests/test_flow.py"]),
+    # The spheres' heat steps on floats: a stage's coefficient.
+    ("heat-float-step-stage-4-half", "heat.py",
+     "k4 = 0.0 - r2 * (v + step * k3)", "k4 = 0.0 - r2 * (v + half * k3)",
+     ["tests/test_heat.py"]),
+    # The round sphere's states as one accumulate: the first entry is c0,
+    # every later one the step's increment.
+    ("flow-round-accumulate-first-entry", "flow.py",
+     "out[1:] = backend.increment(dt)", "out[:] = backend.increment(dt)",
+     ["tests/test_flow.py"]),
+    ("flow-round-increment-stage", "geometry.py",
+     "(r + 2.0 * r + 2.0 * r + r)", "(r + 2.0 * r + r + r)",
+     ["tests/test_flow.py"]),
+    # _pow's math.pow map: where math.pow raises ValueError, the per-entry
+    # fallback raises what ** raises.
+    ("pow-value-error-fallback-off", "geometry.py",
+     "except (OverflowError, ValueError):", "except OverflowError:",
+     ["tests/test_geometry.py"]),
     # The Berger step's float squares: an overflow must redo the step with
     # _pow's inf squares, not escape the flow.
     ("flow-berger-overflow-fallback-off", "geometry.py",
@@ -285,6 +302,10 @@ MUTANTS = [
      ["tests/test_csvtext.py"]),
     ("csv-minus-zero-unsigned", "csvtext.py",
      "negative = np.signbit(x)", "negative = x < 0.0",
+     ["tests/test_csvtext.py"]),
+    ("csv-pack-column-order", "csvtext.py",
+     "return field.ravel()[keep.ravel()]",
+     "return field.T.ravel()[keep.T.ravel()]",
      ["tests/test_csvtext.py"]),
     ("csv-nan-signed", "csvtext.py",
      "negative &= ~np.isnan(x)  # nan prints unsigned", "pass",
