@@ -16,18 +16,26 @@ taken once more.  A value whose fraction lies within
 same correctly rounded 17 digits ``"%.17g"`` prints, so exactness never
 rests on the error bound.
 
-Bytes.  Each value owns a fixed field of 47 bytes, written at static
+Bytes.  Each value owns a fixed field of 36 bytes, written at static
 columns:
 
-    [-][0.000][17 integer-side digits][.][17 fraction-side digits][e+hto][,]
+    [-][0.000][6 slots of 4 bytes][e+hto][,]
 
-Both digit zones hold D's 17 digits.  A keep mask, one row of a table
-indexed by (sign, layout, significant digits), drops the unused bytes, and
-one 1-D boolean index of the flat fields packs what is left, in field
-order, into the line text.  The table encodes the ``%g`` rules: scientific
-notation iff k < -4 or k >= 17; trailing zeros and a bare point dropped; an
-exponent of at least two digits; ``0``, ``-0``, ``inf``, ``-inf`` and
-``nan`` (never ``-nan``).  Bools print as 1 and 0.
+The slots hold "0" and D's 17 digits in three-digit groups, so D's digits
+are written once: one ``take`` of a table by ``q * 1000 + group`` gives
+each slot's four bytes as one uint32, the group's digits with the decimal
+point before its digit q where the layout puts it there (q = 0..2), or
+followed by a NUL (q = 3).  A keep mask, one row of a table indexed by
+(sign, layout, significant digits), holds 1 for the bytes the value
+prints: the digits as one run from D's leading digit, with any point or
+NUL inside it.  The mask is multiplied into the fields and
+``bytes.translate`` deletes every NUL, which leaves the line text in field
+order (``%.17g`` prints no NUL).  The table encodes the ``%g`` rules:
+scientific notation iff k < -4 or k >= 17; trailing zeros and a bare point
+dropped; an exponent of at least two digits; ``0``, ``-0``, ``inf``,
+``-inf`` and ``nan`` (never ``-nan``).  Bools print as 1 and 0.  A block
+holds 2^12 values: 147 KB of fields, reused from block to block, and a
+mask of the same size.
 """
 
 from __future__ import annotations
@@ -36,17 +44,20 @@ import numpy as np
 
 # Values formatted, and bytes written, per block (one row per block when a
 # row has more values).
-BLOCK_VALUES = 2**11
+BLOCK_VALUES = 2**12
 # Distance from a half below which a fraction goes to Python's formatter.
 TIE_MARGIN = 1e-6
 # Magnitudes whose digits the two-product takes: 10^(16 - k) and its
 # Veltkamp halves stay normal and finite for every k they give.
 _LOW, _HIGH = 1e-280, 1e300
 
-# Field byte offsets.
-_SIGN, _PREFIX, _INT, _POINT, _FRAC, _EXP, _SEP = 0, 1, 6, 23, 24, 41, 46
-_FIELD = 47
-_STATIC = {_SIGN: b"-", _PREFIX: b"0.000", _POINT: b".", _EXP: b"e"}
+# Field byte offsets: the sign, "0.000", six slots of four bytes (a
+# three-digit group of "0" and D's 17 digits, with a point or a NUL),
+# "e+hto" and the separator; D's leading digit follows the padding "0".
+_SIGN, _PREFIX, _SLOTS, _EXP, _SEP = 0, 1, 6, 30, 35
+_FIELD = 36
+_LEAD = _SLOTS + 1
+_STATIC = {_SIGN: b"-", _PREFIX: b"0.000", _EXP: b"e"}
 
 # Layouts: fixed notation at k = -4 .. 16 (layout k + 4), zero, the
 # three-letter inf and nan, and scientific notation with a two- or
@@ -83,61 +94,81 @@ _HI, _LO, _HI_HIGH, _HI_LOW = _pow10_table(_P_MIN, 300)
 
 
 def _group_tables() -> tuple[np.ndarray, np.ndarray]:
-    """By four-digit group g: its ASCII digits, and the count of D's
-    significant digits when g, at place i = 0..3 after D's leading digit,
-    is D's last nonzero group (1, the leading digit alone, for g = 0).
-    Written into their outputs by broadcasting, so that building them
-    leaves no large temporaries on malloc's heap."""
-    digits = np.empty((10, 10, 10, 10, 4), np.uint8)
+    """By slot code q * 1000 + g, for a three-digit group g: the slot's four
+    bytes as one uint32, g's digits with a point before digit q (q = 0..2)
+    or followed by a NUL (q = 3); and by slot j = 0..5 and g, the count of
+    D's significant digits when g is D's last nonzero group (1, the leading
+    digit alone, for g = 0)."""
+    digits = np.empty((10, 10, 10, 3), np.uint8)
     codes = 48 + np.arange(10, dtype=np.uint8)
-    for j, shape in enumerate([(10, 1, 1, 1), (10, 1, 1), (10, 1), (10,)]):
+    for j, shape in enumerate([(10, 1, 1), (10, 1), (10,)]):
         digits[..., j] = codes.reshape(shape)
-    length = np.zeros((10, 10, 10, 10), np.int8)  # to g's last nonzero digit
-    length[1:, 0, 0, 0], length[:, 1:, 0, 0], length[:, :, 1:, 0] = 1, 2, 3
-    length[..., 1:] = 4
-    length = length.ravel()
-    significant = np.ones((4, 10**4), np.int8)
-    for place, row in enumerate(significant):
-        np.add(length, 1 + 4 * place, out=row, where=length > 0)
-    return digits.reshape(10**4, 4), significant
+    digits = digits.reshape(1000, 3)
+    slots = np.zeros((4, 1000, 4), np.uint8)
+    for q, slot in enumerate(slots):
+        slot[:, :q], slot[:, q + 1:] = digits[:, :q], digits[:, q:]
+        slot[:, q] = ord(".") if q < 3 else 0
+    g = np.arange(1000)
+    last = np.where(g % 10, 2, np.where(g % 100, 1, 0))  # g's last nonzero place
+    # Slot j holds digits 3 j - 1 .. 3 j + 1 of D.
+    significant = np.where(g > 0, 3 * np.arange(6)[:, None] + last, 1)
+    return slots.view(np.uint32).ravel(), significant.astype(np.int8)
 
 
-_DIGITS4, _SIGNIFICANT = _group_tables()
-# By k + 400: the exponent's sign, hundreds, tens and ones bytes, and the
-# layout of a finite nonzero value.
+_SLOT_BYTES, _SIGNIFICANT = _group_tables()
+# By k + 400: the exponent's sign, hundreds, tens and ones bytes, as one
+# uint32, and the layout of a finite nonzero value.
 _EXPONENTS = np.frombuffer(b"".join(
     b"%c%03d" % (45 if k < 0 else 43, abs(k)) for k in range(-400, 400)),
-    np.uint8).reshape(-1, 4)
+    np.uint32)
 _LAYOUT_OF_K = np.array([
     (_SCI2 if abs(k) < 100 else _SCI3) if k < -4 or k >= 17 else k + 4
     for k in range(-400, 400)], np.int16)
 
 
+def _point_codes() -> np.ndarray:
+    """q * 1000 by slot and layout.  The point follows D's digit k, so it
+    comes before digit k + 1, which is digit k + 2 of "0" and D: in slot
+    (k + 2) // 3 at place (k + 2) % 3, in fixed notation at k = 0 .. 15 and
+    at k = 0 in scientific notation; fixed notation at k = 16 and k < 0 has
+    no point among the digits (q = 3)."""
+    points = np.full((6, _LAYOUTS), 3 * 1000)
+    for layout, k in [(_SCI2, 0), (_SCI3, 0), *((k + 4, k) for k in range(16))]:
+        points[(k + 2) // 3, layout] = (k + 2) % 3 * 1000
+    return points
+
+
+_POINTS = _point_codes()
+
+
 def _keep_masks() -> np.ndarray:
     """Keep masks by (negative, layout, significant digits 0..17), a row of
-    ``_FIELD`` bools each; the sign is kept where negative, the separator
-    always."""
-    masks = np.zeros((2, _LAYOUTS, 18, _FIELD), bool)
-    nd = np.arange(18)[:, None]
-    zone = np.arange(17)
+    ``_FIELD`` bytes, 1 to keep; the sign is kept where negative, the
+    separator always.  The digits are kept as one run from D's leading
+    digit to the last one printed, so a point among them is kept, and a
+    point after them is not."""
+    masks = np.zeros((2, _LAYOUTS, 18, _FIELD), np.uint8)
+    column = np.arange(_FIELD)
+    # By layout: the offset just past each of D's 17 digits, digit i being
+    # digit i + 1 of "0" and D.
+    slot, place = np.divmod(np.arange(1, 18), 3)
+    ends = _SLOTS + 1 + 4 * slot + place + (_POINTS[slot].T // 1000 <= place)
     for layout, m in enumerate(masks.transpose(1, 0, 2, 3)):
         if layout == _ZERO:
-            m[..., _PREFIX] = True
+            m[..., _PREFIX] = 1
         elif layout == _WORD:
-            m[..., _INT:_INT + 3] = True
-        elif layout < 4:  # k < 0: "0." and -k - 1 zeros, then the digits
-            m[..., _PREFIX:_PREFIX + 5 - layout] = True
-            m[..., _FRAC:_FRAC + 17] = zone < nd
-        else:  # k + 1 integer digits (one in scientific notation)
-            last = 0 if layout in (_SCI2, _SCI3) else layout - 4
-            m[..., _INT:_INT + last + 1] = True
-            m[..., _POINT] = last + 1 < nd[:, 0]
-            m[..., _FRAC:_FRAC + 17] = (zone > last) & (zone < nd)
-            if layout in (_SCI2, _SCI3):
-                m[..., _EXP:_EXP + 5] = True
+            m[..., _LEAD:_LEAD + 3] = 1
+        else:  # the digits to the last significant one, or to D's digit k
+            k = 0 if layout in (_SCI2, _SCI3) else layout - 4
+            last = np.maximum(np.arange(18), max(k + 1, 1)) - 1
+            m[...] = (column >= _LEAD) & (column < ends[layout, last, None])
+            if k < 0:  # "0." and -k - 1 zeros
+                m[..., _PREFIX:_PREFIX + 1 - k] = 1
+            elif layout in (_SCI2, _SCI3):
+                m[..., _EXP:_SEP] = 1
                 m[..., _EXP + 2] = layout == _SCI3
-    masks[1, ..., _SIGN] = True
-    masks[..., _SEP] = True
+    masks[1, ..., _SIGN] = 1
+    masks[..., _SEP] = 1
     return masks.reshape(-1, _FIELD)
 
 
@@ -152,7 +183,9 @@ def _digits(a: np.ndarray, k: np.ndarray):
     p = a * _HI.take(i)
     hh, hl = _HI_HIGH.take(i), _HI_LOW.take(i)
     e = ((ah * hh - p) + ah * hl + al * hh) + al * hl
+    del ah, al, hh, hl  # freed early: a block's temporaries set the peak
     small = e + a * _LO.take(i)
+    del e
     whole = np.floor(small)
     frac = small - whole
     d = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
@@ -185,52 +218,60 @@ def _decimal(x: np.ndarray):
     return d, k
 
 
-def _put_digits(field: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Write D's 17 digits into both digit zones of the fields; return the
-    count of D's significant digits, trailing zeros dropped."""
-    head, tail = np.divmod(d, 10**8)
-    groups = np.empty((len(d), 4), np.int16)
-    lead, groups[:, 1] = np.divmod(head, 10**4)
-    groups[:, 0] = lead % 10**4
-    groups[:, 2], groups[:, 3] = np.divmod(tail, 10**4)
-    field[:, _INT] = field[:, _FRAC] = lead // 10**4 + 48
-    digits = _DIGITS4.take(groups, axis=0).reshape(len(d), 16)
-    field[:, _INT + 1:_INT + 17] = digits
-    field[:, _FRAC + 1:_FRAC + 17] = digits
-    nd = _SIGNIFICANT[0].take(groups[:, 0])
-    for place in range(1, 4):
-        np.maximum(nd, _SIGNIFICANT[place].take(groups[:, place]), out=nd)
+def _put_digits(field: np.ndarray, d: np.ndarray, layout: np.ndarray) -> np.ndarray:
+    """Write "0" and D's 17 digits, and the point the layout puts among
+    them, into the fields' slots; return the count of D's significant
+    digits, trailing zeros dropped.  D's array is overwritten."""
+    groups = np.empty((6, len(d)), np.int64)
+    head = d // 10**9
+    d -= head * 10**9
+    for rest, group in ((head, groups[:3]), (d, groups[3:])):  # nine digits
+        np.floor_divide(rest, 10**6, out=group[0])
+        rest -= group[0] * 10**6
+        np.floor_divide(rest, 1000, out=group[1])
+        np.subtract(rest, group[1] * 1000, out=group[2])
+    del head
+    nd = np.ones(len(d), np.int8)
+    for j, row in enumerate(groups):
+        np.maximum(nd, _SIGNIFICANT[j].take(row), out=nd)
+        row += _POINTS[j].take(layout)
+    # The fields' slots as unaligned uint32s: one store a slot.
+    slots = np.ndarray(groups.shape, np.uint32, field, _SLOTS, (4, _FIELD))
+    slots[:] = _SLOT_BYTES.take(groups)
     return nd
 
 
-def _format_block(x: np.ndarray, buf: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _format_block(x: np.ndarray, field: np.ndarray) -> bytes:
     """The text bytes of the values x (flat, in line order) in the fields
-    buf[:len(x)], whose static bytes are already set."""
-    field = buf[:len(x)]
+    field[:len(x)], whose static bytes are already set."""
+    field = field[:len(x)]
     d, k = _decimal(x)
-    nd = _put_digits(field, d)
     k += 400
-    field[:, _EXP + 1:_EXP + 5] = _EXPONENTS.take(k, axis=0)
     layout = _LAYOUT_OF_K.take(k)
+    nd = _put_digits(field, d, layout)
+    # The fields' exponent bytes as one unaligned uint32 each: one store.
+    exponents = np.ndarray(len(x), np.uint32, field, _EXP + 1, (_FIELD,))
+    exponents[:] = _EXPONENTS.take(k)
     negative = np.signbit(x)
     if not np.isfinite(x).all() or not x.all():
         layout[x == 0.0] = _ZERO
         for j in np.flatnonzero(~np.isfinite(x)):
-            field[j, _INT:_INT + 3] = np.frombuffer(b"%.17g" % abs(x[j]), np.uint8)
+            field[j, _LEAD:_LEAD + 3] = np.frombuffer(b"%.17g" % abs(x[j]), np.uint8)
             layout[j] = _WORD
         negative &= ~np.isnan(x)  # nan prints unsigned
-    code = (negative * _LAYOUTS + layout) * 18 + nd
-    keep = mask[:len(x)]
-    _MASKS.take(code, axis=0, out=keep, mode="clip")  # clip: unbuffered
-    return field.ravel()[keep.ravel()]
+    keep = _MASKS.take((negative * _LAYOUTS + layout) * 18 + nd, axis=0)
+    np.multiply(keep, field, out=keep)
+    text = keep.tobytes()
+    del keep  # freed before translate allocates its output
+    return text.translate(None, b"\0")  # %.17g prints no NUL
 
 
 def write_rows(f, columns) -> None:
     """Write the lines of the equal-length columns to the binary file f:
     each value as ``format(float(x), ".17g")`` prints it, comma separated,
     each line ending in LF.  Blocks of at most ``BLOCK_VALUES`` values (one
-    row when a row has more) are formatted and written in turn, in buffers
-    allocated once per table."""
+    row when a row has more) are formatted and written in turn, their
+    fields in one buffer allocated per table."""
     if not columns or not len(columns[0]):
         return
     cols, rows = len(columns), len(columns[0])
@@ -241,9 +282,8 @@ def write_rows(f, columns) -> None:
         buf[:, offset:offset + len(text)] = np.frombuffer(text, np.uint8)
     buf.reshape(step, cols, _FIELD)[:, :, _SEP] = ord(",")
     buf.reshape(step, cols, _FIELD)[:, -1, _SEP] = ord("\n")
-    mask = np.empty((step * cols, _FIELD), bool)
     for start in range(0, rows, step):
         n = min(step, rows - start)
         for j, c in enumerate(columns):
             values[:n, j] = c[start:start + n]
-        f.write(_format_block(values[:n].ravel(), buf, mask))
+        f.write(_format_block(values[:n].ravel(), buf))

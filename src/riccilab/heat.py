@@ -37,20 +37,21 @@ One stack per block.  A chunk is stepped and checked in the row blocks of
 ``geometry.row_slices``, the pool's blocks of at most ``ROW_CELLS //
 WORKERS`` cells, top block first.  A block of rows lo ... hi - 1 builds one
 ``backend.stack`` of its snapshots 2 lo ... 2 hi (2 M at the run's top
-row M), so the snapshot geometry -- R, the Laplace-Beltrami factor and the
-volume weight -- is built once per snapshot, not once per RK4 stage.  The
-steps read R per row as ``backend.rows`` gives it (Python floats on the
-spheres, grids on the torus, either way bitwise alike), one step and one
-store a row, with numpy's floating-point warnings off.
+row M), so the snapshot geometry -- R and the Laplace-Beltrami factor --
+is built once per snapshot, not once per RK4 stage.  The steps read R per
+row as ``backend.rows`` gives it (Python floats on the spheres, grids on
+the torus, either way bitwise alike), one step and one store a row, with
+numpy's floating-point warnings off.
 Then ``_check_rows`` checks the block's rows in one vectorised pass on the
-same stack: every row's mass ``quadrature(v * weight)`` under its own
-snapshot's weight (the same products and contiguous row sums as the row
-alone) and its positivity (``geometry._finite_min`` above
-``POSITIVITY_FLOOR``, nan for a row that is not finite).  The first failing
-event top-down is raised, a row's positivity before its mass.  A chunk is
-handed over only when every block of it passes, so the chunks above a
-failing row have been handed over and the failing row's chunk is not; the
-steps past the failing row (at most the rest of its block) print nothing.
+stack of the rows' own snapshots 2 lo, 2 lo + 2, ..., 2 hi - 2: every
+row's mass ``quadrature(v * weight)`` under its snapshot's volume weight
+(the same products and contiguous row sums as the row alone) and its
+positivity (``geometry._finite_min`` above ``POSITIVITY_FLOOR``, nan for a
+row that is not finite).  The first failing event top-down is raised, a
+row's positivity before its mass.  A chunk is handed over only when every
+block of it passes, so the chunks above a failing row have been handed
+over and the failing row's chunk is not; the steps past the failing row
+(at most the rest of its block) print nothing.
 A density is a ``ScalarField`` of v.
 """
 
@@ -353,7 +354,8 @@ def _backward(traj, v_T, mass_tol, chunk_cells):
                         i1 = 2 * (r + 1 - lo)
                         v = geometry.rk4_step(rhs, v, step)
                         v_out[r - base] = v
-                _check_rows(g, times[lo:hi], v_out[lo - base:hi - base],
+                _check_rows(backend.stack(traj.params[2 * lo:2 * hi:2]),
+                            times[lo:hi], v_out[lo - base:hi - base],
                             m_out[lo - base:hi - base], mass_tol)
         n = top + 1 - base
         yield DensityHistory(backend, times[base:top + 1], v_out[:n],
@@ -385,10 +387,10 @@ def _float_steps(v, R, out, step):
 
 def _check_rows(g, times, v, masses, mass_tol):
     """Write into ``masses`` each row's integral(v dmu), row k under the
-    metric of g's snapshot 2 k, and raise the first failing event top-down,
-    a row's positivity (finite and above ``POSITIVITY_FLOOR``) before its
+    metric of g's row k, and raise the first failing event top-down, a
+    row's positivity (finite and above ``POSITIVITY_FLOOR``) before its
     mass."""
-    masses[:] = g.quadrature(v * g.weight[:2 * len(v):2])
+    masses[:] = g.quadrature(v * g.weight)
     # One row per checked row, top-down; one column per event in order.
     fails = np.stack([~(geometry._finite_min(v) > POSITIVITY_FLOOR),
                       np.abs(masses - 1.0) > mass_tol], axis=1)[::-1]

@@ -102,11 +102,67 @@ def test_signed_zero_infinities_and_nan_of_either_sign():
     assert text([x == 0.0]) == "1\n1\n0\n0\n0\n0\n0\n0\n"
 
 
+def layout_code(s: str):
+    """The (sign, layout, significant digits) a ``%.17g`` string shows: the
+    layout is fixed notation at decimal exponent k, scientific notation
+    with a two- or three-digit exponent, zero, inf or nan."""
+    sign, body = ("-", s[1:]) if s.startswith("-") else ("", s)
+    if body in ("inf", "nan") or float(body) == 0.0:
+        return sign, body if body in ("inf", "nan") else "zero", 0
+    mantissa, _, exponent = body.partition("e")
+    digits = mantissa.replace(".", "").lstrip("0").rstrip("0")
+    if exponent:
+        layout = ("sci", len(exponent) - 1)
+    elif body.startswith("0."):
+        layout = ("fixed", -1 - (len(mantissa) - 2 - len(mantissa[2:].lstrip("0"))))
+    else:
+        layout = ("fixed", len(mantissa.partition(".")[0]) - 1)
+    return sign, layout, len(digits)
+
+
+# Every code %.17g can print: either sign with fixed notation at k = -4 ..
+# 16 or a two- or three-digit exponent, and 1 .. 17 significant digits;
+# zero and inf of either sign; nan unsigned.
+REACHABLE = {(sign, layout, nd) for sign in ("", "-")
+             for layout in [("fixed", k) for k in range(-4, 17)]
+             + [("sci", 2), ("sci", 3)] for nd in range(1, 18)}
+REACHABLE |= {(sign, word, 0) for sign in ("", "-") for word in ("zero", "inf")}
+REACHABLE |= {("", "nan", 0)}
+
+
+def test_every_layout_code_is_printed_across_block_boundaries():
+    # A value per reachable code, found by printing decimal strings of nd
+    # digits at each exponent and reading back the code %.17g shows.
+    rng = np.random.default_rng(7)
+    found = {layout_code(format(x, ".17g")): x
+             for x in (0.0, -0.0, np.inf, -np.inf, np.nan)}
+    exponents = list(range(-4, 17)) + [-5, 17, -42, 42, -99, 99,
+                                       -150, 150, -307, 300]
+    for k in exponents:
+        for nd in range(1, 18):
+            for _ in range(200):
+                digits = "".join(map(str, rng.integers(1, 10, nd)))
+                x = float(f"{digits[0]}.{digits[1:]}e{k}")
+                for value in (x, -x):
+                    found.setdefault(layout_code(format(value, ".17g")), value)
+                if (("", ("fixed", k) if -4 <= k <= 16 else
+                     ("sci", 3 if abs(k) >= 100 else 2), nd) in found):
+                    break
+    assert set(found) == REACHABLE
+    values = np.array(list(found.values()))
+    for cols in (1, 3):
+        step = csvtext.BLOCK_VALUES // cols
+        for rows in (step - 1, step, step + 1):
+            flat = np.resize(values, rows * cols)
+            columns = [flat[j::cols] for j in range(cols)]
+            assert text(columns) == expected(columns)
+
+
 def test_writer_peak_memory_is_one_block():
     # 6251 rows of 18 columns, the size of the round-sphere data.csv of the
     # homogeneous benchmark.  Formatting 1024 rows at a time by a %-template
-    # peaks at 1.0-1.4 MB traced on such a table; block buffers of 2^11
-    # values keep this writer near 0.6 MB.
+    # peaks at 1.0-1.4 MB traced on such a table; block buffers of 2^12
+    # values keep this writer at 0.8 MB.
     rng = np.random.default_rng(2)
     columns = [rng.standard_normal(6251) for _ in range(18)]
     f = io.BytesIO()

@@ -1635,7 +1635,7 @@ def test_streamed_run_matches_collected_run(raw, failure, chunk_rows, row):
 def test_run_holds_one_density_chunk_not_the_history(tmp_path, monkeypatch):
     # 257 rows of 32^2 cells make a 2.1 MB history.  In chunks of 4 rows (65
     # chunks), on one worker with one-row kernel blocks, the run's traced
-    # peak stays below half of it (about 0.3 of it: the kernel's one-row
+    # peak stays below half of it (about 0.41 of it: the kernel's one-row
     # temporaries and the writers' row blocks).
     import tracemalloc
 

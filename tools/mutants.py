@@ -125,7 +125,7 @@ MUTANTS = [
      "with np.errstate():",
      ["tests/test_heat.py"]),
     ("heat-check-half-step-weights", "heat.py",
-     "g.weight[:2 * len(v):2]", "g.weight[1:2 * len(v):2]",
+     "traj.params[2 * lo:2 * hi:2]", "traj.params[2 * lo + 1:2 * hi:2]",
      [FLOWING_HEAT_TEST, "tests/test_heat.py"]),
     ("heat-block-stack-one-row-late", "heat.py",
      "traj.params[2 * lo:2 * hi + 1]", "traj.params[2 * lo + 2:2 * hi + 1]",
@@ -289,7 +289,8 @@ MUTANTS = [
      ["tests/test_harness.py"]),
     # The CSV text writer: its digits, its tie rule and its %g layouts.
     ("csv-16-digits", "csvtext.py",
-     "nd = np.arange(18)[:, None]", "nd = np.minimum(np.arange(18), 16)[:, None]",
+     "last = np.maximum(np.arange(18), max(k + 1, 1)) - 1",
+     "last = np.maximum(np.minimum(np.arange(18), 16), max(k + 1, 1)) - 1",
      ["tests/test_csvtext.py"]),
     ("csv-tie-margin-collapsed", "csvtext.py",
      "d = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)\n"
@@ -304,8 +305,23 @@ MUTANTS = [
      "negative = np.signbit(x)", "negative = x < 0.0",
      ["tests/test_csvtext.py"]),
     ("csv-pack-column-order", "csvtext.py",
-     "return field.ravel()[keep.ravel()]",
-     "return field.T.ravel()[keep.T.ravel()]",
+     "text = keep.tobytes()", "text = keep.T.tobytes()",
+     ["tests/test_csvtext.py"]),
+    # The slot field: fixed notation at k = 16 has no point among D's
+    # digits, a group is the remainder of the 1000 split, and the pack keeps
+    # only the masked bytes.
+    ("csv-point-slot-k16", "csvtext.py",
+     "*((k + 4, k) for k in range(16))]:\n"
+     "        points[(k + 2) // 3, layout] = (k + 2) % 3 * 1000",
+     "*((k + 4, k) for k in range(17))]:\n"
+     "        points[min((k + 2) // 3, 5), layout] = (k + 2) % 3 * 1000",
+     ["tests/test_csvtext.py"]),
+    ("csv-split-remainder", "csvtext.py",
+     "np.subtract(rest, group[1] * 1000, out=group[2])",
+     "np.remainder(rest, 100, out=group[2])",
+     ["tests/test_csvtext.py"]),
+    ("csv-pack-unmasked", "csvtext.py",
+     "np.multiply(keep, field, out=keep)", "np.copyto(keep, field)",
      ["tests/test_csvtext.py"]),
     ("csv-nan-signed", "csvtext.py",
      "negative &= ~np.isnan(x)  # nan prints unsigned", "pass",
