@@ -34,8 +34,8 @@ order (``%.17g`` prints no NUL).  The table encodes the ``%g`` rules:
 scientific notation iff k < -4 or k >= 17; trailing zeros and a bare point
 dropped; an exponent of at least two digits; ``0``, ``-0``, ``inf``,
 ``-inf`` and ``nan`` (never ``-nan``).  Bools print as 1 and 0.  A block
-holds 2^12 values: 147 KB of fields, reused from block to block, and a
-mask of the same size.
+holds ``BLOCK_VALUES`` values: their fields, reused from block to block,
+and a mask of the same size.
 """
 
 from __future__ import annotations
@@ -43,9 +43,11 @@ from __future__ import annotations
 import numpy as np
 
 # Values formatted, and bytes written, per block (one row per block when a
-# row has more values).
+# row has more values): 147 KB of fields.
 BLOCK_VALUES = 2**12
 # Distance from a half below which a fraction goes to Python's formatter.
+# No value of the benchmark workloads' CSVs (seed 1) comes within it or
+# lies outside _LOW .. _HIGH.
 TIE_MARGIN = 1e-6
 # Magnitudes whose digits the two-product takes: 10^(16 - k) and its
 # Veltkamp halves stay normal and finite for every k they give.

@@ -5,15 +5,11 @@ Fixed steps keep every trajectory on a uniform grid so the backward density
 solve and finite-difference time derivatives stay aligned.  Completed
 trajectories are immutable.
 
-The loop steps a state in the backend's component form: Python floats on
-the Berger sphere, the phi array on the torus.  Each of these backends'
-``step`` is one RK4 step of its own component form: ``geometry.rk4_step``
-on the torus, where its stages and combination are described, and
-straight-line code in the same order on the Berger sphere's floats, each
-stage's three rates written out with no call, so the results are bitwise
-what numpy arrays give; the tests pin each backend's step to the array
-form, overflow and division by zero at any stage included.  The round
-sphere's rate does not depend on c, so every step adds the same
+The loop steps a state in the backend's component form
+(``geometry``'s ``components``) by the backend's ``step``, one
+``geometry.rk4_step``; the tests pin each backend's step to the array
+form bitwise, overflow and division by zero at any stage included.  The
+round sphere's rate does not depend on c, so every step adds the same
 ``increment(dt)``: its states are one ``np.add.accumulate`` of c0 and K
 increments, which sums in step order, each state the previous one plus
 the increment, as a loop of float steps gives it (the tests pin it to that
@@ -31,18 +27,10 @@ step that overflows shows as a non-finite state, which the check reports,
 and the steps taken past the failing event change nothing a run returns,
 print nothing and cost at most what the steps of a passing run cost.
 
-A torus phi that is bitwise constant along y is stepped as its first
-column, shape (N, 1): e^{-2 phi}, the 5-point stencil and the RK4
-combination are entry-wise, and a y-constant grid's y-neighbours are the
-entries themselves, so the column holds exactly the bits of every column of
-the full grid (and the flow keeps phi y-constant).  Its ``step`` works on
-the column's bare (N,) view, the stencil taking the x-neighbours by index
-arrays (``geometry._lap_column``), and returns a new (N, 1) array.  The
-trajectory stores what was stepped and exposes ``params`` as a read-only
-``np.broadcast_to`` view of the full shape (K+1,) + param_shape;
-``geometry``'s torus stack takes such a view back to its one column, and
-``functionals.lambda0_eig`` solves a state on the same column, so g(0) and
-row 0 share one solve.
+A y-invariant torus phi is stepped as one column (``geometry``'s
+one-column metrics).  The trajectory stores what was stepped and exposes
+``params`` as a read-only ``np.broadcast_to`` view of the full shape
+(K+1,) + param_shape.
 
 ``stability_dt`` is the bound itself, with no safety factor: the step loop
 checks against it, and a run's ``flow.dt = auto`` scales it by

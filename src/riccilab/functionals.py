@@ -23,23 +23,18 @@ On the torus the ground state is found by matrix-free LOPCG with block size 1
 (Knyazev 2001), preconditioned by the exact FFT inverse of
 -Lap0 + mean(e^{2 phi}): Rayleigh-Ritz on span{x, M r, p} each iteration,
 with p dropped for the step when the 3x3 Gram matrix is ill-conditioned
-(Duersch, Shao, Yang and Gu 2018).  The solve runs on the grid the metric
-stack holds, (N, Ny): the full grid, or for a y-invariant metric
-(``geometry``'s one-column metrics) its column, Ny = 1.  A y-invariant
-pencil has a y-invariant ground state, so the column is the same
-eigenproblem: the symbol is the ky = 0 part of the rfft2 half grid, the
-preconditioner shift the mean of e^{2 phi} over the cells held, and the
-values agree with the full-grid solve to round-off.  ``lambda0_eig`` takes
-the same column for a y-invariant state, so each metric has one solve: the
-admissibility value lambda0(g(0)) is bitwise row 0 of a run's ``lambda0``
-column.  The rows of a stack
-run independently, vectorised over the row blocks of ``geometry.row_blocks``
-on its thread pool; the small eigenproblems of a block are solved together
-as (k, m, m) stacks, on one workspace, with the Gram pencils from batched
-``matmul`` (BLAS dgemm).  A row is frozen and leaves its block once its
-relative eigen-residual ||-Lap_g x + (R/4) x - lambda x||_g / ||x||_g is at
-most ``LAMBDA0_TOL``; a row still above it after ``LAMBDA0_MAXITER``
-iterations has not converged, and reading its value raises NoConvergence.
+(Duersch, Shao, Yang and Gu 2018).  A one-column stack (``geometry``'s
+one-column metrics) is solved on its column, Ny = 1: a y-invariant pencil
+has a y-invariant ground state, the symbol is the ky = 0 part of the rfft2
+half grid and the preconditioner shift the mean of e^{2 phi} over the
+cells held, so the values agree with the full-grid solve to round-off.
+The rows of a stack run independently over ``geometry.row_blocks``; the
+small eigenproblems of a block are solved together as (k, m, m) stacks, on
+one workspace, with the Gram pencils from batched ``matmul`` (BLAS dgemm).
+A row is frozen and leaves its block once its relative eigen-residual
+||-Lap_g x + (R/4) x - lambda x||_g / ||x||_g is at most ``LAMBDA0_TOL``; a
+row still above it after ``LAMBDA0_MAXITER`` iterations has not converged,
+and reading its value raises NoConvergence.
 Each row's result is a pure function of its own metric, bitwise the same in
 any block and with any number of BLAS threads.
 """
@@ -292,10 +287,8 @@ def ground_states(backend, params) -> GroundStates:
     (-Lap_g + R/4) u = lambda u, from the constant start vector (see the
     module docstring).  A row that misses ``LAMBDA0_TOL`` within
     ``LAMBDA0_MAXITER`` iterations is reported, not raised:
-    ``GroundStates.value`` raises NoConvergence for it.  A y-invariant
-    metric stack (a view broadcast along y, as ``integrate_forward``
-    returns) is solved on its one column and its row blocks sized by the N
-    cells it holds.
+    ``GroundStates.value`` raises NoConvergence for it.  Row blocks are
+    sized by the cells the stack holds.
     """
     g = backend.stack(np.asarray(params, dtype=float))
     K = len(g.params)
@@ -318,11 +311,10 @@ def lambda0_eig(m: MetricState) -> tuple[float, ScalarField]:
 
     Constant-curvature backends: the closed form with the constant ground
     state.  Torus: the :func:`ground_states` LOPCG on the grid the flow
-    steps (``ConformalTorus2D.components``): phi's column when it is
-    y-invariant, so the value is bitwise the one ``ground_states`` gives the
-    same metric as a trajectory row, else the full grid.  NoConvergence is
-    raised when the relative eigen-residual exceeds ``LAMBDA0_TOL`` after
-    ``LAMBDA0_MAXITER`` iterations.  The eigenvalue is the Rayleigh quotient
+    steps (``components``), so lambda0(g(0)) is bitwise row 0 of a run's
+    ``lambda0`` column.  NoConvergence is raised when the relative
+    eigen-residual exceeds ``LAMBDA0_TOL`` after ``LAMBDA0_MAXITER``
+    iterations.  The eigenvalue is the Rayleigh quotient
     of the returned eigenfunction, which has unit g-norm on the full grid.
     """
     b = m.backend

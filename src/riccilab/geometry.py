@@ -61,43 +61,20 @@ the state's ``components`` instead, so it solves g(0) on the column the
 trajectory's rows are solved on.
 
 The backends carry what the time-stepping loops use on one state.  The
-flow steps ``components(p)``: the parameters as Python floats on the
-spheres, where numpy's per-call dispatch would dwarf the arithmetic, and a
-one-entry list holding phi on the torus (its column when y-invariant).
-``rates`` is the flow velocity in that form.  The round sphere's rate does
-not depend on c, so its ``increment(dt)`` is the change of c over any RK4
-step, and the flow sums its states by one ``np.add.accumulate``.  On the
-other backends ``step(p, dt)`` is one RK4 step of that form:
-straight-line code over A, B, C on the Berger sphere, each stage's three
-rates written out on the floats with no call (a float square that
-overflows redoes the step through ``_berger_rates``, whose ``_pow`` squares
-are inf); ``rk4_step`` on the torus, each
-rate written into its stencil's output, a y-invariant column
-stepped on its bare (N,) view through ``_lap_column`` (25-28 us a step at
-N = 32 against 47-58 us for the (N, 1) array form on a 2-core Xeon: numpy's
-per-call cost, not the arithmetic, sets both).  Each keeps the array
-form's per-entry operation order, and the tests pin it to that form
-bitwise.  ``min_scale`` takes states on a leading axis (a stored
-trajectory, or one state as a stack of one) and returns each one's smallest
-metric scale, nan where a state is not finite; it feeds the floor check and
-``stability_dt``, the unscaled bound (``flow.dt = auto`` applies
-``flow.safety`` to it).
-The heat solve reads stack arrays through ``rows`` (the curvatures as
-Python floats on the spheres, where it steps straight-line float code) and
-checks positivity by ``_finite_min``.
-Floats and numpy round each operation alike: either form gives the same bits.
+flow steps ``components(p)``: Python floats on the spheres, where numpy's
+per-call dispatch would dwarf the arithmetic, and a one-entry list holding
+phi on the torus.  ``rates`` is the flow velocity in that form; the round
+sphere's ``increment`` is the change of c over any step, and the other
+backends' ``step`` is one ``rk4_step``.  ``min_scale`` gives each state's
+smallest metric scale, for the flow's floor and ``stability_dt``.  The heat
+solve reads stack arrays through ``rows`` and checks positivity by
+``_finite_min``.
 
-Row blocks.  A sphere row is one cell; a torus row is N^2 cells (N for the
-metric of a one-column stack).  ``row_slices`` cuts consecutive rows into
-blocks of at most ``ROW_CELLS // WORKERS`` cells, the one block rule of the
-pool and the heat solve.
-``row_blocks`` is a blocking map of a function over consecutive row blocks
-on a pool of ``WORKERS`` threads (numpy's ufuncs and FFTs release the GIL),
-with at most ``ROW_CELLS`` cells in flight across all workers, so peak
-memory does not grow with the core count.  It returns when every block has
-run, or raises the exception of the first block in order that raised.
-Each row's result is bitwise what it gives alone, so no result depends on
-the block size or the worker count.
+Row blocks.  A sphere row is one cell; a torus row is N^2 cells (N for a
+one-column stack).  ``row_slices`` cuts rows into blocks, and
+``row_blocks`` maps a function over them on a thread pool.  Each row's
+result is bitwise what it gives alone, so no result depends on the block
+size or the worker count.
 
 The typed functions at the end (``scalar_curvature``, ``laplace_beltrami``,
 ``hessian``, ``volume``, ``integrate``) take a ``MetricState`` and typed
@@ -145,28 +122,29 @@ __all__ = [
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
-# Cap on the cells (rows x cells per row) in flight across all workers: the
-# row blocks of ``row_slices`` hold at most ROW_CELLS // WORKERS cells each,
-# whether ``row_blocks`` maps them on the pool (lambda0 and the row kernel)
-# or the heat solve steps and checks them in turn.  Measured at 2^14 ...
-# 2^17 (2-core Xeon, two workers; CHANGES.md): 2^16 is within 5 % of the
-# fastest at N = 32, 64 and 128 (rows_s 1.00 s against 1.36 s at 2^15), and
-# 2^17 adds 16 MiB of peak memory at N = 128 for nothing.  A row-kernel
-# block of 2^15 cells holds at most about 12 block-sized fields at once
-# (``variation.row_values``).
+# Cap on the cells (rows x cells per row) in flight across all workers, so
+# peak memory does not grow with the core count: the row blocks of
+# ``row_slices`` hold at most ROW_CELLS // WORKERS cells each, whether
+# ``row_blocks`` maps them on the pool (lambda0 and the row kernel) or the
+# heat solve steps and checks them in turn.  Measured at 2^14 ... 2^17
+# (2-core Xeon, two workers; CHANGES.md): 2^16 is within 5 % of the fastest
+# at N = 32, 64 and 128 (rows_s 1.00 s against 1.36 s at 2^15), and 2^17
+# adds 16 MiB of peak memory at N = 128 for nothing.
 ROW_CELLS = 2**16
 
 # Cap on the cells of one density chunk (4 MiB of float64): a run's heat
 # solve hands its rows to the row evaluation in chunks of at most
 # CHUNK_CELLS cells (at least one row), so a run holds one chunk of
-# densities, not their whole history.  glibc sizes its dynamic mmap and trim
-# thresholds from the largest block freed so far, so the chunk buffer sets
-# them: a row-kernel block whose working set (its fields at their peak) is
-# above the trim threshold is returned to the system after each block and
-# faulted back on every block.  At 2^19 the threshold covers the kernel's
-# 12-field block of 2^15 cells: 12 minor faults per warm ladder pass and
-# 3.5 MiB less peak memory than 2^20 (2-core Xeon, two workers); a 23-field
-# block cost about 2k faults per pass at 2^19, and 52k-86k at 2^18.
+# densities, not their whole history (20 MiB on the N = 128 ladder level).
+# glibc sizes its dynamic mmap and trim thresholds from the largest block
+# freed so far, so the chunk buffer sets them: a row-kernel block whose
+# working set (its fields at their peak) is above the trim threshold is
+# returned to the system after each block and faulted back on every block.
+# At 2^19 the threshold covers the kernel's 12-field block of 2^15 cells
+# (the fields ``variation.row_values`` holds at once at two workers): 12
+# minor faults per warm ladder pass and 3.5 MiB less peak memory than 2^20
+# (2-core Xeon, two workers); a 23-field block cost about 2k faults per
+# pass at 2^19, and 52k-86k at 2^18.
 CHUNK_CELLS = 2**19
 
 
@@ -175,8 +153,9 @@ def row_blocks(fn, rows: int, cells: int) -> list:
     block order.
 
     With more than one block and worker the blocks run on a pool of
-    ``min(WORKERS, blocks)`` threads; otherwise they map in the calling
-    thread.  ``fn`` must touch only its own rows.  The exception of the
+    ``min(WORKERS, blocks)`` threads (numpy's ufuncs and FFTs release the
+    GIL); otherwise they map in the calling thread.  ``fn`` must touch only
+    its own rows.  The exception of the
     first block in order that raises propagates; the blocks not yet started
     then never start, the running ones finish, and no thread outlives the
     call.
@@ -211,7 +190,8 @@ def rk4_step(rate, w, dt):
     (2 k2, 2 k3, k4, the factor dt / 6, then w), so an array updates in
     place and a float rebinds, each entry by the same operations.  The
     Berger flow step (``step``) and the spheres' heat steps
-    (``heat._float_steps``) write the same order out on floats.
+    (``heat._float_steps``) write the same order out on floats, which round
+    each operation as numpy does: the tests pin them to it bitwise.
     """
     half = 0.5 * dt
     k1 = rate(0, w)
@@ -311,13 +291,11 @@ class BergerSphere(_Homogeneous):
 
     @staticmethod
     def step(p, dt):
-        """One RK4 step of [A, B, C], straight-line over the three floats in
-        ``rk4_step``'s order, each stage's rates written out in
-        ``_berger_rates``'s operations: the squares by ``**``, then
-        X * Y * Z, then the divisions.  A square that overflows (Python
-        raises where C's pow gives inf) redoes the step through
-        ``_berger_rates``, whose ``_pow`` squares are inf; a division by zero
-        raises ``ZeroDivisionError``."""
+        """One ``rk4_step`` of [A, B, C] written out on the three floats,
+        each stage's rates in ``_berger_rates``'s operations.  A square that
+        overflows (Python raises where C's pow gives inf) redoes the step
+        through ``_berger_rates``, whose ``_pow`` squares are inf; a division
+        by zero raises ``ZeroDivisionError``."""
         A, B, C = p
         half = 0.5 * dt
         try:
@@ -531,6 +509,9 @@ def _check_same_backend(m: MetricState, field) -> None:
 # (..., N, 1) operand (the torus R, the ground-state operator), and the
 # flow step its bare (N,) column; it takes the x-neighbours by two cached
 # periodic index arrays, and the y-neighbours are the entries themselves.
+# A flow step on the bare column takes 25-28 us at N = 32 against 47-58 us
+# for the (N, 1) array form (2-core Xeon): numpy's per-call cost, not the
+# arithmetic, sets both.
 # --------------------------------------------------------------------------
 
 def _roll(w, shift, axis):

@@ -3,53 +3,20 @@ manifest persistence, and convergence studies.
 
 Config format: flat ``key = value`` text, ``#`` comments, dotted keys
 (``backend.kind``, ``flow.T``, ``entropy.a`` as a comma list, ...), each
-declared once, by its ``RunConfig`` field.  See README for the full key
-table.
+declared once, by its ``RunConfig`` field.  README's key table lists them.
 
-Artifacts per run: ``data.csv`` (fixed schema: t, F, S, lambda0, then per
-adjustment value Y[a], omega[a], dYdt_fd[a], rhs_thm[a], rhs_ye[a],
-res_thm[a], res_equiv[a]; 17 significant digits, comma separator, LF line
-endings), ``proof_chain.csv`` (the derivative-identity columns, which do
-not fit the fixed data.csv schema), and ``manifest.json`` (config echo,
-resolved step and metric grid, admissibility checks, summary block,
-``lambda0`` solver diagnostics over the evaluated rows, the ``timings``,
-``cpu_s`` and ``minor_faults`` of every stage, each charged by ``_charged``
-from one ``_usage`` reading at each end of its block, ``peak_rss_mb`` read
-at the end of each timed stage (``_peak_rss_mb``), flow and heat ``steps``,
-numpy's version and SIMD dispatch, exit status), written exactly once per
-run and on every exit path (a temporary file renamed into place), so
-partial artifacts carry a status marker.  One
-writer, ``csvtext.write_rows``, prints both CSV files from the ``RunTables``
-arrays, a block of at most 2^11 values at a time, each value as ``_fmt``
-prints it (header only when no table exists; per-a arrays hold one column
-per adjustment value); the summary counts come from ``variation``'s
-``equivalence_check`` and ``monotonicity_check``.
+Artifacts: ``_artifact_csvs`` gives the columns of ``data.csv`` and
+``proof_chain.csv``, which ``_write_csv`` prints through
+``csvtext.write_rows`` (header only when no table exists), and ``run``
+writes ``manifest.json`` (``_write_manifest``) exactly once per run, on
+every exit path.  Each stage's ``timings``, ``cpu_s`` and ``minor_faults``
+are charged by ``_charged``, and ``_timed`` reads its ``peak_rss_mb``.
+README names every column and manifest field.  The summary counts come
+from ``variation``'s ``equivalence_check`` and ``monotonicity_check``.
 
-Row evaluation: ``evaluate_tables`` solves lambda0 for every row in one
-``ground_states`` call, then runs the stacked row kernel
-``variation.row_values`` on each chunk of densities the heat solve hands
-over (``heat.stream_backward``, top-down), with no per-row loop.  Both run
-their row blocks on the ``geometry.row_blocks`` thread pool, each block
-writing its own rows of the tables.  Only per-row scalars outlive a chunk,
-so a run holds one chunk of at most ``geometry.CHUNK_CELLS`` density
-cells, not the history.  The heat failures (PositivityLoss, MassDrift) are
-raised by the stream before it hands a row over.  Every row is evaluated
-first; then ``variation.row_failure`` checks the filled table once, in
-one order per row: lambda0 (``GroundStates``), omega for each a, then an
-overflow (BlowUp), and the lowest failing row decides the error and the
-truncation.
-
-Exit codes: 0 success, 2 ``InputError`` (configuration or admissibility),
-3 ``NumericalError`` (partial CSV retained).  Any other exception is an
-internal error: the manifest records it (status ``internal_error``) and
-``run`` re-raises it.
-
-Time stepping: the flow trajectory is integrated and stored at half the
-row step, and the density solver steps at the row step, 2 * traj.dt (bit
-for bit ``validate_config``'s dt), so its RK4 stage times land exactly on
-stored snapshots.  Interpolating stage metrics instead would inject an
-O(dt^2) mass drift that the two-form equivalence residual is directly
-sensitive to.
+Row evaluation: ``evaluate_tables``.  The flow steps at half the row step
+(``validate_config``'s dt), so the heat solve's RK4 stages land on stored
+snapshots (``heat``).
 """
 
 from __future__ import annotations
@@ -545,19 +512,13 @@ def evaluate_tables(
     densities as ``DensityHistory`` chunks of consecutive rows that
     together cover every row once, in any order:
     ``heat.stream_backward``'s, consumed as they complete, or ``[hist]``.
-    The lambda0 of every row comes first, from one ``ground_states`` call
-    over the row metrics.  Then, chunk by chunk, the row kernel
-    ``variation.row_values`` evaluates F, S, the variation tensor T,
-    dF_rhs, the sub-identity sides and, for each adjustment value, omega, Y
-    and both rate forms, over the row blocks of the ``geometry.row_blocks``
-    pool, each block writing its rows of the tables; only these per-row
-    values outlive the chunk.  The densities are taken as the heat solve
-    hands them over, finite and above ``heat.POSITIVITY_FLOOR``; an error
-    the chunks raise (PositivityLoss or MassDrift) propagates, and so does
-    any exception of a kernel block.  Once every row is evaluated,
-    ``variation.row_failure`` finds the lowest failing row (lambda0, then
-    omega for each a, then an overflow) and its error, so neither the
-    error nor the truncation depends on the pool or the chunks.  On a
+    The lambda0 of every row comes first, from one ``ground_states`` call.
+    Then the row kernel ``variation.row_values`` evaluates each chunk over
+    ``geometry.row_blocks``, each block writing its rows of the tables;
+    only these per-row values outlive the chunk.  An error the chunks or a
+    kernel block raise propagates.  Once every row is evaluated,
+    ``variation.row_failure`` finds the lowest failing row and its error,
+    so neither depends on the pool or the chunks.  On a
     numerical failure the completed rows are kept (truncated tables, finite
     differences over the surviving series) so a failed run still ships a
     partial CSV; returns (tables, error), tables None when fewer than 3
@@ -725,7 +686,8 @@ def resolve_out_dir(cfg: RunConfig, override=None, default_name="run") -> Path:
     return target
 
 
-# Stages, each with its wall time, CPU time and minor faults in manifest.json.
+# Stages, each with its wall time, CPU time and minor faults in manifest.json
+# (host contention moves CPU time less than wall time).
 # The heat solve and the row evaluation interleave, chunk by chunk: heat_s
 # counts the terminal datum and the chunks' solve, rows_s the rest of that
 # stage, and lambda0_s is the part of rows_s spent in the ground-state solve.
@@ -739,7 +701,7 @@ _MEMORY_STAGES = {"flow_s": "flow", "rows_s": "heat_and_rows",
 def _usage() -> tuple:
     """This process's wall clock, CPU time of all its threads and minor page
     faults so far, the last from one ``getrusage`` call (None without
-    ``resource``)."""
+    ``resource``): about 1.5 us a reading."""
     wall, cpu = time.perf_counter(), time.process_time()
     if resource is None:
         return wall, cpu, None
@@ -836,8 +798,8 @@ def _heat_chunks(chunks, blocks: dict):
 
 
 def _metric_grid(m0: MetricState) -> list[int] | None:
-    """The grid the torus flow steps, [N, 1] for a y-invariant metric and
-    [N, N] otherwise (``ConformalTorus2D.components``); None on the spheres."""
+    """The shape of the phi ``components`` gives, the grid the torus flow
+    steps; None on the spheres."""
     if not isinstance(m0.backend, ConformalTorus2D):
         return None
     (phi,) = m0.backend.components(m0.params)

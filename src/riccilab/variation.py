@@ -28,16 +28,14 @@ block-sized field is released after its last reader, in this order: f =
 them, before u exists; u's four differences, once F and the outer product
 grad u (x) grad u have read them, before the Hessian; u and the outer
 product, once T is built in the Hessian's own output; u**2, T and
-cross_sq(T) last, after the rates.  A block of 2^15 cells thus holds at
-most about 12 block-sized fields at once besides v and its metric arrays.
-The per-state
-functions (``matrix_quantity``, ``rhs_split``, ``rhs_combined``, and
+cross_sq(T) last, after the rates (``geometry.CHUNK_CELLS``'s comment
+counts the fields a block then holds at once).  The per-state functions
+(``matrix_quantity``, ``rhs_split``, ``rhs_combined``, and
 ``f_functional``, ``shannon_entropy`` and ``log_entropy`` in
 ``functionals``) are the same stacked code on a stack of one, so each row
-of a block is bitwise what they return for that row.
-The kernel evaluates every row it is given and checks none; ``row_failure``
-checks the filled table of a run once, in one vectorised pass, for its
-lowest failing row.
+of a block is bitwise what they return for that row.  The kernel evaluates
+every row it is given and checks none; ``row_failure`` checks a run's
+filled table once.
 
 Time derivatives are always taken from the stored time series by finite
 differences, never from re-deriving evolution equations, so the verifier

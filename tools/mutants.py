@@ -130,6 +130,12 @@ MUTANTS = [
     ("heat-block-stack-one-row-late", "heat.py",
      "traj.params[2 * lo:2 * hi + 1]", "traj.params[2 * lo + 2:2 * hi + 1]",
      [FLOWING_HEAT_TEST, "tests/test_heat.py"]),
+    # The density chunks: a stream of one chunk holds every row's density.
+    ("heat-stream-one-chunk", "heat.py",
+     "_backward(traj, v_T, mass_tol, geometry.CHUNK_CELLS)",
+     "_backward(traj, v_T, mass_tol, None)",
+     ["tests/test_harness.py::"
+      "test_run_holds_one_density_chunk_not_the_history"]),
     ("row-slices-drop-last-row", "geometry.py",
      "slice(lo, min(lo + size, stop))", "slice(lo, min(lo + size, stop) - 1)",
      [FLOWING_HEAT_TEST, "tests/test_heat.py"]),
