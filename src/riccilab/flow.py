@@ -5,18 +5,20 @@ Fixed steps keep every trajectory on a uniform grid so the backward density
 solve and finite-difference time derivatives stay aligned.  Completed
 trajectories are immutable.
 
-The loop steps a state in the backend's component form
-(``geometry``'s ``components``) by the backend's ``step``, one
-``geometry.rk4_step``; the tests pin each backend's step to the array
-form bitwise, overflow and division by zero at any stage included.  The
-round sphere's rate does not depend on c, so every step adds the same
-``increment(dt)``: its states are one ``np.add.accumulate`` of c0 and K
-increments, which sums in step order, each state the previous one plus
-the increment, as a loop of float steps gives it (the tests pin it to that
-loop).
+The stored states come from one call, ``backend.states``, on the state in
+the backend's component form (``geometry``'s ``components``); the tests pin
+each backend's states to the array form bitwise, overflow and division by
+zero at any stage included:
 
-The loop only steps and stores; the stored trajectory is then checked in
-one vectorised pass.  Each state's smallest metric scale (``min_scale``
+* the round sphere's rate does not depend on c, so its states are one
+  ``np.add.accumulate`` of c0 and K equal increments;
+* the Berger sphere runs a straight-line RK4 loop on Python floats, on
+  (A, B) only when B = C (C's states are then B's bit for bit), and a
+  division by zero ends it early, with fewer states;
+* the torus runs a loop of ``geometry.rk4_step`` on phi.
+
+The states are only stepped and stored; they are then checked in one
+vectorised pass.  Each state's smallest metric scale (``min_scale``
 over the leading state axis, nan where the state is not finite) serves both
 its floor check and the stability bound of the step that leaves it.  The
 error raised is the first failing event in step order: state k's
@@ -40,12 +42,13 @@ on every state and by ``harness.check_config`` on g(0).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BlowUp, StepTooLarge
-from .geometry import MetricState, RoundSphere
+from .geometry import MetricStack, MetricState
 
 __all__ = ["Trajectory", "stability_dt", "integrate_forward"]
 
@@ -78,6 +81,13 @@ class Trajectory:
 
     def final_state(self) -> MetricState:
         return self.state(self.num_steps)
+
+    @functools.cached_property
+    def stack(self) -> MetricStack:
+        """The metric stack of every state, built once.  The heat solve and
+        the row evaluation take its slices (``MetricStack.__getitem__``),
+        so a Berger trajectory's Ricci values are built once."""
+        return self.backend.stack(self.params)
 
 
 def stability_dt(m: MetricState) -> float:
@@ -117,27 +127,12 @@ def integrate_forward(m0: MetricState, T: float, dt: float) -> Trajectory:
 
     backend = m0.backend
     times = m0.t + dt * np.arange(K + 1)
-    p = backend.components(m0.params)
-    # One entry per component; the torus's single (N, Ny) entry drops its
-    # unit axis in the reshape below.
-    out = np.empty((K + 1, len(p)) + np.shape(p[0]))
-    out[0] = p
-    last = K
     with np.errstate(all="ignore"):
-        if isinstance(backend, RoundSphere):
-            # Every step adds the same increment, and add.accumulate sums in
-            # step order: state k + 1 is state k plus the increment.
-            out[1:] = backend.increment(dt)
-            np.add.accumulate(out, out=out)
-        else:
-            step = backend.step
-            try:
-                for k in range(K):
-                    p = step(p, dt)
-                    out[k + 1] = p
-            except ZeroDivisionError:  # inf or nan in the array form
-                last = k
-        scale = backend.min_scale(out[:last + 1])
+        # One row per state, one entry per component; the torus's single
+        # (N, Ny) entry drops its unit axis in the reshape below.
+        out = backend.states(backend.components(m0.params), dt, K)
+        last = len(out) - 1
+        scale = backend.min_scale(out)
         bound = backend.stability_dt(scale[:K])
     # One row per stored state k, one column per event in step order: state
     # k non-finite or floored, step k over its bound, step k dividing by zero.

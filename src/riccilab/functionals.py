@@ -276,9 +276,9 @@ def _lopcg(g, vectors=None):
             X += P
 
 
-def ground_states(backend, params) -> GroundStates:
-    """Ground states of -Lap_g + R/4 for a stack of metrics, ``params[k]``
-    holding the backend parameters of row k.
+def ground_states(g) -> GroundStates:
+    """Ground states of -Lap_g + R/4 for the metric stack g, one row per
+    metric.
 
     Constant-curvature backends: R/4 in closed form with the constant ground
     state (-Lap is nonnegative), 0 iterations and residual 0.0.  Torus:
@@ -290,17 +290,15 @@ def ground_states(backend, params) -> GroundStates:
     ``GroundStates.value`` raises NoConvergence for it.  Row blocks are
     sized by the cells the stack holds.
     """
-    g = backend.stack(np.asarray(params, dtype=float))
     K = len(g.params)
     values = np.empty(K)
     iterations = np.zeros(K, dtype=int)
     residuals = np.zeros(K)
-    if not isinstance(backend, ConformalTorus2D):
+    if not isinstance(g.backend, ConformalTorus2D):
         values[:] = g.R / 4.0
     else:
         def solve(rows):
-            values[rows], iterations[rows], residuals[rows] = _lopcg(
-                backend.stack(g.params[rows]))
+            values[rows], iterations[rows], residuals[rows] = _lopcg(g[rows])
 
         row_blocks(solve, K, math.prod(g.params.shape[1:]))
     return GroundStates(values, iterations, residuals)

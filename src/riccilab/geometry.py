@@ -41,7 +41,11 @@ per row.  Every operator is element-wise or reduces each row's own
 contiguous cells, so each row's result is bitwise what that row gives
 alone.  The metric-derived arrays (R, Ric, g, the volume weight, the
 Laplace-Beltrami factor, phi's central differences for the Hessian) are
-built on first use and kept, so a stack computes each once.
+built on first use and kept, so a stack computes each once.  ``g[rows]``
+is the stack of some rows.  A Berger slice takes its Ricci values and R
+from g, so the slices of one trajectory's stack build those once for all
+its states; every other array is built per slice, which keeps a torus
+block's arrays block-sized.
 
 One-column torus metrics.  A phi that is bitwise constant along y (every
 run's initial ``amp * sin(mode * 2 pi x / L)``, and the flow keeps it so)
@@ -63,9 +67,9 @@ trajectory's rows are solved on.
 The backends carry what the time-stepping loops use on one state.  The
 flow steps ``components(p)``: Python floats on the spheres, where numpy's
 per-call dispatch would dwarf the arithmetic, and a one-entry list holding
-phi on the torus.  ``rates`` is the flow velocity in that form; the round
-sphere's ``increment`` is the change of c over any step, and the other
-backends' ``step`` is one ``rk4_step``.  ``min_scale`` gives each state's
+phi on the torus.  ``rates`` is the flow velocity in that form, and
+``states`` steps it K times and returns every state, one row each (see
+``flow``).  ``min_scale`` gives each state's
 smallest metric scale, for the flow's floor and ``stability_dt``.  The heat
 solve reads stack arrays through ``rows`` and checks positivity by
 ``_finite_min``.
@@ -88,6 +92,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -189,7 +194,7 @@ def rk4_step(rate, w, dt):
     w + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) is accumulated in k1 in that order
     (2 k2, 2 k3, k4, the factor dt / 6, then w), so an array updates in
     place and a float rebinds, each entry by the same operations.  The
-    Berger flow step (``step``) and the spheres' heat steps
+    Berger flow's loops (``_berger_states``) and the spheres' heat steps
     (``heat._float_steps``) write the same order out on floats, which round
     each operation as numpy does: the tests pin them to it bitwise.
     """
@@ -264,11 +269,18 @@ class RoundSphere(_Homogeneous):
         """dc/dt = -2(n-1)."""
         return [-2.0 * (self.n - 1)]
 
-    def increment(self, dt):
-        """The change of c over one RK4 step: the rate does not depend on c,
-        so its four stages are the same float r."""
-        (r,) = self.rates(None)
-        return (dt / 6.0) * (r + 2.0 * r + 2.0 * r + r)
+    def states(self, p, dt, K):
+        """The flow's states from p = [c0] over K steps, one row each.  The
+        rate r does not depend on c, so the four stages of every RK4 step
+        are the same float r and every step adds the same increment;
+        ``np.add.accumulate`` sums c0 and the K increments in step order,
+        each state the previous one plus the increment, as a loop of float
+        steps gives it."""
+        (r,) = self.rates(p)
+        out = np.empty((K + 1, 1))
+        out[0] = p
+        out[1:] = (dt / 6.0) * (r + 2.0 * r + 2.0 * r + r)
+        return np.add.accumulate(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -290,47 +302,119 @@ class BergerSphere(_Homogeneous):
         return list(_berger_rates(*p))
 
     @staticmethod
-    def step(p, dt):
-        """One ``rk4_step`` of [A, B, C] written out on the three floats,
-        each stage's rates in ``_berger_rates``'s operations.  A square that
-        overflows (Python raises where C's pow gives inf) redoes the step
-        through ``_berger_rates``, whose ``_pow`` squares are inf; a division
-        by zero raises ``ZeroDivisionError``."""
+    def states(p, dt, K):
+        """The flow's states from p = [A, B, C] over K steps, one row each,
+        fewer when a step divides by zero: the float loops of
+        ``_berger_states``, on (A, B) only when B = C."""
         A, B, C = p
-        half = 0.5 * dt
-        try:
-            s1, s2, s3 = (B - C) ** 2, (C - A) ** 2, (A - B) ** 2
-            xyz = A * B * C
-            a1 = -2.0 * A * (2.0 * (A * A - s1) / xyz)
-            b1 = -2.0 * B * (2.0 * (B * B - s2) / xyz)
-            c1 = -2.0 * C * (2.0 * (C * C - s3) / xyz)
-            X, Y, Z = A + half * a1, B + half * b1, C + half * c1
-            s1, s2, s3 = (Y - Z) ** 2, (Z - X) ** 2, (X - Y) ** 2
-            xyz = X * Y * Z
-            a2 = -2.0 * X * (2.0 * (X * X - s1) / xyz)
-            b2 = -2.0 * Y * (2.0 * (Y * Y - s2) / xyz)
-            c2 = -2.0 * Z * (2.0 * (Z * Z - s3) / xyz)
-            X, Y, Z = A + half * a2, B + half * b2, C + half * c2
-            s1, s2, s3 = (Y - Z) ** 2, (Z - X) ** 2, (X - Y) ** 2
-            xyz = X * Y * Z
-            a3 = -2.0 * X * (2.0 * (X * X - s1) / xyz)
-            b3 = -2.0 * Y * (2.0 * (Y * Y - s2) / xyz)
-            c3 = -2.0 * Z * (2.0 * (Z * Z - s3) / xyz)
-            X, Y, Z = A + dt * a3, B + dt * b3, C + dt * c3
-            s1, s2, s3 = (Y - Z) ** 2, (Z - X) ** 2, (X - Y) ** 2
-            xyz = X * Y * Z
-            a4 = -2.0 * X * (2.0 * (X * X - s1) / xyz)
-            b4 = -2.0 * Y * (2.0 * (Y * Y - s2) / xyz)
-            c4 = -2.0 * Z * (2.0 * (Z * Z - s3) / xyz)
-        except OverflowError:
-            a1, b1, c1 = _berger_rates(A, B, C)
-            a2, b2, c2 = _berger_rates(A + half * a1, B + half * b1, C + half * c1)
-            a3, b3, c3 = _berger_rates(A + half * a2, B + half * b2, C + half * c2)
-            a4, b4, c4 = _berger_rates(A + dt * a3, B + dt * b3, C + dt * c3)
-        sixth = dt / 6.0
-        return [A + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-                B + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
-                C + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)]
+        if B == C:  # positive (``MetricState``), so the same bits
+            As, Bs = _berger_states_bc(A, B, dt, K)
+            Cs = Bs
+        else:
+            As, Bs, Cs = _berger_states(A, B, C, dt, K)
+        out = np.empty((len(As), 3))
+        out[:, 0], out[:, 1], out[:, 2] = As, Bs, Cs
+        return out
+
+
+def _berger_states(A, B, C, dt, K):
+    """A, B and C after each of K ``rk4_step``s written out on the floats,
+    each stage's rates in ``_berger_rates``'s operations, each state
+    stored in one float array per axis, allocated once (arrays grown by
+    appending left the heap fragmented and ``homogeneous_long``'s peak
+    resident memory 0.6 MiB higher).  A square that overflows (Python
+    raises where C's pow gives inf) redoes the step through
+    ``_berger_rates``, whose ``_pow`` squares are inf; a division by zero
+    (the array form's inf or nan) ends the stepping at that step."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    As, Bs, Cs = (array("d", [x]) * (K + 1) for x in (A, B, C))
+    try:
+        for k in range(1, K + 1):
+            try:
+                s1, s2, s3 = (B - C) ** 2, (C - A) ** 2, (A - B) ** 2
+                xyz = A * B * C
+                a1 = -2.0 * A * (2.0 * (A * A - s1) / xyz)
+                b1 = -2.0 * B * (2.0 * (B * B - s2) / xyz)
+                c1 = -2.0 * C * (2.0 * (C * C - s3) / xyz)
+                X, Y, Z = A + half * a1, B + half * b1, C + half * c1
+                s1, s2, s3 = (Y - Z) ** 2, (Z - X) ** 2, (X - Y) ** 2
+                xyz = X * Y * Z
+                a2 = -2.0 * X * (2.0 * (X * X - s1) / xyz)
+                b2 = -2.0 * Y * (2.0 * (Y * Y - s2) / xyz)
+                c2 = -2.0 * Z * (2.0 * (Z * Z - s3) / xyz)
+                X, Y, Z = A + half * a2, B + half * b2, C + half * c2
+                s1, s2, s3 = (Y - Z) ** 2, (Z - X) ** 2, (X - Y) ** 2
+                xyz = X * Y * Z
+                a3 = -2.0 * X * (2.0 * (X * X - s1) / xyz)
+                b3 = -2.0 * Y * (2.0 * (Y * Y - s2) / xyz)
+                c3 = -2.0 * Z * (2.0 * (Z * Z - s3) / xyz)
+                X, Y, Z = A + dt * a3, B + dt * b3, C + dt * c3
+                s1, s2, s3 = (Y - Z) ** 2, (Z - X) ** 2, (X - Y) ** 2
+                xyz = X * Y * Z
+                a4 = -2.0 * X * (2.0 * (X * X - s1) / xyz)
+                b4 = -2.0 * Y * (2.0 * (Y * Y - s2) / xyz)
+                c4 = -2.0 * Z * (2.0 * (Z * Z - s3) / xyz)
+            except OverflowError:
+                a1, b1, c1 = _berger_rates(A, B, C)
+                a2, b2, c2 = _berger_rates(A + half * a1, B + half * b1,
+                                           C + half * c1)
+                a3, b3, c3 = _berger_rates(A + half * a2, B + half * b2,
+                                           C + half * c2)
+                a4, b4, c4 = _berger_rates(A + dt * a3, B + dt * b3,
+                                           C + dt * c3)
+            A = A + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            B = B + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            C = C + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            As[k], Bs[k], Cs[k] = A, B, C
+    except ZeroDivisionError:
+        del As[k:], Bs[k:], Cs[k:]
+    return As, Bs, Cs
+
+
+def _berger_states_bc(A, B, dt, K):
+    """``_berger_states`` of (A, B, B), stepping A and B only.  With C = B
+    bitwise, (C - A) ** 2 and (A - B) ** 2 are the same C pow of opposite
+    signs, so C's rates and states are B's bit for bit, and so is a square's
+    overflow.  (B - C) ** 2 is (B - B) itself: +0.0, or a nan where B is
+    not finite, which ``**`` returns as it is."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    As, Bs = array("d", [A]) * (K + 1), array("d", [B]) * (K + 1)
+    try:
+        for k in range(1, K + 1):
+            try:
+                s = (B - A) ** 2
+                xyz = A * B * B
+                a1 = -2.0 * A * (2.0 * (A * A - (B - B)) / xyz)
+                b1 = -2.0 * B * (2.0 * (B * B - s) / xyz)
+                X, Y = A + half * a1, B + half * b1
+                s = (Y - X) ** 2
+                xyz = X * Y * Y
+                a2 = -2.0 * X * (2.0 * (X * X - (Y - Y)) / xyz)
+                b2 = -2.0 * Y * (2.0 * (Y * Y - s) / xyz)
+                X, Y = A + half * a2, B + half * b2
+                s = (Y - X) ** 2
+                xyz = X * Y * Y
+                a3 = -2.0 * X * (2.0 * (X * X - (Y - Y)) / xyz)
+                b3 = -2.0 * Y * (2.0 * (Y * Y - s) / xyz)
+                X, Y = A + dt * a3, B + dt * b3
+                s = (Y - X) ** 2
+                xyz = X * Y * Y
+                a4 = -2.0 * X * (2.0 * (X * X - (Y - Y)) / xyz)
+                b4 = -2.0 * Y * (2.0 * (Y * Y - s) / xyz)
+            except OverflowError:
+                a1, b1, _ = _berger_rates(A, B, B)
+                X, Y = A + half * a1, B + half * b1
+                a2, b2, _ = _berger_rates(X, Y, Y)
+                X, Y = A + half * a2, B + half * b2
+                a3, b3, _ = _berger_rates(X, Y, Y)
+                X, Y = A + dt * a3, B + dt * b3
+                a4, b4, _ = _berger_rates(X, Y, Y)
+            A = A + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            B = B + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            As[k], Bs[k] = A, B
+    except ZeroDivisionError:
+        del As[k:], Bs[k:]
+    return As, Bs
 
 
 @dataclass(frozen=True)
@@ -379,12 +463,18 @@ class ConformalTorus2D:
         """dphi/dt = e^{-2 phi} Lap0 phi (from dg/dt = -R g in two dimensions)."""
         return [self._rate(0, p[0])]
 
-    def step(self, p, dt):
-        """One ``rk4_step`` of [phi].  A column (N, 1) steps its bare (N,)
-        view; the result is a new array shaped like phi."""
+    def states(self, p, dt, K):
+        """The flow's states from p = [phi] over K ``rk4_step``s, one row
+        each.  A column (N, 1) steps its bare (N,) view."""
         (phi,) = p
+        out = np.empty((K + 1, 1) + phi.shape)
         w = phi.reshape(-1) if phi.shape[-1] == 1 else phi
-        return [rk4_step(self._rate, w, dt).reshape(phi.shape)]
+        rows = out.reshape((K + 1,) + w.shape)
+        rows[0] = w
+        for k in range(K):
+            w = rk4_step(self._rate, w, dt)
+            rows[k + 1] = w
+        return out
 
     def _rate(self, s, w):
         """The flow velocity e^{-2 w} Lap0 w at any stage s, written into the
@@ -534,12 +624,6 @@ def _dp(w, axis, h):
     return np.divide(d, h, out=d)
 
 
-def _dm(w, axis, h):
-    d = _roll(w, 1, axis)
-    np.subtract(w, d, out=d)
-    return np.divide(d, h, out=d)
-
-
 def _lap5(w, h):
     """The periodic 5-point Laplacian of an (..., N, Ny) grid or stack; a
     one-column (..., N, 1) grid through ``_lap_column``."""
@@ -637,6 +721,10 @@ class MetricStack:
         self.params = params
         self.n = backend.n
 
+    def __getitem__(self, rows):
+        """The stack of the rows ``rows``, an index of the leading axis."""
+        return self.backend.stack(self.params[rows])
+
     def laplace_beltrami(self, w):
         return self.lap_factor * self.backend.flat_laplacian(w)
 
@@ -731,6 +819,15 @@ def _berger_rates(A, B, C):
 
 
 class _BergerStack(_HomogeneousStack):
+    def __getitem__(self, rows):
+        """The stack of the rows ``rows``, holding the rows of this stack's
+        Ricci values and R, which this stack builds on first use: three C
+        pows a row, built once for all slices.  Each is element-wise in the
+        rows, so a row's bits do not depend on the stack it was built in."""
+        sub = super().__getitem__(rows)
+        sub.ricci, sub.R = self.ricci[rows], self.R[rows]
+        return sub
+
     @functools.cached_property
     def ricci(self):
         r = np.empty(self.params.shape)
@@ -828,9 +925,12 @@ class _TorusStack(MetricStack):
         return _row_sum(full) * self.backend.h**2
 
     def differences(self, w):
-        """Forward and backward differences along x, then along y."""
+        """Forward and backward differences along x, then along y.  The
+        backward difference (w[i] - w[i-1]) / h is the forward one a cell
+        down, the same subtraction and division: a shifted copy."""
         h = self.backend.h
-        return _dp(w, 0, h), _dm(w, 0, h), _dp(w, 1, h), _dm(w, 1, h)
+        px, py = _dp(w, 0, h), _dp(w, 1, h)
+        return px, _roll(px, 1, 0), py, _roll(py, 1, 1)
 
     def gradient_inner(self, dw, dz):
         """e^{-2 phi} times the average of the forward and backward difference

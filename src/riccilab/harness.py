@@ -508,7 +508,8 @@ def evaluate_tables(
 ) -> tuple[RunTables | None, Exception | None]:
     """Evaluate every functional and verification column.
 
-    The rows are every second state of ``traj``.  ``chunks`` are their
+    The rows are every second state of ``traj``, a slice of its stack
+    (``Trajectory.stack``), as is each kernel block.  ``chunks`` are their
     densities as ``DensityHistory`` chunks of consecutive rows that
     together cover every row once, in any order:
     ``heat.stream_backward``'s, consumed as they complete, or ``[hist]``.
@@ -527,10 +528,13 @@ def evaluate_tables(
     """
     backend, dt = traj.backend, 2.0 * traj.dt
     a_values = list(a_values)
-    params, times = traj.params[::2], traj.times[::2]
-    K = len(params)
+    times = traj.times[::2]
+    K = len(times)
     with _charged(blocks, "lambda0_s"):
-        ground = ground_states(backend, params)
+        ground = ground_states(traj.stack[::2])
+    # A fresh slice of the rows, so that the arrays ground_states built
+    # (R, on the round sphere) are not held through the kernel.
+    g = traj.stack[::2]
     row_series = np.empty((6, K))  # F, S, dF_rhs, sub_lhs, sub_rhs, mass
     a_series = np.empty((4, K, len(a_values)))  # Y, omega, rhs_thm, rhs_ye
 
@@ -542,7 +546,7 @@ def evaluate_tables(
 
         def kernel(rows):
             at = slice(lo + rows.start, lo + rows.stop)
-            vals = row_values(backend.stack(params[at]), chunk.v[rows],
+            vals = row_values(g[at], chunk.v[rows],
                               chunk.times[rows], a_values)
             row_series[:5, at] = (vals.F, vals.S, vals.dF_rhs, vals.sub_lhs,
                                   vals.sub_rhs)

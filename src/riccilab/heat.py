@@ -30,9 +30,10 @@ every row.  Either way a row's bits are the same.
 
 One stack per block.  A chunk is stepped and checked in the row blocks of
 ``geometry.row_slices``, top block first.  A block of rows lo ... hi - 1
-builds one ``backend.stack`` of its snapshots 2 lo ... 2 hi (2 M at the
-run's top row M), so the snapshot geometry -- R and the Laplace-Beltrami
-factor -- is built once per snapshot, not once per RK4 stage.  The steps
+takes one slice of the trajectory's stack (``Trajectory.stack``), its
+snapshots 2 lo ... 2 hi (2 M at the run's top row M), so the snapshot
+geometry -- R and the Laplace-Beltrami factor -- is built once per
+snapshot, not once per RK4 stage.  The steps
 read R per row as ``backend.rows`` gives it (Python floats on the spheres,
 grids on the torus, either way bitwise alike), one step and one store a
 row, with numpy's floating-point warnings off.
@@ -339,7 +340,7 @@ def _backward(traj, v_T, mass_tol, chunk_cells):
                 lo, hi = block.start, block.stop
                 # Rows lo ... hi - 1 sit at snapshots 2 lo ... 2 hi - 2, and
                 # the step to row hi - 1 reads snapshots 2 hi - 1 and 2 hi.
-                g = backend.stack(traj.params[2 * lo:2 * hi + 1])
+                g = traj.stack[2 * lo:2 * hi + 1]
                 R, stop = rows(g.R), min(hi, M)
                 if floats:
                     v = _float_steps(v, R, v_out[lo - base:stop - base], step)
@@ -350,7 +351,7 @@ def _backward(traj, v_T, mass_tol, chunk_cells):
                         i1 = 2 * (r + 1 - lo)
                         v = geometry.rk4_step(rhs, v, step)
                         v_out[r - base] = v
-                _check_rows(backend.stack(traj.params[2 * lo:2 * hi:2]),
+                _check_rows(traj.stack[2 * lo:2 * hi:2],
                             times[lo:hi], v_out[lo - base:hi - base],
                             m_out[lo - base:hi - base], mass_tol)
         n = top + 1 - base

@@ -4,8 +4,8 @@ Each helper is an independent way of writing a quantity that the package
 computes another way: the potential-variable forms of the energy and the
 variation tensor, the pointwise g-trace and gradient inner product of the
 typed fields, the flow velocity on a raw parameter array, the flow
-integrated on numpy arrays, the round sphere's flow stepped one float step
-at a time, the row kernel with every functional built
+integrated on numpy arrays, the round and Berger spheres' flows stepped
+one float step at a time, the row kernel with every functional built
 on its own, the row-failure rule as a loop over rows, and the backward
 heat solve's checks row by row.
 """
@@ -17,7 +17,7 @@ import numpy as np
 import riccilab as rl
 from riccilab.flow import PARAM_FLOOR
 from riccilab.functionals import log_entropy_value
-from riccilab.geometry import rk4_step
+from riccilab.geometry import _berger_rates, rk4_step
 from riccilab.heat import POSITIVITY_FLOOR
 from riccilab.variation import RowValues
 
@@ -93,6 +93,62 @@ def round_sphere_per_step(c0, n, dt, K):
     states = [c0]
     for _ in range(K):
         states.append(states[-1] + (dt / 6.0) * (r + 2.0 * r + 2.0 * r + r))
+    return states
+
+
+def berger_sphere_step(p, dt):
+    """One ``rk4_step`` of [A, B, C] written out on the three floats, each
+    stage's rates in ``_berger_rates``'s operations, all three axes stepped.
+    A square that overflows (Python raises where C's pow gives inf) redoes
+    the step through ``_berger_rates``, whose ``_pow`` squares are inf; a
+    division by zero raises ``ZeroDivisionError``."""
+    A, B, C = p
+    half = 0.5 * dt
+    try:
+        s1, s2, s3 = (B - C) ** 2, (C - A) ** 2, (A - B) ** 2
+        xyz = A * B * C
+        a1 = -2.0 * A * (2.0 * (A * A - s1) / xyz)
+        b1 = -2.0 * B * (2.0 * (B * B - s2) / xyz)
+        c1 = -2.0 * C * (2.0 * (C * C - s3) / xyz)
+        X, Y, Z = A + half * a1, B + half * b1, C + half * c1
+        s1, s2, s3 = (Y - Z) ** 2, (Z - X) ** 2, (X - Y) ** 2
+        xyz = X * Y * Z
+        a2 = -2.0 * X * (2.0 * (X * X - s1) / xyz)
+        b2 = -2.0 * Y * (2.0 * (Y * Y - s2) / xyz)
+        c2 = -2.0 * Z * (2.0 * (Z * Z - s3) / xyz)
+        X, Y, Z = A + half * a2, B + half * b2, C + half * c2
+        s1, s2, s3 = (Y - Z) ** 2, (Z - X) ** 2, (X - Y) ** 2
+        xyz = X * Y * Z
+        a3 = -2.0 * X * (2.0 * (X * X - s1) / xyz)
+        b3 = -2.0 * Y * (2.0 * (Y * Y - s2) / xyz)
+        c3 = -2.0 * Z * (2.0 * (Z * Z - s3) / xyz)
+        X, Y, Z = A + dt * a3, B + dt * b3, C + dt * c3
+        s1, s2, s3 = (Y - Z) ** 2, (Z - X) ** 2, (X - Y) ** 2
+        xyz = X * Y * Z
+        a4 = -2.0 * X * (2.0 * (X * X - s1) / xyz)
+        b4 = -2.0 * Y * (2.0 * (Y * Y - s2) / xyz)
+        c4 = -2.0 * Z * (2.0 * (Z * Z - s3) / xyz)
+    except OverflowError:
+        a1, b1, c1 = _berger_rates(A, B, C)
+        a2, b2, c2 = _berger_rates(A + half * a1, B + half * b1, C + half * c1)
+        a3, b3, c3 = _berger_rates(A + half * a2, B + half * b2, C + half * c2)
+        a4, b4, c4 = _berger_rates(A + dt * a3, B + dt * b3, C + dt * c3)
+    sixth = dt / 6.0
+    return [A + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+            B + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+            C + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)]
+
+
+def berger_sphere_per_step(p0, dt, K):
+    """The Berger sphere's flow states from p0 = [A, B, C], one
+    ``berger_sphere_step`` at a time, up to K steps: the states before the
+    first step that divides by zero."""
+    states = [list(p0)]
+    try:
+        for _ in range(K):
+            states.append(berger_sphere_step(states[-1], dt))
+    except ZeroDivisionError:
+        pass
     return states
 
 

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import riccilab as rl
-from cross_checks import (integrate_forward_arrays, round_sphere_per_step,
-                          velocity)
+from cross_checks import (berger_sphere_per_step, integrate_forward_arrays,
+                          round_sphere_per_step, velocity)
 from riccilab.flow import PARAM_FLOOR, step_limit
 
 TWO_PI = 2.0 * math.pi
@@ -20,6 +20,10 @@ TWO_PI = 2.0 * math.pi
 
 def sphere_state(c=1.0, n=2):
     return rl.MetricState(rl.RoundSphere(n), 0.0, np.array([c]))
+
+
+def berger_state(A, B, C):
+    return rl.MetricState(rl.BergerSphere(), 0.0, np.array([A, B, C]))
 
 
 def torus_state(amplitude=0.1, N=32, L=TWO_PI):
@@ -219,19 +223,26 @@ LOG_UNIFORM = st.floats(-3.0, 150.0).map(lambda s: 10.0**s)
 
 
 def drawn(column):
-    """Mark a drawn state with whether the flow steps it as its column."""
-    return lambda m0: (m0, column)
+    """Mark a drawn state with whether the flow steps it as its column, and
+    no step of its own."""
+    return lambda m0: (m0, column, None)
 
 
-# Each draw is (state, whether the flow steps it as its (N, 1) column).  The
-# y-invariant torus draws (N = 8 ... 32) take amplitudes up to 1, or from 7
-# to 12, where e^{2 min phi} starts below the floor when min phi is below
-# about -6.9.
+# Each draw is (state, whether the flow steps it as its (N, 1) column, its
+# step as a fraction of its stability bound or None to draw one).  The
+# Berger draws with B0 = C0 take the flow's two-axis loop.  At half its
+# bound, dt = 1/128, the Berger state (1, 1/8, 1/8) divides by zero: the
+# second stage of its first step lands exactly on A = 0.  The y-invariant
+# torus draws (N = 8 ... 32) take amplitudes up to 1, or from 7 to 12, where
+# e^{2 min phi} starts below the floor when min phi is below about -6.9.
 FLOW_STATES = st.one_of(
     st.builds(lambda n, c0: rl.MetricState(rl.RoundSphere(n), 0.0, np.array([c0])),
               st.integers(2, 400), st.floats(0.3, 3.0)).map(drawn(False)),
     st.builds(lambda p: rl.MetricState(rl.BergerSphere(), 0.0, np.array(p)),
               st.tuples(*[LOG_UNIFORM] * 3)).map(drawn(False)),
+    st.builds(lambda a, b: berger_state(a, b, b), LOG_UNIFORM,
+              LOG_UNIFORM).map(drawn(False)),
+    st.just((berger_state(1.0, 0.125, 0.125), False, 0.5)),
     st.builds(low_mode_state, st.sampled_from([8, 12, 16]),
               st.floats(1.0, 4.0 * math.pi), st.floats(0.0, 0.3),
               st.integers(0, 2**32 - 1)).map(drawn(False)),
@@ -254,8 +265,8 @@ def check_flows_against_reference(max_examples, steps):
     def check(draw, frac, steps):
         # Parameters and max_step_ratio bitwise equal to the array form, or
         # the same error class and message where the array form fails.
-        m0, column = draw
-        dt = frac * rl.stability_dt(m0)
+        m0, column, pinned = draw
+        dt = (frac if pinned is None else pinned) * rl.stability_dt(m0)
         got = flow_outcome(m0, steps * dt, dt)
         assert got == reference_outcome(m0, steps * dt, dt)
         if column:
@@ -285,7 +296,7 @@ def test_flow_matches_array_reference_bitwise():
 def test_long_flow_matches_array_reference_bitwise():
     # The same over hundreds of steps, so that failures deep in a
     # trajectory (a shrinking bound, a late overflow) are drawn too.
-    ends = check_flows_against_reference(40, st.integers(100, 400))
+    ends = check_flows_against_reference(60, st.integers(100, 400))
     assert ends["ok"] > 0 and ends[FLOOR] > 0, ends
 
 
@@ -299,10 +310,6 @@ def test_a_state_exactly_at_the_floor_passes(monkeypatch):
     m0 = rl.MetricState(rl.ConformalTorus2D(8, 1.0), 0.0, np.zeros((8, 8)))
     traj = rl.integrate_forward(m0, 1e-3, 1e-4)
     assert traj.num_steps == 10 and np.all(traj.params == 0.0)
-
-
-def berger_state(A, B, C):
-    return rl.MetricState(rl.BergerSphere(), 0.0, np.array([A, B, C]))
 
 
 @pytest.mark.parametrize("m0,T,dt,error,message", [
@@ -403,6 +410,25 @@ def test_round_flow_floor_crossing_is_at_the_loops_step():
         rl.integrate_forward(sphere_state(c0), 3 * dt, dt)
 
 
+BERGER_TRIPLES = st.tuples(*[LOG_UNIFORM] * 3) | st.builds(
+    lambda a, b: (a, b, b), LOG_UNIFORM, LOG_UNIFORM)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=BERGER_TRIPLES, frac=st.floats(0.01, 1.0), steps=st.integers(1, 40))
+@example(p=(1.0, 0.125, 0.125), frac=0.5, steps=3)
+@example(p=(1.0, 8.0, 1.0), frac=0.5, steps=3)
+def test_berger_states_are_the_per_step_loop_bitwise(p, frac, steps):
+    # The Berger sphere's states, from one float loop over A, B and C or
+    # over A and B when B = C, are the per-step reference's bitwise, and end
+    # where its steps first divide by zero (the two examples, on two axes
+    # and on three).
+    dt = frac * min(p) / 8.0
+    got = rl.BergerSphere.states(list(p), dt, steps)
+    want = berger_sphere_per_step(p, dt, steps)
+    assert got.tobytes() == np.array(want).tobytes()
+
+
 def test_last_state_bound_is_not_checked():
     # No step leaves the last state, so its bound does not count: c = 1 - 2t
     # has c/8 < dt from t = 0.497 on, where the sphere-step case above fails.
@@ -499,8 +525,8 @@ def test_one_column_path_is_bitwise_the_full_path(N, amplitude, seed):
         assert (getattr(got, field.name).tobytes()
                 == getattr(want, field.name).tobytes()), field.name
 
-    ground = functionals.ground_states(backend, col.params)
-    ground_full = functionals.ground_states(backend, full.params)
+    ground = functionals.ground_states(backend.stack(col.params))
+    ground_full = functionals.ground_states(backend.stack(full.params))
     assert np.all(ground.converged)
     assert np.max(np.abs(ground.values - ground_full.values)) <= 1e-13
     assert np.array_equal(ground.iterations, ground_full.iterations)

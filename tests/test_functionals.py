@@ -322,7 +322,7 @@ def test_ground_states_rows_independent_of_block(rows_per_block, monkeypatch):
     monkeypatch.setattr(geometry, "ROW_CELLS",
                         (rows_per_block or len(rows)) * N * N * geometry.WORKERS)
     params = traj.params[rows]
-    ground = functionals.ground_states(backend, params)
+    ground = functionals.ground_states(backend.stack(params))
     assert len(set(ground.iterations.tolist())) > 2
     for k, (i, (lam, _)) in enumerate(zip(rows, alone)):
         assert ground.values[k] == lam == rl.lambda0(traj.state(i))
@@ -353,7 +353,8 @@ def test_ground_states_one_column_eigenfunctions(monkeypatch):
         monkeypatch.setattr(geometry, "ROW_CELLS",
                             rows_per_block * N * geometry.WORKERS)
         blocks.clear()
-        values.append(functionals.ground_states(m0.backend, params).values)
+        g = m0.backend.stack(params)
+        values.append(functionals.ground_states(g).values)
         assert sorted(blocks) == [(rows_per_block, N, 1)] * (
             len(params) // rows_per_block)
     assert np.array_equal(values[0], values[1])
@@ -386,14 +387,14 @@ def test_ground_states_pool_stress(monkeypatch):
     params = np.stack([0.05 * k * np.sin(x) * np.cos(y) + 0.0 * y
                        for k in range(24)])
     monkeypatch.setattr(geometry, "WORKERS", 1)
-    want = functionals.ground_states(backend, params)
+    want = functionals.ground_states(backend.stack(params))
     monkeypatch.setattr(geometry, "WORKERS", 6)
     monkeypatch.setattr(geometry, "ROW_CELLS", 6 * N * N)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(2):
-            got = functionals.ground_states(backend, params)
+            got = functionals.ground_states(backend.stack(params))
             assert np.array_equal(got.values, want.values)
             assert np.array_equal(got.iterations, want.iterations)
             assert np.array_equal(got.residuals, want.residuals)
@@ -415,7 +416,7 @@ for N in (128, 256):
     x, y = rl.grid_coords(backend)
     params = np.stack([a * np.sin(x) * np.cos(y) + 0.1 * np.sin(2.0 * y)
                        for a in (0.2, 0.5)])
-    ground = functionals.ground_states(backend, params)
+    ground = functionals.ground_states(backend.stack(params))
     for name in ("values", "iterations", "residuals"):
         out[f"{name}_{N}"] = getattr(ground, name)
 np.savez(sys.argv[1], **out)
@@ -446,7 +447,7 @@ def test_ground_states_independent_of_blas_threads(tmp_path):
 
 def test_ground_states_closed_form_rows():
     params = np.array([[1.0], [0.5], [2.0]])
-    ground = functionals.ground_states(rl.RoundSphere(3), params)
+    ground = functionals.ground_states(rl.RoundSphere(3).stack(params))
     for i, c in enumerate(params):
         assert ground.values[i] == rl.lambda0(sphere(c[0], 3))
     assert np.all(ground.iterations == 0) and np.all(ground.residuals == 0.0)
@@ -506,7 +507,7 @@ def test_lopcg_degenerate_gram_raises_no_convergence(monkeypatch):
     monkeypatch.setattr(functionals, "LAMBDA0_MAXITER", 20)
     with pytest.raises(rl.NoConvergence):
         rl.lambda0(sine_torus(N=16))
-    ground = functionals.ground_states(
-        rl.ConformalTorus2D(16, TWO_PI), np.stack([sine_torus(N=16).params] * 2))
+    ground = functionals.ground_states(rl.ConformalTorus2D(16, TWO_PI).stack(
+        np.stack([sine_torus(N=16).params] * 2)))
     assert np.all(ground.iterations == 20)
     assert np.all(ground.residuals > LAMBDA0_TOL)

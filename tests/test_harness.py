@@ -1176,8 +1176,8 @@ def test_row_failures_follow_the_row_check_order(omega, lam0, raised,
     if lam0 is not None:
         solve = harness.ground_states
 
-        def unconverged(backend, params):
-            ground = solve(backend, params)
+        def unconverged(g):
+            ground = solve(g)
             ground.residuals[lam0] = 2 * LAMBDA0_TOL
             return ground
 
@@ -1198,8 +1198,8 @@ def test_heat_failure_comes_before_lambda0(tmp_path, monkeypatch):
 
     solve = harness.ground_states
 
-    def unconverged(backend, params):
-        ground = solve(backend, params)
+    def unconverged(g):
+        ground = solve(g)
         ground.residuals[0] = 2 * LAMBDA0_TOL
         return ground
 
@@ -1227,8 +1227,8 @@ def test_earliest_failing_block_wins_on_the_pool(later, monkeypatch):
     else:
         solve = harness.ground_states
 
-        def unconverged(backend, params):
-            ground = solve(backend, params)
+        def unconverged(g):
+            ground = solve(g)
             ground.residuals[9] = 2 * LAMBDA0_TOL
             return ground
 
@@ -1283,8 +1283,8 @@ def test_evaluate_tables_stops_at_unconverged_row(k, monkeypatch):
 
     solve = harness.ground_states
 
-    def unconverged_row_k(backend, params):
-        ground = solve(backend, params)
+    def unconverged_row_k(g):
+        ground = solve(g)
         ground.residuals[k] = 2 * LAMBDA0_TOL
         return ground
 
@@ -1579,8 +1579,8 @@ def streamed_run(validated, out, chunk_rows, unconverged=()):
             handed.append(chunk.first)
             yield chunk
 
-    def marked(backend, params):
-        ground = solve(backend, params)
+    def marked(g):
+        ground = solve(g)
         ground.residuals[list(unconverged)] = 2 * LAMBDA0_TOL
         return ground
 

@@ -60,14 +60,23 @@ MUTANTS = [
     ("flow-berger-rk4-stage-4", "geometry.py",
      "X, Y, Z = A + dt * a3,", "X, Y, Z = A + dt * a2,",
      ["tests/test_flow.py"]),
+    # The Berger loop on (A, B) when B = C: a stage's coefficient, and C's
+    # states copied from B's.
+    ("flow-berger-bc-stage-4-half", "geometry.py",
+     "X, Y = A + dt * a3, B + dt * b3\n                s = (Y - X) ** 2",
+     "X, Y = A + dt * a3, B + half * b3\n                s = (Y - X) ** 2",
+     ["tests/test_flow.py"]),
+    ("flow-berger-bc-c-from-a", "geometry.py",
+     "Cs = Bs", "Cs = As",
+     ["tests/test_flow.py"]),
     # The spheres' heat steps on floats: a stage's coefficient.
     ("heat-float-step-stage-4-half", "heat.py",
      "k4 = 0.0 - r2 * (v + step * k3)", "k4 = 0.0 - r2 * (v + half * k3)",
      ["tests/test_heat.py"]),
     # The round sphere's states as one accumulate: the first entry is c0,
     # every later one the step's increment.
-    ("flow-round-accumulate-first-entry", "flow.py",
-     "out[1:] = backend.increment(dt)", "out[:] = backend.increment(dt)",
+    ("flow-round-accumulate-first-entry", "geometry.py",
+     "out[1:] = (dt / 6.0)", "out[:] = (dt / 6.0)",
      ["tests/test_flow.py"]),
     ("flow-round-increment-stage", "geometry.py",
      "(r + 2.0 * r + 2.0 * r + r)", "(r + 2.0 * r + r + r)",
@@ -77,11 +86,15 @@ MUTANTS = [
     ("pow-value-error-fallback-off", "geometry.py",
      "except (OverflowError, ValueError):", "except OverflowError:",
      ["tests/test_geometry.py"]),
-    # The Berger step's float squares: an overflow must redo the step with
-    # _pow's inf squares, not escape the flow.
+    # The Berger loops' float squares: an overflow must redo the step with
+    # _pow's inf squares, not escape the flow, on three axes and on two.
     ("flow-berger-overflow-fallback-off", "geometry.py",
-     "except OverflowError:\n            a1, b1, c1 = _berger_rates(A, B, C)",
-     "except MemoryError:\n            a1, b1, c1 = _berger_rates(A, B, C)",
+     "except OverflowError:\n                a1, b1, c1 = _berger_rates(A, B, C)",
+     "except MemoryError:\n                a1, b1, c1 = _berger_rates(A, B, C)",
+     ["tests/test_flow.py"]),
+    ("flow-berger-bc-overflow-fallback-off", "geometry.py",
+     "except OverflowError:\n                a1, b1, _ = _berger_rates(A, B, B)",
+     "except MemoryError:\n                a1, b1, _ = _berger_rates(A, B, B)",
      ["tests/test_flow.py"]),
     # Tolerances.
     ("heat-mass-tol-times-10", "heat.py",
@@ -125,10 +138,10 @@ MUTANTS = [
      "with np.errstate():",
      ["tests/test_heat.py"]),
     ("heat-check-half-step-weights", "heat.py",
-     "traj.params[2 * lo:2 * hi:2]", "traj.params[2 * lo + 1:2 * hi:2]",
+     "traj.stack[2 * lo:2 * hi:2]", "traj.stack[2 * lo + 1:2 * hi:2]",
      [FLOWING_HEAT_TEST, "tests/test_heat.py"]),
     ("heat-block-stack-one-row-late", "heat.py",
-     "traj.params[2 * lo:2 * hi + 1]", "traj.params[2 * lo + 2:2 * hi + 1]",
+     "traj.stack[2 * lo:2 * hi + 1]", "traj.stack[2 * lo + 2:2 * hi + 1]",
      [FLOWING_HEAT_TEST, "tests/test_heat.py"]),
     # The density chunks: a stream of one chunk holds every row's density.
     ("heat-stream-one-chunk", "heat.py",
@@ -194,8 +207,8 @@ MUTANTS = [
      ["tests/test_heat.py", "tests/test_harness.py"]),
     # The failure order: lambda0 raised before the heat solve's failures.
     ("lambda0-failure-before-heat", "harness.py",
-     "        ground = ground_states(backend, params)\n",
-     "        ground = ground_states(backend, params)\n"
+     "        ground = ground_states(traj.stack[::2])\n",
+     "        ground = ground_states(traj.stack[::2])\n"
      "        ground.value(int(np.argmin(ground.converged)))\n",
      ["tests/test_harness.py::test_heat_failure_comes_before_lambda0",
       "tests/test_harness.py"]),
@@ -232,8 +245,9 @@ MUTANTS = [
      'with np.errstate(over="ignore"):  # an exponent of -inf gives 0',
      'with np.errstate():',
      ["tests/test_heat.py"]),
-    # The torus stencils: the full-grid 5-point Laplacian's centre weight and
-    # the Hessian's cross difference.
+    # The torus stencils: the full-grid 5-point Laplacian's centre weight,
+    # the Hessian's cross difference and the shift that makes the backward
+    # differences from the forward ones.
     ("lap5-centre-weight", "geometry.py",
      "out -= np.multiply(4.0, w, out=s)", "out -= np.multiply(3.9, w, out=s)",
      ["tests/test_geometry.py"]),
@@ -241,6 +255,9 @@ MUTANTS = [
      "hxy /= 4.0 * h * h", "hxy /= 2.0 * h * h",
      ["tests/test_geometry.py::test_hessian_flat_cross_derivative",
       "tests/test_geometry.py", "tests/test_variation.py"]),
+    ("backward-difference-shifted-up", "geometry.py",
+     "_roll(px, 1, 0)", "_roll(px, -1, 0)",
+     ["tests/test_geometry.py"]),
     # Finite-difference stencils and the interior mask.
     ("fd-near-edge-stencil", "variation.py",
      "d[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[4])",
