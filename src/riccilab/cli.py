@@ -6,9 +6,10 @@ Subcommands: ``run <config>`` executes the pipeline and writes artifacts,
 and the flow step against g(0)'s stability bound, which ``run`` leaves to
 the flow).  ``--out`` overrides out.dir; the environment
 variable RICCILAB_OUT supplies the default output root for relative paths;
-``--verbose`` (run, converge) logs each run's pool size and stage timings,
-with the peak resident set at the end of each stage and the flow's and heat
-solve's step counts beside theirs, to stderr.
+``--verbose`` (run, converge) logs each run's stage timings, with the peak
+resident set at the end of each stage and the flow's and heat solve's step
+counts beside theirs, and the processes that ran row blocks, with the
+largest worker peak resident set, to stderr.
 Exit codes: 0 success, 2 configuration/admissibility error (any
 ``InputError``; ``converge`` validates every level, level 0 included, once,
 before it writes anything), 3 numerical failure (any ``NumericalError``,
@@ -52,8 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for p in (p_run, p_conv):
         p.add_argument("--verbose", action="store_true",
-                       help="log pool size, stage timings, step counts and peak "
-                            "RSS to stderr")
+                       help="log stage timings, step counts, peak RSS and the "
+                            "processes that ran row blocks to stderr")
 
     p_check = sub.add_parser("check", help="validate a config without running")
     p_check.add_argument("config")

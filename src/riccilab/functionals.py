@@ -28,7 +28,7 @@ one-column metrics) is solved on its column, Ny = 1: a y-invariant pencil
 has a y-invariant ground state, the symbol is the ky = 0 part of the rfft2
 half grid and the preconditioner shift the mean of e^{2 phi} over the
 cells held, so the values agree with the full-grid solve to round-off.
-The rows of a stack run independently over ``geometry.row_blocks``; the
+The rows of a stack run independently over a ``geometry.RowPool``; the
 small eigenproblems of a block are solved together as (k, m, m) stacks, on
 one workspace, with the Gram pencils from batched ``matmul`` (BLAS dgemm).
 A row is frozen and leaves its block once its relative eigen-residual
@@ -42,6 +42,7 @@ any block and with any number of BLAS threads.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ from .geometry import (
     ScalarField,
     _lap5,
     _row_sum,
-    row_blocks,
+    row_pool,
     scalar_field,
     volume,
 )
@@ -276,7 +277,7 @@ def _lopcg(g, vectors=None):
             X += P
 
 
-def ground_states(g) -> GroundStates:
+def ground_states(g, pool=None) -> GroundStates:
     """Ground states of -Lap_g + R/4 for the metric stack g, one row per
     metric.
 
@@ -288,19 +289,25 @@ def ground_states(g) -> GroundStates:
     module docstring).  A row that misses ``LAMBDA0_TOL`` within
     ``LAMBDA0_MAXITER`` iterations is reported, not raised:
     ``GroundStates.value`` raises NoConvergence for it.  Row blocks are
-    sized by the cells the stack holds.
+    sized by the cells the stack holds and mapped on ``pool``, which must
+    not have forked yet (``RowPool.add``), the outputs in its shared
+    arrays; without one, on a ``geometry.row_pool`` closed before the
+    return.
     """
     K = len(g.params)
-    values = np.empty(K)
-    iterations = np.zeros(K, dtype=int)
-    residuals = np.zeros(K)
     if not isinstance(g.backend, ConformalTorus2D):
-        values[:] = g.R / 4.0
-    else:
+        return GroundStates(np.full(K, g.R / 4.0), np.zeros(K, dtype=int),
+                            np.zeros(K))
+    cells = math.prod(g.params.shape[1:])
+    with row_pool(K, cells) if pool is None else nullcontext(pool) as pool:
+        values, iterations, residuals = (
+            pool.array(K), pool.array(K, int), pool.array(K))
+
+        @pool.add
         def solve(rows):
             values[rows], iterations[rows], residuals[rows] = _lopcg(g[rows])
 
-        row_blocks(solve, K, math.prod(g.params.shape[1:]))
+        pool.map(solve, K, cells)
     return GroundStates(values, iterations, residuals)
 
 

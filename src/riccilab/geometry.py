@@ -75,10 +75,14 @@ solve reads stack arrays through ``rows`` and checks positivity by
 ``_finite_min``.
 
 Row blocks.  A sphere row is one cell; a torus row is N^2 cells (N for a
-one-column stack).  ``row_slices`` cuts rows into blocks, and
-``row_blocks`` maps a function over them on a thread pool.  Each row's
-result is bitwise what it gives alone, so no result depends on the block
-size or the worker count.
+one-column stack).  ``row_slices`` cuts rows into blocks, and a
+``RowPool`` maps a function over them: the calling process evaluates the
+first share of a call's blocks and worker processes, forked once per pool
+at its first call of at least 2 blocks, the other shares, so the blocks do
+not contend for one interpreter lock.  The workers inherit the row
+functions and the trajectory through ``fork``; what is made after it lives
+in the pool's shared arrays.  Each row's result is bitwise what it gives
+alone, so no result depends on the block size or the worker count.
 
 The typed functions at the end (``scalar_curvature``, ``laplace_beltrami``,
 ``hessian``, ``volume``, ``integrate``) take a ``MetricState`` and typed
@@ -91,13 +95,22 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import os
+import pickle
+import signal
+import sys
+import threading
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on every platform; no ru_maxrss fallback then
+    resource = None
 
 from .errors import RicciLabError
 
@@ -111,7 +124,8 @@ __all__ = [
     "ROW_CELLS",
     "CHUNK_CELLS",
     "WORKERS",
-    "row_blocks",
+    "RowPool",
+    "row_pool",
     "row_slices",
     "rk4_step",
     "scalar_field",
@@ -123,18 +137,18 @@ __all__ = [
     "integrate",
 ]
 
-# Threads of the row-block pool: the CPUs this process may run on.
+# Processes that run row blocks: the CPUs this process may run on.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
-# Cap on the cells (rows x cells per row) in flight across all workers, so
-# peak memory does not grow with the core count: the row blocks of
-# ``row_slices`` hold at most ROW_CELLS // WORKERS cells each, whether
-# ``row_blocks`` maps them on the pool (lambda0 and the row kernel) or the
-# heat solve steps and checks them in turn.  Measured at 2^14 ... 2^17
-# (2-core Xeon, two workers; CHANGES.md): 2^16 is within 5 % of the fastest
-# at N = 32, 64 and 128 (rows_s 1.00 s against 1.36 s at 2^15), and 2^17
-# adds 16 MiB of peak memory at N = 128 for nothing.
+# Cap on the cells (rows x cells per row) in flight across all processes,
+# so peak memory does not grow with the core count: the row blocks of
+# ``row_slices`` hold at most ROW_CELLS // WORKERS cells each, whether a
+# ``RowPool`` maps them (lambda0 and the row kernel) or the heat solve
+# steps and checks them in turn.  Measured at 2^14 ... 2^17 on a thread
+# pool (2-core Xeon, two workers; CHANGES.md): 2^16 is within 5 % of the
+# fastest at N = 32, 64 and 128 (rows_s 1.00 s against 1.36 s at 2^15),
+# and 2^17 adds 16 MiB of peak memory at N = 128 for nothing.
 ROW_CELLS = 2**16
 
 # Cap on the cells of one density chunk (4 MiB of float64): a run's heat
@@ -142,38 +156,264 @@ ROW_CELLS = 2**16
 # CHUNK_CELLS cells (at least one row), so a run holds one chunk of
 # densities, not their whole history (20 MiB on the N = 128 ladder level).
 # glibc sizes its dynamic mmap and trim thresholds from the largest block
-# freed so far, so the chunk buffer sets them: a row-kernel block whose
-# working set (its fields at their peak) is above the trim threshold is
-# returned to the system after each block and faulted back on every block.
-# At 2^19 the threshold covers the kernel's 12-field block of 2^15 cells
-# (the fields ``variation.row_values`` holds at once at two workers): 12
-# minor faults per warm ladder pass and 3.5 MiB less peak memory than 2^20
-# (2-core Xeon, two workers); a 23-field block cost about 2k faults per
-# pass at 2^19, and 52k-86k at 2^18.
+# freed so far: a row-kernel block whose working set (its fields at their
+# peak) is above the trim threshold is returned to the system after each
+# block and faulted back on every block.  The chunk buffer (malloc'd, freed
+# at the end of each run) raises them for the runs after it, and a pool
+# that forks frees a CHUNK_CELLS buffer first (``RowPool``), so that its
+# own run and its workers have them raised too: without that, the first
+# N = 128 ladder level of a fresh process took 32k minor faults in the
+# caller and 28k in its worker, against 4.2k and 1.5k.  At 2^19 the
+# threshold covers the kernel's 12-field block of 2^15 cells (ROW_CELLS //
+# WORKERS at two workers): 12 minor faults per warm ladder pass on a
+# thread pool, and 3.5 MiB less peak memory than 2^20 (2-core Xeon); a
+# 23-field block cost about 2k faults per pass at 2^19, and 52k-86k at
+# 2^18.  With forked workers a warm pass takes about 6k faults in the
+# caller and 3k in its worker, nearly all copy-on-write of pages written
+# after the fork.
 CHUNK_CELLS = 2**19
 
 
-def row_blocks(fn, rows: int, cells: int) -> list:
-    """``fn(block)`` of each slice of ``row_slices(0, rows, cells)``, in
-    block order.
+class RowPool:
+    """Row blocks mapped on this process and forked worker processes.
 
-    With more than one block and worker the blocks run on a pool of
-    ``min(WORKERS, blocks)`` threads (numpy's ufuncs and FFTs release the
-    GIL); otherwise they map in the calling thread.  ``fn`` must touch only
-    its own rows.  The exception of the
-    first block in order that raises propagates; the blocks not yet started
-    then never start, the running ones finish, and no thread outlives the
-    call.
+    ``map(fn, rows, cells, *args)`` calls ``fn(*args, block)`` on each
+    slice of ``row_slices(0, rows, cells)``.  A call of at least 2 blocks
+    splits them into contiguous shares, one per process, the smaller first:
+    the calling process evaluates the first share and up to
+    ``processes - 1`` workers the others, so no two blocks contend for one
+    interpreter lock.  Each row runs the same code on the same inputs in
+    any process, so its result is bitwise what it is in the caller.
+
+    The workers are forked once, at the first call of at least 2 blocks,
+    and inherit through ``fork`` what existed then: the functions ``add``
+    registered and the objects those read (a trajectory's stack, say).
+    Everything the blocks share after the fork, their outputs and inputs
+    made later, lives in the pool's ``array``s, anonymous shared memory; a
+    call sends each worker the function's index, its share's first block
+    index and slices, and ``args``, a few integers, over its task pipe,
+    and reads its reply from its reply pipe.  A pool of one
+    process, or one on a platform without ``os.fork``, maps every call in
+    the caller and its arrays are private.  Nor does a call fork while
+    another thread is alive in this process: it maps in the caller then.
+
+    A worker stops at the first block of its share that raises and sends
+    the exception back pickled; the first failing block in block order
+    propagates, the caller's own share first, once every share of the call
+    has ended.  ``close`` (the ``with`` block's exit) closes the pipes and
+    reaps every worker, killing them first when the block exits by an
+    exception; a worker leaves by ``os._exit`` on pipe EOF or on its own
+    KeyboardInterrupt.  After ``close`` the pool maps in the caller.
+    ``processes_used`` is the most processes one call ran blocks on (1 when
+    none forked), ``workers_peak_rss_mb`` the largest peak resident set a
+    worker reported (None when none ran), and a reaped worker's CPU time
+    and page faults are this process's ``RUSAGE_CHILDREN``.
     """
-    blocks = row_slices(0, rows, cells)
-    threads = min(WORKERS, len(blocks))
-    if threads <= 1:
-        return list(map(fn, blocks))
-    pool = ThreadPoolExecutor(threads)
+
+    def __init__(self, processes: int | None = None):
+        self._processes = WORKERS if processes is None else processes
+        self.shared = self._processes > 1 and hasattr(os, "fork")
+        self._fns = []
+        self._workers = None  # [(pid, task fd, reply fd)] once forked
+        self._peaks = {}
+        self.processes_used = 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close(kill=exc_type is not None)
+
+    @property
+    def workers_peak_rss_mb(self) -> float | None:
+        return max(self._peaks.values(), default=None)
+
+    def add(self, fn):
+        """Register ``fn`` for ``map``, before the pool forks; returns it."""
+        if self._workers is not None:
+            raise RuntimeError("row function added after the pool forked")
+        self._fns.append(fn)
+        return fn
+
+    def array(self, shape, dtype=float) -> np.ndarray:
+        """A new array the workers share: anonymous shared memory (zeroed)
+        when the pool can fork, else a private ``np.empty``."""
+        if not self.shared:
+            return np.empty(shape, dtype)
+        dtype, count = np.dtype(dtype), int(np.prod(shape))
+        buffer = mmap.mmap(-1, max(1, count * dtype.itemsize))
+        return np.frombuffer(buffer, dtype, count).reshape(shape)
+
+    def map(self, fn, rows: int, cells: int, *args) -> None:
+        """``fn(*args, block)`` on each row block (see the class)."""
+        index = next((i for i, f in enumerate(self._fns) if f is fn), None)
+        if index is None:
+            raise ValueError("row function not added to the pool")
+        blocks = row_slices(0, rows, cells)
+        workers = self._start(len(blocks))
+        n = min(len(blocks), len(workers) + 1)
+        if n == 1:
+            for block in blocks:
+                fn(*args, block)
+            return
+        bounds = [len(blocks) * i // n for i in range(n + 1)]
+        for (_, task, _), lo, hi in zip(workers, bounds[1:], bounds[2:]):
+            _send(task, pickle.dumps((index, lo, blocks[lo:hi], args)))
+        self.processes_used = max(self.processes_used, n)
+        try:
+            for block in blocks[:bounds[1]]:
+                fn(*args, block)
+        except Exception:
+            self._replies(workers[:n - 1])  # keep the workers in step
+            raise
+        for failure in self._replies(workers[:n - 1]):
+            if failure is not None:
+                raise failure[1]
+
+    def _start(self, blocks: int) -> list:
+        """The workers of a call of ``blocks`` blocks, forked at the first
+        that can use them: none for one block, one process, or another
+        live thread (a fork copies only the calling thread)."""
+        if self._workers is None:
+            if (blocks < 2 or not self.shared
+                    or threading.active_count() > 1):
+                return []
+            # Each process runs its blocks in its main malloc arena, which
+            # glibc trims whenever more than its trim threshold is free at
+            # the top: freeing a CHUNK_CELLS buffer raises that threshold
+            # above a block's fields (see CHUNK_CELLS), as an earlier run's
+            # chunk buffer does, before the workers inherit it.
+            np.empty(CHUNK_CELLS)
+            self._workers = []
+            for _ in range(self._processes - 1):
+                self._workers.append(self._fork())
+        return self._workers
+
+    def _fork(self) -> tuple:
+        """Fork one worker: its pid, task pipe and reply pipe."""
+        (task_in, task), (reply, reply_out) = os.pipe(), os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (task_in, task, reply, reply_out):
+                os.close(fd)
+            raise
+        if pid == 0:  # the worker: drop the caller's pipe ends, serve, leave
+            try:
+                for fd in (task, reply, *(fd for _, *fds in self._workers
+                                          for fd in fds)):
+                    os.close(fd)
+                _serve(task_in, reply_out, self._fns)
+            finally:
+                os._exit(0)
+        os.close(task_in)
+        os.close(reply_out)
+        return pid, task, reply
+
+    def _replies(self, workers) -> list:
+        """Each worker's reply to the call: its peak resident set, and None
+        or its first failing block's (index, exception)."""
+        failures = []
+        for pid, _, reply in workers:
+            try:
+                peak, failure = _recv(reply)
+            except EOFError:
+                raise RuntimeError(f"row-block worker {pid} exited") from None
+            self._peaks[pid] = peak
+            failures.append(failure)
+        return failures
+
+    def close(self, kill: bool = False) -> None:
+        """Close the pipes and reap every worker, killed first if ``kill``."""
+        workers, self._workers = self._workers or [], []
+        for pid, task, reply in workers:
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+            os.close(task)
+            os.close(reply)
+        for pid, _, _ in workers:
+            os.waitpid(pid, 0)
+
+
+def row_pool(rows: int, cells: int) -> RowPool:
+    """A pool for calls of at most ``rows`` rows of at most ``cells`` cells
+    each: of one process, private arrays and no fork, when none of them
+    has 2 blocks."""
+    return RowPool(min(WORKERS, len(row_slices(0, rows, cells))))
+
+
+def _serve(tasks: int, replies: int, fns) -> None:
+    """A worker's loop, until EOF or an interrupt: run each call's share of
+    blocks and reply with this process's peak resident set and None or the
+    first failing block's (index, exception).  The caller of ``_serve``
+    then leaves by ``os._exit``, so no inherited buffer is flushed and no
+    exit handler runs."""
     try:
-        return list(pool.map(fn, blocks))
-    finally:
-        pool.shutdown(cancel_futures=True)
+        while True:
+            try:
+                index, lo, blocks, args = _recv(tasks)
+            except EOFError:
+                return
+            failure = None
+            for k, block in enumerate(blocks, lo):
+                try:
+                    fns[index](*args, block)
+                except Exception as exc:
+                    failure = (k, exc)
+                    break
+            try:
+                reply = pickle.dumps((_peak_rss_mb(), failure))
+            except (pickle.PicklingError, TypeError, AttributeError):
+                k, exc = failure  # an exception pickle cannot carry
+                failure = k, RuntimeError(f"{type(exc).__name__}: {exc}")
+                reply = pickle.dumps((_peak_rss_mb(), failure))
+            _send(replies, reply)
+    except KeyboardInterrupt:
+        return
+
+
+def _send(fd: int, message: bytes) -> None:
+    """Write a pickled ``message`` to the pipe ``fd``, after its 8-byte
+    length."""
+    view = memoryview(len(message).to_bytes(8, "little") + message)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _recv(fd: int):
+    """The next message ``_send`` wrote to the pipe ``fd``, unpickled;
+    EOFError when the pipe is closed."""
+
+    def read(size):
+        parts = []
+        while size:
+            part = os.read(fd, size)
+            if not part:
+                raise EOFError
+            parts.append(part)
+            size -= len(part)
+        return b"".join(parts)
+
+    return pickle.loads(read(int.from_bytes(read(8), "little")))
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set so far in MiB: ``VmHWM`` of
+    /proc/self/status where that file exists, which exec resets, so a run
+    started as a child process does not report its parent's peak; else
+    ``getrusage``'s ``ru_maxrss`` (KiB on Linux, bytes on macOS), None
+    without ``resource``."""
+    try:
+        with open("/proc/self/status", "rb") as status:
+            for line in status:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    if resource is None:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
+        2.0**20 if sys.platform == "darwin" else 1024.0)
 
 
 def row_slices(start: int, stop: int, cells: int) -> list:

@@ -53,6 +53,7 @@ from .geometry import (
     ConformalTorus2D,
     MetricState,
     RoundSphere,
+    _peak_rss_mb,
     grid_coords,
     volume,
 )
@@ -513,10 +514,14 @@ def evaluate_tables(
     densities as ``DensityHistory`` chunks of consecutive rows that
     together cover every row once, in any order:
     ``heat.stream_backward``'s, consumed as they complete, or ``[hist]``.
-    The lambda0 of every row comes first, from one ``ground_states`` call.
-    Then the row kernel ``variation.row_values`` evaluates each chunk over
-    ``geometry.row_blocks``, each block writing its rows of the tables;
-    only these per-row values outlive the chunk.  An error the chunks or a
+    One ``geometry.row_pool`` serves the run: the lambda0 of every row
+    comes first, from one ``ground_states`` call on it.  Then the row kernel
+    ``variation.row_values`` evaluates each chunk over the pool's row
+    blocks, each block writing its rows of the tables (the pool's shared
+    arrays); only these per-row values outlive the chunk.  When the pool
+    can fork, each chunk's densities and times are first copied to shared
+    staging arrays, where its workers read them: the chunk buffer itself
+    stays malloc'd (``geometry.CHUNK_CELLS``).  An error the chunks or a
     kernel block raise propagates.  Once every row is evaluated,
     ``variation.row_failure`` finds the lowest failing row and its error,
     so neither depends on the pool or the chunks.  On a
@@ -524,36 +529,52 @@ def evaluate_tables(
     differences over the surviving series) so a failed run still ships a
     partial CSV; returns (tables, error), tables None when fewer than 3
     rows survived.  Given ``run``'s usage ``blocks``, the ground-state
-    solve is charged to their ``lambda0_s`` (``_charged``).
+    solve is charged to their ``lambda0_s`` (``_charged``), and the pool's
+    ``processes_used`` and ``workers_peak_rss_mb`` are recorded there as
+    ``workers`` and ``workers_peak_rss_mb``, also when an error propagates.
     """
     backend, dt = traj.backend, 2.0 * traj.dt
     a_values = list(a_values)
     times = traj.times[::2]
     K = len(times)
-    with _charged(blocks, "lambda0_s"):
-        ground = ground_states(traj.stack[::2])
-    # A fresh slice of the rows, so that the arrays ground_states built
-    # (R, on the round sphere) are not held through the kernel.
-    g = traj.stack[::2]
-    row_series = np.empty((6, K))  # F, S, dF_rhs, sub_lhs, sub_rhs, mass
-    a_series = np.empty((4, K, len(a_values)))  # Y, omega, rhs_thm, rhs_ye
+    pool = geometry.row_pool(K, backend.cells)
+    try:
+        with pool:
+            # F, S, dF_rhs, sub_lhs, sub_rhs, mass; Y, omega, rhs_thm, rhs_ye
+            row_series = pool.array((6, K))
+            a_series = pool.array((4, K, len(a_values)))
+            if pool.shared:  # each chunk's v and times, where workers read them
+                v, t = pool.array((K,) + backend.field_shape), pool.array(K)
 
-    covered = 0
-    for chunk in chunks:
-        lo, n = chunk.first, len(chunk.times)
-        covered += n
-        row_series[5, lo:lo + n] = chunk.masses
+            @pool.add
+            def kernel(lo, rows):
+                # The rows' own slice of the stack, apart from the one
+                # ground_states solves, so that the arrays it built (R, on
+                # the round sphere) are not held through the kernel.
+                at = slice(lo + rows.start, lo + rows.stop)
+                g = traj.stack[2 * at.start:2 * at.stop:2]
+                vals = row_values(g, v[rows], t[rows], a_values)
+                row_series[:5, at] = (vals.F, vals.S, vals.dF_rhs,
+                                      vals.sub_lhs, vals.sub_rhs)
+                a_series[:, at] = (vals.Y, vals.om, vals.rhs_split,
+                                   vals.rhs_combined)
 
-        def kernel(rows):
-            at = slice(lo + rows.start, lo + rows.stop)
-            vals = row_values(g[at], chunk.v[rows],
-                              chunk.times[rows], a_values)
-            row_series[:5, at] = (vals.F, vals.S, vals.dF_rhs, vals.sub_lhs,
-                                  vals.sub_rhs)
-            a_series[:, at] = (vals.Y, vals.om, vals.rhs_split,
-                               vals.rhs_combined)
-
-        geometry.row_blocks(kernel, n, backend.cells)
+            with _charged(blocks, "lambda0_s"):
+                ground = ground_states(traj.stack[::2], pool)
+            covered = 0
+            for chunk in chunks:
+                lo, n = chunk.first, len(chunk.times)
+                covered += n
+                row_series[5, lo:lo + n] = chunk.masses
+                if pool.shared:
+                    v[:n], t[:n] = chunk.v, chunk.times
+                else:
+                    v, t = chunk.v, chunk.times
+                pool.map(kernel, n, backend.cells, lo)
+    finally:
+        if blocks is not None:
+            blocks["workers"] = pool.processes_used
+            blocks["workers_peak_rss_mb"] = pool.workers_peak_rss_mb
     if covered != K:
         raise ValueError(f"density chunks hold {covered} rows, not the "
                          f"trajectory's {K}")
@@ -704,31 +725,17 @@ _MEMORY_STAGES = {"flow_s": "flow", "rows_s": "heat_and_rows",
 
 def _usage() -> tuple:
     """This process's wall clock, CPU time of all its threads and minor page
-    faults so far, the last from one ``getrusage`` call (None without
-    ``resource``): about 1.5 us a reading."""
+    faults so far, the last two with those of its reaped children (the row
+    pool's workers, ``RUSAGE_CHILDREN``), so a stage counts the workers
+    reaped within it; about 3 us a reading.  Without ``resource`` the CPU
+    time is this process's alone and the faults None."""
     wall, cpu = time.perf_counter(), time.process_time()
     if resource is None:
         return wall, cpu, None
-    return wall, cpu, resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
-def _peak_rss_mb() -> float | None:
-    """This process's peak resident set so far in MiB: ``VmHWM`` of
-    /proc/self/status where that file exists, which exec resets, so a run
-    started as a child process does not report its parent's peak; else
-    ``getrusage``'s ``ru_maxrss`` (KiB on Linux, bytes on macOS), None
-    without ``resource``."""
-    try:
-        with open("/proc/self/status", "rb") as status:
-            for line in status:
-                if line.startswith(b"VmHWM:"):
-                    return int(line.split()[1]) / 1024.0
-    except OSError:
-        pass
-    if resource is None:
-        return None
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
-        2.0**20 if sys.platform == "darwin" else 1024.0)
+    own, children = map(resource.getrusage,
+                        (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return (wall, cpu + children.ru_utime + children.ru_stime,
+            own.ru_minflt + children.ru_minflt)
 
 
 @contextmanager
@@ -845,10 +852,11 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
     the manifest as status ``internal_error`` (exit code 1, the error as
     "Type: message") and re-raised; the CSVs this run did not write are
     removed, so a reused directory keeps no earlier run's.  The manifest
-    (with ``workers``, the row-block pool size) is written on every exit
-    path.  The heat solve streams its rows into ``evaluate_tables`` chunk by
-    chunk; a heat failure ends the run as a row failure would, but before
-    any table exists, so both CSVs are header-only.
+    (with ``workers``, the processes that ran row blocks) is written on
+    every exit path.  The heat solve streams its rows into
+    ``evaluate_tables`` chunk by chunk; a heat failure ends the run as a
+    row failure would, but before any table exists, so both CSVs are
+    header-only.
     """
     out = Path(out_dir)
     try:
@@ -866,10 +874,10 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
               "minor_faults": dict.fromkeys(_STAGES,
                                             None if resource is None else 0),
               "steps": steps,
-              "peak_rss_mb": dict.fromkeys(_MEMORY_STAGES.values())}
+              "peak_rss_mb": dict.fromkeys(_MEMORY_STAGES.values()),
+              "workers": 1, "workers_peak_rss_mb": None}
     status, error, tables, summary = "ok", None, None, None
     written = set()
-    log.info("%s: workers %d", out, geometry.WORKERS)
     try:
         try:
             with _timed(blocks, "flow_s", out):
@@ -903,6 +911,9 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
         raise
     finally:
         exit_code = {"ok": 0, "internal_error": 1}.get(status, 3)
+        log.info("%s: workers %d%s", out, blocks["workers"],
+                 "" if blocks["workers_peak_rss_mb"] is None else
+                 f", worker peak RSS {blocks['workers_peak_rss_mb']:.1f} MiB")
         _write_manifest(out, {
             "config": cfg.raw,
             "resolved": {
@@ -923,7 +934,6 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
             "summary": summary,
             "lambda0": None if tables is None else _lambda0_diagnostics(tables),
             **blocks,
-            "workers": geometry.WORKERS,
             "wall_clock_s": time.perf_counter() - started,
         })
     return RunResult(status, exit_code, out, summary, tables, error)

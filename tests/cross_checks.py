@@ -7,10 +7,14 @@ typed fields, the flow velocity on a raw parameter array, the flow
 integrated on numpy arrays, the round and Berger spheres' flows stepped
 one float step at a time, the row kernel with every functional built
 on its own, the row-failure rule as a loop over rows, and the backward
-heat solve's checks row by row.
+heat solve's checks row by row.  ``ProcessLog`` carries what a spy records
+in a row pool's forked workers back to the test, and ``children_left``
+tells whether any child process remains.
 """
 
+import ast
 import math
+import os
 
 import numpy as np
 
@@ -281,3 +285,35 @@ def stream_backward_per_row(traj, v_T, mass_tol, chunk_cells):
             n = top + 1 - base
             yield base, v_out[:n].copy(), m_out[:n].copy()
             top = base - 1
+
+
+class ProcessLog:
+    """Records made by this process and by the processes forked from it (a
+    row pool's workers), read back here.  Each record is the recording
+    process's pid and the values given (Python numbers, strings or tuples
+    of them), written to one pipe by one ``os.write`` of at most PIPE_BUF
+    bytes, which POSIX keeps whole, so concurrent writers never interleave.
+    The pipe holds 64 KiB on Linux until ``records`` reads it."""
+
+    def __init__(self):
+        self._read, self._write = os.pipe()
+
+    def record(self, *values):
+        os.write(self._write, repr((os.getpid(), *values)).encode() + b"\n")
+
+    def records(self) -> list:
+        """Every record in the order written; closes the log.  Call it once
+        the forked writers have exited."""
+        os.close(self._write)
+        with os.fdopen(self._read, "rb") as pipe:
+            return [ast.literal_eval(line.decode()) for line in pipe]
+
+
+def children_left() -> bool:
+    """Whether this process has a child, running or unreaped (one that has
+    exited is reaped by the asking)."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True

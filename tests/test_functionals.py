@@ -16,7 +16,12 @@ from riccilab import functionals, geometry
 from riccilab.functionals import LAMBDA0_TOL, _lowest_ritz, _neg_lap_symbol
 from riccilab.geometry import _lap5
 
-from cross_checks import f_functional_f_form, gradient_inner
+from cross_checks import (
+    ProcessLog,
+    children_left,
+    f_functional_f_form,
+    gradient_inner,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -340,10 +345,11 @@ def test_ground_states_one_column_eigenfunctions(monkeypatch):
     traj = rl.integrate_forward(m0, 0.05, 0.05 / 8)
     params = traj.params
     assert m0.backend.stack(params).params.shape[1:] == (N, 1)
-    solve, blocks = functionals._lopcg, []
+    solve = functionals._lopcg
 
     def spied(g, vectors=None):
-        blocks.append(g.params.shape)
+        # The pool's workers record their blocks through the log.
+        log.record(g.params.shape)
         return solve(g, vectors)
 
     monkeypatch.setattr(functionals, "_lopcg", spied)
@@ -352,17 +358,18 @@ def test_ground_states_one_column_eigenfunctions(monkeypatch):
         # A block holds ROW_CELLS // WORKERS cells.
         monkeypatch.setattr(geometry, "ROW_CELLS",
                             rows_per_block * N * geometry.WORKERS)
-        blocks.clear()
+        log = ProcessLog()
         g = m0.backend.stack(params)
         values.append(functionals.ground_states(g).values)
+        blocks = [shape for _, shape in log.records()]
         assert sorted(blocks) == [(rows_per_block, N, 1)] * (
             len(params) // rows_per_block)
     assert np.array_equal(values[0], values[1])
     for k in range(len(params)):
         m = traj.state(k)
-        blocks.clear()
+        log = ProcessLog()
         lam, vec = rl.lambda0_eig(m)
-        assert blocks == [(N, 1)]
+        assert [shape for _, shape in log.records()] == [(N, 1)]
         assert lam == values[0][k]
         full = np.full((1, N, N), np.nan)
         assert m.stack.params.shape == (N, N)
@@ -372,15 +379,15 @@ def test_ground_states_one_column_eigenfunctions(monkeypatch):
             pytest.approx(1.0, rel=1e-13)
     # A general phi(x, y) is solved on the full grid.
     x, y = rl.grid_coords(m0.backend)
-    blocks.clear()
+    log = ProcessLog()
     rl.lambda0_eig(rl.MetricState(m0.backend, 0.0, 0.4 * np.sin(x + y)))
-    assert blocks == [(N, N)]
+    assert [shape for _, shape in log.records()] == [(N, N)]
 
 
 def test_ground_states_pool_stress(monkeypatch):
-    # Six workers, one-row blocks and a short switch interval:
-    # every block writes only its own rows of the shared output arrays, so
-    # the pooled solve matches the serial one bitwise.
+    # Six processes, more than the cores, and one-row blocks: every block
+    # writes only its own rows of the shared output arrays, so the pooled
+    # solve matches the serial one bitwise, and no worker outlives it.
     N = 8
     backend = rl.ConformalTorus2D(N, TWO_PI)
     x, y = rl.grid_coords(backend)
@@ -390,16 +397,12 @@ def test_ground_states_pool_stress(monkeypatch):
     want = functionals.ground_states(backend.stack(params))
     monkeypatch.setattr(geometry, "WORKERS", 6)
     monkeypatch.setattr(geometry, "ROW_CELLS", 6 * N * N)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for _ in range(2):
-            got = functionals.ground_states(backend.stack(params))
-            assert np.array_equal(got.values, want.values)
-            assert np.array_equal(got.iterations, want.iterations)
-            assert np.array_equal(got.residuals, want.residuals)
-    finally:
-        sys.setswitchinterval(interval)
+    for _ in range(2):
+        got = functionals.ground_states(backend.stack(params))
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.iterations, want.iterations)
+        assert np.array_equal(got.residuals, want.residuals)
+        assert not children_left()
 
 
 # Solves two rows at N = 128 and two at N = 256 and saves every row's value,

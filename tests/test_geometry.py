@@ -2,6 +2,7 @@
 discrete exactness properties the functional identities rely on."""
 
 import math
+import os
 import threading
 import time
 from pathlib import Path
@@ -13,7 +14,13 @@ from hypothesis import given, settings, strategies as st
 import riccilab as rl
 from riccilab.geometry import _dp, _lap5, _roll
 
-from cross_checks import gradient_inner, ricci_flow_rhs, tensor_trace
+from cross_checks import (
+    ProcessLog,
+    children_left,
+    gradient_inner,
+    ricci_flow_rhs,
+    tensor_trace,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -582,56 +589,190 @@ def test_cross_backend_field_rejected():
 # -------------------------------------------------------------------------
 
 def test_row_blocks_map_in_order_on_the_pool_and_join(monkeypatch):
+    # Blocks of 2 rows of 4 cells on 3 processes: 11 rows make 6 blocks, 2
+    # a process.  The caller runs blocks 0-1, each worker two more, and
+    # every block lands at its own index of a shared array.  A second call
+    # reuses the workers, and close reaps them.
     from riccilab import geometry
 
-    # Blocks of 2 rows of 4 cells on 3 workers: 11 rows make 6 blocks.
     monkeypatch.setattr(geometry, "WORKERS", 3)
     monkeypatch.setattr(geometry, "ROW_CELLS", 3 * 2 * 4)
-    main, before = threading.get_ident(), threading.active_count()
-    results = geometry.row_blocks(lambda rows: (rows, threading.get_ident()),
-                                  11, 4)
-    assert [rows for rows, _ in results] == [
-        slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 8), slice(8, 10),
-        slice(10, 11)]
-    assert main not in {ident for _, ident in results}
+    log, before = ProcessLog(), threading.active_count()
+    with geometry.RowPool() as pool:
+        out = pool.array((2, 6, 2), int)
+
+        @pool.add
+        def block(call, rows):
+            out[call, rows.start // 2] = rows.start, rows.stop
+            log.record(call, rows.start)
+
+        pool.map(block, 11, 4, 0)
+        pool.map(block, 11, 4, 1)
+        assert pool.processes_used == 3 and pool.workers_peak_rss_mb > 0.0
+    assert not children_left()
     assert threading.active_count() == before
+    for call in (0, 1):
+        assert out[call].tolist() == [[0, 2], [2, 4], [4, 6], [6, 8],
+                                      [8, 10], [10, 11]]
+    owners = {}
+    for pid, call, start in log.records():
+        owners.setdefault(call, {})[start] = pid
+    assert owners[0] == owners[1]
+    pids = [owners[0][start] for start in range(0, 11, 2)]
+    assert pids[0] == pids[1] == os.getpid()
+    assert pids[2] == pids[3] != pids[4] == pids[5]
+    assert os.getpid() not in pids[2:]
+
+
+class LocalError(Exception):
+    pass
+
+
+# (the blocks that raise, the exception that propagates) of six one-row
+# blocks on three processes: the caller's blocks 0-1, then two workers'.
+FAILING_BLOCKS = [
+    ({1: ValueError("caller's block"), 3: KeyError("worker's block")},
+     (ValueError, "caller's block")),
+    ({3: rl.NoConvergence("first worker"), 5: ValueError("second worker")},
+     (rl.NoConvergence, "first worker")),
+    ({4: ValueError("later block"), 5: KeyError("last block")},
+     (ValueError, "later block")),
+    ({2: LocalError("no pickle")}, (LocalError, "no pickle")),
+]
 
 
 def test_row_blocks_cancel_the_blocks_not_started(monkeypatch):
-    # The first block raises.  Its exception propagates, the blocks running
-    # then finish, the six after them never start, and no pool thread
-    # outlives the call.
+    # The first failing block in block order propagates, its type and
+    # message, whichever process raised it; a worker starts no block of its
+    # share after its first failing one, and the caller's share runs whole.
+    # The workers stay in step: the next call runs on them.  An exception
+    # pickle cannot carry (a class it cannot find by name) arrives as a
+    # RuntimeError naming it.
+    from riccilab import geometry
+
+    monkeypatch.setattr(geometry, "WORKERS", 3)
+    monkeypatch.setattr(geometry, "ROW_CELLS", 3)
+    for failing, raised in FAILING_BLOCKS:
+        started = map_failing_blocks(failing, raised)
+        skipped = {k + 1 for k in failing if k % 2 == 0 and k >= 2}
+        assert started == sorted(set(range(6)) - skipped), failing
+
+
+def map_failing_blocks(failing, raised):
+    """Map six one-row blocks with the ``failing`` ones raising, then again
+    with none; check the exception and that no child is left, and return
+    the blocks the first call started."""
+    from riccilab import geometry
+
+    log = ProcessLog()
+    with geometry.RowPool() as pool:
+
+        @pool.add
+        def block(fail, rows):
+            log.record(rows.start)
+            if fail and rows.start in failing:
+                exc = failing[rows.start]
+                if isinstance(exc, LocalError):
+                    exc = type("LocalError", (Exception,), {})(*exc.args)
+                raise exc
+
+        with pytest.raises(Exception) as info:
+            pool.map(block, 6, 1, True)
+        pool.map(block, 6, 1, False)
+    assert not children_left()
+    kind, message = raised
+    if kind is LocalError:
+        assert type(info.value) is RuntimeError
+        assert str(info.value) == f"LocalError: {message}"
+    else:
+        assert type(info.value) is kind
+        assert info.value.args == (message,)
+    started = [start for _, start in log.records()]
+    assert sorted(started[-6:]) == list(range(6))
+    return sorted(started[:-6])
+
+
+def test_row_pool_kills_the_workers_when_the_caller_leaves_by_an_interrupt(
+        monkeypatch):
+    # The caller's own block raises KeyboardInterrupt while the worker's
+    # block would sleep a minute: the pool kills and reaps the worker, so
+    # the interrupt propagates at once and no child is left.  A worker's
+    # own interrupt ends it: the caller reports that it exited.
     from riccilab import geometry
 
     monkeypatch.setattr(geometry, "WORKERS", 2)
     monkeypatch.setattr(geometry, "ROW_CELLS", 2)
-    before = threading.active_count()
-    started = []
+    for where in ("caller", "worker"):
+        started = time.perf_counter()
+        with pytest.raises((KeyboardInterrupt, RuntimeError)) as info:
+            with geometry.RowPool() as pool:
 
-    def block(rows):
-        started.append(rows.start)
-        if not rows.start:
-            raise RuntimeError("first block failed")
-        time.sleep(0.2)
-        return rows.start
+                @pool.add
+                def block(rows):
+                    if (rows.start == 0) == (where == "caller"):
+                        raise KeyboardInterrupt
+                    if where == "caller":
+                        time.sleep(60.0)
 
-    with pytest.raises(RuntimeError, match="first block failed"):
-        geometry.row_blocks(block, 9, 1)
-    assert set(started) <= {0, 1, 2}
-    assert threading.active_count() == before
+                pool.map(block, 2, 1)
+        assert not children_left()
+        assert time.perf_counter() - started < 30.0
+        if where == "caller":
+            assert type(info.value) is KeyboardInterrupt
+        else:
+            assert type(info.value) is RuntimeError
+            assert "exited" in str(info.value)
+
+
+def map_in_the_caller(workers, rows, monkeypatch):
+    """Map one-cell rows in one-row blocks on ``workers`` processes, with
+    ``os.fork`` failing the test, and check that every block ran in the
+    caller, in order."""
+    from riccilab import geometry
+
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(geometry, "WORKERS", workers)
+    monkeypatch.setattr(geometry, "ROW_CELLS", workers)
+    monkeypatch.setattr(os, "fork", no_fork)
+    starts = []
+    with geometry.RowPool() as pool:
+        assert pool.shared == (workers > 1)
+        pool.map(pool.add(lambda r: starts.append(r.start)), rows, 1)
+        assert pool.processes_used == 1
+        assert pool.workers_peak_rss_mb is None
+    assert starts == list(range(rows))
 
 
 @pytest.mark.parametrize("workers,rows", [(1, 9), (4, 1)])
 def test_row_blocks_one_worker_or_block_maps_in_the_calling_thread(
         workers, rows, monkeypatch):
+    # One worker (private arrays, no shared memory) or one block.
+    map_in_the_caller(workers, rows, monkeypatch)
+
+
+def test_row_pool_forks_nothing_beside_a_live_thread(monkeypatch):
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        map_in_the_caller(4, 9, monkeypatch)
+    finally:
+        stop.set()
+        other.join(10.0)
+    assert not other.is_alive()
+
+
+def test_row_pool_functions_are_added_before_the_fork(monkeypatch):
     from riccilab import geometry
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(geometry, "WORKERS", workers)
-    monkeypatch.setattr(geometry, "ROW_CELLS", workers)
-    monkeypatch.setattr(geometry, "ThreadPoolExecutor", no_pool)
-    results = geometry.row_blocks(lambda r: (r, threading.get_ident()), rows, 1)
-    assert [r for r, _ in results] == [slice(k, k + 1) for k in range(rows)]
-    assert {ident for _, ident in results} == {threading.get_ident()}
+    monkeypatch.setattr(geometry, "WORKERS", 2)
+    monkeypatch.setattr(geometry, "ROW_CELLS", 2)
+    with geometry.RowPool() as pool:
+        with pytest.raises(ValueError, match="not added"):
+            pool.map(lambda r: None, 2, 1)
+        pool.map(pool.add(lambda r: None), 2, 1)
+        with pytest.raises(RuntimeError, match="after the pool forked"):
+            pool.add(lambda r: None)
+    assert not children_left()

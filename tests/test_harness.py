@@ -11,7 +11,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -35,6 +34,8 @@ from riccilab.harness import (
 )
 
 from cross_checks import (
+    ProcessLog,
+    children_left,
     gradient_inner,
     row_failure_reference,
     row_values_reference,
@@ -816,31 +817,29 @@ def test_row_kernel_matches_public_functionals(name, tmp_path):
 
 
 def spied_kernel_run(a_values, workers, tmp_path, monkeypatch):
-    """Run the curved torus over blocks of 3 rows on ``workers`` threads,
-    spying on the stacked kernel and the per-state functionals.  Returns the
-    result, the rows each stacked call covered (times for ``row_values``, the
-    density stack for the cores), the per-state call counts and the threads
-    ``row_values`` ran on."""
+    """Run the curved torus over blocks of 3 rows on ``workers`` processes,
+    spying on the stacked kernel and the per-state functionals through a
+    ``ProcessLog``, which the pool's workers write to as well.  Returns the
+    result and, per ``row_values`` call in the order made, the pid of the
+    process that made it and the times it covered; checks that the stacked
+    cores covered the same rows in as many calls and that no per-state
+    functional ran."""
     from riccilab import functionals, geometry, harness, variation
 
-    covered = {"row_values": [], "_energy": [], "_variation_tensor": []}
-    per_state = dict.fromkeys(["f_functional", "shannon_entropy",
-                               "matrix_quantity", "_state_rates"], 0)
-    threads = set()
+    stacked = ("row_values", "_energy", "_variation_tensor")
+    per_state = ("f_functional", "shannon_entropy", "matrix_quantity",
+                 "_state_rates")
+    log = ProcessLog()
 
     def spy(name, fn):
         def wrapped(*args):
-            if name in covered:
-                # row_values(g, v, times, a): times; stacked cores: the rows of u
-                covered[name].append(args[2] if name == "row_values" else args[1])
-                if name == "row_values":
-                    threads.add(threading.get_ident())
-            else:
-                per_state[name] += 1
+            # row_values(g, v, times, a): times; stacked cores: the rows of u
+            log.record(name, tuple(map(float, args[2])) if name == "row_values"
+                       else len(args[1]) if name in stacked else 0)
             return fn(*args)
         return wrapped
 
-    for name in list(covered) + list(per_state):
+    for name in stacked + per_state:
         module = variation if hasattr(variation, name) else functionals
         original = getattr(module, name)
         for ns in (functionals, variation, harness):
@@ -852,11 +851,14 @@ def spied_kernel_run(a_values, workers, tmp_path, monkeypatch):
         {**ROW_KERNEL_CFGS["curved_torus"], "entropy.a": a_values}))
     result = run(validated, tmp_path / "out")
     assert result.exit_code == 0 and validated.num_rows == 11
+    calls = {name: [] for name in stacked + per_state}
+    for pid, name, payload in log.records():
+        calls[name].append((pid, payload))
     for name in ("_energy", "_variation_tensor"):
-        assert sum(len(u) for u in covered[name]) == 11, name
-        assert len(covered[name]) == len(covered["row_values"]), name
-    assert per_state == dict.fromkeys(per_state, 0)
-    return result, covered["row_values"], threads
+        assert sum(n for _, n in calls[name]) == 11, name
+        assert len(calls[name]) == len(calls["row_values"]), name
+    assert all(not calls[name] for name in per_state)
+    return result, calls["row_values"]
 
 
 @pytest.mark.parametrize("a_values", ["0.1", "0.1, 0.5, 2"])
@@ -865,23 +867,30 @@ def test_row_kernel_builds_tensor_and_energy_once_per_row(a_values, tmp_path,
     # The stacked kernel builds F and T once per row whatever len(a) is: over
     # blocks of 3 rows its calls cover every row exactly once, in order, and
     # no per-state functional runs beside it.  The order is the serial map's:
-    # one worker, which runs every block in the calling thread.
-    result, blocks, threads = spied_kernel_run(a_values, 1, tmp_path, monkeypatch)
-    assert [len(t) for t in blocks] == [3, 3, 3, 2]
-    np.testing.assert_array_equal(np.concatenate(blocks), result.tables.times)
-    assert threads == {threading.get_ident()}
+    # one worker, which runs every block in the calling process.
+    result, blocks = spied_kernel_run(a_values, 1, tmp_path, monkeypatch)
+    assert [len(t) for _, t in blocks] == [3, 3, 3, 2]
+    np.testing.assert_array_equal(np.concatenate([t for _, t in blocks]),
+                                  result.tables.times)
+    assert {pid for pid, _ in blocks} == {os.getpid()}
 
 
 @pytest.mark.parametrize("a_values", ["0.1", "0.1, 0.5, 2"])
 def test_row_kernel_covers_each_row_once_on_the_pool(a_values, tmp_path,
                                                       monkeypatch):
-    # On two workers the blocks run on pool threads in any order, and still
-    # cover every row exactly once.
-    result, blocks, threads = spied_kernel_run(a_values, 2, tmp_path, monkeypatch)
-    assert sorted(len(t) for t in blocks) == [2, 3, 3, 3]
-    np.testing.assert_array_equal(np.sort(np.concatenate(blocks)),
-                                  result.tables.times)
-    assert threads and threading.get_ident() not in threads
+    # On two processes the caller evaluates the first two blocks and one
+    # forked worker the last two, each share in order; every row is covered
+    # exactly once.
+    result, blocks = spied_kernel_run(a_values, 2, tmp_path, monkeypatch)
+    mine = [t for pid, t in blocks if pid == os.getpid()]
+    theirs = [(pid, t) for pid, t in blocks if pid != os.getpid()]
+    assert [len(t) for t in mine] == [3, 3]
+    assert [len(t) for _, t in theirs] == [3, 2]
+    assert len({pid for pid, _ in theirs}) == 1
+    np.testing.assert_array_equal(
+        np.concatenate(mine + [t for _, t in theirs]), result.tables.times)
+    manifest = json.loads((result.out_dir / "manifest.json").read_text())
+    assert manifest["workers"] == 2 and manifest["workers_peak_rss_mb"] > 0.0
 
 
 # -------------------------------------------------------------------------
@@ -1176,8 +1185,8 @@ def test_row_failures_follow_the_row_check_order(omega, lam0, raised,
     if lam0 is not None:
         solve = harness.ground_states
 
-        def unconverged(g):
-            ground = solve(g)
+        def unconverged(*args):  # ground_states(g, pool)
+            ground = solve(*args)
             ground.residuals[lam0] = 2 * LAMBDA0_TOL
             return ground
 
@@ -1198,8 +1207,8 @@ def test_heat_failure_comes_before_lambda0(tmp_path, monkeypatch):
 
     solve = harness.ground_states
 
-    def unconverged(g):
-        ground = solve(g)
+    def unconverged(*args):  # ground_states(g, pool)
+        ground = solve(*args)
         ground.residuals[0] = 2 * LAMBDA0_TOL
         return ground
 
@@ -1227,8 +1236,8 @@ def test_earliest_failing_block_wins_on_the_pool(later, monkeypatch):
     else:
         solve = harness.ground_states
 
-        def unconverged(g):
-            ground = solve(g)
+        def unconverged(*args):  # ground_states(g, pool)
+            ground = solve(*args)
             ground.residuals[9] = 2 * LAMBDA0_TOL
             return ground
 
@@ -1251,7 +1260,8 @@ def test_earliest_failing_block_wins_on_the_pool(later, monkeypatch):
 def test_later_block_exception_propagates(workers, monkeypatch):
     # Row 4 fails its omega, and the block of rows 9-10 raises.  Every row
     # is evaluated before the table is checked, so the exception propagates
-    # on one worker and on two alike, and no pool thread outlives it.
+    # on one process and on two alike (from the worker's share there, with
+    # its type and message), and no worker outlives it.
     from riccilab import harness
 
     traj, hist = sphere_rows()
@@ -1264,11 +1274,11 @@ def test_later_block_exception_propagates(workers, monkeypatch):
         return kernel(g, v, times, a_values)
 
     monkeypatch.setattr(harness, "row_values", exploding)
-    before = threading.active_count()
     with pool(workers, 3, 1):
-        with pytest.raises(RuntimeError, match="later block exploded"):
+        with pytest.raises(RuntimeError) as info:
             harness.evaluate_tables(traj, [hist], [1.0, -0.3])
-    assert threading.active_count() == before
+    assert info.value.args == ("later block exploded",)
+    assert not children_left()
 
 
 @pytest.mark.parametrize("k", [3, 7])
@@ -1283,8 +1293,8 @@ def test_evaluate_tables_stops_at_unconverged_row(k, monkeypatch):
 
     solve = harness.ground_states
 
-    def unconverged_row_k(g):
-        ground = solve(g)
+    def unconverged_row_k(*args):  # ground_states(g, pool)
+        ground = solve(*args)
         ground.residuals[k] = 2 * LAMBDA0_TOL
         return ground
 
@@ -1404,7 +1414,9 @@ def test_manifest_cpu_time_and_minor_faults(curved_torus_result, tmp_path,
 def test_stage_clock_invariants(tmp_path):
     # In every usage block of an ok torus run, lambda0_s is a part of
     # rows_s, and the five disjoint stages (heat_s taken out of rows_s) use
-    # at most the CPU time and minor faults the whole run() did.  The heat
+    # at most the CPU time and minor faults the whole run() did, its reaped
+    # row-block workers included (this run's 2 blocks fork one when the
+    # process may use 2 CPUs).  The heat
     # solve's CPU time (about 7 ms here) is well above what run() spends
     # outside its stages (under 1 ms, mostly the manifest), so counting it
     # in rows_s too would show.
@@ -1416,8 +1428,10 @@ def test_stage_clock_invariants(tmp_path):
         "heat.datum": "random_smooth", "heat.seed": "1", "entropy.a": "0.1"}))
 
     def usage():
-        return (time.process_time(),
-                resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        own, children = (resource.getrusage(who) for who in (
+            resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+        return (time.process_time() + children.ru_utime + children.ru_stime,
+                own.ru_minflt + children.ru_minflt)
 
     before = usage()
     result = run(validated, tmp_path / "z")
@@ -1579,8 +1593,8 @@ def streamed_run(validated, out, chunk_rows, unconverged=()):
             handed.append(chunk.first)
             yield chunk
 
-    def marked(g):
-        ground = solve(g)
+    def marked(*args):  # ground_states(g, pool)
+        ground = solve(*args)
         ground.residuals[list(unconverged)] = 2 * LAMBDA0_TOL
         return ground
 
@@ -1762,7 +1776,7 @@ def test_internal_error_in_a_reused_directory_leaves_no_old_csv(tmp_path,
 def test_worker_block_exception_is_internal_error(where, tmp_path, monkeypatch):
     # An exception in a pool block (a later row-kernel block, or a lambda0
     # block) reaches run(), which records it and re-raises; the pool's
-    # threads are joined.
+    # workers are reaped.
     from riccilab import functionals, geometry, harness
 
     validated = validate_config(make_config(ROW_KERNEL_CFGS["curved_torus"]))
@@ -1777,10 +1791,9 @@ def test_worker_block_exception_is_internal_error(where, tmp_path, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(module, where, exploding)
-    before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"{where} block exploded"):
         run(validated, tmp_path / "out")
-    assert threading.active_count() == before
+    assert not children_left()
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "internal_error" and manifest["exit_code"] == 1
     assert manifest["error"] == f"RuntimeError: {where} block exploded"
@@ -1788,27 +1801,129 @@ def test_worker_block_exception_is_internal_error(where, tmp_path, monkeypatch):
 
 
 def test_manifest_records_workers(sphere_result, curved_torus_result):
-    from riccilab import geometry
-
+    # Every row block of these runs ran in the run's own process.
     for result in (sphere_result, curved_torus_result):
         manifest = json.loads((result.out_dir / "manifest.json").read_text())
-        assert manifest["workers"] == geometry.WORKERS
+        assert manifest["workers"] == 1
+        assert manifest["workers_peak_rss_mb"] is None
         for name in ("data.csv", "proof_chain.csv"):
             assert "workers" not in (result.out_dir / name).read_text()
 
 
 def test_single_block_runs_start_no_pool(tmp_path, monkeypatch):
     # validate_config's one-row lambda0 solve and a sphere run, whose rows
-    # form one block, map in the calling thread.
-    from riccilab import geometry
+    # form one block, map in the calling process.
+    def no_fork():
+        raise AssertionError("a worker was forked")
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(geometry, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     validate_config(make_config(ROW_KERNEL_CFGS["curved_torus"]))
     validated = validate_config(make_config(ROW_KERNEL_CFGS["round_sphere"]))
     assert run(validated, tmp_path / "out").exit_code == 0
+
+
+# A curved N = 16 torus run of 41 rows, over blocks of 3 rows in 3 density
+# chunks: at two workers every call of the row kernel but the last has
+# several blocks.
+POOLED_CFG = {**ROW_KERNEL_CFGS["curved_torus"], "flow.T": "0.08"}
+
+
+@contextmanager
+def pooled(workers):
+    """Blocks of 3 torus rows on ``workers`` processes, 16-row chunks."""
+    from riccilab import geometry
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "WORKERS", workers)
+        mp.setattr(geometry, "ROW_CELLS", workers * 3 * 16**2)
+        mp.setattr(geometry, "CHUNK_CELLS", 16 * 16**2)
+        yield mp
+
+
+def test_csvs_are_the_same_bytes_on_any_worker_count(tmp_path):
+    validated = validate_config(make_config(POOLED_CFG))
+    assert validated.num_rows == 41
+    outputs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / str(workers)
+        with pooled(workers):
+            assert run(validated, out).exit_code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["workers"] == workers
+        assert not children_left()
+        outputs.append([(out / name).read_bytes()
+                        for name in ("data.csv", "proof_chain.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("end", ["ok", "worker_raises", "parent_interrupted"])
+def test_no_child_outlives_a_run(end, tmp_path):
+    # A run that passes, one whose worker's block raises, and one whose
+    # heat solve is interrupted after the worker was forked (its second
+    # chunk): each leaves no child process, reaped or killed.
+    from riccilab import harness
+
+    validated = validate_config(make_config(POOLED_CFG))
+    kernel, stream = harness.row_values, harness.stream_backward
+    parent = os.getpid()
+
+    def exploding(g, v, times, a_values):
+        if os.getpid() != parent:
+            raise ValueError("worker block exploded")
+        return kernel(g, v, times, a_values)
+
+    def interrupted(*args, **kwargs):
+        chunks = stream(*args, **kwargs)
+        yield next(chunks)
+        raise KeyboardInterrupt
+
+    raised = {"ok": None, "worker_raises": ValueError,
+              "parent_interrupted": KeyboardInterrupt}[end]
+    with pooled(2) as mp:
+        if end == "worker_raises":
+            mp.setattr(harness, "row_values", exploding)
+        if end == "parent_interrupted":
+            mp.setattr(harness, "stream_backward", interrupted)
+        if raised is None:
+            assert run(validated, tmp_path).exit_code == 0
+        else:
+            with pytest.raises(raised):
+                run(validated, tmp_path)
+    assert not children_left()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["workers"] == 2
+
+
+def test_workers_usage_is_counted_in_rows_s(tmp_path):
+    # Each worker block spins 0.05 s of CPU time and touches 2048 pages of
+    # a new 8 MiB mapping, which only RUSAGE_CHILDREN sees; the caller's
+    # blocks do neither.  rows_s counts both for every worker block.
+    import mmap
+
+    from riccilab import harness
+
+    validated = validate_config(make_config(POOLED_CFG))
+    kernel, parent, log = harness.row_values, os.getpid(), ProcessLog()
+
+    def busy(g, v, times, a_values):
+        log.record(0)
+        if os.getpid() != parent:
+            with mmap.mmap(-1, 2**23) as pages:
+                np.frombuffer(pages, np.uint8)[::4096] = 1
+            spin = time.process_time() + 0.05
+            while time.process_time() < spin:
+                pass
+        return kernel(g, v, times, a_values)
+
+    with pooled(2) as mp:
+        mp.setattr(harness, "row_values", busy)
+        assert run(validated, tmp_path).exit_code == 0
+    worker_blocks = sum(pid != parent for pid, _ in log.records())
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert worker_blocks == 8
+    assert manifest["cpu_s"]["rows_s"] >= 0.05 * worker_blocks
+    assert manifest["minor_faults"]["rows_s"] >= 2048 * worker_blocks
+    assert manifest["minor_faults"]["rows_s"] >= 2000 * worker_blocks
 
 
 def test_csv_writer_matches_format_17g_on_edge_values(tmp_path):
@@ -2171,8 +2286,6 @@ def test_converge_validates_each_level_once(tmp_path, monkeypatch, capsys):
 
 
 def test_verbose_logs_stage_timings(tmp_path, capsys):
-    from riccilab import geometry
-
     ok = write_cfg(tmp_path / "ok.cfg", FLAT_CFG)
     assert cli_main(["run", ok, "--out", str(tmp_path / "z"), "--verbose"]) == 0
     err = capsys.readouterr().err
@@ -2197,7 +2310,8 @@ def test_verbose_logs_stage_timings(tmp_path, capsys):
             assert peaks[entry] > 0.0, entry
             line += f", peak RSS {peaks[entry]:.1f} MiB"
         assert line + counts.get(stage, "") + "\n" in err, stage
-    assert f"{tmp_path / 'z'}: workers {geometry.WORKERS}\n" in err
+    assert manifest["workers"] == 1
+    assert f"{tmp_path / 'z'}: workers 1\n" in err
     assert cli_main(["run", ok, "--out", str(tmp_path / "q")]) == 0
     assert "flow_s" not in capsys.readouterr().err
     assert cli_main(["converge", write_cfg(tmp_path / "s.cfg", STUDY_CFG),

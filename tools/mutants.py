@@ -207,9 +207,9 @@ MUTANTS = [
      ["tests/test_heat.py", "tests/test_harness.py"]),
     # The failure order: lambda0 raised before the heat solve's failures.
     ("lambda0-failure-before-heat", "harness.py",
-     "        ground = ground_states(traj.stack[::2])\n",
-     "        ground = ground_states(traj.stack[::2])\n"
-     "        ground.value(int(np.argmin(ground.converged)))\n",
+     "                ground = ground_states(traj.stack[::2], pool)\n",
+     "                ground = ground_states(traj.stack[::2], pool)\n"
+     "                ground.value(int(np.argmin(ground.converged)))\n",
      ["tests/test_harness.py::test_heat_failure_comes_before_lambda0",
       "tests/test_harness.py"]),
     ("torus-volume-overflow-blames-n", "harness.py",
@@ -363,9 +363,37 @@ MUTANTS = [
      "            yield\n        peaks[entry] = _peak_rss_mb()",
      "            peaks[entry] = _peak_rss_mb()\n            yield",
      ["tests/test_harness.py"]),
-    ("peak-rss-from-ru-maxrss", "harness.py",
+    ("peak-rss-from-ru-maxrss", "geometry.py",
      'open("/proc/self/status", "rb")', 'open("/proc/self/no-status", "rb")',
      ["tests/test_harness.py"]),
+    ("workers-usage-dropped", "harness.py",
+     "    return (wall, cpu + children.ru_utime + children.ru_stime,\n"
+     "            own.ru_minflt + children.ru_minflt)",
+     "    return wall, cpu, own.ru_minflt",
+     ["tests/test_harness.py::test_workers_usage_is_counted_in_rows_s",
+      "tests/test_harness.py"]),
+    # The row pool: each process's share, the failure order, reaping and
+    # the live-thread guard.
+    ("pool-worker-runs-callers-share", "geometry.py",
+     "pickle.dumps((index, lo, blocks[lo:hi], args))",
+     "pickle.dumps((index, 0, blocks[:hi], args))",
+     ["tests/test_geometry.py", "tests/test_harness.py"]),
+    ("pool-last-failure-wins", "geometry.py",
+     "for failure in self._replies(workers[:n - 1]):",
+     "for failure in self._replies(workers[:n - 1])[::-1]:",
+     ["tests/test_geometry.py", "tests/test_harness.py"]),
+    ("pool-worker-runs-on-after-failure", "geometry.py",
+     "                    failure = (k, exc)\n                    break",
+     "                    failure = (k, exc)",
+     ["tests/test_geometry.py"]),
+    ("pool-worker-unreaped", "geometry.py",
+     "        for pid, _, _ in workers:\n            os.waitpid(pid, 0)",
+     "        for pid, _, _ in workers:\n            pass",
+     ["tests/test_geometry.py", "tests/test_harness.py"]),
+    ("pool-forks-beside-a-thread", "geometry.py",
+     "or threading.active_count() > 1):",
+     "or threading.active_count() > 99):",
+     ["tests/test_geometry.py"]),
 ]
 
 
