@@ -77,9 +77,9 @@ solve reads stack arrays through ``rows`` and checks positivity by
 Row blocks.  A sphere row is one cell; a torus row is N^2 cells (N for a
 one-column stack).  ``row_slices`` cuts rows into blocks, and a
 ``RowPool`` maps a function over them: the calling process evaluates the
-first share of a call's blocks and worker processes, forked once per pool
-at its first call of at least 2 blocks, the other shares, so the blocks do
-not contend for one interpreter lock.  The workers inherit the row
+first share of a call's blocks and worker processes, forked on Linux once
+per pool at its first call of at least 2 blocks, the other shares, so the
+blocks do not contend for one interpreter lock.  The workers inherit the row
 functions and the trajectory through ``fork``; what is made after it lives
 in the pool's shared arrays.  Each row's result is bitwise what it gives
 alone, so no result depends on the block size or the worker count.
@@ -192,27 +192,33 @@ class RowPool:
     made later, lives in the pool's ``array``s, anonymous shared memory; a
     call sends each worker the function's index, its share's first block
     index and slices, and ``args``, a few integers, over its task pipe,
-    and reads its reply from its reply pipe.  A pool of one
-    process, or one on a platform without ``os.fork``, maps every call in
-    the caller and its arrays are private.  Nor does a call fork while
-    another thread is alive in this process: it maps in the caller then.
+    and reads its reply from its reply pipe.  The pool forks on Linux only
+    (elsewhere a fork that does not exec is unsafe beside system
+    libraries, BLAS among them): a pool of one process, or one on another
+    platform, maps every call in the caller and its arrays are private.
+    Nor does a call fork while another thread is alive in this process: it
+    maps in the caller then.
 
     A worker stops at the first block of its share that raises and sends
-    the exception back pickled; the first failing block in block order
-    propagates, the caller's own share first, once every share of the call
-    has ended.  ``close`` (the ``with`` block's exit) closes the pipes and
-    reaps every worker, killing them first when the block exits by an
-    exception; a worker leaves by ``os._exit`` on pipe EOF or on its own
-    KeyboardInterrupt.  After ``close`` the pool maps in the caller.
-    ``processes_used`` is the most processes one call ran blocks on (1 when
-    none forked), ``workers_peak_rss_mb`` the largest peak resident set a
-    worker reported (None when none ran), and a reaped worker's CPU time
-    and page faults are this process's ``RUSAGE_CHILDREN``.
+    the exception back pickled.  The first failing block in block order
+    propagates: a failure in the caller's share at once, else the first
+    failing worker's reply, in worker order, once the shares before it
+    have ended.  A call that fails (or is interrupted) kills and reaps the
+    workers before its exception leaves ``map``, so no block of the call
+    starts after that, and the pool maps in the caller from then on, as it
+    does after ``close`` (the ``with`` block's exit), which closes the
+    pipes and reaps every worker, killing them first when the block exits
+    by an exception; a worker leaves by ``os._exit`` on pipe EOF or on its
+    own KeyboardInterrupt.  ``processes_used`` is the most processes one
+    call ran blocks on (1 when none forked), ``workers_peak_rss_mb`` the
+    largest peak resident set a worker reported (None when none ran), and
+    a reaped worker's CPU time and page faults are this process's
+    ``RUSAGE_CHILDREN``.
     """
 
     def __init__(self, processes: int | None = None):
         self._processes = WORKERS if processes is None else processes
-        self.shared = self._processes > 1 and hasattr(os, "fork")
+        self.shared = self._processes > 1 and sys.platform.startswith("linux")
         self._fns = []
         self._workers = None  # [(pid, task fd, reply fd)] once forked
         self._peaks = {}
@@ -263,12 +269,13 @@ class RowPool:
         try:
             for block in blocks[:bounds[1]]:
                 fn(*args, block)
-        except Exception:
-            self._replies(workers[:n - 1])  # keep the workers in step
+            for worker in workers[:n - 1]:
+                failure = self._reply(worker)
+                if failure is not None:
+                    raise failure[1]
+        except BaseException:
+            self.close(kill=True)  # no block of the call starts after this
             raise
-        for failure in self._replies(workers[:n - 1]):
-            if failure is not None:
-                raise failure[1]
 
     def _start(self, blocks: int) -> list:
         """The workers of a call of ``blocks`` blocks, forked at the first
@@ -310,18 +317,16 @@ class RowPool:
         os.close(reply_out)
         return pid, task, reply
 
-    def _replies(self, workers) -> list:
-        """Each worker's reply to the call: its peak resident set, and None
-        or its first failing block's (index, exception)."""
-        failures = []
-        for pid, _, reply in workers:
-            try:
-                peak, failure = _recv(reply)
-            except EOFError:
-                raise RuntimeError(f"row-block worker {pid} exited") from None
-            self._peaks[pid] = peak
-            failures.append(failure)
-        return failures
+    def _reply(self, worker):
+        """The worker's reply to the call: None or its first failing
+        block's (index, exception); records its peak resident set."""
+        pid, _, reply = worker
+        try:
+            peak, failure = _recv(reply)
+        except EOFError:
+            raise RuntimeError(f"row-block worker {pid} exited") from None
+        self._peaks[pid] = peak
+        return failure
 
     def close(self, kill: bool = False) -> None:
         """Close the pipes and reap every worker, killed first if ``kill``."""
@@ -374,7 +379,8 @@ def _serve(tasks: int, replies: int, fns) -> None:
 
 def _send(fd: int, message: bytes) -> None:
     """Write a pickled ``message`` to the pipe ``fd``, after its 8-byte
-    length."""
+    length.  (``multiprocessing.connection`` frames messages alike, but
+    importing it adds 0.6 MiB to a forking run's resident set.)"""
     view = memoryview(len(message).to_bytes(8, "little") + message)
     while view:
         view = view[os.write(fd, view):]

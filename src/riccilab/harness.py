@@ -520,8 +520,9 @@ def evaluate_tables(
     blocks, each block writing its rows of the tables (the pool's shared
     arrays); only these per-row values outlive the chunk.  When the pool
     can fork, each chunk's densities and times are first copied to shared
-    staging arrays, where its workers read them: the chunk buffer itself
-    stays malloc'd (``geometry.CHUNK_CELLS``).  An error the chunks or a
+    staging arrays of at most ``geometry.CHUNK_CELLS`` cells (a longer
+    chunk, ``[hist]``'s, in pieces of that size), where its workers read
+    them: the chunk buffer itself stays malloc'd (``geometry.CHUNK_CELLS``).  An error the chunks or a
     kernel block raise propagates.  Once every row is evaluated,
     ``variation.row_failure`` finds the lowest failing row and its error,
     so neither depends on the pool or the chunks.  On a
@@ -543,8 +544,10 @@ def evaluate_tables(
             # F, S, dF_rhs, sub_lhs, sub_rhs, mass; Y, omega, rhs_thm, rhs_ye
             row_series = pool.array((6, K))
             a_series = pool.array((4, K, len(a_values)))
-            if pool.shared:  # each chunk's v and times, where workers read them
-                v, t = pool.array((K,) + backend.field_shape), pool.array(K)
+            if pool.shared:  # a chunk's v and times, where workers read them
+                staged = min(K, max(1, geometry.CHUNK_CELLS // backend.cells))
+                v = pool.array((staged,) + backend.field_shape)
+                t = pool.array(staged)
 
             @pool.add
             def kernel(lo, rows):
@@ -566,11 +569,14 @@ def evaluate_tables(
                 lo, n = chunk.first, len(chunk.times)
                 covered += n
                 row_series[5, lo:lo + n] = chunk.masses
-                if pool.shared:
-                    v[:n], t[:n] = chunk.v, chunk.times
-                else:
+                if not pool.shared:
                     v, t = chunk.v, chunk.times
-                pool.map(kernel, n, backend.cells, lo)
+                    pool.map(kernel, n, backend.cells, lo)
+                    continue
+                for j in range(0, n, len(t)):  # a longer chunk in pieces
+                    m = min(len(t), n - j)
+                    v[:m], t[:m] = chunk.v[j:j + m], chunk.times[j:j + m]
+                    pool.map(kernel, m, backend.cells, lo + j)
     finally:
         if blocks is not None:
             blocks["workers"] = pool.processes_used

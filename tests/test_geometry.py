@@ -643,25 +643,30 @@ FAILING_BLOCKS = [
 
 def test_row_blocks_cancel_the_blocks_not_started(monkeypatch):
     # The first failing block in block order propagates, its type and
-    # message, whichever process raised it; a worker starts no block of its
-    # share after its first failing one, and the caller's share runs whole.
-    # The workers stay in step: the next call runs on them.  An exception
-    # pickle cannot carry (a class it cannot find by name) arrives as a
-    # RuntimeError naming it.
+    # message, whichever process raised it, and the failing call kills the
+    # workers at once: every block before it has run, and none after it
+    # starts but a later worker's first block, which sleeps long enough to
+    # be still running when the kill comes.  An exception pickle cannot
+    # carry (a class it cannot find by name) arrives as a RuntimeError
+    # naming it.
     from riccilab import geometry
 
     monkeypatch.setattr(geometry, "WORKERS", 3)
     monkeypatch.setattr(geometry, "ROW_CELLS", 3)
     for failing, raised in FAILING_BLOCKS:
-        started = map_failing_blocks(failing, raised)
-        skipped = {k + 1 for k in failing if k % 2 == 0 and k >= 2}
-        assert started == sorted(set(range(6)) - skipped), failing
+        first = min(failing)
+        running = {k for k in (2, 4) if k > first}
+        started = set(map_failing_blocks(failing, raised))
+        assert set(range(first + 1)) <= started, failing
+        assert started <= set(range(first + 1)) | running, failing
 
 
 def map_failing_blocks(failing, raised):
-    """Map six one-row blocks with the ``failing`` ones raising, then again
-    with none; check the exception and that no child is left, and return
-    the blocks the first call started."""
+    """Map six one-row blocks with the ``failing`` ones raising and those
+    after the first of them sleeping, then again with none in what is left
+    of the pool, the caller; check the exception, that the second call ran
+    in the caller in order and that no child is left, and return the
+    blocks the first call started."""
     from riccilab import geometry
 
     log = ProcessLog()
@@ -669,12 +674,14 @@ def map_failing_blocks(failing, raised):
 
         @pool.add
         def block(fail, rows):
-            log.record(rows.start)
+            log.record(fail, rows.start)
             if fail and rows.start in failing:
                 exc = failing[rows.start]
                 if isinstance(exc, LocalError):
                     exc = type("LocalError", (Exception,), {})(*exc.args)
                 raise exc
+            if fail and rows.start > min(failing):
+                time.sleep(3.0)
 
         with pytest.raises(Exception) as info:
             pool.map(block, 6, 1, True)
@@ -687,9 +694,9 @@ def map_failing_blocks(failing, raised):
     else:
         assert type(info.value) is kind
         assert info.value.args == (message,)
-    started = [start for _, start in log.records()]
-    assert sorted(started[-6:]) == list(range(6))
-    return sorted(started[:-6])
+    records = log.records()
+    assert records[-6:] == [(os.getpid(), False, k) for k in range(6)]
+    return [start for _, fail, start in records if fail]
 
 
 def test_row_pool_kills_the_workers_when_the_caller_leaves_by_an_interrupt(

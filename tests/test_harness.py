@@ -1073,8 +1073,9 @@ def table_arrays(tables):
 @given(case=ROW_CASES)
 def test_tables_independent_of_worker_count(case):
     # One-row blocks make 7 blocks, which 2 and 3 workers do not divide
-    # evenly; every table column and lambda0's values, iterations and
-    # residuals are bitwise the same on 1, 2 and 3 workers.
+    # evenly, and the 7-row chunk is staged for the workers in pieces of 3
+    # rows (CHUNK_CELLS); every table column and lambda0's values,
+    # iterations and residuals are bitwise the same on 1, 2 and 3 workers.
     from riccilab import geometry, harness
 
     traj, v_T = case
@@ -1086,6 +1087,7 @@ def test_tables_independent_of_worker_count(case):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "WORKERS", workers)
             mp.setattr(geometry, "ROW_CELLS", workers * traj.backend.cells)
+            mp.setattr(geometry, "CHUNK_CELLS", 3 * traj.backend.cells)
             tables, error = harness.evaluate_tables(traj, [hist], KERNEL_A)
         assert error is None and len(tables.times) == 7
         results.append(table_arrays(tables))

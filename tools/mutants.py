@@ -372,19 +372,23 @@ MUTANTS = [
      "    return wall, cpu, own.ru_minflt",
      ["tests/test_harness.py::test_workers_usage_is_counted_in_rows_s",
       "tests/test_harness.py"]),
-    # The row pool: each process's share, the failure order, reaping and
-    # the live-thread guard.
+    # The row pool: each process's share, the failure order, cancelling on
+    # a failure, reaping and the live-thread guard.
     ("pool-worker-runs-callers-share", "geometry.py",
      "pickle.dumps((index, lo, blocks[lo:hi], args))",
      "pickle.dumps((index, 0, blocks[:hi], args))",
      ["tests/test_geometry.py", "tests/test_harness.py"]),
     ("pool-last-failure-wins", "geometry.py",
-     "for failure in self._replies(workers[:n - 1]):",
-     "for failure in self._replies(workers[:n - 1])[::-1]:",
+     "for worker in workers[:n - 1]:",
+     "for worker in reversed(workers[:n - 1]):",
      ["tests/test_geometry.py", "tests/test_harness.py"]),
     ("pool-worker-runs-on-after-failure", "geometry.py",
      "                    failure = (k, exc)\n                    break",
      "                    failure = (k, exc)",
+     ["tests/test_geometry.py"]),
+    ("pool-failure-waits-for-every-share", "geometry.py",
+     "self.close(kill=True)  # no block of the call starts after this",
+     "self.close()",
      ["tests/test_geometry.py"]),
     ("pool-worker-unreaped", "geometry.py",
      "        for pid, _, _ in workers:\n            os.waitpid(pid, 0)",
