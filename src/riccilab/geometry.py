@@ -158,19 +158,22 @@ ROW_CELLS = 2**16
 # glibc sizes its dynamic mmap and trim thresholds from the largest block
 # freed so far: a row-kernel block whose working set (its fields at their
 # peak) is above the trim threshold is returned to the system after each
-# block and faulted back on every block.  The chunk buffer (malloc'd, freed
-# at the end of each run) raises them for the runs after it, and a pool
-# that forks frees a CHUNK_CELLS buffer first (``RowPool``), so that its
-# own run and its workers have them raised too: without that, the first
-# N = 128 ladder level of a fresh process took 32k minor faults in the
-# caller and 28k in its worker, against 4.2k and 1.5k.  At 2^19 the
-# threshold covers the kernel's 12-field block of 2^15 cells (ROW_CELLS //
-# WORKERS at two workers): 12 minor faults per warm ladder pass on a
-# thread pool, and 3.5 MiB less peak memory than 2^20 (2-core Xeon); a
-# 23-field block cost about 2k faults per pass at 2^19, and 52k-86k at
-# 2^18.  With forked workers a warm pass takes about 6k faults in the
-# caller and 3k in its worker, nearly all copy-on-write of pages written
-# after the fork.
+# block and faulted back on every block.  The chunk buffer is the run's
+# row-pool array (``harness.evaluate_tables``): in a pool of one process a
+# malloc'd ``np.empty``, freed at the end of the run, which raises them for
+# the runs after it; in a pool that forks, shared memory, which raises
+# nothing, so that pool frees a CHUNK_CELLS buffer before it forks
+# (``RowPool``) and its own run, its workers and the runs after it have
+# them raised too: without that, the first N = 128 ladder level of a fresh
+# process took 32k minor faults in the caller and 28k in its worker,
+# against 4.2k and 1.5k.  At 2^19 the threshold covers the kernel's
+# 12-field block of 2^15 cells (ROW_CELLS // WORKERS at two workers): 12
+# minor faults per warm ladder pass on a thread pool, and 3.5 MiB less peak
+# memory than 2^20 (2-core Xeon); a 23-field block cost about 2k faults per
+# pass at 2^19, and 52k-86k at 2^18.  With forked workers a warm ladder
+# pass takes about 5.5k faults in the caller and 3k in its worker, nearly
+# all copy-on-write of pages written after the fork and the first touch of
+# the shared chunk array.
 CHUNK_CELLS = 2**19
 
 
@@ -188,8 +191,9 @@ class RowPool:
     The workers are forked once, at the first call of at least 2 blocks,
     and inherit through ``fork`` what existed then: the functions ``add``
     registered and the objects those read (a trajectory's stack, say).
-    Everything the blocks share after the fork, their outputs and inputs
-    made later, lives in the pool's ``array``s, anonymous shared memory; a
+    Everything the blocks share that is written after the fork, their
+    outputs and inputs such as the density chunk the heat solve steps, lives
+    in the pool's ``array``s, anonymous shared memory made before it; a
     call sends each worker the function's index, its share's first block
     index and slices, and ``args``, a few integers, over its task pipe,
     and reads its reply from its reply pipe.  The pool forks on Linux only
@@ -242,8 +246,11 @@ class RowPool:
         return fn
 
     def array(self, shape, dtype=float) -> np.ndarray:
-        """A new array the workers share: anonymous shared memory (zeroed)
-        when the pool can fork, else a private ``np.empty``."""
+        """A new array the workers share, made before the pool forks:
+        anonymous shared memory (zeroed) when the pool can fork, else a
+        private ``np.empty``."""
+        if self._workers is not None:
+            raise RuntimeError("row-pool array made after the pool forked")
         if not self.shared:
             return np.empty(shape, dtype)
         dtype, count = np.dtype(dtype), int(np.prod(shape))
@@ -288,8 +295,9 @@ class RowPool:
             # Each process runs its blocks in its main malloc arena, which
             # glibc trims whenever more than its trim threshold is free at
             # the top: freeing a CHUNK_CELLS buffer raises that threshold
-            # above a block's fields (see CHUNK_CELLS), as an earlier run's
-            # chunk buffer does, before the workers inherit it.
+            # above a block's fields (see CHUNK_CELLS), as a one-process
+            # run's chunk buffer does (this pool's is shared memory), before
+            # the workers inherit it.
             np.empty(CHUNK_CELLS)
             self._workers = []
             for _ in range(self._processes - 1):

@@ -510,20 +510,20 @@ def evaluate_tables(
     """Evaluate every functional and verification column.
 
     The rows are every second state of ``traj``, a slice of its stack
-    (``Trajectory.stack``), as is each kernel block.  ``chunks`` are their
-    densities as ``DensityHistory`` chunks of consecutive rows that
-    together cover every row once, in any order:
-    ``heat.stream_backward``'s, consumed as they complete, or ``[hist]``.
+    (``Trajectory.stack``), as is each kernel block.  ``chunks(out)``
+    returns their densities as ``DensityHistory`` chunks of consecutive
+    rows that together cover every row once, in any order, each chunk's
+    ``v`` being ``out[:n]`` (else ValueError): ``heat.stream_backward``
+    with ``out``, consumed as they complete.  ``out`` is one chunk of at
+    most ``geometry.CHUNK_CELLS`` cells (at least one row) from the
+    pool's ``array``s, made before the pool forks, so the pool's workers
+    read each chunk's rows where the heat solve stepped them.
     One ``geometry.row_pool`` serves the run: the lambda0 of every row
     comes first, from one ``ground_states`` call on it.  Then the row kernel
     ``variation.row_values`` evaluates each chunk over the pool's row
     blocks, each block writing its rows of the tables (the pool's shared
-    arrays); only these per-row values outlive the chunk.  When the pool
-    can fork, each chunk's densities and times are first copied to shared
-    staging arrays of at most ``geometry.CHUNK_CELLS`` cells (a longer
-    chunk, ``[hist]``'s, in pieces of that size), where its workers read
-    them: the chunk buffer itself stays malloc'd (``geometry.CHUNK_CELLS``).  An error the chunks or a
-    kernel block raise propagates.  Once every row is evaluated,
+    arrays); only these per-row values outlive the chunk.  An error the
+    chunks or a kernel block raise propagates.  Once every row is evaluated,
     ``variation.row_failure`` finds the lowest failing row and its error,
     so neither depends on the pool or the chunks.  On a
     numerical failure the completed rows are kept (truncated tables, finite
@@ -541,14 +541,6 @@ def evaluate_tables(
     pool = geometry.row_pool(K, backend.cells)
     try:
         with pool:
-            # F, S, dF_rhs, sub_lhs, sub_rhs, mass; Y, omega, rhs_thm, rhs_ye
-            row_series = pool.array((6, K))
-            a_series = pool.array((4, K, len(a_values)))
-            if pool.shared:  # a chunk's v and times, where workers read them
-                staged = min(K, max(1, geometry.CHUNK_CELLS // backend.cells))
-                v = pool.array((staged,) + backend.field_shape)
-                t = pool.array(staged)
-
             @pool.add
             def kernel(lo, rows):
                 # The rows' own slice of the stack, apart from the one
@@ -556,27 +548,29 @@ def evaluate_tables(
                 # the round sphere) are not held through the kernel.
                 at = slice(lo + rows.start, lo + rows.stop)
                 g = traj.stack[2 * at.start:2 * at.stop:2]
-                vals = row_values(g, v[rows], t[rows], a_values)
+                vals = row_values(g, out[rows], times[at], a_values)
                 row_series[:5, at] = (vals.F, vals.S, vals.dF_rhs,
                                       vals.sub_lhs, vals.sub_rhs)
                 a_series[:, at] = (vals.Y, vals.om, vals.rhs_split,
                                    vals.rhs_combined)
 
+            # F, S, dF_rhs, sub_lhs, sub_rhs, mass; Y, omega, rhs_thm, rhs_ye
+            row_series = pool.array((6, K))
+            a_series = pool.array((4, K, len(a_values)))
+            chunk_rows = min(K, max(1, geometry.CHUNK_CELLS // backend.cells))
+            out = pool.array((chunk_rows,) + backend.field_shape)
             with _charged(blocks, "lambda0_s"):
                 ground = ground_states(traj.stack[::2], pool)
             covered = 0
-            for chunk in chunks:
+            for chunk in chunks(out):
                 lo, n = chunk.first, len(chunk.times)
+                # The same memory, shape and strides as out[:n].
+                if chunk.v.__array_interface__ != out[:n].__array_interface__:
+                    raise ValueError(f"density chunk of rows {lo}-{lo + n - 1} "
+                                     "is not held in the row pool's array")
                 covered += n
                 row_series[5, lo:lo + n] = chunk.masses
-                if not pool.shared:
-                    v, t = chunk.v, chunk.times
-                    pool.map(kernel, n, backend.cells, lo)
-                    continue
-                for j in range(0, n, len(t)):  # a longer chunk in pieces
-                    m = min(len(t), n - j)
-                    v[:m], t[:m] = chunk.v[j:j + m], chunk.times[j:j + m]
-                    pool.map(kernel, m, backend.cells, lo + j)
+                pool.map(kernel, n, backend.cells, lo)
     finally:
         if blocks is not None:
             blocks["workers"] = pool.processes_used
@@ -860,9 +854,9 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
     removed, so a reused directory keeps no earlier run's.  The manifest
     (with ``workers``, the processes that ran row blocks) is written on
     every exit path.  The heat solve streams its rows into
-    ``evaluate_tables`` chunk by chunk; a heat failure ends the run as a
-    row failure would, but before any table exists, so both CSVs are
-    header-only.
+    ``evaluate_tables`` chunk by chunk, stepping each into the row pool's
+    chunk array; a heat failure ends the run as a row failure would, but
+    before any table exists, so both CSVs are header-only.
     """
     out = Path(out_dir)
     try:
@@ -895,10 +889,10 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
                 with _charged(blocks, "heat_s", within="rows_s"):
                     v_T = terminal_datum(cfg.datum, traj.final_state(),
                                          **_datum_params(cfg))
-                chunks = _heat_chunks(
-                    stream_backward(traj, v_T, mass_tol=cfg.tol_mass), blocks)
-                tables, row_error = evaluate_tables(traj, chunks,
-                                                    cfg.a_values, blocks)
+                tables, row_error = evaluate_tables(
+                    traj, lambda buffer: _heat_chunks(stream_backward(
+                        traj, v_T, mass_tol=cfg.tol_mass, out=buffer), blocks),
+                    cfg.a_values, blocks)
             if row_error is not None:
                 raise row_error
             with _timed(blocks, "summary_s", out):

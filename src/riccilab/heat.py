@@ -24,9 +24,11 @@ O(dt^2) mass drift, to which the two-form equivalence residual is directly
 sensitive.  The mass is measured at every row but never renormalized.
 
 One RK4 loop serves two callers.  ``stream_backward`` hands the rows over
-top-down, in chunks of at most ``geometry.CHUNK_CELLS`` cells held in one
-reused buffer; ``solve_backward`` collects the same loop into one chunk of
-every row.  Either way a row's bits are the same.
+top-down, in chunks stepped into one reused buffer: the caller's ``out``
+(``harness.evaluate_tables`` passes its row pool's shared array, where the
+pool's workers read the rows), else one of at most ``geometry.CHUNK_CELLS``
+cells; ``solve_backward`` collects the same loop into one chunk of every
+row.  Either way a row's bits are the same.
 
 One stack per block.  A chunk is stepped and checked in the row blocks of
 ``geometry.row_slices``, top block first.  A block of rows lo ... hi - 1
@@ -288,24 +290,28 @@ def solve_backward(
 
 
 def stream_backward(traj: Trajectory, v_T: ScalarField, *,
-                    mass_tol: float = 1e-6):
+                    mass_tol: float = 1e-6, out: np.ndarray | None = None):
     """The backward solve of ``solve_backward``, handed over as it runs.
 
     Yields ``DensityHistory`` chunks of consecutive rows, top-down: the
-    first holds the terminal row and the rows just below it, each chunk
-    holds at most ``geometry.CHUNK_CELLS`` cells (at least one row), and
-    its ``first`` is its lowest row.  Every chunk is a view of one buffer,
-    which the next chunk overwrites: a consumer copies what it keeps.  An
-    error is raised where ``solve_backward`` raises it: the chunks above the
+    first holds the terminal row and the rows just below it, and each
+    chunk's ``first`` is its lowest row.  Given ``out``, an array of one
+    density a row, each chunk holds ``len(out)`` rows (the last chunk
+    fewer) and its ``v`` is ``out[:n]``; without it, each chunk holds at
+    most ``geometry.CHUNK_CELLS`` cells (at least one row) in a buffer of
+    the solve's own.  Either way every chunk is a view of one buffer, which
+    the next chunk overwrites: a consumer copies what it keeps.  An error
+    is raised where ``solve_backward`` raises it: the chunks above the
     failing row have been handed over by then, the failing row in none.
     """
-    return _backward(traj, v_T, mass_tol, geometry.CHUNK_CELLS)
+    return _backward(traj, v_T, mass_tol, geometry.CHUNK_CELLS, out)
 
 
-def _backward(traj, v_T, mass_tol, chunk_cells):
+def _backward(traj, v_T, mass_tol, chunk_cells, out=None):
     """Chunks of the backward solve, top-down, each stepped into one reused
-    buffer and checked by ``_check_rows`` a row block at a time; one chunk
-    of every row when ``chunk_cells`` is None."""
+    buffer, ``out`` or a new one of at most ``chunk_cells`` cells (every
+    row when ``chunk_cells`` is None), and checked by ``_check_rows`` a row
+    block at a time."""
     if v_T.backend != traj.backend:
         raise ValueError("terminal datum and trajectory live on different backends")
     if traj.num_steps % 2 != 0:
@@ -313,9 +319,10 @@ def _backward(traj, v_T, mass_tol, chunk_cells):
     backend = traj.backend
     times = traj.times[::2].copy()
     M = len(times) - 1
-    size = M + 1 if chunk_cells is None else min(
-        M + 1, max(1, chunk_cells // backend.cells))
-    v_out = np.empty((size,) + v_T.values.shape)
+    if out is None:
+        out = np.empty((M + 1 if chunk_cells is None else min(
+            M + 1, max(1, chunk_cells // backend.cells)),) + v_T.values.shape)
+    v_out, size = out, len(out)
     m_out = np.empty(size)
     step = 2.0 * traj.dt
     floats = not isinstance(backend, ConformalTorus2D)

@@ -7,9 +7,11 @@ typed fields, the flow velocity on a raw parameter array, the flow
 integrated on numpy arrays, the round and Berger spheres' flows stepped
 one float step at a time, the row kernel with every functional built
 on its own, the row-failure rule as a loop over rows, and the backward
-heat solve's checks row by row.  ``ProcessLog`` carries what a spy records
-in a row pool's forked workers back to the test, and ``children_left``
-tells whether any child process remains.
+heat solve's checks row by row.  ``chunks_through_out`` hands a solved
+history to ``harness.evaluate_tables`` as the heat stream does, through
+the row pool's one chunk array.  ``ProcessLog`` carries what a spy
+records in a row pool's forked workers back to the test, and
+``children_left`` tells whether any child process remains.
 """
 
 import ast
@@ -285,6 +287,26 @@ def stream_backward_per_row(traj, v_T, mass_tol, chunk_cells):
             n = top + 1 - base
             yield base, v_out[:n].copy(), m_out[:n].copy()
             top = base - 1
+
+
+def chunks_through_out(*histories):
+    """``harness.evaluate_tables``'s ``chunks`` for densities solved
+    beforehand: ``chunks(out)`` copies each history's rows into ``out`` in
+    chunks of ``len(out)`` rows, lowest first, and hands each over as a
+    ``DensityHistory`` whose ``v`` is ``out[:n]``, before the next chunk
+    overwrites it."""
+
+    def chunks(out):
+        for hist in histories:
+            for lo in range(0, len(hist.times), len(out)):
+                rows = slice(lo, lo + len(out))
+                n = len(hist.times[rows])
+                out[:n] = hist.v[rows]
+                yield rl.DensityHistory(hist.backend, hist.times[rows],
+                                        out[:n], hist.masses[rows],
+                                        hist.first + lo)
+
+    return chunks
 
 
 class ProcessLog:

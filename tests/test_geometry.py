@@ -783,3 +783,19 @@ def test_row_pool_functions_are_added_before_the_fork(monkeypatch):
         with pytest.raises(RuntimeError, match="after the pool forked"):
             pool.add(lambda r: None)
     assert not children_left()
+
+
+def test_row_pool_arrays_are_made_before_the_fork(monkeypatch):
+    # The worker writes its block into an array made before the fork; one
+    # made after it would be the caller's alone, so it is refused.
+    from riccilab import geometry
+
+    monkeypatch.setattr(geometry, "WORKERS", 2)
+    monkeypatch.setattr(geometry, "ROW_CELLS", 2)
+    with geometry.RowPool() as pool:
+        made = pool.array(2)
+        pool.map(pool.add(lambda rows: made.__setitem__(rows, 1.0)), 2, 1)
+        assert made.tolist() == [1.0, 1.0] and pool.processes_used == 2
+        with pytest.raises(RuntimeError, match="made after the pool forked"):
+            pool.array(2)
+    assert not children_left()

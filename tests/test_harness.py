@@ -36,6 +36,7 @@ from riccilab.harness import (
 from cross_checks import (
     ProcessLog,
     children_left,
+    chunks_through_out,
     gradient_inner,
     row_failure_reference,
     row_values_reference,
@@ -1000,7 +1001,8 @@ def test_row_blocks_match_public_functionals_bitwise(case):
             # A row block holds ROW_CELLS // WORKERS cells.
             mp.setattr(geometry, "ROW_CELLS", rows * cells * geometry.WORKERS)
             assert np.array_equal(rl.solve_backward(traj, v_T, step=step).v, hist.v)
-            tables, error = harness.evaluate_tables(traj, [hist], KERNEL_A)
+            tables, error = harness.evaluate_tables(
+                traj, chunks_through_out(hist), KERNEL_A)
         assert error is None and len(tables.times) == K
         for name, want in expected.items():
             assert np.array_equal(getattr(tables, name), np.array(want)), (rows, name)
@@ -1073,9 +1075,10 @@ def table_arrays(tables):
 @given(case=ROW_CASES)
 def test_tables_independent_of_worker_count(case):
     # One-row blocks make 7 blocks, which 2 and 3 workers do not divide
-    # evenly, and the 7-row chunk is staged for the workers in pieces of 3
-    # rows (CHUNK_CELLS); every table column and lambda0's values,
-    # iterations and residuals are bitwise the same on 1, 2 and 3 workers.
+    # evenly, and the 7 rows arrive in chunks of 3, 3 and 1 rows through the
+    # pool's 3-row chunk array (CHUNK_CELLS); every table column and
+    # lambda0's values, iterations and residuals are bitwise the same on 1,
+    # 2 and 3 workers.
     from riccilab import geometry, harness
 
     traj, v_T = case
@@ -1088,7 +1091,8 @@ def test_tables_independent_of_worker_count(case):
             mp.setattr(geometry, "WORKERS", workers)
             mp.setattr(geometry, "ROW_CELLS", workers * traj.backend.cells)
             mp.setattr(geometry, "CHUNK_CELLS", 3 * traj.backend.cells)
-            tables, error = harness.evaluate_tables(traj, [hist], KERNEL_A)
+            tables, error = harness.evaluate_tables(
+                traj, chunks_through_out(hist), KERNEL_A)
         assert error is None and len(tables.times) == 7
         results.append(table_arrays(tables))
     serial = results[0]
@@ -1162,9 +1166,11 @@ def test_row_kernel_stops_at_non_positive_omega_of_second_a(k):
     rl.omega(F_k, 1.0)
     for workers, rows in POOLS:
         with pool(workers, rows, traj.backend.cells):
-            full, error = harness.evaluate_tables(traj, [hist], [1.0, -0.3])
+            full, error = harness.evaluate_tables(
+                traj, chunks_through_out(hist), [1.0, -0.3])
             assert error is None
-            tables, error = harness.evaluate_tables(traj, [bad], [1.0, -0.3])
+            tables, error = harness.evaluate_tables(
+                traj, chunks_through_out(bad), [1.0, -0.3])
         assert (type(error), str(error)) == expected_error(rl.omega, F_k, -0.3)
         assert len(tables.times) == k
         for name in ("F", "S", "om", "Y", "rhs_thm", "rhs_ye"):
@@ -1196,7 +1202,8 @@ def test_row_failures_follow_the_row_check_order(omega, lam0, raised,
     first = min(k for k in (omega, lam0) if k is not None)
     for workers, rows in POOLS:
         with pool(workers, rows, traj.backend.cells):
-            tables, error = harness.evaluate_tables(traj, [hist], [1.0, -0.3])
+            tables, error = harness.evaluate_tables(
+                traj, chunks_through_out(hist), [1.0, -0.3])
         assert type(error) is raised
         assert len(tables.times) == first
 
@@ -1247,10 +1254,11 @@ def test_earliest_failing_block_wins_on_the_pool(later, monkeypatch):
     u, _ = rl.change_variables(rl.ScalarField(hist.backend, hist.v[4]))
     want = expected_error(rl.omega, rl.f_functional(traj.state(8), u), -0.3)
     with pool(1, None, 1):
-        serial, _ = harness.evaluate_tables(traj, [sphere_rows()[1]],
-                                            [1.0, -0.3])
+        serial, _ = harness.evaluate_tables(
+            traj, chunks_through_out(sphere_rows()[1]), [1.0, -0.3])
     with pool(2, 3, 1):
-        tables, error = harness.evaluate_tables(traj, [hist], [1.0, -0.3])
+        tables, error = harness.evaluate_tables(
+            traj, chunks_through_out(hist), [1.0, -0.3])
     assert (type(error), str(error)) == want
     assert len(tables.times) == 4
     for name in ("F", "S", "lam0", "om", "Y", "rhs_thm", "rhs_ye"):
@@ -1278,7 +1286,8 @@ def test_later_block_exception_propagates(workers, monkeypatch):
     monkeypatch.setattr(harness, "row_values", exploding)
     with pool(workers, 3, 1):
         with pytest.raises(RuntimeError) as info:
-            harness.evaluate_tables(traj, [hist], [1.0, -0.3])
+            harness.evaluate_tables(traj, chunks_through_out(hist),
+                                    [1.0, -0.3])
     assert info.value.args == ("later block exploded",)
     assert not children_left()
 
@@ -1290,7 +1299,8 @@ def test_evaluate_tables_stops_at_unconverged_row(k, monkeypatch):
     from riccilab import harness
 
     traj, hist = torus_rows()
-    full, error = harness.evaluate_tables(traj, [hist], [0.5])
+    full, error = harness.evaluate_tables(traj, chunks_through_out(hist),
+                                          [0.5])
     assert error is None and len(full.times) == 11
 
     solve = harness.ground_states
@@ -1303,7 +1313,8 @@ def test_evaluate_tables_stops_at_unconverged_row(k, monkeypatch):
     monkeypatch.setattr(harness, "ground_states", unconverged_row_k)
     for workers, rows in POOLS:
         with pool(workers, rows, traj.backend.cells):
-            tables, error = harness.evaluate_tables(traj, [hist], [0.5])
+            tables, error = harness.evaluate_tables(
+                traj, chunks_through_out(hist), [0.5])
         assert isinstance(error, rl.NoConvergence)
         assert len(tables.times) == k
         np.testing.assert_array_equal(tables.lam0, full.lam0[:k])
@@ -1317,12 +1328,12 @@ def test_evaluate_tables_rejects_chunks_that_miss_a_row():
     from riccilab import harness
 
     traj, hist = sphere_rows()
-    chunks = [rl.DensityHistory(hist.backend, hist.times[rows], hist.v[rows],
+    pieces = [rl.DensityHistory(hist.backend, hist.times[rows], hist.v[rows],
                                 hist.masses[rows], rows.start)
               for rows in (slice(0, 5), slice(6, 11))]
     with pytest.raises(ValueError, match="density chunks hold 10 rows, not "
                                          "the trajectory's 11"):
-        harness.evaluate_tables(traj, chunks, [1.0])
+        harness.evaluate_tables(traj, chunks_through_out(*pieces), [1.0])
 
 
 STAGES = ("flow_s", "heat_s", "rows_s", "summary_s", "writers_s")
@@ -1389,7 +1400,7 @@ def test_manifest_cpu_time_and_minor_faults(curved_torus_result, tmp_path,
     assert failed.status == "StepTooLarge"
 
     def broken(traj, chunks, *args, **kwargs):
-        for _ in chunks:
+        for _ in chunks(None):  # the heat solve's own chunk buffer
             pass
         raise RuntimeError("row kernel exploded")
 
@@ -1738,7 +1749,7 @@ def test_internal_error_is_recorded_and_reraised(tmp_path, monkeypatch):
     from riccilab import harness
 
     def broken(traj, chunks, *args, **kwargs):
-        for _ in chunks:  # the heat solve streams into the row evaluation
+        for _ in chunks(None):  # the heat solve streams its own chunks
             pass
         raise RuntimeError("row kernel exploded")
 
@@ -1894,6 +1905,51 @@ def test_no_child_outlives_a_run(end, tmp_path):
     assert not children_left()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["workers"] == 2
+
+
+def test_kernel_reads_each_chunk_where_the_heat_solve_stepped_it(tmp_path):
+    # On a forking torus run (3-row ground-state blocks fork the worker,
+    # the kernel runs 1-row blocks, 16-row chunks), every density block
+    # the kernel reads, in the caller and in the worker, lies in the one
+    # pool array of a chunk's rows that the heat solve steps into; a heat
+    # stream whose chunks are copies outside it ends the run in ValueError.
+    from riccilab import geometry, harness
+
+    validated = validate_config(make_config(POOLED_CFG))
+    field = validated.m0.backend.field_shape
+    array, kernel = geometry.RowPool.array, harness.row_values
+    stream, made, log = harness.stream_backward, [], ProcessLog()
+
+    def recorded(pool, shape, dtype=float):
+        made.append(array(pool, shape, dtype))
+        return made[-1]
+
+    def spied(g, v, times, a_values):
+        log.record(tuple(i for i, a in enumerate(made)
+                         if np.shares_memory(v, a)))
+        return kernel(g, v, times, a_values)
+
+    def copied(*args, **kwargs):
+        for chunk in stream(*args, **kwargs):
+            yield rl.DensityHistory(chunk.backend, chunk.times, chunk.v.copy(),
+                                    chunk.masses, chunk.first)
+
+    with pooled(2) as mp:
+        mp.setattr(geometry, "ROW_CELLS", 2 * 3 * 16)  # 3-row column blocks
+        mp.setattr(geometry.RowPool, "array", recorded)
+        mp.setattr(harness, "row_values", spied)
+        assert run(validated, tmp_path / "ok").exit_code == 0
+    records = log.records()
+    (out,) = [i for i, a in enumerate(made) if a.shape[1:] == field]
+    assert made[out].shape == (16,) + field
+    assert len(records) == 41 and {r[1] for r in records} == {(out,)}
+    assert len({r[0] for r in records}) == 2  # the caller and its worker
+    with pooled(2) as mp:
+        mp.setattr(harness, "stream_backward", copied)
+        with pytest.raises(ValueError, match="density chunk of rows 25-40 is "
+                                             "not held in the row pool's"):
+            run(validated, tmp_path / "copied")
+    assert not children_left()
 
 
 def test_workers_usage_is_counted_in_rows_s(tmp_path):

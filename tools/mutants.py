@@ -43,6 +43,10 @@ ROOT = Path(__file__).resolve().parent.parent
 ROW_BLOCKS_TEST = (
     "tests/test_harness.py::test_row_blocks_match_public_functionals_bitwise")
 
+CHUNK_ARRAY_TEST = (
+    "tests/test_harness.py::"
+    "test_kernel_reads_each_chunk_where_the_heat_solve_stepped_it")
+
 FLOWING_HEAT_TEST = (
     "tests/test_heat.py::"
     "test_flowing_solve_bytes_do_not_depend_on_block_or_chunk_size")
@@ -143,12 +147,41 @@ MUTANTS = [
     ("heat-block-stack-one-row-late", "heat.py",
      "traj.stack[2 * lo:2 * hi + 1]", "traj.stack[2 * lo + 2:2 * hi + 1]",
      [FLOWING_HEAT_TEST, "tests/test_heat.py"]),
-    # The density chunks: a stream of one chunk holds every row's density.
-    ("heat-stream-one-chunk", "heat.py",
-     "_backward(traj, v_T, mass_tol, geometry.CHUNK_CELLS)",
-     "_backward(traj, v_T, mass_tol, None)",
+    # The density chunks: a run's chunk array holds every row's density.
+    ("heat-stream-one-chunk", "harness.py",
+     "chunk_rows = min(K, max(1, geometry.CHUNK_CELLS // backend.cells))",
+     "chunk_rows = K",
      ["tests/test_harness.py::"
       "test_run_holds_one_density_chunk_not_the_history"]),
+    # The chunk array: the heat solve steps into it, the kernel reads its
+    # rows at their own times, and it is made before the pool forks.
+    ("heat-stream-ignores-out", "heat.py",
+     "    if out is None:\n        out = np.empty(",
+     "    if True:\n        out = np.empty(",
+     [CHUNK_ARRAY_TEST]),
+    ("chunk-outside-the-array-accepted", "harness.py",
+     "if chunk.v.__array_interface__ != out[:n].__array_interface__:",
+     "if False:",
+     [CHUNK_ARRAY_TEST]),
+    ("kernel-times-one-row-off", "harness.py",
+     "row_values(g, out[rows], times[at], a_values)",
+     "row_values(g, out[rows], times[at.start + 1:at.stop + 1], a_values)",
+     [ROW_BLOCKS_TEST, "tests/test_harness.py"]),
+    ("chunk-array-after-ground-states", "harness.py",
+     "            out = pool.array((chunk_rows,) + backend.field_shape)\n"
+     "            with _charged(blocks, \"lambda0_s\"):\n"
+     "                ground = ground_states(traj.stack[::2], pool)\n",
+     "            with _charged(blocks, \"lambda0_s\"):\n"
+     "                ground = ground_states(traj.stack[::2], pool)\n"
+     "            out = pool.array((chunk_rows,) + backend.field_shape)\n",
+     [CHUNK_ARRAY_TEST]),
+    ("pool-array-after-fork-accepted", "geometry.py",
+     "if self._workers is not None:\n"
+     "            raise RuntimeError(\"row-pool array made after",
+     "if False:\n"
+     "            raise RuntimeError(\"row-pool array made after",
+     ["tests/test_geometry.py::"
+      "test_row_pool_arrays_are_made_before_the_fork"]),
     ("row-slices-drop-last-row", "geometry.py",
      "slice(lo, min(lo + size, stop))", "slice(lo, min(lo + size, stop) - 1)",
      [FLOWING_HEAT_TEST, "tests/test_heat.py"]),
