@@ -4,7 +4,12 @@ Subcommands: ``run <config>`` executes the pipeline and writes artifacts,
 ``converge <config> --levels k`` drives a refinement study, ``check
 <config>`` validates only (``harness.check_config``: ``validate_config``
 and the flow step against g(0)'s stability bound, which ``run`` leaves to
-the flow).  ``--out`` overrides out.dir; the environment
+the flow).  ``converge`` runs the lower levels in a forked child process
+while this process runs the top level, where the row pool may fork
+(``harness.convergence_study``); a failed study still reports its lowest
+failing level, but the top level's directory may then exist beside it,
+where the serial loop stopped at the first failure.  ``--out`` overrides
+out.dir; the environment
 variable RICCILAB_OUT supplies the default output root for relative paths;
 ``--verbose`` (run, converge) logs each run's stage timings, with the peak
 resident set at the end of each stage and the flow's and heat solve's step

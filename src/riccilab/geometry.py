@@ -83,6 +83,9 @@ blocks do not contend for one interpreter lock.  The workers inherit the row
 functions and the trajectory through ``fork``; what is made after it lives
 in the pool's shared arrays.  Each row's result is bitwise what it gives
 alone, so no result depends on the block size or the worker count.
+``_may_fork``, ``_fork`` and ``_reap`` are the one fork mechanism, which a
+convergence study's child process (``harness``) uses too; a process they
+forked forks none.
 
 The typed functions at the end (``scalar_curvature``, ``laplace_beltrami``,
 ``hessian``, ``volume``, ``integrate``) take a ``MetricState`` and typed
@@ -162,9 +165,9 @@ ROW_CELLS = 2**16
 # row-pool array (``harness.evaluate_tables``): in a pool of one process a
 # malloc'd ``np.empty``, freed at the end of the run, which raises them for
 # the runs after it; in a pool that forks, shared memory, which raises
-# nothing, so that pool frees a CHUNK_CELLS buffer before it forks
-# (``RowPool``) and its own run, its workers and the runs after it have
-# them raised too: without that, the first N = 128 ladder level of a fresh
+# nothing, so every fork frees a CHUNK_CELLS buffer first (``_fork``), and
+# the pool's own run, its workers, a study's child and the runs after them
+# have them raised too: without that, the first N = 128 ladder level of a fresh
 # process took 32k minor faults in the caller and 28k in its worker,
 # against 4.2k and 1.5k.  At 2^19 the threshold covers the kernel's
 # 12-field block of 2^15 cells (ROW_CELLS // WORKERS at two workers): 12
@@ -188,20 +191,19 @@ class RowPool:
     interpreter lock.  Each row runs the same code on the same inputs in
     any process, so its result is bitwise what it is in the caller.
 
-    The workers are forked once, at the first call of at least 2 blocks,
-    and inherit through ``fork`` what existed then: the functions ``add``
-    registered and the objects those read (a trajectory's stack, say).
-    Everything the blocks share that is written after the fork, their
-    outputs and inputs such as the density chunk the heat solve steps, lives
-    in the pool's ``array``s, anonymous shared memory made before it; a
-    call sends each worker the function's index, its share's first block
-    index and slices, and ``args``, a few integers, over its task pipe,
-    and reads its reply from its reply pipe.  The pool forks on Linux only
-    (elsewhere a fork that does not exec is unsafe beside system
-    libraries, BLAS among them): a pool of one process, or one on another
-    platform, maps every call in the caller and its arrays are private.
-    Nor does a call fork while another thread is alive in this process: it
-    maps in the caller then.
+    The workers are forked (``_fork``) once, at the first call of at least
+    2 blocks, and inherit through ``fork`` what existed then: the functions
+    ``add`` registered and the objects those read (a trajectory's stack,
+    say).  Everything the blocks share that is written after the fork,
+    their outputs and inputs such as the density chunk the heat solve
+    steps, lives in the pool's ``array``s, anonymous shared memory made
+    before it; a call sends each worker the function's index, its share's
+    slices and ``args``, a few integers, over its task pipe, and reads its
+    reply from its reply pipe.  The pool forks only where ``_may_fork``
+    allows it: a pool of one process, one on another platform than Linux or
+    one in a process ``_fork`` started maps every call in the caller and
+    its arrays are private, and a call made while another thread is alive
+    in this process maps in the caller too.
 
     A worker stops at the first block of its share that raises and sends
     the exception back pickled.  The first failing block in block order
@@ -212,17 +214,17 @@ class RowPool:
     starts after that, and the pool maps in the caller from then on, as it
     does after ``close`` (the ``with`` block's exit), which closes the
     pipes and reaps every worker, killing them first when the block exits
-    by an exception; a worker leaves by ``os._exit`` on pipe EOF or on its
-    own KeyboardInterrupt.  ``processes_used`` is the most processes one
-    call ran blocks on (1 when none forked), ``workers_peak_rss_mb`` the
-    largest peak resident set a worker reported (None when none ran), and
-    a reaped worker's CPU time and page faults are this process's
+    by an exception; a worker leaves on pipe EOF or on its own
+    KeyboardInterrupt.  ``processes_used`` is the most processes one call
+    ran blocks on (1 when none forked), ``workers_peak_rss_mb`` the largest
+    peak resident set a worker reported (None when none ran), and a reaped
+    worker's CPU time and page faults are this process's
     ``RUSAGE_CHILDREN``.
     """
 
     def __init__(self, processes: int | None = None):
         self._processes = WORKERS if processes is None else processes
-        self.shared = self._processes > 1 and sys.platform.startswith("linux")
+        self.shared = _may_fork(self._processes, now=False)
         self._fns = []
         self._workers = None  # [(pid, task fd, reply fd)] once forked
         self._peaks = {}
@@ -271,7 +273,7 @@ class RowPool:
             return
         bounds = [len(blocks) * i // n for i in range(n + 1)]
         for (_, task, _), lo, hi in zip(workers, bounds[1:], bounds[2:]):
-            _send(task, pickle.dumps((index, lo, blocks[lo:hi], args)))
+            _send(task, pickle.dumps((index, blocks[lo:hi], args)))
         self.processes_used = max(self.processes_used, n)
         try:
             for block in blocks[:bounds[1]]:
@@ -279,55 +281,28 @@ class RowPool:
             for worker in workers[:n - 1]:
                 failure = self._reply(worker)
                 if failure is not None:
-                    raise failure[1]
+                    raise failure
         except BaseException:
             self.close(kill=True)  # no block of the call starts after this
             raise
 
     def _start(self, blocks: int) -> list:
         """The workers of a call of ``blocks`` blocks, forked at the first
-        that can use them: none for one block, one process, or another
-        live thread (a fork copies only the calling thread)."""
+        that can use them: none for one block or where ``_may_fork``
+        refuses."""
         if self._workers is None:
-            if (blocks < 2 or not self.shared
-                    or threading.active_count() > 1):
+            if blocks < 2 or not _may_fork(self._processes):
                 return []
-            # Each process runs its blocks in its main malloc arena, which
-            # glibc trims whenever more than its trim threshold is free at
-            # the top: freeing a CHUNK_CELLS buffer raises that threshold
-            # above a block's fields (see CHUNK_CELLS), as a one-process
-            # run's chunk buffer does (this pool's is shared memory), before
-            # the workers inherit it.
-            np.empty(CHUNK_CELLS)
             self._workers = []
             for _ in range(self._processes - 1):
-                self._workers.append(self._fork())
+                self._workers.append(_fork(
+                    functools.partial(_serve, fns=self._fns),
+                    [fd for _, *fds in self._workers for fd in fds]))
         return self._workers
-
-    def _fork(self) -> tuple:
-        """Fork one worker: its pid, task pipe and reply pipe."""
-        (task_in, task), (reply, reply_out) = os.pipe(), os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (task_in, task, reply, reply_out):
-                os.close(fd)
-            raise
-        if pid == 0:  # the worker: drop the caller's pipe ends, serve, leave
-            try:
-                for fd in (task, reply, *(fd for _, *fds in self._workers
-                                          for fd in fds)):
-                    os.close(fd)
-                _serve(task_in, reply_out, self._fns)
-            finally:
-                os._exit(0)
-        os.close(task_in)
-        os.close(reply_out)
-        return pid, task, reply
 
     def _reply(self, worker):
         """The worker's reply to the call: None or its first failing
-        block's (index, exception); records its peak resident set."""
+        block's exception; records its peak resident set."""
         pid, _, reply = worker
         try:
             peak, failure = _recv(reply)
@@ -339,13 +314,7 @@ class RowPool:
     def close(self, kill: bool = False) -> None:
         """Close the pipes and reap every worker, killed first if ``kill``."""
         workers, self._workers = self._workers or [], []
-        for pid, task, reply in workers:
-            if kill:
-                os.kill(pid, signal.SIGKILL)
-            os.close(task)
-            os.close(reply)
-        for pid, _, _ in workers:
-            os.waitpid(pid, 0)
+        _reap(workers, kill)
 
 
 def row_pool(rows: int, cells: int) -> RowPool:
@@ -355,34 +324,116 @@ def row_pool(rows: int, cells: int) -> RowPool:
     return RowPool(min(WORKERS, len(row_slices(0, rows, cells))))
 
 
+# True in every process ``_fork`` started: it runs its work itself.
+_FORKED = False
+
+
+def _may_fork(processes: int, now: bool = True) -> bool:
+    """Whether work may go to ``processes - 1`` forked processes: more than
+    one process, on Linux only (elsewhere a fork that does not exec is
+    unsafe beside system libraries, BLAS among them), not from a process
+    ``_fork`` started, so a forked study level maps its row blocks in its
+    own process, and, ``now`` (at the fork itself), with no other thread
+    alive in this process (a fork copies only the calling thread)."""
+    return (processes > 1 and sys.platform.startswith("linux") and not _FORKED
+            and (not now or threading.active_count() == 1))
+
+
+def _fork(child, inherited=()) -> tuple:
+    """Fork a process that runs ``child(tasks, replies)``, on the read end
+    of a new task pipe and the write end of a new reply pipe: its pid and
+    this process's ends of the two pipes, (pid, task fd, reply fd).  The
+    child first closes this process's ends and the ``inherited``
+    descriptors; once ``child`` returns or raises, it flushes standard
+    output and error and leaves by ``os._exit``, so no exit handler runs.
+    Both streams are flushed before the fork too, so the child writes
+    nothing this process had buffered."""
+    global _FORKED
+    # Each process runs its row blocks in its main malloc arena, which
+    # glibc trims whenever more than its trim threshold is free at the
+    # top: freeing a CHUNK_CELLS buffer raises that threshold above a
+    # block's fields (see CHUNK_CELLS), as a one-process run's chunk buffer
+    # does (a forking pool's is shared memory), before the child inherits
+    # it.  Without it, the child of a study started in a fresh process ran
+    # its N = 128 level with 54k minor faults, against under 1k.
+    np.empty(CHUNK_CELLS)
+    (task_in, task), (reply, reply_out) = os.pipe(), os.pipe()
+    _flush()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (task_in, task, reply, reply_out):
+            os.close(fd)
+        raise
+    if pid == 0:
+        try:
+            _FORKED = True
+            for fd in (task, reply, *inherited):
+                os.close(fd)
+            child(task_in, reply_out)
+        finally:
+            try:
+                _flush()
+            finally:
+                os._exit(0)
+    os.close(task_in)
+    os.close(reply_out)
+    return pid, task, reply
+
+
+def _flush() -> None:
+    """Flush standard output and error; a stream that cannot be flushed
+    (closed, or a closed pipe) is left as it is."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError, ValueError):
+            pass
+
+
+def _reap(children, kill: bool = False) -> None:
+    """Close this process's pipe ends of the ``_fork`` children and wait
+    for each to exit, killed first if ``kill``."""
+    for pid, task, reply in children:
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        os.close(task)
+        os.close(reply)
+    for pid, _, _ in children:
+        os.waitpid(pid, 0)
+
+
 def _serve(tasks: int, replies: int, fns) -> None:
     """A worker's loop, until EOF or an interrupt: run each call's share of
     blocks and reply with this process's peak resident set and None or the
-    first failing block's (index, exception).  The caller of ``_serve``
-    then leaves by ``os._exit``, so no inherited buffer is flushed and no
-    exit handler runs."""
+    first failing block's exception (``_dumps``)."""
     try:
         while True:
             try:
-                index, lo, blocks, args = _recv(tasks)
+                index, blocks, args = _recv(tasks)
             except EOFError:
                 return
             failure = None
-            for k, block in enumerate(blocks, lo):
+            for block in blocks:
                 try:
                     fns[index](*args, block)
                 except Exception as exc:
-                    failure = (k, exc)
+                    failure = exc
                     break
-            try:
-                reply = pickle.dumps((_peak_rss_mb(), failure))
-            except (pickle.PicklingError, TypeError, AttributeError):
-                k, exc = failure  # an exception pickle cannot carry
-                failure = k, RuntimeError(f"{type(exc).__name__}: {exc}")
-                reply = pickle.dumps((_peak_rss_mb(), failure))
-            _send(replies, reply)
+            _send(replies, _dumps(_peak_rss_mb(), failure))
     except KeyboardInterrupt:
         return
+
+
+def _dumps(head, failure) -> bytes:
+    """``pickle.dumps((head, failure))``, ``failure`` None or an exception;
+    one that pickle cannot carry goes as a RuntimeError naming its type and
+    message."""
+    try:
+        return pickle.dumps((head, failure))
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return pickle.dumps(
+            (head, RuntimeError(f"{type(failure).__name__}: {failure}")))
 
 
 def _send(fd: int, message: bytes) -> None:

@@ -955,8 +955,14 @@ def convergence_study(cfg: RunConfig, levels: int, out_dir) -> StudyResult:
     split-form residual per level and observed orders per refinement.
 
     Every level is built and validated before the output directory is
-    created, so an invalid level leaves no artifacts.  A level whose run
-    fails raises NumericalError."""
+    created, so an invalid level leaves no artifacts.  Where the row pool
+    may fork (``geometry._may_fork``: Linux, more than one CPU, no other
+    live thread), the lower levels run in a forked child process while
+    this process runs the top level (``_forked_levels``); elsewhere the
+    levels run one after the other in this process.  A level whose run
+    fails raises NumericalError, the lowest failing level's, as the
+    serial loop does; but where the serial loop stops at the first
+    failure, the top level's directory may now exist beside it."""
     if cfg.backend_kind != "conformal_torus":
         raise ConfigError("convergence study requires the conformal_torus backend")
     if levels < 3:
@@ -971,24 +977,24 @@ def convergence_study(cfg: RunConfig, levels: int, out_dir) -> StudyResult:
         for level in range(levels)
     ]
     out = Path(out_dir)
-    rows = []
-    for level, validated in enumerate(validated_levels):
-        result = run(validated, out / f"level_{level}")
-        if result.exit_code != 0:
-            raise NumericalError(
-                f"study level {level} failed with status {result.status}"
-            )
-        rows.append(
-            {
-                "level": level,
-                "N": validated.cfg.N,
-                "dt": validated.dt,
-                "max_res_thm_interior": result.summary["max_res_thm_interior"],
-                "max_res_dS_interior": result.summary["max_res_dS_interior"],
-                "max_res_dF_interior": result.summary["max_res_dF_interior"],
-                "summary": result.summary,
-            }
-        )
+    if geometry._may_fork(geometry.WORKERS):
+        summaries = _forked_levels(validated_levels, out)
+    else:
+        summaries = [_study_level(level, validated, out)
+                     for level, validated in enumerate(validated_levels)]
+    rows = [
+        {
+            "level": level,
+            "N": validated.cfg.N,
+            "dt": validated.dt,
+            "max_res_thm_interior": summary["max_res_thm_interior"],
+            "max_res_dS_interior": summary["max_res_dS_interior"],
+            "max_res_dF_interior": summary["max_res_dF_interior"],
+            "summary": summary,
+        }
+        for level, (validated, summary) in enumerate(zip(validated_levels,
+                                                          summaries))
+    ]
 
     orders = []
     for prev, cur in zip(rows[:-1], rows[1:]):
@@ -1007,3 +1013,69 @@ def convergence_study(cfg: RunConfig, levels: int, out_dir) -> StudyResult:
         )
     (out / "study.csv").write_bytes(("\n".join(lines) + "\n").encode("ascii"))
     return StudyResult(rows, orders, out)
+
+
+def _study_level(level: int, validated: ValidatedRun, out: Path) -> dict:
+    """Run one study level into ``out/level_k``: its summary, or
+    NumericalError when the run fails."""
+    result = run(validated, out / f"level_{level}")
+    if result.exit_code != 0:
+        raise NumericalError(
+            f"study level {level} failed with status {result.status}")
+    return result.summary
+
+
+def _forked_levels(validated_levels: list, out: Path) -> list:
+    """Every level's summary: levels 0 ... L-2 run in order in one child
+    (``geometry._fork``) while this process runs level L-1.
+
+    The child's row pools never fork (``geometry._may_fork``), so it maps
+    every row block itself, in the blocks ``row_slices`` gives.  It stops
+    at its first failing level, checks before each level that this process
+    is still its parent and leaves if not, and sends its summaries and
+    first failure, if any, as one ``geometry._dumps`` message; it flushes
+    the logging handlers before it leaves.  This process reads that message
+    and reaps the child only once its own level's ``run`` has returned,
+    so the child's CPU time is not counted in that level's ``cpu_s``
+    (``RUSAGE_CHILDREN``).  Any exception here, an interrupt included,
+    kills and reaps the child before it propagates.  The child's failure
+    is raised before the top level's, so the lowest failing level is the
+    one reported; an exception the child cannot pickle arrives as a
+    RuntimeError naming it."""
+    parent, top = os.getpid(), len(validated_levels) - 1
+
+    def lower(tasks, replies):
+        summaries, failure = [], None
+        try:
+            for level, validated in enumerate(validated_levels[:top]):
+                if os.getppid() != parent:
+                    return
+                try:
+                    summaries.append(_study_level(level, validated, out))
+                except Exception as exc:
+                    failure = exc
+                    break
+            geometry._send(replies, geometry._dumps(summaries, failure))
+        finally:
+            logging.shutdown()
+
+    child = geometry._fork(lower)
+    summary = top_failure = None
+    kill = True  # until the child's message is read
+    try:
+        try:
+            summary = _study_level(top, validated_levels[top], out)
+        except NumericalError as exc:
+            top_failure = exc
+        try:
+            summaries, failure = geometry._recv(child[2])
+        except EOFError:
+            raise RuntimeError(f"study child {child[0]} exited") from None
+        kill = False
+    finally:
+        geometry._reap([child], kill)
+    if failure is not None:
+        raise failure
+    if top_failure is not None:
+        raise top_failure
+    return summaries + [summary]

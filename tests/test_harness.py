@@ -3,6 +3,7 @@ convergence-study driver, and the library names the benchmark reaches."""
 
 import ast
 import dataclasses
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -2529,6 +2530,233 @@ def test_convergence_study_validation(tmp_path):
     with pytest.raises(rl.ConfigError, match="explicit base dt"):
         convergence_study(auto_cfg, 3, tmp_path / "z")
     assert not (tmp_path / "z").exists()
+
+
+# The forked study: levels 0 and 1 in a child, level 2 here.  Two processes
+# even on one CPU, and 4-row kernel blocks at N = 32, so that level 1 would
+# fork its own row pool if the child's pools could.
+@contextmanager
+def study_forks():
+    from riccilab import geometry
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "WORKERS", 2)
+        mp.setattr(geometry, "ROW_CELLS", 2 * 4 * 32**2)
+        yield mp
+
+
+STUDY_FILES = [f"level_{k}/{name}" for k in range(3)
+               for name in ("data.csv", "proof_chain.csv")] + ["study.csv"]
+USAGE_FIELDS = ("timings", "cpu_s", "minor_faults", "peak_rss_mb",
+                "wall_clock_s", "workers", "workers_peak_rss_mb")
+
+
+def study_cfg(tmp_path):
+    return make_config(parse_config_file(write_cfg(tmp_path / "s.cfg",
+                                                   STUDY_CFG)))
+
+
+def test_forked_study_gives_the_serial_bytes(tmp_path):
+    # The same study with the fork and with it disabled: sha256-identical
+    # level CSVs and study.csv, and manifests equal but for the usage
+    # fields and workers.
+    from riccilab import geometry
+
+    cfg = study_cfg(tmp_path)
+    for name in ("forked", "serial"):
+        with study_forks() as mp:
+            if name == "serial":
+                mp.setattr(geometry, "_may_fork", lambda *a, **k: False)
+            convergence_study(cfg, 3, tmp_path / name)
+        assert not children_left()
+
+    def digest(name, path):
+        return hashlib.sha256((tmp_path / name / path).read_bytes()).hexdigest()
+
+    def manifest(name, k):
+        text = (tmp_path / name / f"level_{k}" / "manifest.json").read_text()
+        return {key: value for key, value in json.loads(text).items()
+                if key not in USAGE_FIELDS}
+
+    for path in STUDY_FILES:
+        assert digest("forked", path) == digest("serial", path), path
+    for k in range(3):
+        assert manifest("forked", k) == manifest("serial", k), k
+        assert manifest("forked", k)["status"] == "ok"
+
+
+def test_study_runs_its_lower_levels_in_one_child_on_one_process(
+        tmp_path, monkeypatch):
+    from riccilab import harness
+
+    real_run, log = harness.run, ProcessLog()
+
+    def logged(validated, out_dir):
+        log.record(out_dir.name)
+        return real_run(validated, out_dir)
+
+    monkeypatch.setattr(harness, "run", logged)
+    with study_forks():
+        convergence_study(study_cfg(tmp_path), 3, tmp_path / "study")
+    pids = dict((name, pid) for pid, name in log.records())
+    assert pids["level_0"] == pids["level_1"] != os.getpid()
+    assert pids["level_2"] == os.getpid()
+    workers = [json.loads((tmp_path / "study" / f"level_{k}" / "manifest.json")
+                          .read_text())["workers"] for k in range(3)]
+    assert workers == [1, 1, 2]
+
+
+@pytest.mark.parametrize("end", [
+    "ok", "child_fails", "top_fails", "both_fail", "child_raises",
+    "child_raises_unpicklable", "top_interrupted"])
+def test_no_child_outlives_a_study(end, tmp_path, monkeypatch):
+    # A study that passes; one whose child level, top level or both fail
+    # (the lowest failing level is raised); one whose child level raises
+    # an exception pickle carries or one it cannot (a RuntimeError naming
+    # it); and one interrupted in the top level while the child's level 0
+    # would sleep 20 s.  None leaves a child process.
+    from riccilab import harness
+
+    real_run = harness.run
+    failing = {"child_fails": {0}, "top_fails": {2},
+               "both_fail": {0, 2}}.get(end, set())
+
+    def level_run(validated, out_dir):
+        k = int(out_dir.name[6:])
+        if end == "top_interrupted":
+            if k == 2:
+                raise KeyboardInterrupt
+            time.sleep(20.0 if k == 0 else 0.0)
+        if end.startswith("child_raises") and k == 0:
+            if end == "child_raises":
+                raise ValueError("level 0 exploded")
+            raise type("LocalStudyError", (Exception,), {})("level 0 exploded")
+        result = real_run(validated, out_dir)
+        if k in failing:
+            result.exit_code, result.status = 3, "NoConvergence"
+        return result
+
+    monkeypatch.setattr(harness, "run", level_run)
+    raised = {"ok": None, "child_fails": (rl.NumericalError, "level 0"),
+              "top_fails": (rl.NumericalError, "level 2"),
+              "both_fail": (rl.NumericalError, "level 0"),
+              "child_raises": (ValueError, "level 0 exploded"),
+              "child_raises_unpicklable": (
+                  RuntimeError, "LocalStudyError: level 0 exploded"),
+              "top_interrupted": (KeyboardInterrupt, "")}[end]
+    started = time.perf_counter()
+    with study_forks():
+        if raised is None:
+            convergence_study(study_cfg(tmp_path), 3, tmp_path / "study")
+        else:
+            with pytest.raises(raised[0]) as info:
+                convergence_study(study_cfg(tmp_path), 3, tmp_path / "study")
+            assert type(info.value) is raised[0]
+            assert raised[1] in str(info.value)
+            if raised[0] is rl.NumericalError:
+                assert str(info.value) == (f"study level {min(failing)} "
+                                           "failed with status NoConvergence")
+    assert time.perf_counter() - started < 10.0
+    assert not children_left()
+    assert (tmp_path / "study" / "study.csv").exists() == (raised is None)
+
+
+def test_child_levels_cpu_is_not_counted_in_the_top_level(tmp_path,
+                                                          monkeypatch):
+    # The child spins 1 s of CPU time after its last level and signals;
+    # the top level starts once the child has exited, so the child is
+    # reaped after the top level's run, not within it: the top level's
+    # rows_s (whose row pool reaps its own worker) does not count that
+    # second.
+    import select
+
+    from riccilab import harness
+
+    real_run, parent = harness.run, os.getpid()
+    done_r, done_w = os.pipe()
+
+    def level_run(validated, out_dir):
+        if out_dir.name == "level_2":
+            assert select.select([done_r], [], [], 60.0)[0]
+            assert os.read(done_r, 1) == b"1"
+            time.sleep(0.2)  # the child exits after its message
+            return real_run(validated, out_dir)
+        result = real_run(validated, out_dir)
+        if out_dir.name == "level_1" and os.getpid() != parent:
+            spin = time.process_time() + 1.0
+            while time.process_time() < spin:
+                pass
+            os.write(done_w, b"1")
+        return result
+
+    monkeypatch.setattr(harness, "run", level_run)
+    try:
+        with study_forks():
+            convergence_study(study_cfg(tmp_path), 3, tmp_path / "study")
+    finally:
+        os.close(done_r)
+        os.close(done_w)
+    manifest = json.loads((tmp_path / "study" / "level_2" / "manifest.json")
+                          .read_text())
+    assert manifest["workers"] == 2
+    assert manifest["cpu_s"]["rows_s"] < 1.0
+    assert not children_left()
+
+
+@pytest.mark.parametrize("where", ["one_cpu", "not_linux", "live_thread"])
+def test_study_runs_serially_where_the_pool_may_not_fork(where, tmp_path,
+                                                         monkeypatch):
+    # On one CPU, off Linux or beside a live thread nothing forks: every
+    # level runs here, in order, as the serial loop did.
+    import threading
+
+    from riccilab import geometry, harness
+
+    def no_fork():
+        raise AssertionError("a process was forked")
+
+    real_run, levels = harness.run, []
+
+    def logged(validated, out_dir):
+        levels.append((os.getpid(), out_dir.name))
+        return real_run(validated, out_dir)
+
+    monkeypatch.setattr(harness, "run", logged)
+    monkeypatch.setattr(geometry, "WORKERS", 1 if where == "one_cpu" else 2)
+    if where == "not_linux":
+        monkeypatch.setattr(sys, "platform", "darwin")
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    if where == "live_thread":
+        other.start()
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(os, "fork", no_fork)
+            convergence_study(study_cfg(tmp_path), 3, tmp_path / "study")
+    finally:
+        stop.set()
+        if other.is_alive():
+            other.join(10.0)
+    assert not other.is_alive()
+    assert levels == [(os.getpid(), f"level_{k}") for k in range(3)]
+    assert (tmp_path / "study" / "study.csv").exists()
+
+
+def test_converge_verbose_logs_every_level(tmp_path):
+    # In a fresh process: the child's levels log their stage lines to
+    # stderr as the parent's level does.
+    env = {**os.environ, "PYTHONPATH": str(Path(rl.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-m", "riccilab.cli", "converge",
+         write_cfg(tmp_path / "s.cfg", STUDY_CFG), "--out",
+         str(tmp_path / "study"), "--verbose"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"study ok -> {tmp_path / 'study'}\n")
+    for k in range(3):
+        for stage in ("flow_s", "heat_s", "rows_s", "writers_s"):
+            assert f"{tmp_path / 'study' / f'level_{k}'}: {stage} " in done.stderr
+        assert f"{tmp_path / 'study' / f'level_{k}'}: workers " in done.stderr
 
 
 # -------------------------------------------------------------------------

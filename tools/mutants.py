@@ -408,29 +408,49 @@ MUTANTS = [
     # The row pool: each process's share, the failure order, cancelling on
     # a failure, reaping and the live-thread guard.
     ("pool-worker-runs-callers-share", "geometry.py",
-     "pickle.dumps((index, lo, blocks[lo:hi], args))",
-     "pickle.dumps((index, 0, blocks[:hi], args))",
+     "pickle.dumps((index, blocks[lo:hi], args))",
+     "pickle.dumps((index, blocks[:hi], args))",
      ["tests/test_geometry.py", "tests/test_harness.py"]),
     ("pool-last-failure-wins", "geometry.py",
      "for worker in workers[:n - 1]:",
      "for worker in reversed(workers[:n - 1]):",
      ["tests/test_geometry.py", "tests/test_harness.py"]),
     ("pool-worker-runs-on-after-failure", "geometry.py",
-     "                    failure = (k, exc)\n                    break",
-     "                    failure = (k, exc)",
+     "                    failure = exc\n                    break",
+     "                    failure = exc",
      ["tests/test_geometry.py"]),
     ("pool-failure-waits-for-every-share", "geometry.py",
      "self.close(kill=True)  # no block of the call starts after this",
      "self.close()",
      ["tests/test_geometry.py"]),
     ("pool-worker-unreaped", "geometry.py",
-     "        for pid, _, _ in workers:\n            os.waitpid(pid, 0)",
-     "        for pid, _, _ in workers:\n            pass",
+     "    for pid, _, _ in children:\n        os.waitpid(pid, 0)",
+     "    for pid, _, _ in children:\n        pass",
      ["tests/test_geometry.py", "tests/test_harness.py"]),
     ("pool-forks-beside-a-thread", "geometry.py",
-     "or threading.active_count() > 1):",
-     "or threading.active_count() > 99):",
+     "(not now or threading.active_count() == 1))",
+     "(not now or threading.active_count() < 99))",
      ["tests/test_geometry.py"]),
+    # The forked study: the child's failure, its kill on an exception here,
+    # its pools that map in it, and its reaping after the top level's run.
+    ("study-child-failure-ignored", "harness.py",
+     "    if failure is not None:\n        raise failure\n",
+     "    if False:\n        raise failure\n",
+     ["tests/test_harness.py::test_no_child_outlives_a_study"]),
+    ("study-child-not-killed", "harness.py",
+     "kill = True  # until the child's message is read",
+     "kill = False  # until the child's message is read",
+     ["tests/test_harness.py::test_no_child_outlives_a_study"]),
+    ("study-child-pools-fork", "geometry.py",
+     "            _FORKED = True", "            _FORKED = False",
+     ["tests/test_harness.py::"
+      "test_study_runs_its_lower_levels_in_one_child_on_one_process"]),
+    # Waiting for any child, the top level's row pool reaps the finished
+    # study child inside that level's run, which counts its CPU time.
+    ("study-child-reaped-in-top-level", "geometry.py",
+     "        os.waitpid(pid, 0)", "        os.waitpid(-1, 0)",
+     ["tests/test_harness.py::"
+      "test_child_levels_cpu_is_not_counted_in_the_top_level"]),
 ]
 
 
