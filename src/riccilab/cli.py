@@ -13,8 +13,9 @@ out.dir; the environment
 variable RICCILAB_OUT supplies the default output root for relative paths;
 ``--verbose`` (run, converge) logs each run's stage timings, with the peak
 resident set at the end of each stage and the flow's and heat solve's step
-counts beside theirs, and the processes that ran row blocks, with the
-largest worker peak resident set, to stderr.
+counts beside theirs, each density chunk's rows with how many of them the
+row pool's workers evaluated, and the processes that ran row blocks, with
+the largest worker peak resident set, to stderr.
 Exit codes: 0 success, 2 configuration/admissibility error (any
 ``InputError``; ``converge`` validates every level, level 0 included, once,
 before it writes anything), 3 numerical failure (any ``NumericalError``,

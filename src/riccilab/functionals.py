@@ -42,7 +42,6 @@ any block and with any number of BLAS threads.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,7 +276,7 @@ def _lopcg(g, vectors=None):
             X += P
 
 
-def ground_states(g, pool=None) -> GroundStates:
+def ground_states(g) -> GroundStates:
     """Ground states of -Lap_g + R/4 for the metric stack g, one row per
     metric.
 
@@ -289,26 +288,42 @@ def ground_states(g, pool=None) -> GroundStates:
     module docstring).  A row that misses ``LAMBDA0_TOL`` within
     ``LAMBDA0_MAXITER`` iterations is reported, not raised:
     ``GroundStates.value`` raises NoConvergence for it.  Row blocks are
-    sized by the cells the stack holds and mapped on ``pool``, which must
-    not have forked yet (``RowPool.add``), the outputs in its shared
-    arrays; without one, on a ``geometry.row_pool`` closed before the
-    return.
+    sized by the cells the stack holds and mapped on a
+    ``geometry.row_pool`` closed before the return (``submit_ground_states``
+    starts them on a caller's pool).
+    """
+    if not isinstance(g.backend, ConformalTorus2D):
+        return submit_ground_states(g, None)[0]
+    with row_pool(len(g.params), _cells(g)) as pool:
+        ground, call = submit_ground_states(g, pool)
+        pool.join(call)
+    return ground
+
+
+def submit_ground_states(g, pool) -> tuple:
+    """``ground_states(g)`` started on ``pool``, which must not have forked
+    yet (``RowPool.add``): (ground, call), ``ground``'s arrays the pool's,
+    which hold the solve once ``pool`` has joined ``call``
+    (``RowPool.submit``); in closed form the values at once and call None.
     """
     K = len(g.params)
     if not isinstance(g.backend, ConformalTorus2D):
         return GroundStates(np.full(K, g.R / 4.0), np.zeros(K, dtype=int),
-                            np.zeros(K))
-    cells = math.prod(g.params.shape[1:])
-    with row_pool(K, cells) if pool is None else nullcontext(pool) as pool:
-        values, iterations, residuals = (
-            pool.array(K), pool.array(K, int), pool.array(K))
+                            np.zeros(K)), None
+    values, iterations, residuals = (
+        pool.array(K), pool.array(K, int), pool.array(K))
 
-        @pool.add
-        def solve(rows):
-            values[rows], iterations[rows], residuals[rows] = _lopcg(g[rows])
+    @pool.add
+    def solve(rows):
+        values[rows], iterations[rows], residuals[rows] = _lopcg(g[rows])
 
-        pool.map(solve, K, cells)
-    return GroundStates(values, iterations, residuals)
+    call = pool.submit(solve, K, _cells(g))
+    return GroundStates(values, iterations, residuals), call
+
+
+def _cells(g) -> int:
+    """The cells of one row of the stack g."""
+    return math.prod(g.params.shape[1:])
 
 
 def lambda0_eig(m: MetricState) -> tuple[float, ScalarField]:

@@ -57,7 +57,7 @@ from .geometry import (
     grid_coords,
     volume,
 )
-from .functionals import ground_states, lambda0
+from .functionals import lambda0, submit_ground_states
 from .heat import (
     DATUM_KINDS,
     POSITIVITY_FLOOR,
@@ -506,49 +506,71 @@ class RunTables:
 
 def evaluate_tables(
     traj: Trajectory, chunks, a_values, blocks: dict | None = None,
+    label=None,
 ) -> tuple[RunTables | None, Exception | None]:
     """Evaluate every functional and verification column.
 
     The rows are every second state of ``traj``, a slice of its stack
     (``Trajectory.stack``), as is each kernel block.  ``chunks(out)``
     returns their densities as ``DensityHistory`` chunks of consecutive
-    rows that together cover every row once, in any order, each chunk's
-    ``v`` being ``out[:n]`` (else ValueError): ``heat.stream_backward``
-    with ``out``, consumed as they complete.  ``out`` is one chunk of at
-    most ``geometry.CHUNK_CELLS`` cells (at least one row) from the
-    pool's ``array``s, made before the pool forks, so the pool's workers
-    read each chunk's rows where the heat solve stepped them.
-    One ``geometry.row_pool`` serves the run: the lambda0 of every row
-    comes first, from one ``ground_states`` call on it.  Then the row kernel
-    ``variation.row_values`` evaluates each chunk over the pool's row
-    blocks, each block writing its rows of the tables (the pool's shared
-    arrays); only these per-row values outlive the chunk.  An error the
-    chunks or a kernel block raise propagates.  Once every row is evaluated,
+    rows that together cover every row once, in any order, chunk k's ``v``
+    being ``out[k % len(out)][:n]`` (else ValueError):
+    ``heat.stream_backward`` with ``out``, consumed as they complete.
+    ``out`` is one or two arrays of at most ``geometry.CHUNK_CELLS // 4``
+    cells (at least one row) from the pool's ``array``s, made before the
+    pool forks, so the pool's workers read each chunk's rows where the heat
+    solve stepped them.
+    One ``geometry.row_pool`` serves the run.  The lambda0 of every row is
+    submitted to it first, whole (``submit_ground_states``), and each
+    chunk's row-kernel call (``variation.row_values`` over the pool's row
+    blocks, each block writing its rows of the tables, the pool's shared
+    arrays) as soon as the chunk is stepped; a call is joined once the heat
+    solve has stepped the next chunk into the other array, and the last one
+    at once.  A forking pool's worker thus evaluates a chunk, and first the
+    ground states, while this process steps the next, and this process
+    takes its share of each call's blocks once it joins (``RowPool``); a
+    pool that does not fork evaluates each call as it is submitted.  Only
+    the per-row values outlive a chunk.  An error the chunks or a call
+    raise propagates, the calls submitted before it failing first, as they
+    would one after the other.  Once every row is evaluated,
     ``variation.row_failure`` finds the lowest failing row and its error,
     so neither depends on the pool or the chunks.  On a
     numerical failure the completed rows are kept (truncated tables, finite
     differences over the surviving series) so a failed run still ships a
     partial CSV; returns (tables, error), tables None when fewer than 3
     rows survived.  Given ``run``'s usage ``blocks``, the ground-state
-    solve is charged to their ``lambda0_s`` (``_charged``), and the pool's
-    ``processes_used`` and ``workers_peak_rss_mb`` are recorded there as
-    ``workers`` and ``workers_peak_rss_mb``, also when an error propagates.
+    solve's usage in every process is charged to their ``lambda0_s``, and
+    the pool's ``processes_used`` and ``workers_peak_rss_mb`` and the rows
+    of the kernel blocks its workers evaluated are recorded there as
+    ``workers``, ``workers_peak_rss_mb`` and ``workers_rows``, also when an
+    error propagates.  Given ``label``, each chunk's rows and how many of
+    them the workers took are logged once its call is joined.
     """
     backend, dt = traj.backend, 2.0 * traj.dt
     a_values = list(a_values)
     times = traj.times[::2]
     K = len(times)
     pool = geometry.row_pool(K, backend.cells)
+    solving, workers_rows, covered = None, 0, 0
+
+    def joined(lo, n, call):
+        nonlocal workers_rows
+        pool.join(call)
+        workers_rows += call.worker_rows
+        if label is not None:
+            log.info("%s: density chunk rows %d-%d, %d of them on the workers",
+                     label, lo, lo + n - 1, call.worker_rows)
+
     try:
         with pool:
             @pool.add
-            def kernel(lo, rows):
+            def kernel(lo, which, rows):
                 # The rows' own slice of the stack, apart from the one
                 # ground_states solves, so that the arrays it built (R, on
                 # the round sphere) are not held through the kernel.
                 at = slice(lo + rows.start, lo + rows.stop)
                 g = traj.stack[2 * at.start:2 * at.stop:2]
-                vals = row_values(g, out[rows], times[at], a_values)
+                vals = row_values(g, out[which][rows], times[at], a_values)
                 row_series[:5, at] = (vals.F, vals.S, vals.dF_rhs,
                                       vals.sub_lhs, vals.sub_rhs)
                 a_series[:, at] = (vals.Y, vals.om, vals.rhs_split,
@@ -557,24 +579,42 @@ def evaluate_tables(
             # F, S, dF_rhs, sub_lhs, sub_rhs, mass; Y, omega, rhs_thm, rhs_ye
             row_series = pool.array((6, K))
             a_series = pool.array((4, K, len(a_values)))
-            chunk_rows = min(K, max(1, geometry.CHUNK_CELLS // backend.cells))
-            out = pool.array((chunk_rows,) + backend.field_shape)
-            with _charged(blocks, "lambda0_s"):
-                ground = ground_states(traj.stack[::2], pool)
-            covered = 0
-            for chunk in chunks(out):
-                lo, n = chunk.first, len(chunk.times)
-                # The same memory, shape and strides as out[:n].
-                if chunk.v.__array_interface__ != out[:n].__array_interface__:
-                    raise ValueError(f"density chunk of rows {lo}-{lo + n - 1} "
-                                     "is not held in the row pool's array")
-                covered += n
-                row_series[5, lo:lo + n] = chunk.masses
-                pool.map(kernel, n, backend.cells, lo)
+            chunk_rows = min(K, max(1, geometry.CHUNK_CELLS // 4
+                                    // backend.cells))
+            out = [pool.array((chunk_rows,) + backend.field_shape)
+                   for _ in range(min(2, -(-K // chunk_rows)))]
+            if not pool.shared and chunk_rows < K:  # glibc (CHUNK_CELLS)
+                np.empty(min(K * backend.cells, geometry.CHUNK_CELLS))
+            ground, solving = submit_ground_states(traj.stack[::2], pool)
+            pending = None  # the last chunk's (first row, rows, call)
+            try:
+                for k, chunk in enumerate(chunks(out)):
+                    lo, n, which = chunk.first, len(chunk.times), k % len(out)
+                    # The same memory, shape and strides as out[which][:n].
+                    if (chunk.v.__array_interface__
+                            != out[which][:n].__array_interface__):
+                        raise ValueError(
+                            f"density chunk of rows {lo}-{lo + n - 1} is not "
+                            "held in the row pool's array")
+                    covered += n
+                    row_series[5, lo:lo + n] = chunk.masses
+                    if pending is not None:
+                        joined(*pending)
+                    pending = lo, n, pool.submit(kernel, n, backend.cells,
+                                                 lo, which)
+            except Exception:
+                pool.join()  # the calls before the error fail first
+                raise
+            if pending is not None:
+                joined(*pending)
+            pool.join()
     finally:
         if blocks is not None:
             blocks["workers"] = pool.processes_used
             blocks["workers_peak_rss_mb"] = pool.workers_peak_rss_mb
+            blocks["workers_rows"] = workers_rows
+            if solving is not None:
+                _charge(blocks, "lambda0_s", solving.usage)
     if covered != K:
         raise ValueError(f"density chunks hold {covered} rows, not the "
                          f"trajectory's {K}")
@@ -760,6 +800,15 @@ def _charged(blocks: dict | None, stage: str, within: str | None = None):
                     blocks[name][within] -= now - start
 
 
+def _charge(blocks: dict, stage: str, used) -> None:
+    """Add a ``RowPool`` call's usage (wall time, CPU time and minor faults,
+    skipped where None) to ``stage`` of the ``timings``, ``cpu_s`` and
+    ``minor_faults`` blocks."""
+    for name, u in zip(("timings", "cpu_s", "minor_faults"), used):
+        if u is not None:
+            blocks[name][stage] += u
+
+
 @contextmanager
 def _timed(blocks: dict, stage: str, out: Path, logged=()):
     """Charge the block's usage to ``stage`` (``_charged``) and, once the
@@ -854,8 +903,9 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
     removed, so a reused directory keeps no earlier run's.  The manifest
     (with ``workers``, the processes that ran row blocks) is written on
     every exit path.  The heat solve streams its rows into
-    ``evaluate_tables`` chunk by chunk, stepping each into the row pool's
-    chunk array; a heat failure ends the run as a row failure would, but
+    ``evaluate_tables`` chunk by chunk, stepping each in turn into one of
+    the row pool's two chunk arrays while the pool's worker evaluates the
+    chunk before; a heat failure ends the run as a row failure would, but
     before any table exists, so both CSVs are header-only.
     """
     out = Path(out_dir)
@@ -875,7 +925,7 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
                                             None if resource is None else 0),
               "steps": steps,
               "peak_rss_mb": dict.fromkeys(_MEMORY_STAGES.values()),
-              "workers": 1, "workers_peak_rss_mb": None}
+              "workers": 1, "workers_peak_rss_mb": None, "workers_rows": 0}
     status, error, tables, summary = "ok", None, None, None
     written = set()
     try:
@@ -892,7 +942,7 @@ def run(validated: ValidatedRun, out_dir) -> RunResult:
                 tables, row_error = evaluate_tables(
                     traj, lambda buffer: _heat_chunks(stream_backward(
                         traj, v_T, mass_tol=cfg.tol_mass, out=buffer), blocks),
-                    cfg.a_values, blocks)
+                    cfg.a_values, blocks, out)
             if row_error is not None:
                 raise row_error
             with _timed(blocks, "summary_s", out):

@@ -24,11 +24,12 @@ O(dt^2) mass drift, to which the two-form equivalence residual is directly
 sensitive.  The mass is measured at every row but never renormalized.
 
 One RK4 loop serves two callers.  ``stream_backward`` hands the rows over
-top-down, in chunks stepped into one reused buffer: the caller's ``out``
-(``harness.evaluate_tables`` passes its row pool's shared array, where the
-pool's workers read the rows), else one of at most ``geometry.CHUNK_CELLS``
-cells; ``solve_backward`` collects the same loop into one chunk of every
-row.  Either way a row's bits are the same.
+top-down, in chunks stepped into reused buffers: in turn into each of the
+caller's ``out`` arrays (``harness.evaluate_tables`` passes two of its row
+pool's shared arrays, so the pool's worker reads one chunk's rows while the
+solve steps the next into the other), else into one of at most
+``geometry.CHUNK_CELLS`` cells; ``solve_backward`` collects the same loop
+into one chunk of every row.  Either way a row's bits are the same.
 
 One stack per block.  A chunk is stepped and checked in the row blocks of
 ``geometry.row_slices``, top block first.  A block of rows lo ... hi - 1
@@ -290,17 +291,19 @@ def solve_backward(
 
 
 def stream_backward(traj: Trajectory, v_T: ScalarField, *,
-                    mass_tol: float = 1e-6, out: np.ndarray | None = None):
+                    mass_tol: float = 1e-6, out=None):
     """The backward solve of ``solve_backward``, handed over as it runs.
 
     Yields ``DensityHistory`` chunks of consecutive rows, top-down: the
     first holds the terminal row and the rows just below it, and each
-    chunk's ``first`` is its lowest row.  Given ``out``, an array of one
-    density a row, each chunk holds ``len(out)`` rows (the last chunk
-    fewer) and its ``v`` is ``out[:n]``; without it, each chunk holds at
-    most ``geometry.CHUNK_CELLS`` cells (at least one row) in a buffer of
-    the solve's own.  Either way every chunk is a view of one buffer, which
-    the next chunk overwrites: a consumer copies what it keeps.  An error
+    chunk's ``first`` is its lowest row.  Given ``out``, a sequence of
+    arrays of one density a row, all of one length, chunk k holds that many
+    rows (the last chunk fewer) and its ``v`` is ``out[k % len(out)][:n]``;
+    without it, each chunk holds at most ``geometry.CHUNK_CELLS`` cells (at
+    least one row) in a buffer of the solve's own.  Either way a chunk's
+    buffer is overwritten by the chunk ``len(out)`` after it (the next one
+    without ``out``), which the solve steps once the consumer asks for it:
+    a consumer copies what it keeps.  An error
     is raised where ``solve_backward`` raises it: the chunks above the
     failing row have been handed over by then, the failing row in none.
     """
@@ -308,10 +311,10 @@ def stream_backward(traj: Trajectory, v_T: ScalarField, *,
 
 
 def _backward(traj, v_T, mass_tol, chunk_cells, out=None):
-    """Chunks of the backward solve, top-down, each stepped into one reused
-    buffer, ``out`` or a new one of at most ``chunk_cells`` cells (every
-    row when ``chunk_cells`` is None), and checked by ``_check_rows`` a row
-    block at a time."""
+    """Chunks of the backward solve, top-down, stepped in turn into the
+    reused buffers ``out``, or into a new one of at most ``chunk_cells``
+    cells (every row when ``chunk_cells`` is None), and checked by
+    ``_check_rows`` a row block at a time."""
     if v_T.backend != traj.backend:
         raise ValueError("terminal datum and trajectory live on different backends")
     if traj.num_steps % 2 != 0:
@@ -320,9 +323,9 @@ def _backward(traj, v_T, mass_tol, chunk_cells, out=None):
     times = traj.times[::2].copy()
     M = len(times) - 1
     if out is None:
-        out = np.empty((M + 1 if chunk_cells is None else min(
-            M + 1, max(1, chunk_cells // backend.cells)),) + v_T.values.shape)
-    v_out, size = out, len(out)
+        out = [np.empty((M + 1 if chunk_cells is None else min(
+            M + 1, max(1, chunk_cells // backend.cells)),) + v_T.values.shape)]
+    size = len(out[0])
     m_out = np.empty(size)
     step = 2.0 * traj.dt
     floats = not isinstance(backend, ConformalTorus2D)
@@ -337,8 +340,8 @@ def _backward(traj, v_T, mass_tol, chunk_cells, out=None):
         return out
 
     (v,) = rows(v_T.values[None])
-    for top in range(M, -1, -size):
-        base = max(top - size + 1, 0)
+    for k, top in enumerate(range(M, -1, -size)):
+        base, v_out = max(top - size + 1, 0), out[k % len(out)]
         with np.errstate(all="ignore"):  # the check reports what overflows
             if top == M:
                 v_out[top - base] = v

@@ -9,16 +9,20 @@ one float step at a time, the row kernel with every functional built
 on its own, the row-failure rule as a loop over rows, and the backward
 heat solve's checks row by row.  ``chunks_through_out`` hands a solved
 history to ``harness.evaluate_tables`` as the heat stream does, through
-the row pool's one chunk array.  ``ProcessLog`` carries what a spy
-records in a row pool's forked workers back to the test, and
-``children_left`` tells whether any child process remains.
+the row pool's chunk arrays in turn.  ``ProcessLog`` carries what a spy
+records in a row pool's forked workers back to the test,
+``children_left`` tells whether any child process remains, and
+``TwoSidedMemory`` runs the row pool's two-sided block claims one memory
+operation at a time.
 """
 
 import ast
 import math
 import os
+import threading
 
 import numpy as np
+from hypothesis import strategies as st
 
 import riccilab as rl
 from riccilab.flow import PARAM_FLOOR
@@ -291,19 +295,22 @@ def stream_backward_per_row(traj, v_T, mass_tol, chunk_cells):
 
 def chunks_through_out(*histories):
     """``harness.evaluate_tables``'s ``chunks`` for densities solved
-    beforehand: ``chunks(out)`` copies each history's rows into ``out`` in
-    chunks of ``len(out)`` rows, lowest first, and hands each over as a
-    ``DensityHistory`` whose ``v`` is ``out[:n]``, before the next chunk
+    beforehand: ``chunks(out)`` copies each history's rows into the arrays
+    of ``out`` in turn, in chunks of ``len(out[0])`` rows, lowest first,
+    and hands each over as a ``DensityHistory`` whose ``v`` is
+    ``out[k % len(out)][:n]`` for the k-th chunk, before a later chunk
     overwrites it."""
 
     def chunks(out):
+        size, k = len(out[0]), 0
         for hist in histories:
-            for lo in range(0, len(hist.times), len(out)):
-                rows = slice(lo, lo + len(out))
-                n = len(hist.times[rows])
-                out[:n] = hist.v[rows]
+            for lo in range(0, len(hist.times), size):
+                rows = slice(lo, lo + size)
+                n, buffer = len(hist.times[rows]), out[k % len(out)]
+                buffer[:n] = hist.v[rows]
+                k += 1
                 yield rl.DensityHistory(hist.backend, hist.times[rows],
-                                        out[:n], hist.masses[rows],
+                                        buffer[:n], hist.masses[rows],
                                         hist.first + lo)
 
     return chunks
@@ -339,3 +346,107 @@ def children_left() -> bool:
     except ChildProcessError:
         return False
     return True
+
+
+class TwoSidedMemory:
+    """The claim counters of one row-pool part of ``blocks`` blocks, which a
+    caller thread (side 0) and a worker thread (side 1) claim through
+    ``claim(ends, side)`` until it returns None, run one memory operation
+    at a time.  ``run(claim)`` lets the side Hypothesis draws (``data``)
+    make its next operation while the other waits before its own; a read
+    of the other side's end returns, as Hypothesis draws, its current value
+    or an older one no older than that side's last read of it (a store not
+    yet seen), and ``stale`` records whether one was older.  ``values``
+    holds every value each end has held, oldest first; ``run`` returns the
+    blocks each side took, in the order taken."""
+
+    def __init__(self, blocks, data):
+        self.values = [[0], [blocks]]
+        self.stale, self._data = False, data
+        self._seen = [0, 0]  # the other end's oldest value each side may read
+        self._cond = threading.Condition()
+        self._pending = [None, None]  # the operation each side waits to make
+        self._results = [None, None]
+        self._done, self._stopped = [False, False], False
+
+    def run(self, claim, max_operations=1000):
+        taken = [[], []]
+
+        def side(s):
+            ends = _Ends(self, s)
+            try:
+                while (block := claim(ends, s)) is not None:
+                    taken[s].append(block)
+            except _Stopped:
+                pass
+            finally:
+                with self._cond:
+                    self._done[s] = True
+                    self._cond.notify_all()
+
+        threads = [threading.Thread(target=side, args=(s,)) for s in (0, 1)]
+        for thread in threads:
+            thread.start()
+        try:
+            for _ in range(max_operations):
+                with self._cond:
+                    assert self._cond.wait_for(lambda: all(
+                        self._done[s] or self._pending[s] is not None
+                        for s in (0, 1)), timeout=10.0)
+                    ready = [s for s in (0, 1) if self._pending[s] is not None]
+                    if not ready:
+                        return taken
+                    s = self._data.draw(st.sampled_from(ready))
+                    operation, self._pending[s] = self._pending[s], None
+                    self._results[s] = (self._make(s, *operation),)
+                    self._cond.notify_all()
+            raise AssertionError(f"no end after {max_operations} operations")
+        finally:  # no thread outlives the run, even when a draw raised
+            with self._cond:
+                self._stopped = True
+                self._cond.notify_all()
+            for thread in threads:
+                thread.join(10.0)
+
+    def operate(self, s, *operation):
+        """Make side s's next operation, ("read", end) or ("write", end,
+        value), once ``run`` lets it; the value read, else None."""
+        with self._cond:
+            self._pending[s] = operation
+            self._cond.notify_all()
+            self._cond.wait_for(
+                lambda: self._results[s] is not None or self._stopped)
+            if self._results[s] is None:
+                raise _Stopped
+            (result,), self._results[s] = self._results[s], None
+            return result
+
+    def _make(self, s, kind, end, value=None):
+        history = self.values[end]
+        if kind == "write":
+            history.append(value)
+            return None
+        if end == s:  # a process reads its own last write
+            return history[-1]
+        k = self._data.draw(st.integers(self._seen[s], len(history) - 1))
+        self.stale |= k < len(history) - 1
+        self._seen[s] = k
+        return history[k]
+
+
+class _Stopped(Exception):
+    """A ``TwoSidedMemory`` run ended before this side's operation."""
+
+
+class _Ends:
+    """One side's view of a ``TwoSidedMemory``: ``ends[i]`` and
+    ``ends[i] = value`` are its operations."""
+
+    def __init__(self, memory, side):
+        self._memory, self._side = memory, side
+
+    def __getitem__(self, end):
+        return self._memory.operate(self._side, "read", end)
+
+    def __setitem__(self, end, value):
+        self._memory.operate(self._side, "write", end, value)

@@ -16,6 +16,7 @@ from riccilab.geometry import _dp, _lap5, _roll
 
 from cross_checks import (
     ProcessLog,
+    TwoSidedMemory,
     children_left,
     gradient_inner,
     ricci_flow_rhs,
@@ -588,11 +589,31 @@ def test_cross_backend_field_rejected():
 # Row-block pool
 # -------------------------------------------------------------------------
 
+def check_parts(records, parts):
+    """Check that the blocks of each part (a list of block starts) ran as
+    ``RowPool`` claims them: the caller's a run from the part's bottom, in
+    order, its worker's a run from its top, downwards, the two covering
+    the part without a block in both; returns each part's worker pid (None
+    where the caller ran the whole part)."""
+    owners = []
+    for part in parts:
+        ran = [(pid, start) for pid, start in records if start in part]
+        mine = [start for pid, start in ran if pid == os.getpid()]
+        theirs = [(pid, start) for pid, start in ran if pid != os.getpid()]
+        assert mine == part[:len(mine)], (part, ran)
+        assert [start for _, start in theirs] == part[::-1][:len(theirs)]
+        assert len(mine) + len(theirs) == len(part), (part, ran)
+        assert len({pid for pid, _ in theirs}) <= 1
+        owners.append(theirs[0][0] if theirs else None)
+    return owners
+
+
 def test_row_blocks_map_in_order_on_the_pool_and_join(monkeypatch):
-    # Blocks of 2 rows of 4 cells on 3 processes: 11 rows make 6 blocks, 2
-    # a process.  The caller runs blocks 0-1, each worker two more, and
-    # every block lands at its own index of a shared array.  A second call
-    # reuses the workers, and close reaps them.
+    # Blocks of 2 rows of 4 cells on 3 processes: 11 rows make 6 blocks, in
+    # two parts of 3, one a worker.  The caller's blocks take 0.05 s, so each
+    # worker takes the top of its part, and the caller its bottom; every
+    # block runs once and lands at its own index of a shared array.  A
+    # second call reuses the workers, and close reaps them.
     from riccilab import geometry
 
     monkeypatch.setattr(geometry, "WORKERS", 3)
@@ -605,7 +626,10 @@ def test_row_blocks_map_in_order_on_the_pool_and_join(monkeypatch):
         def block(call, rows):
             out[call, rows.start // 2] = rows.start, rows.stop
             log.record(call, rows.start)
+            if os.getpid() == parent:
+                time.sleep(0.05)
 
+        parent = os.getpid()
         pool.map(block, 11, 4, 0)
         pool.map(block, 11, 4, 1)
         assert pool.processes_used == 3 and pool.workers_peak_rss_mb > 0.0
@@ -614,14 +638,37 @@ def test_row_blocks_map_in_order_on_the_pool_and_join(monkeypatch):
     for call in (0, 1):
         assert out[call].tolist() == [[0, 2], [2, 4], [4, 6], [6, 8],
                                       [8, 10], [10, 11]]
-    owners = {}
-    for pid, call, start in log.records():
-        owners.setdefault(call, {})[start] = pid
+    records = log.records()
+    owners = [check_parts([(pid, start) for pid, c, start in records
+                           if c == call], [[0, 2, 4], [6, 8, 10]])
+              for call in (0, 1)]
     assert owners[0] == owners[1]
-    pids = [owners[0][start] for start in range(0, 11, 2)]
-    assert pids[0] == pids[1] == os.getpid()
-    assert pids[2] == pids[3] != pids[4] == pids[5]
-    assert os.getpid() not in pids[2:]
+    assert None not in owners[0] and len(set(owners[0])) == 2
+    assert os.getpid() not in owners[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(blocks=st.integers(0, 6), data=st.data())
+def test_two_sided_claims_take_every_block(blocks, data):
+    # The caller (side 0) and a worker (side 1) claim the blocks of one part
+    # through _claim, one memory operation at a time in an order Hypothesis
+    # draws, each read of the other side's end returning its current value
+    # or an older one (a store not yet seen).  Every block is taken, by a
+    # side or as one of the blocks between the ends once both stopped,
+    # which the caller runs; a block is taken by both sides only where a
+    # read was stale; each side's blocks run from its end of the part.
+    from riccilab.geometry import _claim
+
+    memory = TwoSidedMemory(blocks, data)
+    taken = memory.run(_claim)
+    gap = list(range(memory.values[0][-1], memory.values[1][-1]))
+    assert taken[0] == list(range(len(taken[0])))
+    assert taken[1] == list(range(blocks - 1, blocks - 1 - len(taken[1]), -1))
+    assert sorted(set(taken[0]) | set(taken[1]) | set(gap)) == list(
+        range(blocks))
+    if set(taken[0]) & set(taken[1]):
+        assert memory.stale
+    assert len(gap) <= 1 and not set(gap) & (set(taken[0]) | set(taken[1]))
 
 
 class LocalError(Exception):
@@ -629,52 +676,70 @@ class LocalError(Exception):
 
 
 # (the blocks that raise, the exception that propagates) of six one-row
-# blocks on three processes: the caller's blocks 0-1, then two workers'.
+# blocks on three processes: two parts, blocks 0-2 and 3-5, each shared by
+# the caller, from its bottom, and one worker, from its top.
 FAILING_BLOCKS = [
     ({1: ValueError("caller's block"), 3: KeyError("worker's block")},
      (ValueError, "caller's block")),
-    ({3: rl.NoConvergence("first worker"), 5: ValueError("second worker")},
-     (rl.NoConvergence, "first worker")),
+    ({3: rl.NoConvergence("first block of a part"),
+      5: ValueError("second worker")},
+     (rl.NoConvergence, "first block of a part")),
     ({4: ValueError("later block"), 5: KeyError("last block")},
      (ValueError, "later block")),
     ({2: LocalError("no pickle")}, (LocalError, "no pickle")),
+    ({2: rl.NoConvergence("first worker"), 5: ValueError("second worker")},
+     (rl.NoConvergence, "first worker")),
+    ({0: ValueError("first block"), 2: KeyError("first worker")},
+     (ValueError, "first block")),
 ]
 
 
 def test_row_blocks_cancel_the_blocks_not_started(monkeypatch):
     # The first failing block in block order propagates, its type and
     # message, whichever process raised it, and the failing call kills the
-    # workers at once: every block before it has run, and none after it
-    # starts but a later worker's first block, which sleeps long enough to
-    # be still running when the kill comes.  An exception pickle cannot
-    # carry (a class it cannot find by name) arrives as a RuntimeError
-    # naming it.
+    # workers at once: every block before it has run, the blocks ran as
+    # the parts are claimed, and none after it starts but a part's top
+    # block, a worker's first, which sleeps long enough to be still
+    # running when the kill comes.  The caller's blocks take 0.1 s, so the
+    # workers claim first; a worker stops at its first failing block, and
+    # its failure stops the caller before the next part.  An exception
+    # pickle cannot carry (a class it cannot find by name) arrives as a
+    # RuntimeError naming it.
     from riccilab import geometry
 
     monkeypatch.setattr(geometry, "WORKERS", 3)
     monkeypatch.setattr(geometry, "ROW_CELLS", 3)
     for failing, raised in FAILING_BLOCKS:
         first = min(failing)
-        running = {k for k in (2, 4) if k > first}
-        started = set(map_failing_blocks(failing, raised))
-        assert set(range(first + 1)) <= started, failing
-        assert started <= set(range(first + 1)) | running, failing
+        running = {k for k in (2, 5) if k > first}
+        started = time.perf_counter()
+        records = map_failing_blocks(failing, raised)
+        assert time.perf_counter() - started < 2.5, failing
+        check_parts(records, [[k for k in part if k <= first or k in running]
+                              for part in ([0, 1, 2], [3, 4, 5])])
+        starts = {start for _, start in records}
+        assert set(range(first + 1)) <= starts, failing
+        assert starts <= set(range(first + 1)) | running, failing
 
 
 def map_failing_blocks(failing, raised):
-    """Map six one-row blocks with the ``failing`` ones raising and those
-    after the first of them sleeping, then again with none in what is left
-    of the pool, the caller; check the exception, that the second call ran
-    in the caller in order and that no child is left, and return the
-    blocks the first call started."""
+    """Map six one-row blocks, the caller's taking 0.1 s, with the
+    ``failing`` ones raising and those after the first of them sleeping 3
+    s, then
+    again with none in what is left of the pool, the caller; check the
+    exception, that the second call ran in the caller in order and that no
+    child is left, and return (pid, block) of each block the first call
+    started."""
     from riccilab import geometry
 
-    log = ProcessLog()
+    log, parent = ProcessLog(), os.getpid()
     with geometry.RowPool() as pool:
 
         @pool.add
         def block(fail, rows):
             log.record(fail, rows.start)
+            if fail and os.getpid() == parent:
+                time.sleep(0.1)
             if fail and rows.start in failing:
                 exc = failing[rows.start]
                 if isinstance(exc, LocalError):
@@ -696,7 +761,7 @@ def map_failing_blocks(failing, raised):
         assert info.value.args == (message,)
     records = log.records()
     assert records[-6:] == [(os.getpid(), False, k) for k in range(6)]
-    return [start for _, fail, start in records if fail]
+    return [(pid, start) for pid, fail, start in records if fail]
 
 
 def test_row_pool_kills_the_workers_when_the_caller_leaves_by_an_interrupt(
@@ -704,7 +769,8 @@ def test_row_pool_kills_the_workers_when_the_caller_leaves_by_an_interrupt(
     # The caller's own block raises KeyboardInterrupt while the worker's
     # block would sleep a minute: the pool kills and reaps the worker, so
     # the interrupt propagates at once and no child is left.  A worker's
-    # own interrupt ends it: the caller reports that it exited.
+    # own interrupt ends it: the caller, whose block takes 0.5 s so that the
+    # worker claims the other, reports that it exited.
     from riccilab import geometry
 
     monkeypatch.setattr(geometry, "WORKERS", 2)
@@ -718,8 +784,7 @@ def test_row_pool_kills_the_workers_when_the_caller_leaves_by_an_interrupt(
                 def block(rows):
                     if (rows.start == 0) == (where == "caller"):
                         raise KeyboardInterrupt
-                    if where == "caller":
-                        time.sleep(60.0)
+                    time.sleep(60.0 if where == "caller" else 0.5)
 
                 pool.map(block, 2, 1)
         assert not children_left()

@@ -821,7 +821,8 @@ def test_row_kernel_matches_public_functionals(name, tmp_path):
 def spied_kernel_run(a_values, workers, tmp_path, monkeypatch):
     """Run the curved torus over blocks of 3 rows on ``workers`` processes,
     spying on the stacked kernel and the per-state functionals through a
-    ``ProcessLog``, which the pool's workers write to as well.  Returns the
+    ``ProcessLog``, which the pool's workers write to as well; each
+    ``row_values`` call in this process takes 0.05 s more.  Returns the
     result and, per ``row_values`` call in the order made, the pid of the
     process that made it and the times it covered; checks that the stacked
     cores covered the same rows in as many calls and that no per-state
@@ -831,13 +832,15 @@ def spied_kernel_run(a_values, workers, tmp_path, monkeypatch):
     stacked = ("row_values", "_energy", "_variation_tensor")
     per_state = ("f_functional", "shannon_entropy", "matrix_quantity",
                  "_state_rates")
-    log = ProcessLog()
+    log, parent = ProcessLog(), os.getpid()
 
     def spy(name, fn):
         def wrapped(*args):
             # row_values(g, v, times, a): times; stacked cores: the rows of u
             log.record(name, tuple(map(float, args[2])) if name == "row_values"
                        else len(args[1]) if name in stacked else 0)
+            if name == "row_values" and os.getpid() == parent:
+                time.sleep(0.05)
             return fn(*args)
         return wrapped
 
@@ -880,19 +883,22 @@ def test_row_kernel_builds_tensor_and_energy_once_per_row(a_values, tmp_path,
 @pytest.mark.parametrize("a_values", ["0.1", "0.1, 0.5, 2"])
 def test_row_kernel_covers_each_row_once_on_the_pool(a_values, tmp_path,
                                                       monkeypatch):
-    # On two processes the caller evaluates the first two blocks and one
-    # forked worker the last two, each share in order; every row is covered
-    # exactly once.
+    # On two processes the caller evaluates the blocks from the first up,
+    # in order, and one forked worker from the last down, until they meet;
+    # the caller's blocks are slow, so the worker takes at least one.  Every
+    # row is covered exactly once, and the manifest counts the worker's.
     result, blocks = spied_kernel_run(a_values, 2, tmp_path, monkeypatch)
     mine = [t for pid, t in blocks if pid == os.getpid()]
     theirs = [(pid, t) for pid, t in blocks if pid != os.getpid()]
-    assert [len(t) for t in mine] == [3, 3]
-    assert [len(t) for _, t in theirs] == [3, 2]
     assert len({pid for pid, _ in theirs}) == 1
     np.testing.assert_array_equal(
-        np.concatenate(mine + [t for _, t in theirs]), result.tables.times)
+        np.concatenate(mine + [t for _, t in theirs][::-1]),
+        result.tables.times)
+    starts = [t[0] for t in mine] + [t[0] for _, t in theirs][::-1]
+    assert starts == list(result.tables.times[::3])
     manifest = json.loads((result.out_dir / "manifest.json").read_text())
     assert manifest["workers"] == 2 and manifest["workers_peak_rss_mb"] > 0.0
+    assert manifest["workers_rows"] == sum(len(t) for _, t in theirs) > 0
 
 
 # -------------------------------------------------------------------------
@@ -1119,6 +1125,23 @@ def poisoned(hist, k, scale):
     return rl.DensityHistory(hist.backend, hist.times, v, hist.masses)
 
 
+def mark_unconverged(mp, rows):
+    """Patch ``harness.submit_ground_states`` to join the solve at once and
+    mark ``rows`` unconverged, as a solve that missed ``LAMBDA0_TOL``
+    would."""
+    from riccilab import harness
+
+    submit = harness.submit_ground_states
+
+    def marked(g, pool):
+        ground, call = submit(g, pool)
+        pool.join(call)
+        ground.residuals[list(rows)] = 2 * LAMBDA0_TOL
+        return ground, call
+
+    mp.setattr(harness, "submit_ground_states", marked)
+
+
 def expected_error(fn, *args):
     with pytest.raises(rl.NumericalError) as exc:
         fn(*args)
@@ -1192,14 +1215,7 @@ def test_row_failures_follow_the_row_check_order(omega, lam0, raised,
     traj, hist = sphere_rows()
     hist = poisoned(hist, omega, 0.01)
     if lam0 is not None:
-        solve = harness.ground_states
-
-        def unconverged(*args):  # ground_states(g, pool)
-            ground = solve(*args)
-            ground.residuals[lam0] = 2 * LAMBDA0_TOL
-            return ground
-
-        monkeypatch.setattr(harness, "ground_states", unconverged)
+        mark_unconverged(monkeypatch, [lam0])
     first = min(k for k in (omega, lam0) if k is not None)
     for workers, rows in POOLS:
         with pool(workers, rows, traj.backend.cells):
@@ -1213,16 +1229,7 @@ def test_heat_failure_comes_before_lambda0(tmp_path, monkeypatch):
     # The heat failures come first (README): the backward solve raises its
     # MassDrift before it hands the row over, so it ends the run even though
     # row 0's lambda0 did not converge, and both CSVs are header-only.
-    from riccilab import harness
-
-    solve = harness.ground_states
-
-    def unconverged(*args):  # ground_states(g, pool)
-        ground = solve(*args)
-        ground.residuals[0] = 2 * LAMBDA0_TOL
-        return ground
-
-    monkeypatch.setattr(harness, "ground_states", unconverged)
+    mark_unconverged(monkeypatch, [0])
     validated = validate_config(make_config(
         {**ROW_KERNEL_CFGS["curved_torus"], "tol.mass": "5e-324"}))
     result = run(validated, tmp_path)
@@ -1244,14 +1251,7 @@ def test_earliest_failing_block_wins_on_the_pool(later, monkeypatch):
     if later == "omega":
         hist = poisoned(hist, 9, 0.01)
     else:
-        solve = harness.ground_states
-
-        def unconverged(*args):  # ground_states(g, pool)
-            ground = solve(*args)
-            ground.residuals[9] = 2 * LAMBDA0_TOL
-            return ground
-
-        monkeypatch.setattr(harness, "ground_states", unconverged)
+        mark_unconverged(monkeypatch, [9])
     u, _ = rl.change_variables(rl.ScalarField(hist.backend, hist.v[4]))
     want = expected_error(rl.omega, rl.f_functional(traj.state(8), u), -0.3)
     with pool(1, None, 1):
@@ -1304,14 +1304,7 @@ def test_evaluate_tables_stops_at_unconverged_row(k, monkeypatch):
                                           [0.5])
     assert error is None and len(full.times) == 11
 
-    solve = harness.ground_states
-
-    def unconverged_row_k(*args):  # ground_states(g, pool)
-        ground = solve(*args)
-        ground.residuals[k] = 2 * LAMBDA0_TOL
-        return ground
-
-    monkeypatch.setattr(harness, "ground_states", unconverged_row_k)
+    mark_unconverged(monkeypatch, [k])
     for workers, rows in POOLS:
         with pool(workers, rows, traj.backend.cells):
             tables, error = harness.evaluate_tables(
@@ -1599,24 +1592,19 @@ def streamed_run(validated, out, chunk_rows, unconverged=()):
     handed over and the bytes of both CSVs."""
     from riccilab import geometry, harness
 
-    stream, solve = harness.stream_backward, harness.ground_states
-    handed = []
+    stream, handed = harness.stream_backward, []
 
     def spied(*args, **kwargs):
         for chunk in stream(*args, **kwargs):
             handed.append(chunk.first)
             yield chunk
 
-    def marked(*args):  # ground_states(g, pool)
-        ground = solve(*args)
-        ground.residuals[list(unconverged)] = 2 * LAMBDA0_TOL
-        return ground
-
     rows = chunk_rows or validated.num_rows
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "CHUNK_CELLS", rows * validated.m0.backend.cells)
+        mp.setattr(geometry, "CHUNK_CELLS",
+                   4 * rows * validated.m0.backend.cells)
         mp.setattr(harness, "stream_backward", spied)
-        mp.setattr(harness, "ground_states", marked)
+        mark_unconverged(mp, unconverged)
         result = run(validated, out)
     return result, handed, [(out / name).read_bytes() for name in
                             ("data.csv", "proof_chain.csv")]
@@ -1703,9 +1691,10 @@ def test_streamed_run_matches_collected_run(raw, failure, chunk_rows, row):
 
 def test_run_holds_one_density_chunk_not_the_history(tmp_path, monkeypatch):
     # 257 rows of 32^2 cells make a 2.1 MB history.  In chunks of 4 rows (65
-    # chunks), on one worker with one-row kernel blocks, the traced peak
-    # before the first CSV write (one chunk, the row tables and the kernel's
-    # one-row temporaries) stays below a quarter of it, about 0.21 of it;
+    # chunks, two arrays of CHUNK_CELLS // 4), on one worker with one-row
+    # kernel blocks, the traced peak before the first CSV write (the chunk
+    # arrays, the row tables and the kernel's one-row temporaries) stays
+    # below a quarter of it, about 0.23 of it;
     # the CSV writer's blocks set the whole run's peak, which stays below
     # half of it, about 0.41 of it.  The peak is read and reset at the first
     # write, so the chunking is gated apart from the writer.
@@ -1731,7 +1720,7 @@ def test_run_holds_one_density_chunk_not_the_history(tmp_path, monkeypatch):
     cells = validated.m0.backend.cells
     history = validated.num_rows * cells * 8
     assert validated.num_rows == 257 and history == 2105344
-    monkeypatch.setattr(geometry, "CHUNK_CELLS", 4 * cells)
+    monkeypatch.setattr(geometry, "CHUNK_CELLS", 4 * 4 * cells)
     monkeypatch.setattr(geometry, "WORKERS", 1)
     monkeypatch.setattr(geometry, "ROW_CELLS", cells)
     tracemalloc.start()
@@ -1850,7 +1839,7 @@ def pooled(workers):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "WORKERS", workers)
         mp.setattr(geometry, "ROW_CELLS", workers * 3 * 16**2)
-        mp.setattr(geometry, "CHUNK_CELLS", 16 * 16**2)
+        mp.setattr(geometry, "CHUNK_CELLS", 4 * 16 * 16**2)
         yield mp
 
 
@@ -1908,12 +1897,81 @@ def test_no_child_outlives_a_run(end, tmp_path):
     assert manifest["workers"] == 2
 
 
+# A forking run in a process of its own whose worker's kernel blocks each
+# sleep 0.3 s and log "pid first-time" to the file argv[1].
+ORPHAN_SCRIPT = """
+import json, os, sys, time
+from riccilab import geometry, harness
+geometry.WORKERS, geometry.ROW_CELLS = 2, 2 * 16**2
+geometry.CHUNK_CELLS = 4 * 16 * 16**2
+kernel, parent = harness.row_values, os.getpid()
+log = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND)
+
+def spied(g, v, times, a_values):
+    os.write(log, f"{os.getpid()} {float(times[0])!r}\\n".encode())
+    if os.getpid() != parent:
+        time.sleep(0.3)
+    return kernel(g, v, times, a_values)
+
+harness.row_values = spied
+harness.run(harness.validate_config(harness.make_config(
+    json.loads(sys.argv[2]))), sys.argv[3])
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(),
+                    reason="reads a process's state in /proc")
+def test_orphaned_worker_starts_no_block(tmp_path):
+    # SIGKILL the run's process while its worker is inside a kernel block of
+    # a chunk: the worker finds itself orphaned before its next claim and
+    # exits, with no block started after the kill.
+    import signal
+
+    log = tmp_path / "blocks.log"
+    log.touch()
+    env = {**os.environ, "PYTHONPATH": str(Path(rl.__file__).parent.parent)}
+    run_process = subprocess.Popen(
+        [sys.executable, "-c", ORPHAN_SCRIPT, str(log), json.dumps(POOLED_CFG),
+         str(tmp_path / "out")], env=env)
+
+    def worker_lines():
+        return [line for line in log.read_text().splitlines()
+                if int(line.split()[0]) != run_process.pid]
+
+    try:
+        deadline = time.monotonic() + 60.0
+        while not worker_lines():
+            assert run_process.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+    finally:
+        run_process.kill()
+        run_process.wait()
+    started = worker_lines()
+    worker = int(started[0].split()[0])
+
+    def alive():  # a zombie has exited; whoever adopted it reaps it
+        try:
+            stat = Path(f"/proc/{worker}/stat").read_text()
+        except OSError:
+            return False
+        return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+    deadline = time.monotonic() + 10.0
+    while alive():
+        if time.monotonic() > deadline:
+            os.kill(worker, signal.SIGKILL)
+            pytest.fail("the orphaned worker is still running")
+        time.sleep(0.05)
+    assert worker_lines() == started and len(started) == 1
+
+
 def test_kernel_reads_each_chunk_where_the_heat_solve_stepped_it(tmp_path):
-    # On a forking torus run (3-row ground-state blocks fork the worker,
-    # the kernel runs 1-row blocks, 16-row chunks), every density block
-    # the kernel reads, in the caller and in the worker, lies in the one
-    # pool array of a chunk's rows that the heat solve steps into; a heat
-    # stream whose chunks are copies outside it ends the run in ValueError.
+    # On a forking torus run (the kernel runs 1-row blocks, 16-row chunks),
+    # every density block the kernel reads, in the caller and in the
+    # worker, lies in the pool array its chunk was stepped into: the first
+    # of the two chunk arrays for rows 25-40 and 0-8, the second for rows
+    # 9-24.  Both processes evaluate kernel blocks.  A heat stream whose
+    # chunks are copies outside them ends the run in ValueError.
     from riccilab import geometry, harness
 
     validated = validate_config(make_config(POOLED_CFG))
@@ -1926,8 +1984,8 @@ def test_kernel_reads_each_chunk_where_the_heat_solve_stepped_it(tmp_path):
         return made[-1]
 
     def spied(g, v, times, a_values):
-        log.record(tuple(i for i, a in enumerate(made)
-                         if np.shares_memory(v, a)))
+        log.record(float(times[0]), tuple(
+            i for i, a in enumerate(made) if np.shares_memory(v, a)))
         return kernel(g, v, times, a_values)
 
     def copied(*args, **kwargs):
@@ -1936,15 +1994,20 @@ def test_kernel_reads_each_chunk_where_the_heat_solve_stepped_it(tmp_path):
                                     chunk.masses, chunk.first)
 
     with pooled(2) as mp:
-        mp.setattr(geometry, "ROW_CELLS", 2 * 3 * 16)  # 3-row column blocks
+        mp.setattr(geometry, "ROW_CELLS", 2 * 16**2)  # 1-row kernel blocks
         mp.setattr(geometry.RowPool, "array", recorded)
         mp.setattr(harness, "row_values", spied)
-        assert run(validated, tmp_path / "ok").exit_code == 0
+        result = run(validated, tmp_path / "ok")
+    assert result.exit_code == 0
     records = log.records()
-    (out,) = [i for i, a in enumerate(made) if a.shape[1:] == field]
-    assert made[out].shape == (16,) + field
-    assert len(records) == 41 and {r[1] for r in records} == {(out,)}
-    assert len({r[0] for r in records}) == 2  # the caller and its worker
+    chunks = [i for i, a in enumerate(made) if a.shape[1:] == field]
+    assert [made[i].shape for i in chunks] == [(16,) + field] * 2
+    rows = {int(np.argmin(np.abs(result.tables.times - t))): (pid, where)
+            for pid, t, where in records}
+    assert len(records) == 41 and sorted(rows) == list(range(41))
+    for k, (_, where) in rows.items():
+        assert where == (chunks[1 if 9 <= k <= 24 else 0],), k
+    assert len({pid for pid, _ in rows.values()}) == 2  # caller and worker
     with pooled(2) as mp:
         mp.setattr(harness, "stream_backward", copied)
         with pytest.raises(ValueError, match="density chunk of rows 25-40 is "
@@ -1956,7 +2019,8 @@ def test_kernel_reads_each_chunk_where_the_heat_solve_stepped_it(tmp_path):
 def test_workers_usage_is_counted_in_rows_s(tmp_path):
     # Each worker block spins 0.05 s of CPU time and touches 2048 pages of
     # a new 8 MiB mapping, which only RUSAGE_CHILDREN sees; the caller's
-    # blocks do neither.  rows_s counts both for every worker block.
+    # blocks do neither.  rows_s counts both for every worker block, and
+    # workers_rows counts the worker blocks' rows.
     import mmap
 
     from riccilab import harness
@@ -1965,7 +2029,7 @@ def test_workers_usage_is_counted_in_rows_s(tmp_path):
     kernel, parent, log = harness.row_values, os.getpid(), ProcessLog()
 
     def busy(g, v, times, a_values):
-        log.record(0)
+        log.record(len(times))
         if os.getpid() != parent:
             with mmap.mmap(-1, 2**23) as pages:
                 np.frombuffer(pages, np.uint8)[::4096] = 1
@@ -1977,12 +2041,12 @@ def test_workers_usage_is_counted_in_rows_s(tmp_path):
     with pooled(2) as mp:
         mp.setattr(harness, "row_values", busy)
         assert run(validated, tmp_path).exit_code == 0
-    worker_blocks = sum(pid != parent for pid, _ in log.records())
+    worker_blocks = [n for pid, n in log.records() if pid != parent]
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert worker_blocks == 8
-    assert manifest["cpu_s"]["rows_s"] >= 0.05 * worker_blocks
-    assert manifest["minor_faults"]["rows_s"] >= 2048 * worker_blocks
-    assert manifest["minor_faults"]["rows_s"] >= 2000 * worker_blocks
+    assert worker_blocks
+    assert manifest["workers_rows"] == sum(worker_blocks)
+    assert manifest["cpu_s"]["rows_s"] >= 0.05 * len(worker_blocks)
+    assert manifest["minor_faults"]["rows_s"] >= 2048 * len(worker_blocks)
 
 
 def test_csv_writer_matches_format_17g_on_edge_values(tmp_path):
@@ -2378,6 +2442,33 @@ def test_verbose_logs_stage_timings(tmp_path, capsys):
     assert f"{tmp_path / 'c' / 'level_2'}: writers_s" in capsys.readouterr().err
 
 
+def test_verbose_logs_each_density_chunk(tmp_path, caplog):
+    # A forking run logs each chunk's rows, top chunk first, and how many of
+    # them the worker evaluated, once its call is joined; the counts add up
+    # to the manifest's workers_rows.  A run that forks nothing logs 0.
+    import logging
+
+    validated = validate_config(make_config(POOLED_CFG))
+    pattern = re.compile(r"(\S+): density chunk rows (\d+)-(\d+), (\d+) of "
+                         r"them on the workers$")
+    for workers in (2, 1):
+        out = tmp_path / str(workers)
+        caplog.clear()
+        with pooled(workers), caplog.at_level(logging.INFO,
+                                              logger="riccilab.harness"):
+            assert run(validated, out).exit_code == 0
+        lines = [pattern.match(r.getMessage()) for r in caplog.records]
+        chunks = [tuple(map(int, m.groups()[1:])) for m in lines if m]
+        assert {m.group(1) for m in lines if m} == {str(out)}
+        assert [(lo, hi) for lo, hi, _ in chunks] == [(25, 40), (9, 24),
+                                                      (0, 8)]
+        assert all(0 <= n <= hi - lo + 1 for lo, hi, n in chunks)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["workers_rows"] == sum(n for _, _, n in chunks)
+        if workers == 1:
+            assert manifest["workers_rows"] == 0
+
+
 def test_resolve_out_dir_env(tmp_path, monkeypatch):
     from pathlib import Path
 
@@ -2548,7 +2639,8 @@ def study_forks():
 STUDY_FILES = [f"level_{k}/{name}" for k in range(3)
                for name in ("data.csv", "proof_chain.csv")] + ["study.csv"]
 USAGE_FIELDS = ("timings", "cpu_s", "minor_faults", "peak_rss_mb",
-                "wall_clock_s", "workers", "workers_peak_rss_mb")
+                "wall_clock_s", "workers", "workers_peak_rss_mb",
+                "workers_rows")
 
 
 def study_cfg(tmp_path):

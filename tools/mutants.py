@@ -47,6 +47,9 @@ CHUNK_ARRAY_TEST = (
     "tests/test_harness.py::"
     "test_kernel_reads_each_chunk_where_the_heat_solve_stepped_it")
 
+CLAIMS_TEST = ("tests/test_geometry.py::"
+               "test_two_sided_claims_take_every_block")
+
 FLOWING_HEAT_TEST = (
     "tests/test_heat.py::"
     "test_flowing_solve_bytes_do_not_depend_on_block_or_chunk_size")
@@ -149,32 +152,46 @@ MUTANTS = [
      [FLOWING_HEAT_TEST, "tests/test_heat.py"]),
     # The density chunks: a run's chunk array holds every row's density.
     ("heat-stream-one-chunk", "harness.py",
-     "chunk_rows = min(K, max(1, geometry.CHUNK_CELLS // backend.cells))",
+     "chunk_rows = min(K, max(1, geometry.CHUNK_CELLS // 4\n"
+     "                                    // backend.cells))",
      "chunk_rows = K",
      ["tests/test_harness.py::"
       "test_run_holds_one_density_chunk_not_the_history"]),
-    # The chunk array: the heat solve steps into it, the kernel reads its
-    # rows at their own times, and it is made before the pool forks.
+    # The chunk arrays: the heat solve steps into them in turn, the kernel
+    # reads its rows at their own times, a chunk's array is not stepped
+    # into while the worker may read it, and they are made before the pool
+    # forks.
     ("heat-stream-ignores-out", "heat.py",
-     "    if out is None:\n        out = np.empty(",
-     "    if True:\n        out = np.empty(",
+     "    if out is None:\n        out = [np.empty(",
+     "    if True:\n        out = [np.empty(",
      [CHUNK_ARRAY_TEST]),
     ("chunk-outside-the-array-accepted", "harness.py",
-     "if chunk.v.__array_interface__ != out[:n].__array_interface__:",
+     "if (chunk.v.__array_interface__\n"
+     "                            != out[which][:n].__array_interface__):",
      "if False:",
      [CHUNK_ARRAY_TEST]),
     ("kernel-times-one-row-off", "harness.py",
-     "row_values(g, out[rows], times[at], a_values)",
-     "row_values(g, out[rows], times[at.start + 1:at.stop + 1], a_values)",
+     "row_values(g, out[which][rows], times[at], a_values)",
+     "row_values(g, out[which][rows], times[at.start + 1:at.stop + 1], "
+     "a_values)",
      [ROW_BLOCKS_TEST, "tests/test_harness.py"]),
     ("chunk-array-after-ground-states", "harness.py",
-     "            out = pool.array((chunk_rows,) + backend.field_shape)\n"
-     "            with _charged(blocks, \"lambda0_s\"):\n"
-     "                ground = ground_states(traj.stack[::2], pool)\n",
-     "            with _charged(blocks, \"lambda0_s\"):\n"
-     "                ground = ground_states(traj.stack[::2], pool)\n"
-     "            out = pool.array((chunk_rows,) + backend.field_shape)\n",
+     "            out = [pool.array((chunk_rows,) + backend.field_shape)\n"
+     "                   for _ in range(min(2, -(-K // chunk_rows)))]\n"
+     "            if not pool.shared and chunk_rows < K:  # glibc (CHUNK_CELLS)\n"
+     "                np.empty(min(K * backend.cells, geometry.CHUNK_CELLS))\n"
+     "            ground, solving = submit_ground_states(traj.stack[::2], pool)\n",
+     "            ground, solving = submit_ground_states(traj.stack[::2], pool)\n"
+     "            out = [pool.array((chunk_rows,) + backend.field_shape)\n"
+     "                   for _ in range(min(2, -(-K // chunk_rows)))]\n",
      [CHUNK_ARRAY_TEST]),
+    # One chunk array: the heat solve steps the next chunk into the array
+    # the worker still reads.
+    ("heat-steps-into-the-chunk-being-read", "harness.py",
+     "for _ in range(min(2, -(-K // chunk_rows)))]",
+     "for _ in range(1)]",
+     [CHUNK_ARRAY_TEST, "tests/test_harness.py::"
+      "test_csvs_are_the_same_bytes_on_any_worker_count"]),
     ("pool-array-after-fork-accepted", "geometry.py",
      "if self._workers is not None:\n"
      "            raise RuntimeError(\"row-pool array made after",
@@ -240,9 +257,10 @@ MUTANTS = [
      ["tests/test_heat.py", "tests/test_harness.py"]),
     # The failure order: lambda0 raised before the heat solve's failures.
     ("lambda0-failure-before-heat", "harness.py",
-     "                ground = ground_states(traj.stack[::2], pool)\n",
-     "                ground = ground_states(traj.stack[::2], pool)\n"
-     "                ground.value(int(np.argmin(ground.converged)))\n",
+     "            ground, solving = submit_ground_states(traj.stack[::2], pool)\n",
+     "            ground, solving = submit_ground_states(traj.stack[::2], pool)\n"
+     "            pool.join(solving)\n"
+     "            ground.value(int(np.argmin(ground.converged)))\n",
      ["tests/test_harness.py::test_heat_failure_comes_before_lambda0",
       "tests/test_harness.py"]),
     ("torus-volume-overflow-blames-n", "harness.py",
@@ -390,8 +408,13 @@ MUTANTS = [
      '            chunk = next(chunks, None)',
      ["tests/test_harness.py"]),
     ("lambda0-charged-to-none", "harness.py",
-     'with _charged(blocks, "lambda0_s"):', 'with _charged(None, "lambda0_s"):',
+     '_charge(blocks, "lambda0_s", solving.usage)',
+     '_charge(blocks, "lambda0_s", [0.0, 0.0, 0])',
      ["tests/test_harness.py"]),
+    # The worker's usage of a call (the ground states') is not returned.
+    ("worker-usage-dropped", "geometry.py",
+     "        _add(call.usage, used)\n", "",
+     ["tests/test_harness.py::test_stage_clock_invariants"]),
     ("peak-rss-at-stage-start", "harness.py",
      "            yield\n        peaks[entry] = _peak_rss_mb()",
      "            peaks[entry] = _peak_rss_mb()\n            yield",
@@ -408,21 +431,43 @@ MUTANTS = [
     # The row pool: each process's share, the failure order, cancelling on
     # a failure, reaping and the live-thread guard.
     ("pool-worker-runs-callers-share", "geometry.py",
-     "pickle.dumps((index, blocks[lo:hi], args))",
-     "pickle.dumps((index, blocks[:hi], args))",
+     "pickle.dumps((index, slot, blocks[lo:hi], args))",
+     "pickle.dumps((index, slot, blocks[:hi], args))",
      ["tests/test_geometry.py", "tests/test_harness.py"]),
     ("pool-last-failure-wins", "geometry.py",
-     "for worker in workers[:n - 1]:",
-     "for worker in reversed(workers[:n - 1]):",
+     "            for c, part in parts:\n                self._finish(c, part)",
+     "            for c, part in parts[::-1]:\n                self._finish(c, part)",
      ["tests/test_geometry.py", "tests/test_harness.py"]),
     ("pool-worker-runs-on-after-failure", "geometry.py",
-     "                    failure = exc\n                    break",
-     "                    failure = exc",
+     "                        failure, ends[slot, 2] = exc, 1\n"
+     "                        break",
+     "                        failure, ends[slot, 2] = exc, 1",
+     ["tests/test_geometry.py"]),
+    ("pool-worker-failure-not-flagged", "geometry.py",
+     "failure, ends[slot, 2] = exc, 1", "failure = exc",
      ["tests/test_geometry.py"]),
     ("pool-failure-waits-for-every-share", "geometry.py",
-     "self.close(kill=True)  # no block of the call starts after this",
+     "self.close(kill=True)  # no block starts after this",
      "self.close()",
      ["tests/test_geometry.py"]),
+    # The two-sided claims: the caller takes a block before it announces
+    # it, the worker takes the block the caller announced last, and a
+    # worker whose parent is gone claims on.
+    ("claim-caller-takes-unannounced", "geometry.py",
+     "        ends[0] = block + 1\n        if block < ends[1]:\n"
+     "            return block\n        ends[0] = block\n",
+     "        if block < ends[1]:\n            ends[0] = block + 1\n"
+     "            return block\n",
+     [CLAIMS_TEST]),
+    ("claim-worker-takes-announced", "geometry.py",
+     "if block >= ends[0]:", "if block >= ends[0] - 1:",
+     [CLAIMS_TEST]),
+    ("pool-worker-ignores-orphaning", "geometry.py",
+     "                    if os.getppid() != parent:\n"
+     "                        return  # orphaned",
+     "                    if False:\n"
+     "                        return  # orphaned",
+     ["tests/test_harness.py::test_orphaned_worker_starts_no_block"]),
     ("pool-worker-unreaped", "geometry.py",
      "    for pid, _, _ in children:\n        os.waitpid(pid, 0)",
      "    for pid, _, _ in children:\n        pass",
