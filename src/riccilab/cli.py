@@ -6,7 +6,7 @@ Subcommands: ``run <config>`` executes the pipeline and writes artifacts,
 and the flow step against g(0)'s stability bound, which ``run`` leaves to
 the flow).  ``converge`` runs the lower levels in a forked child process
 while this process runs the top level, where the row pool may fork
-(``harness.convergence_study``); a failed study still reports its lowest
+(``parallel.may_fork``; ``harness.convergence_study``); a failed study still reports its lowest
 failing level, but the top level's directory may then exist beside it,
 where the serial loop stopped at the first failure.  ``--out`` overrides
 out.dir; the environment

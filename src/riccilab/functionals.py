@@ -28,7 +28,7 @@ one-column metrics) is solved on its column, Ny = 1: a y-invariant pencil
 has a y-invariant ground state, the symbol is the ky = 0 part of the rfft2
 half grid and the preconditioner shift the mean of e^{2 phi} over the
 cells held, so the values agree with the full-grid solve to round-off.
-The rows of a stack run independently over a ``geometry.RowPool``; the
+The rows of a stack run independently over a ``parallel.RowPool``; the
 small eigenproblems of a block are solved together as (k, m, m) stacks, on
 one workspace, with the Gram pencils from batched ``matmul`` (BLAS dgemm).
 A row is frozen and leaves its block once its relative eigen-residual
@@ -53,10 +53,10 @@ from .geometry import (
     ScalarField,
     _lap5,
     _row_sum,
-    row_pool,
     scalar_field,
     volume,
 )
+from .parallel import row_pool
 
 __all__ = [
     "f_functional",
@@ -289,7 +289,7 @@ def ground_states(g) -> GroundStates:
     ``LAMBDA0_MAXITER`` iterations is reported, not raised:
     ``GroundStates.value`` raises NoConvergence for it.  Row blocks are
     sized by the cells the stack holds and mapped on a
-    ``geometry.row_pool`` closed before the return (``submit_ground_states``
+    ``parallel.row_pool`` closed before the return (``submit_ground_states``
     starts them on a caller's pool).
     """
     if not isinstance(g.backend, ConformalTorus2D):

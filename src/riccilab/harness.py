@@ -40,7 +40,7 @@ except ImportError:  # not on every platform; the memory block is then null
     resource = None
 
 from . import __version__ as _VERSION
-from . import csvtext, flow, geometry
+from . import csvtext, flow, parallel
 from .errors import (
     AdmissibilityError,
     ConfigError,
@@ -53,7 +53,6 @@ from .geometry import (
     ConformalTorus2D,
     MetricState,
     RoundSphere,
-    _peak_rss_mb,
     grid_coords,
     volume,
 )
@@ -516,11 +515,11 @@ def evaluate_tables(
     rows that together cover every row once, in any order, chunk k's ``v``
     being ``out[k % len(out)][:n]`` (else ValueError):
     ``heat.stream_backward`` with ``out``, consumed as they complete.
-    ``out`` is one or two arrays of at most ``geometry.CHUNK_CELLS // 4``
+    ``out`` is one or two arrays of at most ``parallel.CHUNK_CELLS // 4``
     cells (at least one row) from the pool's ``array``s, made before the
     pool forks, so the pool's workers read each chunk's rows where the heat
     solve stepped them.
-    One ``geometry.row_pool`` serves the run.  The lambda0 of every row is
+    One ``parallel.row_pool`` serves the run.  The lambda0 of every row is
     submitted to it first, whole (``submit_ground_states``), and each
     chunk's row-kernel call (``variation.row_values`` over the pool's row
     blocks, each block writing its rows of the tables, the pool's shared
@@ -550,7 +549,7 @@ def evaluate_tables(
     a_values = list(a_values)
     times = traj.times[::2]
     K = len(times)
-    pool = geometry.row_pool(K, backend.cells)
+    pool = parallel.row_pool(K, backend.cells)
     solving, workers_rows, covered = None, 0, 0
 
     def joined(lo, n, call):
@@ -579,12 +578,12 @@ def evaluate_tables(
             # F, S, dF_rhs, sub_lhs, sub_rhs, mass; Y, omega, rhs_thm, rhs_ye
             row_series = pool.array((6, K))
             a_series = pool.array((4, K, len(a_values)))
-            chunk_rows = min(K, max(1, geometry.CHUNK_CELLS // 4
+            chunk_rows = min(K, max(1, parallel.CHUNK_CELLS // 4
                                     // backend.cells))
             out = [pool.array((chunk_rows,) + backend.field_shape)
                    for _ in range(min(2, -(-K // chunk_rows)))]
             if not pool.shared and chunk_rows < K:  # glibc (CHUNK_CELLS)
-                np.empty(min(K * backend.cells, geometry.CHUNK_CELLS))
+                np.empty(min(K * backend.cells, parallel.CHUNK_CELLS))
             ground, solving = submit_ground_states(traj.stack[::2], pool)
             pending = None  # the last chunk's (first row, rows, call)
             try:
@@ -763,50 +762,31 @@ _MEMORY_STAGES = {"flow_s": "flow", "rows_s": "heat_and_rows",
                   "summary_s": "summary", "writers_s": "writers"}
 
 
-def _usage() -> tuple:
-    """This process's wall clock, CPU time of all its threads and minor page
-    faults so far, the last two with those of its reaped children (the row
-    pool's workers, ``RUSAGE_CHILDREN``), so a stage counts the workers
-    reaped within it; about 3 us a reading.  Without ``resource`` the CPU
-    time is this process's alone and the faults None."""
-    wall, cpu = time.perf_counter(), time.process_time()
-    if resource is None:
-        return wall, cpu, None
-    own, children = map(resource.getrusage,
-                        (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
-    return (wall, cpu + children.ru_utime + children.ru_stime,
-            own.ru_minflt + children.ru_minflt)
-
-
 @contextmanager
-def _charged(blocks: dict | None, stage: str, within: str | None = None):
-    """Add the block's wall time, CPU time and minor faults, from a
-    ``_usage`` reading at each end, to ``stage`` of the ``timings``,
-    ``cpu_s`` and ``minor_faults`` blocks and, given ``within`` (the stage
-    the block runs in), take them out of that one; no reading is taken when
-    ``blocks`` is None."""
-    if blocks is None:
-        yield
-        return
-    since = _usage()
+def _charged(blocks: dict, stage: str, within: str | None = None):
+    """Charge the block's usage (``parallel.measured``: its wall time, and
+    its CPU time and minor faults with those of the row pool's workers
+    reaped within it) to ``stage``, and take it out of ``within``
+    (``_charge``)."""
+    used = [0.0, 0.0, 0]
     try:
-        yield
+        with parallel.measured(used):
+            yield
     finally:
-        for name, start, now in zip(("timings", "cpu_s", "minor_faults"),
-                                    since, _usage()):
-            if now is not None:
-                blocks[name][stage] += now - start
-                if within is not None:
-                    blocks[name][within] -= now - start
+        _charge(blocks, stage, used, within)
 
 
-def _charge(blocks: dict, stage: str, used) -> None:
-    """Add a ``RowPool`` call's usage (wall time, CPU time and minor faults,
-    skipped where None) to ``stage`` of the ``timings``, ``cpu_s`` and
-    ``minor_faults`` blocks."""
+def _charge(blocks: dict, stage: str, used, within: str | None = None) -> None:
+    """Add a usage (wall time, CPU time and minor faults, skipped where
+    None: a ``RowPool`` call's or a ``_charged`` block's) to ``stage`` of
+    the ``timings``, ``cpu_s`` and ``minor_faults`` blocks and, given
+    ``within`` (the stage the usage was taken in), take it out of that
+    one."""
     for name, u in zip(("timings", "cpu_s", "minor_faults"), used):
         if u is not None:
             blocks[name][stage] += u
+            if within is not None:
+                blocks[name][within] -= u
 
 
 @contextmanager
@@ -819,7 +799,7 @@ def _timed(blocks: dict, stage: str, out: Path, logged=()):
     try:
         with _charged(blocks, stage):
             yield
-        peaks[entry] = _peak_rss_mb()
+        peaks[entry] = parallel.peak_rss_mb()
     finally:
         for name in (stage, *logged):
             peak = peaks[entry] if name == stage else None
@@ -1006,13 +986,19 @@ def convergence_study(cfg: RunConfig, levels: int, out_dir) -> StudyResult:
 
     Every level is built and validated before the output directory is
     created, so an invalid level leaves no artifacts.  Where the row pool
-    may fork (``geometry._may_fork``: Linux, more than one CPU, no other
-    live thread), the lower levels run in a forked child process while
-    this process runs the top level (``_forked_levels``); elsewhere the
-    levels run one after the other in this process.  A level whose run
-    fails raises NumericalError, the lowest failing level's, as the
-    serial loop does; but where the serial loop stops at the first
-    failure, the top level's directory may now exist beside it."""
+    may fork (``parallel.may_fork``: Linux, more than one CPU, no other
+    live thread), levels 0 ... L-2 run in order in one child process
+    (``parallel.forked``) while this process runs level L-1; elsewhere the
+    levels run one after the other in this process.  The child's row pools
+    never fork (``parallel.may_fork``), so it maps every row block itself,
+    in the blocks ``row_slices`` gives.  This process reads the child's
+    summaries and reaps it only once its own level's ``run`` has returned,
+    so the child's CPU time is not counted in that level's ``cpu_s``
+    (``RUSAGE_CHILDREN``).  A level whose run fails raises NumericalError,
+    the lowest failing level's (the child's failure is raised before the
+    top level's), as the serial loop does; but where the serial loop stops
+    at the first failure, the top level's directory may now exist beside
+    it."""
     if cfg.backend_kind != "conformal_torus":
         raise ConfigError("convergence study requires the conformal_torus backend")
     if levels < 3:
@@ -1027,11 +1013,18 @@ def convergence_study(cfg: RunConfig, levels: int, out_dir) -> StudyResult:
         for level in range(levels)
     ]
     out = Path(out_dir)
-    if geometry._may_fork(geometry.WORKERS):
-        summaries = _forked_levels(validated_levels, out)
+    runs = [functools.partial(_study_level, level, validated, out)
+            for level, validated in enumerate(validated_levels)]
+    if not parallel.may_fork(parallel.WORKERS):
+        summaries = [level_run() for level_run in runs]
     else:
-        summaries = [_study_level(level, validated, out)
-                     for level, validated in enumerate(validated_levels)]
+        with parallel.forked(runs[:-1]) as child:
+            try:
+                top = runs[-1]()
+            except NumericalError:
+                child.result()  # the child's failure comes first
+                raise
+            summaries = child.result() + [top]
     rows = [
         {
             "level": level,
@@ -1074,58 +1067,3 @@ def _study_level(level: int, validated: ValidatedRun, out: Path) -> dict:
             f"study level {level} failed with status {result.status}")
     return result.summary
 
-
-def _forked_levels(validated_levels: list, out: Path) -> list:
-    """Every level's summary: levels 0 ... L-2 run in order in one child
-    (``geometry._fork``) while this process runs level L-1.
-
-    The child's row pools never fork (``geometry._may_fork``), so it maps
-    every row block itself, in the blocks ``row_slices`` gives.  It stops
-    at its first failing level, checks before each level that this process
-    is still its parent and leaves if not, and sends its summaries and
-    first failure, if any, as one ``geometry._dumps`` message; it flushes
-    the logging handlers before it leaves.  This process reads that message
-    and reaps the child only once its own level's ``run`` has returned,
-    so the child's CPU time is not counted in that level's ``cpu_s``
-    (``RUSAGE_CHILDREN``).  Any exception here, an interrupt included,
-    kills and reaps the child before it propagates.  The child's failure
-    is raised before the top level's, so the lowest failing level is the
-    one reported; an exception the child cannot pickle arrives as a
-    RuntimeError naming it."""
-    parent, top = os.getpid(), len(validated_levels) - 1
-
-    def lower(tasks, replies):
-        summaries, failure = [], None
-        try:
-            for level, validated in enumerate(validated_levels[:top]):
-                if os.getppid() != parent:
-                    return
-                try:
-                    summaries.append(_study_level(level, validated, out))
-                except Exception as exc:
-                    failure = exc
-                    break
-            geometry._send(replies, geometry._dumps(summaries, failure))
-        finally:
-            logging.shutdown()
-
-    child = geometry._fork(lower)
-    summary = top_failure = None
-    kill = True  # until the child's message is read
-    try:
-        try:
-            summary = _study_level(top, validated_levels[top], out)
-        except NumericalError as exc:
-            top_failure = exc
-        try:
-            summaries, failure = geometry._recv(child[2])
-        except EOFError:
-            raise RuntimeError(f"study child {child[0]} exited") from None
-        kill = False
-    finally:
-        geometry._reap([child], kill)
-    if failure is not None:
-        raise failure
-    if top_failure is not None:
-        raise top_failure
-    return summaries + [summary]

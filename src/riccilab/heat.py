@@ -28,11 +28,11 @@ top-down, in chunks stepped into reused buffers: in turn into each of the
 caller's ``out`` arrays (``harness.evaluate_tables`` passes two of its row
 pool's shared arrays, so the pool's worker reads one chunk's rows while the
 solve steps the next into the other), else into one of at most
-``geometry.CHUNK_CELLS`` cells; ``solve_backward`` collects the same loop
+``parallel.CHUNK_CELLS`` cells; ``solve_backward`` collects the same loop
 into one chunk of every row.  Either way a row's bits are the same.
 
 One stack per block.  A chunk is stepped and checked in the row blocks of
-``geometry.row_slices``, top block first.  A block of rows lo ... hi - 1
+``parallel.row_slices``, top block first.  A block of rows lo ... hi - 1
 takes one slice of the trajectory's stack (``Trajectory.stack``), its
 snapshots 2 lo ... 2 hi (2 M at the run's top row M), so the snapshot
 geometry -- R and the Laplace-Beltrami factor -- is built once per
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
+from . import geometry, parallel
 from .errors import MassDrift, NonPositive, PositivityLoss
 from .flow import Trajectory
 from .geometry import (
@@ -299,7 +299,7 @@ def stream_backward(traj: Trajectory, v_T: ScalarField, *,
     chunk's ``first`` is its lowest row.  Given ``out``, a sequence of
     arrays of one density a row, all of one length, chunk k holds that many
     rows (the last chunk fewer) and its ``v`` is ``out[k % len(out)][:n]``;
-    without it, each chunk holds at most ``geometry.CHUNK_CELLS`` cells (at
+    without it, each chunk holds at most ``parallel.CHUNK_CELLS`` cells (at
     least one row) in a buffer of the solve's own.  Either way a chunk's
     buffer is overwritten by the chunk ``len(out)`` after it (the next one
     without ``out``), which the solve steps once the consumer asks for it:
@@ -307,7 +307,7 @@ def stream_backward(traj: Trajectory, v_T: ScalarField, *,
     is raised where ``solve_backward`` raises it: the chunks above the
     failing row have been handed over by then, the failing row in none.
     """
-    return _backward(traj, v_T, mass_tol, geometry.CHUNK_CELLS, out)
+    return _backward(traj, v_T, mass_tol, parallel.CHUNK_CELLS, out)
 
 
 def _backward(traj, v_T, mass_tol, chunk_cells, out=None):
@@ -345,7 +345,7 @@ def _backward(traj, v_T, mass_tol, chunk_cells, out=None):
         with np.errstate(all="ignore"):  # the check reports what overflows
             if top == M:
                 v_out[top - base] = v
-            for block in reversed(geometry.row_slices(base, top + 1,
+            for block in reversed(parallel.row_slices(base, top + 1,
                                                       backend.cells)):
                 lo, hi = block.start, block.stop
                 # Rows lo ... hi - 1 sit at snapshots 2 lo ... 2 hi - 2, and

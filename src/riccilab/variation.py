@@ -28,7 +28,7 @@ block-sized field is released after its last reader, in this order: f =
 them, before u exists; u's four differences, once F and the outer product
 grad u (x) grad u have read them, before the Hessian; u and the outer
 product, once T is built in the Hessian's own output; u**2, T and
-cross_sq(T) last, after the rates (``geometry.CHUNK_CELLS``'s comment
+cross_sq(T) last, after the rates (``parallel.CHUNK_CELLS``'s comment
 counts the fields a block then holds at once).  The per-state functions
 (``matrix_quantity``, ``rhs_split``, ``rhs_combined``, and
 ``f_functional``, ``shannon_entropy`` and ``log_entropy`` in

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import riccilab as rl
-from riccilab import functionals, geometry
+from riccilab import functionals, parallel
 from riccilab.functionals import LAMBDA0_TOL, _lowest_ritz, _neg_lap_symbol
 from riccilab.geometry import _lap5
 
@@ -324,8 +324,8 @@ def test_ground_states_rows_independent_of_block(rows_per_block, monkeypatch):
     rows = range(0, traj.num_steps + 1, 100)
     alone = [rl.lambda0_eig(traj.state(i)) for i in rows]
     # A block holds ROW_CELLS // WORKERS cells.
-    monkeypatch.setattr(geometry, "ROW_CELLS",
-                        (rows_per_block or len(rows)) * N * N * geometry.WORKERS)
+    monkeypatch.setattr(parallel, "ROW_CELLS",
+                        (rows_per_block or len(rows)) * N * N * parallel.WORKERS)
     params = traj.params[rows]
     ground = functionals.ground_states(backend.stack(params))
     assert len(set(ground.iterations.tolist())) > 2
@@ -356,8 +356,8 @@ def test_ground_states_one_column_eigenfunctions(monkeypatch):
     values = []
     for rows_per_block in (1, len(params)):
         # A block holds ROW_CELLS // WORKERS cells.
-        monkeypatch.setattr(geometry, "ROW_CELLS",
-                            rows_per_block * N * geometry.WORKERS)
+        monkeypatch.setattr(parallel, "ROW_CELLS",
+                            rows_per_block * N * parallel.WORKERS)
         log = ProcessLog()
         g = m0.backend.stack(params)
         values.append(functionals.ground_states(g).values)
@@ -393,10 +393,10 @@ def test_ground_states_pool_stress(monkeypatch):
     x, y = rl.grid_coords(backend)
     params = np.stack([0.05 * k * np.sin(x) * np.cos(y) + 0.0 * y
                        for k in range(24)])
-    monkeypatch.setattr(geometry, "WORKERS", 1)
+    monkeypatch.setattr(parallel, "WORKERS", 1)
     want = functionals.ground_states(backend.stack(params))
-    monkeypatch.setattr(geometry, "WORKERS", 6)
-    monkeypatch.setattr(geometry, "ROW_CELLS", 6 * N * N)
+    monkeypatch.setattr(parallel, "WORKERS", 6)
+    monkeypatch.setattr(parallel, "ROW_CELLS", 6 * N * N)
     for _ in range(2):
         got = functionals.ground_states(backend.stack(params))
         assert np.array_equal(got.values, want.values)

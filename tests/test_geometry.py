@@ -614,12 +614,12 @@ def test_row_blocks_map_in_order_on_the_pool_and_join(monkeypatch):
     # worker takes the top of its part, and the caller its bottom; every
     # block runs once and lands at its own index of a shared array.  A
     # second call reuses the workers, and close reaps them.
-    from riccilab import geometry
+    from riccilab import parallel
 
-    monkeypatch.setattr(geometry, "WORKERS", 3)
-    monkeypatch.setattr(geometry, "ROW_CELLS", 3 * 2 * 4)
+    monkeypatch.setattr(parallel, "WORKERS", 3)
+    monkeypatch.setattr(parallel, "ROW_CELLS", 3 * 2 * 4)
     log, before = ProcessLog(), threading.active_count()
-    with geometry.RowPool() as pool:
+    with parallel.RowPool() as pool:
         out = pool.array((2, 6, 2), int)
 
         @pool.add
@@ -630,8 +630,8 @@ def test_row_blocks_map_in_order_on_the_pool_and_join(monkeypatch):
                 time.sleep(0.05)
 
         parent = os.getpid()
-        pool.map(block, 11, 4, 0)
-        pool.map(block, 11, 4, 1)
+        pool.join(pool.submit(block, 11, 4, 0))
+        pool.join(pool.submit(block, 11, 4, 1))
         assert pool.processes_used == 3 and pool.workers_peak_rss_mb > 0.0
     assert not children_left()
     assert threading.active_count() == before
@@ -657,7 +657,7 @@ def test_two_sided_claims_take_every_block(blocks, data):
     # side or as one of the blocks between the ends once both stopped,
     # which the caller runs; a block is taken by both sides only where a
     # read was stale; each side's blocks run from its end of the part.
-    from riccilab.geometry import _claim
+    from riccilab.parallel import _claim
 
     memory = TwoSidedMemory(blocks, data)
     taken = memory.run(_claim)
@@ -705,10 +705,10 @@ def test_row_blocks_cancel_the_blocks_not_started(monkeypatch):
     # its failure stops the caller before the next part.  An exception
     # pickle cannot carry (a class it cannot find by name) arrives as a
     # RuntimeError naming it.
-    from riccilab import geometry
+    from riccilab import parallel
 
-    monkeypatch.setattr(geometry, "WORKERS", 3)
-    monkeypatch.setattr(geometry, "ROW_CELLS", 3)
+    monkeypatch.setattr(parallel, "WORKERS", 3)
+    monkeypatch.setattr(parallel, "ROW_CELLS", 3)
     for failing, raised in FAILING_BLOCKS:
         first = min(failing)
         running = {k for k in (2, 5) if k > first}
@@ -730,10 +730,10 @@ def map_failing_blocks(failing, raised):
     exception, that the second call ran in the caller in order and that no
     child is left, and return (pid, block) of each block the first call
     started."""
-    from riccilab import geometry
+    from riccilab import parallel
 
     log, parent = ProcessLog(), os.getpid()
-    with geometry.RowPool() as pool:
+    with parallel.RowPool() as pool:
 
         @pool.add
         def block(fail, rows):
@@ -749,8 +749,8 @@ def map_failing_blocks(failing, raised):
                 time.sleep(3.0)
 
         with pytest.raises(Exception) as info:
-            pool.map(block, 6, 1, True)
-        pool.map(block, 6, 1, False)
+            pool.join(pool.submit(block, 6, 1, True))
+        pool.join(pool.submit(block, 6, 1, False))
     assert not children_left()
     kind, message = raised
     if kind is LocalError:
@@ -771,14 +771,14 @@ def test_row_pool_kills_the_workers_when_the_caller_leaves_by_an_interrupt(
     # the interrupt propagates at once and no child is left.  A worker's
     # own interrupt ends it: the caller, whose block takes 0.5 s so that the
     # worker claims the other, reports that it exited.
-    from riccilab import geometry
+    from riccilab import parallel
 
-    monkeypatch.setattr(geometry, "WORKERS", 2)
-    monkeypatch.setattr(geometry, "ROW_CELLS", 2)
+    monkeypatch.setattr(parallel, "WORKERS", 2)
+    monkeypatch.setattr(parallel, "ROW_CELLS", 2)
     for where in ("caller", "worker"):
         started = time.perf_counter()
         with pytest.raises((KeyboardInterrupt, RuntimeError)) as info:
-            with geometry.RowPool() as pool:
+            with parallel.RowPool() as pool:
 
                 @pool.add
                 def block(rows):
@@ -786,7 +786,7 @@ def test_row_pool_kills_the_workers_when_the_caller_leaves_by_an_interrupt(
                         raise KeyboardInterrupt
                     time.sleep(60.0 if where == "caller" else 0.5)
 
-                pool.map(block, 2, 1)
+                pool.join(pool.submit(block, 2, 1))
         assert not children_left()
         assert time.perf_counter() - started < 30.0
         if where == "caller":
@@ -797,21 +797,22 @@ def test_row_pool_kills_the_workers_when_the_caller_leaves_by_an_interrupt(
 
 
 def map_in_the_caller(workers, rows, monkeypatch):
-    """Map one-cell rows in one-row blocks on ``workers`` processes, with
-    ``os.fork`` failing the test, and check that every block ran in the
-    caller, in order."""
-    from riccilab import geometry
+    """Map one-cell rows in one-row blocks on the ``row_pool`` of ``workers``
+    CPUs sized for them, with ``os.fork`` failing the test, and check that
+    every block ran in the caller, in order."""
+    from riccilab import parallel
 
     def no_fork():
         raise AssertionError("a worker was forked")
 
-    monkeypatch.setattr(geometry, "WORKERS", workers)
-    monkeypatch.setattr(geometry, "ROW_CELLS", workers)
+    monkeypatch.setattr(parallel, "WORKERS", workers)
+    monkeypatch.setattr(parallel, "ROW_CELLS", workers)
     monkeypatch.setattr(os, "fork", no_fork)
     starts = []
-    with geometry.RowPool() as pool:
-        assert pool.shared == (workers > 1)
-        pool.map(pool.add(lambda r: starts.append(r.start)), rows, 1)
+    with parallel.row_pool(rows, 1) as pool:
+        assert pool.shared == (min(workers, rows) > 1)
+        block = pool.add(lambda r: starts.append(r.start))
+        pool.join(pool.submit(block, rows, 1))
         assert pool.processes_used == 1
         assert pool.workers_peak_rss_mb is None
     assert starts == list(range(rows))
@@ -820,7 +821,8 @@ def map_in_the_caller(workers, rows, monkeypatch):
 @pytest.mark.parametrize("workers,rows", [(1, 9), (4, 1)])
 def test_row_blocks_one_worker_or_block_maps_in_the_calling_thread(
         workers, rows, monkeypatch):
-    # One worker (private arrays, no shared memory) or one block.
+    # One worker or one block: a pool of one process (private arrays, no
+    # shared memory).
     map_in_the_caller(workers, rows, monkeypatch)
 
 
@@ -837,14 +839,14 @@ def test_row_pool_forks_nothing_beside_a_live_thread(monkeypatch):
 
 
 def test_row_pool_functions_are_added_before_the_fork(monkeypatch):
-    from riccilab import geometry
+    from riccilab import parallel
 
-    monkeypatch.setattr(geometry, "WORKERS", 2)
-    monkeypatch.setattr(geometry, "ROW_CELLS", 2)
-    with geometry.RowPool() as pool:
+    monkeypatch.setattr(parallel, "WORKERS", 2)
+    monkeypatch.setattr(parallel, "ROW_CELLS", 2)
+    with parallel.RowPool() as pool:
         with pytest.raises(ValueError, match="not added"):
-            pool.map(lambda r: None, 2, 1)
-        pool.map(pool.add(lambda r: None), 2, 1)
+            pool.submit(lambda r: None, 2, 1)
+        pool.join(pool.submit(pool.add(lambda r: None), 2, 1))
         with pytest.raises(RuntimeError, match="after the pool forked"):
             pool.add(lambda r: None)
     assert not children_left()
@@ -853,13 +855,14 @@ def test_row_pool_functions_are_added_before_the_fork(monkeypatch):
 def test_row_pool_arrays_are_made_before_the_fork(monkeypatch):
     # The worker writes its block into an array made before the fork; one
     # made after it would be the caller's alone, so it is refused.
-    from riccilab import geometry
+    from riccilab import parallel
 
-    monkeypatch.setattr(geometry, "WORKERS", 2)
-    monkeypatch.setattr(geometry, "ROW_CELLS", 2)
-    with geometry.RowPool() as pool:
+    monkeypatch.setattr(parallel, "WORKERS", 2)
+    monkeypatch.setattr(parallel, "ROW_CELLS", 2)
+    with parallel.RowPool() as pool:
         made = pool.array(2)
-        pool.map(pool.add(lambda rows: made.__setitem__(rows, 1.0)), 2, 1)
+        block = pool.add(lambda rows: made.__setitem__(rows, 1.0))
+        pool.join(pool.submit(block, 2, 1))
         assert made.tolist() == [1.0, 1.0] and pool.processes_used == 2
         with pytest.raises(RuntimeError, match="made after the pool forked"):
             pool.array(2)

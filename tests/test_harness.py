@@ -827,7 +827,7 @@ def spied_kernel_run(a_values, workers, tmp_path, monkeypatch):
     process that made it and the times it covered; checks that the stacked
     cores covered the same rows in as many calls and that no per-state
     functional ran."""
-    from riccilab import functionals, geometry, harness, variation
+    from riccilab import functionals, harness, parallel, variation
 
     stacked = ("row_values", "_energy", "_variation_tensor")
     per_state = ("f_functional", "shannon_entropy", "matrix_quantity",
@@ -850,8 +850,8 @@ def spied_kernel_run(a_values, workers, tmp_path, monkeypatch):
         for ns in (functionals, variation, harness):
             if getattr(ns, name, None) is original:
                 monkeypatch.setattr(ns, name, spy(name, original))
-    monkeypatch.setattr(geometry, "WORKERS", workers)
-    monkeypatch.setattr(geometry, "ROW_CELLS", workers * 3 * 16**2)
+    monkeypatch.setattr(parallel, "WORKERS", workers)
+    monkeypatch.setattr(parallel, "ROW_CELLS", workers * 3 * 16**2)
     validated = validate_config(make_config(
         {**ROW_KERNEL_CFGS["curved_torus"], "entropy.a": a_values}))
     result = run(validated, tmp_path / "out")
@@ -972,7 +972,7 @@ def test_row_blocks_match_public_functionals_bitwise(case):
     # Blocks of 1 row, 3 rows and the whole stack give every table column
     # bitwise equal to the public functionals on each row (a stack of one),
     # and the heat solve's blocked snapshot geometry moves no bit either.
-    from riccilab import functionals, geometry, harness
+    from riccilab import functionals, harness, parallel
 
     traj, v_T = case
     step = 2.0 * traj.dt
@@ -1006,7 +1006,7 @@ def test_row_blocks_match_public_functionals_bitwise(case):
     for rows in (1, 3, K):
         with pytest.MonkeyPatch.context() as mp:
             # A row block holds ROW_CELLS // WORKERS cells.
-            mp.setattr(geometry, "ROW_CELLS", rows * cells * geometry.WORKERS)
+            mp.setattr(parallel, "ROW_CELLS", rows * cells * parallel.WORKERS)
             assert np.array_equal(rl.solve_backward(traj, v_T, step=step).v, hist.v)
             tables, error = harness.evaluate_tables(
                 traj, chunks_through_out(hist), KERNEL_A)
@@ -1086,7 +1086,7 @@ def test_tables_independent_of_worker_count(case):
     # pool's 3-row chunk array (CHUNK_CELLS); every table column and
     # lambda0's values, iterations and residuals are bitwise the same on 1,
     # 2 and 3 workers.
-    from riccilab import geometry, harness
+    from riccilab import harness, parallel
 
     traj, v_T = case
     step = 2.0 * traj.dt
@@ -1095,9 +1095,9 @@ def test_tables_independent_of_worker_count(case):
     results = []
     for workers in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geometry, "WORKERS", workers)
-            mp.setattr(geometry, "ROW_CELLS", workers * traj.backend.cells)
-            mp.setattr(geometry, "CHUNK_CELLS", 3 * traj.backend.cells)
+            mp.setattr(parallel, "WORKERS", workers)
+            mp.setattr(parallel, "ROW_CELLS", workers * traj.backend.cells)
+            mp.setattr(parallel, "CHUNK_CELLS", 3 * traj.backend.cells)
             tables, error = harness.evaluate_tables(
                 traj, chunks_through_out(hist), KERNEL_A)
         assert error is None and len(tables.times) == 7
@@ -1157,11 +1157,11 @@ POOLS = [(1, None), (2, 3)]
 def pool(workers, rows, cells):
     """Pin the row-block pool to ``workers`` threads and blocks of ``rows``
     rows of ``cells`` cells (None: one block for every row of these tests)."""
-    from riccilab import geometry
+    from riccilab import parallel
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "WORKERS", workers)
-        mp.setattr(geometry, "ROW_CELLS", workers * (rows or 2**12) * cells)
+        mp.setattr(parallel, "WORKERS", workers)
+        mp.setattr(parallel, "ROW_CELLS", workers * (rows or 2**12) * cells)
         yield
 
 
@@ -1460,7 +1460,7 @@ def test_peak_rss_is_read_at_the_stage_end(tmp_path, monkeypatch):
     # Each stage's peak_rss_mb is the reading at its end, after the stage's
     # work: under a reader whose peak grows by 1 MiB a call, the summary
     # stage records more than the reading its work ran after.
-    from riccilab import harness
+    from riccilab import harness, parallel
 
     inside = []
     calls = iter(range(1, 100))
@@ -1470,7 +1470,7 @@ def test_peak_rss_is_read_at_the_stage_end(tmp_path, monkeypatch):
         return real_summary(tables, cfg)
 
     real_summary = harness._summary
-    monkeypatch.setattr(harness, "_peak_rss_mb", lambda: float(next(calls)))
+    monkeypatch.setattr(parallel, "peak_rss_mb", lambda: float(next(calls)))
     monkeypatch.setattr(harness, "_summary", summary)
     validated = validate_config(make_config(ROW_KERNEL_CFGS["round_sphere"]))
     assert run(validated, tmp_path / "z").status == "ok"
@@ -1590,7 +1590,7 @@ def streamed_run(validated, out, chunk_rows, unconverged=()):
     every row), the lambda0 of the rows ``unconverged`` lists marked
     unconverged.  Returns the result, the ``first`` row of each chunk
     handed over and the bytes of both CSVs."""
-    from riccilab import geometry, harness
+    from riccilab import harness, parallel
 
     stream, handed = harness.stream_backward, []
 
@@ -1601,7 +1601,7 @@ def streamed_run(validated, out, chunk_rows, unconverged=()):
 
     rows = chunk_rows or validated.num_rows
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "CHUNK_CELLS",
+        mp.setattr(parallel, "CHUNK_CELLS",
                    4 * rows * validated.m0.backend.cells)
         mp.setattr(harness, "stream_backward", spied)
         mark_unconverged(mp, unconverged)
@@ -1700,7 +1700,7 @@ def test_run_holds_one_density_chunk_not_the_history(tmp_path, monkeypatch):
     # write, so the chunking is gated apart from the writer.
     import tracemalloc
 
-    from riccilab import geometry, harness
+    from riccilab import harness, parallel
 
     before = []
     write_csv = harness._write_csv
@@ -1720,9 +1720,9 @@ def test_run_holds_one_density_chunk_not_the_history(tmp_path, monkeypatch):
     cells = validated.m0.backend.cells
     history = validated.num_rows * cells * 8
     assert validated.num_rows == 257 and history == 2105344
-    monkeypatch.setattr(geometry, "CHUNK_CELLS", 4 * 4 * cells)
-    monkeypatch.setattr(geometry, "WORKERS", 1)
-    monkeypatch.setattr(geometry, "ROW_CELLS", cells)
+    monkeypatch.setattr(parallel, "CHUNK_CELLS", 4 * 4 * cells)
+    monkeypatch.setattr(parallel, "WORKERS", 1)
+    monkeypatch.setattr(parallel, "ROW_CELLS", cells)
     tracemalloc.start()
     try:
         result = run(validated, tmp_path / "out")
@@ -1780,11 +1780,11 @@ def test_worker_block_exception_is_internal_error(where, tmp_path, monkeypatch):
     # An exception in a pool block (a later row-kernel block, or a lambda0
     # block) reaches run(), which records it and re-raises; the pool's
     # workers are reaped.
-    from riccilab import functionals, geometry, harness
+    from riccilab import functionals, harness, parallel
 
     validated = validate_config(make_config(ROW_KERNEL_CFGS["curved_torus"]))
-    monkeypatch.setattr(geometry, "WORKERS", 2)
-    monkeypatch.setattr(geometry, "ROW_CELLS", 2 * 3 * 16**2)
+    monkeypatch.setattr(parallel, "WORKERS", 2)
+    monkeypatch.setattr(parallel, "ROW_CELLS", 2 * 3 * 16**2)
     module = harness if where == "row_values" else functionals
     original = getattr(module, where)
 
@@ -1834,12 +1834,12 @@ POOLED_CFG = {**ROW_KERNEL_CFGS["curved_torus"], "flow.T": "0.08"}
 @contextmanager
 def pooled(workers):
     """Blocks of 3 torus rows on ``workers`` processes, 16-row chunks."""
-    from riccilab import geometry
+    from riccilab import parallel
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "WORKERS", workers)
-        mp.setattr(geometry, "ROW_CELLS", workers * 3 * 16**2)
-        mp.setattr(geometry, "CHUNK_CELLS", 4 * 16 * 16**2)
+        mp.setattr(parallel, "WORKERS", workers)
+        mp.setattr(parallel, "ROW_CELLS", workers * 3 * 16**2)
+        mp.setattr(parallel, "CHUNK_CELLS", 4 * 16 * 16**2)
         yield mp
 
 
@@ -1901,9 +1901,9 @@ def test_no_child_outlives_a_run(end, tmp_path):
 # sleep 0.3 s and log "pid first-time" to the file argv[1].
 ORPHAN_SCRIPT = """
 import json, os, sys, time
-from riccilab import geometry, harness
-geometry.WORKERS, geometry.ROW_CELLS = 2, 2 * 16**2
-geometry.CHUNK_CELLS = 4 * 16 * 16**2
+from riccilab import harness, parallel
+parallel.WORKERS, parallel.ROW_CELLS = 2, 2 * 16**2
+parallel.CHUNK_CELLS = 4 * 16 * 16**2
 kernel, parent = harness.row_values, os.getpid()
 log = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND)
 
@@ -1972,11 +1972,11 @@ def test_kernel_reads_each_chunk_where_the_heat_solve_stepped_it(tmp_path):
     # of the two chunk arrays for rows 25-40 and 0-8, the second for rows
     # 9-24.  Both processes evaluate kernel blocks.  A heat stream whose
     # chunks are copies outside them ends the run in ValueError.
-    from riccilab import geometry, harness
+    from riccilab import harness, parallel
 
     validated = validate_config(make_config(POOLED_CFG))
     field = validated.m0.backend.field_shape
-    array, kernel = geometry.RowPool.array, harness.row_values
+    array, kernel = parallel.RowPool.array, harness.row_values
     stream, made, log = harness.stream_backward, [], ProcessLog()
 
     def recorded(pool, shape, dtype=float):
@@ -1994,8 +1994,8 @@ def test_kernel_reads_each_chunk_where_the_heat_solve_stepped_it(tmp_path):
                                     chunk.masses, chunk.first)
 
     with pooled(2) as mp:
-        mp.setattr(geometry, "ROW_CELLS", 2 * 16**2)  # 1-row kernel blocks
-        mp.setattr(geometry.RowPool, "array", recorded)
+        mp.setattr(parallel, "ROW_CELLS", 2 * 16**2)  # 1-row kernel blocks
+        mp.setattr(parallel.RowPool, "array", recorded)
         mp.setattr(harness, "row_values", spied)
         result = run(validated, tmp_path / "ok")
     assert result.exit_code == 0
@@ -2628,11 +2628,11 @@ def test_convergence_study_validation(tmp_path):
 # fork its own row pool if the child's pools could.
 @contextmanager
 def study_forks():
-    from riccilab import geometry
+    from riccilab import parallel
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "WORKERS", 2)
-        mp.setattr(geometry, "ROW_CELLS", 2 * 4 * 32**2)
+        mp.setattr(parallel, "WORKERS", 2)
+        mp.setattr(parallel, "ROW_CELLS", 2 * 4 * 32**2)
         yield mp
 
 
@@ -2652,13 +2652,13 @@ def test_forked_study_gives_the_serial_bytes(tmp_path):
     # The same study with the fork and with it disabled: sha256-identical
     # level CSVs and study.csv, and manifests equal but for the usage
     # fields and workers.
-    from riccilab import geometry
+    from riccilab import parallel
 
     cfg = study_cfg(tmp_path)
     for name in ("forked", "serial"):
         with study_forks() as mp:
             if name == "serial":
-                mp.setattr(geometry, "_may_fork", lambda *a, **k: False)
+                mp.setattr(parallel, "may_fork", lambda *a, **k: False)
             convergence_study(cfg, 3, tmp_path / name)
         assert not children_left()
 
@@ -2802,7 +2802,7 @@ def test_study_runs_serially_where_the_pool_may_not_fork(where, tmp_path,
     # level runs here, in order, as the serial loop did.
     import threading
 
-    from riccilab import geometry, harness
+    from riccilab import harness, parallel
 
     def no_fork():
         raise AssertionError("a process was forked")
@@ -2814,7 +2814,7 @@ def test_study_runs_serially_where_the_pool_may_not_fork(where, tmp_path,
         return real_run(validated, out_dir)
 
     monkeypatch.setattr(harness, "run", logged)
-    monkeypatch.setattr(geometry, "WORKERS", 1 if where == "one_cpu" else 2)
+    monkeypatch.setattr(parallel, "WORKERS", 1 if where == "one_cpu" else 2)
     if where == "not_linux":
         monkeypatch.setattr(sys, "platform", "darwin")
     stop = threading.Event()

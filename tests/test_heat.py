@@ -300,7 +300,7 @@ def test_stream_chunks_are_the_collected_history(rows, case, monkeypatch):
     # Chunks of `rows` rows (CHUNK_CELLS // cells), top-down, each the
     # bitwise slice of the collected history that its `first` names; every
     # chunk is a view of one buffer, so the next chunk overwrites it.
-    from riccilab import geometry, heat
+    from riccilab import heat, parallel
 
     if case == "torus":
         backend = rl.ConformalTorus2D(16, TWO_PI)
@@ -316,7 +316,7 @@ def test_stream_chunks_are_the_collected_history(rows, case, monkeypatch):
     hist = rl.solve_backward(traj, v_T)
     K = len(hist.times)
     assert K == 11 and hist.first == 0
-    monkeypatch.setattr(geometry, "CHUNK_CELLS", rows * traj.backend.cells)
+    monkeypatch.setattr(parallel, "CHUNK_CELLS", rows * traj.backend.cells)
     firsts, buffers = [], set()
     for chunk in heat.stream_backward(traj, v_T):
         lo, n = chunk.first, len(chunk.times)
@@ -336,7 +336,7 @@ def test_stream_hands_over_the_chunks_above_a_failing_row(monkeypatch):
     # by 9.1e-6 at row 5: a 1e-5 tolerance fails the solve at row 4.  With
     # 2-row chunks, rows 10 ... 5 have been handed over by then, and the
     # error is the collected solve's.
-    from riccilab import geometry, heat
+    from riccilab import heat, parallel
 
     backend = rl.ConformalTorus2D(16, TWO_PI)
     x, y = rl.grid_coords(backend)
@@ -344,7 +344,7 @@ def test_stream_hands_over_the_chunks_above_a_failing_row(monkeypatch):
     v_T = rl.terminal_datum("constant", traj.final_state())
     with pytest.raises(rl.MassDrift, match="at t=0.008 ") as want:
         rl.solve_backward(traj, v_T, mass_tol=1e-5)
-    monkeypatch.setattr(geometry, "CHUNK_CELLS", 2 * backend.cells)
+    monkeypatch.setattr(parallel, "CHUNK_CELLS", 2 * backend.cells)
     handed = []
     with pytest.raises(rl.MassDrift) as got:
         for chunk in heat.stream_backward(traj, v_T, mass_tol=1e-5):
@@ -383,7 +383,7 @@ def test_stream_hands_over_only_rows_above_the_floor(data, steps):
     # unchecked: every row of every one-row chunk is finite and above the
     # positivity floor.  With a mass tolerance that fails a row mid-stream,
     # the rows above it have been handed over and the failing row has not.
-    from riccilab import geometry, heat
+    from riccilab import heat, parallel
 
     m0, kind, kwargs = data
     traj = rl.integrate_forward(m0, steps * 1e-3, 5e-4)
@@ -393,7 +393,7 @@ def test_stream_hands_over_only_rows_above_the_floor(data, steps):
 
     def stream(mass_tol, rows):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geometry, "CHUNK_CELLS", traj.backend.cells)
+            mp.setattr(parallel, "CHUNK_CELLS", traj.backend.cells)
             for chunk in heat.stream_backward(traj, v_T, mass_tol=mass_tol):
                 assert len(chunk.times) == 1
                 assert np.all(np.isfinite(chunk.v))
@@ -477,7 +477,7 @@ def test_chunk_checks_match_the_per_row_reference(kind, N, column, scale, seed,
     # `cut` up, on a frozen metric, which conserves no mass.  Stepping the
     # rest of a chunk past a failing row prints no numpy warning; collected,
     # the solve raises the same error.
-    from riccilab import geometry, heat
+    from riccilab import heat, parallel
 
     lo, hi = [(-1.3, -0.3), (0.18, 0.5) if kind == "torus" else (3.0, 4.0),
               (1.0, 80.0) if kind == "torus" else (78.0, 80.0)][over]
@@ -498,7 +498,7 @@ def test_chunk_checks_match_the_per_row_reference(kind, N, column, scale, seed,
     rows = min(rows, M + 1)
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("error")
-        mp.setattr(geometry, "ROW_CELLS", sub * geometry.WORKERS * cells)
+        mp.setattr(parallel, "ROW_CELLS", sub * parallel.WORKERS * cells)
         got = chunk_outcome(stream(rows * cells))
         whole = chunk_outcome(stream(None))
     assert got == chunk_outcome(stream_backward_per_row(traj, v_T, mass_tol,
@@ -537,7 +537,7 @@ def test_flowing_solve_bytes_do_not_depend_on_block_or_chunk_size(name):
     # solve's v and masses; a mass tolerance cut at a lower-half row's
     # drift raises the same error at every size, with the chunks above it handed
     # over.
-    from riccilab import geometry, heat
+    from riccilab import heat, parallel
 
     traj, v_T = flowing_case(name)
     want = rl.solve_backward(traj, v_T)
@@ -567,8 +567,8 @@ def test_flowing_solve_bytes_do_not_depend_on_block_or_chunk_size(name):
     for block in (1, 2, 3, 7, K):
         for chunk_rows in (1, 4, K, None):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(geometry, "ROW_CELLS",
-                           block * geometry.WORKERS * cells)
+                mp.setattr(parallel, "ROW_CELLS",
+                           block * parallel.WORKERS * cells)
                 v, masses, handed, error = solve(1e-6, chunk_rows)
                 assert handed == list(range(K)) and error is None
                 assert v.tobytes() == want.v.tobytes(), (block, chunk_rows)

@@ -152,7 +152,7 @@ MUTANTS = [
      [FLOWING_HEAT_TEST, "tests/test_heat.py"]),
     # The density chunks: a run's chunk array holds every row's density.
     ("heat-stream-one-chunk", "harness.py",
-     "chunk_rows = min(K, max(1, geometry.CHUNK_CELLS // 4\n"
+     "chunk_rows = min(K, max(1, parallel.CHUNK_CELLS // 4\n"
      "                                    // backend.cells))",
      "chunk_rows = K",
      ["tests/test_harness.py::"
@@ -179,7 +179,7 @@ MUTANTS = [
      "            out = [pool.array((chunk_rows,) + backend.field_shape)\n"
      "                   for _ in range(min(2, -(-K // chunk_rows)))]\n"
      "            if not pool.shared and chunk_rows < K:  # glibc (CHUNK_CELLS)\n"
-     "                np.empty(min(K * backend.cells, geometry.CHUNK_CELLS))\n"
+     "                np.empty(min(K * backend.cells, parallel.CHUNK_CELLS))\n"
      "            ground, solving = submit_ground_states(traj.stack[::2], pool)\n",
      "            ground, solving = submit_ground_states(traj.stack[::2], pool)\n"
      "            out = [pool.array((chunk_rows,) + backend.field_shape)\n"
@@ -192,14 +192,14 @@ MUTANTS = [
      "for _ in range(1)]",
      [CHUNK_ARRAY_TEST, "tests/test_harness.py::"
       "test_csvs_are_the_same_bytes_on_any_worker_count"]),
-    ("pool-array-after-fork-accepted", "geometry.py",
+    ("pool-array-after-fork-accepted", "parallel.py",
      "if self._workers is not None:\n"
      "            raise RuntimeError(\"row-pool array made after",
      "if False:\n"
      "            raise RuntimeError(\"row-pool array made after",
      ["tests/test_geometry.py::"
       "test_row_pool_arrays_are_made_before_the_fork"]),
-    ("row-slices-drop-last-row", "geometry.py",
+    ("row-slices-drop-last-row", "parallel.py",
      "slice(lo, min(lo + size, stop))", "slice(lo, min(lo + size, stop) - 1)",
      [FLOWING_HEAT_TEST, "tests/test_heat.py"]),
     # The ground state's arithmetic past the float range: no numpy warning.
@@ -412,17 +412,17 @@ MUTANTS = [
      '_charge(blocks, "lambda0_s", [0.0, 0.0, 0])',
      ["tests/test_harness.py"]),
     # The worker's usage of a call (the ground states') is not returned.
-    ("worker-usage-dropped", "geometry.py",
+    ("worker-usage-dropped", "parallel.py",
      "        _add(call.usage, used)\n", "",
      ["tests/test_harness.py::test_stage_clock_invariants"]),
     ("peak-rss-at-stage-start", "harness.py",
-     "            yield\n        peaks[entry] = _peak_rss_mb()",
-     "            peaks[entry] = _peak_rss_mb()\n            yield",
+     "            yield\n        peaks[entry] = parallel.peak_rss_mb()",
+     "            peaks[entry] = parallel.peak_rss_mb()\n            yield",
      ["tests/test_harness.py"]),
-    ("peak-rss-from-ru-maxrss", "geometry.py",
+    ("peak-rss-from-ru-maxrss", "parallel.py",
      'open("/proc/self/status", "rb")', 'open("/proc/self/no-status", "rb")',
      ["tests/test_harness.py"]),
-    ("workers-usage-dropped", "harness.py",
+    ("workers-usage-dropped", "parallel.py",
      "    return (wall, cpu + children.ru_utime + children.ru_stime,\n"
      "            own.ru_minflt + children.ru_minflt)",
      "    return wall, cpu, own.ru_minflt",
@@ -430,69 +430,86 @@ MUTANTS = [
       "tests/test_harness.py"]),
     # The row pool: each process's share, the failure order, cancelling on
     # a failure, reaping and the live-thread guard.
-    ("pool-worker-runs-callers-share", "geometry.py",
+    ("pool-worker-runs-callers-share", "parallel.py",
      "pickle.dumps((index, slot, blocks[lo:hi], args))",
      "pickle.dumps((index, slot, blocks[:hi], args))",
      ["tests/test_geometry.py", "tests/test_harness.py"]),
-    ("pool-last-failure-wins", "geometry.py",
+    ("pool-last-failure-wins", "parallel.py",
      "            for c, part in parts:\n                self._finish(c, part)",
      "            for c, part in parts[::-1]:\n                self._finish(c, part)",
      ["tests/test_geometry.py", "tests/test_harness.py"]),
-    ("pool-worker-runs-on-after-failure", "geometry.py",
+    ("pool-worker-runs-on-after-failure", "parallel.py",
      "                        failure, ends[slot, 2] = exc, 1\n"
      "                        break",
      "                        failure, ends[slot, 2] = exc, 1",
      ["tests/test_geometry.py"]),
-    ("pool-worker-failure-not-flagged", "geometry.py",
+    ("pool-worker-failure-not-flagged", "parallel.py",
      "failure, ends[slot, 2] = exc, 1", "failure = exc",
      ["tests/test_geometry.py"]),
-    ("pool-failure-waits-for-every-share", "geometry.py",
+    ("pool-failure-waits-for-every-share", "parallel.py",
      "self.close(kill=True)  # no block starts after this",
      "self.close()",
      ["tests/test_geometry.py"]),
     # The two-sided claims: the caller takes a block before it announces
     # it, the worker takes the block the caller announced last, and a
     # worker whose parent is gone claims on.
-    ("claim-caller-takes-unannounced", "geometry.py",
+    ("claim-caller-takes-unannounced", "parallel.py",
      "        ends[0] = block + 1\n        if block < ends[1]:\n"
      "            return block\n        ends[0] = block\n",
      "        if block < ends[1]:\n            ends[0] = block + 1\n"
      "            return block\n",
      [CLAIMS_TEST]),
-    ("claim-worker-takes-announced", "geometry.py",
+    ("claim-worker-takes-announced", "parallel.py",
      "if block >= ends[0]:", "if block >= ends[0] - 1:",
      [CLAIMS_TEST]),
-    ("pool-worker-ignores-orphaning", "geometry.py",
+    ("pool-worker-ignores-orphaning", "parallel.py",
      "                    if os.getppid() != parent:\n"
      "                        return  # orphaned",
      "                    if False:\n"
      "                        return  # orphaned",
      ["tests/test_harness.py::test_orphaned_worker_starts_no_block"]),
-    ("pool-worker-unreaped", "geometry.py",
+    ("pool-worker-unreaped", "parallel.py",
      "    for pid, _, _ in children:\n        os.waitpid(pid, 0)",
      "    for pid, _, _ in children:\n        pass",
      ["tests/test_geometry.py", "tests/test_harness.py"]),
-    ("pool-forks-beside-a-thread", "geometry.py",
+    ("pool-forks-beside-a-thread", "parallel.py",
      "(not now or threading.active_count() == 1))",
      "(not now or threading.active_count() < 99))",
      ["tests/test_geometry.py"]),
-    # The forked study: the child's failure, its kill on an exception here,
-    # its pools that map in it, and its reaping after the top level's run.
-    ("study-child-failure-ignored", "harness.py",
-     "    if failure is not None:\n        raise failure\n",
-     "    if False:\n        raise failure\n",
+    # The forked study's child (``parallel.forked``): its failure, its kill
+    # on an exception here, its orphan check, the lowest failing level
+    # first, its pools that map in it, and its reaping after the top
+    # level's run.
+    ("study-child-failure-ignored", "parallel.py",
+     "        if failure is not None:\n            raise failure\n"
+     "        return values",
+     "        if False:\n            raise failure\n        return values",
      ["tests/test_harness.py::test_no_child_outlives_a_study"]),
-    ("study-child-not-killed", "harness.py",
+    ("study-child-not-killed", "parallel.py",
      "kill = True  # until the child's message is read",
      "kill = False  # until the child's message is read",
      ["tests/test_harness.py::test_no_child_outlives_a_study"]),
-    ("study-child-pools-fork", "geometry.py",
+    ("forked-child-ignores-orphaning", "parallel.py",
+     "                    if os.getppid() != parent:\n"
+     "                        return  # the parent is gone",
+     "                    if False:\n"
+     "                        return  # the parent is gone",
+     ["tests/test_parallel.py::test_orphaned_forked_child_starts_no_call"]),
+    ("study-child-failure-after-top-level", "harness.py",
+     "                child.result()  # the child's failure comes first\n"
+     "                raise",
+     "                raise",
+     ["tests/test_harness.py::test_no_child_outlives_a_study"]),
+    ("forked-child-not-killed-on-exit", "parallel.py",
+     "_reap([self._child], self._kill)", "_reap([self._child])",
+     ["tests/test_harness.py::test_no_child_outlives_a_study"]),
+    ("study-child-pools-fork", "parallel.py",
      "            _FORKED = True", "            _FORKED = False",
      ["tests/test_harness.py::"
       "test_study_runs_its_lower_levels_in_one_child_on_one_process"]),
     # Waiting for any child, the top level's row pool reaps the finished
     # study child inside that level's run, which counts its CPU time.
-    ("study-child-reaped-in-top-level", "geometry.py",
+    ("study-child-reaped-in-top-level", "parallel.py",
      "        os.waitpid(pid, 0)", "        os.waitpid(-1, 0)",
      ["tests/test_harness.py::"
       "test_child_levels_cpu_is_not_counted_in_the_top_level"]),
