@@ -515,10 +515,11 @@ def evaluate_tables(
     rows that together cover every row once, in any order, chunk k's ``v``
     being ``out[k % len(out)][:n]`` (else ValueError):
     ``heat.stream_backward`` with ``out``, consumed as they complete.
-    ``out`` is one or two arrays of at most ``parallel.CHUNK_CELLS // 4``
-    cells (at least one row) from the pool's ``array``s, made before the
-    pool forks, so the pool's workers read each chunk's rows where the heat
-    solve stepped them.
+    ``out`` is one or two arrays (one per chunk, at most two) from the
+    pool's ``array``s, made before the pool forks, so the pool's workers
+    read each chunk's rows where the heat solve stepped them; each holds
+    the longest of the chunks ``parallel.density_chunks`` cuts within
+    ``parallel.CHUNK_CELLS // 4`` cells.
     One ``parallel.row_pool`` serves the run.  The lambda0 of every row is
     submitted to it first, whole (``submit_ground_states``), and each
     chunk's row-kernel call (``variation.row_values`` over the pool's row
@@ -578,12 +579,10 @@ def evaluate_tables(
             # F, S, dF_rhs, sub_lhs, sub_rhs, mass; Y, omega, rhs_thm, rhs_ye
             row_series = pool.array((6, K))
             a_series = pool.array((4, K, len(a_values)))
-            chunk_rows = min(K, max(1, parallel.CHUNK_CELLS // 4
-                                    // backend.cells))
-            out = [pool.array((chunk_rows,) + backend.field_shape)
-                   for _ in range(min(2, -(-K // chunk_rows)))]
-            if not pool.shared and chunk_rows < K:  # glibc (CHUNK_CELLS)
-                np.empty(min(K * backend.cells, parallel.CHUNK_CELLS))
+            cut = parallel.density_chunks(K, backend.cells,
+                                          parallel.CHUNK_CELLS // 4)
+            out = [pool.array((cut[0].stop - cut[0].start,)
+                              + backend.field_shape) for _ in cut[:2]]
             ground, solving = submit_ground_states(traj.stack[::2], pool)
             pending = None  # the last chunk's (first row, rows, call)
             try:

@@ -24,12 +24,13 @@ O(dt^2) mass drift, to which the two-form equivalence residual is directly
 sensitive.  The mass is measured at every row but never renormalized.
 
 One RK4 loop serves two callers.  ``stream_backward`` hands the rows over
-top-down, in chunks stepped into reused buffers: in turn into each of the
-caller's ``out`` arrays (``harness.evaluate_tables`` passes two of its row
-pool's shared arrays, so the pool's worker reads one chunk's rows while the
-solve steps the next into the other), else into one of at most
-``parallel.CHUNK_CELLS`` cells; ``solve_backward`` collects the same loop
-into one chunk of every row.  Either way a row's bits are the same.
+top-down, in the near-equal chunks of ``parallel.density_chunks`` stepped
+into reused buffers: in turn into each of the caller's ``out`` arrays
+(``harness.evaluate_tables`` passes two of its row pool's shared arrays, so
+the pool's worker reads one chunk's rows while the solve steps the next
+into the other), else into one of at most ``parallel.CHUNK_CELLS`` cells;
+``solve_backward`` is the same loop with one chunk of every row.  Either
+way a row's bits are the same.
 
 One stack per block.  A chunk is stepped and checked in the row blocks of
 ``parallel.row_slices``, top block first.  A block of rows lo ... hi - 1
@@ -286,7 +287,8 @@ def solve_backward(
     if step is not None and not abs(float(step) - row_step) <= 1e-9 * row_step:
         raise ValueError(f"solver step {float(step):g} must be {row_step:g}, "
                          f"twice the trajectory spacing {traj.dt:g}")
-    (hist,) = _backward(traj, v_T, mass_tol, None)
+    (hist,) = stream_backward(traj, v_T, mass_tol=mass_tol, out=[
+        np.empty((len(traj.times[::2]),) + v_T.values.shape)])
     return hist
 
 
@@ -294,11 +296,12 @@ def stream_backward(traj: Trajectory, v_T: ScalarField, *,
                     mass_tol: float = 1e-6, out=None):
     """The backward solve of ``solve_backward``, handed over as it runs.
 
-    Yields ``DensityHistory`` chunks of consecutive rows, top-down: the
-    first holds the terminal row and the rows just below it, and each
-    chunk's ``first`` is its lowest row.  Given ``out``, a sequence of
-    arrays of one density a row, all of one length, chunk k holds that many
-    rows (the last chunk fewer) and its ``v`` is ``out[k % len(out)][:n]``;
+    Yields ``DensityHistory`` chunks of consecutive rows, top-down, as
+    ``parallel.density_chunks`` cuts them: the first holds the terminal row
+    and the rows just below it, each chunk's ``first`` is its lowest row,
+    and chunk lengths differ by at most one.  Given ``out``, a sequence of
+    arrays of one density a row, all of one length, each chunk holds at
+    most that many rows and chunk k's ``v`` is ``out[k % len(out)][:n]``;
     without it, each chunk holds at most ``parallel.CHUNK_CELLS`` cells (at
     least one row) in a buffer of the solve's own.  Either way a chunk's
     buffer is overwritten by the chunk ``len(out)`` after it (the next one
@@ -307,14 +310,6 @@ def stream_backward(traj: Trajectory, v_T: ScalarField, *,
     is raised where ``solve_backward`` raises it: the chunks above the
     failing row have been handed over by then, the failing row in none.
     """
-    return _backward(traj, v_T, mass_tol, parallel.CHUNK_CELLS, out)
-
-
-def _backward(traj, v_T, mass_tol, chunk_cells, out=None):
-    """Chunks of the backward solve, top-down, stepped in turn into the
-    reused buffers ``out``, or into a new one of at most ``chunk_cells``
-    cells (every row when ``chunk_cells`` is None), and checked by
-    ``_check_rows`` a row block at a time."""
     if v_T.backend != traj.backend:
         raise ValueError("terminal datum and trajectory live on different backends")
     if traj.num_steps % 2 != 0:
@@ -322,10 +317,11 @@ def _backward(traj, v_T, mass_tol, chunk_cells, out=None):
     backend = traj.backend
     times = traj.times[::2].copy()
     M = len(times) - 1
+    cap = parallel.CHUNK_CELLS if out is None else out[0].size
+    chunks = parallel.density_chunks(M + 1, backend.cells, cap)
+    size = chunks[0].stop - chunks[0].start  # the longest chunk's rows
     if out is None:
-        out = [np.empty((M + 1 if chunk_cells is None else min(
-            M + 1, max(1, chunk_cells // backend.cells)),) + v_T.values.shape)]
-    size = len(out[0])
+        out = [np.empty((size,) + v_T.values.shape)]
     m_out = np.empty(size)
     step = 2.0 * traj.dt
     floats = not isinstance(backend, ConformalTorus2D)
@@ -339,13 +335,11 @@ def _backward(traj, v_T, mass_tol, chunk_cells, out=None):
         out -= R[i1 - s] * w
         return out
 
-    (v,) = rows(v_T.values[None])
-    for k, top in enumerate(range(M, -1, -size)):
-        base, v_out = max(top - size + 1, 0), out[k % len(out)]
+    v = out[0][size - 1] = rows(v_T.values[None])[0]  # the terminal row
+    for k, chunk in enumerate(chunks):
+        base, v_out = chunk.start, out[k % len(out)]
         with np.errstate(all="ignore"):  # the check reports what overflows
-            if top == M:
-                v_out[top - base] = v
-            for block in reversed(parallel.row_slices(base, top + 1,
+            for block in reversed(parallel.row_slices(base, chunk.stop,
                                                       backend.cells)):
                 lo, hi = block.start, block.stop
                 # Rows lo ... hi - 1 sit at snapshots 2 lo ... 2 hi - 2, and
@@ -364,9 +358,8 @@ def _backward(traj, v_T, mass_tol, chunk_cells, out=None):
                 _check_rows(traj.stack[2 * lo:2 * hi:2],
                             times[lo:hi], v_out[lo - base:hi - base],
                             m_out[lo - base:hi - base], mass_tol)
-        n = top + 1 - base
-        yield DensityHistory(backend, times[base:top + 1], v_out[:n],
-                             m_out[:n], base)
+        n = chunk.stop - base
+        yield DensityHistory(backend, times[chunk], v_out[:n], m_out[:n], base)
 
 
 def _float_steps(v, R, out, step):

@@ -14,6 +14,11 @@ count or the process that evaluates it.  ``may_fork``, ``_fork`` and
 of a convergence study (``harness``), uses too; a process they forked forks
 none.  ``measured`` is the one usage meter, of pool calls and run stages
 alike, and ``peak_rss_mb`` the one peak resident set reader.
+
+The run buffers' policy lives here too (see ``CHUNK_CELLS``):
+``density_chunks`` cuts a run's rows into the near-equal chunks its heat
+solve steps, and importing this module raises glibc's heap thresholds once
+for this process and every process it forks.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ __all__ = [
     "RowPool",
     "row_pool",
     "row_slices",
+    "density_chunks",
     "may_fork",
     "forked",
     "measured",
@@ -66,31 +72,31 @@ ROW_CELLS = 2**16
 # Cap on the cells of the density chunks a run holds (4 MiB of float64):
 # a run's heat solve hands its rows to the row evaluation in chunks, so a
 # run holds densities for a chunk, not their whole history (20 MiB on the
-# N = 128 ladder level).  ``harness.evaluate_tables`` steps them in turn
-# into two row-pool arrays of at most CHUNK_CELLS // 4 cells (at least one
-# row), one read by the kernel while the heat solve steps the other, so a
-# run holds half of CHUNK_CELLS; a chunk stepped without ``out`` holds up
-# to CHUNK_CELLS.
-# glibc sizes its dynamic mmap and trim thresholds from the largest block
-# freed so far: a row-kernel block whose working set (its fields at their
-# peak) is above the trim threshold is returned to the system after each
-# block and faulted back on every block.  In a pool of one process the
-# chunk arrays are malloc'd ``np.empty``s, so a run of more than one chunk
-# first frees a buffer of up to CHUNK_CELLS cells (its rows'); in a
-# pool that forks they are shared memory, which raises nothing, so every
-# fork frees a CHUNK_CELLS buffer first (``_fork``), and the pool's own run,
-# its workers, a study's child and the runs after them have them raised
-# too: without that, the first N = 128 ladder level of a fresh
-# process took 32k minor faults in the caller and 28k in its worker,
-# against 4.2k and 1.5k.  At 2^19 the threshold covers the kernel's
-# 12-field block of 2^15 cells (ROW_CELLS // WORKERS at two workers): 12
-# minor faults per warm ladder pass on a thread pool, and 3.5 MiB less peak
-# memory than 2^20 (2-core Xeon); a 23-field block cost about 2k faults per
-# pass at 2^19, and 52k-86k at 2^18.  With forked workers a warm ladder
-# pass takes about 5.5k faults in the caller and 3k in its worker, nearly
-# all copy-on-write of pages written after the fork and the first touch of
-# the shared chunk arrays.
+# N = 128 ladder level).  ``density_chunks`` cuts the rows into near-equal
+# chunks: ``harness.evaluate_tables`` steps them in turn into two row-pool
+# arrays of at most CHUNK_CELLS // 4 cells (at least one row), one read by
+# the kernel while the heat solve steps the other, so a run holds half of
+# CHUNK_CELLS; a solve stepped without ``out`` holds up to CHUNK_CELLS.
+# The heap policy: glibc sizes its dynamic mmap and trim thresholds from
+# the largest block freed so far, and with its defaults a row-kernel block
+# or a CSV writer block whose working set (its fields at their peak) is
+# above the trim threshold is returned to the system after each block and
+# faulted back on every block.  Importing this module frees one buffer of
+# CHUNK_CELLS cells, the one place that raises them (to 4 and 8 MiB), once
+# per process: the processes it forks, the row pool's workers and a
+# study's child, inherit them.  A warm homogeneous_long pass takes 0 minor
+# faults with it and 1,305 without, its CSV writers' blocks among them;
+# the first N = 128 ladder level of a fresh process took 32k minor faults
+# in the caller and 28k in its worker without it, against 4.2k and 1.5k.
+# At 2^19 the threshold covers the kernel's 12-field block of 2^15 cells
+# (ROW_CELLS // WORKERS at two workers): 12 minor faults per warm ladder
+# pass on a thread pool, and 3.5 MiB less peak memory than 2^20 (2-core
+# Xeon); a 23-field block cost about 2k faults per pass at 2^19, and
+# 52k-86k at 2^18.  A warm ladder pass, which forks, takes about 3.3k
+# minor faults in the caller and 4.2k in the study's child and the pool's
+# worker together.
 CHUNK_CELLS = 2**19
+np.empty(CHUNK_CELLS)
 
 
 class RowPool:
@@ -359,15 +365,6 @@ def _fork(child, inherited=()) -> tuple:
     Both streams are flushed before the fork too, so the child writes
     nothing this process had buffered."""
     global _FORKED
-    # Each process runs its row blocks in its main malloc arena, which
-    # glibc trims whenever more than its trim threshold is free at the
-    # top: freeing a CHUNK_CELLS buffer raises that threshold above a
-    # block's fields (see CHUNK_CELLS), as a one-process run does before
-    # its chunk arrays (a forking pool's are shared memory), before the
-    # child inherits it.  Without it, the child of a study started in a
-    # fresh process ran its N = 128 level with 54k minor faults, against
-    # under 1k.
-    np.empty(CHUNK_CELLS)
     (task_in, task), (reply, reply_out) = os.pipe(), os.pipe()
     _flush()
     try:
@@ -599,3 +596,16 @@ def row_slices(start: int, stop: int, cells: int) -> list:
     of at most ``ROW_CELLS // WORKERS`` cells (at least one row)."""
     size = max(1, ROW_CELLS // (WORKERS * cells))
     return [slice(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
+
+
+def density_chunks(rows: int, cells: int, cap: int) -> list:
+    """The chunks a run's heat solve steps its ``rows`` densities of
+    ``cells`` cells each in: count = ceil(rows / s) consecutive slices of
+    ``range(rows)``, highest first, with s = max(1, cap // cells) the rows
+    that ``cap`` cells hold (at least one).  Chunk i from the bottom starts
+    at row rows * i // count, as part i of a ``RowPool`` call starts at
+    block len(blocks) * i // n, so their lengths differ by at most one, and
+    the first, the top chunk, is the longest."""
+    count = -(-rows // max(1, cap // cells))
+    return [slice(rows * (i - 1) // count, rows * i // count)
+            for i in range(count, 0, -1)]

@@ -254,22 +254,31 @@ def check_density(v, mass, mass_tol, t):
                            f"exceeds {mass_tol:g}")
 
 
-def stream_backward_per_row(traj, v_T, mass_tol, chunk_cells):
+def chunk_lengths(rows, chunk_rows):
+    """The lengths of the density chunks of ``rows`` rows, top-down: as few
+    chunks as hold ``chunk_rows`` rows each, count of them, chunk i from
+    the bottom ending at row rows * i // count, so no two lengths are more
+    than one apart."""
+    count = -(-rows // chunk_rows)
+    return [rows * i // count - rows * (i - 1) // count
+            for i in range(count, 0, -1)]
+
+
+def stream_backward_per_row(traj, v_T, mass_tol, chunk_rows):
     """``heat.stream_backward`` row by row: each row's ``rk4_step`` on a
     stack of the three snapshots it reads, its mass, then ``check_density``
     before it is stored, and a chunk handed over once its lowest row is
-    stored.  Yields (first, v, masses) of each chunk, as copies;
-    ``chunk_cells`` None makes one chunk of every row."""
+    stored, in chunks of at most ``chunk_rows`` rows (``chunk_lengths``).
+    Yields (first, v, masses) of each chunk, as copies."""
     backend, step = traj.backend, 2.0 * traj.dt
     times = traj.times[::2]
     M = len(times) - 1
-    size = M + 1 if chunk_cells is None else min(
-        M + 1, max(1, chunk_cells // backend.cells))
-    v_out = np.empty((size,) + v_T.values.shape)
-    m_out = np.empty(size)
+    lengths = chunk_lengths(M + 1, chunk_rows)
+    v_out = np.empty((lengths[0],) + v_T.values.shape)
+    m_out = np.empty(lengths[0])
     (v,) = backend.rows(v_T.values[None])
     mass = rl.integrate(traj.final_state(), v_T)
-    top = M
+    top, base = M, M + 1 - lengths[0]
     for r in range(M, -1, -1):
         if r < M:
             g = backend.stack(traj.params[2 * r:2 * r + 3])
@@ -285,12 +294,12 @@ def stream_backward_per_row(traj, v_T, mass_tol, chunk_cells):
                 v = rk4_step(rhs, v, step)
                 mass = g.quadrature(v * backend.rows(g.weight)[0])
         check_density(v, mass, mass_tol, times[r])
-        base = max(top - size + 1, 0)
         v_out[r - base], m_out[r - base] = v, mass
         if r == base:
             n = top + 1 - base
             yield base, v_out[:n].copy(), m_out[:n].copy()
-            top = base - 1
+            lengths.pop(0)
+            top, base = base - 1, base - (lengths[0] if lengths else 0)
 
 
 def chunks_through_out(*histories):

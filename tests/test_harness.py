@@ -37,6 +37,7 @@ from riccilab.harness import (
 from cross_checks import (
     ProcessLog,
     children_left,
+    chunk_lengths,
     chunks_through_out,
     gradient_inner,
     row_failure_reference,
@@ -1097,7 +1098,7 @@ def test_tables_independent_of_worker_count(case):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(parallel, "WORKERS", workers)
             mp.setattr(parallel, "ROW_CELLS", workers * traj.backend.cells)
-            mp.setattr(parallel, "CHUNK_CELLS", 3 * traj.backend.cells)
+            mp.setattr(parallel, "CHUNK_CELLS", 4 * 3 * traj.backend.cells)
             tables, error = harness.evaluate_tables(
                 traj, chunks_through_out(hist), KERNEL_A)
         assert error is None and len(tables.times) == 7
@@ -1586,8 +1587,8 @@ def test_outputs_across_numpy_simd_dispatch(tmp_path):
 # -------------------------------------------------------------------------
 
 def streamed_run(validated, out, chunk_rows, unconverged=()):
-    """Run with density chunks of ``chunk_rows`` rows (None: one chunk of
-    every row), the lambda0 of the rows ``unconverged`` lists marked
+    """Run with density chunks of at most ``chunk_rows`` rows (None: one
+    chunk of every row), the lambda0 of the rows ``unconverged`` lists marked
     unconverged.  Returns the result, the ``first`` row of each chunk
     handed over and the bytes of both CSVs."""
     from riccilab import harness, parallel
@@ -1643,10 +1644,11 @@ def test_streamed_run_matches_collected_run(raw, failure, chunk_rows, row):
 
     validated = validate_config(make_config(raw))
     K = validated.num_rows
+    lengths = chunk_lengths(K, chunk_rows)  # top-down
     # "lambda0 x2": a row below the top chunk and one in it.
     unconverged = {"lambda0": [row % K],
-                   "lambda0 x2": [row % (K - chunk_rows),
-                                  K - 1 - (7 * row + 3) % chunk_rows],
+                   "lambda0 x2": [row % (K - lengths[0]),
+                                  K - 1 - (7 * row + 3) % lengths[0]],
                    }.get(failure, [])
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -1661,7 +1663,7 @@ def test_streamed_run_matches_collected_run(raw, failure, chunk_rows, row):
             # A tolerance between the drifts of the rows above the first
             # chunk and a lower row's, which fails the solve mid-stream.
             drift = np.abs(clean.tables.masses - 1.0)
-            lower = [k for k in range(K - chunk_rows)
+            lower = [k for k in range(K - lengths[0])
                      if drift[k] > np.max(drift[k + 1:]) > 0.0]
             assume(lower)
             cfg = dataclasses.replace(validated.cfg,
@@ -1678,8 +1680,7 @@ def test_streamed_run_matches_collected_run(raw, failure, chunk_rows, row):
         assert got.status == "MassDrift" and handed and got.tables is None
     else:
         assert want_handed == [0]
-        assert handed == [max(top - chunk_rows, 0)
-                          for top in range(K, 0, -chunk_rows)]
+        assert handed == [K - int(end) for end in np.cumsum(lengths)]
     assert csv == want_csv
     assert (got.tables is None) == (want.tables is None)
     if want.tables is not None:
@@ -1833,7 +1834,8 @@ POOLED_CFG = {**ROW_KERNEL_CFGS["curved_torus"], "flow.T": "0.08"}
 
 @contextmanager
 def pooled(workers):
-    """Blocks of 3 torus rows on ``workers`` processes, 16-row chunks."""
+    """Blocks of 3 torus rows on ``workers`` processes, chunks of at most
+    16 rows."""
     from riccilab import parallel
 
     with pytest.MonkeyPatch.context() as mp:
@@ -1966,12 +1968,13 @@ def test_orphaned_worker_starts_no_block(tmp_path):
 
 
 def test_kernel_reads_each_chunk_where_the_heat_solve_stepped_it(tmp_path):
-    # On a forking torus run (the kernel runs 1-row blocks, 16-row chunks),
-    # every density block the kernel reads, in the caller and in the
-    # worker, lies in the pool array its chunk was stepped into: the first
-    # of the two chunk arrays for rows 25-40 and 0-8, the second for rows
-    # 9-24.  Both processes evaluate kernel blocks.  A heat stream whose
-    # chunks are copies outside them ends the run in ValueError.
+    # On a forking torus run (the kernel runs 1-row blocks, chunks of at
+    # most 16 rows: 14, 14 and 13 of them), every density block the kernel
+    # reads, in the caller and in the worker, lies in the pool array its
+    # chunk was stepped into: the first of the two 14-row chunk arrays for
+    # rows 27-40 and 0-12, the second for rows 13-26.  Both processes
+    # evaluate kernel blocks.  A heat stream whose chunks are copies outside
+    # them ends the run in ValueError.
     from riccilab import harness, parallel
 
     validated = validate_config(make_config(POOLED_CFG))
@@ -2001,16 +2004,16 @@ def test_kernel_reads_each_chunk_where_the_heat_solve_stepped_it(tmp_path):
     assert result.exit_code == 0
     records = log.records()
     chunks = [i for i, a in enumerate(made) if a.shape[1:] == field]
-    assert [made[i].shape for i in chunks] == [(16,) + field] * 2
+    assert [made[i].shape for i in chunks] == [(14,) + field] * 2
     rows = {int(np.argmin(np.abs(result.tables.times - t))): (pid, where)
             for pid, t, where in records}
     assert len(records) == 41 and sorted(rows) == list(range(41))
     for k, (_, where) in rows.items():
-        assert where == (chunks[1 if 9 <= k <= 24 else 0],), k
+        assert where == (chunks[1 if 13 <= k <= 26 else 0],), k
     assert len({pid for pid, _ in rows.values()}) == 2  # caller and worker
     with pooled(2) as mp:
         mp.setattr(harness, "stream_backward", copied)
-        with pytest.raises(ValueError, match="density chunk of rows 25-40 is "
+        with pytest.raises(ValueError, match="density chunk of rows 27-40 is "
                                              "not held in the row pool's"):
             run(validated, tmp_path / "copied")
     assert not children_left()
@@ -2460,8 +2463,8 @@ def test_verbose_logs_each_density_chunk(tmp_path, caplog):
         lines = [pattern.match(r.getMessage()) for r in caplog.records]
         chunks = [tuple(map(int, m.groups()[1:])) for m in lines if m]
         assert {m.group(1) for m in lines if m} == {str(out)}
-        assert [(lo, hi) for lo, hi, _ in chunks] == [(25, 40), (9, 24),
-                                                      (0, 8)]
+        assert [(lo, hi) for lo, hi, _ in chunks] == [(27, 40), (13, 26),
+                                                      (0, 12)]
         assert all(0 <= n <= hi - lo + 1 for lo, hi, n in chunks)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["workers_rows"] == sum(n for _, _, n in chunks)
@@ -2706,7 +2709,8 @@ def test_no_child_outlives_a_study(end, tmp_path, monkeypatch):
     # (the lowest failing level is raised); one whose child level raises
     # an exception pickle carries or one it cannot (a RuntimeError naming
     # it); and one interrupted in the top level while the child's level 0
-    # would sleep 20 s.  None leaves a child process.
+    # would sleep 5 s.  None leaves a child process, and each ends within
+    # 2.5 s (a passing study takes about 0.2 s).
     from riccilab import harness
 
     real_run = harness.run
@@ -2718,7 +2722,7 @@ def test_no_child_outlives_a_study(end, tmp_path, monkeypatch):
         if end == "top_interrupted":
             if k == 2:
                 raise KeyboardInterrupt
-            time.sleep(20.0 if k == 0 else 0.0)
+            time.sleep(5.0 if k == 0 else 0.0)
         if end.startswith("child_raises") and k == 0:
             if end == "child_raises":
                 raise ValueError("level 0 exploded")
@@ -2748,7 +2752,7 @@ def test_no_child_outlives_a_study(end, tmp_path, monkeypatch):
             if raised[0] is rl.NumericalError:
                 assert str(info.value) == (f"study level {min(failing)} "
                                            "failed with status NoConvergence")
-    assert time.perf_counter() - started < 10.0
+    assert time.perf_counter() - started < 2.5
     assert not children_left()
     assert (tmp_path / "study" / "study.csv").exists() == (raised is None)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import riccilab as rl
-from cross_checks import stream_backward_per_row
+from cross_checks import chunk_lengths, stream_backward_per_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -297,7 +297,8 @@ def test_mass_conservation_on_curved_run():
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 11, 12])
 @pytest.mark.parametrize("case", ["torus", "sphere"])
 def test_stream_chunks_are_the_collected_history(rows, case, monkeypatch):
-    # Chunks of `rows` rows (CHUNK_CELLS // cells), top-down, each the
+    # As few chunks as hold `rows` rows each (CHUNK_CELLS // cells),
+    # top-down, their lengths at most one apart (`chunk_lengths`), each the
     # bitwise slice of the collected history that its `first` names; every
     # chunk is a view of one buffer, so the next chunk overwrites it.
     from riccilab import heat, parallel
@@ -317,18 +318,18 @@ def test_stream_chunks_are_the_collected_history(rows, case, monkeypatch):
     K = len(hist.times)
     assert K == 11 and hist.first == 0
     monkeypatch.setattr(parallel, "CHUNK_CELLS", rows * traj.backend.cells)
-    firsts, buffers = [], set()
+    firsts, buffers, lengths = [], set(), chunk_lengths(K, rows)
     for chunk in heat.stream_backward(traj, v_T):
         lo, n = chunk.first, len(chunk.times)
-        top = K - len(firsts) * rows  # one past the chunk's highest row
-        assert (lo, n) == (max(top - rows, 0), min(rows, top))
+        assert (lo, n) == (K - sum(lengths[:len(firsts) + 1]),
+                           lengths[len(firsts)])
         for name in ("times", "v", "masses"):
             want = getattr(hist, name)[lo:lo + n]
             assert getattr(chunk, name).tobytes() == want.tobytes(), name
         firsts.append(lo)
         buffers.add(chunk.v.__array_interface__["data"][0])
     assert firsts == sorted(firsts, reverse=True) and firsts[-1] == 0
-    assert len(firsts) == -(-K // rows) and len(buffers) == 1
+    assert len(firsts) == len(lengths) and len(buffers) == 1
 
 
 def test_stream_hands_over_the_chunks_above_a_failing_row(monkeypatch):
@@ -487,24 +488,26 @@ def test_chunk_checks_match_the_per_row_reference(kind, N, column, scale, seed,
     mass_tol = math.inf
     if cut is not None:
         handed, _ = chunk_outcome(stream_backward_per_row(traj, v_T, math.inf,
-                                                          cells))
+                                                          1))
         mass_tol = max((abs(np.frombuffer(m)[0] - 1.0) for first, _, m in handed
                         if first >= min(cut, M)), default=math.inf)
 
-    def stream(chunk_cells):
-        for chunk in heat._backward(traj, v_T, mass_tol, chunk_cells):
+    def stream(chunk_rows):
+        out = [np.empty((chunk_rows,) + v_T.values.shape)]
+        for chunk in heat.stream_backward(traj, v_T, mass_tol=mass_tol,
+                                          out=out):
             yield chunk.first, chunk.v, chunk.masses
 
     rows = min(rows, M + 1)
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("error")
         mp.setattr(parallel, "ROW_CELLS", sub * parallel.WORKERS * cells)
-        got = chunk_outcome(stream(rows * cells))
-        whole = chunk_outcome(stream(None))
+        got = chunk_outcome(stream(rows))
+        whole = chunk_outcome(stream(M + 1))
     assert got == chunk_outcome(stream_backward_per_row(traj, v_T, mass_tol,
-                                                        rows * cells))
+                                                        rows))
     assert whole == chunk_outcome(stream_backward_per_row(traj, v_T, mass_tol,
-                                                          None))
+                                                          M + 1))
 
 
 def flowing_case(name):
@@ -551,12 +554,21 @@ def test_flowing_solve_bytes_do_not_depend_on_block_or_chunk_size(name):
     message = (f"mass drift {want.masses[fail] - 1.0:+.3e} at "
                f"t={want.times[fail]:g} exceeds {tol:g}")
 
+    def chunks(mass_tol, chunk_rows):
+        """The stream in chunks of at most ``chunk_rows`` rows, or the
+        collected solve (None)."""
+        if chunk_rows is None:
+            yield rl.solve_backward(traj, v_T, mass_tol=mass_tol)
+        else:
+            yield from heat.stream_backward(
+                traj, v_T, mass_tol=mass_tol,
+                out=[np.empty((chunk_rows,) + v_T.values.shape)])
+
     def solve(mass_tol, chunk_rows):
         """The rows handed over, reassembled by ``first``, and the error."""
         v, masses, handed = np.empty_like(want.v), np.empty(K), []
-        chunk_cells = None if chunk_rows is None else chunk_rows * cells
         try:
-            for chunk in heat._backward(traj, v_T, mass_tol, chunk_cells):
+            for chunk in chunks(mass_tol, chunk_rows):
                 rows = slice(chunk.first, chunk.first + len(chunk.times))
                 v[rows], masses[rows] = chunk.v, chunk.masses
                 handed += range(rows.start, rows.stop)
@@ -577,8 +589,9 @@ def test_flowing_solve_bytes_do_not_depend_on_block_or_chunk_size(name):
             assert error == message, (block, chunk_rows)
             assert handed == list(range(K - len(handed), K))
             # Every chunk above the failing row's chunk, and no other.
-            size = chunk_rows or K
-            assert len(handed) == (K - 1 - fail) // size * size
+            ends = np.cumsum(chunk_lengths(K, chunk_rows or K))
+            assert len(handed) == max(
+                (end for end in ends if end <= K - 1 - fail), default=0)
             assert v[handed].tobytes() == want.v[handed].tobytes()
 
 

@@ -12,6 +12,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import riccilab as rl
@@ -161,3 +162,96 @@ def test_orphaned_forked_child_starts_no_call(tmp_path):
             pytest.fail("the orphaned child is still running")
         time.sleep(0.05)
     assert log.read_text().splitlines() == started == [f"{child} 0"]
+
+
+# A fresh process that runs the round-sphere run of the homogeneous
+# benchmark twice and prints the second run's manifest minor_faults total.
+HEAP_SCRIPT = """
+import json, sys
+from pathlib import Path
+from riccilab import harness
+raw = {"backend.kind": "round_sphere", "backend.n": "2", "flow.T": "0.4",
+       "flow.dt": "4e-5", "entropy.a": "0, 1"}
+for k in range(2):
+    out = Path(sys.argv[1]) / str(k)
+    harness.run(harness.validate_config(harness.make_config(raw)), out)
+print(sum(json.loads((out / "manifest.json").read_text())[
+    "minor_faults"].values()))
+"""
+
+
+@pytest.mark.skipif(parallel.resource is None
+                    or not sys.platform.startswith("linux"),
+                    reason="counts glibc's minor faults by getrusage")
+def test_importing_parallel_keeps_a_warm_run_in_the_heap(tmp_path):
+    # Importing parallel frees one CHUNK_CELLS buffer, which raises glibc's
+    # mmap and trim thresholds for the process: a second 5001-row sphere run
+    # finds its row tables, writer blocks and summary arrays in the heap the
+    # first run left, under 100 minor faults in all (about 3k without).
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", HEAP_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 100
+
+
+@pytest.mark.parametrize("cells", [1, 3, 256])
+def test_density_chunks_are_near_equal_top_down(cells):
+    # ceil(rows / s) chunks for s rows a chunk at most, s = cap // cells (at
+    # least 1), highest first and covering every row once, their lengths at
+    # most one apart, the first the longest: 161 rows of at most 8 make 21
+    # chunks of 7 or 8 rows, not 20 of 8 and one of 1.
+    grid = [(rows, s) for rows in range(1, 40) for s in range(1, 45)]
+    for rows, s in grid + [(161, 8), (501, 128), (11252, 131072)]:
+        chunks = parallel.density_chunks(rows, cells, s * cells + cells - 1)
+        lengths = [c.stop - c.start for c in chunks]
+        assert len(chunks) == -(-rows // s), (rows, s)
+        assert [c.stop for c in chunks] == [rows] + [c.start
+                                                     for c in chunks[:-1]]
+        assert chunks[-1].start == 0 and all(c.step is None for c in chunks)
+        assert max(lengths) <= s and max(lengths) - min(lengths) <= 1
+        assert lengths[0] == max(lengths), (rows, s)
+    lengths = [c.stop - c.start for c in parallel.density_chunks(161, 1, 8)]
+    assert sorted(lengths) == [7] * 7 + [8] * 14
+    assert parallel.density_chunks(5, cells, cells - 1) == [
+        slice(k, k + 1) for k in range(4, -1, -1)]
+
+
+def test_stream_and_run_cut_density_chunks_by_one_rule(tmp_path, monkeypatch):
+    # The heat stream and the run's chunk arrays both take their chunks from
+    # parallel.density_chunks: a 161-row sphere stream in an 8-row array
+    # hands over 21 chunks of 7 or 8 rows, and a run's two chunk arrays hold
+    # the longest of the cut the stream then hands over.
+    from riccilab import harness, heat
+
+    m0 = rl.MetricState(rl.RoundSphere(2), 0.0, np.array([1.0]))
+    traj = rl.integrate_forward(m0, 0.32, 1e-3)
+    v_T = rl.terminal_datum("constant", traj.final_state())
+    lengths = [len(chunk.times) for chunk in heat.stream_backward(
+        traj, v_T, out=[np.empty(8)])]
+    assert len(lengths) == 21 and set(lengths) == {7, 8}
+
+    cut, callers = parallel.density_chunks, []
+
+    def spied(rows, cells, cap):
+        callers.append((sys._getframe(1).f_code.co_name, rows, cells, cap))
+        return cut(rows, cells, cap)
+
+    made, array = [], parallel.RowPool.array
+
+    def recorded(pool, shape, dtype=float):
+        made.append(array(pool, shape, dtype))
+        return made[-1]
+
+    monkeypatch.setattr(parallel, "density_chunks", spied)
+    monkeypatch.setattr(parallel.RowPool, "array", recorded)
+    monkeypatch.setattr(parallel, "CHUNK_CELLS", 4 * 8 * 8**2)
+    result = harness.run(harness.validate_config(harness.make_config({
+        "backend.kind": "conformal_torus", "backend.N": "8",
+        "backend.phi_amplitude": "0.1", "flow.T": "0.04", "flow.dt": "2e-3",
+        "entropy.a": "0.1, 1"})), tmp_path)
+    assert result.exit_code == 0
+    # 21 rows of at most 8: three chunks of 7 rows in two 7-row arrays.
+    assert callers == [("evaluate_tables", 21, 64, 8 * 8**2),
+                       ("stream_backward", 21, 64, 7 * 8**2)]
+    assert [a.shape for a in made if a.shape[1:] == (8, 8)] == [(7, 8, 8)] * 2

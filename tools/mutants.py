@@ -152,9 +152,8 @@ MUTANTS = [
      [FLOWING_HEAT_TEST, "tests/test_heat.py"]),
     # The density chunks: a run's chunk array holds every row's density.
     ("heat-stream-one-chunk", "harness.py",
-     "chunk_rows = min(K, max(1, parallel.CHUNK_CELLS // 4\n"
-     "                                    // backend.cells))",
-     "chunk_rows = K",
+     "parallel.CHUNK_CELLS // 4)",
+     "K * backend.cells)",
      ["tests/test_harness.py::"
       "test_run_holds_one_density_chunk_not_the_history"]),
     # The chunk arrays: the heat solve steps into them in turn, the kernel
@@ -176,20 +175,18 @@ MUTANTS = [
      "a_values)",
      [ROW_BLOCKS_TEST, "tests/test_harness.py"]),
     ("chunk-array-after-ground-states", "harness.py",
-     "            out = [pool.array((chunk_rows,) + backend.field_shape)\n"
-     "                   for _ in range(min(2, -(-K // chunk_rows)))]\n"
-     "            if not pool.shared and chunk_rows < K:  # glibc (CHUNK_CELLS)\n"
-     "                np.empty(min(K * backend.cells, parallel.CHUNK_CELLS))\n"
+     "            out = [pool.array((cut[0].stop - cut[0].start,)\n"
+     "                              + backend.field_shape) for _ in cut[:2]]\n"
      "            ground, solving = submit_ground_states(traj.stack[::2], pool)\n",
      "            ground, solving = submit_ground_states(traj.stack[::2], pool)\n"
-     "            out = [pool.array((chunk_rows,) + backend.field_shape)\n"
-     "                   for _ in range(min(2, -(-K // chunk_rows)))]\n",
+     "            out = [pool.array((cut[0].stop - cut[0].start,)\n"
+     "                              + backend.field_shape) for _ in cut[:2]]\n",
      [CHUNK_ARRAY_TEST]),
     # One chunk array: the heat solve steps the next chunk into the array
     # the worker still reads.
     ("heat-steps-into-the-chunk-being-read", "harness.py",
-     "for _ in range(min(2, -(-K // chunk_rows)))]",
-     "for _ in range(1)]",
+     "for _ in cut[:2]]",
+     "for _ in cut[:1]]",
      [CHUNK_ARRAY_TEST, "tests/test_harness.py::"
       "test_csvs_are_the_same_bytes_on_any_worker_count"]),
     ("pool-array-after-fork-accepted", "parallel.py",
@@ -202,6 +199,22 @@ MUTANTS = [
     ("row-slices-drop-last-row", "parallel.py",
      "slice(lo, min(lo + size, stop))", "slice(lo, min(lo + size, stop) - 1)",
      [FLOWING_HEAT_TEST, "tests/test_heat.py"]),
+    # The run-buffer policy: glibc's heap thresholds left at their defaults,
+    # and the density chunks cut at a fixed size, the last one short.
+    ("heap-raise-removed", "parallel.py",
+     "CHUNK_CELLS = 2**19\nnp.empty(CHUNK_CELLS)\n", "CHUNK_CELLS = 2**19\n",
+     ["tests/test_parallel.py::"
+      "test_importing_parallel_keeps_a_warm_run_in_the_heap"]),
+    ("chunks-fixed-size-cut", "parallel.py",
+     "    count = -(-rows // max(1, cap // cells))\n"
+     "    return [slice(rows * (i - 1) // count, rows * i // count)\n"
+     "            for i in range(count, 0, -1)]\n",
+     "    size = max(1, cap // cells)\n"
+     "    return [slice(max(rows - i * size, 0), rows - (i - 1) * size)\n"
+     "            for i in range(1, -(-rows // size) + 1)]\n",
+     ["tests/test_parallel.py::"
+      "test_stream_and_run_cut_density_chunks_by_one_rule",
+      "tests/test_parallel.py"]),
     # The ground state's arithmetic past the float range: no numpy warning.
     ("lopcg-warns", "functionals.py",
      'with np.errstate(all="ignore"):', "with np.errstate():",
